@@ -12,7 +12,9 @@ from .adversary import (
     ResendPolicy,
     apply_resend,
     bob_pass_bound,
+    channel_probabilities,
     eve_correct_probability,
+    eve_success_probability,
     instrument_contraction_check,
     joint_success,
     optimal_delay,
@@ -27,7 +29,6 @@ from .distill import (
     majority_decode,
     replay_keys,
     run_session,
-    sift,
 )
 from .errors import (
     CausalityViolationError,
@@ -48,8 +49,6 @@ from .harness import (
 from .infotheory import (
     ClassicalChannel,
     eve_channel,
-    eve_information_decomposition,
-    hartley_parity_info,
     holevo_quantity,
     mutual_information,
 )
@@ -58,10 +57,7 @@ from .measurement import (
     EveOutcome,
     PhotonState,
     bob_outcome_distribution,
-    eve_guess_statistics,
     eve_outcome_distribution,
-    sample_bob,
-    sample_eve,
 )
 from .security import (
     SecurityReport,

@@ -17,8 +17,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, RejectedInstrumentError
-from .measurement import PhotonState
-from .wavepacket import AmplitudeProfile, Interval
+from .measurement import (
+    BobOutcome,
+    EveOutcome,
+    PhotonState,
+    bob_outcome_distribution,
+    eve_outcome_distribution,
+)
+from .wavepacket import AmplitudeProfile, Interval, make_plateau
 
 _TOL = 1e-9
 
@@ -64,10 +70,20 @@ def _check_geometry(chi: float, channel_length: float, extent: float):
         )
 
 
+def eve_success_probability(f: float) -> float:
+    """Probability (1 + f)/2 of knowing the bit with available fraction f.
+
+    A firing measurement identifies the bit and a silent one leaves a fair
+    coin flip.  The fraction saturates at 1 once the accessible region
+    covers the whole state.
+    """
+    return 0.5 * (1.0 + min(1.0, f))
+
+
 def eve_correct_probability(chi: float, channel_length: float, extent: float) -> float:
     """Probability (1 + (L_ch + chi)/L)/2 of identifying the sent bit."""
     _check_geometry(chi, channel_length, extent)
-    return 0.5 * (1.0 + (channel_length + chi) / extent)
+    return eve_success_probability((channel_length + chi) / extent)
 
 
 def bob_pass_bound(chi: float, extent: float) -> float:
@@ -99,7 +115,7 @@ def optimal_delay(
         )
     if grid_points < 2:
         raise InvalidParameterError("grid needs at least 2 points")
-    pr_max = 0.5 * (1.0 + channel_length / extent)
+    pr_max = eve_success_probability(channel_length / extent)
     chis = np.linspace(0.0, extent - channel_length, grid_points)
     values = np.array([joint_success(c, channel_length, extent) for c in chis])
     if int(np.argmax(values)) != 0 or values.max() > pr_max + _TOL:
@@ -124,15 +140,46 @@ def apply_resend(
         return None
     if strategy.resend_policy is ResendPolicy.SHIFTED_COPY or chi == 0.0:
         return PhotonState(bit=bit, profile=honest_profile,
-                           emission_time=emission_time, delay=chi,
-                           substituted=True)
+                           emission_time=emission_time, delay=chi)
     support = honest_profile.support
     if chi >= support.length:
         raise InvalidParameterError("delay exceeds the state extent; nothing to resend")
     reachable = Interval(support.lo + chi, support.hi)
     resent = honest_profile.restrict(reachable).normalized()
     return PhotonState(bit=bit, profile=resent, emission_time=emission_time,
-                       delay=chi, substituted=True)
+                       delay=chi)
+
+
+def channel_probabilities(
+    state_extent: float, channel_length: float, eve: EveStrategy | None = None,
+    tail_mass: float = 0.0, ramp_fraction: float = 0.0,
+    resolution: float | None = None,
+) -> tuple[float, float]:
+    """Per-round firing and receiver-pass probabilities, (f_eve, p_pass).
+
+    The carrier is the plateau of extent L emitted with its support ending
+    at x = 0; the receiver's domain starts at the channel end L_ch and is
+    as long as the support, and he measures once the plateau can fill it.
+    Without an eavesdropper f_eve is 0 and p_pass is the honest pass
+    probability; with one, f_eve is the mass in her accessible region and
+    p_pass that of her resent substitute (0 when she forwards nothing).
+    """
+    base = make_plateau(state_extent, tail_mass, ramp_fraction,
+                        resolution).shifted(-state_extent)
+    support = base.support
+    omega_b = Interval(channel_length, channel_length + support.length)
+    t_b = channel_length - support.lo
+    honest = PhotonState(bit=0, profile=base)
+    if eve is None:
+        return 0.0, 1.0 - bob_outcome_distribution(honest, t_b, omega_b)[
+            BobOutcome.INCONCLUSIVE]
+    omega_e = eve.accessible_region(0.0)
+    f_eve = eve_outcome_distribution(honest, omega_e, omega_e.hi)[EveOutcome.FIRED_ZERO]
+    resend = apply_resend(eve, base, bit=0)
+    if resend is None:
+        return f_eve, 0.0
+    return f_eve, 1.0 - bob_outcome_distribution(
+        resend, t_b, omega_b, reference=base)[BobOutcome.INCONCLUSIVE]
 
 
 @dataclass(frozen=True)

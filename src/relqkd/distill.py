@@ -16,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import EveStrategy, ResendPolicy, apply_resend
+from .adversary import EveStrategy, ResendPolicy, channel_probabilities
 from .errors import InvalidParameterError, ResourceExhaustedError
-from .measurement import (
-    BobOutcome,
-    EveOutcome,
-    PhotonState,
-    bob_outcome_distribution,
-    eve_outcome_distribution,
-)
-from .wavepacket import Interval, make_plateau
+from .measurement import BobOutcome, EveOutcome
 
 TRANSCRIPT_SCHEMA = "relqkd-transcript/1"
 
@@ -142,9 +135,19 @@ class Transcript:
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
+        """Parse ``to_text`` output; any malformed input raises InvalidParameterError."""
         lines = text.splitlines()
         if not lines or lines[0] != TRANSCRIPT_SCHEMA:
             raise InvalidParameterError("not a relqkd-transcript/1 file")
+        try:
+            return cls._parse(lines)
+        except InvalidParameterError:
+            raise
+        except (IndexError, KeyError, ValueError) as exc:
+            raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
+
+    @classmethod
+    def _parse(cls, lines: list[str]) -> "Transcript":
         pos = 1
         tag, count = lines[pos].split("\t")
         if tag != "rounds":
@@ -174,7 +177,7 @@ class Transcript:
         for i in range(n_hash):
             parts = lines[pos + i].split("\t")
             hash_log.append(HashRecord(
-                round_index=int(parts[0]), subset=parts[1],
+                round_index=int(parts[0]), subset=_subset_parse(parts[1]),
                 parity_a=int(parts[2]), parity_b=int(parts[3]),
                 discarded=int(parts[4]) if parts[4] != "-" else None,
             ))
@@ -200,15 +203,15 @@ def _bits_text(bits) -> str:
 def _bits_parse(text: str):
     if text == "-":
         return None
+    if text.strip("01"):
+        raise InvalidParameterError(f"bit string {text!r} holds characters other than 0/1")
     return np.array([1 if c == "1" else 0 for c in text], dtype=np.uint8)
 
 
-def sift(outcomes) -> np.ndarray:
-    """Indices of the rounds with a conclusive receiver outcome."""
-    return np.array(
-        [i for i, o in enumerate(outcomes) if o is not BobOutcome.INCONCLUSIVE],
-        dtype=np.int64,
-    )
+def _subset_parse(text: str) -> str:
+    if text.strip("01") or "1" not in text:
+        raise InvalidParameterError(f"hash subset {text!r} is not a non-zero bit string")
+    return text
 
 
 def estimate_error(a_bits, b_bits, disclose_fraction: float,
@@ -272,6 +275,9 @@ def form_parity_bits(blockwise_bits, groups) -> np.ndarray:
     return parities
 
 
+# Bit strings travel as Python ints, bit i of the int being string
+# position i, so one subset parity is an AND and a popcount.
+
 def _bits_to_int(bits) -> int:
     v = 0
     for i, b in enumerate(bits):
@@ -280,12 +286,31 @@ def _bits_to_int(bits) -> int:
     return v
 
 
+def _int_to_bits(v: int, length: int) -> np.ndarray:
+    return np.array([(v >> i) & 1 for i in range(length)], dtype=np.uint8)
+
+
 def _int_to_bit_text(v: int, length: int) -> str:
-    return "".join("1" if (v >> i) & 1 else "0" for i in range(length))
+    return format(v, f"0{length}b")[::-1]
 
 
 def _drop_bit(v: int, pos: int) -> int:
     return ((v >> (pos + 1)) << pos) | (v & ((1 << pos) - 1))
+
+
+def _hash_step(ia: int, ib: int, subset: int):
+    """Compare the subset parities of both strings; on a match drop a bit.
+
+    Returns (parity_a, parity_b, position, ia, ib).  On a match the bit at
+    the lowest position the subset selects is removed from both strings;
+    on a mismatch position is None and the strings are returned unchanged.
+    """
+    pa = (ia & subset).bit_count() & 1
+    pb = (ib & subset).bit_count() & 1
+    if pa != pb:
+        return pa, pb, None, ia, ib
+    pos = (subset & -subset).bit_length() - 1
+    return pa, pb, pos, _drop_bit(ia, pos), _drop_bit(ib, pos)
 
 
 def _random_nonzero(rng: np.random.Generator, length: int) -> int:
@@ -334,19 +359,13 @@ def hash_rounds(bits_a, bits_b, rounds: int,
     log: list[HashRecord] = []
     for l in range(1, rounds + 1):
         s = _random_nonzero(rng, length)
-        pa = (ia & s).bit_count() & 1
-        pb = (ib & s).bit_count() & 1
-        if pa != pb:
-            log.append(HashRecord(l, _int_to_bit_text(s, length), pa, pb, None))
-            return HashResult(None, None, True, tuple(log))
-        pos = (s & -s).bit_length() - 1
+        pa, pb, pos, ia, ib = _hash_step(ia, ib, s)
         log.append(HashRecord(l, _int_to_bit_text(s, length), pa, pb, pos))
-        ia = _drop_bit(ia, pos)
-        ib = _drop_bit(ib, pos)
+        if pos is None:
+            return HashResult(None, None, True, tuple(log))
         length -= 1
-    key_a = np.array([(ia >> i) & 1 for i in range(length)], dtype=np.uint8)
-    key_b = np.array([(ib >> i) & 1 for i in range(length)], dtype=np.uint8)
-    return HashResult(key_a, key_b, False, tuple(log))
+    return HashResult(_int_to_bits(ia, length), _int_to_bits(ib, length),
+                      False, tuple(log))
 
 
 class _ShortOfBlocks(Exception):
@@ -362,28 +381,9 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     parity mismatch is not an error: the abort is recorded in the
     transcript.
     """
-    base = make_plateau(cfg.state_extent, cfg.tail_mass, cfg.ramp_fraction,
-                        cfg.resolution).shifted(-cfg.state_extent)
-    support = base.support
-    omega_b = Interval(cfg.channel_length, cfg.channel_length + support.length)
-    t_b = cfg.channel_length - support.lo
-    honest = PhotonState(bit=0, profile=base)
-    p_pass_honest = 1.0 - bob_outcome_distribution(honest, t_b, omega_b)[
-        BobOutcome.INCONCLUSIVE]
-
-    f_eve = 0.0
-    p_pass = p_pass_honest
-    if cfg.eve is not None:
-        omega_e = cfg.eve.accessible_region(0.0)
-        t_e = omega_e.hi
-        f_eve = eve_outcome_distribution(honest, omega_e, t_e)[EveOutcome.FIRED_ZERO]
-        resend = apply_resend(cfg.eve, base, bit=0)
-        if resend is None:
-            p_pass = 0.0
-        else:
-            p_pass = 1.0 - bob_outcome_distribution(
-                resend, t_b, omega_b, reference=base)[BobOutcome.INCONCLUSIVE]
-
+    f_eve, p_pass = channel_probabilities(
+        cfg.state_extent, cfg.channel_length, cfg.eve,
+        cfg.tail_mass, cfg.ramp_fraction, cfg.resolution)
     p_sift = p_pass * (1.0 - cfg.loss_probability)
     if p_sift <= 1e-12:
         raise ResourceExhaustedError(
@@ -534,37 +534,30 @@ def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray |
     for block_id, group in group_of_block.items():
         groups.setdefault(group, []).append(block_id)
 
-    n_groups = len(groups)
-    bit_a = np.zeros(n_groups, dtype=np.uint8)
-    bit_b = np.zeros(n_groups, dtype=np.uint8)
-    for group in range(n_groups):
-        for block_id in groups[group]:
-            members = block_members[block_id]
-            a_vals = {m.a_bit for m in members}
-            if len(a_vals) != 1:
-                raise InvalidParameterError(
-                    f"block {block_id} mixes sent bits; transcript is inconsistent"
-                )
-            bit_a[group] ^= a_vals.pop()
-            b_vals = [0 if m.b_outcome is BobOutcome.ZERO else 1 for m in members]
-            bit_b[group] ^= majority_decode(b_vals)
+    n_blocks = max(block_members, default=-1) + 1
+    block_vals_a = np.zeros(n_blocks, dtype=np.uint8)
+    block_vals_b = np.zeros(n_blocks, dtype=np.uint8)
+    for block_id, members in block_members.items():
+        a_vals = {m.a_bit for m in members}
+        if len(a_vals) != 1:
+            raise InvalidParameterError(
+                f"block {block_id} mixes sent bits; transcript is inconsistent"
+            )
+        block_vals_a[block_id] = a_vals.pop()
+        block_vals_b[block_id] = majority_decode(
+            [0 if m.b_outcome is BobOutcome.ZERO else 1 for m in members])
+    ordered = [groups[g] for g in range(len(groups))]
+    ia = _bits_to_int(form_parity_bits(block_vals_a, ordered))
+    ib = _bits_to_int(form_parity_bits(block_vals_b, ordered))
 
-    ia = _bits_to_int(bit_a)
-    ib = _bits_to_int(bit_b)
-    length = n_groups
+    length = len(ordered)
     for h in transcript.hash_log:
-        s = _bits_to_int(1 if c == "1" else 0 for c in h.subset)
-        pa = (ia & s).bit_count() & 1
-        pb = (ib & s).bit_count() & 1
-        if pa != h.parity_a or pb != h.parity_b:
+        pa, pb, pos, ia, ib = _hash_step(ia, ib, int(h.subset[::-1], 2))
+        if (pa, pb, pos) != (h.parity_a, h.parity_b, h.discarded):
             raise InvalidParameterError(
                 f"hash round {h.round_index} does not replay; transcript is inconsistent"
             )
-        if h.discarded is None:
+        if pos is None:
             return None, None
-        ia = _drop_bit(ia, h.discarded)
-        ib = _drop_bit(ib, h.discarded)
         length -= 1
-    key_a = np.array([(ia >> i) & 1 for i in range(length)], dtype=np.uint8)
-    key_b = np.array([(ib >> i) & 1 for i in range(length)], dtype=np.uint8)
-    return key_a, key_b
+    return _int_to_bits(ia, length), _int_to_bits(ib, length)

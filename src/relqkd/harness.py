@@ -23,8 +23,9 @@ from . import security
 from .adversary import (
     EveStrategy,
     ResendPolicy,
-    apply_resend,
     bob_pass_bound,
+    channel_probabilities,
+    eve_success_probability,
     instrument_contraction_check,
     optimal_delay,
     random_kraus_set,
@@ -32,15 +33,7 @@ from .adversary import (
 )
 from .distill import ProtocolConfig, Transcript, hash_rounds, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
-from .measurement import (
-    BobOutcome,
-    EveOutcome,
-    PhotonState,
-    bob_outcome_distribution,
-    eve_outcome_distribution,
-)
 from .security import SecurityReport, build_report
-from .wavepacket import Interval, make_plateau
 
 CSV_COLUMNS = ("ratio", "chi_over_L", "pr_e_analytic", "pr_b_bound",
                "joint_analytic", "joint_empirical", "stderr", "zscore")
@@ -224,23 +217,10 @@ def simulate_intercept_resend(
     L = state_extent
     if not (0.0 <= chi <= L):
         raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
-    base = make_plateau(L, tail_mass, ramp_fraction, resolution).shifted(-L)
-    honest = PhotonState(bit=0, profile=base)
-
     strategy = EveStrategy(delay=chi, channel_length=channel_length,
                            resend_policy=policy)
-    omega_e = strategy.accessible_region(0.0)
-    f = eve_outcome_distribution(honest, omega_e, omega_e.hi)[EveOutcome.FIRED_ZERO]
-
-    support = base.support
-    omega_b = Interval(channel_length, channel_length + support.length)
-    t_b = channel_length - support.lo
-    resend = apply_resend(strategy, base, bit=0)
-    if resend is None:
-        p_pass = 0.0
-    else:
-        p_pass = 1.0 - bob_outcome_distribution(
-            resend, t_b, omega_b, reference=base)[BobOutcome.INCONCLUSIVE]
+    f, p_pass = channel_probabilities(L, channel_length, strategy,
+                                      tail_mass, ramp_fraction, resolution)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     fired = rng.random(trials) < f
@@ -251,8 +231,7 @@ def simulate_intercept_resend(
 
     ratio = channel_length / L
     chi_fraction = chi / L
-    # The closed form saturates once the accessible region covers the state.
-    eve_analytic = 0.5 * (1.0 + min(1.0, ratio + chi_fraction))
+    eve_analytic = eve_success_probability(ratio + chi_fraction)
     bob_analytic = bob_pass_bound(chi, L)
     joint_analytic = eve_analytic * bob_analytic
 
@@ -293,7 +272,7 @@ def cmd_analyze(spec: CampaignSpec) -> list[dict]:
     for ratio in spec.ratios:
         for cf in spec.chi_fractions:
             L = spec.state_extent
-            pr_e = 0.5 * (1.0 + min(1.0, ratio + cf))
+            pr_e = eve_success_probability(ratio + cf)
             pr_b = bob_pass_bound(cf * L, L)
             rows.append({
                 "ratio": ratio, "chi_over_L": cf,
@@ -423,15 +402,9 @@ def check_parity_cosine(limit: int = 200, tol: float = 1e-6) -> CheckResult:
 def check_delay_bound(tol: float = 1e-9) -> CheckResult:
     """Quadrature pass probability never beats 1 - chi/L; optimum at chi=0."""
     L = 1.0
-    base = make_plateau(L).shifted(-L)
-    support = base.support
-    omega_b = Interval(0.4, 0.4 + support.length)
-    t_b = 0.4 - support.lo
     for chi in np.linspace(0.0, 0.96, 25):
         strategy = EveStrategy(delay=float(chi), channel_length=0.4)
-        resend = apply_resend(strategy, base, bit=0)
-        dist = bob_outcome_distribution(resend, t_b, omega_b, reference=base)
-        p_pass = 1.0 - dist[BobOutcome.INCONCLUSIVE]
+        _, p_pass = channel_probabilities(L, 0.4, strategy)
         if p_pass > bob_pass_bound(float(chi), L) + tol:
             return CheckResult("delay-bound", False,
                                f"pass probability beats the bound at chi={chi}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .security import parity_count, _log2_int
 
 _TOL = 1e-9
 
@@ -74,17 +73,6 @@ def eve_channel(f: float) -> ClassicalChannel:
     return ClassicalChannel(priors=np.array([0.5, 0.5]), conditional=cond)
 
 
-def eve_information_decomposition(f: float) -> tuple[float, float]:
-    """Split of the eavesdropper's information by outcome location.
-
-    Returns (available, unavailable): outcomes in her domain identify the
-    bit exactly and contribute ``f`` bits, non-firing outcomes carry none.
-    """
-    if not (0.0 <= f <= 1.0):
-        raise InvalidParameterError(f"available fraction must lie in [0, 1], got {f}")
-    return f, 0.0
-
-
 def holevo_quantity(priors, spectra) -> float:
     """Holevo bound for a commuting ensemble given by its spectra.
 
@@ -107,13 +95,3 @@ def holevo_quantity(priors, spectra) -> float:
         np.sum(priors * np.array([shannon_entropy(row) for row in spectra]))
     )
 
-
-def hartley_parity_info(n: int, k: int) -> float:
-    """Hartley information (bits) of the parity-consistent string set.
-
-    log2 of the exact parity-set count; approximately n*k - log2(2k), so
-    the per-bit ratio eta approaches 1 as n*k grows.
-    """
-    if n < 1 or k < 1:
-        raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
-    return _log2_int(parity_count(n, k).exact)

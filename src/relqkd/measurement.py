@@ -11,11 +11,8 @@ guessing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import CausalityViolationError, InvalidParameterError
 from .wavepacket import AmplitudeProfile, Interval, mass_in_interval, overlap
@@ -46,15 +43,13 @@ class PhotonState:
     ``profile`` holds the envelope in emission coordinates (the envelope as
     it stood at ``emission_time``).  ``delay`` retards the free propagation:
     at time t the envelope occupies the profile support shifted by
-    t - emission_time - delay.  ``substituted`` marks carriers re-emitted by
-    the eavesdropper.
+    t - emission_time - delay.
     """
 
     bit: int
     profile: AmplitudeProfile
     emission_time: float = 0.0
     delay: float = 0.0
-    substituted: bool = False
 
     def __post_init__(self):
         if self.bit not in (0, 1):
@@ -137,43 +132,3 @@ def eve_outcome_distribution(
     dist[_EVE_BIT[state.bit]] = f
     return dist
 
-
-def eve_guess_statistics(f: float) -> tuple[float, float]:
-    """Error and success probabilities of the optimal restricted guess.
-
-    A non-firing measurement leaves a fair coin flip, so with available
-    fraction ``f`` the error probability is (1 - f)/2 and the success
-    probability (1 + f)/2.
-    """
-    if not (0.0 <= f <= 1.0):
-        raise InvalidParameterError(f"available fraction must lie in [0, 1], got {f}")
-    p_err = 0.5 * (1.0 - f)
-    return p_err, 1.0 - p_err
-
-
-def _draw(dist: dict, rng: np.random.Generator):
-    outcomes = list(dist.keys())
-    probs = np.array([dist[o] for o in outcomes], dtype=float)
-    total = probs.sum()
-    if not math.isclose(total, 1.0, abs_tol=1e-9):
-        raise InvalidParameterError(f"distribution sums to {total}, not 1")
-    u = rng.random() * total
-    return outcomes[int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(outcomes) - 1))]
-
-
-def sample_bob(
-    state: PhotonState,
-    t_b: float,
-    omega_b: Interval,
-    rng: np.random.Generator,
-    reference: AmplitudeProfile | None = None,
-) -> BobOutcome:
-    """Draw one receiver outcome from the exact distribution."""
-    return _draw(bob_outcome_distribution(state, t_b, omega_b, reference), rng)
-
-
-def sample_eve(
-    state: PhotonState, omega_e: Interval, t_e: float, rng: np.random.Generator
-) -> EveOutcome:
-    """Draw one eavesdropper outcome from the exact distribution."""
-    return _draw(eve_outcome_distribution(state, omega_e, t_e), rng)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .adversary import eve_success_probability
 from .errors import InvalidParameterError
 
 LN2 = math.log(2.0)
@@ -65,7 +66,7 @@ def zeta(n: int, k: int, ratio: float, eta: float) -> float:
         raise InvalidParameterError(f"eta must lie in (0, 1], got {eta}")
     if n < 1 or k < 1:
         raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
-    return (0.5 * (1.0 + ratio)) ** (eta * n * k)
+    return eve_success_probability(ratio) ** (eta * n * k)
 
 
 class EveKeyBound(NamedTuple):

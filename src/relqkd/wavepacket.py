@@ -59,10 +59,6 @@ class Interval:
         hi = min(self.hi, other.hi)
         return Interval(lo, hi) if hi >= lo else None
 
-    def gap(self, other: "Interval") -> float:
-        """Separation between closest edges; 0 when the intervals touch."""
-        return max(0.0, other.lo - self.hi, self.lo - other.hi)
-
 
 def _exact_mass(x: np.ndarray, f: np.ndarray, a: float, b: float) -> float:
     """Integral of the squared piecewise-linear envelope over [a, b]."""
@@ -250,7 +246,7 @@ def make_plateau(
         achieved value is recorded in ``tail_mass``.
     ramp_fraction : float
         Width of each raised-cosine edge ramp as a fraction of L, in
-        [0, 1/2).
+        [0, 1/2); must be positive when ``tail_mass`` is.
     resolution : float, optional
         Samples per unit length; defaults to 4096 samples across L.
 
@@ -269,6 +265,10 @@ def make_plateau(
     if not (0.0 <= ramp_fraction < 0.5):
         raise InvalidParameterError(
             f"ramp fraction must lie in [0, 1/2), got {ramp_fraction}"
+        )
+    if tail_mass > 0.0 and ramp_fraction == 0.0:
+        raise InvalidParameterError(
+            f"tail mass {tail_mass} needs edge ramps to carry it; ramp fraction is 0"
         )
     if resolution is None:
         resolution = DEFAULT_SAMPLES_ACROSS_PLATEAU / L

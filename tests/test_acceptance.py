@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
-Every tolerance is pinned here; statistical checks use exact binomial
-standard errors around the analytic value with fixed seeds, so the suite is
-deterministic.
+Every seed and trial count is pinned here; statistical checks use exact
+binomial standard errors around the analytic value with fixed seeds, so the
+suite is deterministic.  Criteria 3 (enumeration), 4, 5 and 7 run the same
+check implementations as ``relqkd verify``, with this suite's seeds, trial
+counts and tolerances.
 """
 
 import math
@@ -10,15 +12,15 @@ import time
 
 import numpy as np
 
-from relqkd.adversary import (
-    instrument_contraction_check,
-    joint_success,
-    random_kraus_set,
-    scaled_invalid_kraus_set,
+from relqkd.adversary import joint_success
+from relqkd.distill import ProtocolConfig, majority_decode, run_session
+from relqkd.harness import (
+    check_hash_calibration,
+    check_instrument_bound,
+    check_majority_tail,
+    check_parity_identity,
+    simulate_intercept_resend,
 )
-from relqkd.distill import ProtocolConfig, hash_rounds, majority_decode, run_session
-from relqkd.errors import RejectedInstrumentError
-from relqkd.harness import simulate_intercept_resend
 from relqkd.infotheory import eve_channel, holevo_quantity, mutual_information
 from relqkd.security import build_report, parity_count, solve_parameters
 
@@ -72,27 +74,10 @@ def test_criterion_2_optimum_at_boundary(criterion_log):
                   "within 1e-9 for every ratio < 1")
 
 
-def _enumerate_parity(total: int, k: int) -> int:
-    v = np.arange(2 ** total, dtype=np.uint64)
-    count = np.zeros_like(v)
-    while np.any(v):
-        count += v & 1
-        v = v >> np.uint64(1)
-    return int(np.count_nonzero(count % k == 0)) // 2
-
-
 def test_criterion_3_parity_identity(criterion_log):
     """Binomial sum, cosine form, and enumeration agree."""
-    enum_cache = {}
-    for total in range(1, 21):
-        for k in range(1, total + 1):
-            if total % k:
-                continue
-            count = parity_count(total // k, k)
-            if (total, k) not in enum_cache:
-                enum_cache[(total, k)] = _enumerate_parity(total, k)
-            assert enum_cache[(total, k)] == count.exact, (total, k)
-            assert round(count.cosine) == count.exact, (total, k)
+    exact = check_parity_identity(20)
+    assert exact.passed, exact.detail
     worst = 0.0
     for total in (40, 80, 120, 160, 200):
         for k in (1, 2, 4, 5, 8, 10):
@@ -108,48 +93,27 @@ def test_criterion_3_parity_identity(criterion_log):
 def test_criterion_4_hash_calibration(criterion_log):
     """One injected discrepancy escapes M rounds with probability 2^-M."""
     t0 = time.time()
-    ok = True
-    details = []
-    for rounds in (5, 10):
-        trials = 100_000
-        rng = np.random.default_rng(4000 + rounds)
-        n_bits = 16 + rounds
-        undetected = 0
-        for _ in range(trials):
-            a = rng.integers(0, 2, n_bits)
-            b = a.copy()
-            b[rng.integers(0, n_bits)] ^= 1
-            undetected += not hash_rounds(a, b, rounds, rng).aborted
-        expected = 2.0 ** -rounds
-        dev = abs(undetected / trials - expected)
-        tol = 3.0 * binom_sigma(expected, trials)
-        ok &= dev <= tol
-        details.append(f"M={rounds}: {undetected / trials:.5f} vs {expected:.5f}")
+    results = [check_hash_calibration(100_000, rounds, 4000 + rounds) for rounds in (5, 10)]
     elapsed = time.time() - t0
-    report(criterion_log, 4, ok and elapsed < 30.0,
-           "; ".join(details) + f" at 3 sigma; {elapsed:.1f}s < 30s")
+    report(criterion_log, 4, all(r.passed for r in results) and elapsed < 30.0,
+           "; ".join(r.detail for r in results) + f"; {elapsed:.1f}s < 30s")
 
 
 def test_criterion_5_majority_block_error(criterion_log):
     """Decoded block error matches the exact binomial tail for k=5, p=0.05."""
     t0 = time.time()
     k, p_flip, blocks = 5, 0.05, 1_000_000
-    expected = sum(math.comb(k, j) * p_flip ** j * (1.0 - p_flip) ** (k - j)
-                   for j in range(k // 2 + 1, k + 1))
+    result = check_majority_tail(blocks, k, p_flip, 55)
+    # The check's vectorized decode agrees with the module operation on a
+    # sample of the same draws.
     rng = np.random.default_rng(55)
     flips = rng.random((blocks, k)) < p_flip
-    wrong = flips.sum(axis=1) * 2 > k
-    # The vectorized decode agrees with the module operation on a sample.
     sample = rng.integers(0, blocks, 1000)
     for idx in sample:
-        assert majority_decode(flips[idx].astype(int)) == int(wrong[idx])
-    rate = float(np.mean(wrong))
-    dev = abs(rate - expected)
-    tol = 3.0 * binom_sigma(expected, blocks)
+        assert majority_decode(flips[idx].astype(int)) == int(flips[idx].sum() * 2 > k)
     elapsed = time.time() - t0
-    report(criterion_log, 5, dev <= tol and elapsed < 60.0,
-           f"decoded error {rate:.3e} vs binomial tail {expected:.3e} "
-           f"(3 sigma = {tol:.1e}); {elapsed:.1f}s < 60s")
+    report(criterion_log, 5, result.passed and elapsed < 60.0,
+           f"{result.detail}; {elapsed:.1f}s < 60s")
 
 
 def test_criterion_6_information_formulas(criterion_log):
@@ -168,22 +132,8 @@ def test_criterion_6_information_formulas(criterion_log):
 
 def test_criterion_7_instrument_bound(criterion_log):
     """Random admissible instruments never exceed the available mass."""
-    rng = np.random.default_rng(777)
-    f = 0.6
-    worst = -math.inf
-    for _ in range(100):
-        kraus = random_kraus_set(rng, dimension=8)
-        holds, lhs = instrument_contraction_check(kraus, f, rng=rng, tol=1e-9)
-        assert holds
-        worst = max(worst, lhs - f)
-    rejected = False
-    try:
-        instrument_contraction_check(scaled_invalid_kraus_set(rng), f, rng=rng)
-    except RejectedInstrumentError:
-        rejected = True
-    report(criterion_log, 7, worst <= 1e-9 and rejected,
-           f"100 random d=8 sets exceed f by at most {max(worst, 0.0):.1e} "
-           "(tolerance 1e-9); the scaled set is rejected")
+    result = check_instrument_bound(100, 777, 1e-9)
+    report(criterion_log, 7, result.passed, f"f = 0.6, d = 8: {result.detail}")
 
 
 def test_criterion_8_end_to_end_session(criterion_log):

@@ -6,7 +6,9 @@ import pytest
 from relqkd.adversary import (
     EveStrategy,
     KrausSet,
+    ResendPolicy,
     bob_pass_bound,
+    channel_probabilities,
     eve_correct_probability,
     instrument_contraction_check,
     joint_success,
@@ -72,6 +74,20 @@ class TestEveStrategy:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             EveStrategy(delay=-0.1, channel_length=0.4)
+
+
+class TestChannelProbabilities:
+    def test_honest_and_intercepted(self):
+        f_eve, p_pass = channel_probabilities(1.0, 0.5)
+        assert f_eve == 0.0
+        assert p_pass == pytest.approx(1.0, abs=1e-9)
+        # Waiting chi = 0.25 exposes L_ch + chi of the state and leaves the
+        # truncated resend 1 - chi of the receiver test.
+        f_eve, p_pass = channel_probabilities(1.0, 0.5, EveStrategy(0.25, 0.5))
+        assert f_eve == pytest.approx(0.75, abs=1e-9)
+        assert p_pass == pytest.approx(0.75, abs=1e-9)
+        silent = EveStrategy(0.25, 0.5, ResendPolicy.NO_RESEND)
+        assert channel_probabilities(1.0, 0.5, silent) == (f_eve, 0.0)
 
 
 class TestMonteCarloConsistency:

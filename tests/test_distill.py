@@ -1,9 +1,12 @@
 """Protocol engine: sifting, blocks, parities, hashing, full sessions."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relqkd.adversary import EveStrategy, ResendPolicy
 from relqkd.distill import (
@@ -15,7 +18,6 @@ from relqkd.distill import (
     majority_decode,
     replay_keys,
     run_session,
-    sift,
 )
 from relqkd.errors import (
     InvalidParameterError,
@@ -34,20 +36,25 @@ def make_config(**overrides):
 
 
 class TestSift:
+    """A round is sifted exactly when the receiver's outcome is conclusive."""
+
     def test_all_conclusive_kept(self):
-        outcomes = [BobOutcome.ZERO, BobOutcome.ONE, BobOutcome.ZERO]
-        assert list(sift(outcomes)) == [0, 1, 2]
+        transcript = run_session(make_config(seed=80))
+        assert all(r.sifted and r.b_outcome is not BobOutcome.INCONCLUSIVE
+                   for r in transcript.rounds)
 
     def test_all_inconclusive_dropped(self):
-        outcomes = [BobOutcome.INCONCLUSIVE] * 4
-        assert sift(outcomes).size == 0
+        transcript = run_session(make_config(loss_probability=0.2, seed=80))
+        lost = [r for r in transcript.rounds if r.b_outcome is BobOutcome.INCONCLUSIVE]
+        assert lost
+        assert not any(r.sifted or r.disclosed or r.block is not None for r in lost)
 
     def test_kept_fraction_matches_loss_rate(self):
-        rng = np.random.default_rng(80)
-        n = 10_000
-        lost = rng.random(n) < 0.2
-        outcomes = [BobOutcome.INCONCLUSIVE if l else BobOutcome.ZERO for l in lost]
-        kept = sift(outcomes).size / n
+        transcript = run_session(make_config(key_length=256, loss_probability=0.2,
+                                             seed=80))
+        n = len(transcript.rounds)
+        assert n >= 5_000
+        kept = sum(r.sifted for r in transcript.rounds) / n
         sigma = math.sqrt(0.8 * 0.2 / n)
         assert abs(kept - 0.8) <= 3.0 * sigma
 
@@ -159,14 +166,17 @@ class TestHashRounds:
         assert lengths == [21, 20, 19, 18, 17]
         assert result.key_a.size == 16
 
-    def test_single_round_detection_is_half(self):
+    @pytest.mark.parametrize("errors", [1, 5])
+    def test_single_round_detection_is_half(self, errors):
+        # A uniform non-zero subset has odd overlap with any non-zero error
+        # pattern with probability 2^(n-1)/(2^n - 1), whatever its weight.
         rng = np.random.default_rng(6)
         n, trials = 20, 20_000
         detected = 0
         for _ in range(trials):
             a = rng.integers(0, 2, n)
             b = a.copy()
-            b[rng.integers(0, n)] ^= 1
+            b[rng.choice(n, size=errors, replace=False)] ^= 1
             detected += hash_rounds(a, b, 1, rng).aborted
         sigma = math.sqrt(0.25 / trials)
         assert abs(detected / trials - 0.5) <= 3.0 * sigma + 1e-5
@@ -291,3 +301,48 @@ class TestTranscript:
     def test_rejects_foreign_text(self):
         with pytest.raises(InvalidParameterError):
             Transcript.from_text("not-a-transcript\n")
+
+    def test_replay_rejects_wrong_discarded_position(self):
+        transcript = run_session(make_config(seed=3))
+        first = transcript.hash_log[0]
+        moved = dataclasses.replace(first, discarded=first.discarded + 1)
+        tampered = dataclasses.replace(
+            transcript, hash_log=(moved,) + transcript.hash_log[1:])
+        with pytest.raises(InvalidParameterError):
+            replay_keys(tampered)
+
+
+NOISY_TEXT = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
+                                     flip_probability=0.05, seed=5)).to_text()
+
+
+class TestTranscriptParseErrors:
+    """Malformed transcripts raise InvalidParameterError, never a raw error."""
+
+    @pytest.mark.parametrize("mangle", [
+        lambda t: t[: len(t) // 2],
+        lambda t: re.sub(r"\n0\t[01]\t", "\n0\tx\t", t, count=1),
+        lambda t: "relqkd-transcript/1\n",
+        lambda t: "relqkd-transcript/1\nrounds\n",
+        lambda t: t.replace("rounds\t", "rounds\t9", 1),
+    ], ids=["half", "garbled-a_bit", "empty", "rounds-header-cut", "rounds-overcount"])
+    def test_known_defects(self, mangle):
+        text = mangle(NOISY_TEXT)
+        assert text != NOISY_TEXT
+        with pytest.raises(InvalidParameterError):
+            Transcript.from_text(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_truncated_or_garbled(self, data):
+        text = NOISY_TEXT
+        cut = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:cut]
+        else:
+            text = text[:cut] + data.draw(st.sampled_from("\t\n-x017.")) + text[cut + 1:]
+        try:
+            parsed = Transcript.from_text(text)
+        except InvalidParameterError:
+            return
+        assert isinstance(parsed, Transcript)

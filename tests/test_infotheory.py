@@ -10,13 +10,11 @@ from relqkd.errors import InvalidParameterError
 from relqkd.infotheory import (
     ClassicalChannel,
     eve_channel,
-    eve_information_decomposition,
-    hartley_parity_info,
     holevo_quantity,
     mutual_information,
     shannon_entropy,
 )
-from relqkd.security import parity_count
+from relqkd.security import exact_eta, parity_count
 
 
 class TestMutualInformation:
@@ -54,17 +52,19 @@ class TestMutualInformation:
 
 
 class TestDecomposition:
+    """Firing outcomes carry the full bit, silent outcomes carry none."""
+
     @pytest.mark.parametrize("f", [0.0, 0.35, 1.0])
     def test_split(self, f):
-        available, unavailable = eve_information_decomposition(f)
-        assert unavailable == 0.0
-        assert available == pytest.approx(f, abs=0)
-        # The total coincides with the induced channel's mutual information.
-        assert available + unavailable == pytest.approx(
-            mutual_information(eve_channel(f)), abs=1e-9)
+        ch = eve_channel(f)
+        # A silent outcome leaves the prior untouched: no information.
+        silent = ch.conditional[:, 2]
+        assert silent[0] == silent[1] == pytest.approx(1.0 - f, abs=0)
+        # So the whole mutual information is f bits from the firing outcomes.
+        assert mutual_information(ch) == pytest.approx(f, abs=1e-9)
 
     def test_monotone_in_f(self):
-        totals = [sum(eve_information_decomposition(f)) for f in np.linspace(0, 1, 21)]
+        totals = [mutual_information(eve_channel(f)) for f in np.linspace(0, 1, 21)]
         assert all(b >= a - 1e-15 for a, b in zip(totals, totals[1:]))
 
 
@@ -107,22 +107,24 @@ class TestHolevo:
 
 
 class TestHartley:
+    """Hartley information log2|parity set| = eta * n * k, with eta exact."""
+
     def test_small_cases_against_enumeration(self):
         # All 6-bit strings whose weight is a multiple of 2, halved: 16.
-        assert hartley_parity_info(3, 2) == pytest.approx(math.log2(16), abs=1e-12)
-        assert hartley_parity_info(2, 1) == pytest.approx(1.0, abs=1e-12)
+        assert exact_eta(3, 2) * 6 == pytest.approx(math.log2(16), abs=1e-12)
+        assert exact_eta(2, 1) * 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_large_block_approximation(self):
         # n*k = 40, k = 4: within half a bit of n*k - log2(2k) = 37.
-        assert abs(hartley_parity_info(10, 4) - 37.0) < 0.5
+        assert abs(exact_eta(10, 4) * 40 - 37.0) < 0.5
 
     def test_eta_approaches_one(self):
         k = 3
-        etas = [hartley_parity_info(n, k) / (n * k) for n in (4, 10, 30, 60)]
+        etas = [exact_eta(n, k) for n in (4, 10, 30, 60)]
         assert all(b >= a for a, b in zip(etas, etas[1:]))
         assert etas[-1] > 0.95
 
     def test_matches_exact_counter(self):
         for n, k in [(5, 3), (7, 2), (4, 5)]:
-            assert hartley_parity_info(n, k) == pytest.approx(
+            assert exact_eta(n, k) * n * k == pytest.approx(
                 math.log2(parity_count(n, k).exact), abs=1e-12)

@@ -1,21 +1,25 @@
-"""Receiver and eavesdropper measurement distributions and samplers."""
+"""Receiver and eavesdropper measurement distributions and their draws."""
 
 import math
 
 import numpy as np
 import pytest
 
-from relqkd.adversary import EveStrategy, ResendPolicy, apply_resend
+from relqkd.adversary import (
+    EveStrategy,
+    ResendPolicy,
+    apply_resend,
+    channel_probabilities,
+    eve_success_probability,
+)
+from relqkd.distill import ProtocolConfig, run_session
 from relqkd.errors import CausalityViolationError, InvalidParameterError
 from relqkd.measurement import (
     BobOutcome,
     EveOutcome,
     PhotonState,
     bob_outcome_distribution,
-    eve_guess_statistics,
     eve_outcome_distribution,
-    sample_bob,
-    sample_eve,
 )
 from relqkd.wavepacket import Interval, make_plateau
 
@@ -119,54 +123,70 @@ class TestEveDistribution:
 
 
 class TestGuessStatistics:
+    """Success (1 + f)/2 and error (1 - f)/2 of the optimal restricted guess."""
+
     @pytest.mark.parametrize("f,expected", [
         (0.0, (0.5, 0.5)),
         (1.0, (0.0, 1.0)),
         (0.6, (0.2, 0.8)),
     ])
     def test_values(self, f, expected):
-        p_err, p_ok = eve_guess_statistics(f)
+        p_ok = eve_success_probability(f)
+        p_err = 1.0 - p_ok
         assert p_err == pytest.approx(expected[0], abs=1e-12)
         assert p_ok == pytest.approx(expected[1], abs=1e-12)
-        assert p_err + p_ok == pytest.approx(1.0, abs=0)
 
     def test_affine_in_f(self):
         fs = np.linspace(0.0, 1.0, 11)
-        errs = np.array([eve_guess_statistics(f)[0] for f in fs])
+        errs = np.array([1.0 - eve_success_probability(f) for f in fs])
         assert np.allclose(np.diff(errs, 2), 0.0, atol=1e-15)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            eve_guess_statistics(1.5)
+    def test_out_of_range_saturates(self):
+        # An accessible region longer than the state cannot beat certainty.
+        assert eve_success_probability(1.5) == 1.0
+        assert eve_success_probability(1.0 + 1e-9) == 1.0
+
+
+def eve_session(delay, seed, key_length=16):
+    eve = EveStrategy(delay=delay, channel_length=0.5)
+    return run_session(ProtocolConfig(
+        key_length=key_length, block_size=3, blocks_per_parity=4, hash_rounds=8,
+        disclose_fraction=0.1, state_extent=L, channel_length=0.5, seed=seed,
+        eve=eve)), eve
 
 
 class TestSamplers:
-    def test_degenerate_distribution(self, base):
-        omega_b, t_b = receiver_geometry(base)
-        rng = np.random.default_rng(0)
-        state = PhotonState(bit=0, profile=base)
-        outcomes = {sample_bob(state, t_b, omega_b, rng) for _ in range(50)}
-        assert outcomes == {BobOutcome.ZERO}
+    """The session draws each round's outcomes from the exact distributions."""
 
-    def test_fire_rate_matches_binomial(self, base):
-        state = PhotonState(bit=0, profile=base)
-        omega_e = Interval(0.0, 0.6)
-        rng = np.random.default_rng(1234)
-        n = 100_000
-        fired = sum(
-            sample_eve(state, omega_e, 0.6, rng) is EveOutcome.FIRED_ZERO
-            for _ in range(n)
-        )
+    def test_degenerate_distribution(self):
+        # Honest rounds always pass; a region covering the whole state
+        # always fires, and on the sent bit.
+        honest = run_session(ProtocolConfig(
+            key_length=16, block_size=3, blocks_per_parity=4, hash_rounds=8,
+            disclose_fraction=0.1, state_extent=L, channel_length=0.5, seed=0))
+        assert {r.b_outcome for r in honest.rounds if r.a_bit == 0} == {BobOutcome.ZERO}
+        assert {r.b_outcome for r in honest.rounds if r.a_bit == 1} == {BobOutcome.ONE}
+        transcript, _ = eve_session(delay=0.5, seed=1)
+        for r in transcript.rounds:
+            assert r.eve_outcome is (EveOutcome.FIRED_ZERO if r.a_bit == 0
+                                     else EveOutcome.FIRED_ONE)
+
+    def test_fire_rate_matches_binomial(self):
+        # 5632 key bits take about 100k rounds.
+        transcript, eve = eve_session(delay=0.1, seed=1234, key_length=5632)
+        f_eve, _ = channel_probabilities(L, 0.5, eve)
+        assert f_eve == pytest.approx(0.6, abs=1e-9)
+        n = len(transcript.rounds)
+        assert n >= 100_000
+        fired = sum(r.eve_outcome is not EveOutcome.NO_FIRE for r in transcript.rounds)
         sigma = math.sqrt(0.6 * 0.4 / n)
         assert abs(fired / n - 0.6) <= 3.0 * sigma
 
-    def test_same_seed_same_sequence(self, base):
-        state = PhotonState(bit=0, profile=base)
-        omega_e = Interval(0.0, 0.6)
-        rng_a, rng_b = np.random.default_rng(99), np.random.default_rng(99)
-        run_a = [sample_eve(state, omega_e, 0.6, rng_a) for _ in range(200)]
-        run_b = [sample_eve(state, omega_e, 0.6, rng_b) for _ in range(200)]
-        assert run_a == run_b
+    def test_same_seed_same_sequence(self):
+        run_a, _ = eve_session(delay=0.1, seed=99)
+        run_b, _ = eve_session(delay=0.1, seed=99)
+        assert [r.eve_outcome for r in run_a.rounds] == [r.eve_outcome for r in run_b.rounds]
+        assert run_a.to_text() == run_b.to_text()
 
 
 class TestPhotonState:

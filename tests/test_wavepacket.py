@@ -24,8 +24,10 @@ class TestInterval:
     def test_gap_and_intersection(self):
         a = Interval(0.0, 1.0)
         b = Interval(2.0, 3.0)
-        assert a.gap(b) == 1.0
         assert a.intersect(b) is None
+        assert b.intersect(a) is None
+        # Touching intervals meet in a single point.
+        assert a.intersect(Interval(1.0, 2.0)) == Interval(1.0, 1.0)
         assert a.intersect(Interval(0.5, 2.0)).length == 0.5
 
 
@@ -72,6 +74,7 @@ class TestMakePlateau:
         dict(plateau_length=1.0, tail_mass=-0.1),
         dict(plateau_length=1.0, ramp_fraction=0.5),
         dict(plateau_length=1.0, tail_mass=0.01, ramp_fraction=0.02, resolution=100.0),
+        dict(plateau_length=1.0, tail_mass=0.01, ramp_fraction=0.0),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParameterError):

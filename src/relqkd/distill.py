@@ -239,40 +239,82 @@ def estimate_error(a_bits, b_bits, disclose_fraction: float,
     return p_err, positions
 
 
-def majority_decode(block) -> int:
-    """Majority vote over an odd-size block of bits."""
-    bits = np.asarray(block)
-    if bits.size < 1 or bits.size % 2 == 0:
+def majority_decode(block) -> np.int64 | np.ndarray:
+    """Majority vote over the last axis of an odd-size block of bits.
+
+    One block gives one int64 vote; a stack of blocks, one row each,
+    gives an int64 array of votes.
+    """
+    bits = np.atleast_1d(np.asarray(block))
+    size = bits.shape[-1]
+    if size < 1 or size % 2 == 0:
         raise InvalidParameterError(
-            f"majority voting needs an odd block size, got {bits.size}"
+            f"majority voting needs an odd block size, got {size}"
         )
-    return int(bits.sum() * 2 > bits.size)
+    return (bits.sum(axis=-1) * 2 > size).astype(np.int64)
 
 
 def form_parity_bits(blockwise_bits, groups) -> np.ndarray:
-    """XOR the block-wise bits of each disjoint group into one parity bit."""
+    """XOR the block-wise bits of each disjoint group into one parity bit.
+
+    ``groups`` is a rectangular table: row j lists the blocks of group j.
+    """
     bits = np.asarray(blockwise_bits)
-    seen: set[int] = set()
-    size = None
-    parities = np.empty(len(groups), dtype=np.uint8)
-    for j, group in enumerate(groups):
-        idx = list(group)
-        if not idx:
-            raise InvalidParameterError("parity groups must be non-empty")
-        if size is None:
-            size = len(idx)
-        elif len(idx) != size:
-            raise InvalidParameterError("parity groups must all have the same size")
-        if max(idx) >= bits.size:
-            raise ResourceExhaustedError(
-                f"parity group {j} references block {max(idx)} "
-                f"but only {bits.size} blocks exist"
-            )
-        if seen.intersection(idx):
-            raise InvalidParameterError("parity groups must be disjoint")
-        seen.update(idx)
-        parities[j] = int(np.bitwise_xor.reduce(bits[idx]) & 1)
-    return parities
+    try:
+        table = np.asarray(groups, dtype=np.intp)
+    except ValueError as exc:
+        raise InvalidParameterError("parity groups must all have the same size") from exc
+    if table.ndim != 2 or table.shape[1] == 0:
+        raise InvalidParameterError("parity groups must be non-empty")
+    if table.min() < 0:
+        raise InvalidParameterError("parity groups must reference blocks 0, 1, ...")
+    if table.max() >= bits.size:
+        raise ResourceExhaustedError(
+            f"parity groups reference block {table.max()} "
+            f"but only {bits.size} blocks exist"
+        )
+    if np.unique(table).size != table.size:
+        raise InvalidParameterError("parity groups must be disjoint")
+    return (np.bitwise_xor.reduce(bits[table], axis=1) & 1).astype(np.uint8)
+
+
+def _id_table(ids: np.ndarray, what: str) -> np.ndarray:
+    """Row i lists, in ascending order, the positions whose id is i.
+
+    The ids must run over 0..C-1, each held by the same number of positions.
+    """
+    # The bound on max() also keeps a corrupt id from sizing bincount.
+    numbered = ids.size > 0 and ids.min() >= 0 and ids.max() < ids.size
+    sizes = np.bincount(ids) if numbered else None
+    if not numbered or sizes.min() != sizes.max():
+        raise InvalidParameterError(
+            f"{what}s must be numbered 0, 1, ... and all have one size; "
+            "transcript is inconsistent")
+    return np.argsort(ids, kind="stable").reshape(sizes.size, -1)
+
+
+def _parity_strings(a_bit, b_bit, block, group) -> tuple[np.ndarray, np.ndarray]:
+    """Turn the per-round public columns into the parity strings of A and B.
+
+    ``a_bit`` is the sent bit and ``b_bit`` the receiver's bit of each
+    round; ``block`` and ``group`` are its block and parity group, -1 for a
+    round outside every block.  Blocks of k rounds sharing one sent bit
+    and one group decode to A's sent bit and B's majority vote; each
+    group XORs its n blocks into one parity bit.  A structure that is not
+    of this shape raises InvalidParameterError.
+    """
+    in_block = np.flatnonzero(block != -1)
+    members = in_block[_id_table(block[in_block], "block")]
+    a = a_bit[members]
+    g = group[members]
+    if (a != a[:, :1]).any():
+        raise InvalidParameterError("a block mixes sent bits; transcript is inconsistent")
+    if (g != g[:, :1]).any():
+        raise InvalidParameterError(
+            "a block's rounds name different parity groups; transcript is inconsistent")
+    groups = _id_table(g[:, 0], "parity group")
+    return (form_parity_bits(a[:, 0], groups),
+            form_parity_bits(majority_decode(b_bit[members]), groups))
 
 
 # Bit strings travel as Python ints, bit i of the int being string
@@ -368,6 +410,12 @@ def hash_rounds(bits_a, bits_b, rounds: int,
                       False, tuple(log))
 
 
+# Outcome of each code in the engine's per-round columns: the bit, or 2
+# for an inconclusive receiver or an eavesdropper that did not fire.
+_BOB_OUTCOME = (BobOutcome.ZERO, BobOutcome.ONE, BobOutcome.INCONCLUSIVE)
+_EVE_OUTCOME = (EveOutcome.FIRED_ZERO, EveOutcome.FIRED_ONE, EveOutcome.NO_FIRE)
+
+
 class _ShortOfBlocks(Exception):
     pass
 
@@ -411,8 +459,6 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
              p_pass: float, need_blocks: int) -> Transcript:
     rng_bits, rng_eve, rng_bob, rng_noise, rng_public, rng_hash = rngs
     k = cfg.block_size
-    n_per_parity = cfg.blocks_per_parity
-    n_parity = cfg.key_length + cfg.hash_rounds
 
     a_bits = rng_bits.integers(0, 2, size=n_rounds, dtype=np.int8)
 
@@ -449,63 +495,42 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     # Antedate coding: blocks of k identical sent bits, grouped by A after
     # reception in transmission order, then publicly shuffled before the
     # disjoint parity groups are cut.
-    blocks: list[np.ndarray] = []
+    rows = []
     for value in (0, 1):
         ids = remaining[a_bits[remaining] == value]
-        for start in range(0, ids.size - k + 1, k):
-            blocks.append(ids[start:start + k])
-    blocks.sort(key=lambda b: int(b[0]))
+        rows.append(ids[:ids.size - ids.size % k].reshape(-1, k))
+    blocks = np.concatenate(rows)
+    blocks = blocks[np.argsort(blocks[:, 0])]
     if len(blocks) < need_blocks:
         raise _ShortOfBlocks
-    order = rng_public.permutation(len(blocks))[:need_blocks]
+    chosen = blocks[rng_public.permutation(len(blocks))[:need_blocks]]
 
-    block_of_round = {}
-    group_of_round = {}
-    block_vals_a = np.empty(need_blocks, dtype=np.uint8)
-    block_vals_b = np.empty(need_blocks, dtype=np.uint8)
-    for block_id, src in enumerate(order):
-        members = blocks[src]
-        group = block_id // n_per_parity
-        for r in members:
-            block_of_round[int(r)] = block_id
-            group_of_round[int(r)] = group
-        block_vals_a[block_id] = a_bits[members[0]]
-        block_vals_b[block_id] = majority_decode(outcome_bits[members])
-
-    groups = [range(j * n_per_parity, (j + 1) * n_per_parity) for j in range(n_parity)]
-    bit_a = form_parity_bits(block_vals_a, groups)
-    bit_b = form_parity_bits(block_vals_b, groups)
+    block = np.full(n_rounds, -1, dtype=np.int64)
+    group = np.full(n_rounds, -1, dtype=np.int64)
+    block_ids = np.arange(need_blocks)[:, None]
+    block[chosen] = block_ids
+    group[chosen] = block_ids // cfg.blocks_per_parity
+    bit_a, bit_b = _parity_strings(a_bits, outcome_bits, block, group)
 
     result = hash_rounds(bit_a, bit_b, cfg.hash_rounds, rng_hash)
 
-    records = []
-    for i in range(n_rounds):
-        if conclusive[i]:
-            b_out = BobOutcome.ZERO if outcome_bits[i] == 0 else BobOutcome.ONE
-        else:
-            b_out = BobOutcome.INCONCLUSIVE
-        if fired is None:
-            e_out = None
-        elif fired[i]:
-            e_out = EveOutcome.FIRED_ZERO if a_bits[i] == 0 else EveOutcome.FIRED_ONE
-        else:
-            e_out = EveOutcome.NO_FIRE
-        records.append(RoundRecord(
-            index=i,
-            a_bit=int(a_bits[i]),
-            b_outcome=b_out,
-            eve_outcome=e_out,
-            sifted=bool(conclusive[i]),
-            disclosed=bool(disclosed_mask[i]),
-            block=block_of_round.get(i),
-            parity_group=group_of_round.get(i),
-        ))
+    bob = [_BOB_OUTCOME[c] for c in np.where(conclusive, outcome_bits, 2).tolist()]
+    if fired is None:
+        eve = [None] * n_rounds
+    else:
+        eve = [_EVE_OUTCOME[c] for c in np.where(fired, a_bits, 2).tolist()]
+    records = tuple(
+        RoundRecord(i, a, b, e, sift, disc,
+                    None if blk < 0 else blk, None if grp < 0 else grp)
+        for i, (a, b, e, sift, disc, blk, grp) in enumerate(zip(
+            a_bits.tolist(), bob, eve, conclusive.tolist(),
+            disclosed_mask.tolist(), block.tolist(), group.tolist())))
 
     abort_reason = None
     if result.aborted:
         abort_reason = f"hash parity mismatch at round {result.log[-1].round_index}"
     return Transcript(
-        rounds=tuple(records),
+        rounds=records,
         hash_log=result.log,
         p_err_estimate=p_err,
         key_a=result.key_a,
@@ -522,35 +547,17 @@ def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray |
     grouping and the hash log; reproduces the session's keys exactly, or
     (None, None) if the recorded session aborted.
     """
-    block_members: dict[int, list[RoundRecord]] = {}
-    group_of_block: dict[int, int] = {}
-    for r in transcript.rounds:
-        if r.block is None:
-            continue
-        block_members.setdefault(r.block, []).append(r)
-        group_of_block[r.block] = r.parity_group
+    rounds = transcript.rounds
+    bit_a, bit_b = _parity_strings(
+        np.array([r.a_bit for r in rounds], dtype=np.int64),
+        np.array([r.b_outcome is not BobOutcome.ZERO for r in rounds], dtype=np.int64),
+        np.array([-1 if r.block is None else r.block for r in rounds], dtype=np.int64),
+        np.array([-1 if r.parity_group is None else r.parity_group for r in rounds],
+                 dtype=np.int64))
+    ia = _bits_to_int(bit_a)
+    ib = _bits_to_int(bit_b)
 
-    groups: dict[int, list[int]] = {}
-    for block_id, group in group_of_block.items():
-        groups.setdefault(group, []).append(block_id)
-
-    n_blocks = max(block_members, default=-1) + 1
-    block_vals_a = np.zeros(n_blocks, dtype=np.uint8)
-    block_vals_b = np.zeros(n_blocks, dtype=np.uint8)
-    for block_id, members in block_members.items():
-        a_vals = {m.a_bit for m in members}
-        if len(a_vals) != 1:
-            raise InvalidParameterError(
-                f"block {block_id} mixes sent bits; transcript is inconsistent"
-            )
-        block_vals_a[block_id] = a_vals.pop()
-        block_vals_b[block_id] = majority_decode(
-            [0 if m.b_outcome is BobOutcome.ZERO else 1 for m in members])
-    ordered = [groups[g] for g in range(len(groups))]
-    ia = _bits_to_int(form_parity_bits(block_vals_a, ordered))
-    ib = _bits_to_int(form_parity_bits(block_vals_b, ordered))
-
-    length = len(ordered)
+    length = bit_a.size
     for h in transcript.hash_log:
         pa, pb, pos, ia, ib = _hash_step(ia, ib, int(h.subset[::-1], 2))
         if (pa, pb, pos) != (h.parity_a, h.parity_b, h.discarded):

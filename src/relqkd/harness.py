@@ -31,7 +31,7 @@ from .adversary import (
     random_kraus_set,
     scaled_invalid_kraus_set,
 )
-from .distill import ProtocolConfig, Transcript, hash_rounds, run_session
+from .distill import ProtocolConfig, Transcript, hash_rounds, majority_decode, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
 from .security import SecurityReport, build_report
 
@@ -352,22 +352,12 @@ class CheckResult:
     detail: str
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.uint64).copy()
-    count = np.zeros_like(v)
-    while np.any(v):
-        count += v & 1
-        v >>= np.uint64(1)
-    return count
-
-
-def _enumerated_parity_count(total: int, k: int) -> int:
-    weights = _popcount(np.arange(2 ** total, dtype=np.uint64))
-    return int(np.count_nonzero(weights % k == 0)) // 2
-
-
 def check_parity_identity(limit: int = 20) -> CheckResult:
     """Binomial sum, cosine form, and brute-force enumeration agree exactly."""
+    # weights[v] is the popcount of v for every v < 2**limit.
+    weights = np.zeros(1, dtype=np.uint8)
+    for _ in range(limit):
+        weights = np.concatenate((weights, weights + 1))
     for total in range(1, limit + 1):
         for k in range(1, total + 1):
             if total % k:
@@ -377,7 +367,8 @@ def check_parity_identity(limit: int = 20) -> CheckResult:
             if round(count.cosine) != count.exact:
                 return CheckResult("parity-identity", False,
                                    f"cosine side mismatch at (n={n}, k={k})")
-            if _enumerated_parity_count(total, k) != count.exact:
+            enumerated = np.count_nonzero(weights[:2 ** total] % k == 0) // 2
+            if enumerated != count.exact:
                 return CheckResult("parity-identity", False,
                                    f"enumeration mismatch at (n={n}, k={k})")
     return CheckResult("parity-identity", True,
@@ -461,7 +452,7 @@ def check_majority_tail(trials: int = 200_000, k: int = 5, p_flip: float = 0.05,
     """Decoded block error matches the exact binomial tail."""
     rng = np.random.default_rng(seed)
     flips = rng.random((trials, k)) < p_flip
-    errors = np.count_nonzero(flips.sum(axis=1) * 2 > k)
+    errors = np.count_nonzero(majority_decode(flips))
     expected = sum(math.comb(k, j) * p_flip ** j * (1 - p_flip) ** (k - j)
                    for j in range(k // 2 + 1, k + 1))
     sigma = _stderr(expected, trials)

@@ -108,6 +108,12 @@ class TestMajority:
         with pytest.raises(InvalidParameterError):
             majority_decode((0, 1, 1, 0))
 
+    def test_votes_over_last_axis(self):
+        stack = np.array([[0, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
+        assert majority_decode(stack).tolist() == [0, 1, 1]
+        with pytest.raises(InvalidParameterError):
+            majority_decode(stack[:, :2])
+
     @pytest.mark.parametrize("p_flip", [0.01, 0.05, 0.1])
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_block_error_matches_binomial_tail(self, p_flip, k):
@@ -147,6 +153,16 @@ class TestParityBits:
     def test_missing_blocks_exhaust(self):
         with pytest.raises(ResourceExhaustedError):
             form_parity_bits(np.zeros(4, dtype=int), [range(0, 3), range(3, 6)])
+
+    @pytest.mark.parametrize("groups", [
+        [range(0, 3), range(3, 5)],
+        [range(0, 0)],
+        [],
+        [range(-1, 1)],
+    ], ids=["ragged", "empty-group", "no-groups", "negative"])
+    def test_malformed_groups_rejected(self, groups):
+        with pytest.raises(InvalidParameterError):
+            form_parity_bits(np.zeros(6, dtype=int), groups)
 
 
 class TestHashRounds:
@@ -273,6 +289,62 @@ class TestRunSession:
             make_config(block_size=4)
 
 
+def _edit_blocks(edit):
+    """A mangle applying ``edit`` to the rounds that a transcript puts in blocks.
+
+    ``edit`` gets the split rows of those rounds, grouped by block, and
+    changes them in place; fields 1, 6 and 7 are the sent bit, the block
+    and the parity group.
+    """
+    def mangle(text):
+        lines = text.split("\n")
+        n = int(lines[1].split("\t")[1])
+        rows = [line.split("\t") for line in lines[3:3 + n]]
+        blocks = {}
+        for r in rows:
+            if r[6] != "-":
+                blocks.setdefault(int(r[6]), []).append(r)
+        edit([blocks[b] for b in sorted(blocks)])
+        lines[3:3 + n] = ["\t".join(r) for r in rows]
+        return "\n".join(lines)
+    return mangle
+
+
+def _set(rows, field, value):
+    for r in rows:
+        r[field] = value
+
+
+def _drop_first_rounds(blocks):
+    for rows in blocks:
+        _set(rows[:1], 6, "-")
+        _set(rows[:1], 7, "-")
+
+
+def _flip_sent_bit(blocks):
+    row = blocks[0][0]
+    row[1] = "1" if row[1] == "0" else "0"
+
+
+def _renumber_last_group(blocks):
+    last = blocks[-1][0][7]
+    for rows in blocks:
+        if rows[0][7] == last:
+            _set(rows, 7, str(int(last) + 1))
+
+
+INCONSISTENT_BLOCKS = {
+    "blank-group": lambda blocks: _set(blocks[0], 7, "-"),
+    "two-groups": lambda blocks: _set(blocks[0][:1], 7, "1"),
+    "unequal-blocks": lambda blocks: _set(blocks[0][:1], 6, "1"),
+    "even-blocks": _drop_first_rounds,
+    "mixed-sent-bits": _flip_sent_bit,
+    "group-id-gap": _renumber_last_group,
+    "unequal-groups": lambda blocks: _set(blocks[0], 7, "1"),
+    "huge-block-id": lambda blocks: _set(blocks[0], 6, str(10 ** 12)),
+}
+
+
 class TestTranscript:
     def test_text_round_trip(self):
         transcript = run_session(make_config(flip_probability=0.01, seed=31))
@@ -310,6 +382,38 @@ class TestTranscript:
             transcript, hash_log=(moved,) + transcript.hash_log[1:])
         with pytest.raises(InvalidParameterError):
             replay_keys(tampered)
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT_BLOCKS))
+    def test_replay_rejects_inconsistent_blocks(self, case):
+        text = _edit_blocks(INCONSISTENT_BLOCKS[case])(NOISY_TEXT)
+        assert text != NOISY_TEXT
+        with pytest.raises(InvalidParameterError):
+            replay_keys(Transcript.from_text(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.sampled_from([1, 3, 5]), n=st.integers(1, 3),
+           key_length=st.integers(1, 12), rounds=st.integers(1, 6),
+           flip=st.floats(0.0, 0.05), loss=st.floats(0.0, 0.2),
+           eavesdrop=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_engine_and_replay_agree(self, k, n, key_length, rounds, flip, loss,
+                                     eavesdrop, seed):
+        eve = EveStrategy(delay=0.25, channel_length=0.5) if eavesdrop else None
+        try:
+            transcript = run_session(make_config(
+                key_length=key_length, block_size=k, blocks_per_parity=n,
+                hash_rounds=rounds, flip_probability=flip, loss_probability=loss,
+                eve=eve, seed=seed))
+        except ResourceExhaustedError:
+            return
+        text = transcript.to_text()
+        parsed = Transcript.from_text(text)
+        assert parsed.to_text() == text
+        key_a, key_b = replay_keys(parsed)
+        if transcript.aborted:
+            assert key_a is None and key_b is None
+        else:
+            assert key_a.tolist() == transcript.key_a.tolist()
+            assert key_b.tolist() == transcript.key_b.tolist()
 
 
 NOISY_TEXT = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,

@@ -49,22 +49,30 @@ state_extent = 1.0
 channel_length = 0.5
 
 [protocol]
-key_length = 8
-block_size = 3
-blocks_per_parity = 2
+key_length = {key_length}
+block_size = {block_size}
+blocks_per_parity = {blocks_per_parity}
 hash_rounds = 4
 disclose_fraction = 0.1
 flip_probability = {flip}
+loss_probability = {loss}
 {extra}
 """
 
+SMALL = dict(key_length=8, block_size=3, blocks_per_parity=2, loss=0.0)
+
 DISTILL_CASES = {
-    "clean": dict(seed=11, flip=0.0, extra=""),
-    "noisy": dict(seed=12, flip=0.05, extra=""),
-    "eve": dict(seed=13, flip=0.0,
+    "clean": dict(SMALL, seed=11, flip=0.0, extra=""),
+    "noisy": dict(SMALL, seed=12, flip=0.05, extra=""),
+    "eve": dict(SMALL, seed=13, flip=0.0,
                 extra="[eve]\nenabled = true\ndelay = 0.25\nresend = truncated\n"),
-    "tailed": dict(seed=14, flip=0.0,
+    "tailed": dict(SMALL, seed=14, flip=0.0,
                    extra="[state]\ntail_mass = 1e-3\nramp_fraction = 0.05\n"),
+    # The block shapes of the distill-large benchmark at a shorter key.
+    "k1n55": dict(key_length=128, block_size=1, blocks_per_parity=55, loss=0.0,
+                  seed=15, flip=0.0, extra=""),
+    "k7n9": dict(key_length=128, block_size=7, blocks_per_parity=9, loss=0.1,
+                 seed=16, flip=0.02, extra=""),
 }
 
 GOLDEN = {
@@ -88,6 +96,14 @@ GOLDEN = {
         "8997a28ccd6fcdb7a9c4378436600662179981c131259e8f1fedc542dbd57fb6",
     "tailed.report.txt":
         "fb93d594ff70acb34a88a706563311d15d53bc9caac9aa7285bb15affaf2c79c",
+    "k1n55.transcript.txt":
+        "63e5be1cae2eda19d3ddfbedef15e170139fdea80b29efbc748ef2de30119515",
+    "k1n55.report.txt":
+        "5181043bf3e505403a098a63eed94c0d670fbd031ff8b8988bc1b438a2270f4f",
+    "k7n9.transcript.txt":
+        "4ede3e858719079cc6c57e47cdf51eb6613509ef348274201eaa2efbb7424154",
+    "k7n9.report.txt":
+        "48d0ae0ccb8dbd29ffdbc647fc2d83dd91e7876160fde7e7499fe2d36ecfc36c",
 }
 
 

@@ -545,13 +545,26 @@ def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray |
 
     Uses only the per-round data plus the announced block and parity
     grouping and the hash log; reproduces the session's keys exactly, or
-    (None, None) if the recorded session aborted.
+    (None, None) if the recorded session aborted.  A transcript whose
+    blocks or hash log the session could not have produced raises
+    InvalidParameterError.
     """
     rounds = transcript.rounds
+    # Enum members bound once: a class attribute lookup per round would
+    # dominate these loops.
+    zero, inconclusive = BobOutcome.ZERO, BobOutcome.INCONCLUSIVE
+    block = np.array([-1 if r.block is None else r.block for r in rounds], dtype=np.int64)
+    # The engine forms blocks from sifted, undisclosed, conclusive rounds only.
+    usable = np.array([r.sifted and not r.disclosed and r.b_outcome is not inconclusive
+                       for r in rounds], dtype=bool)
+    if not usable[block != -1].all():
+        raise InvalidParameterError(
+            "a block holds an unsifted, disclosed or inconclusive round; "
+            "transcript is inconsistent")
     bit_a, bit_b = _parity_strings(
         np.array([r.a_bit for r in rounds], dtype=np.int64),
-        np.array([r.b_outcome is not BobOutcome.ZERO for r in rounds], dtype=np.int64),
-        np.array([-1 if r.block is None else r.block for r in rounds], dtype=np.int64),
+        np.array([r.b_outcome is not zero for r in rounds], dtype=np.int64),
+        block,
         np.array([-1 if r.parity_group is None else r.parity_group for r in rounds],
                  dtype=np.int64))
     ia = _bits_to_int(bit_a)

@@ -293,8 +293,9 @@ def _edit_blocks(edit):
     """A mangle applying ``edit`` to the rounds that a transcript puts in blocks.
 
     ``edit`` gets the split rows of those rounds, grouped by block, and
-    changes them in place; fields 1, 6 and 7 are the sent bit, the block
-    and the parity group.
+    changes them in place; fields 1, 2, 4, 5, 6 and 7 are the sent bit,
+    the receiver's outcome, the sifted and disclosed flags, the block and
+    the parity group.
     """
     def mangle(text):
         lines = text.split("\n")
@@ -333,6 +334,13 @@ def _renumber_last_group(blocks):
             _set(rows, 7, str(int(last) + 1))
 
 
+def _inconclusive_one(blocks):
+    # A round that read `one` in a sent-bit-1 block: the parity strings stay
+    # the same, so only the per-round flags can reveal the edit.
+    row = next(r for rows in blocks for r in rows if r[1] == "1" and r[2] == "one")
+    row[2] = "inconclusive"
+
+
 INCONSISTENT_BLOCKS = {
     "blank-group": lambda blocks: _set(blocks[0], 7, "-"),
     "two-groups": lambda blocks: _set(blocks[0][:1], 7, "1"),
@@ -342,6 +350,9 @@ INCONSISTENT_BLOCKS = {
     "group-id-gap": _renumber_last_group,
     "unequal-groups": lambda blocks: _set(blocks[0], 7, "1"),
     "huge-block-id": lambda blocks: _set(blocks[0], 6, str(10 ** 12)),
+    "unsifted-round": lambda blocks: _set(blocks[0], 4, "0"),
+    "disclosed-round": lambda blocks: _set(blocks[0], 5, "1"),
+    "inconclusive-round": _inconclusive_one,
 }
 
 

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relqkd.errors import InvalidParameterError
-from relqkd.wavepacket import Interval, make_plateau, mass_in_interval, overlap
+from relqkd.wavepacket import (
+    Interval, _finish, _grid, _overhang_tail, _plateau_samples, make_plateau,
+    mass_in_interval, overlap,
+)
 
 
 def dense_quadrature(profile, lo, hi, n=200_001):
@@ -66,6 +69,41 @@ class TestMakePlateau:
         p = make_plateau(1.0, 0.5, 0.02)
         assert p.tail_mass < 0.5
         assert mass_in_interval(p, p.window) >= 1.0 - 0.5
+
+    # (L, tail, ramp[, resolution]) -> tail_mass, flat_value, x[0], x.size
+    # of the profile built by solving the overhang on whole padded profiles.
+    @pytest.mark.parametrize("args, tail, flat, x0, size", [
+        ((1.0, 1e-3, 0.05), 0.0009999999571734808, 1.0116909938248768,
+         -0.019761120956416058, 4259),
+        ((1.0, 1e-6, 0.1), 9.99998025719151e-07, 1.0591757653257998,
+         -0.008191193949795728, 4165),
+        ((2.5, 1e-2, 0.2), 0.01000000000338197, 0.6517030972302625,
+         -0.2397548568499221, 4883),
+        ((0.7, 1e-4, 0.01), 9.999858648268578e-05, 1.1986275925706402,
+         -0.002393663425124981, 4126),
+        ((1.0, 1e-3, 0.05, 65536.0), 0.0009999999999535936, 1.0116904932084057,
+         -0.01976135982115791, 68128),
+        ((1.0, 0.3, 0.05), 0.03614412274268641, 0.9817616196765001, -0.05, 4507),
+    ])
+    def test_pinned_plateau_values(self, args, tail, flat, x0, size):
+        p = make_plateau(*args)
+        assert abs(p.tail_mass - tail) <= 1e-12
+        assert abs(p.flat_value - flat) <= 1e-12
+        assert abs(p.x[0] - x0) <= 1e-12
+        assert p.x.size == size
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.1, 10.0), st.floats(0.005, 0.499), st.floats(8.0, 100.0),
+           st.floats(0.0, 1.0))
+    def test_overhang_tail_matches_full_grid(self, L, ramp, samples_per_ramp, a_frac):
+        """The ramp-only solve equals the tail of the whole padded profile."""
+        w = ramp * L
+        resolution = samples_per_ramp / w
+        a = a_frac * w
+        x = _grid(-w, L + w, resolution)
+        full = _finish(x, _plateau_samples(L, w, a, x), L, 0.0, ramp, resolution)
+        assert _overhang_tail(L, w, x)(a) == pytest.approx(
+            full.normalized().tail_mass, abs=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
         dict(plateau_length=0.0),

@@ -7,14 +7,15 @@ shows up in the disclosed sample, and how an intercept-resend attack is
 caught.
 """
 
-from relqkd import EveStrategy, ProtocolConfig, replay_keys, run_session
+from relqkd import ROUND_COLUMNS, EveStrategy, ProtocolConfig, replay_keys, run_session
 
 
 def summarize(tag, transcript):
-    sifted = sum(r.sifted for r in transcript.rounds)
-    disclosed = sum(r.disclosed for r in transcript.rounds)
+    table = transcript.round_table
+    sifted = int(table[:, ROUND_COLUMNS.index("sifted")].sum())
+    disclosed = int(table[:, ROUND_COLUMNS.index("disclosed")].sum())
     print(f"--- {tag}")
-    print(f"rounds={len(transcript.rounds)}  sifted={sifted}  "
+    print(f"rounds={len(table)}  sifted={sifted}  "
           f"disclosed={disclosed}  p_err={transcript.p_err_estimate:.4f}")
     if transcript.aborted:
         print(f"ABORTED: {transcript.abort_reason}")

@@ -21,6 +21,7 @@ from .adversary import (
     random_kraus_set,
 )
 from .distill import (
+    ROUND_COLUMNS,
     ProtocolConfig,
     Transcript,
     estimate_error,

@@ -11,6 +11,7 @@ and the resulting transcript is byte-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,7 +80,7 @@ class ProtocolConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     index: int
     a_bit: int
@@ -100,9 +101,22 @@ class HashRecord:
     discarded: int | None  # position removed on match; None on the aborting round
 
 
+# The columns of Transcript.round_table, in the order of the text format.
+# An outcome's code is its index in the enum's declaration order, so a
+# conclusive or fired outcome's code is its bit, and 2 is inconclusive or
+# no_fire; eve_outcome 3 and block or parity_group -1 stand for "-".
+ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "sifted", "disclosed",
+                 "block", "parity_group")
+_BOB_TEXT = tuple(o.value for o in BobOutcome)
+_EVE_TEXT = tuple(o.value for o in EveOutcome) + ("-",)
+_BOB_CODE = {text: code for code, text in enumerate(_BOB_TEXT)}
+_EVE_CODE = {text: code for code, text in enumerate(_EVE_TEXT)}
+_FLAG = {"0": 0, "1": 1}
+
+
 @dataclass(frozen=True)
 class Transcript:
-    rounds: tuple[RoundRecord, ...]
+    round_table: np.ndarray    # int32, one row per round, columns ROUND_COLUMNS
     hash_log: tuple[HashRecord, ...]
     p_err_estimate: float
     key_a: np.ndarray | None
@@ -110,17 +124,22 @@ class Transcript:
     aborted: bool
     abort_reason: str | None
 
+    @property
+    def rounds(self) -> tuple[RoundRecord, ...]:
+        """One RoundRecord per round, rebuilt from ``round_table`` on each call."""
+        bob, eve = tuple(BobOutcome), tuple(EveOutcome) + (None,)
+        return tuple(
+            RoundRecord(i, a, bob[b], eve[e], s == 1, d == 1,
+                        None if blk < 0 else blk, None if grp < 0 else grp)
+            for i, (a, b, e, s, d, blk, grp) in enumerate(_columns(self.round_table)))
+
     def to_text(self) -> str:
-        lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(self.rounds)}",
-                 "round\ta_bit\tb_outcome\teve_outcome\tsifted\tdisclosed\tblock\tparity_group"]
-        for r in self.rounds:
-            eve = r.eve_outcome.value if r.eve_outcome is not None else "-"
-            block = str(r.block) if r.block is not None else "-"
-            group = str(r.parity_group) if r.parity_group is not None else "-"
-            lines.append(
-                f"{r.index}\t{r.a_bit}\t{r.b_outcome.value}\t{eve}\t"
-                f"{int(r.sifted)}\t{int(r.disclosed)}\t{block}\t{group}"
-            )
+        lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(self.round_table)}",
+                 "\t".join(("round",) + ROUND_COLUMNS)]
+        lines.extend(
+            f"{i}\t{a}\t{_BOB_TEXT[b]}\t{_EVE_TEXT[e]}\t{s}\t{d}\t"
+            f"{blk if blk >= 0 else '-'}\t{grp if grp >= 0 else '-'}"
+            for i, (a, b, e, s, d, blk, grp) in enumerate(_columns(self.round_table)))
         lines.append(f"hash_log\t{len(self.hash_log)}")
         lines.append("l\tsubset\tparity_a\tparity_b\tdiscarded")
         for h in self.hash_log:
@@ -143,55 +162,70 @@ class Transcript:
             return cls._parse(lines)
         except InvalidParameterError:
             raise
-        except (IndexError, KeyError, ValueError) as exc:
+        except (IndexError, KeyError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
 
     @classmethod
     def _parse(cls, lines: list[str]) -> "Transcript":
         pos = 1
-        tag, count = lines[pos].split("\t")
-        if tag != "rounds":
-            raise InvalidParameterError("missing rounds section")
-        n_rounds = int(count)
+        n_rounds = _section_size(lines[pos], "rounds")
         pos += 2  # skip column header
-        rounds = []
-        for i in range(n_rounds):
-            parts = lines[pos + i].split("\t")
-            rounds.append(RoundRecord(
-                index=int(parts[0]),
-                a_bit=int(parts[1]),
-                b_outcome=BobOutcome(parts[2]),
-                eve_outcome=EveOutcome(parts[3]) if parts[3] != "-" else None,
-                sifted=parts[4] == "1",
-                disclosed=parts[5] == "1",
-                block=int(parts[6]) if parts[6] != "-" else None,
-                parity_group=int(parts[7]) if parts[7] != "-" else None,
-            ))
+        # One row at a time straight into the array: no list of rows is built.
+        width = 1 + len(ROUND_COLUMNS)
+        table = np.fromiter(
+            itertools.chain.from_iterable(map(_round_row, lines[pos:pos + n_rounds])),
+            dtype=np.int64, count=width * n_rounds).reshape(n_rounds, width)
+        if (table[:, 0] != np.arange(n_rounds)).any():
+            raise InvalidParameterError("rounds must be numbered 0, 1, ...")
+        ids = table[:, -2:]
+        if ids.size and (ids.min() < -1 or ids.max() >= n_rounds):
+            raise InvalidParameterError("a block or parity group id exceeds the round count")
         pos += n_rounds
-        tag, count = lines[pos].split("\t")
-        if tag != "hash_log":
-            raise InvalidParameterError("missing hash_log section")
-        n_hash = int(count)
+        n_hash = _section_size(lines[pos], "hash_log")
         pos += 2
         hash_log = []
         for i in range(n_hash):
-            parts = lines[pos + i].split("\t")
+            index, subset, parity_a, parity_b, discarded = lines[pos + i].split("\t")
+            if index != str(i + 1):
+                raise InvalidParameterError("hash rounds must be numbered 1, 2, ...")
             hash_log.append(HashRecord(
-                round_index=int(parts[0]), subset=_subset_parse(parts[1]),
-                parity_a=int(parts[2]), parity_b=int(parts[3]),
-                discarded=int(parts[4]) if parts[4] != "-" else None,
-            ))
+                i + 1, _subset_parse(subset), _FLAG[parity_a], _FLAG[parity_b],
+                None if discarded == "-" else int(discarded)))
         pos += n_hash
         tail = dict(ln.split("\t", 1) for ln in lines[pos:] if ln)
         return cls(
-            rounds=tuple(rounds),
+            round_table=table[:, 1:].astype(np.int32),
             hash_log=tuple(hash_log),
             p_err_estimate=float(tail["p_err"]),
             key_a=_bits_parse(tail["key_a"]),
             key_b=_bits_parse(tail["key_b"]),
-            aborted=tail["aborted"] == "1",
+            aborted=_FLAG[tail["aborted"]] == 1,
             abort_reason=None if tail["abort_reason"] == "-" else tail["abort_reason"],
         )
+
+
+def _columns(table: np.ndarray):
+    """The table's rows as tuples of Python ints.
+
+    Built from one list per column: ``tolist()`` of the whole table would
+    hold a list object per row at once.
+    """
+    return zip(*(column.tolist() for column in table.T))
+
+
+def _section_size(line: str, tag: str) -> int:
+    name, count = line.split("\t")
+    if name != tag or int(count) < 0:
+        raise InvalidParameterError(f"missing {tag} section or negative count")
+    return int(count)
+
+
+def _round_row(line: str) -> tuple[int, ...]:
+    """The round index and the ROUND_COLUMNS codes of one rounds line."""
+    index, a_bit, b_outcome, eve_outcome, sifted, disclosed, block, group = line.split("\t")
+    return (int(index), _FLAG[a_bit], _BOB_CODE[b_outcome], _EVE_CODE[eve_outcome],
+            _FLAG[sifted], _FLAG[disclosed],
+            -1 if block == "-" else int(block), -1 if group == "-" else int(group))
 
 
 def _bits_text(bits) -> str:
@@ -293,17 +327,21 @@ def _id_table(ids: np.ndarray, what: str) -> np.ndarray:
     return np.argsort(ids, kind="stable").reshape(sizes.size, -1)
 
 
-def _parity_strings(a_bit, b_bit, block, group) -> tuple[np.ndarray, np.ndarray]:
-    """Turn the per-round public columns into the parity strings of A and B.
+def _parity_strings(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn a transcript's round table into the parity strings of A and B.
 
-    ``a_bit`` is the sent bit and ``b_bit`` the receiver's bit of each
-    round; ``block`` and ``group`` are its block and parity group, -1 for a
-    round outside every block.  Blocks of k rounds sharing one sent bit
-    and one group decode to A's sent bit and B's majority vote; each
-    group XORs its n blocks into one parity bit.  A structure that is not
-    of this shape raises InvalidParameterError.
+    Blocks of k sifted, undisclosed, conclusive rounds sharing one sent
+    bit and one parity group decode to A's sent bit and B's majority vote;
+    each group XORs its n blocks into one parity bit.  A structure that is
+    not of this shape raises InvalidParameterError.
     """
+    a_bit, b_outcome, _, sifted, disclosed, block, group = round_table.T
     in_block = np.flatnonzero(block != -1)
+    usable = (sifted == 1) & (disclosed == 0) & (b_outcome != 2)
+    if not usable[in_block].all():
+        raise InvalidParameterError(
+            "a block holds an unsifted, disclosed or inconclusive round; "
+            "transcript is inconsistent")
     members = in_block[_id_table(block[in_block], "block")]
     a = a_bit[members]
     g = group[members]
@@ -314,7 +352,7 @@ def _parity_strings(a_bit, b_bit, block, group) -> tuple[np.ndarray, np.ndarray]
             "a block's rounds name different parity groups; transcript is inconsistent")
     groups = _id_table(g[:, 0], "parity group")
     return (form_parity_bits(a[:, 0], groups),
-            form_parity_bits(majority_decode(b_bit[members]), groups))
+            form_parity_bits(majority_decode(b_outcome[members]), groups))
 
 
 # Bit strings travel as Python ints, bit i of the int being string
@@ -410,12 +448,6 @@ def hash_rounds(bits_a, bits_b, rounds: int,
                       False, tuple(log))
 
 
-# Outcome of each code in the engine's per-round columns: the bit, or 2
-# for an inconclusive receiver or an eavesdropper that did not fire.
-_BOB_OUTCOME = (BobOutcome.ZERO, BobOutcome.ONE, BobOutcome.INCONCLUSIVE)
-_EVE_OUTCOME = (EveOutcome.FIRED_ZERO, EveOutcome.FIRED_ONE, EveOutcome.NO_FIRE)
-
-
 class _ShortOfBlocks(Exception):
     pass
 
@@ -486,9 +518,8 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
 
     p_err, disclosed_local = estimate_error(
         a_bits[kept], outcome_bits[kept], cfg.disclose_fraction, rng_public)
-    disclosed = kept[disclosed_local]
     disclosed_mask = np.zeros(n_rounds, dtype=bool)
-    disclosed_mask[disclosed] = True
+    disclosed_mask[kept[disclosed_local]] = True
 
     remaining = kept[~disclosed_mask[kept]]
 
@@ -505,32 +536,23 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
         raise _ShortOfBlocks
     chosen = blocks[rng_public.permutation(len(blocks))[:need_blocks]]
 
-    block = np.full(n_rounds, -1, dtype=np.int64)
-    group = np.full(n_rounds, -1, dtype=np.int64)
+    block = np.full(n_rounds, -1, dtype=np.int32)
+    group = np.full(n_rounds, -1, dtype=np.int32)
     block_ids = np.arange(need_blocks)[:, None]
     block[chosen] = block_ids
     group[chosen] = block_ids // cfg.blocks_per_parity
-    bit_a, bit_b = _parity_strings(a_bits, outcome_bits, block, group)
+    eve = np.full(n_rounds, 3) if fired is None else np.where(fired, a_bits, 2)
+    table = np.stack((a_bits, np.where(conclusive, outcome_bits, 2), eve,
+                      conclusive, disclosed_mask, block, group), axis=1, dtype=np.int32)
+    bit_a, bit_b = _parity_strings(table)
 
     result = hash_rounds(bit_a, bit_b, cfg.hash_rounds, rng_hash)
-
-    bob = [_BOB_OUTCOME[c] for c in np.where(conclusive, outcome_bits, 2).tolist()]
-    if fired is None:
-        eve = [None] * n_rounds
-    else:
-        eve = [_EVE_OUTCOME[c] for c in np.where(fired, a_bits, 2).tolist()]
-    records = tuple(
-        RoundRecord(i, a, b, e, sift, disc,
-                    None if blk < 0 else blk, None if grp < 0 else grp)
-        for i, (a, b, e, sift, disc, blk, grp) in enumerate(zip(
-            a_bits.tolist(), bob, eve, conclusive.tolist(),
-            disclosed_mask.tolist(), block.tolist(), group.tolist())))
 
     abort_reason = None
     if result.aborted:
         abort_reason = f"hash parity mismatch at round {result.log[-1].round_index}"
     return Transcript(
-        rounds=records,
+        round_table=table,
         hash_log=result.log,
         p_err_estimate=p_err,
         key_a=result.key_a,
@@ -549,24 +571,7 @@ def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray |
     blocks or hash log the session could not have produced raises
     InvalidParameterError.
     """
-    rounds = transcript.rounds
-    # Enum members bound once: a class attribute lookup per round would
-    # dominate these loops.
-    zero, inconclusive = BobOutcome.ZERO, BobOutcome.INCONCLUSIVE
-    block = np.array([-1 if r.block is None else r.block for r in rounds], dtype=np.int64)
-    # The engine forms blocks from sifted, undisclosed, conclusive rounds only.
-    usable = np.array([r.sifted and not r.disclosed and r.b_outcome is not inconclusive
-                       for r in rounds], dtype=bool)
-    if not usable[block != -1].all():
-        raise InvalidParameterError(
-            "a block holds an unsifted, disclosed or inconclusive round; "
-            "transcript is inconsistent")
-    bit_a, bit_b = _parity_strings(
-        np.array([r.a_bit for r in rounds], dtype=np.int64),
-        np.array([r.b_outcome is not zero for r in rounds], dtype=np.int64),
-        block,
-        np.array([-1 if r.parity_group is None else r.parity_group for r in rounds],
-                 dtype=np.int64))
+    bit_a, bit_b = _parity_strings(transcript.round_table)
     ia = _bits_to_int(bit_a)
     ib = _bits_to_int(bit_b)
 

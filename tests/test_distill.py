@@ -419,6 +419,8 @@ class TestTranscript:
         text = transcript.to_text()
         parsed = Transcript.from_text(text)
         assert parsed.to_text() == text
+        assert parsed.round_table.dtype == transcript.round_table.dtype
+        assert np.array_equal(parsed.round_table, transcript.round_table)
         key_a, key_b = replay_keys(parsed)
         if transcript.aborted:
             assert key_a is None and key_b is None
@@ -431,6 +433,12 @@ NOISY_TEXT = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_par
                                      flip_probability=0.05, seed=5)).to_text()
 
 
+def _swap_first_rounds(text):
+    lines = text.split("\n")
+    lines[3], lines[4] = lines[4], lines[3]
+    return "\n".join(lines)
+
+
 class TestTranscriptParseErrors:
     """Malformed transcripts raise InvalidParameterError, never a raw error."""
 
@@ -440,7 +448,18 @@ class TestTranscriptParseErrors:
         lambda t: "relqkd-transcript/1\n",
         lambda t: "relqkd-transcript/1\nrounds\n",
         lambda t: t.replace("rounds\t", "rounds\t9", 1),
-    ], ids=["half", "garbled-a_bit", "empty", "rounds-header-cut", "rounds-overcount"])
+        lambda t: re.sub(r"\n0\t[01]\t", "\n0\t7\t", t, count=1),
+        _edit_blocks(lambda blocks: _set(blocks[0][:1], 4, "x")),
+        _edit_blocks(lambda blocks: _set(blocks[0][:1], 5, "2")),
+        _swap_first_rounds,
+        lambda t: t.replace("discarded\n1\t", "discarded\n2\t", 1),
+        lambda t: re.sub(r"(discarded\n1\t[01]+\t)[01]", r"\g<1>2", t, count=1),
+        lambda t: t.replace("\naborted\t0\n", "\naborted\t2\n", 1),
+        _edit_blocks(lambda blocks: _set(blocks[0][:1], 6, str(2 ** 31))),
+        _edit_blocks(lambda blocks: _set(blocks[0][:1], 7, "-2")),
+    ], ids=["half", "garbled-a_bit", "empty", "rounds-header-cut", "rounds-overcount",
+            "a_bit-7", "sifted-x", "disclosed-2", "rounds-out-of-order",
+            "hash-row-misnumbered", "hash-parity-2", "aborted-2", "block-id-2^31", "group-id-minus-2"])
     def test_known_defects(self, mangle):
         text = mangle(NOISY_TEXT)
         assert text != NOISY_TEXT

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,6 +124,12 @@ class Transcript:
     aborted: bool
     abort_reason: str | None
 
+    def __eq__(self, other):
+        """Field by field; the round table and the keys compare as arrays."""
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
     @property
     def rounds(self) -> tuple[RoundRecord, ...]:
         """One RoundRecord per round, rebuilt from ``round_table`` on each call."""
@@ -202,6 +208,12 @@ class Transcript:
             aborted=_FLAG[tail["aborted"]] == 1,
             abort_reason=None if tail["abort_reason"] == "-" else tail["abort_reason"],
         )
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return x is not None and y is not None and np.array_equal(x, y)
+    return x == y
 
 
 def _columns(table: np.ndarray):
@@ -356,7 +368,8 @@ def _parity_strings(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Bit strings travel as Python ints, bit i of the int being string
-# position i, so one subset parity is an AND and a popcount.
+# position i, so one subset parity is an AND and a popcount.  Many strings
+# of one length up to 63 bits travel as a uint64 array, one string a row.
 
 def _bits_to_int(bits) -> int:
     v = 0
@@ -374,23 +387,28 @@ def _int_to_bit_text(v: int, length: int) -> str:
     return format(v, f"0{length}b")[::-1]
 
 
-def _drop_bit(v: int, pos: int) -> int:
-    return ((v >> (pos + 1)) << pos) | (v & ((1 << pos) - 1))
+def _parity(v):
+    return v.bit_count() & 1 if isinstance(v, int) else np.bitwise_count(v) & 1
 
 
-def _hash_step(ia: int, ib: int, subset: int):
-    """Compare the subset parities of both strings; on a match drop a bit.
+def _hash_step(ia, ib, subset):
+    """One hash round on two strings and a non-zero subset.
 
-    Returns (parity_a, parity_b, position, ia, ib).  On a match the bit at
-    the lowest position the subset selects is removed from both strings;
-    on a mismatch position is None and the strings are returned unchanged.
+    The arguments are either three Python ints or three uint64 arrays, in
+    which case the round runs row by row.  Returns (parity_a, parity_b,
+    ia, ib): the subset parities of both strings, and both strings with
+    the bit at the lowest position the subset selects removed.  The
+    shortened strings are what a matching round keeps; on a mismatch the
+    caller aborts.
     """
-    pa = (ia & subset).bit_count() & 1
-    pb = (ib & subset).bit_count() & 1
-    if pa != pb:
-        return pa, pb, None, ia, ib
-    pos = (subset & -subset).bit_length() - 1
-    return pa, pb, pos, _drop_bit(ia, pos), _drop_bit(ib, pos)
+    keep = (subset & -subset) - 1
+    return (_parity(ia & subset), _parity(ib & subset),
+            ((ia >> 1) & ~keep) | (ia & keep), ((ib >> 1) & ~keep) | (ib & keep))
+
+
+def _dropped_position(subset: int, pa: int, pb: int) -> int | None:
+    """The position a scalar round removes, or None when the parities differ."""
+    return (subset & -subset).bit_length() - 1 if pa == pb else None
 
 
 def _random_nonzero(rng: np.random.Generator, length: int) -> int:
@@ -439,7 +457,8 @@ def hash_rounds(bits_a, bits_b, rounds: int,
     log: list[HashRecord] = []
     for l in range(1, rounds + 1):
         s = _random_nonzero(rng, length)
-        pa, pb, pos, ia, ib = _hash_step(ia, ib, s)
+        pa, pb, ia, ib = _hash_step(ia, ib, s)
+        pos = _dropped_position(s, pa, pb)
         log.append(HashRecord(l, _int_to_bit_text(s, length), pa, pb, pos))
         if pos is None:
             return HashResult(None, None, True, tuple(log))
@@ -577,7 +596,9 @@ def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray |
 
     length = bit_a.size
     for h in transcript.hash_log:
-        pa, pb, pos, ia, ib = _hash_step(ia, ib, int(h.subset[::-1], 2))
+        subset = int(h.subset[::-1], 2)
+        pa, pb, ia, ib = _hash_step(ia, ib, subset)
+        pos = _dropped_position(subset, pa, pb)
         if (pa, pb, pos) != (h.parity_a, h.parity_b, h.discarded):
             raise InvalidParameterError(
                 f"hash round {h.round_index} does not replay; transcript is inconsistent"

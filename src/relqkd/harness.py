@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import security
+from . import distill, security
 from .adversary import (
     EveStrategy,
     ResendPolicy,
@@ -31,7 +31,7 @@ from .adversary import (
     random_kraus_set,
     scaled_invalid_kraus_set,
 )
-from .distill import ProtocolConfig, Transcript, hash_rounds, majority_decode, run_session
+from .distill import ProtocolConfig, Transcript, majority_decode, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
 from .security import SecurityReport, build_report
 
@@ -428,16 +428,28 @@ def check_instrument_bound(n_sets: int = 100, seed: int = 715, tol: float = 1e-9
 
 def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
                            seed: int = 716) -> CheckResult:
-    """A single discrepancy escapes M hash rounds with probability 2^-M."""
-    rng = np.random.default_rng(seed)
+    """A single discrepancy escapes M hash rounds with probability 2^-M.
+
+    All trials run at once, one uint64 row per string pair, through the
+    session's own hash step; every surviving row has the same length, so
+    each round draws one subset per row and keeps the rows that match.
+    """
     n_bits = 16 + rounds
-    undetected = 0
-    for _ in range(trials):
-        bits_a = rng.integers(0, 2, size=n_bits)
-        bits_b = bits_a.copy()
-        bits_b[rng.integers(0, n_bits)] ^= 1
-        if not hash_rounds(bits_a, bits_b, rounds, rng).aborted:
-            undetected += 1
+    if trials < 1 or rounds < 1:
+        raise InvalidParameterError(
+            f"need trials >= 1 and rounds >= 1, got trials={trials}, rounds={rounds}")
+    if n_bits > 63:
+        raise InvalidParameterError(
+            f"{n_bits}-bit strings do not fit in uint64; need rounds <= 47, got {rounds}")
+    rng = np.random.default_rng(seed)
+    ia = rng.integers(0, 1 << n_bits, size=trials, dtype=np.uint64)
+    ib = ia ^ (np.uint64(1) << rng.integers(0, n_bits, size=trials, dtype=np.uint64))
+    for length in range(n_bits, n_bits - rounds, -1):
+        subset = rng.integers(1, 1 << length, size=ia.size, dtype=np.uint64)
+        pa, pb, ia, ib = distill._hash_step(ia, ib, subset)
+        match = pa == pb
+        ia, ib = ia[match], ib[match]
+    undetected = ia.size
     expected = 2.0 ** (-rounds)
     sigma = _stderr(expected, trials)
     dev = abs(undetected / trials - expected)

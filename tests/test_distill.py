@@ -12,6 +12,7 @@ from relqkd.adversary import EveStrategy, ResendPolicy
 from relqkd.distill import (
     ProtocolConfig,
     Transcript,
+    _hash_step,
     estimate_error,
     form_parity_bits,
     hash_rounds,
@@ -188,12 +189,13 @@ class TestHashRounds:
         # pattern with probability 2^(n-1)/(2^n - 1), whatever its weight.
         rng = np.random.default_rng(6)
         n, trials = 20, 20_000
-        detected = 0
-        for _ in range(trials):
-            a = rng.integers(0, 2, n)
-            b = a.copy()
-            b[rng.choice(n, size=errors, replace=False)] ^= 1
-            detected += hash_rounds(a, b, 1, rng).aborted
+        a = rng.integers(0, 1 << n, size=trials, dtype=np.uint64)
+        positions = rng.permuted(np.tile(np.arange(n, dtype=np.uint64), (trials, 1)),
+                                 axis=1)[:, :errors]
+        b = a ^ np.bitwise_or.reduce(np.uint64(1) << positions, axis=1)
+        subset = rng.integers(1, 1 << n, size=trials, dtype=np.uint64)
+        pa, pb, _, _ = _hash_step(a, b, subset)
+        detected = np.count_nonzero(pa != pb)
         sigma = math.sqrt(0.25 / trials)
         assert abs(detected / trials - 0.5) <= 3.0 * sigma + 1e-5
 
@@ -204,6 +206,39 @@ class TestHashRounds:
     def test_too_many_rounds_rejected(self):
         with pytest.raises(InvalidParameterError):
             hash_rounds([0, 1, 1], [0, 1, 1], 3, np.random.default_rng(0))
+
+
+def _drop_bit(v: int, pos: int) -> int:
+    """The bit-removal formula the hash step replaced, as a reference."""
+    return ((v >> (pos + 1)) << pos) | (v & ((1 << pos) - 1))
+
+
+class TestHashStep:
+    def test_arrays_agree_with_ints_row_by_row(self):
+        rng = np.random.default_rng(21)
+        rows, length = 1000, 63
+        a = rng.integers(0, 1 << length, size=rows, dtype=np.uint64)
+        b = a ^ rng.integers(0, 1 << length, size=rows, dtype=np.uint64)
+        b[::2] = a[::2] ^ (np.uint64(1) << rng.integers(0, length, size=rows // 2,
+                                                        dtype=np.uint64))
+        subset = rng.integers(1, 1 << length, size=rows, dtype=np.uint64)
+        pa, pb, next_a, next_b = _hash_step(a, b, subset)
+        assert 0 < np.count_nonzero(pa != pb) < rows
+        for i in range(rows):
+            ints = _hash_step(int(a[i]), int(b[i]), int(subset[i]))
+            assert ints == (int(pa[i]), int(pb[i]), int(next_a[i]), int(next_b[i]))
+
+    @pytest.mark.parametrize("length", [2, 65, 1034])
+    def test_ints_match_the_drop_bit_formula(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(500):
+            ia, ib, s = (int.from_bytes(rng.bytes(length // 8 + 1), "little")
+                         % (1 << length) for _ in range(3))
+            s = s or 1 << int(rng.integers(0, length))
+            pos = (s & -s).bit_length() - 1
+            assert _hash_step(ia, ib, s) == (
+                (ia & s).bit_count() & 1, (ib & s).bit_count() & 1,
+                _drop_bit(ia, pos), _drop_bit(ib, pos))
 
 
 class TestRunSession:
@@ -363,6 +398,16 @@ class TestTranscript:
         assert text.startswith("relqkd-transcript/1\n")
         parsed = Transcript.from_text(text)
         assert parsed.to_text() == text
+
+    def test_equality_compares_arrays(self):
+        text = run_session(make_config(seed=31)).to_text()
+        parsed = Transcript.from_text(text)
+        assert parsed == Transcript.from_text(text)
+        flipped = parsed.key_b.copy()
+        flipped[0] ^= 1
+        assert parsed != dataclasses.replace(parsed, key_b=flipped)
+        assert parsed != dataclasses.replace(parsed, key_a=None, key_b=None)
+        assert parsed != text
 
     def test_replay_reproduces_keys(self):
         for seed in (1, 7, 13):

@@ -2,12 +2,13 @@
 
 import pytest
 
-from relqkd import security
+from relqkd import distill, security
 from relqkd.cli import main as cli_main
 from relqkd.errors import InvalidParameterError
 from relqkd.harness import (
     CampaignSpec,
     CheckResult,
+    check_hash_calibration,
     cmd_analyze,
     cmd_distill,
     cmd_simulate,
@@ -173,6 +174,22 @@ class TestVerify:
         summary = cmd_verify()
         assert not summary.all_passed
         assert "[FAIL] parity-identity" in summary.to_text()
+
+    def test_hash_step_that_never_detects_reported_as_failure(self, monkeypatch):
+        real = distill._hash_step
+
+        def blind(ia, ib, subset):
+            pa, _, next_a, next_b = real(ia, ib, subset)
+            return pa, pa, next_a, next_b
+
+        monkeypatch.setattr(distill, "_hash_step", blind)
+        assert "[FAIL] hash-calibration" in cmd_verify().to_text()
+
+    @pytest.mark.parametrize("kwargs", [dict(trials=0), dict(rounds=0), dict(rounds=48)],
+                             ids=["no-trials", "no-rounds", "64-bit-strings"])
+    def test_hash_calibration_rejects_bad_sizes(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            check_hash_calibration(**kwargs)
 
 
 class TestCli:

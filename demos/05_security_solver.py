@@ -2,8 +2,11 @@
 """Inverting the security criterion into concrete protocol parameters.
 
 Given targets eps1 (key mismatch) and eps2 (eavesdropper information), the
-solver returns the smallest hash-round count M and the smallest odd-k block
-layout (n, k) whose exact Hartley ratio makes every bound hold.
+solver returns the smallest hash-round count M and the block layout (n, k)
+with the smallest n*k whose exact Hartley ratio makes every bound hold.
+Without channel noise that layout is always k = 1: at a fixed n*k, single
+bits give the largest parity set, and so the smallest eavesdropper
+advantage.  The solver therefore bisects n at k = 1.
 """
 
 from relqkd import solve_parameters

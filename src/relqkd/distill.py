@@ -140,14 +140,17 @@ class Transcript:
             for i, (a, b, e, s, d, blk, grp) in enumerate(_columns(self.round_table)))
 
     def to_text(self) -> str:
-        lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(self.round_table)}",
-                 "\t".join(("round",) + ROUND_COLUMNS)]
+        lines = _head_lines(len(self.round_table))
         lines.extend(
             f"{i}\t{a}\t{_BOB_TEXT[b]}\t{_EVE_TEXT[e]}\t{s}\t{d}\t"
             f"{blk if blk >= 0 else '-'}\t{grp if grp >= 0 else '-'}"
             for i, (a, b, e, s, d, blk, grp) in enumerate(_columns(self.round_table)))
-        lines.append(f"hash_log\t{len(self.hash_log)}")
-        lines.append("l\tsubset\tparity_a\tparity_b\tdiscarded")
+        lines.extend(self._trailer_lines())
+        return "\n".join(lines) + "\n"
+
+    def _trailer_lines(self) -> list[str]:
+        """The lines after the rounds section: the hash log and the outcome."""
+        lines = [f"hash_log\t{len(self.hash_log)}", "l\tsubset\tparity_a\tparity_b\tdiscarded"]
         for h in self.hash_log:
             disc = str(h.discarded) if h.discarded is not None else "-"
             lines.append(f"{h.round_index}\t{h.subset}\t{h.parity_a}\t{h.parity_b}\t{disc}")
@@ -156,26 +159,33 @@ class Transcript:
         lines.append(f"key_b\t{_bits_text(self.key_b)}")
         lines.append(f"aborted\t{int(self.aborted)}")
         lines.append(f"abort_reason\t{self.abort_reason if self.abort_reason else '-'}")
-        return "\n".join(lines) + "\n"
+        return lines
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
-        """Parse ``to_text`` output; any malformed input raises InvalidParameterError."""
-        lines = text.splitlines()
-        if not lines or lines[0] != TRANSCRIPT_SCHEMA:
+        """Parse ``to_text`` output; any malformed input raises InvalidParameterError.
+
+        Only the text ``to_text`` writes is accepted, so
+        ``Transcript.from_text(t).to_text() == t`` for every accepted ``t``.
+        """
+        lines = text.split("\n")
+        if lines[0] != TRANSCRIPT_SCHEMA:
             raise InvalidParameterError("not a relqkd-transcript/1 file")
+        if lines.pop() != "":
+            raise InvalidParameterError("a transcript ends with a newline")
         try:
-            return cls._parse(lines)
+            return cls._parse(text, lines)
         except InvalidParameterError:
             raise
         except (IndexError, KeyError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
 
     @classmethod
-    def _parse(cls, lines: list[str]) -> "Transcript":
-        pos = 1
-        n_rounds = _section_size(lines[pos], "rounds")
-        pos += 2  # skip column header
+    def _parse(cls, text: str, lines: list[str]) -> "Transcript":
+        n_rounds = _section_size(lines[1], "rounds")
+        pos = 3
+        if lines[:pos] != _head_lines(n_rounds):
+            raise InvalidParameterError("malformed rounds header")
         # One row at a time straight into the array: no list of rows is built.
         width = 1 + len(ROUND_COLUMNS)
         table = np.fromiter(
@@ -191,15 +201,14 @@ class Transcript:
         pos += 2
         hash_log = []
         for i in range(n_hash):
-            index, subset, parity_a, parity_b, discarded = lines[pos + i].split("\t")
-            if index != str(i + 1):
-                raise InvalidParameterError("hash rounds must be numbered 1, 2, ...")
+            _, subset, parity_a, parity_b, discarded = lines[pos + i].split("\t")
             hash_log.append(HashRecord(
                 i + 1, _subset_parse(subset), _FLAG[parity_a], _FLAG[parity_b],
                 None if discarded == "-" else int(discarded)))
-        pos += n_hash
-        tail = dict(ln.split("\t", 1) for ln in lines[pos:] if ln)
-        return cls(
+        # The round numbers and the order of the lines are checked below,
+        # against what to_text writes for the parsed values.
+        tail = dict(ln.split("\t", 1) for ln in lines[pos + n_hash:])
+        transcript = cls(
             round_table=table[:, 1:].astype(np.int32),
             hash_log=tuple(hash_log),
             p_err_estimate=float(tail["p_err"]),
@@ -208,6 +217,44 @@ class Transcript:
             aborted=_FLAG[tail["aborted"]] == 1,
             abort_reason=None if tail["abort_reason"] == "-" else tail["abort_reason"],
         )
+        trailer = lines[pos - 2:]
+        if transcript._trailer_lines() != trailer:
+            raise InvalidParameterError("a hash or outcome line differs from what to_text writes")
+        # The header and the trailer are as to_text writes them, so the
+        # rounds lines are too if they are as long and ASCII: a number read
+        # by int() prints shorter than written unless written as printed,
+        # which rejects 03, +1, 1_0, -1 and padded numbers.  Non-ASCII digits
+        # print as long, so non-ASCII rows are rejected.
+        rows_length = (len(text) - len(lines) - sum(map(len, lines[:3]))
+                       - sum(map(len, trailer)))
+        if rows_length != _printed_length(table) or not (
+                text.isascii() or all(map(str.isascii, lines[3:3 + n_rounds]))):
+            raise InvalidParameterError("a rounds line differs from what to_text writes")
+        return transcript
+
+
+def _head_lines(n_rounds: int) -> list[str]:
+    return [TRANSCRIPT_SCHEMA, f"rounds\t{n_rounds}", "\t".join(("round",) + ROUND_COLUMNS)]
+
+
+def _printed_length(table: np.ndarray) -> int:
+    """Characters ``to_text`` spends on the rows of a parsed rounds table.
+
+    ``table`` holds the round index and then the ROUND_COLUMNS codes.  Only
+    counts are taken, so no temporary is larger than one bool per round.
+    """
+    # Seven tabs, the one-character a_bit, sifted and disclosed, and the
+    # first character of each of the three numbers (-1 prints as "-").
+    length = 13 * len(table)
+    for column, texts in ((2, _BOB_TEXT), (3, _EVE_TEXT)):
+        length += sum(len(text) * np.count_nonzero(table[:, column] == code)
+                      for code, text in enumerate(texts))
+    for column in (0, 6, 7):
+        power = 10
+        while wider := np.count_nonzero(table[:, column] >= power):
+            length += wider
+            power *= 10
+    return int(length)
 
 
 def _same(x, y) -> bool:

@@ -10,7 +10,7 @@ criterion into concrete (k, n, M).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .adversary import eve_success_probability
@@ -32,19 +32,32 @@ def parity_count(n: int, k: int) -> ParityCount:
     Both sides of the counting identity are returned: the exact binomial
     sum (1/2) * sum_i C(n*k, i*k) and the cosine closed form
     (2^{nk}/2k) * sum_{l=1..k} cos^{nk}(l*pi/k) * cos(n*l*pi).  They agree
-    exactly; the cosine side is exposed for numerical cross-checking and
-    is reliable while 2^{nk} stays within float range.
+    exactly; the cosine side is exposed for numerical cross-checking.
+    While 2^{nk} is a float it is evaluated term by term; beyond that the
+    cosine side is the float nearest the count, or inf past the float range.
     """
     if n < 1 or k < 1:
         raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
     total = n * k
-    exact = sum(math.comb(total, i * k) for i in range(n + 1)) // 2
-    acc = 0.0
-    for l in range(1, k + 1):
-        c = math.cos(l * math.pi / k)
-        sign = -1.0 if (n * l) % 2 else 1.0
-        acc += (c ** total) * sign
-    cosine = (2.0 ** total) / (2.0 * k) * acc
+    # C(total, j) for j = 0..total in one multiplicative pass.
+    binom = twice = 1
+    for j in range(1, total + 1):
+        binom = binom * (total - j + 1) // j
+        if j % k == 0:
+            twice += binom
+    exact = twice // 2
+    if total < 1024:   # 2.0 ** total is a float
+        acc = 0.0
+        for l in range(1, k + 1):
+            c = math.cos(l * math.pi / k)
+            sign = -1.0 if (n * l) % 2 else 1.0
+            acc += (c ** total) * sign
+        cosine = (2.0 ** total) / (2.0 * k) * acc
+    else:
+        try:
+            cosine = float(exact)
+        except OverflowError:
+            cosine = math.inf
     return ParityCount(exact, cosine)
 
 
@@ -174,22 +187,36 @@ class SecurityReport:
 
     @classmethod
     def from_text(cls, text: str) -> "SecurityReport":
+        """Parse ``to_text`` output; any malformed input raises InvalidParameterError."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != REPORT_SCHEMA:
             raise InvalidParameterError("not a relqkd-report/1 block")
         kv = {}
         for ln in lines[1:]:
-            key, _, value = ln.partition("=")
+            key, sep, value = ln.partition("=")
+            if not sep or key not in _REPORT_KEYS or key in kv:
+                raise InvalidParameterError(f"unexpected report line {ln!r}")
             kv[key] = value
+
+        def get(key, parse):
+            if key not in kv:
+                raise InvalidParameterError(f"report lacks {key}")
+            try:
+                return parse(kv[key])
+            except ValueError as exc:
+                raise InvalidParameterError(f"bad report value {key}={kv[key]!r}") from exc
+
         def fget(key):
-            return float(kv[key])
+            return get(key, float)
+
         def bget(key):
-            return kv[key] == "true"
-        return cls(
-            n_key=int(kv["n_key"]),
-            blocks_per_parity=int(kv["blocks_per_parity"]),
-            block_size=int(kv["block_size"]),
-            hash_rounds=int(kv["hash_rounds"]),
+            return get(key, _parse_bool)
+
+        report = cls(
+            n_key=get("n_key", int),
+            blocks_per_parity=get("blocks_per_parity", int),
+            block_size=get("block_size", int),
+            hash_rounds=get("hash_rounds", int),
             ratio=fget("ratio"), eta=fget("eta"), zeta=fget("zeta"),
             pr_eve_key=fget("pr_eve_key"), pr_eve_key_valid=bget("pr_eve_key_valid"),
             i_ab=fget("i_ab"), i_ae=fget("i_ae"), i_be=fget("i_be"),
@@ -200,6 +227,19 @@ class SecurityReport:
             p_err_estimate=fget("p_err_estimate") if "p_err_estimate" in kv else None,
             aborted=bget("aborted") if "aborted" in kv else None,
         )
+        if bget("all_ok") != report.all_ok:
+            raise InvalidParameterError("report all_ok disagrees with its four flags")
+        return report
+
+
+# The keys to_text writes: every field, and the derived all_ok.
+_REPORT_KEYS = frozenset(f.name for f in fields(SecurityReport)) | {"all_ok"}
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return text == "true"
 
 
 def _render(value) -> str:
@@ -276,8 +316,24 @@ def solve_parameters(
     2^-M key-mismatch probability must undercut eps1, and its contribution
     to the I(B;E) bound must leave room under eps2 (half of eps2*ln2 is
     reserved for it, so a solution in (n, k) always exists for ratio < 1).
-    The (n, k) search minimizes n*k and then k, with k restricted to odd
-    values and eta evaluated exactly for each candidate.
+
+    The answer is the candidate with the smallest n*k, and among those the
+    smallest odd k, that passes ``build_report(...).all_ok``.  That is
+    always k = 1:
+
+    - The report depends on (n, k) only through the exponent eta*n*k =
+      log2 parity_count(n, k) of zeta = [(1 + ratio)/2]^(eta*n*k).  zeta
+      falls as the exponent grows, and the three flags that read zeta
+      hold for all smaller zeta once they hold; the mismatch flag reads M
+      only.  So every flag is monotone in the exponent.
+    - At a fixed total t = n*k the parity set holds at most half of the
+      2^t strings, so the exponent is at most t - 1, and k = 1 reaches it:
+      parity_count(t, 1) = 2^(t-1).  If any odd k passes at t, so does
+      k = 1.
+
+    So the search is over n alone with k = 1, and since the exponent n - 1
+    grows with n it is monotone: n doubles from 2 until the report passes,
+    then bisects.  n = 1 never passes: its parity set has one element.
     """
     if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
         raise InvalidParameterError("eps1 and eps2 must lie in (0, 1)")
@@ -292,17 +348,26 @@ def solve_parameters(
     m2 = math.ceil(math.log2(2.0 / (eps2 * LN2)))
     hash_rounds = max(1, m1, m2)
 
-    for total in range(1, max_total + 1):
-        for k in range(1, total + 1, 2):
-            if total % k:
-                continue
-            n = total // k
-            if exact_eta(n, k) <= 0.0:
-                # A single-block parity group has a one-element parity set.
-                continue
-            report = build_report(n_key, n, k, hash_rounds, ratio, eps1, eps2)
-            if report.all_ok:
-                return SolvedParameters(k, n, hash_rounds), report
-    raise InvalidParameterError(
-        f"no (n, k) with n*k <= {max_total} satisfies the criterion"
-    )
+    def report_at(n: int) -> SecurityReport:
+        return build_report(n_key, n, 1, hash_rounds, ratio, eps1, eps2)
+
+    # n = fail is known to fail; double the probe until a report passes.
+    fail, probe = 1, min(2, max_total)
+    while probe > fail:
+        report = report_at(probe)
+        if report.all_ok:
+            break
+        fail, probe = probe, min(2 * probe, max_total)
+    else:
+        raise InvalidParameterError(
+            f"no (n, k) with n*k <= {max_total} satisfies the criterion"
+        )
+    # Bisect (fail, probe]: the smallest passing n.
+    while probe - fail > 1:
+        mid = (fail + probe) // 2
+        candidate = report_at(mid)
+        if candidate.all_ok:
+            probe, report = mid, candidate
+        else:
+            fail = mid
+    return SolvedParameters(1, probe, hash_rounds), report

@@ -476,6 +476,9 @@ class TestTranscript:
 
 NOISY_TEXT = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
                                      flip_probability=0.05, seed=5)).to_text()
+ABORTED_TEXT = run_session(make_config(
+    key_length=4, hash_rounds=3, blocks_per_parity=2,
+    eve=EveStrategy(delay=0.0, channel_length=0.5), seed=0)).to_text()
 
 
 def _swap_first_rounds(text):
@@ -511,6 +514,58 @@ class TestTranscriptParseErrors:
         with pytest.raises(InvalidParameterError):
             Transcript.from_text(text)
 
+    @pytest.mark.parametrize("mangle", [
+        lambda t: t.replace("\n3\t", "\n03\t", 1),
+        lambda t: t.replace("\n0\t", "\n-0\t", 1),
+        lambda t: t.replace("\n5\t", "\n+5\t", 1),
+        _edit_blocks(lambda blocks: _set(blocks[10][:1], 6, "1_0")),
+        _edit_blocks(lambda blocks: _set(blocks[3][:1], 6, " 3")),
+        _edit_blocks(lambda blocks: _set(blocks[3][:1], 6, "3 ")),
+        _edit_blocks(lambda blocks: _set(blocks[0][:1], 7, "+0")),
+        _edit_blocks(lambda blocks: _set(blocks[3][:1], 7, "\u0661")),
+        lambda t: t.replace("\t-\t-\n", "\t-1\t-\n", 1),
+        lambda t: t.replace("rounds\t72", "rounds\t072", 1),
+        lambda t: re.sub(r"(discarded\n1\t[01]+\t[01]\t[01]\t)", r"\g<1>0", t, count=1),
+        lambda t: t.replace("discarded\n", "discarded\n\n", 1),
+        lambda t: t.replace("\tblock\t", "\tblk\t", 1),
+        lambda t: t.replace("p_err\t0\n", "p_err\t0.0\n", 1),
+        lambda t: t.replace("key_b", "aborted\t0\nkey_b", 1),
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t + "\n",
+        lambda t: t[:-1],
+    ], ids=["index-03", "index-minus-0", "index-plus", "block-underscore",
+            "block-leading-space", "block-trailing-space", "group-plus", "group-arabic-digit",
+            "block-minus-1", "rounds-count-0-padded", "discarded-0-padded",
+            "hash-log-blank-line", "renamed-column", "p_err-0.0", "duplicate-tail-line",
+            "crlf", "trailing-blank-line", "no-final-newline"])
+    def test_non_canonical_text(self, mangle):
+        text = mangle(NOISY_TEXT)
+        assert text != NOISY_TEXT
+        with pytest.raises(InvalidParameterError):
+            Transcript.from_text(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepted_text_round_trips(self, data):
+        # Edit one field or separator of a valid transcript the way int(),
+        # float() and the line splitting would forgive; whatever is still
+        # accepted must be written back unchanged.
+        pieces = re.split(r"([\t\n])", data.draw(st.sampled_from([NOISY_TEXT, ABORTED_TEXT])))
+        i = data.draw(st.integers(0, len(pieces) - 1))
+        edit = data.draw(st.sampled_from([
+            lambda f: f, lambda f: "0" + f, lambda f: "+" + f, lambda f: "-" + f,
+            lambda f: " " + f, lambda f: f + " ", lambda f: f + "\r",
+            lambda f: f[:1] + "_" + f[1:], lambda f: f[1:], lambda f: f + "0",
+            lambda f: f.replace("\n", "\r\n"),
+        ]))
+        pieces[i] = edit(pieces[i])
+        text = "".join(pieces)
+        try:
+            parsed = Transcript.from_text(text)
+        except InvalidParameterError:
+            return
+        assert parsed.to_text() == text
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_truncated_or_garbled(self, data):
@@ -524,4 +579,4 @@ class TestTranscriptParseErrors:
             parsed = Transcript.from_text(text)
         except InvalidParameterError:
             return
-        assert isinstance(parsed, Transcript)
+        assert parsed.to_text() == text

@@ -1,13 +1,17 @@
 """Parity counting identity, key-level bounds, and the parameter solver."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqkd.errors import InvalidParameterError
 from relqkd.security import (
     SecurityReport,
+    SolvedParameters,
     build_report,
     eve_key_probability,
     exact_eta,
@@ -58,6 +62,36 @@ class TestParityCount:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             parity_count(0, 3)
+
+    def test_exact_side_is_the_binomial_sum(self):
+        for total in range(1, 301):
+            for k in range(1, total + 1):
+                if total % k == 0:
+                    expected = sum(math.comb(total, i * k)
+                                   for i in range(total // k + 1)) // 2
+                    assert parity_count(total // k, k).exact == expected
+
+    def test_cosine_side_is_the_term_by_term_form(self):
+        # Bitwise the expression evaluated while 2^{nk} is a float.
+        for total in range(1, 201):
+            for k in range(1, total + 1):
+                if total % k:
+                    continue
+                n = total // k
+                acc = 0.0
+                for l in range(1, k + 1):
+                    sign = -1.0 if (n * l) % 2 else 1.0
+                    acc += (math.cos(l * math.pi / k) ** total) * sign
+                expected = (2.0 ** total) / (2.0 * k) * acc
+                assert parity_count(n, k).cosine.hex() == expected.hex()
+
+    def test_cosine_side_never_overflows(self):
+        assert parity_count(1024, 1).cosine == 2.0 ** 1023
+        assert parity_count(100, 11).cosine == math.inf
+        count = parity_count(1100, 1)
+        assert count.cosine == math.inf and count.exact == 2 ** 1099
+        count = parity_count(341, 3)
+        assert count.cosine == float(count.exact)
 
 
 class TestZeta:
@@ -125,6 +159,34 @@ class TestInformationBounds:
             assert information_bounds(32, m, 0.0).i_ab <= 32.0
 
 
+def reference_solve(eps1, eps2, n_key, ratio, max_total=1_000_000):
+    """The solver as first written: every n*k in order, then every odd k."""
+    m1 = math.ceil(-math.log2(eps1))
+    m2 = math.ceil(math.log2(2.0 / (eps2 * LN2)))
+    hash_rounds = max(1, m1, m2)
+    for total in range(1, max_total + 1):
+        for k in range(1, total + 1, 2):
+            if total % k:
+                continue
+            n = total // k
+            if exact_eta(n, k) <= 0.0:
+                continue
+            report = build_report(n_key, n, k, hash_rounds, ratio, eps1, eps2)
+            if report.all_ok:
+                return SolvedParameters(k, n, hash_rounds), report
+    raise InvalidParameterError(
+        f"no (n, k) with n*k <= {max_total} satisfies the criterion"
+    )
+
+
+def _outcome(solve, *args, **kwargs):
+    try:
+        params, report = solve(*args, **kwargs)
+    except InvalidParameterError as exc:
+        return "error", str(exc)
+    return params, report.to_text()
+
+
 class TestSolveParameters:
     def test_hash_rounds_inversion(self):
         # With a generous eps2, only the mismatch criterion binds M.
@@ -166,6 +228,30 @@ class TestSolveParameters:
         with pytest.raises(InvalidParameterError):
             solve_parameters(1e-3, 1e-3, 64, 1.0)
 
+    @pytest.mark.parametrize("ratio,n", [(0.0, 20), (0.5, 45), (0.9, 246), (0.95, 498)])
+    def test_pinned_solutions(self, ratio, n):
+        params, report = solve_parameters(1e-3, 1e-3, 64, ratio)
+        assert params == SolvedParameters(1, n, 12)
+        assert report.all_ok
+
+    def test_high_ratio_solves(self):
+        params, report = solve_parameters(1e-3, 1e-3, 64, 0.99)
+        assert params == SolvedParameters(1, 2507, 12)
+        assert report.all_ok
+        assert not build_report(64, 2506, 1, 12, 0.99, 1e-3, 1e-3).all_ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps1=st.floats(1e-4, 0.5), eps2=st.floats(1e-2, 0.5),
+           n_key=st.integers(1, 64), ratio=st.floats(0.0, 0.75),
+           shortfall=st.integers(1, 40))
+    def test_matches_reference_search(self, eps1, eps2, n_key, ratio, shortfall):
+        expected = _outcome(reference_solve, eps1, eps2, n_key, ratio)
+        assert _outcome(solve_parameters, eps1, eps2, n_key, ratio) == expected
+        params = expected[0]
+        below = params.block_size * params.blocks_per_parity - shortfall
+        assert (_outcome(solve_parameters, eps1, eps2, n_key, ratio, max_total=below)
+                == _outcome(reference_solve, eps1, eps2, n_key, ratio, max_total=below))
+
 
 class TestReportSerialization:
     def test_schema_and_round_trip(self):
@@ -179,3 +265,33 @@ class TestReportSerialization:
     def test_rejects_foreign_text(self):
         with pytest.raises(InvalidParameterError):
             SecurityReport.from_text("something else\nn_key=4\n")
+
+    @pytest.mark.parametrize("mangle", [
+        lambda t: t.replace("n_key=16\n", ""),
+        lambda t: t.replace("n_key=16", "n_key=x"),
+        lambda t: t.replace("eta=", "eta=0.5x", 1),
+        lambda t: t.replace("identical_ok=true", "identical_ok=yes"),
+        lambda t: t.replace("i_ae_ok=true", "i_ae_ok=True"),
+        lambda t: t + "no separator\n",
+        lambda t: t + "unknown=1\n",
+        lambda t: t + "n_key=16\n",
+        lambda t: t.replace("all_ok=true", "all_ok=false"),
+        lambda t: t.replace("i_be_ok=true", "i_be_ok=false"),
+        lambda t: t.replace("all_ok=true\n", ""),
+    ], ids=["missing-n_key", "n_key-x", "eta-garbled", "bool-yes", "bool-True",
+            "no-equals", "unknown-key", "duplicate-key", "all_ok-false",
+            "flag-disagrees", "missing-all_ok"])
+    def test_malformed_reports_raise_typed_errors(self, mangle):
+        _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
+        text = mangle(report.to_text())
+        assert text != report.to_text()
+        with pytest.raises(InvalidParameterError):
+            SecurityReport.from_text(text)
+
+    def test_session_fields_round_trip(self):
+        _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
+        report = dataclasses.replace(report, p_err_estimate=0.125, aborted=False)
+        text = report.to_text()
+        assert SecurityReport.from_text(text).to_text() == text
+        with pytest.raises(InvalidParameterError):
+            SecurityReport.from_text(text.replace("aborted=false", "aborted=0"))

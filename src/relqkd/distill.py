@@ -11,7 +11,6 @@ and the resulting transcript is byte-reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -21,7 +20,7 @@ from .adversary import EveStrategy, ResendPolicy, channel_probabilities
 from .errors import InvalidParameterError, ResourceExhaustedError
 from .measurement import BobOutcome, EveOutcome
 
-TRANSCRIPT_SCHEMA = "relqkd-transcript/1"
+TRANSCRIPT_SCHEMA = "relqkd-transcript/2"
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,20 @@ class HashRecord:
     discarded: int | None  # position removed on match; None on the aborting round
 
 
-# The columns of Transcript.round_table, in the order of the text format.
-# An outcome's code is its index in the enum's declaration order, so a
-# conclusive or fired outcome's code is its bit, and 2 is inconclusive or
-# no_fire; eve_outcome 3 and block or parity_group -1 stand for "-".
+# The columns of Transcript.round_table.  An outcome's code is its index in
+# the enum's declaration order, so a conclusive or fired outcome's code is
+# its bit, and 2 is inconclusive or no_fire; eve_outcome 3 and block or
+# parity_group -1 stand for none.  The text spells each of the first five
+# columns as one line of one character per round, code c being character c
+# of the column's alphabet, and the last two as the announced blocks.
 ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "sifted", "disclosed",
                  "block", "parity_group")
-_BOB_TEXT = tuple(o.value for o in BobOutcome)
-_EVE_TEXT = tuple(o.value for o in EveOutcome) + ("-",)
-_BOB_CODE = {text: code for code, text in enumerate(_BOB_TEXT)}
-_EVE_CODE = {text: code for code, text in enumerate(_EVE_TEXT)}
+_ALPHABETS = tuple(np.frombuffer(a, dtype=np.uint8)
+                   for a in (b"01", b"01?", b"01?-", b"01", b"01"))
+# Row j maps a byte to its code in column j, or to -1 outside the alphabet.
+_DECODE = np.full((len(_ALPHABETS), 256), -1, dtype=np.int8)
+for _row, _alphabet in zip(_DECODE, _ALPHABETS):
+    _row[_alphabet] = np.arange(_alphabet.size)
 _FLAG = {"0": 0, "1": 1}
 
 
@@ -140,76 +143,86 @@ class Transcript:
             for i, (a, b, e, s, d, blk, grp) in enumerate(_columns(self.round_table)))
 
     def to_text(self) -> str:
-        lines = _head_lines(len(self.round_table))
-        lines.extend(
-            f"{i}\t{a}\t{_BOB_TEXT[b]}\t{_EVE_TEXT[e]}\t{s}\t{d}\t"
-            f"{blk if blk >= 0 else '-'}\t{grp if grp >= 0 else '-'}"
-            for i, (a, b, e, s, d, blk, grp) in enumerate(_columns(self.round_table)))
-        lines.extend(self._trailer_lines())
-        return "\n".join(lines) + "\n"
+        """The text form; a round table it cannot spell raises InvalidParameterError.
 
-    def _trailer_lines(self) -> list[str]:
-        """The lines after the rounds section: the hash log and the outcome."""
-        lines = [f"hash_log\t{len(self.hash_log)}", "l\tsubset\tparity_a\tparity_b\tdiscarded"]
+        The text spells the codes of each column's alphabet and blocks
+        0..B-1 of one size whose rounds all name their block's parity group,
+        with no group named outside the blocks (see ``_blocks``).
+        """
+        table = self.round_table
+        codes = table[:, :len(_ALPHABETS)]
+        if ((codes < 0) | (codes >= [a.size for a in _ALPHABETS])).any():
+            raise InvalidParameterError("a round's code lies outside its column's alphabet")
+        members, groups = _blocks(table)
+        lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(table)}"]
+        lines.extend(f"{name}\t{alphabet[column].tobytes().decode()}"
+                     for name, alphabet, column in zip(ROUND_COLUMNS, _ALPHABETS, codes.T))
+        lines.append(f"blocks\t{len(members)}\t{members.shape[1]}")
+        lines.extend(map(_ints_text, (members.ravel(), groups)))
+        lines.append(f"hash_log\t{len(self.hash_log)}")
+        lines.append("l\tsubset\tparity_a\tparity_b\tdiscarded")
         for h in self.hash_log:
             disc = str(h.discarded) if h.discarded is not None else "-"
             lines.append(f"{h.round_index}\t{h.subset}\t{h.parity_a}\t{h.parity_b}\t{disc}")
-        lines.append(f"p_err\t{format(self.p_err_estimate, '.12g')}")
+        lines.append(f"p_err\t{float(self.p_err_estimate)!r}")
         lines.append(f"key_a\t{_bits_text(self.key_a)}")
         lines.append(f"key_b\t{_bits_text(self.key_b)}")
         lines.append(f"aborted\t{int(self.aborted)}")
         lines.append(f"abort_reason\t{self.abort_reason if self.abort_reason else '-'}")
-        return lines
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
-        """Parse ``to_text`` output; any malformed input raises InvalidParameterError.
+        """Parse ``to_text`` output; any other input raises InvalidParameterError.
 
-        Only the text ``to_text`` writes is accepted, so
-        ``Transcript.from_text(t).to_text() == t`` for every accepted ``t``.
+        The parsed transcript is written back and must give ``text`` again,
+        so ``Transcript.from_text(t).to_text() == t`` for every accepted ``t``.
         """
         lines = text.split("\n")
         if lines[0] != TRANSCRIPT_SCHEMA:
-            raise InvalidParameterError("not a relqkd-transcript/1 file")
-        if lines.pop() != "":
-            raise InvalidParameterError("a transcript ends with a newline")
+            raise InvalidParameterError(
+                f"expected a {TRANSCRIPT_SCHEMA} file, got first line {lines[0][:40]!r}")
         try:
-            return cls._parse(text, lines)
+            transcript = cls._parse(lines[:-1])
         except InvalidParameterError:
             raise
         except (IndexError, KeyError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
+        if transcript.to_text() != text:
+            raise InvalidParameterError("the text differs from what to_text writes")
+        return transcript
 
     @classmethod
-    def _parse(cls, text: str, lines: list[str]) -> "Transcript":
-        n_rounds = _section_size(lines[1], "rounds")
-        pos = 3
-        if lines[:pos] != _head_lines(n_rounds):
-            raise InvalidParameterError("malformed rounds header")
-        # One row at a time straight into the array: no list of rows is built.
-        width = 1 + len(ROUND_COLUMNS)
-        table = np.fromiter(
-            itertools.chain.from_iterable(map(_round_row, lines[pos:pos + n_rounds])),
-            dtype=np.int64, count=width * n_rounds).reshape(n_rounds, width)
-        if (table[:, 0] != np.arange(n_rounds)).any():
-            raise InvalidParameterError("rounds must be numbered 0, 1, ...")
-        ids = table[:, -2:]
-        if ids.size and (ids.min() < -1 or ids.max() >= n_rounds):
-            raise InvalidParameterError("a block or parity group id exceeds the round count")
-        pos += n_rounds
-        n_hash = _section_size(lines[pos], "hash_log")
-        pos += 2
+    def _parse(cls, lines: list[str]) -> "Transcript":
+        """The values the lines spell.
+
+        Only what the arrays need is checked here: the alphabets, and sizes
+        that agree before anything is allocated from them.  Every other
+        defect makes the text differ from what ``to_text`` writes.
+        """
+        n_rounds = int(lines[1].split("\t")[1])
+        columns = [decode[np.frombuffer(line.partition("\t")[2].encode(), dtype=np.uint8)]
+                   for decode, line in zip(_DECODE, lines[2:7])]
+        if any(c.size != n_rounds or (c < 0).any() for c in columns):
+            raise InvalidParameterError("a round column is not one alphabet character per round")
+        n_blocks, k = (int(n) for n in lines[7].split("\t")[1:])
+        members, groups = (np.fromstring(line, dtype=np.int64, sep=" ") for line in lines[8:10])
+        if groups.size != n_blocks or members.size != n_blocks * k:
+            raise InvalidParameterError("the blocks lines disagree with the blocks header")
+        block = np.full(n_rounds, -1, dtype=np.int32)
+        group = block.copy()
+        block[members] = np.repeat(np.arange(n_blocks), k)
+        group[members] = np.repeat(groups, k)
+        n_hash = int(lines[10].split("\t")[1])
         hash_log = []
-        for i in range(n_hash):
-            _, subset, parity_a, parity_b, discarded = lines[pos + i].split("\t")
+        for i, line in enumerate(lines[12:12 + n_hash]):
+            _, subset, parity_a, parity_b, discarded = line.split("\t")
             hash_log.append(HashRecord(
                 i + 1, _subset_parse(subset), _FLAG[parity_a], _FLAG[parity_b],
                 None if discarded == "-" else int(discarded)))
-        # The round numbers and the order of the lines are checked below,
-        # against what to_text writes for the parsed values.
-        tail = dict(ln.split("\t", 1) for ln in lines[pos + n_hash:])
-        transcript = cls(
-            round_table=table[:, 1:].astype(np.int32),
+        tail = dict(ln.split("\t", 1) for ln in lines[12 + n_hash:])
+        return cls(
+            round_table=np.stack(columns + [block, group], axis=1, dtype=np.int32),
             hash_log=tuple(hash_log),
             p_err_estimate=float(tail["p_err"]),
             key_a=_bits_parse(tail["key_a"]),
@@ -217,44 +230,6 @@ class Transcript:
             aborted=_FLAG[tail["aborted"]] == 1,
             abort_reason=None if tail["abort_reason"] == "-" else tail["abort_reason"],
         )
-        trailer = lines[pos - 2:]
-        if transcript._trailer_lines() != trailer:
-            raise InvalidParameterError("a hash or outcome line differs from what to_text writes")
-        # The header and the trailer are as to_text writes them, so the
-        # rounds lines are too if they are as long and ASCII: a number read
-        # by int() prints shorter than written unless written as printed,
-        # which rejects 03, +1, 1_0, -1 and padded numbers.  Non-ASCII digits
-        # print as long, so non-ASCII rows are rejected.
-        rows_length = (len(text) - len(lines) - sum(map(len, lines[:3]))
-                       - sum(map(len, trailer)))
-        if rows_length != _printed_length(table) or not (
-                text.isascii() or all(map(str.isascii, lines[3:3 + n_rounds]))):
-            raise InvalidParameterError("a rounds line differs from what to_text writes")
-        return transcript
-
-
-def _head_lines(n_rounds: int) -> list[str]:
-    return [TRANSCRIPT_SCHEMA, f"rounds\t{n_rounds}", "\t".join(("round",) + ROUND_COLUMNS)]
-
-
-def _printed_length(table: np.ndarray) -> int:
-    """Characters ``to_text`` spends on the rows of a parsed rounds table.
-
-    ``table`` holds the round index and then the ROUND_COLUMNS codes.  Only
-    counts are taken, so no temporary is larger than one bool per round.
-    """
-    # Seven tabs, the one-character a_bit, sifted and disclosed, and the
-    # first character of each of the three numbers (-1 prints as "-").
-    length = 13 * len(table)
-    for column, texts in ((2, _BOB_TEXT), (3, _EVE_TEXT)):
-        length += sum(len(text) * np.count_nonzero(table[:, column] == code)
-                      for code, text in enumerate(texts))
-    for column in (0, 6, 7):
-        power = 10
-        while wider := np.count_nonzero(table[:, column] >= power):
-            length += wider
-            power *= 10
-    return int(length)
 
 
 def _same(x, y) -> bool:
@@ -272,19 +247,20 @@ def _columns(table: np.ndarray):
     return zip(*(column.tolist() for column in table.T))
 
 
-def _section_size(line: str, tag: str) -> int:
-    name, count = line.split("\t")
-    if name != tag or int(count) < 0:
-        raise InvalidParameterError(f"missing {tag} section or negative count")
-    return int(count)
+def _ints_text(values: np.ndarray) -> str:
+    """Non-negative int32 values as ``" ".join(map(str, values))`` writes them.
 
-
-def _round_row(line: str) -> tuple[int, ...]:
-    """The round index and the ROUND_COLUMNS codes of one rounds line."""
-    index, a_bit, b_outcome, eve_outcome, sifted, disclosed, block, group = line.split("\t")
-    return (int(index), _FLAG[a_bit], _BOB_CODE[b_outcome], _EVE_CODE[eve_outcome],
-            _FLAG[sifted], _FLAG[disclosed],
-            -1 if block == "-" else int(block), -1 if group == "-" else int(group))
+    Row i of ``chars`` holds a space and the digits of value i, padded with
+    zeros to the widest value; ``keep`` drops the first space and the padding.
+    """
+    values = values.astype(np.uint32)
+    width = len(str(values.max(initial=0)))
+    chars = np.full((values.size, width + 1), ord(" "), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    for j, e in enumerate(range(width - 1, -1, -1), start=1):
+        chars[:, j] = values // 10 ** e % 10 + ord("0")
+        keep[:, j] = values >= 10 ** e if e else True
+    return chars[keep].tobytes()[1:].decode()
 
 
 def _bits_text(bits) -> str:
@@ -366,7 +342,7 @@ def form_parity_bits(blockwise_bits, groups) -> np.ndarray:
             f"parity groups reference block {table.max()} "
             f"but only {bits.size} blocks exist"
         )
-    if np.unique(table).size != table.size:
+    if np.bincount(table.ravel(), minlength=bits.size).max() > 1:
         raise InvalidParameterError("parity groups must be disjoint")
     return (np.bitwise_xor.reduce(bits[table], axis=1) & 1).astype(np.uint8)
 
@@ -383,7 +359,26 @@ def _id_table(ids: np.ndarray, what: str) -> np.ndarray:
         raise InvalidParameterError(
             f"{what}s must be numbered 0, 1, ... and all have one size; "
             "transcript is inconsistent")
-    return np.argsort(ids, kind="stable").reshape(sizes.size, -1)
+    return np.sort(np.argsort(ids).reshape(sizes.size, -1), axis=1)
+
+
+def _blocks(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The announced blocks: their rounds, one block a row, and their groups.
+
+    Row b lists block b's rounds in ascending order.  The blocks must be
+    numbered 0..B-1 and all have one size, every round of a block must name
+    the block's parity group, a non-negative id, and no other round may
+    name one; otherwise InvalidParameterError.
+    """
+    block, group = round_table[:, 5], round_table[:, 6]
+    in_block = np.flatnonzero(block != -1)
+    members = in_block[_id_table(block[in_block], "block")]
+    named = group[members]
+    if (named != named[:, :1]).any() or (named < 0).any() or (group[block == -1] != -1).any():
+        raise InvalidParameterError(
+            "a block's rounds must name one parity group and no other round may "
+            "name one; transcript is inconsistent")
+    return members, named[:, 0]
 
 
 def _parity_strings(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,24 +389,18 @@ def _parity_strings(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each group XORs its n blocks into one parity bit.  A structure that is
     not of this shape raises InvalidParameterError.
     """
-    a_bit, b_outcome, _, sifted, disclosed, block, group = round_table.T
-    in_block = np.flatnonzero(block != -1)
-    usable = (sifted == 1) & (disclosed == 0) & (b_outcome != 2)
-    if not usable[in_block].all():
+    a_bit, b_outcome, _, sifted, disclosed = round_table.T[:5]
+    members, named = _blocks(round_table)
+    b = b_outcome[members]
+    if not ((sifted[members] == 1) & (disclosed[members] == 0) & (b != 2)).all():
         raise InvalidParameterError(
             "a block holds an unsifted, disclosed or inconclusive round; "
             "transcript is inconsistent")
-    members = in_block[_id_table(block[in_block], "block")]
     a = a_bit[members]
-    g = group[members]
     if (a != a[:, :1]).any():
         raise InvalidParameterError("a block mixes sent bits; transcript is inconsistent")
-    if (g != g[:, :1]).any():
-        raise InvalidParameterError(
-            "a block's rounds name different parity groups; transcript is inconsistent")
-    groups = _id_table(g[:, 0], "parity group")
-    return (form_parity_bits(a[:, 0], groups),
-            form_parity_bits(majority_decode(b_outcome[members]), groups))
+    groups = _id_table(named, "parity group")
+    return form_parity_bits(a[:, 0], groups), form_parity_bits(majority_decode(b), groups)
 
 
 # Bit strings travel as Python ints, bit i of the int being string

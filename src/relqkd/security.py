@@ -246,7 +246,7 @@ def _render(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".12g")
+        return repr(float(value))  # the shortest text that reads back to the same float
     return str(value)
 
 

@@ -324,80 +324,130 @@ class TestRunSession:
             make_config(block_size=4)
 
 
-def _edit_blocks(edit):
-    """A mangle applying ``edit`` to the rounds that a transcript puts in blocks.
+def _edit(edit):
+    """A mangle applying ``edit`` to the columns and the blocks of a transcript text.
 
-    ``edit`` gets the split rows of those rounds, grouped by block, and
-    changes them in place; fields 1, 2, 4, 5, 6 and 7 are the sent bit,
-    the receiver's outcome, the sifted and disclosed flags, the block and
-    the parity group.
+    ``edit`` gets the text's parts as lists of strings and changes them in
+    place: ``cols`` maps each flag and outcome column to its characters,
+    ``blocks`` lists each block's member round ids and ``groups`` each
+    block's parity group id.  The blocks header is written from the size
+    of the edited blocks.
     """
     def mangle(text):
         lines = text.split("\n")
-        n = int(lines[1].split("\t")[1])
-        rows = [line.split("\t") for line in lines[3:3 + n]]
-        blocks = {}
-        for r in rows:
-            if r[6] != "-":
-                blocks.setdefault(int(r[6]), []).append(r)
-        edit([blocks[b] for b in sorted(blocks)])
-        lines[3:3 + n] = ["\t".join(r) for r in rows]
+        cols = {name: list(chars) for name, chars in
+                (line.split("\t") for line in lines[2:7])}
+        k = int(lines[7].split("\t")[2])
+        ids = lines[8].split(" ")
+        parts = dict(cols=cols, groups=lines[9].split(" "),
+                     blocks=[ids[i:i + k] for i in range(0, len(ids), k)])
+        edit(parts)
+        blocks = parts["blocks"]
+        lines[2:7] = [name + "\t" + "".join(chars) for name, chars in cols.items()]
+        lines[7] = f"blocks\t{len(blocks)}\t{len(blocks[0])}"
+        lines[8] = " ".join(i for ids in blocks for i in ids)
+        lines[9] = " ".join(parts["groups"])
         return "\n".join(lines)
     return mangle
 
 
-def _set(rows, field, value):
-    for r in rows:
-        r[field] = value
+def _set_members(parts, column, value):
+    for i in parts["blocks"][0]:
+        parts["cols"][column][int(i)] = value
 
 
-def _drop_first_rounds(blocks):
-    for rows in blocks:
-        _set(rows[:1], 6, "-")
-        _set(rows[:1], 7, "-")
+def _set_first_member(column, value):
+    return _edit(lambda p: p["cols"][column].__setitem__(int(p["blocks"][0][0]), value))
 
 
-def _flip_sent_bit(blocks):
-    row = blocks[0][0]
-    row[1] = "1" if row[1] == "0" else "0"
+def _drop_first_rounds(parts):
+    for ids in parts["blocks"]:
+        del ids[0]
 
 
-def _renumber_last_group(blocks):
-    last = blocks[-1][0][7]
-    for rows in blocks:
-        if rows[0][7] == last:
-            _set(rows, 7, str(int(last) + 1))
+def _flip_sent_bit(parts):
+    sent = parts["cols"]["a_bit"]
+    i = int(parts["blocks"][0][0])
+    sent[i] = "1" if sent[i] == "0" else "0"
 
 
-def _inconclusive_one(blocks):
+def _renumber_last_group(parts):
+    groups = parts["groups"]
+    last = groups[-1]
+    groups[:] = [str(int(last) + 1) if g == last else g for g in groups]
+
+
+def _inconclusive_one(parts):
     # A round that read `one` in a sent-bit-1 block: the parity strings stay
     # the same, so only the per-round flags can reveal the edit.
-    row = next(r for rows in blocks for r in rows if r[1] == "1" and r[2] == "one")
-    row[2] = "inconclusive"
+    cols = parts["cols"]
+    i = next(int(i) for ids in parts["blocks"] for i in ids
+             if cols["a_bit"][int(i)] == "1" and cols["b_outcome"][int(i)] == "1")
+    cols["b_outcome"][i] = "?"
 
 
-INCONSISTENT_BLOCKS = {
-    "blank-group": lambda blocks: _set(blocks[0], 7, "-"),
-    "two-groups": lambda blocks: _set(blocks[0][:1], 7, "1"),
-    "unequal-blocks": lambda blocks: _set(blocks[0][:1], 6, "1"),
-    "even-blocks": _drop_first_rounds,
-    "mixed-sent-bits": _flip_sent_bit,
-    "group-id-gap": _renumber_last_group,
-    "unequal-groups": lambda blocks: _set(blocks[0], 7, "1"),
-    "huge-block-id": lambda blocks: _set(blocks[0], 6, str(10 ** 12)),
-    "unsifted-round": lambda blocks: _set(blocks[0], 4, "0"),
-    "disclosed-round": lambda blocks: _set(blocks[0], 5, "1"),
-    "inconclusive-round": _inconclusive_one,
+def _set_group(block, value):
+    return _edit(lambda p: p["groups"].__setitem__(block, value))
+
+
+def _block_rows(table):
+    """Row b lists the rounds of block b."""
+    return [np.flatnonzero(table[:, 5] == b) for b in range(table[:, 5].max() + 1)]
+
+
+def _set_table(rows, column, value):
+    """A tamper writing ``value`` into ``column`` of the rounds ``rows`` picks."""
+    def tamper(table):
+        table[rows(table), column] = value
+    return tamper
+
+
+# A block defect is a text mangle where the text can spell it.
+TEXT_BLOCK_DEFECTS = {
+    "even-blocks": _edit(_drop_first_rounds),
+    "mixed-sent-bits": _edit(_flip_sent_bit),
+    "group-id-gap": _edit(_renumber_last_group),
+    "unequal-groups": _set_group(0, "1"),
+    "member-out-of-range": _edit(
+        lambda p: p["blocks"][0].__setitem__(0, str(len(p["cols"]["a_bit"])))),
+    "unsifted-round": _edit(lambda p: _set_members(p, "sifted", "0")),
+    "disclosed-round": _edit(lambda p: _set_members(p, "disclosed", "1")),
+    "inconclusive-round": _edit(_inconclusive_one),
 }
+# The text cannot spell blocks that are not numbered 0..B-1 or differ in
+# size, a block whose rounds name different parity groups or none, or a
+# round outside any block that names one.  These defects tamper with an
+# in-memory round table, which to_text refuses to write.
+TABLE_BLOCK_DEFECTS = {
+    "blank-group": _set_table(lambda t: _block_rows(t)[0], 6, -1),
+    "two-groups": _set_table(lambda t: _block_rows(t)[0][:1], 6, 1),
+    "unequal-blocks": _set_table(lambda t: _block_rows(t)[0][:1], 5, 1),
+    "huge-block-id": _set_table(lambda t: _block_rows(t)[0], 5, 2 ** 31 - 1),
+    "stray-group": _set_table(lambda t: np.flatnonzero(t[:, 5] == -1)[:1], 6, 0),
+}
+INCONSISTENT_BLOCKS = TEXT_BLOCK_DEFECTS | TABLE_BLOCK_DEFECTS
+
+
+def _inconsistent(case) -> Transcript:
+    """NOISY with the block defect ``case``, parsed from text where it can be spelled."""
+    if case in TEXT_BLOCK_DEFECTS:
+        text = TEXT_BLOCK_DEFECTS[case](NOISY_TEXT)
+        assert text != NOISY_TEXT
+        return Transcript.from_text(text)
+    table = NOISY.round_table.copy()
+    TABLE_BLOCK_DEFECTS[case](table)
+    assert not np.array_equal(table, NOISY.round_table)
+    return dataclasses.replace(NOISY, round_table=table)
 
 
 class TestTranscript:
     def test_text_round_trip(self):
         transcript = run_session(make_config(flip_probability=0.01, seed=31))
         text = transcript.to_text()
-        assert text.startswith("relqkd-transcript/1\n")
+        assert text.startswith("relqkd-transcript/2\n")
         parsed = Transcript.from_text(text)
         assert parsed.to_text() == text
+        assert parsed == transcript
 
     def test_equality_compares_arrays(self):
         text = run_session(make_config(seed=31)).to_text()
@@ -430,6 +480,14 @@ class TestTranscript:
         with pytest.raises(InvalidParameterError):
             Transcript.from_text("not-a-transcript\n")
 
+    def test_rejects_schema_1(self):
+        text = ("relqkd-transcript/1\nrounds\t1\n"
+                "round\ta_bit\tb_outcome\teve_outcome\tsifted\tdisclosed\tblock\tparity_group\n"
+                "0\t0\tzero\t-\t1\t0\t0\t0\n")
+        with pytest.raises(InvalidParameterError,
+                           match="relqkd-transcript/2.*relqkd-transcript/1"):
+            Transcript.from_text(text)
+
     def test_replay_rejects_wrong_discarded_position(self):
         transcript = run_session(make_config(seed=3))
         first = transcript.hash_log[0]
@@ -441,10 +499,22 @@ class TestTranscript:
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT_BLOCKS))
     def test_replay_rejects_inconsistent_blocks(self, case):
-        text = _edit_blocks(INCONSISTENT_BLOCKS[case])(NOISY_TEXT)
-        assert text != NOISY_TEXT
         with pytest.raises(InvalidParameterError):
-            replay_keys(Transcript.from_text(text))
+            replay_keys(_inconsistent(case))
+
+    @pytest.mark.parametrize("case", sorted(TABLE_BLOCK_DEFECTS))
+    def test_to_text_refuses_unspellable_blocks(self, case):
+        with pytest.raises(InvalidParameterError):
+            _inconsistent(case).to_text()
+
+    @pytest.mark.parametrize("column,code", [
+        (0, 2), (1, 3), (2, 4), (3, 2), (4, 2), (0, -1), (2, -1),
+    ])
+    def test_to_text_refuses_codes_outside_the_alphabet(self, column, code):
+        table = NOISY.round_table.copy()
+        table[0, column] = code
+        with pytest.raises(InvalidParameterError):
+            dataclasses.replace(NOISY, round_table=table).to_text()
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.sampled_from([1, 3, 5]), n=st.integers(1, 3),
@@ -464,8 +534,8 @@ class TestTranscript:
         text = transcript.to_text()
         parsed = Transcript.from_text(text)
         assert parsed.to_text() == text
+        assert parsed == transcript
         assert parsed.round_table.dtype == transcript.round_table.dtype
-        assert np.array_equal(parsed.round_table, transcript.round_table)
         key_a, key_b = replay_keys(parsed)
         if transcript.aborted:
             assert key_a is None and key_b is None
@@ -474,17 +544,27 @@ class TestTranscript:
             assert key_b.tolist() == transcript.key_b.tolist()
 
 
-NOISY_TEXT = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
-                                     flip_probability=0.05, seed=5)).to_text()
+NOISY = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
+                                flip_probability=0.05, seed=5))
+NOISY_TEXT = NOISY.to_text()
 ABORTED_TEXT = run_session(make_config(
     key_length=4, hash_rounds=3, blocks_per_parity=2,
     eve=EveStrategy(delay=0.0, channel_length=0.5), seed=0)).to_text()
 
 
-def _swap_first_rounds(text):
+def _swap_lines(text, i, j):
     lines = text.split("\n")
-    lines[3], lines[4] = lines[4], lines[3]
+    lines[i], lines[j] = lines[j], lines[i]
     return "\n".join(lines)
+
+
+def _edit_member(edit, above=0):
+    """A mangle applying ``edit`` to the text of the first member id above ``above``."""
+    def change(parts):
+        row, i = next((row, i) for row in parts["blocks"] for i, m in enumerate(row)
+                      if int(m) > above)
+        row[i] = edit(row[i])
+    return _edit(change)
 
 
 class TestTranscriptParseErrors:
@@ -492,19 +572,19 @@ class TestTranscriptParseErrors:
 
     @pytest.mark.parametrize("mangle", [
         lambda t: t[: len(t) // 2],
-        lambda t: re.sub(r"\n0\t[01]\t", "\n0\tx\t", t, count=1),
-        lambda t: "relqkd-transcript/1\n",
-        lambda t: "relqkd-transcript/1\nrounds\n",
+        _edit(lambda p: p["cols"]["a_bit"].__setitem__(0, "x")),
+        lambda t: "relqkd-transcript/2\n",
+        lambda t: "relqkd-transcript/2\nrounds\n",
         lambda t: t.replace("rounds\t", "rounds\t9", 1),
-        lambda t: re.sub(r"\n0\t[01]\t", "\n0\t7\t", t, count=1),
-        _edit_blocks(lambda blocks: _set(blocks[0][:1], 4, "x")),
-        _edit_blocks(lambda blocks: _set(blocks[0][:1], 5, "2")),
-        _swap_first_rounds,
+        _edit(lambda p: p["cols"]["a_bit"].__setitem__(0, "7")),
+        _set_first_member("sifted", "x"),
+        _set_first_member("disclosed", "2"),
+        lambda t: _swap_lines(t, 5, 6),
         lambda t: t.replace("discarded\n1\t", "discarded\n2\t", 1),
         lambda t: re.sub(r"(discarded\n1\t[01]+\t)[01]", r"\g<1>2", t, count=1),
         lambda t: t.replace("\naborted\t0\n", "\naborted\t2\n", 1),
-        _edit_blocks(lambda blocks: _set(blocks[0][:1], 6, str(2 ** 31))),
-        _edit_blocks(lambda blocks: _set(blocks[0][:1], 7, "-2")),
+        _edit_member(lambda m: str(2 ** 31)),
+        _set_group(0, "-2"),
     ], ids=["half", "garbled-a_bit", "empty", "rounds-header-cut", "rounds-overcount",
             "a_bit-7", "sifted-x", "disclosed-2", "rounds-out-of-order",
             "hash-row-misnumbered", "hash-parity-2", "aborted-2", "block-id-2^31", "group-id-minus-2"])
@@ -514,21 +594,25 @@ class TestTranscriptParseErrors:
         with pytest.raises(InvalidParameterError):
             Transcript.from_text(text)
 
+    # Each mangle spells a number or a line another way that int(), float(),
+    # numpy's number parsing or negative indexing might read as the same
+    # value; the member ids stand in for the round numbers and block ids of
+    # the row-per-round text these cases were first written for.
     @pytest.mark.parametrize("mangle", [
-        lambda t: t.replace("\n3\t", "\n03\t", 1),
-        lambda t: t.replace("\n0\t", "\n-0\t", 1),
-        lambda t: t.replace("\n5\t", "\n+5\t", 1),
-        _edit_blocks(lambda blocks: _set(blocks[10][:1], 6, "1_0")),
-        _edit_blocks(lambda blocks: _set(blocks[3][:1], 6, " 3")),
-        _edit_blocks(lambda blocks: _set(blocks[3][:1], 6, "3 ")),
-        _edit_blocks(lambda blocks: _set(blocks[0][:1], 7, "+0")),
-        _edit_blocks(lambda blocks: _set(blocks[3][:1], 7, "\u0661")),
-        lambda t: t.replace("\t-\t-\n", "\t-1\t-\n", 1),
-        lambda t: t.replace("rounds\t72", "rounds\t072", 1),
+        _edit_member(lambda m: "0" + m),
+        _set_group(0, "-0"),
+        _edit_member(lambda m: "+" + m),
+        _edit_member(above=9, edit=lambda m: m[:1] + "_" + m[1:]),
+        _edit_member(lambda m: " " + m),
+        _edit(lambda p: p["groups"].append("")),
+        _set_group(0, "+0"),
+        _set_group(1, "\u0660"),
+        _edit_member(lambda m: str(int(m) - len(NOISY.round_table))),
+        lambda t: re.sub(r"rounds\t(\d+)", r"rounds\t0\1", t, count=1),
         lambda t: re.sub(r"(discarded\n1\t[01]+\t[01]\t[01]\t)", r"\g<1>0", t, count=1),
         lambda t: t.replace("discarded\n", "discarded\n\n", 1),
-        lambda t: t.replace("\tblock\t", "\tblk\t", 1),
-        lambda t: t.replace("p_err\t0\n", "p_err\t0.0\n", 1),
+        lambda t: t.replace("\nsifted\t", "\nsift\t", 1),
+        lambda t: t.replace("p_err\t0.0\n", "p_err\t0\n", 1),
         lambda t: t.replace("key_b", "aborted\t0\nkey_b", 1),
         lambda t: t.replace("\n", "\r\n"),
         lambda t: t + "\n",
@@ -548,9 +632,9 @@ class TestTranscriptParseErrors:
     @given(st.data())
     def test_accepted_text_round_trips(self, data):
         # Edit one field or separator of a valid transcript the way int(),
-        # float() and the line splitting would forgive; whatever is still
-        # accepted must be written back unchanged.
-        pieces = re.split(r"([\t\n])", data.draw(st.sampled_from([NOISY_TEXT, ABORTED_TEXT])))
+        # float(), numpy's number parsing and the line splitting would
+        # forgive; whatever is still accepted must be written back unchanged.
+        pieces = re.split(r"([\t\n ])", data.draw(st.sampled_from([NOISY_TEXT, ABORTED_TEXT])))
         i = data.draw(st.integers(0, len(pieces) - 1))
         edit = data.draw(st.sampled_from([
             lambda f: f, lambda f: "0" + f, lambda f: "+" + f, lambda f: "-" + f,
@@ -574,7 +658,7 @@ class TestTranscriptParseErrors:
         if data.draw(st.booleans()):
             text = text[:cut]
         else:
-            text = text[:cut] + data.draw(st.sampled_from("\t\n-x017.")) + text[cut + 1:]
+            text = text[:cut] + data.draw(st.sampled_from("\t\n-x017. ?")) + text[cut + 1:]
         try:
             parsed = Transcript.from_text(text)
         except InvalidParameterError:

@@ -2,13 +2,18 @@
 
 Refactors must leave every CSV, transcript and report byte-identical for
 a fixed seed.  A change that moves an RNG stream or a text format on
-purpose re-pins the digests below and says so.
+purpose re-pins the digests below and says so.  Each distill case also
+pins a digest of the session itself, independent of any text format: its
+round table, hash log and keys.  A change of format alone leaves those
+digests as they are.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from relqkd.distill import Transcript
 from relqkd.harness import cmd_analyze, cmd_distill, cmd_simulate, load_campaign
 
 ANALYZE_INI = """
@@ -80,35 +85,56 @@ GOLDEN = {
         "05e333496027fe2d4ba1bbe4ccbd388ab01c4d2eebf9746cc94d974eb8111abc",
     "simulate.csv":
         "ebabf1a7c1e3817c858a5406b57d638ec7155c299608cfba74886df2cca30deb",
+    "clean.session":
+        "943b283666c25619e34be6660a3f183a2cb4cf8bd69e9dc3ea5db94fd4ea7fed",
     "clean.transcript.txt":
-        "e9ecad3d4791ffd6095facf7d7891505f132f633e4bb69b1d9b1f027defd762e",
+        "d921489173358ac78c3e3778f81fb303fa04bf1fa9afa1221b637c349716b6aa",
     "clean.report.txt":
-        "fb93d594ff70acb34a88a706563311d15d53bc9caac9aa7285bb15affaf2c79c",
+        "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
+    "noisy.session":
+        "f244accf4411945339a89c6fb31b84b8910bb04b63de2a25e13dbcf2089d5332",
     "noisy.transcript.txt":
-        "bb3d03c51f61d685f803d0c13748cee031e192c45274b54463bd70315c19caaf",
+        "5c38f7aad93138fd80ef51a4b1273bdf2772b360ab09b7bac030803331cc5d8e",
     "noisy.report.txt":
-        "fb93d594ff70acb34a88a706563311d15d53bc9caac9aa7285bb15affaf2c79c",
+        "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
+    "eve.session":
+        "db8b9ce0150d1d9a5240874ddbe09f32d80d3c412613f820ea80d190c142a663",
     "eve.transcript.txt":
-        "66643714cc976fb829c09336a91273a50a3fd4a0e72864da7cd853d0112ac1f2",
+        "6256e9aa80c2b01f226b2ca3dbab8bacfcaea6cc2abd797bb6ddb0c4f43b2108",
     "eve.report.txt":
-        "7c25409b61d33ed08fa10ccac25a6e8e47faf925550047038cb9f4ac21baa354",
+        "58a8ef1104c637b2e9abd0267b7280ae62f2a6013239463f637682ab7f899c52",
+    "tailed.session":
+        "c354d29d599dec3be5fb97de4aa6efe7ad2fa8dee7af24825179a027ab97f59f",
     "tailed.transcript.txt":
-        "8997a28ccd6fcdb7a9c4378436600662179981c131259e8f1fedc542dbd57fb6",
+        "e98e0aee0f9b246a95ce8a3ccda6ec447037218dde767089f534a29d0965f3a8",
     "tailed.report.txt":
-        "fb93d594ff70acb34a88a706563311d15d53bc9caac9aa7285bb15affaf2c79c",
+        "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
+    "k1n55.session":
+        "4b8310383b0b2d6cf180a09ad1c49eabef1d7456a860e025b098c501377e9b90",
     "k1n55.transcript.txt":
-        "63e5be1cae2eda19d3ddfbedef15e170139fdea80b29efbc748ef2de30119515",
+        "9b8c9955f7545740f131fca6efea75516914a9551c7a63f6a931d5c40cd668c4",
     "k1n55.report.txt":
-        "5181043bf3e505403a098a63eed94c0d670fbd031ff8b8988bc1b438a2270f4f",
+        "ec69f8babcd159b89ea6f9813a1618ae3cb88a3d337fa497f9408a2bce22f325",
+    "k7n9.session":
+        "3c76154fce9330cd723cee7d5eab1fb479b175aff3ff0557f133c30a47b9e7cf",
     "k7n9.transcript.txt":
-        "4ede3e858719079cc6c57e47cdf51eb6613509ef348274201eaa2efbb7424154",
+        "d7ac2fdce6c9c3925c906234f90a1b3d8b1e4714a99b2723ba9fae3396f870d9",
     "k7n9.report.txt":
-        "48d0ae0ccb8dbd29ffdbc647fc2d83dd91e7876160fde7e7499fe2d36ecfc36c",
+        "f875f5356217ab8fdc714dc5eecf21f7ea80ea4e49227725a0fdab7369a34d49",
 }
 
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def session_digest(transcript) -> str:
+    """sha256 of the round table's bytes, the hash log's fields and both keys."""
+    digest = hashlib.sha256(transcript.round_table.tobytes())
+    digest.update(repr([dataclasses.astuple(h) for h in transcript.hash_log]).encode())
+    for key in (transcript.key_a, transcript.key_b):
+        digest.update(b"-" if key is None else key.tobytes())
+    return digest.hexdigest()
 
 
 def campaign(tmp_path, name, text, out):
@@ -129,6 +155,10 @@ def test_simulate_csv(tmp_path):
 
 @pytest.mark.parametrize("case", sorted(DISTILL_CASES))
 def test_distill_transcript_and_report(tmp_path, case):
-    cmd_distill(campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case]), case))
+    transcript, _ = cmd_distill(
+        campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case]), case))
+    assert session_digest(transcript) == GOLDEN[case + ".session"]
     for suffix in (".transcript.txt", ".report.txt"):
         assert sha256(tmp_path / (case + suffix)) == GOLDEN[case + suffix], suffix
+    text = (tmp_path / (case + ".transcript.txt")).read_text()
+    assert Transcript.from_text(text) == transcript

@@ -148,7 +148,7 @@ class TestDistill:
         assert not transcript.aborted
         assert (transcript.key_a == transcript.key_b).all()
         assert (tmp_path / "run.transcript.txt").read_text().startswith(
-            "relqkd-transcript/1")
+            "relqkd-transcript/2")
         assert (tmp_path / "run.report.txt").read_text().startswith(
             "relqkd-report/1")
         assert report.p_err_estimate == transcript.p_err_estimate

@@ -260,7 +260,28 @@ class TestReportSerialization:
         assert text.startswith("relqkd-report/1\n")
         parsed = SecurityReport.from_text(text)
         assert parsed.to_text() == text
+        assert parsed == report
         assert parsed.all_ok == report.all_ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_key=st.integers(1, 256), n=st.integers(2, 80), k=st.sampled_from([1, 3, 5, 7]),
+           hash_rounds=st.integers(1, 40), ratio=st.floats(0.0, 0.99),
+           eps1=st.floats(1e-9, 0.5), eps2=st.floats(1e-9, 0.5),
+           p_err=st.none() | st.floats(0.0, 0.5), aborted=st.none() | st.booleans())
+    def test_built_reports_round_trip(self, n_key, n, k, hash_rounds, ratio, eps1, eps2,
+                                      p_err, aborted):
+        report = build_report(n_key, n, k, hash_rounds, ratio, eps1, eps2, p_err, aborted)
+        assert SecurityReport.from_text(report.to_text()) == report
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_finite_floats_round_trip(self, data):
+        _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
+        floats = {f.name: data.draw(st.floats(allow_nan=False), label=f.name)
+                  for f in dataclasses.fields(report)
+                  if isinstance(getattr(report, f.name), float)}
+        report = dataclasses.replace(report, **floats)
+        assert SecurityReport.from_text(report.to_text()) == report
 
     def test_rejects_foreign_text(self):
         with pytest.raises(InvalidParameterError):

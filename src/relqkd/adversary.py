@@ -24,7 +24,7 @@ from .measurement import (
     bob_outcome_distribution,
     eve_outcome_distribution,
 )
-from .wavepacket import AmplitudeProfile, Interval, make_plateau
+from .wavepacket import AmplitudeProfile, Interval
 
 _TOL = 1e-9
 
@@ -151,21 +151,20 @@ def apply_resend(
 
 
 def channel_probabilities(
-    state_extent: float, channel_length: float, eve: EveStrategy | None = None,
-    tail_mass: float = 0.0, ramp_fraction: float = 0.0,
-    resolution: float | None = None,
+    envelope: AmplitudeProfile, channel_length: float,
+    eve: EveStrategy | None = None,
 ) -> tuple[float, float]:
     """Per-round firing and receiver-pass probabilities, (f_eve, p_pass).
 
-    The carrier is the plateau of extent L emitted with its support ending
-    at x = 0; the receiver's domain starts at the channel end L_ch and is
-    as long as the support, and he measures once the plateau can fill it.
+    ``envelope`` is a plateau of extent L as ``make_plateau`` builds it;
+    the carrier is that plateau shifted so that its window ends at x = 0.
+    The receiver's domain starts at the channel end L_ch and is as long as
+    the support, and he measures once the plateau can fill it.
     Without an eavesdropper f_eve is 0 and p_pass is the honest pass
     probability; with one, f_eve is the mass in her accessible region and
     p_pass that of her resent substitute (0 when she forwards nothing).
     """
-    base = make_plateau(state_extent, tail_mass, ramp_fraction,
-                        resolution).shifted(-state_extent)
+    base = envelope.shifted(-envelope.window.hi)
     support = base.support
     omega_b = Interval(channel_length, channel_length + support.length)
     t_b = channel_length - support.lo

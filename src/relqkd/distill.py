@@ -19,6 +19,7 @@ import numpy as np
 from .adversary import EveStrategy, ResendPolicy, channel_probabilities
 from .errors import InvalidParameterError, ResourceExhaustedError
 from .measurement import BobOutcome, EveOutcome
+from .wavepacket import make_plateau
 
 TRANSCRIPT_SCHEMA = "relqkd-transcript/2"
 
@@ -516,9 +517,9 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     parity mismatch is not an error: the abort is recorded in the
     transcript.
     """
-    f_eve, p_pass = channel_probabilities(
-        cfg.state_extent, cfg.channel_length, cfg.eve,
-        cfg.tail_mass, cfg.ramp_fraction, cfg.resolution)
+    envelope = make_plateau(cfg.state_extent, cfg.tail_mass,
+                            cfg.ramp_fraction, cfg.resolution)
+    f_eve, p_pass = channel_probabilities(envelope, cfg.channel_length, cfg.eve)
     p_sift = p_pass * (1.0 - cfg.loss_probability)
     if p_sift <= 1e-12:
         raise ResourceExhaustedError(

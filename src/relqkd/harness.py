@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ from .adversary import (
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
 from .security import SecurityReport, build_report
+from .wavepacket import make_plateau
 
 CSV_COLUMNS = ("ratio", "chi_over_L", "pr_e_analytic", "pr_b_bound",
                "joint_analytic", "joint_empirical", "stderr", "zscore")
@@ -206,7 +208,13 @@ def simulate_intercept_resend(
     resolution: float | None = None,
     policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED,
 ) -> InterceptResendSummary:
-    """Monte Carlo one intercept-resend grid point against the closed forms.
+    """Monte Carlo one intercept-resend grid point against the closed forms."""
+    envelope = make_plateau(state_extent, tail_mass, ramp_fraction, resolution)
+    return _simulate_point(envelope, channel_length, chi, trials, seed, policy)
+
+
+def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
+    """One grid point on a built envelope; a sweep builds it only once.
 
     Draws come from the exact per-round outcome distributions (which are
     themselves quadrature results), so the comparison exercises the whole
@@ -214,13 +222,11 @@ def simulate_intercept_resend(
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    L = state_extent
+    L = envelope.plateau_length
     if not (0.0 <= chi <= L):
         raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
-    strategy = EveStrategy(delay=chi, channel_length=channel_length,
-                           resend_policy=policy)
-    f, p_pass = channel_probabilities(L, channel_length, strategy,
-                                      tail_mass, ramp_fraction, resolution)
+    f, p_pass = channel_probabilities(
+        envelope, channel_length, EveStrategy(chi, channel_length, policy))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     fired = rng.random(trials) < f
@@ -287,26 +293,21 @@ def cmd_analyze(spec: CampaignSpec) -> list[dict]:
 def cmd_simulate(spec: CampaignSpec) -> list[dict]:
     """Monte Carlo table: empirical joint success next to the closed form."""
     rows = []
-    point = 0
-    for ratio in spec.ratios:
-        for cf in spec.chi_fractions:
-            summary = simulate_intercept_resend(
-                spec.state_extent, ratio * spec.state_extent,
-                cf * spec.state_extent, spec.trials,
-                seed=(spec.seed, point),
-                tail_mass=spec.tail_mass, ramp_fraction=spec.ramp_fraction,
-                resolution=spec.resolution, policy=spec.resend_policy,
-            )
-            rows.append({
-                "ratio": ratio, "chi_over_L": cf,
-                "pr_e_analytic": summary.eve_analytic,
-                "pr_b_bound": summary.bob_analytic,
-                "joint_analytic": summary.joint_analytic,
-                "joint_empirical": summary.joint_empirical,
-                "stderr": summary.joint_stderr,
-                "zscore": summary.joint_zscore,
-            })
-            point += 1
+    L = spec.state_extent
+    envelope = make_plateau(L, spec.tail_mass, spec.ramp_fraction, spec.resolution)
+    grid = itertools.product(spec.ratios, spec.chi_fractions)
+    for point, (ratio, cf) in enumerate(grid):
+        summary = _simulate_point(envelope, ratio * L, cf * L, spec.trials,
+                                  (spec.seed, point), spec.resend_policy)
+        rows.append({
+            "ratio": ratio, "chi_over_L": cf,
+            "pr_e_analytic": summary.eve_analytic,
+            "pr_b_bound": summary.bob_analytic,
+            "joint_analytic": summary.joint_analytic,
+            "joint_empirical": summary.joint_empirical,
+            "stderr": summary.joint_stderr,
+            "zscore": summary.joint_zscore,
+        })
     _maybe_write(spec.out, rows_to_csv(rows))
     return rows
 
@@ -393,9 +394,10 @@ def check_parity_cosine(limit: int = 200, tol: float = 1e-6) -> CheckResult:
 def check_delay_bound(tol: float = 1e-9) -> CheckResult:
     """Quadrature pass probability never beats 1 - chi/L; optimum at chi=0."""
     L = 1.0
+    envelope = make_plateau(L)
     for chi in np.linspace(0.0, 0.96, 25):
         strategy = EveStrategy(delay=float(chi), channel_length=0.4)
-        _, p_pass = channel_probabilities(L, 0.4, strategy)
+        _, p_pass = channel_probabilities(envelope, 0.4, strategy)
         if p_pass > bob_pass_bound(float(chi), L) + tol:
             return CheckResult("delay-bound", False,
                                f"pass probability beats the bound at chi={chi}")

@@ -342,8 +342,10 @@ def make_plateau(
         )
     if resolution is None:
         resolution = DEFAULT_SAMPLES_ACROSS_PLATEAU / L
-    if resolution <= 0.0:
-        raise InvalidParameterError("resolution must be positive")
+    if not (resolution > 0.0 and math.isfinite(resolution)):
+        raise InvalidParameterError(
+            f"resolution must be positive and finite, got {resolution}"
+        )
 
     w = ramp_fraction * L
     if w > 0.0 and w * resolution < MIN_SAMPLES_PER_RAMP:

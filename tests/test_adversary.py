@@ -18,6 +18,7 @@ from relqkd.adversary import (
 )
 from relqkd.errors import InvalidParameterError, RejectedInstrumentError
 from relqkd.harness import simulate_intercept_resend
+from relqkd.wavepacket import make_plateau
 
 
 class TestClosedForms:
@@ -78,16 +79,17 @@ class TestEveStrategy:
 
 class TestChannelProbabilities:
     def test_honest_and_intercepted(self):
-        f_eve, p_pass = channel_probabilities(1.0, 0.5)
+        envelope = make_plateau(1.0)
+        f_eve, p_pass = channel_probabilities(envelope, 0.5)
         assert f_eve == 0.0
         assert p_pass == pytest.approx(1.0, abs=1e-9)
         # Waiting chi = 0.25 exposes L_ch + chi of the state and leaves the
         # truncated resend 1 - chi of the receiver test.
-        f_eve, p_pass = channel_probabilities(1.0, 0.5, EveStrategy(0.25, 0.5))
+        f_eve, p_pass = channel_probabilities(envelope, 0.5, EveStrategy(0.25, 0.5))
         assert f_eve == pytest.approx(0.75, abs=1e-9)
         assert p_pass == pytest.approx(0.75, abs=1e-9)
         silent = EveStrategy(0.25, 0.5, ResendPolicy.NO_RESEND)
-        assert channel_probabilities(1.0, 0.5, silent) == (f_eve, 0.0)
+        assert channel_probabilities(envelope, 0.5, silent) == (f_eve, 0.0)
 
 
 class TestMonteCarloConsistency:

@@ -2,12 +2,13 @@
 
 import pytest
 
-from relqkd import distill, security
+from relqkd import distill, harness, security
 from relqkd.cli import main as cli_main
 from relqkd.errors import InvalidParameterError
 from relqkd.harness import (
     CampaignSpec,
     CheckResult,
+    check_delay_bound,
     check_hash_calibration,
     cmd_analyze,
     cmd_distill,
@@ -17,6 +18,7 @@ from relqkd.harness import (
     rows_to_csv,
     simulate_intercept_resend,
 )
+from relqkd.wavepacket import make_plateau
 
 ANALYZE_INI = """
 [campaign]
@@ -138,6 +140,29 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError):
             simulate_intercept_resend(1.0, 0.5, 0.0, 0, seed=1)
 
+    def test_delay_beyond_extent_rejected(self, tmp_path):
+        path = tmp_path / "sim.ini"
+        path.write_text(SIMULATE_INI.replace("chi_fractions = 0, 0.25",
+                                             "chi_fractions = 1.5"))
+        with pytest.raises(InvalidParameterError, match=r"delay must lie in \[0, L\]"):
+            cmd_simulate(load_campaign(str(path)))
+
+    def test_one_envelope_per_campaign(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make_plateau(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "make_plateau", counting)
+        path = tmp_path / "sim.ini"
+        path.write_text(SIMULATE_INI)
+        assert len(cmd_simulate(load_campaign(str(path)))) == 2
+        assert len(calls) == 1
+        calls.clear()
+        assert check_delay_bound().passed
+        assert len(calls) == 1
+
 
 class TestDistill:
     def test_writes_transcript_and_report(self, tmp_path):
@@ -207,6 +232,13 @@ class TestCli:
 
     def test_bad_config_is_invalid_input(self, capsys):
         assert cli_main(["analyze", "/nonexistent.ini"]) == 2
+
+    @pytest.mark.parametrize("resolution", ["nan", "inf"])
+    def test_non_finite_resolution_is_invalid_input(self, tmp_path, capsys, resolution):
+        path = tmp_path / "sim.ini"
+        path.write_text(SIMULATE_INI + f"\n[state]\nresolution = {resolution}\n")
+        assert cli_main(["simulate", str(path)]) == 2
+        assert "resolution must be positive and finite" in capsys.readouterr().err
 
     def test_verify_exit_codes(self, capsys, monkeypatch):
         assert cli_main(["verify"]) == 0

@@ -113,6 +113,8 @@ class TestMakePlateau:
         dict(plateau_length=1.0, ramp_fraction=0.5),
         dict(plateau_length=1.0, tail_mass=0.01, ramp_fraction=0.02, resolution=100.0),
         dict(plateau_length=1.0, tail_mass=0.01, ramp_fraction=0.0),
+        dict(plateau_length=1.0, resolution=math.nan),
+        dict(plateau_length=1.0, resolution=math.inf),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParameterError):

@@ -17,14 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, RejectedInstrumentError
-from .measurement import (
-    BobOutcome,
-    EveOutcome,
-    PhotonState,
-    bob_outcome_distribution,
-    eve_outcome_distribution,
-)
-from .wavepacket import AmplitudeProfile, Interval
+from .measurement import PhotonState
+from .wavepacket import AmplitudeProfile, Interval, _exact_mass, _exact_product
 
 _TOL = 1e-9
 
@@ -70,14 +64,15 @@ def _check_geometry(chi: float, channel_length: float, extent: float):
         )
 
 
-def eve_success_probability(f: float) -> float:
+def eve_success_probability(f):
     """Probability (1 + f)/2 of knowing the bit with available fraction f.
 
     A firing measurement identifies the bit and a silent one leaves a fair
     coin flip.  The fraction saturates at 1 once the accessible region
-    covers the whole state.
+    covers the whole state.  ``f`` may be an array; a scalar gives a float.
     """
-    return 0.5 * (1.0 + min(1.0, f))
+    p = 0.5 * (1.0 + np.minimum(1.0, f))
+    return p if np.ndim(p) else float(p)
 
 
 def eve_correct_probability(chi: float, channel_length: float, extent: float) -> float:
@@ -86,13 +81,17 @@ def eve_correct_probability(chi: float, channel_length: float, extent: float) ->
     return eve_success_probability((channel_length + chi) / extent)
 
 
-def bob_pass_bound(chi: float, extent: float) -> float:
-    """Supremum 1 - chi/L of the receiver-test pass probability at delay chi."""
+def bob_pass_bound(chi, extent: float):
+    """Supremum 1 - chi/L of the receiver-test pass probability at delay chi.
+
+    ``chi`` may be an array of delays; a scalar gives a float.
+    """
     if extent <= 0.0:
         raise InvalidParameterError(f"state extent must be positive, got {extent}")
-    if not (0.0 <= chi <= extent + _TOL):
+    if not np.all((0.0 <= chi) & (chi <= extent + _TOL)):
         raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
-    return 1.0 - min(chi, extent) / extent
+    p = 1.0 - np.minimum(chi, extent) / extent
+    return p if np.ndim(p) else float(p)
 
 
 def joint_success(chi: float, channel_length: float, extent: float) -> float:
@@ -107,7 +106,8 @@ def optimal_delay(
 
     The joint success is strictly decreasing in the delay, so the optimum
     sits at chi = 0 with value (1 + L_ch/L)/2; the scan over
-    ``grid_points`` delays asserts no grid value exceeds it.
+    ``grid_points`` delays, evaluated as one array, asserts no grid value
+    exceeds it.
     """
     if not (0.0 <= channel_length < extent):
         raise InvalidParameterError(
@@ -117,7 +117,8 @@ def optimal_delay(
         raise InvalidParameterError("grid needs at least 2 points")
     pr_max = eve_success_probability(channel_length / extent)
     chis = np.linspace(0.0, extent - channel_length, grid_points)
-    values = np.array([joint_success(c, channel_length, extent) for c in chis])
+    values = (eve_success_probability((channel_length + chis) / extent)
+              * bob_pass_bound(chis, extent))
     if int(np.argmax(values)) != 0 or values.max() > pr_max + _TOL:
         raise InvalidParameterError(
             "grid scan contradicts the boundary optimum; geometry arguments invalid"
@@ -157,28 +158,59 @@ def channel_probabilities(
     """Per-round firing and receiver-pass probabilities, (f_eve, p_pass).
 
     ``envelope`` is a plateau of extent L as ``make_plateau`` builds it;
-    the carrier is that plateau shifted so that its window ends at x = 0.
-    The receiver's domain starts at the channel end L_ch and is as long as
-    the support, and he measures once the plateau can fill it.
-    Without an eavesdropper f_eve is 0 and p_pass is the honest pass
-    probability; with one, f_eve is the mass in her accessible region and
-    p_pass that of her resent substitute (0 when she forwards nothing).
+    the carrier B is that plateau shifted so that its window ends at x = 0,
+    with support [s0, s1] (s1 - s0 = S >= L).  The receiver's domain
+    starts at the channel end L_ch and is S long, and he measures at
+    t_b = L_ch - s0, once the plateau can fill it: his projector is B
+    itself, translated there and normalized.  Both probabilities are exact
+    integrals of the piecewise-linear B:
+
+    - the honest mass m_B = int B(y)^2 dy over [s0, s1], which is p_pass
+      without an eavesdropper (f_eve is then 0);
+    - f_eve = int B(y)^2 dy over [-(L_ch + chi), 0], the mass her
+      accessible region holds when she measures at t = L_ch + chi;
+    - for a resend delayed by chi, amp = int B(y) B(y + chi) dy over
+      [s0, s1 - chi], the part the substitute can still reach, divided by
+      sqrt(m_B m_R); m_R is the mass of B over [s0 + chi, s1] for the
+      truncated copy and m_B for the shifted one, and p_pass = amp^2.
+      Forwarding nothing gives p_pass = 0.
+
+    This geometry always meets the causality checks that
+    ``bob_outcome_distribution`` enforces, so none is repeated here: with
+    L_ch >= 0 and the support covering the window (s0 <= -L), the
+    measurement time t_b >= L_ch + L is after the emission at t = 0 and no
+    earlier than the plateau's rear edge can reach the domain, and the
+    domain is S >= L long.
     """
-    base = envelope.shifted(-envelope.window.hi)
-    support = base.support
-    omega_b = Interval(channel_length, channel_length + support.length)
-    t_b = channel_length - support.lo
-    honest = PhotonState(bit=0, profile=base)
+    window = envelope.window
+    if not (0.0 <= channel_length < math.inf):
+        raise InvalidParameterError(
+            f"channel length must be finite and >= 0, got {channel_length}")
+    if envelope.x[0] > window.lo + _TOL or envelope.x[-1] < window.hi - _TOL:
+        raise InvalidParameterError("envelope support must cover its plateau window")
+    x, f = envelope.x - window.hi, envelope.f
+    s0, s1 = float(x[0]), float(x[-1])
+    m_b = _exact_mass(x, f, s0, s1)
     if eve is None:
-        return 0.0, 1.0 - bob_outcome_distribution(honest, t_b, omega_b)[
-            BobOutcome.INCONCLUSIVE]
-    omega_e = eve.accessible_region(0.0)
-    f_eve = eve_outcome_distribution(honest, omega_e, omega_e.hi)[EveOutcome.FIRED_ZERO]
-    resend = apply_resend(eve, base, bit=0)
-    if resend is None:
+        return 0.0, _unit(m_b)
+    chi = eve.delay
+    reach = eve.channel_length + chi
+    if not math.isfinite(reach):
+        raise InvalidParameterError(f"accessible region must be finite, got {reach}")
+    f_eve = _unit(_exact_mass(x, f, -reach, 0.0))
+    if eve.resend_policy is ResendPolicy.NO_RESEND:
         return f_eve, 0.0
-    return f_eve, 1.0 - bob_outcome_distribution(
-        resend, t_b, omega_b, reference=base)[BobOutcome.INCONCLUSIVE]
+    m_r = m_b
+    if eve.resend_policy is ResendPolicy.TRUNCATED_RENORMALIZED and chi > 0.0:
+        if chi >= s1 - s0:
+            raise InvalidParameterError("delay exceeds the state extent; nothing to resend")
+        m_r = _exact_mass(x, f, s0 + chi, s1)
+    amp = _exact_product(x, f, x - chi, f, s0, s1) / math.sqrt(m_b * m_r)
+    return f_eve, _unit(amp * amp)
+
+
+def _unit(p: float) -> float:
+    return min(max(p, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

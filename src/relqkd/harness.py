@@ -73,6 +73,13 @@ class CampaignSpec:
             not self.ratios or not self.chi_fractions
         ):
             raise InvalidParameterError(f"mode {self.mode!r} needs non-empty sweep grids")
+        for axis, values, length in (("ratio", self.ratios, "channel length"),
+                                     ("chi fraction", self.chi_fractions, "delay")):
+            for value in values:
+                if not (0.0 <= value <= 1.0):
+                    raise InvalidParameterError(
+                        f"sweep {axis} {value} is outside [0, 1]: "
+                        f"the {length} must lie in [0, L]")
         if self.mode == "distill" and self.protocol is None:
             raise InvalidParameterError("mode 'distill' needs a [protocol] section")
 
@@ -216,9 +223,10 @@ def simulate_intercept_resend(
 def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
     """One grid point on a built envelope; a sweep builds it only once.
 
-    Draws come from the exact per-round outcome distributions (which are
-    themselves quadrature results), so the comparison exercises the whole
-    envelope/measurement stack, not just the analytic formulas.
+    Draws come from the per-round probabilities ``channel_probabilities``
+    integrates on the envelope, so the comparison checks the envelope
+    integrals against the closed forms, not the closed forms against
+    themselves.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -228,12 +236,15 @@ def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
     f, p_pass = channel_probabilities(
         envelope, channel_length, EveStrategy(chi, channel_length, policy))
 
+    # The three uniform streams share one buffer: fired, coin, passed.
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    fired = rng.random(trials) < f
-    coin = rng.random(trials) < 0.5
-    eve_correct = np.where(fired, True, coin)
-    passed = rng.random(trials) < p_pass
-    joint = eve_correct & passed
+    u = np.empty(trials)
+    eve_correct = rng.random(out=u) < f
+    eve_correct |= rng.random(out=u) < 0.5
+    passed = rng.random(out=u) < p_pass
+    e_emp = np.count_nonzero(eve_correct) / trials
+    b_emp = np.count_nonzero(passed) / trials
+    j_emp = np.count_nonzero(passed & eve_correct) / trials
 
     ratio = channel_length / L
     chi_fraction = chi / L
@@ -241,9 +252,6 @@ def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
     bob_analytic = bob_pass_bound(chi, L)
     joint_analytic = eve_analytic * bob_analytic
 
-    e_emp = float(np.mean(eve_correct))
-    b_emp = float(np.mean(passed))
-    j_emp = float(np.mean(joint))
     return InterceptResendSummary(
         ratio=ratio, chi_fraction=chi_fraction, available_fraction=f,
         pass_probability=p_pass,

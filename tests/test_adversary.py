@@ -1,15 +1,21 @@
 """Delay-tradeoff closed forms and the noise-instrument contraction bound."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqkd.adversary import (
     EveStrategy,
     KrausSet,
     ResendPolicy,
+    apply_resend,
     bob_pass_bound,
     channel_probabilities,
     eve_correct_probability,
+    eve_success_probability,
     instrument_contraction_check,
     joint_success,
     optimal_delay,
@@ -18,7 +24,14 @@ from relqkd.adversary import (
 )
 from relqkd.errors import InvalidParameterError, RejectedInstrumentError
 from relqkd.harness import simulate_intercept_resend
-from relqkd.wavepacket import make_plateau
+from relqkd.measurement import (
+    BobOutcome,
+    EveOutcome,
+    PhotonState,
+    bob_outcome_distribution,
+    eve_outcome_distribution,
+)
+from relqkd.wavepacket import Interval, make_plateau
 
 
 class TestClosedForms:
@@ -36,6 +49,19 @@ class TestClosedForms:
         assert joint_success(0.0, 0.5, 1.0) == pytest.approx(0.75)
         assert joint_success(0.0, 1.0, 1.0) == pytest.approx(1.0)
         assert joint_success(0.5, 0.25, 1.0) == pytest.approx(0.4375)
+
+    def test_arrays_match_the_scalar_forms(self):
+        fs = np.linspace(-0.1, 1.2, 27)
+        assert eve_success_probability(fs).tolist() == [
+            eve_success_probability(float(f)) for f in fs]
+        chis = np.linspace(0.0, 2.0, 33)
+        assert bob_pass_bound(chis, 2.0).tolist() == [
+            bob_pass_bound(float(c), 2.0) for c in chis]
+        # Scalars stay Python floats: reports print them with repr.
+        assert type(eve_success_probability(0.5)) is float
+        assert type(bob_pass_bound(0.25, 1.0)) is float
+        with pytest.raises(InvalidParameterError):
+            bob_pass_bound(np.array([0.0, 1.5]), 1.0)
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -58,6 +84,14 @@ class TestOptimalDelay:
             chis = np.linspace(0.0, 1.0 - ratio, 200)
             vals = np.array([joint_success(c, ratio, 1.0) for c in chis])
             assert np.all(np.diff(vals) < 0.0)
+
+    def test_scan_matches_joint_success(self):
+        # The one-array scan reproduces the per-delay closed form exactly.
+        for ratio in (0.0, 0.25, 0.5, 0.9):
+            chis = np.linspace(0.0, 1.0 - ratio, 1000)
+            scan = (eve_success_probability((ratio + chis) / 1.0)
+                    * bob_pass_bound(chis, 1.0))
+            assert scan.tolist() == [joint_success(c, ratio, 1.0) for c in chis]
 
     def test_never_exceeds_pr_max(self):
         for ratio in (0.1, 0.5, 0.85):
@@ -90,6 +124,89 @@ class TestChannelProbabilities:
         assert p_pass == pytest.approx(0.75, abs=1e-9)
         silent = EveStrategy(0.25, 0.5, ResendPolicy.NO_RESEND)
         assert channel_probabilities(envelope, 0.5, silent) == (f_eve, 0.0)
+
+
+    def test_delay_beyond_support_rejected(self):
+        envelope = make_plateau(1.0)
+        with pytest.raises(InvalidParameterError, match="exceeds the state extent"):
+            channel_probabilities(envelope, 0.0, EveStrategy(1.0, 0.0))
+        # A shifted copy that misses the receiver entirely simply fails.
+        shifted = EveStrategy(1.0, 0.0, ResendPolicy.SHIFTED_COPY)
+        assert channel_probabilities(envelope, 0.0, shifted)[1] == 0.0
+
+    @pytest.mark.parametrize("channel_length", [-0.1, math.inf, math.nan])
+    def test_bad_channel_length_rejected(self, channel_length):
+        with pytest.raises(InvalidParameterError):
+            channel_probabilities(make_plateau(1.0), channel_length)
+
+
+def composed_probabilities(envelope, channel_length, eve):
+    """(f_eve, p_pass) through the explicit states and measurements.
+
+    The carrier, the eavesdropper's region and the receiver's domain and
+    time are those ``channel_probabilities`` documents; the honest state,
+    her resent substitute and both outcome distributions are built out.
+    """
+    base = envelope.shifted(-envelope.window.hi)
+    support = base.support
+    omega_b = Interval(channel_length, channel_length + support.length)
+    t_b = channel_length - support.lo
+    honest = PhotonState(bit=0, profile=base)
+    if eve is None:
+        dist = bob_outcome_distribution(honest, t_b, omega_b)
+        return 0.0, 1.0 - dist[BobOutcome.INCONCLUSIVE]
+    omega_e = eve.accessible_region(0.0)
+    f_eve = eve_outcome_distribution(honest, omega_e, omega_e.hi)[EveOutcome.FIRED_ZERO]
+    resend = apply_resend(eve, base, bit=0)
+    if resend is None:
+        return f_eve, 0.0
+    dist = bob_outcome_distribution(resend, t_b, omega_b, reference=base)
+    return f_eve, 1.0 - dist[BobOutcome.INCONCLUSIVE]
+
+
+envelopes = st.one_of(
+    st.builds(make_plateau, st.floats(0.25, 4.0)),
+    st.builds(make_plateau, st.floats(0.25, 4.0), st.floats(0.0, 0.05),
+              st.floats(0.005, 0.2)),
+)
+
+
+class TestChannelProbabilityIntegrals:
+    # The delay stays at most 0.99 (L - L_ch): as chi approaches the support
+    # length, p_pass is a ratio of two vanishing integrals and both sides
+    # lose every digit to rounding.
+    @settings(max_examples=40, deadline=None)
+    @given(envelopes, st.floats(0.0, 0.99), st.floats(0.0, 0.99))
+    def test_matches_the_composed_measurements(self, envelope, ratio, chi_frac):
+        L = envelope.plateau_length
+        channel_length = ratio * L
+        chi = chi_frac * (L - channel_length)
+        for policy in ResendPolicy:
+            eve = EveStrategy(chi, channel_length, policy)
+            direct = channel_probabilities(envelope, channel_length, eve)
+            composed = composed_probabilities(envelope, channel_length, eve)
+            assert direct == pytest.approx(composed, abs=1e-12)
+        assert channel_probabilities(envelope, channel_length) == pytest.approx(
+            composed_probabilities(envelope, channel_length, None), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.25, 4.0), st.floats(0.0, 0.99), st.floats(0.0, 0.99))
+    def test_ideal_plateau_closed_forms(self, L, ratio, chi_frac):
+        envelope = make_plateau(L)
+        channel_length = ratio * L
+        chi = chi_frac * (L - channel_length)
+        expected_f = (channel_length + chi) / L
+        expected_pass = {
+            ResendPolicy.TRUNCATED_RENORMALIZED: 1.0 - chi / L,
+            ResendPolicy.SHIFTED_COPY: (1.0 - chi / L) ** 2,
+            ResendPolicy.NO_RESEND: 0.0,
+        }
+        for policy, p_pass in expected_pass.items():
+            eve = EveStrategy(chi, channel_length, policy)
+            assert channel_probabilities(envelope, channel_length, eve) == pytest.approx(
+                (expected_f, p_pass), abs=1e-12)
+        assert channel_probabilities(envelope, channel_length) == pytest.approx(
+            (0.0, 1.0), abs=1e-12)
 
 
 class TestMonteCarloConsistency:

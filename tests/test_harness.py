@@ -89,6 +89,16 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             CampaignSpec(mode="analyze", seed=1, ratios=(), chi_fractions=(0.0,))
 
+    @pytest.mark.parametrize("mode", ["analyze", "simulate"])
+    @pytest.mark.parametrize("axis,value", [
+        ("ratios", 1.5), ("ratios", -0.1), ("ratios", float("nan")),
+        ("chi_fractions", 1.5), ("chi_fractions", -0.1),
+    ])
+    def test_sweep_outside_unit_interval_rejected(self, mode, axis, value):
+        grid = {"ratios": (0.5,), "chi_fractions": (0.1,), axis: (0.25, value)}
+        with pytest.raises(InvalidParameterError, match=f"{value} is outside"):
+            CampaignSpec(mode=mode, seed=1, **grid)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
             CampaignSpec(mode="frobnicate", seed=1)
@@ -239,6 +249,20 @@ class TestCli:
         path.write_text(SIMULATE_INI + f"\n[state]\nresolution = {resolution}\n")
         assert cli_main(["simulate", str(path)]) == 2
         assert "resolution must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["analyze", "simulate"])
+    @pytest.mark.parametrize("sweep,value", [
+        ("ratios = 1.5, -0.1\nchi_fractions = 0.1", "1.5"),
+        ("ratios = 0.5\nchi_fractions = 0, -0.1", "-0.1"),
+    ])
+    def test_out_of_range_sweep_is_invalid_input(self, tmp_path, capsys, mode,
+                                                 sweep, value):
+        path = tmp_path / f"{mode}.ini"
+        path.write_text(f"[campaign]\nmode = {mode}\nseed = 7\n[sweep]\n{sweep}\n")
+        assert cli_main([mode, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{value} is outside [0, 1]" in captured.err
 
     def test_verify_exit_codes(self, capsys, monkeypatch):
         assert cli_main(["verify"]) == 0

@@ -41,7 +41,7 @@ summarize("flip noise 2%, loss 10%",
                                      flip_probability=0.02,
                                      loss_probability=0.10)))
 
-eve = EveStrategy(delay=0.25, channel_length=0.5)
+eve = EveStrategy(delay=0.25)
 summarize("intercept-resend, delay chi = 0.25",
           run_session(ProtocolConfig(**base, seed=104, eve=eve)))
 

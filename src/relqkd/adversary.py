@@ -31,24 +31,22 @@ class ResendPolicy(Enum):
 
 @dataclass(frozen=True)
 class EveStrategy:
-    """Delay, controlled channel length, and what gets forwarded."""
+    """What the eavesdropper chooses: her delay chi and what she forwards.
+
+    The channel length is the protocol's geometry, not her choice; it is
+    passed wherever it is needed, as to ``channel_probabilities``.
+    """
 
     delay: float
-    channel_length: float
     resend_policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED
 
     def __post_init__(self):
-        if self.delay < 0.0:
-            raise InvalidParameterError(f"delay must be >= 0, got {self.delay}")
-        if self.channel_length < 0.0:
+        if not (0.0 <= self.delay < math.inf):
             raise InvalidParameterError(
-                f"channel length must be >= 0, got {self.channel_length}"
-            )
-
-    def accessible_region(self, channel_start: float = 0.0) -> Interval:
-        """Interval of length channel_length + delay opened up by waiting."""
-        return Interval(channel_start,
-                        channel_start + self.channel_length + self.delay)
+                f"delay must be finite and >= 0, got {self.delay}")
+        if not isinstance(self.resend_policy, ResendPolicy):
+            raise InvalidParameterError(
+                f"resend policy must be a ResendPolicy, got {self.resend_policy!r}")
 
 
 def _check_geometry(chi: float, channel_length: float, extent: float):
@@ -135,6 +133,8 @@ def apply_resend(
     The truncated policy re-emits the honest envelope clipped to the part
     of its support that a chi-delayed state can still causally occupy, and
     renormalizes; the shifted policy forwards an intact but lagging copy.
+    A truncated resend delayed by the whole support has nothing left to
+    send, and gives None as ``NO_RESEND`` does.
     """
     chi = strategy.delay
     if strategy.resend_policy is ResendPolicy.NO_RESEND:
@@ -144,7 +144,7 @@ def apply_resend(
                            emission_time=emission_time, delay=chi)
     support = honest_profile.support
     if chi >= support.length:
-        raise InvalidParameterError("delay exceeds the state extent; nothing to resend")
+        return None
     reachable = Interval(support.lo + chi, support.hi)
     resent = honest_profile.restrict(reachable).normalized()
     return PhotonState(bit=bit, profile=resent, emission_time=emission_time,
@@ -168,12 +168,14 @@ def channel_probabilities(
     - the honest mass m_B = int B(y)^2 dy over [s0, s1], which is p_pass
       without an eavesdropper (f_eve is then 0);
     - f_eve = int B(y)^2 dy over [-(L_ch + chi), 0], the mass her
-      accessible region holds when she measures at t = L_ch + chi;
+      accessible region [0, L_ch + chi] holds when she measures at
+      t = L_ch + chi;
     - for a resend delayed by chi, amp = int B(y) B(y + chi) dy over
       [s0, s1 - chi], the part the substitute can still reach, divided by
       sqrt(m_B m_R); m_R is the mass of B over [s0 + chi, s1] for the
       truncated copy and m_B for the shifted one, and p_pass = amp^2.
-      Forwarding nothing gives p_pass = 0.
+      Forwarding nothing gives p_pass = 0, and so does a truncated copy
+      at chi >= S, which has nothing left to send.
 
     This geometry always meets the causality checks that
     ``bob_outcome_distribution`` enforces, so none is repeated here: with
@@ -194,16 +196,12 @@ def channel_probabilities(
     if eve is None:
         return 0.0, _unit(m_b)
     chi = eve.delay
-    reach = eve.channel_length + chi
-    if not math.isfinite(reach):
-        raise InvalidParameterError(f"accessible region must be finite, got {reach}")
-    f_eve = _unit(_exact_mass(x, f, -reach, 0.0))
-    if eve.resend_policy is ResendPolicy.NO_RESEND:
+    f_eve = _unit(_exact_mass(x, f, -(channel_length + chi), 0.0))
+    truncated = eve.resend_policy is ResendPolicy.TRUNCATED_RENORMALIZED
+    if eve.resend_policy is ResendPolicy.NO_RESEND or (truncated and chi >= s1 - s0):
         return f_eve, 0.0
     m_r = m_b
-    if eve.resend_policy is ResendPolicy.TRUNCATED_RENORMALIZED and chi > 0.0:
-        if chi >= s1 - s0:
-            raise InvalidParameterError("delay exceeds the state extent; nothing to resend")
+    if truncated and chi > 0.0:
         m_r = _exact_mass(x, f, s0 + chi, s1)
     amp = _exact_product(x, f, x - chi, f, s0, s1) / math.sqrt(m_b * m_r)
     return f_eve, _unit(amp * amp)

@@ -41,7 +41,6 @@ class ProtocolConfig:
     eve: EveStrategy | None = None
     tail_mass: float = 0.0
     ramp_fraction: float = 0.0
-    resolution: float | None = None
 
     def __post_init__(self):
         if self.key_length < 1:
@@ -72,12 +71,8 @@ class ProtocolConfig:
             raise InvalidParameterError("flip probability must lie in [0, 1]")
         if not (0.0 <= self.loss_probability < 1.0):
             raise InvalidParameterError("loss probability must lie in [0, 1)")
-        if self.eve is not None and not math.isclose(
-            self.eve.channel_length, self.channel_length, abs_tol=1e-12
-        ):
-            raise InvalidParameterError(
-                "eavesdropper strategy and geometry disagree on the channel length"
-            )
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -517,8 +512,7 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     parity mismatch is not an error: the abort is recorded in the
     transcript.
     """
-    envelope = make_plateau(cfg.state_extent, cfg.tail_mass,
-                            cfg.ramp_fraction, cfg.resolution)
+    envelope = make_plateau(cfg.state_extent, cfg.tail_mass, cfg.ramp_fraction)
     f_eve, p_pass = channel_probabilities(envelope, cfg.channel_length, cfg.eve)
     p_sift = p_pass * (1.0 - cfg.loss_probability)
     if p_sift <= 1e-12:

@@ -35,7 +35,7 @@ from .adversary import (
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
 from .security import SecurityReport, build_report
-from .wavepacket import make_plateau
+from .wavepacket import DEFAULT_SAMPLES_ACROSS_PLATEAU, make_plateau
 
 CSV_COLUMNS = ("ratio", "chi_over_L", "pr_e_analytic", "pr_b_bound",
                "joint_analytic", "joint_empirical", "stderr", "zscore")
@@ -57,7 +57,6 @@ class CampaignSpec:
     state_extent: float = 1.0
     tail_mass: float = 0.0
     ramp_fraction: float = 0.0
-    resolution: float | None = None
     resend_policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED
     protocol: ProtocolConfig | None = None
     eps1: float = 1e-3
@@ -67,6 +66,8 @@ class CampaignSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {self.trials}")
         if self.mode in ("analyze", "simulate") and (
@@ -117,7 +118,12 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
     state = parser["state"] if parser.has_section("state") else {}
     tail_mass = float(state.get("tail_mass", 0.0))
     ramp_fraction = float(state.get("ramp_fraction", 0.0))
-    resolution = float(state["resolution"]) if "resolution" in state else None
+    for key in state:
+        if key not in ("tail_mass", "ramp_fraction"):
+            raise InvalidParameterError(
+                f"unknown [state] key {key!r}: the section takes tail_mass and "
+                f"ramp_fraction; the grid knob was removed, the grid is fixed at "
+                f"{DEFAULT_SAMPLES_ACROSS_PLATEAU} samples across L")
 
     sweep = parser["sweep"] if parser.has_section("sweep") else {}
     ratios = _floats(sweep.get("ratios", ""))
@@ -133,11 +139,7 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
                 f"unknown resend policy {sec.get('resend')!r}"
             )
         if sec.getboolean("enabled", fallback=False):
-            eve = EveStrategy(
-                delay=sec.getfloat("delay", fallback=0.0),
-                channel_length=channel_length,
-                resend_policy=policy,
-            )
+            eve = EveStrategy(sec.getfloat("delay", fallback=0.0), policy)
 
     protocol = None
     if parser.has_section("protocol"):
@@ -156,7 +158,6 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
             eve=eve,
             tail_mass=tail_mass,
             ramp_fraction=ramp_fraction,
-            resolution=resolution,
         )
 
     eps1, eps2 = 1e-3, 1e-3
@@ -168,7 +169,7 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
         mode=mode, seed=seed, trials=trials, ratios=ratios,
         chi_fractions=chi_fractions, state_extent=state_extent,
         tail_mass=tail_mass, ramp_fraction=ramp_fraction,
-        resolution=resolution, resend_policy=policy, protocol=protocol,
+        resend_policy=policy, protocol=protocol,
         eps1=eps1, eps2=eps2, out=out,
     )
 
@@ -212,11 +213,10 @@ def simulate_intercept_resend(
     seed,
     tail_mass: float = 0.0,
     ramp_fraction: float = 0.0,
-    resolution: float | None = None,
     policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED,
 ) -> InterceptResendSummary:
     """Monte Carlo one intercept-resend grid point against the closed forms."""
-    envelope = make_plateau(state_extent, tail_mass, ramp_fraction, resolution)
+    envelope = make_plateau(state_extent, tail_mass, ramp_fraction)
     return _simulate_point(envelope, channel_length, chi, trials, seed, policy)
 
 
@@ -233,8 +233,7 @@ def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
     L = envelope.plateau_length
     if not (0.0 <= chi <= L):
         raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
-    f, p_pass = channel_probabilities(
-        envelope, channel_length, EveStrategy(chi, channel_length, policy))
+    f, p_pass = channel_probabilities(envelope, channel_length, EveStrategy(chi, policy))
 
     # The three uniform streams share one buffer: fired, coin, passed.
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -302,7 +301,7 @@ def cmd_simulate(spec: CampaignSpec) -> list[dict]:
     """Monte Carlo table: empirical joint success next to the closed form."""
     rows = []
     L = spec.state_extent
-    envelope = make_plateau(L, spec.tail_mass, spec.ramp_fraction, spec.resolution)
+    envelope = make_plateau(L, spec.tail_mass, spec.ramp_fraction)
     grid = itertools.product(spec.ratios, spec.chi_fractions)
     for point, (ratio, cf) in enumerate(grid):
         summary = _simulate_point(envelope, ratio * L, cf * L, spec.trials,
@@ -404,8 +403,7 @@ def check_delay_bound(tol: float = 1e-9) -> CheckResult:
     L = 1.0
     envelope = make_plateau(L)
     for chi in np.linspace(0.0, 0.96, 25):
-        strategy = EveStrategy(delay=float(chi), channel_length=0.4)
-        _, p_pass = channel_probabilities(envelope, 0.4, strategy)
+        _, p_pass = channel_probabilities(envelope, 0.4, EveStrategy(float(chi)))
         if p_pass > bob_pass_bound(float(chi), L) + tol:
             return CheckResult("delay-bound", False,
                                f"pass probability beats the bound at chi={chi}")

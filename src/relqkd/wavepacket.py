@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-#: Default number of samples across one plateau length.
+#: Number of samples across one plateau length; every grid uses it.
 DEFAULT_SAMPLES_ACROSS_PLATEAU = 4096
 
 #: A ramp represented by fewer samples than this is considered unresolved.
@@ -54,11 +54,6 @@ class Interval:
 
     def shifted(self, delta: float) -> "Interval":
         return Interval(self.lo + delta, self.hi + delta)
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if hi >= lo else None
 
 
 def _exact_mass(x: np.ndarray, f: np.ndarray, a: float, b: float) -> float:
@@ -113,22 +108,12 @@ class AmplitudeProfile:
         Nominal extent L of the plateau window.
     window_lo : float
         Left edge of the plateau window at t = 0.
-    ramp_fraction : float
-        Fraction of L occupied by each edge ramp.
-    resolution : float
-        Samples per unit length used to build the grid.
-    tail_mass : float
-        Achieved fraction of the total mass lying outside the plateau
-        window.
     """
 
     x: np.ndarray
     f: np.ndarray
     plateau_length: float
     window_lo: float
-    ramp_fraction: float
-    resolution: float
-    tail_mass: float
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -164,6 +149,16 @@ class AmplitudeProfile:
     def total_mass(self) -> float:
         return _exact_mass(self.x, self.f, float(self.x[0]), float(self.x[-1]))
 
+    @property
+    def tail_mass(self) -> float:
+        """Achieved fraction of the total mass lying outside the plateau window."""
+        total = self.total_mass()
+        if not total > 0.0:
+            return 0.0
+        inside = _exact_mass(self.x, self.f, self.window_lo,
+                             self.window_lo + self.plateau_length)
+        return max(0.0, 1.0 - inside / total)
+
     def shifted(self, delta: float) -> "AmplitudeProfile":
         """Envelope translated by +delta; the plateau window moves with it."""
         return replace(self, x=self.x + delta, window_lo=self.window_lo + delta)
@@ -177,29 +172,14 @@ class AmplitudeProfile:
         inner = self.x[(self.x > lo) & (self.x < hi)]
         new_x = np.concatenate(([lo], inner, [hi]))
         new_f = np.interp(new_x, self.x, self.f)
-        return _finish(new_x, new_f, self.plateau_length, self.window_lo,
-                       self.ramp_fraction, self.resolution)
+        return replace(self, x=new_x, f=new_f)
 
     def normalized(self) -> "AmplitudeProfile":
         """Same shape rescaled to unit total mass."""
         m = self.total_mass()
         if m <= 0.0:
             raise InvalidParameterError("cannot normalize an identically zero profile")
-        return _finish(self.x, self.f / math.sqrt(m), self.plateau_length,
-                       self.window_lo, self.ramp_fraction, self.resolution)
-
-
-def _finish(x, f, plateau_length, window_lo, ramp_fraction, resolution):
-    """Build a profile, recomputing the achieved tail mass."""
-    total = _exact_mass(x, f, float(x[0]), float(x[-1]))
-    if total > 0.0:
-        inside = _exact_mass(x, f, window_lo, window_lo + plateau_length)
-        tail = max(0.0, 1.0 - inside / total)
-    else:
-        tail = 0.0
-    return AmplitudeProfile(x=x, f=f, plateau_length=plateau_length,
-                            window_lo=window_lo, ramp_fraction=ramp_fraction,
-                            resolution=resolution, tail_mass=tail)
+        return replace(self, f=self.f / math.sqrt(m))
 
 
 def _ramp(u: np.ndarray) -> np.ndarray:
@@ -289,7 +269,6 @@ def make_plateau(
     plateau_length: float,
     tail_mass: float = 0.0,
     ramp_fraction: float = 0.0,
-    resolution: float | None = None,
 ) -> AmplitudeProfile:
     """Build a unit-mass plateau envelope with window [0, L].
 
@@ -302,15 +281,18 @@ def make_plateau(
         are slid across the window edges until the tail mass matches the
         request (see Notes); if the ramp width cannot carry that much
         mass outside, the ramps sit fully outside and the (smaller)
-        achieved value is recorded in ``tail_mass``.
+        achieved value is reported by ``tail_mass``.
     ramp_fraction : float
         Width of each raised-cosine edge ramp as a fraction of L, in
-        [0, 1/2); must be positive when ``tail_mass`` is.
-    resolution : float, optional
-        Samples per unit length; defaults to 4096 samples across L.
+        [0, 1/2); must be positive when ``tail_mass`` is.  A ramp below
+        8/4096 of L (``MIN_SAMPLES_PER_RAMP`` samples of the grid) is
+        unresolved and rejected.
 
     Notes
     -----
+    The grid is fixed: ``DEFAULT_SAMPLES_ACROSS_PLATEAU`` = 4096 samples
+    across L, i.e. 4096 / L samples per unit length.
+
     The flat-top height equals 1/sqrt(L) only up to a correction of order
     of the tail mass: unit total mass and window mass 1 - tail_mass
     together pin the height to slightly below 1/sqrt(L).  The achieved
@@ -340,25 +322,19 @@ def make_plateau(
         raise InvalidParameterError(
             f"tail mass {tail_mass} needs edge ramps to carry it; ramp fraction is 0"
         )
-    if resolution is None:
-        resolution = DEFAULT_SAMPLES_ACROSS_PLATEAU / L
-    if not (resolution > 0.0 and math.isfinite(resolution)):
-        raise InvalidParameterError(
-            f"resolution must be positive and finite, got {resolution}"
-        )
+    resolution = DEFAULT_SAMPLES_ACROSS_PLATEAU / L
 
     w = ramp_fraction * L
     if w > 0.0 and w * resolution < MIN_SAMPLES_PER_RAMP:
         raise InvalidParameterError(
-            f"resolution {resolution} too coarse: fewer than "
-            f"{MIN_SAMPLES_PER_RAMP} samples per ramp of width {w}"
+            f"ramp fraction {ramp_fraction} is below "
+            f"{MIN_SAMPLES_PER_RAMP}/{DEFAULT_SAMPLES_ACROSS_PLATEAU}: fewer than "
+            f"{MIN_SAMPLES_PER_RAMP} grid samples per ramp"
         )
 
     def build(a: float, x_lo: float, x_hi: float) -> AmplitudeProfile:
         x = _grid(x_lo, x_hi, resolution)
-        f = _plateau_samples(L, w, a, x)
-        prof = _finish(x, f, L, 0.0, ramp_fraction, resolution)
-        return prof.normalized()
+        return AmplitudeProfile(x, _plateau_samples(L, w, a, x), L, 0.0).normalized()
 
     if w == 0.0:
         return build(0.0, 0.0, L)

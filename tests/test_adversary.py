@@ -101,14 +101,12 @@ class TestOptimalDelay:
 
 
 class TestEveStrategy:
-    def test_accessible_region_length(self):
-        strategy = EveStrategy(delay=0.25, channel_length=0.4)
-        region = strategy.accessible_region(0.0)
-        assert region.length == pytest.approx(0.65)
-
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            EveStrategy(delay=-0.1, channel_length=0.4)
+            EveStrategy(delay=-0.1)
+        for delay in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match="delay"):
+                EveStrategy(delay=delay)
 
 
 class TestChannelProbabilities:
@@ -119,20 +117,28 @@ class TestChannelProbabilities:
         assert p_pass == pytest.approx(1.0, abs=1e-9)
         # Waiting chi = 0.25 exposes L_ch + chi of the state and leaves the
         # truncated resend 1 - chi of the receiver test.
-        f_eve, p_pass = channel_probabilities(envelope, 0.5, EveStrategy(0.25, 0.5))
+        f_eve, p_pass = channel_probabilities(envelope, 0.5, EveStrategy(0.25))
         assert f_eve == pytest.approx(0.75, abs=1e-9)
         assert p_pass == pytest.approx(0.75, abs=1e-9)
-        silent = EveStrategy(0.25, 0.5, ResendPolicy.NO_RESEND)
+        silent = EveStrategy(0.25, ResendPolicy.NO_RESEND)
         assert channel_probabilities(envelope, 0.5, silent) == (f_eve, 0.0)
 
-
-    def test_delay_beyond_support_rejected(self):
+    def test_region_follows_the_given_channel_length(self):
+        # Her region is [0, L_ch + chi] for the L_ch passed in, whatever it is.
         envelope = make_plateau(1.0)
-        with pytest.raises(InvalidParameterError, match="exceeds the state extent"):
-            channel_probabilities(envelope, 0.0, EveStrategy(1.0, 0.0))
-        # A shifted copy that misses the receiver entirely simply fails.
-        shifted = EveStrategy(1.0, 0.0, ResendPolicy.SHIFTED_COPY)
-        assert channel_probabilities(envelope, 0.0, shifted)[1] == 0.0
+        for channel_length, expected in ((0.3, 0.55), (0.0, 0.25)):
+            f_eve, _ = channel_probabilities(envelope, channel_length, EveStrategy(0.25))
+            assert abs(f_eve - expected) <= 1e-9
+
+    def test_delay_beyond_support_sends_nothing(self):
+        # At chi = L the truncated resend of the ideal plateau has nothing
+        # left to send: it passes with probability 0, as NO_RESEND does,
+        # and a shifted copy misses the receiver entirely.
+        envelope = make_plateau(1.0)
+        for policy in ResendPolicy:
+            f_eve, p_pass = channel_probabilities(envelope, 0.0, EveStrategy(1.0, policy))
+            assert (f_eve, p_pass) == (1.0, 0.0)
+        assert apply_resend(EveStrategy(1.0), envelope, bit=0) is None
 
     @pytest.mark.parametrize("channel_length", [-0.1, math.inf, math.nan])
     def test_bad_channel_length_rejected(self, channel_length):
@@ -155,7 +161,7 @@ def composed_probabilities(envelope, channel_length, eve):
     if eve is None:
         dist = bob_outcome_distribution(honest, t_b, omega_b)
         return 0.0, 1.0 - dist[BobOutcome.INCONCLUSIVE]
-    omega_e = eve.accessible_region(0.0)
+    omega_e = Interval(0.0, channel_length + eve.delay)
     f_eve = eve_outcome_distribution(honest, omega_e, omega_e.hi)[EveOutcome.FIRED_ZERO]
     resend = apply_resend(eve, base, bit=0)
     if resend is None:
@@ -182,7 +188,7 @@ class TestChannelProbabilityIntegrals:
         channel_length = ratio * L
         chi = chi_frac * (L - channel_length)
         for policy in ResendPolicy:
-            eve = EveStrategy(chi, channel_length, policy)
+            eve = EveStrategy(chi, policy)
             direct = channel_probabilities(envelope, channel_length, eve)
             composed = composed_probabilities(envelope, channel_length, eve)
             assert direct == pytest.approx(composed, abs=1e-12)
@@ -202,7 +208,7 @@ class TestChannelProbabilityIntegrals:
             ResendPolicy.NO_RESEND: 0.0,
         }
         for policy, p_pass in expected_pass.items():
-            eve = EveStrategy(chi, channel_length, policy)
+            eve = EveStrategy(chi, policy)
             assert channel_probabilities(envelope, channel_length, eve) == pytest.approx(
                 (expected_f, p_pass), abs=1e-12)
         assert channel_probabilities(envelope, channel_length) == pytest.approx(

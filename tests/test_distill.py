@@ -301,7 +301,7 @@ class TestRunSession:
         assert not transcript.aborted
 
     def test_eavesdropper_raises_disclosed_mismatch(self):
-        eve = EveStrategy(delay=0.25, channel_length=0.5)
+        eve = EveStrategy(delay=0.25)
         transcript = run_session(make_config(eve=eve, seed=21,
                                              disclose_fraction=0.25))
         # No-fire rounds resend a coin flip: mismatch rate (1 - f)/2 = 0.125.
@@ -309,19 +309,25 @@ class TestRunSession:
         assert any(r.eve_outcome is not None for r in transcript.rounds)
 
     def test_no_resend_exhausts(self):
-        eve = EveStrategy(delay=0.0, channel_length=0.5,
-                          resend_policy=ResendPolicy.NO_RESEND)
+        eve = EveStrategy(delay=0.0, resend_policy=ResendPolicy.NO_RESEND)
         with pytest.raises(ResourceExhaustedError):
             run_session(make_config(eve=eve))
 
     def test_strategy_geometry_mismatch_rejected(self):
-        eve = EveStrategy(delay=0.0, channel_length=0.3)
-        with pytest.raises(InvalidParameterError):
-            make_config(eve=eve, channel_length=0.5)
+        # The channel length lives in the config alone, so a strategy cannot
+        # disagree with it: a strategy given one of its own is refused.
+        with pytest.raises(TypeError):
+            EveStrategy(delay=0.0, channel_length=0.3)
+        with pytest.raises(InvalidParameterError, match="resend policy"):
+            EveStrategy(0.0, 0.3)
 
     def test_even_block_size_rejected(self):
         with pytest.raises(InvalidParameterError):
             make_config(block_size=4)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            make_config(seed=-1)
 
 
 def _edit(edit):
@@ -523,7 +529,7 @@ class TestTranscript:
            eavesdrop=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_engine_and_replay_agree(self, k, n, key_length, rounds, flip, loss,
                                      eavesdrop, seed):
-        eve = EveStrategy(delay=0.25, channel_length=0.5) if eavesdrop else None
+        eve = EveStrategy(delay=0.25) if eavesdrop else None
         try:
             transcript = run_session(make_config(
                 key_length=key_length, block_size=k, blocks_per_parity=n,
@@ -549,7 +555,7 @@ NOISY = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2
 NOISY_TEXT = NOISY.to_text()
 ABORTED_TEXT = run_session(make_config(
     key_length=4, hash_rounds=3, blocks_per_parity=2,
-    eve=EveStrategy(delay=0.0, channel_length=0.5), seed=0)).to_text()
+    eve=EveStrategy(delay=0.0), seed=0)).to_text()
 
 
 def _swap_lines(text, i, j):

@@ -107,6 +107,16 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             load_campaign("/nonexistent/campaign.ini")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            CampaignSpec(mode="analyze", seed=-1, ratios=(0.0,), chi_fractions=(0.0,))
+
+    def test_removed_resolution_key_rejected(self, tmp_path):
+        path = tmp_path / "sim.ini"
+        path.write_text(SIMULATE_INI + "\n[state]\nresolution = 4096\n")
+        with pytest.raises(InvalidParameterError, match="grid knob was removed"):
+            load_campaign(str(path))
+
 
 class TestAnalyze:
     def test_ratio_sweep_values(self, analyze_spec):
@@ -248,7 +258,36 @@ class TestCli:
         path = tmp_path / "sim.ini"
         path.write_text(SIMULATE_INI + f"\n[state]\nresolution = {resolution}\n")
         assert cli_main(["simulate", str(path)]) == 2
-        assert "resolution must be positive and finite" in capsys.readouterr().err
+        assert "grid knob was removed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,text", [("simulate", SIMULATE_INI),
+                                           ("distill", DISTILL_INI)])
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys, mode, text):
+        path = tmp_path / f"{mode}.ini"
+        path.write_text(text.replace("seed = ", "seed = -"))
+        assert cli_main([mode, str(path)]) == 2
+        path.write_text(text)
+        assert cli_main([mode, str(path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.count("seed must be >= 0") == 2
+
+    def test_full_delay_on_untailed_envelope(self, tmp_path, capsys):
+        # At chi = L the truncated resend has nothing left to send: the
+        # point passes with probability 0, as analyze tabulates it.
+        sweep = "[sweep]\nratios = 0, 0.5\nchi_fractions = 0.5, 1\n"
+        path = tmp_path / "sim.ini"
+        path.write_text(f"[campaign]\nmode = simulate\ntrials = 2000\nseed = 3\n{sweep}")
+        assert cli_main(["simulate", str(path)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        columns = dict(zip(rows[0], zip(*rows[1:])))
+        full = [i for i, cf in enumerate(columns["chi_over_L"]) if cf == "1"]
+        assert len(full) == 2
+        for name in ("pr_b_bound", "joint_empirical", "zscore"):
+            assert [columns[name][i] for i in full] == ["0", "0"]
+        # A session there cannot sift a single round, and says so.
+        path.write_text(DISTILL_INI.replace("channel_length = 0.5", "channel_length = 0")
+                        + "[eve]\nenabled = true\ndelay = 1.0\n")
+        assert cli_main(["distill", str(path)]) == 2
+        assert "no round can ever pass" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["analyze", "simulate"])
     @pytest.mark.parametrize("sweep,value", [

@@ -49,7 +49,7 @@ class TestBobDistribution:
 
     def test_optimally_delayed_state(self, base):
         omega_b, t_b = receiver_geometry(base)
-        strategy = EveStrategy(delay=0.25, channel_length=0.4)
+        strategy = EveStrategy(delay=0.25)
         resend = apply_resend(strategy, base, bit=0)
         dist = bob_outcome_distribution(resend, t_b, omega_b, reference=base)
         assert dist[BobOutcome.ZERO] == pytest.approx(0.75, abs=1e-9)
@@ -68,7 +68,7 @@ class TestBobDistribution:
     def test_distribution_sums_to_one(self, base):
         omega_b, t_b = receiver_geometry(base)
         for chi in (0.0, 0.1, 0.3, 0.7):
-            resend = apply_resend(EveStrategy(chi, 0.4), base, bit=1)
+            resend = apply_resend(EveStrategy(chi), base, bit=1)
             dist = bob_outcome_distribution(resend, t_b, omega_b, reference=base)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
             assert all(v >= 0.0 for v in dist.values())
@@ -76,7 +76,7 @@ class TestBobDistribution:
     def test_wrong_polarization_never_fires(self, base):
         omega_b, t_b = receiver_geometry(base)
         for policy in (ResendPolicy.TRUNCATED_RENORMALIZED, ResendPolicy.SHIFTED_COPY):
-            resend = apply_resend(EveStrategy(0.2, 0.4, policy), base, bit=0)
+            resend = apply_resend(EveStrategy(0.2, policy), base, bit=0)
             dist = bob_outcome_distribution(resend, t_b, omega_b, reference=base)
             assert dist[BobOutcome.ONE] == 0.0
 
@@ -84,7 +84,7 @@ class TestBobDistribution:
         omega_b, t_b = receiver_geometry(base)
         for chi in np.linspace(0.0, 0.9, 7):
             for policy in (ResendPolicy.TRUNCATED_RENORMALIZED, ResendPolicy.SHIFTED_COPY):
-                resend = apply_resend(EveStrategy(float(chi), 0.4, policy), base, bit=0)
+                resend = apply_resend(EveStrategy(float(chi), policy), base, bit=0)
                 dist = bob_outcome_distribution(resend, t_b, omega_b, reference=base)
                 assert 1.0 - dist[BobOutcome.INCONCLUSIVE] <= 1.0 - chi / L + 1e-9
 
@@ -148,7 +148,7 @@ class TestGuessStatistics:
 
 
 def eve_session(delay, seed, key_length=16):
-    eve = EveStrategy(delay=delay, channel_length=0.5)
+    eve = EveStrategy(delay=delay)
     return run_session(ProtocolConfig(
         key_length=key_length, block_size=3, blocks_per_parity=4, hash_rounds=8,
         disclose_fraction=0.1, state_extent=L, channel_length=0.5, seed=seed,

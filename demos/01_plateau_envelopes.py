@@ -4,27 +4,35 @@
 Builds the extended photon envelopes the protocol rides on, shows how the
 tail-mass knob trades against the ramp geometry, and demonstrates that a
 delayed substitute cannot pass the receiver's projection test with
-probability above 1 - chi/L.
+probability above 1 - chi/L.  ``make_plateau`` returns the envelope in
+closed form; ``.sampled()`` gives the same envelope on a grid of 4096
+samples across L, where masses and overlaps over arbitrary windows are
+taken.
 """
 
-from relqkd import Interval, make_plateau, mass_in_interval, overlap
+from relqkd import (EveStrategy, Interval, channel_probabilities, make_plateau,
+                    mass_in_interval, overlap)
 
 print("=" * 64)
 print("Ideal flat envelope, extent L = 1")
 print("=" * 64)
 p = make_plateau(1.0)
-print(f"total mass          : {p.total_mass():.12f}")
-print(f"plateau-window mass : {mass_in_interval(p, p.window):.12f}")
+s = p.sampled()
 print(f"flat value          : {p.flat_value:.12f}  (1/sqrt(L) = 1)")
-print(f"left-half mass      : {mass_in_interval(p, Interval(0.0, 0.5)):.12f}")
+print(f"sampled total mass  : {s.total_mass():.12f}")
+print(f"plateau-window mass : {mass_in_interval(s, s.window):.12f}")
+print(f"left-half mass      : {mass_in_interval(s, Interval(0.0, 0.5)):.12f}")
 
 print()
 print("=" * 64)
 print("Ramped envelope: requested tail mass 0.01, ramp fraction 0.02")
 print("=" * 64)
 q = make_plateau(1.0, tail_mass=0.01, ramp_fraction=0.02)
-print(f"achieved tail mass  : {q.tail_mass:.10f}")
-print(f"plateau-window mass : {mass_in_interval(q, q.window):.10f}  (= 1 - tail)")
+qs = q.sampled()
+print(f"ramp overhang       : {q.overhang:.10f} of ramp width {q.ramp_width:.4f}")
+print(f"achieved tail mass  : {q.tail_mass:.10f}  (closed form)")
+print(f"plateau-window mass : {mass_in_interval(qs, qs.window):.10f}  "
+      "(sampled; = 1 - tail up to the grid error)")
 print(f"support             : [{q.support.lo:+.5f}, {q.support.hi:+.5f}]")
 print(f"flat value          : {q.flat_value:.10f}")
 print("The flat top sits slightly below 1/sqrt(L): unit norm plus window")
@@ -34,10 +42,11 @@ print()
 print("=" * 64)
 print("Delay test: pass probability of the best resend vs 1 - chi/L")
 print("=" * 64)
-print(f"{'chi/L':>8} {'best resend':>12} {'bound':>8}")
+print(f"{'chi/L':>8} {'closed form':>12} {'sampled':>12} {'bound':>8}")
 for chi in (0.0, 0.1, 0.25, 0.5, 0.75):
-    window = Interval(p.support.lo + chi, p.support.hi)
-    resend = p.restrict(window).normalized()
-    amp = overlap(p, resend, window)
-    print(f"{chi:8.2f} {amp ** 2:12.6f} {1.0 - chi:8.4f}")
+    _, p_pass = channel_probabilities(p, 0.0, EveStrategy(chi))
+    window = Interval(s.support.lo + chi, s.support.hi)
+    resend = s.restrict(window).normalized()
+    amp = overlap(s, resend, window)
+    print(f"{chi:8.2f} {p_pass:12.6f} {amp ** 2:12.6f} {1.0 - chi:8.4f}")
 print("The truncated-renormalized substitute saturates the bound exactly.")

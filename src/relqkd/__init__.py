@@ -72,6 +72,7 @@ from .security import (
 from .wavepacket import (
     AmplitudeProfile,
     Interval,
+    Plateau,
     make_plateau,
     mass_in_interval,
     overlap,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, RejectedInstrumentError
 from .measurement import PhotonState
-from .wavepacket import AmplitudeProfile, Interval, _exact_mass, _exact_product
+from .wavepacket import AmplitudeProfile, Interval, Plateau
 
 _TOL = 1e-9
 
@@ -152,59 +152,59 @@ def apply_resend(
 
 
 def channel_probabilities(
-    envelope: AmplitudeProfile, channel_length: float,
+    envelope: Plateau, channel_length: float,
     eve: EveStrategy | None = None,
 ) -> tuple[float, float]:
     """Per-round firing and receiver-pass probabilities, (f_eve, p_pass).
 
     ``envelope`` is a plateau of extent L as ``make_plateau`` builds it;
-    the carrier B is that plateau shifted so that its window ends at x = 0,
-    with support [s0, s1] (s1 - s0 = S >= L).  The receiver's domain
-    starts at the channel end L_ch and is S long, and he measures at
-    t_b = L_ch - s0, once the plateau can fill it: his projector is B
-    itself, translated there and normalized.  Both probabilities are exact
-    integrals of the piecewise-linear B:
+    the carrier C is its unit-height shape placed with its window at
+    [-L, 0], with support [s0, s1] = [-L - a, a] (S = L + 2a), a being the
+    ramp overhang.  The receiver's domain starts at the channel end L_ch
+    and is S long, and he measures at t_b = L_ch - s0, once the plateau
+    can fill it: his projector is C itself, translated there and
+    normalized.  Both probabilities are closed-form integrals of C
+    (``Plateau.carrier_mass`` and ``Plateau.carrier_overlap``):
 
-    - the honest mass m_B = int B(y)^2 dy over [s0, s1], which is p_pass
-      without an eavesdropper (f_eve is then 0);
-    - f_eve = int B(y)^2 dy over [-(L_ch + chi), 0], the mass her
+    - the honest mass m_B = int C(y)^2 dy over [s0, s1] is the
+      normalizer ``envelope.norm`` itself, so without an eavesdropper
+      p_pass is exactly 1 and f_eve is 0;
+    - f_eve = int C(y)^2 dy over [-(L_ch + chi), 0] / m_B, the mass her
       accessible region [0, L_ch + chi] holds when she measures at
       t = L_ch + chi;
-    - for a resend delayed by chi, amp = int B(y) B(y + chi) dy over
-      [s0, s1 - chi], the part the substitute can still reach, divided by
-      sqrt(m_B m_R); m_R is the mass of B over [s0 + chi, s1] for the
-      truncated copy and m_B for the shifted one, and p_pass = amp^2.
-      Forwarding nothing gives p_pass = 0, and so does a truncated copy
-      at chi >= S, which has nothing left to send.
+    - for a resend delayed by chi, I = int C(y) C(y + chi) dy over
+      [s0, s1 - chi], the part the substitute can still reach, and
+      p_pass = I^2 / (m_B m_R); m_R is the mass of C over [s0 + chi, s1]
+      for the truncated copy and m_B for the shifted one.  Forwarding
+      nothing gives p_pass = 0, and so does a truncated copy at chi >= S,
+      which has nothing left to send.
 
     This geometry always meets the causality checks that
     ``bob_outcome_distribution`` enforces, so none is repeated here: with
     L_ch >= 0 and the support covering the window (s0 <= -L), the
     measurement time t_b >= L_ch + L is after the emission at t = 0 and no
     earlier than the plateau's rear edge can reach the domain, and the
-    domain is S >= L long.
+    domain is S >= L long.  The tests compose those measurements on
+    ``envelope.sampled()`` and agree with this to within the grid error.
     """
-    window = envelope.window
     if not (0.0 <= channel_length < math.inf):
         raise InvalidParameterError(
             f"channel length must be finite and >= 0, got {channel_length}")
-    if envelope.x[0] > window.lo + _TOL or envelope.x[-1] < window.hi - _TOL:
-        raise InvalidParameterError("envelope support must cover its plateau window")
-    x, f = envelope.x - window.hi, envelope.f
-    s0, s1 = float(x[0]), float(x[-1])
-    m_b = _exact_mass(x, f, s0, s1)
     if eve is None:
-        return 0.0, _unit(m_b)
+        return 0.0, 1.0
+    L, a = envelope.plateau_length, envelope.overhang
+    s0, s1 = -L - a, a
+    m_b = envelope.norm
     chi = eve.delay
-    f_eve = _unit(_exact_mass(x, f, -(channel_length + chi), 0.0))
+    f_eve = _unit(envelope.carrier_mass(-(channel_length + chi), 0.0) / m_b)
     truncated = eve.resend_policy is ResendPolicy.TRUNCATED_RENORMALIZED
     if eve.resend_policy is ResendPolicy.NO_RESEND or (truncated and chi >= s1 - s0):
         return f_eve, 0.0
     m_r = m_b
     if truncated and chi > 0.0:
-        m_r = _exact_mass(x, f, s0 + chi, s1)
-    amp = _exact_product(x, f, x - chi, f, s0, s1) / math.sqrt(m_b * m_r)
-    return f_eve, _unit(amp * amp)
+        m_r = envelope.carrier_mass(s0 + chi, s1)
+    overlap = envelope.carrier_overlap(chi, s0, s1 - chi)
+    return f_eve, _unit((overlap / m_b) * (overlap / m_r))
 
 
 def _unit(p: float) -> float:

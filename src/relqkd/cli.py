@@ -3,13 +3,32 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import harness
 from .errors import RelqkdError
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the path must not be empty")
+    return text
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; each parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="relqkd",
         description="Relativistic QKD tradeoff analysis, simulation, and distillation",
@@ -22,15 +41,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=desc)
         p.add_argument("config", help="campaign file (key = value sections)")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--out", default=None, help="override the output path")
+        p.add_argument("--seed", type=_seed, default=None, help="override the master seed")
+        p.add_argument("--out", type=_path, default=None, help="override the output path")
     v = sub.add_parser("verify", help="run the built-in self-check suite")
-    v.add_argument("--out", default=None, help="also write the summary to this path")
+    v.add_argument("--out", type=_path, default=None,
+                   help="also write the summary to this path")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error, naming the option (exit 2),
+        # or the help (exit 0).
+        return exc.code
     try:
         if args.command == "verify":
             summary = harness.cmd_verify(out=args.out)

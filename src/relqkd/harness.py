@@ -35,7 +35,7 @@ from .adversary import (
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
 from .security import SecurityReport, build_report
-from .wavepacket import DEFAULT_SAMPLES_ACROSS_PLATEAU, make_plateau
+from .wavepacket import make_plateau
 
 CSV_COLUMNS = ("ratio", "chi_over_L", "pr_e_analytic", "pr_b_bound",
                "joint_analytic", "joint_empirical", "stderr", "zscore")
@@ -43,6 +43,23 @@ CSV_COLUMNS = ("ratio", "chi_over_L", "pr_e_analytic", "pr_b_bound",
 MODES = ("analyze", "simulate", "distill", "verify")
 
 _POLICIES = {p.value: p for p in ResendPolicy}
+
+#: Keys of each campaign-file section; any other section or key is rejected.
+_SCHEMA = {
+    "campaign": ("mode", "seed", "trials", "out"),
+    "sweep": ("ratios", "chi_fractions"),
+    "geometry": ("state_extent", "channel_length"),
+    "state": ("tail_mass", "ramp_fraction"),
+    "eve": ("enabled", "delay", "resend"),
+    "protocol": ("key_length", "block_size", "blocks_per_parity", "hash_rounds",
+                 "disclose_fraction", "flip_probability", "loss_probability"),
+    "security": ("eps1", "eps2"),
+}
+
+#: Why a key that the schema once took is gone.
+_REMOVED_KEYS = {
+    ("state", "resolution"): "the grid knob was removed; the envelope is a closed form",
+}
 
 
 @dataclass(frozen=True)
@@ -89,20 +106,38 @@ def load_campaign(path: str, seed_override: int | None = None,
                   out_override: str | None = None) -> CampaignSpec:
     """Parse a campaign file; see the README for the schema."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise InvalidParameterError(f"cannot read campaign file {path!r}")
     try:
-        return _from_parser(parser, seed_override, out_override)
+        if parser.read(path):
+            return _from_parser(parser, seed_override, out_override)
     except (configparser.Error, KeyError, ValueError) as exc:
         raise InvalidParameterError(f"bad campaign file {path!r}: {exc}") from exc
+    raise InvalidParameterError(f"cannot read campaign file {path!r}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _check_schema(parser):
+    """Reject any section or key outside ``_SCHEMA``: a misspelt one would be ignored."""
+    sections = parser.sections()
+    if parser.defaults():
+        sections.insert(0, parser.default_section)
+    for section in sections:
+        known = _SCHEMA.get(section)
+        if known is None:
+            raise InvalidParameterError(
+                f"unknown section [{section}]: the file takes "
+                + ", ".join(f"[{name}]" for name in _SCHEMA))
+        for key in parser[section]:
+            if key not in known:
+                why = _REMOVED_KEYS.get((section, key),
+                                        f"the section takes {', '.join(known)}")
+                raise InvalidParameterError(f"unknown [{section}] key {key!r}: {why}")
+
+
 def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
+    _check_schema(parser)
     camp = parser["campaign"]
     mode = camp.get("mode", "").strip()
     if seed_override is None and "seed" not in camp:
@@ -118,12 +153,6 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
     state = parser["state"] if parser.has_section("state") else {}
     tail_mass = float(state.get("tail_mass", 0.0))
     ramp_fraction = float(state.get("ramp_fraction", 0.0))
-    for key in state:
-        if key not in ("tail_mass", "ramp_fraction"):
-            raise InvalidParameterError(
-                f"unknown [state] key {key!r}: the section takes tail_mass and "
-                f"ramp_fraction; the grid knob was removed, the grid is fixed at "
-                f"{DEFAULT_SAMPLES_ACROSS_PLATEAU} samples across L")
 
     sweep = parser["sweep"] if parser.has_section("sweep") else {}
     ratios = _floats(sweep.get("ratios", ""))
@@ -180,8 +209,8 @@ class InterceptResendSummary:
 
     ratio: float
     chi_fraction: float
-    available_fraction: float      # quadrature mass in the accessible region
-    pass_probability: float        # quadrature pass probability of the resend
+    available_fraction: float      # envelope mass in the accessible region
+    pass_probability: float        # envelope pass probability of the resend
     eve_analytic: float
     bob_analytic: float
     joint_analytic: float
@@ -399,7 +428,7 @@ def check_parity_cosine(limit: int = 200, tol: float = 1e-6) -> CheckResult:
 
 
 def check_delay_bound(tol: float = 1e-9) -> CheckResult:
-    """Quadrature pass probability never beats 1 - chi/L; optimum at chi=0."""
+    """The envelope's pass probability never beats 1 - chi/L; optimum at chi=0."""
     L = 1.0
     envelope = make_plateau(L)
     for chi in np.linspace(0.0, 0.96, 25):

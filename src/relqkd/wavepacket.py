@@ -1,20 +1,26 @@
-"""One-dimensional photon envelopes: construction, translation, integrals.
+"""One-dimensional photon envelopes: the closed-form plateau and its samples.
 
 The information carrier of one protocol round is a real non-negative
-envelope F(x - t) travelling in the +x direction at unit speed.  An
-``AmplitudeProfile`` stores F sampled on a uniform grid over its compact
-support; between samples the envelope is linear and outside the support it
-vanishes.  Every mass and overlap integral is evaluated *exactly* for that
-piecewise-linear model (partial cells included), so normalization and
-window-mass guarantees hold to float precision instead of degrading with a
-grid-dependent quadrature error at support edges.
+envelope F(x - t) travelling in the +x direction at unit speed.  The
+canonical carrier is a flat plateau of extent L at height about
+1/sqrt(L), terminated by raised-cosine ramps.  ``make_plateau`` returns it
+as a ``Plateau``: three numbers (the plateau length L, the ramp width w
+and the ramp overhang a) from which every integral the runtime needs is
+a closed form.  Each non-zero piece of the carrier is A + B cos(k y + phi),
+so the mass of F^2 and the overlap of F with a translated copy over any
+interval are sums of cosine antiderivatives; no grid is built.
 
-The canonical carrier is a flat plateau of extent L at height about
-1/sqrt(L), terminated by raised-cosine ramps.  The mass left outside the
-plateau window (the tail mass) is the fidelity knob of the whole model:
-``make_plateau`` places the ramps so that the achieved tail mass comes close
-to the requested one whenever the ramp width allows it (see its Notes for
-the size of the gap).
+The mass left outside the plateau window (the tail mass) is the fidelity
+knob of the whole model: ``make_plateau`` slides the ramps across the
+window edges until the closed-form tail equals the requested one.
+
+``AmplitudeProfile`` is the sampled model: F on a uniform grid, linear
+between samples and zero outside the support, with every mass and
+overlap integral exact for that piecewise-linear interpolant.
+``Plateau.sampled()`` builds it on a fixed grid of 4096 samples across L.
+It is the oracle that the tests, through the outcome distributions of
+``relqkd.measurement``, hold the closed forms against; it converges to
+them as the square of the grid step.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-#: Number of samples across one plateau length; every grid uses it.
+#: Number of samples across one plateau length in ``Plateau.sampled()``.
 DEFAULT_SAMPLES_ACROSS_PLATEAU = 4096
 
-#: A ramp represented by fewer samples than this is considered unresolved.
+#: A ramp that the sampled grid covers with fewer samples is rejected.
 MIN_SAMPLES_PER_RAMP = 8
 
 
@@ -212,42 +218,171 @@ def _grid(x_lo: float, x_hi: float, resolution: float) -> np.ndarray:
     return np.linspace(x_lo, x_hi, n)
 
 
-def _overhang_tail(L: float, w: float, x: np.ndarray):
-    """Return ``outside(a)``: the tail mass of the overhang-``a`` plateau.
+def _ramp_tail(t: float) -> float:
+    """G(t) = int_0^t sin^4(pi s/2) ds, the mass of a unit ramp's first t.
 
-    The plateau is sampled on the grid ``x``, which spans [-w, L + w] for
-    every overhang a in [0, w].  On [w, L - w] the envelope is 1 whatever
-    a is; only the two samples that bound that span are kept, and the one
-    cell between them carries its constant mass.  Each call resamples the
-    ramp cells alone.  The tail is 1 - inside/total, which does not
-    depend on scale, so nothing is normalized.
+    In closed form G(t) = 3t/8 - sin(pi t)/(2 pi) + sin(2 pi t)/(16 pi).
+    Below t = 1/4 those three terms cancel down to O(t^5), so G is summed
+    there from the power series of sin^4 = (3 - 4 cos(pi s) + cos(2 pi s))/8
+    instead, which keeps every digit of a tiny tail.
     """
-    first_flat = int(np.searchsorted(x, w, side="left"))
-    last_flat = int(np.searchsorted(x, L - w, side="right")) - 1
-    keep = np.ones(x.size, dtype=bool)
-    keep[first_flat + 1:last_flat] = False
-    x = x[keep]
-    # Left of the centre f is _ramp((x + a) / w), right of it
-    # _ramp((L + a - x) / w), both 1 on the flat span; offset + a + signed_x
-    # adds in the order _plateau_samples does, so the samples are its own.
-    right = x > 0.5 * L
-    offset = np.where(right, L, 0.0)
-    signed_x = np.where(right, -x, x)
-    # Nodes at the window edges 0 and L split the cells that hold them, so
-    # the inside mass is a sum of whole cells.  Their values interpolate
-    # the grid samples, as in _exact_mass.
-    edges = np.searchsorted(x, (0.0, L))
-    nodes = np.insert(x, edges, (0.0, L))
-    h = np.diff(nodes)
-    inside = slice(int(edges[0]), int(edges[1]) + 1)
+    if t >= 0.25:
+        return (3.0 * t / 8.0 - math.sin(math.pi * t) / (2.0 * math.pi)
+                + math.sin(2.0 * math.pi * t) / (16.0 * math.pi))
+    # The n-th terms of the cosine series of 2v and v, v = pi t.
+    v2 = (math.pi * t) ** 2
+    wide = narrow = 1.0
+    total = 0.0
+    n = 1
+    while True:
+        step = (2 * n - 1) * (2 * n)
+        wide *= -4.0 * v2 / step
+        narrow *= -v2 / step
+        if n >= 2:
+            term = (wide - 4.0 * narrow) / (2 * n + 1)
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                return t * total / 8.0
+        n += 1
 
-    def outside(a: float) -> float:
-        f = np.interp(nodes, x, _ramp((offset + a + signed_x) / w))
-        f0, f1 = f[:-1], f[1:]
-        cells = h * (f0 * f0 + f0 * f1 + f1 * f1)
-        return 1.0 - cells[inside].sum() / cells.sum()
 
-    return outside
+def _outside(L: float, w: float, a: float) -> float:
+    """Tail mass 2w G(a/w) / (L + 2a - 5w/4) of the overhang-a plateau."""
+    if w == 0.0:
+        return 0.0
+    return 2.0 * w * _ramp_tail(a / w) / (L + 2.0 * a - 1.25 * w)
+
+
+def _cos_integral(k: float, y0: float, lo: float, hi: float) -> float:
+    """int_lo^hi cos(k (y - y0)) dy, written so a short interval keeps its digits."""
+    if k == 0.0:
+        return hi - lo
+    return 2.0 * math.cos(k * (0.5 * (lo + hi) - y0)) * math.sin(0.5 * k * (hi - lo)) / k
+
+
+def _product_integral(terms_a, terms_b, lo: float, hi: float) -> float:
+    """int_lo^hi of (sum of terms_a)(sum of terms_b).
+
+    A term (c, k, y0) stands for c cos(k (y - y0)); k is 0 (a constant) or
+    the one ramp frequency pi/w, so a product of two cosines is a constant
+    difference term plus a cosine at 2k.
+    """
+    total = 0.0
+    for c1, k1, y1 in terms_a:
+        for c2, k2, y2 in terms_b:
+            if k1 == 0.0 or k2 == 0.0:
+                total += c1 * c2 * _cos_integral(k1 + k2, y1 if k1 else y2, lo, hi)
+            else:
+                total += 0.5 * c1 * c2 * (math.cos(k1 * (y1 - y2)) * (hi - lo)
+                                          + _cos_integral(2.0 * k1, 0.5 * (y1 + y2), lo, hi))
+    return total
+
+
+_FLAT = ((1.0, 0.0, 0.0),)
+
+
+@dataclass(frozen=True)
+class Plateau:
+    """Unit-mass plateau envelope in closed form, window [0, L] at t = 0.
+
+    The carrier C is 1 on the flat top [b, L - b], b = w - a, and rises
+    over [-a, b] as the raised cosine (1 - cos(pi (x + a)/w))/2, falling as
+    its mirror image over [L - b, L + a]: each ramp of width w overhangs the
+    window by a.  With w = 0 it is the indicator of [0, L].  The envelope
+    is C / sqrt(norm), norm = int C^2 = L + 2a - 5w/4.
+
+    ``carrier_mass`` and ``carrier_overlap`` integrate C placed with its
+    window at [-L, 0], the frame of ``relqkd.adversary.channel_probabilities``;
+    there the ideal plateau's integrals are exact interval lengths.
+
+    Attributes
+    ----------
+    plateau_length : float
+        Extent L of the plateau window, > 0.
+    ramp_width : float
+        Width w of each edge ramp, in [0, L/2].
+    overhang : float
+        Part a of each ramp outside the window, in [0, w].
+    """
+
+    plateau_length: float
+    ramp_width: float = 0.0
+    overhang: float = 0.0
+
+    def __post_init__(self):
+        L, w, a = self.plateau_length, self.ramp_width, self.overhang
+        if not (0.0 < L < math.inf):
+            raise InvalidParameterError(f"plateau length must be positive, got {L}")
+        if not (0.0 <= w <= 0.5 * L):
+            raise InvalidParameterError(f"ramp width must lie in [0, L/2], got {w}")
+        if not (0.0 <= a <= w):
+            raise InvalidParameterError(f"overhang must lie in [0, w], got {a}")
+
+    @property
+    def support(self) -> Interval:
+        return Interval(-self.overhang, self.plateau_length + self.overhang)
+
+    @property
+    def norm(self) -> float:
+        """Mass L + 2a - 5w/4 of the unit-height carrier C."""
+        return self.plateau_length + 2.0 * self.overhang - 1.25 * self.ramp_width
+
+    @property
+    def tail_mass(self) -> float:
+        """Fraction 2w G(a/w) / norm of the mass outside the plateau window."""
+        return _outside(self.plateau_length, self.ramp_width, self.overhang)
+
+    @property
+    def flat_value(self) -> float:
+        """Height 1/sqrt(norm) of the normalized envelope's flat top."""
+        return 1.0 / math.sqrt(self.norm)
+
+    def _pieces(self):
+        """(lo, hi, terms) of C with its window at [-L, 0]; zero elsewhere."""
+        L, w, a = self.plateau_length, self.ramp_width, self.overhang
+        if w == 0.0:
+            return ((-L, 0.0, _FLAT),)
+        b = w - a
+        k = math.pi / w
+        return ((-L - a, b - L, ((0.5, 0.0, 0.0), (-0.5, k, -L - a))),
+                (b - L, -b, _FLAT),
+                (-b, a, ((0.5, 0.0, 0.0), (-0.5, k, a))))
+
+    def carrier_mass(self, lo: float, hi: float) -> float:
+        """int C(y)^2 dy over [lo, hi], window at [-L, 0]."""
+        total = 0.0
+        for p_lo, p_hi, terms in self._pieces():
+            a, b = max(lo, p_lo), min(hi, p_hi)
+            if a < b:
+                total += _product_integral(terms, terms, a, b)
+        return total
+
+    def carrier_overlap(self, chi: float, lo: float, hi: float) -> float:
+        """int C(y) C(y + chi) dy over [lo, hi], window at [-L, 0]."""
+        pieces = self._pieces()
+        total = 0.0
+        for p_lo, p_hi, p_terms in pieces:
+            for q_lo, q_hi, q_terms in pieces:
+                a, b = max(lo, p_lo, q_lo - chi), min(hi, p_hi, q_hi - chi)
+                if a < b:
+                    shifted = tuple((c, k, y0 - chi) for c, k, y0 in q_terms)
+                    total += _product_integral(p_terms, shifted, a, b)
+        return total
+
+    def sampled(self) -> AmplitudeProfile:
+        """This envelope on the fixed grid of 4096 samples across L.
+
+        The sampled model is the test oracle for the closed forms; every
+        envelope ``make_plateau`` accepts has at least 8 samples per ramp.
+        """
+        return _sample(self, DEFAULT_SAMPLES_ACROSS_PLATEAU / self.plateau_length)
+
+
+def _sample(plateau: Plateau, resolution: float) -> AmplitudeProfile:
+    """``plateau`` sampled on [-a, L + a] at ``resolution`` points per unit length."""
+    L, w, a = plateau.plateau_length, plateau.ramp_width, plateau.overhang
+    x = _grid(-a, L + a, resolution)
+    return AmplitudeProfile(x, _plateau_samples(L, w, a, x), L, 0.0).normalized()
 
 
 def _bisect(outside, target: float, w: float) -> float:
@@ -269,7 +404,7 @@ def make_plateau(
     plateau_length: float,
     tail_mass: float = 0.0,
     ramp_fraction: float = 0.0,
-) -> AmplitudeProfile:
+) -> Plateau:
     """Build a unit-mass plateau envelope with window [0, L].
 
     Parameters
@@ -285,29 +420,22 @@ def make_plateau(
     ramp_fraction : float
         Width of each raised-cosine edge ramp as a fraction of L, in
         [0, 1/2); must be positive when ``tail_mass`` is.  A ramp below
-        8/4096 of L (``MIN_SAMPLES_PER_RAMP`` samples of the grid) is
-        unresolved and rejected.
+        8/4096 of L is rejected, so that ``Plateau.sampled()`` covers
+        every ramp with at least ``MIN_SAMPLES_PER_RAMP`` = 8 samples.
 
     Notes
     -----
-    The grid is fixed: ``DEFAULT_SAMPLES_ACROSS_PLATEAU`` = 4096 samples
-    across L, i.e. 4096 / L samples per unit length.
+    The tail mass of overhang a is the closed form 2w G(a/w) / (L + 2a -
+    5w/4), w being the ramp width and G(t) = 3t/8 - sin(pi t)/(2 pi) +
+    sin(2 pi t)/(16 pi) the mass of a unit ramp's first t.  It increases
+    with a, and bisection on [0, w] solves it for the request to the last
+    bit of a, so the achieved ``tail_mass`` equals the request to about
+    1e-15 relative.
 
     The flat-top height equals 1/sqrt(L) only up to a correction of order
     of the tail mass: unit total mass and window mass 1 - tail_mass
     together pin the height to slightly below 1/sqrt(L).  The achieved
     value is exposed as ``flat_value``.
-
-    The overhang is solved on one padded grid over [-w, L + w], w being
-    the ramp width, the same for every trial overhang, so the tail varies
-    smoothly with the overhang instead of jumping as the support's ends
-    cross grid points.  The returned profile is then sampled on
-    [-a, L + a] for the solved overhang a, a grid whose points differ
-    from the padded one, so its achieved ``tail_mass`` misses the request
-    by a small relative amount: -4.3e-8 at (L, tail, ramp) =
-    (1, 1e-3, 0.05) and -1.4e-5 at (0.7, 1e-4, 0.01).  Solving on the
-    returned grid instead would move the solved overhang, and with it
-    every profile and every output built from one.
     """
     L = float(plateau_length)
     if not (L > 0.0 and math.isfinite(L)):
@@ -322,31 +450,22 @@ def make_plateau(
         raise InvalidParameterError(
             f"tail mass {tail_mass} needs edge ramps to carry it; ramp fraction is 0"
         )
-    resolution = DEFAULT_SAMPLES_ACROSS_PLATEAU / L
-
     w = ramp_fraction * L
-    if w > 0.0 and w * resolution < MIN_SAMPLES_PER_RAMP:
+    if w > 0.0 and w * (DEFAULT_SAMPLES_ACROSS_PLATEAU / L) < MIN_SAMPLES_PER_RAMP:
         raise InvalidParameterError(
             f"ramp fraction {ramp_fraction} is below "
-            f"{MIN_SAMPLES_PER_RAMP}/{DEFAULT_SAMPLES_ACROSS_PLATEAU}: fewer than "
-            f"{MIN_SAMPLES_PER_RAMP} grid samples per ramp"
+            f"{MIN_SAMPLES_PER_RAMP}/{DEFAULT_SAMPLES_ACROSS_PLATEAU}: the sampled "
+            f"oracle would cover a ramp with fewer than {MIN_SAMPLES_PER_RAMP} samples"
         )
 
-    def build(a: float, x_lo: float, x_hi: float) -> AmplitudeProfile:
-        x = _grid(x_lo, x_hi, resolution)
-        return AmplitudeProfile(x, _plateau_samples(L, w, a, x), L, 0.0).normalized()
-
-    if w == 0.0:
-        return build(0.0, 0.0, L)
-
     # Solve the ramp overhang so the achieved tail mass hits the request.
-    if tail_mass <= 0.0:
-        a_star = 0.0
-    else:
-        outside = _overhang_tail(L, w, _grid(-w, L + w, resolution))
-        a_star = w if outside(w) <= tail_mass else _bisect(outside, tail_mass, w)
+    a = 0.0
+    if tail_mass > 0.0:
+        def outside(overhang: float) -> float:
+            return _outside(L, w, overhang)
 
-    return build(a_star, -a_star, L + a_star)
+        a = w if outside(w) <= tail_mass else _bisect(outside, tail_mass, w)
+    return Plateau(L, w, a)
 
 
 def mass_in_interval(profile: AmplitudeProfile, window: Interval, t: float = 0.0) -> float:

@@ -31,7 +31,7 @@ from relqkd.measurement import (
     bob_outcome_distribution,
     eve_outcome_distribution,
 )
-from relqkd.wavepacket import Interval, make_plateau
+from relqkd.wavepacket import Interval, _sample, make_plateau
 
 
 class TestClosedForms:
@@ -138,7 +138,20 @@ class TestChannelProbabilities:
         for policy in ResendPolicy:
             f_eve, p_pass = channel_probabilities(envelope, 0.0, EveStrategy(1.0, policy))
             assert (f_eve, p_pass) == (1.0, 0.0)
-        assert apply_resend(EveStrategy(1.0), envelope, bit=0) is None
+        assert apply_resend(EveStrategy(1.0), envelope.sampled(), bit=0) is None
+        tailed = make_plateau(1.0, 1e-3, 0.05)
+        support = tailed.support.length
+        for chi in (support, 1.5):
+            eve = EveStrategy(chi)
+            assert channel_probabilities(tailed, 0.0, eve)[1] == 0.0
+            assert composed_probabilities(tailed.sampled(), 0.0, eve)[1] == 0.0
+
+    @pytest.mark.parametrize("args", [(1.0,), (0.7, 1e-4, 0.01), (2.5, 1e-2, 0.2)])
+    def test_honest_pass_is_exactly_one(self, args):
+        # The honest mass is the normalizer itself, so nothing is summed:
+        # a pass probability of 1 - 1e-16 would lengthen honest sessions.
+        for channel_length in (0.0, 0.3 * args[0]):
+            assert channel_probabilities(make_plateau(*args), channel_length) == (0.0, 1.0)
 
     @pytest.mark.parametrize("channel_length", [-0.1, math.inf, math.nan])
     def test_bad_channel_length_rejected(self, channel_length):
@@ -146,14 +159,15 @@ class TestChannelProbabilities:
             channel_probabilities(make_plateau(1.0), channel_length)
 
 
-def composed_probabilities(envelope, channel_length, eve):
+def composed_probabilities(profile, channel_length, eve):
     """(f_eve, p_pass) through the explicit states and measurements.
 
-    The carrier, the eavesdropper's region and the receiver's domain and
-    time are those ``channel_probabilities`` documents; the honest state,
-    her resent substitute and both outcome distributions are built out.
+    ``profile`` is a sampled envelope, such as ``Plateau.sampled()``.  The
+    carrier, the eavesdropper's region and the receiver's domain and time
+    are those ``channel_probabilities`` documents; the honest state, her
+    resent substitute and both outcome distributions are built out.
     """
-    base = envelope.shifted(-envelope.window.hi)
+    base = profile.shifted(-profile.window.hi)
     support = base.support
     omega_b = Interval(channel_length, channel_length + support.length)
     t_b = channel_length - support.lo
@@ -173,46 +187,78 @@ def composed_probabilities(envelope, channel_length, eve):
 envelopes = st.one_of(
     st.builds(make_plateau, st.floats(0.25, 4.0)),
     st.builds(make_plateau, st.floats(0.25, 4.0), st.floats(0.0, 0.05),
-              st.floats(0.005, 0.2)),
+              st.floats(0.002, 0.2)),
 )
+
+
+def grid_error(envelope):
+    """Bound on the sampled oracle's error at 4096 samples across L.
+
+    Linear interpolation misses each ramp of width w by at most
+    h^2 max|C''|/8 = pi^2 h^2 / (16 w^2); carried through the mass ratios,
+    no probability moves by more than pi^2 h^2 / (w L).  The ideal plateau
+    is linear between samples, so only rounding is left.
+    """
+    L, w = envelope.plateau_length, envelope.ramp_width
+    h = L / 4096
+    return 1e-12 + (math.pi ** 2 * h * h / (w * L) if w else 0.0)
 
 
 class TestChannelProbabilityIntegrals:
     # The delay stays at most 0.99 (L - L_ch): as chi approaches the support
-    # length, p_pass is a ratio of two vanishing integrals and both sides
-    # lose every digit to rounding.
+    # length, p_pass is a ratio of two vanishing integrals and the oracle
+    # loses every digit to rounding.
     @settings(max_examples=40, deadline=None)
     @given(envelopes, st.floats(0.0, 0.99), st.floats(0.0, 0.99))
     def test_matches_the_composed_measurements(self, envelope, ratio, chi_frac):
         L = envelope.plateau_length
         channel_length = ratio * L
         chi = chi_frac * (L - channel_length)
+        profile = envelope.sampled()
+        tol = grid_error(envelope)
         for policy in ResendPolicy:
             eve = EveStrategy(chi, policy)
             direct = channel_probabilities(envelope, channel_length, eve)
-            composed = composed_probabilities(envelope, channel_length, eve)
-            assert direct == pytest.approx(composed, abs=1e-12)
+            composed = composed_probabilities(profile, channel_length, eve)
+            assert direct == pytest.approx(composed, abs=tol)
         assert channel_probabilities(envelope, channel_length) == pytest.approx(
-            composed_probabilities(envelope, channel_length, None), abs=1e-12)
+            composed_probabilities(profile, channel_length, None), abs=tol)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.25, 4.0), st.floats(0.0, 0.99), st.floats(0.0, 0.99))
     def test_ideal_plateau_closed_forms(self, L, ratio, chi_frac):
+        # Every integral is an interval length, so the results are the
+        # closed forms to within one ulp of 1; the shifted copy squares a
+        # rounded ratio on both sides, and gets two.
         envelope = make_plateau(L)
         channel_length = ratio * L
         chi = chi_frac * (L - channel_length)
         expected_f = (channel_length + chi) / L
         expected_pass = {
-            ResendPolicy.TRUNCATED_RENORMALIZED: 1.0 - chi / L,
-            ResendPolicy.SHIFTED_COPY: (1.0 - chi / L) ** 2,
-            ResendPolicy.NO_RESEND: 0.0,
+            ResendPolicy.TRUNCATED_RENORMALIZED: (1.0 - chi / L, 1),
+            ResendPolicy.SHIFTED_COPY: ((1.0 - chi / L) ** 2, 2),
+            ResendPolicy.NO_RESEND: (0.0, 0),
         }
-        for policy, p_pass in expected_pass.items():
-            eve = EveStrategy(chi, policy)
-            assert channel_probabilities(envelope, channel_length, eve) == pytest.approx(
-                (expected_f, p_pass), abs=1e-12)
-        assert channel_probabilities(envelope, channel_length) == pytest.approx(
-            (0.0, 1.0), abs=1e-12)
+        for policy, (p_pass, ulps) in expected_pass.items():
+            f, p = channel_probabilities(envelope, channel_length, EveStrategy(chi, policy))
+            assert abs(f - expected_f) <= math.ulp(expected_f)
+            assert abs(p - p_pass) <= ulps * math.ulp(1.0)
+        assert channel_probabilities(envelope, channel_length) == (0.0, 1.0)
+
+    def test_oracle_converges_as_grid_step_squared(self):
+        # Quadrupling the samples across L divides the oracle's gap by 16.
+        envelope = make_plateau(0.7, 1e-4, 0.01)
+        L = envelope.plateau_length
+        eve = EveStrategy(0.25 * L)
+        direct = channel_probabilities(envelope, 0.5 * L, eve)
+        gaps = []
+        for samples in (4096, 16384, 65536):
+            composed = composed_probabilities(_sample(envelope, samples / L), 0.5 * L, eve)
+            gaps.append([abs(d - c) for d, c in zip(direct, composed)])
+        assert 1e-6 < gaps[0][1] < 1e-5
+        for coarse, fine in zip(gaps, gaps[1:]):
+            for g_coarse, g_fine in zip(coarse, fine):
+                assert 12.0 < g_coarse / g_fine < 20.0
 
 
 class TestMonteCarloConsistency:

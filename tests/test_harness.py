@@ -117,6 +117,23 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="grid knob was removed"):
             load_campaign(str(path))
 
+    @pytest.mark.parametrize("extra,fault", [
+        ("[geometry]\nchanel_length = 0.5\n", "unknown [geometry] key 'chanel_length'"),
+        ("ratio = 0.5\n", "unknown [sweep] key 'ratio'"),
+        ("[eve]\nenabled = true\ndelay = 0.25\npolicy = shifted\n",
+         "unknown [eve] key 'policy'"),
+        ("[sweeps]\nratios = 0.5\n", "unknown section [sweeps]"),
+        ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+        ("[sweep]\nratios = 0.5\n", "section 'sweep' already exists"),
+    ])
+    def test_unknown_section_or_key_rejected(self, tmp_path, extra, fault):
+        # Each of these used to run as if the line were absent.
+        path = tmp_path / "analyze.ini"
+        path.write_text(ANALYZE_INI + extra)
+        with pytest.raises(InvalidParameterError) as info:
+            load_campaign(str(path))
+        assert fault in str(info.value)
+
 
 class TestAnalyze:
     def test_ratio_sweep_values(self, analyze_spec):
@@ -308,6 +325,37 @@ class TestCli:
         failing = (lambda: CheckResult("stub", False, "forced failure (tolerance 0)"),)
         monkeypatch.setattr("relqkd.harness.DEFAULT_CHECKS", failing)
         assert cli_main(["verify"]) == 1
+
+    def test_misspelt_key_is_invalid_input(self, tmp_path, capsys):
+        # L_ch = 0.5 misspelt once ran with exit 0 at L_ch = 0.
+        path = tmp_path / "analyze.ini"
+        path.write_text(ANALYZE_INI + "[geometry]\nchanel_length = 0.5\n")
+        assert cli_main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown [geometry] key 'chanel_length'" in captured.err
+
+    @pytest.mark.parametrize("option,value", [("--seed", "-1"), ("--seed", "x"),
+                                              ("--out", "")])
+    def test_bad_option_is_named(self, tmp_path, capsys, option, value):
+        # The campaign file is valid, so the error names the option, not it.
+        path = tmp_path / "sim.ini"
+        path.write_text(SIMULATE_INI)
+        assert cli_main(["simulate", str(path), option, value]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}:" in err
+        assert "campaign file" not in err
+
+    def test_successive_calls_do_not_leak_options(self, tmp_path, capsys):
+        path = tmp_path / "sim.ini"
+        path.write_text(SIMULATE_INI)
+        expected = rows_to_csv(cmd_simulate(load_campaign(str(path))))
+        out = tmp_path / "first.csv"
+        assert cli_main(["simulate", str(path), "--seed", "5", "--out", str(out)]) == 0
+        assert out.read_text() != expected
+        capsys.readouterr()
+        assert cli_main(["simulate", str(path)]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_seed_override_changes_simulation(self, tmp_path):
         path = tmp_path / "sim.ini"

@@ -28,7 +28,7 @@ L = 1.0
 
 @pytest.fixture(scope="module")
 def base():
-    return make_plateau(L).shifted(-L)
+    return make_plateau(L).sampled().shifted(-L)
 
 
 def receiver_geometry(profile, channel_length=0.4):
@@ -57,7 +57,7 @@ class TestBobDistribution:
         assert dist[BobOutcome.INCONCLUSIVE] == pytest.approx(0.25, abs=1e-9)
 
     def test_tail_mass_shows_up_as_inconclusive(self):
-        profile = make_plateau(L, 0.01, 0.02).shifted(-L)
+        profile = make_plateau(L, 0.01, 0.02).sampled().shifted(-L)
         state = PhotonState(bit=0, profile=profile)
         # Receiver domain of exactly the plateau length: the tails straddle
         # its edges and their mass becomes the inconclusive probability.

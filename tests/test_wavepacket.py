@@ -1,15 +1,20 @@
-"""Envelope construction and integral tests against independent quadrature."""
+"""Envelope construction and integral tests against independent quadrature.
+
+``make_plateau`` returns the closed-form ``Plateau``; the sampled
+``AmplitudeProfile`` it yields through ``.sampled()`` is the oracle the
+closed forms are checked against, and is itself checked here.
+"""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from relqkd.errors import InvalidParameterError
 from relqkd.wavepacket import (
-    AmplitudeProfile, Interval, _grid, _overhang_tail, _plateau_samples,
-    make_plateau, mass_in_interval, overlap,
+    Interval, Plateau, _plateau_samples, _sample, make_plateau, mass_in_interval,
+    overlap,
 )
 
 
@@ -28,16 +33,21 @@ class TestInterval:
 class TestMakePlateau:
     def test_ideal_flat_profile(self):
         p = make_plateau(1.0, 0.0, 0.0)
-        assert p.total_mass() == pytest.approx(1.0, abs=1e-12)
-        assert mass_in_interval(p, p.window) == pytest.approx(1.0, abs=1e-12)
-        assert p.flat_value == pytest.approx(1.0, abs=1e-12)
-        assert p.tail_mass == 0.0
+        assert p == Plateau(1.0)
+        assert (p.flat_value, p.tail_mass, p.norm) == (1.0, 0.0, 1.0)
+        s = p.sampled()
+        assert s.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert mass_in_interval(s, s.window) == pytest.approx(1.0, abs=1e-12)
+        assert s.flat_value == pytest.approx(1.0, abs=1e-12)
+        assert s.tail_mass == 0.0
 
     def test_window_mass_hits_requested_tail(self):
         p = make_plateau(1.0, 0.01, 0.02)
-        assert mass_in_interval(p, p.window) == pytest.approx(0.99, abs=1e-6)
-        assert p.total_mass() == pytest.approx(1.0, abs=1e-9)
-        assert p.tail_mass == pytest.approx(0.01, abs=1e-6)
+        s = p.sampled()
+        assert mass_in_interval(s, s.window) == pytest.approx(0.99, abs=1e-6)
+        assert s.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert s.tail_mass == pytest.approx(0.01, abs=1e-6)
+        assert p.tail_mass == pytest.approx(0.01, rel=1e-12)
 
     def test_flat_value_for_double_extent(self):
         # Unit norm plus window mass 1 - delta pin the flat top slightly
@@ -47,38 +57,42 @@ class TestMakePlateau:
         assert abs(p.flat_value * math.sqrt(2.0) - 1.0) < 0.01
         # Flat across the plateau interior.
         xs = np.linspace(0.2, 1.8, 101)
-        assert np.ptp(p.value(xs)) < 1e-12
+        assert np.ptp(p.sampled().value(xs)) < 1e-12
 
     def test_dense_quadrature_agrees(self):
         p = make_plateau(1.5, 0.008, 0.03)
-        lo, hi = p.support.lo, p.support.hi
-        assert dense_quadrature(p, lo - 0.1, hi + 0.1) == pytest.approx(1.0, abs=1e-6)
-        assert dense_quadrature(p, p.window.lo, p.window.hi) == pytest.approx(
+        s = p.sampled()
+        lo, hi = s.support.lo, s.support.hi
+        assert dense_quadrature(s, lo - 0.1, hi + 0.1) == pytest.approx(1.0, abs=1e-6)
+        assert dense_quadrature(s, s.window.lo, s.window.hi) == pytest.approx(
             1.0 - p.tail_mass, abs=1e-6)
 
     def test_infeasible_tail_is_clamped(self):
         p = make_plateau(1.0, 0.5, 0.02)
         assert p.tail_mass < 0.5
-        assert mass_in_interval(p, p.window) >= 1.0 - 0.5
+        assert p.overhang == p.ramp_width
+        s = p.sampled()
+        assert mass_in_interval(s, s.window) >= 1.0 - 0.5
 
-    # (L, tail, ramp) -> tail_mass, flat_value, x[0], x.size of the profile
-    # built by solving the overhang on whole padded profiles.  The fifth
-    # case is the narrowest ramp the grid accepts, 8/4096 of L.
+    # (L, tail, ramp) -> tail_mass, flat_value, x[0], x.size of the sampled
+    # oracle at the closed-form overhang (x[0] is minus the overhang).  The
+    # fifth case is the narrowest ramp accepted, 8/4096 of L; in the sixth
+    # the ramps sit fully outside.
     @pytest.mark.parametrize("args, tail, flat, x0, size", [
-        ((1.0, 1e-3, 0.05), 0.0009999999571734808, 1.0116909938248768,
-         -0.019761120956416058, 4259),
-        ((1.0, 1e-6, 0.1), 9.99998025719151e-07, 1.0591757653257998,
-         -0.008191193949795728, 4165),
-        ((2.5, 1e-2, 0.2), 0.01000000000338197, 0.6517030972302625,
-         -0.2397548568499221, 4883),
-        ((0.7, 1e-4, 0.01), 9.999858648268578e-05, 1.1986275925706402,
-         -0.002393663425124981, 4126),
-        ((1.0, 1e-3, 8 / 4096), 0.0010002115774119247, 0.9995081988016264,
-         -0.0017190537646797344, 4112),
+        ((1.0, 1e-3, 0.05), 0.0010000556713648523, 1.0116907455160722,
+         -0.019761360756365587, 4259),
+        ((1.0, 1e-6, 0.1), 1.0004874133606734e-06, 1.0591748062508146,
+         -0.008192001090291185, 4165),
+        ((2.5, 1e-2, 0.2), 0.010000018913778885, 0.6517030677288729,
+         -0.2397549634342151, 4883),
+        ((0.7, 1e-4, 0.01), 0.00010020855627923542, 1.1986257557369375,
+         -0.0023947300792763384, 4126),
+        ((1.0, 1e-3, 8 / 4096), 0.00099366461684669, 0.99951172931051,
+         -0.0017155177995389686, 4112),
         ((1.0, 0.3, 0.05), 0.03614412274268641, 0.9817616196765001, -0.05, 4507),
     ])
     def test_pinned_plateau_values(self, args, tail, flat, x0, size):
-        p = make_plateau(*args)
+        p = make_plateau(*args).sampled()
         assert abs(p.tail_mass - tail) <= 1e-12
         assert abs(p.flat_value - flat) <= 1e-12
         assert abs(p.x[0] - x0) <= 1e-12
@@ -88,14 +102,17 @@ class TestMakePlateau:
     @given(st.floats(0.1, 10.0), st.floats(0.005, 0.499), st.floats(8.0, 100.0),
            st.floats(0.0, 1.0))
     def test_overhang_tail_matches_full_grid(self, L, ramp, samples_per_ramp, a_frac):
-        """The ramp-only solve equals the tail of the whole padded profile."""
+        """The closed-form tail is the sampled profile's, up to the grid error.
+
+        Linear interpolation misses each ramp by at most h^2 max|C''|/8 =
+        pi^2 h^2 / (16 w^2); carried through the mass ratio, the tail moves
+        by less than pi^2 h^2 / (w L).
+        """
         w = ramp * L
-        resolution = samples_per_ramp / w
-        a = a_frac * w
-        x = _grid(-w, L + w, resolution)
-        full = AmplitudeProfile(x, _plateau_samples(L, w, a, x), L, 0.0)
-        assert _overhang_tail(L, w, x)(a) == pytest.approx(
-            full.normalized().tail_mass, abs=1e-12)
+        h = w / samples_per_ramp
+        plateau = Plateau(L, w, a_frac * w)
+        assert abs(plateau.tail_mass - _sample(plateau, 1.0 / h).tail_mass) <= (
+            math.pi ** 2 * h * h / (w * L))
 
     @pytest.mark.parametrize("kwargs", [
         dict(plateau_length=0.0),
@@ -113,28 +130,89 @@ class TestMakePlateau:
             make_plateau(**kwargs)
 
 
+def carrier(plateau, y):
+    """Unit-height carrier C with its window at [-L, 0], sampled at ``y``."""
+    L, w, a = plateau.plateau_length, plateau.ramp_width, plateau.overhang
+    x = np.asarray(y) + L
+    inside = (x >= -a) & (x <= L + a)
+    return np.where(inside, _plateau_samples(L, w, a, x), 0.0)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("args", [
+        (1.0, 1e-3, 0.05), (1.0, 1e-6, 0.1), (2.5, 1e-2, 0.2), (0.7, 1e-4, 0.01),
+        (1.0, 1e-3, 8 / 4096), (3.0, 1e-12, 0.4),
+    ])
+    def test_tail_hits_the_request(self, args):
+        # The sampled solve missed (0.7, 1e-4, 0.01) by -1.4e-5 relative.
+        assert make_plateau(*args).tail_mass == pytest.approx(args[1], rel=1e-12, abs=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 10.0), st.floats(1e-12, 0.05), st.floats(0.002, 0.499))
+    def test_every_feasible_tail_is_hit(self, L, tail, ramp):
+        w = ramp * L
+        assume(Plateau(L, w, w).tail_mass > tail)
+        p = make_plateau(L, tail, ramp)
+        assert p.ramp_width == w and 0.0 <= p.overhang <= w
+        assert p.tail_mass == pytest.approx(tail, rel=1e-12, abs=0)
+
+    def test_norm_and_flat_value(self):
+        p = make_plateau(2.0, 0.01, 0.02)
+        L, a = p.plateau_length, p.overhang
+        assert p.norm == pytest.approx(p.carrier_mass(-L - a, a), rel=1e-14)
+        assert p.flat_value == 1.0 / math.sqrt(p.norm)
+        assert p.support == Interval(-a, L + a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.5, 2.0), st.floats(0.05, 0.45), st.floats(0.0, 1.0),
+           st.floats(-1.2, 0.2), st.floats(0.0, 1.5), st.floats(0.0, 1.0))
+    def test_carrier_integrals_match_dense_quadrature(self, L, ramp, a_frac, lo, length,
+                                                      chi_frac):
+        """Both cosine-sum integrals against a trapezoid on the continuous C.
+
+        The trapezoid rule with step h errs by at most h^2 int|(C^2)''| / 12,
+        about h^2 pi^2 / (3 w) here: below 2e-8 for these ranges.
+        """
+        w = ramp * L
+        p = Plateau(L, w, a_frac * w)
+        hi = lo + length
+        chi = chi_frac * L
+        y = np.linspace(lo, hi, 100_001)
+        c = carrier(p, y)
+        assert p.carrier_mass(lo, hi) == pytest.approx(
+            np.trapezoid(c * c, y), abs=1e-7)
+        assert p.carrier_overlap(chi, lo, hi) == pytest.approx(
+            np.trapezoid(c * carrier(p, y + chi), y), abs=1e-7)
+
+    @pytest.mark.parametrize("args", [(0.0,), (math.inf,), (1.0, 0.6), (1.0, -0.1),
+                                      (1.0, 0.1, 0.2), (1.0, 0.1, -0.01)])
+    def test_invalid_shape(self, args):
+        with pytest.raises(InvalidParameterError):
+            Plateau(*args)
+
+
 class TestMassInInterval:
     def test_left_half_by_symmetry(self):
-        p = make_plateau(1.0)
+        p = make_plateau(1.0).sampled()
         assert mass_in_interval(p, Interval(0.0, 0.5)) == pytest.approx(0.5, abs=1e-12)
 
     def test_disjoint_window(self):
-        p = make_plateau(1.0)
+        p = make_plateau(1.0).sampled()
         assert mass_in_interval(p, Interval(5.0, 6.0)) == 0.0
 
     def test_partial_window_fraction(self):
         # A window of length 0.6 L inside the support carries 0.6 of the mass.
-        p = make_plateau(1.0)
+        p = make_plateau(1.0).sampled()
         assert mass_in_interval(p, Interval(0.1, 0.7)) == pytest.approx(0.6, abs=1e-12)
 
     def test_time_translation(self):
-        p = make_plateau(1.0)
+        p = make_plateau(1.0).sampled()
         w = Interval(0.3, 0.8)
         assert mass_in_interval(p, w.shifted(2.0), 2.0) == pytest.approx(
             mass_in_interval(p, w), abs=1e-12)
 
     def test_shift_moves_support_exactly(self):
-        p = make_plateau(1.0, 0.01, 0.02)
+        p = make_plateau(1.0, 0.01, 0.02).sampled()
         q = p.shifted(3.25)
         assert q.support.lo == pytest.approx(p.support.lo + 3.25, abs=0)
         assert q.window.lo == pytest.approx(p.window.lo + 3.25, abs=0)
@@ -142,18 +220,18 @@ class TestMassInInterval:
 
 class TestOverlap:
     def test_self_overlap_is_unit(self):
-        p = make_plateau(1.0)
+        p = make_plateau(1.0).sampled()
         assert overlap(p, p, Interval(-1.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_shifted_copy(self):
-        p = make_plateau(1.0)
+        p = make_plateau(1.0).sampled()
         q = p.shifted(-0.25)
         amp = overlap(p, q, Interval(-2.0, 2.0))
         assert amp == pytest.approx(0.75, abs=1e-12)
         assert amp ** 2 == pytest.approx(0.5625, abs=1e-12)
 
     def test_truncated_renormalized_saturates_delay_bound(self):
-        p = make_plateau(1.0)
+        p = make_plateau(1.0).sampled()
         chi = 0.25
         q = p.restrict(Interval(chi, 1.0)).normalized()
         amp = overlap(p, q, Interval(0.0, 1.0))
@@ -163,7 +241,7 @@ class TestOverlap:
     def test_delay_bound_over_chi_grid_ideal(self):
         # No delayed substitute can pass the test with probability above
         # 1 - chi/L; the truncated-renormalized resend saturates it.
-        p = make_plateau(1.0)
+        p = make_plateau(1.0).sampled()
         L = 1.0
         for chi in np.linspace(0.0, 0.9, 10):
             window = Interval(p.support.lo + chi, p.support.hi)
@@ -175,7 +253,7 @@ class TestOverlap:
         # The bound is derived for the exactly flat state; edge ramps leave
         # a mass deficit of order the ramp width, so the slack scales with
         # the ramp geometry rather than staying at quadrature level.
-        p = make_plateau(1.0, 0.002, 0.02)
+        p = make_plateau(1.0, 0.002, 0.02).sampled()
         L = 1.0
         slack = 0.02 * L
         for chi in np.linspace(0.0, 0.9, 10):
@@ -186,7 +264,7 @@ class TestOverlap:
 
 
 profiles = st.builds(
-    make_plateau,
+    lambda *args: make_plateau(*args).sampled(),
     st.floats(0.5, 3.0),
     st.floats(0.0, 0.02),
     st.floats(0.02, 0.1),

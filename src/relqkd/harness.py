@@ -8,6 +8,14 @@ seeded Monte Carlo columns with binomial standard errors and z-scores,
 and security report, and ``verify`` replays the built-in identity and bound
 checks.  Given the same campaign file and seed, every output is
 byte-identical across runs.
+
+``simulate`` draws each grid point's counts exactly, as four binomials
+(see ``_simulate_point``), so a point's cost and memory do not depend on
+``trials``.  Its ``zscore`` compares the empirical joint rate against the
+truncated-resend bound min(1, (1 + ratio + chi/L)/2) * (1 - chi/L),
+whatever the envelope and resend policy; the ``available_fraction`` (f)
+and ``pass_probability`` columns give the envelope's own per-round rates,
+whose (1 + f)/2 * p_pass is what the empirical rate estimates.
 """
 
 from __future__ import annotations
@@ -38,9 +46,13 @@ from .security import SecurityReport, build_report
 from .wavepacket import make_plateau
 
 CSV_COLUMNS = ("ratio", "chi_over_L", "pr_e_analytic", "pr_b_bound",
-               "joint_analytic", "joint_empirical", "stderr", "zscore")
+               "joint_analytic", "joint_empirical", "stderr", "zscore",
+               "available_fraction", "pass_probability")
 
 MODES = ("analyze", "simulate", "distill", "verify")
+
+#: Largest per-point trial count: the binomial draws take a signed 64-bit n.
+MAX_TRIALS = 2**63 - 1
 
 _POLICIES = {p.value: p for p in ResendPolicy}
 
@@ -85,8 +97,9 @@ class CampaignSpec:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise InvalidParameterError(
+                f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
         if self.mode in ("analyze", "simulate") and (
             not self.ratios or not self.chi_fractions
         ):
@@ -256,23 +269,40 @@ def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
     integrates on the envelope, so the comparison checks the envelope
     integrals against the closed forms, not the closed forms against
     themselves.
+
+    Each trial is one round: the eavesdropper's measurement fires with
+    probability f, otherwise she guesses a fair coin, and her resend passes
+    the receiver's test with probability p_pass, independently of both.
+    Only the counts E (she is right), B (it passes) and J (both) are
+    reported, so they are drawn directly instead of trial by trial.  F fired
+    rounds are Bin(T, f), and each of the T - F silent ones is right with
+    probability 1/2, so E = F + Bin(T - F, 1/2) has the law of the count of
+    fired-or-coin rounds.  Given E, passing is independent of being right,
+    so the passing rounds among the E right ones are J ~ Bin(E, p_pass) and
+    among the T - E others Bin(T - E, p_pass), which gives B.  The four
+    binomials therefore give (E, B, J) the joint law of the per-trial
+    process, and a point costs the same at any ``trials``.
+
+    The z-score compares the joint rate against the truncated-resend
+    bound, not against (1 + f)/2 * p_pass, so on a tailed envelope or
+    under another resend policy it measures the distance to the bound.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InvalidParameterError(
+            f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
     L = envelope.plateau_length
     if not (0.0 <= chi <= L):
         raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
     f, p_pass = channel_probabilities(envelope, channel_length, EveStrategy(chi, policy))
 
-    # The three uniform streams share one buffer: fired, coin, passed.
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = np.empty(trials)
-    eve_correct = rng.random(out=u) < f
-    eve_correct |= rng.random(out=u) < 0.5
-    passed = rng.random(out=u) < p_pass
-    e_emp = np.count_nonzero(eve_correct) / trials
-    b_emp = np.count_nonzero(passed) / trials
-    j_emp = np.count_nonzero(passed & eve_correct) / trials
+    fired = rng.binomial(trials, f)
+    eve_correct = fired + rng.binomial(trials - fired, 0.5)
+    joint = rng.binomial(eve_correct, p_pass)
+    passed = joint + rng.binomial(trials - eve_correct, p_pass)
+    e_emp = eve_correct / trials
+    b_emp = passed / trials
+    j_emp = joint / trials
 
     ratio = channel_length / L
     chi_fraction = chi / L
@@ -321,6 +351,7 @@ def cmd_analyze(spec: CampaignSpec) -> list[dict]:
                 "pr_e_analytic": pr_e, "pr_b_bound": pr_b,
                 "joint_analytic": pr_e * pr_b,
                 "joint_empirical": "", "stderr": "", "zscore": "",
+                "available_fraction": "", "pass_probability": "",
             })
     _maybe_write(spec.out, rows_to_csv(rows))
     return rows
@@ -343,6 +374,8 @@ def cmd_simulate(spec: CampaignSpec) -> list[dict]:
             "joint_empirical": summary.joint_empirical,
             "stderr": summary.joint_stderr,
             "zscore": summary.joint_zscore,
+            "available_fraction": summary.available_fraction,
+            "pass_probability": summary.pass_probability,
         })
     _maybe_write(spec.out, rows_to_csv(rows))
     return rows

@@ -82,9 +82,9 @@ DISTILL_CASES = {
 
 GOLDEN = {
     "analyze.csv":
-        "05e333496027fe2d4ba1bbe4ccbd388ab01c4d2eebf9746cc94d974eb8111abc",
+        "25d8c9c4b896696cef841748d7e6d6a900c48ecc63fd6eda47780616bd25f2d0",
     "simulate.csv":
-        "ebabf1a7c1e3817c858a5406b57d638ec7155c299608cfba74886df2cca30deb",
+        "abdbeef746da16cdc46294f3dac52a4763e52232626456a1969a2b0b3d5f948c",
     "clean.session":
         "943b283666c25619e34be6660a3f183a2cb4cf8bd69e9dc3ea5db94fd4ea7fed",
     "clean.transcript.txt":

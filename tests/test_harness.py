@@ -1,11 +1,16 @@
 """Campaign loading, sweep tables, determinism, self-checks, CLI exit codes."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from relqkd import distill, harness, security
+from relqkd.adversary import ResendPolicy
 from relqkd.cli import main as cli_main
 from relqkd.errors import InvalidParameterError
 from relqkd.harness import (
+    MAX_TRIALS,
     CampaignSpec,
     CheckResult,
     check_delay_bound,
@@ -66,6 +71,16 @@ eps2 = 1e-2
 """
 
 
+def _per_trial_counts(seed, trials, f, p_pass):
+    """The per-trial sampler, kept as an oracle: three uniforms per trial."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    eve_correct = rng.random(trials) < f
+    eve_correct |= rng.random(trials) < 0.5
+    passed = rng.random(trials) < p_pass
+    return [np.count_nonzero(eve_correct), np.count_nonzero(passed),
+            np.count_nonzero(passed & eve_correct)]
+
+
 @pytest.fixture
 def analyze_spec(tmp_path):
     path = tmp_path / "analyze.ini"
@@ -111,6 +126,12 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
             CampaignSpec(mode="analyze", seed=-1, ratios=(0.0,), chi_fractions=(0.0,))
 
+    def test_trial_count_beyond_int64_rejected(self):
+        grid = dict(ratios=(0.5,), chi_fractions=(0.1,))
+        assert CampaignSpec(mode="simulate", seed=1, trials=MAX_TRIALS, **grid)
+        with pytest.raises(InvalidParameterError, match="trials must lie in"):
+            CampaignSpec(mode="simulate", seed=1, trials=MAX_TRIALS + 1, **grid)
+
     def test_removed_resolution_key_rejected(self, tmp_path):
         path = tmp_path / "sim.ini"
         path.write_text(SIMULATE_INI + "\n[state]\nresolution = 4096\n")
@@ -141,13 +162,15 @@ class TestAnalyze:
         assert [r["pr_e_analytic"] for r in rows] == [0.5, 0.75, 0.95]
         assert all(r["pr_b_bound"] == 1.0 for r in rows)
         assert all(r["joint_empirical"] == "" for r in rows)
+        assert all(r["available_fraction"] == r["pass_probability"] == "" for r in rows)
 
     def test_csv_is_stable(self, analyze_spec):
         rows = cmd_analyze(analyze_spec)
         assert rows_to_csv(rows) == rows_to_csv(cmd_analyze(analyze_spec))
         header = rows_to_csv(rows).splitlines()[0]
         assert header == ("ratio,chi_over_L,pr_e_analytic,pr_b_bound,"
-                          "joint_analytic,joint_empirical,stderr,zscore")
+                          "joint_analytic,joint_empirical,stderr,zscore,"
+                          "available_fraction,pass_probability")
 
 
 class TestSimulate:
@@ -176,6 +199,52 @@ class TestSimulate:
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameterError):
             simulate_intercept_resend(1.0, 0.5, 0.0, 0, seed=1)
+
+    def test_trials_beyond_int64_rejected(self):
+        # numpy's binomial would raise a raw OverflowError.
+        with pytest.raises(InvalidParameterError, match="trials must lie in"):
+            simulate_intercept_resend(1.0, 0.5, 0.0, 2**63, seed=1)
+
+    def test_cost_does_not_depend_on_trials(self):
+        # Per-trial draws would need 8 TB here; the counts need a few ints.
+        tracemalloc.start()
+        try:
+            s = simulate_intercept_resend(1.0, 0.5, 0.25, 10**12, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert abs(s.joint_empirical - s.joint_analytic) <= 5.0 * s.joint_stderr
+
+    def test_counts_have_the_law_of_per_trial_draws(self):
+        # Over many seeds, (E, B, J) from the four binomials and from the
+        # per-trial oracle both match the exact means and covariances.
+        T, f, p, seeds, z = 200, 0.55, 0.7, 20_000, 4.0
+        envelope = make_plateau(1.0)  # ideal plateau: f = 0.25 + 0.3, p_pass = 1 - 0.3
+
+        def exact_counts(seed):
+            s = harness._simulate_point(envelope, 0.25, 0.3, T, seed,
+                                        ResendPolicy.TRUNCATED_RENORMALIZED)
+            assert s.available_fraction == pytest.approx(f, abs=1e-12)
+            assert s.pass_probability == pytest.approx(p, abs=1e-12)
+            return [round(x * T) for x in (s.eve_empirical, s.bob_empirical,
+                                           s.joint_empirical)]
+
+        pe = (1.0 + f) / 2.0
+        mean = T * np.array([pe, p, pe * p])
+        cov = T * np.array([[pe * (1 - pe), 0.0, pe * p * (1 - pe)],
+                            [0.0, p * (1 - p), pe * p * (1 - p)],
+                            [pe * p * (1 - pe), pe * p * (1 - p), pe * p * (1 - pe * p)]])
+        for sampler in (exact_counts, lambda seed: _per_trial_counts(seed, T, f, p)):
+            x = np.array([sampler((2027, i)) for i in range(seeds)], dtype=float)
+            dev = x - x.mean(axis=0)
+            assert np.all(np.abs(x.mean(axis=0) - mean) <= z * np.sqrt(np.diag(cov) / seeds))
+            # Each sample covariance is a mean of products; its standard
+            # error is theirs over sqrt(seeds).
+            products = dev[:, :, None] * dev[:, None, :]
+            sample_cov = products.sum(axis=0) / (seeds - 1)
+            stderr = products.std(axis=0) / np.sqrt(seeds)
+            assert np.all(np.abs(sample_cov - cov) <= z * stderr), sample_cov
 
     def test_delay_beyond_extent_rejected(self, tmp_path):
         path = tmp_path / "sim.ini"
@@ -286,6 +355,14 @@ class TestCli:
         path.write_text(text)
         assert cli_main([mode, str(path), "--seed", "-1"]) == 2
         assert capsys.readouterr().err.count("seed must be >= 0") == 2
+
+    def test_trial_count_beyond_int64_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "sim.ini"
+        path.write_text(SIMULATE_INI.replace("trials = 5000", f"trials = {2**63}"))
+        assert cli_main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"trials must lie in [1, {MAX_TRIALS}], got {2**63}" in captured.err
 
     def test_full_delay_on_untailed_envelope(self, tmp_path, capsys):
         # At chi = L the truncated resend has nothing left to send: the

@@ -7,7 +7,8 @@ causally occupy by the receiver's test time.  The product of the two is
 maximized at chi = 0: delaying never helps.
 """
 
-from relqkd import joint_success, optimal_delay, simulate_intercept_resend
+from relqkd import (bob_pass_bound, eve_success_probability, optimal_delay,
+                    simulate_intercept_resend)
 
 L = 1.0
 
@@ -19,7 +20,8 @@ for ratio in (0.0, 0.25, 0.5, 0.9):
     row = []
     for chi in (0.0, 0.1, 0.25, 0.5):
         if ratio + chi <= 1.0:
-            row.append(f"{joint_success(chi, ratio, L):8.4f}")
+            joint = eve_success_probability((ratio + chi) / L) * bob_pass_bound(chi, L)
+            row.append(f"{joint:8.4f}")
         else:
             row.append(f"{'-':>8}")
     print(f"{ratio:6.2f} | " + "  ".join(row))

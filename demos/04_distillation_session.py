@@ -7,7 +7,8 @@ shows up in the disclosed sample, and how an intercept-resend attack is
 caught.
 """
 
-from relqkd import ROUND_COLUMNS, EveStrategy, ProtocolConfig, replay_keys, run_session
+from relqkd import (ROUND_COLUMNS, EveStrategy, ProtocolConfig, make_plateau, replay_keys,
+                    run_session)
 
 
 def summarize(tag, transcript):
@@ -30,8 +31,9 @@ def summarize(tag, transcript):
     print()
 
 
+# One envelope, built once, serves every session below.
 base = dict(key_length=16, block_size=3, blocks_per_parity=4, hash_rounds=8,
-            disclose_fraction=0.15, state_extent=1.0, channel_length=0.5)
+            disclose_fraction=0.15, envelope=make_plateau(1.0), channel_length=0.5)
 
 summarize("noiseless, no eavesdropper",
           run_session(ProtocolConfig(**base, seed=101)))

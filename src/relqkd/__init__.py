@@ -13,10 +13,8 @@ from .adversary import (
     apply_resend,
     bob_pass_bound,
     channel_probabilities,
-    eve_correct_probability,
     eve_success_probability,
     instrument_contraction_check,
-    joint_success,
     optimal_delay,
     random_kraus_set,
 )

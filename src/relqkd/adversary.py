@@ -49,19 +49,6 @@ class EveStrategy:
                 f"resend policy must be a ResendPolicy, got {self.resend_policy!r}")
 
 
-def _check_geometry(chi: float, channel_length: float, extent: float):
-    if extent <= 0.0:
-        raise InvalidParameterError(f"state extent must be positive, got {extent}")
-    if not (0.0 <= channel_length <= extent):
-        raise InvalidParameterError(
-            f"channel length must lie in [0, L], got {channel_length} with L={extent}"
-        )
-    if not (0.0 <= chi <= extent - channel_length + _TOL):
-        raise InvalidParameterError(
-            f"delay must lie in [0, L - L_ch], got chi={chi}"
-        )
-
-
 def eve_success_probability(f):
     """Probability (1 + f)/2 of knowing the bit with available fraction f.
 
@@ -71,12 +58,6 @@ def eve_success_probability(f):
     """
     p = 0.5 * (1.0 + np.minimum(1.0, f))
     return p if np.ndim(p) else float(p)
-
-
-def eve_correct_probability(chi: float, channel_length: float, extent: float) -> float:
-    """Probability (1 + (L_ch + chi)/L)/2 of identifying the sent bit."""
-    _check_geometry(chi, channel_length, extent)
-    return eve_success_probability((channel_length + chi) / extent)
 
 
 def bob_pass_bound(chi, extent: float):
@@ -92,17 +73,13 @@ def bob_pass_bound(chi, extent: float):
     return p if np.ndim(p) else float(p)
 
 
-def joint_success(chi: float, channel_length: float, extent: float) -> float:
-    """Probability of knowing the bit and passing the delay test at once."""
-    return eve_correct_probability(chi, channel_length, extent) * bob_pass_bound(chi, extent)
-
-
 def optimal_delay(
     channel_length: float, extent: float, grid_points: int = 1024
 ) -> tuple[float, float]:
     """Best delay and its joint-success value, confirmed by a grid scan.
 
-    The joint success is strictly decreasing in the delay, so the optimum
+    The joint success, ``eve_success_probability((L_ch + chi)/L)`` times
+    ``bob_pass_bound(chi, L)``, is strictly decreasing in the delay, so the optimum
     sits at chi = 0 with value (1 + L_ch/L)/2; the scan over
     ``grid_points`` delays, evaluated as one array, asserts no grid value
     exceeds it.

@@ -19,7 +19,7 @@ import numpy as np
 from .adversary import EveStrategy, ResendPolicy, channel_probabilities
 from .errors import InvalidParameterError, ResourceExhaustedError
 from .measurement import BobOutcome, EveOutcome
-from .wavepacket import make_plateau
+from .wavepacket import Plateau
 
 TRANSCRIPT_SCHEMA = "relqkd-transcript/2"
 
@@ -33,14 +33,12 @@ class ProtocolConfig:
     blocks_per_parity: int     # n
     hash_rounds: int           # M
     disclose_fraction: float   # fraction of sifted rounds spent on noise estimation
-    state_extent: float        # L
+    envelope: Plateau          # as make_plateau builds it; L = envelope.plateau_length
     channel_length: float      # L_ch < L
     seed: int
     flip_probability: float = 0.0
     loss_probability: float = 0.0
     eve: EveStrategy | None = None
-    tail_mass: float = 0.0
-    ramp_fraction: float = 0.0
 
     def __post_init__(self):
         if self.key_length < 1:
@@ -59,13 +57,13 @@ class ProtocolConfig:
             raise InvalidParameterError(
                 f"disclose fraction must lie in (0, 1), got {self.disclose_fraction}"
             )
-        if self.state_extent <= 0.0:
+        if not isinstance(self.envelope, Plateau):
             raise InvalidParameterError(
-                f"state extent must be positive, got {self.state_extent}"
-            )
-        if not (0.0 <= self.channel_length < self.state_extent):
+                f"envelope must be a Plateau, as make_plateau builds it, got {self.envelope!r}")
+        L = self.envelope.plateau_length
+        if not (0.0 <= self.channel_length < L):
             raise InvalidParameterError(
-                f"need 0 <= L_ch < L, got L_ch={self.channel_length}, L={self.state_extent}"
+                f"need 0 <= L_ch < L, got L_ch={self.channel_length}, L={L}"
             )
         if not (0.0 <= self.flip_probability <= 1.0):
             raise InvalidParameterError("flip probability must lie in [0, 1]")
@@ -508,12 +506,11 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
 
     The engine plans enough rounds to supply (N + M) * n blocks of k bits
     after sifting and disclosure (20% margin), retries once with a doubled
-    margin, and raises ResourceExhaustedError if still short.  A hash
-    parity mismatch is not an error: the abort is recorded in the
-    transcript.
+    margin, and raises ResourceExhaustedError if still short, or if the
+    planned rounds do not fit in memory.  A hash parity mismatch is not an
+    error: the abort is recorded in the transcript.
     """
-    envelope = make_plateau(cfg.state_extent, cfg.tail_mass, cfg.ramp_fraction)
-    f_eve, p_pass = channel_probabilities(envelope, cfg.channel_length, cfg.eve)
+    f_eve, p_pass = channel_probabilities(cfg.envelope, cfg.channel_length, cfg.eve)
     p_sift = p_pass * (1.0 - cfg.loss_probability)
     if p_sift <= 1e-12:
         raise ResourceExhaustedError(
@@ -532,6 +529,9 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
             return _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks)
         except _ShortOfBlocks:
             continue
+        except MemoryError as exc:
+            raise ResourceExhaustedError(
+                f"a session of {n_rounds} planned rounds does not fit in memory") from exc
     raise ResourceExhaustedError(
         f"insufficient sifted bits to form {need_blocks} blocks after retrying"
     )

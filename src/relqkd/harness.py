@@ -9,6 +9,12 @@ and security report, and ``verify`` replays the built-in identity and bound
 checks.  Given the same campaign file and seed, every output is
 byte-identical across runs.
 
+``load_campaign`` reads each section through ``_SCHEMA`` and passes on only
+the keys the file sets, so every other value is the default of the
+dataclass field it fills.  It builds the envelope once, in every mode,
+and the ``CampaignSpec`` and its ``ProtocolConfig`` both carry that
+``Plateau``; ``cmd_analyze``, ``cmd_simulate`` and ``run_session`` build none.
+
 ``simulate`` draws each grid point's counts exactly, as four binomials
 (see ``_simulate_point``), so a point's cost and memory do not depend on
 ``trials``.  Its ``zscore`` compares the empirical joint rate against the
@@ -24,7 +30,7 @@ import configparser
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from .adversary import (
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
 from .security import SecurityReport, build_report
-from .wavepacket import make_plateau
+from .wavepacket import Plateau, make_plateau
 
 CSV_COLUMNS = ("ratio", "chi_over_L", "pr_e_analytic", "pr_b_bound",
                "joint_analytic", "joint_empirical", "stderr", "zscore",
@@ -54,18 +60,30 @@ MODES = ("analyze", "simulate", "distill", "verify")
 #: Largest per-point trial count: the binomial draws take a signed 64-bit n.
 MAX_TRIALS = 2**63 - 1
 
-_POLICIES = {p.value: p for p in ResendPolicy}
 
-#: Keys of each campaign-file section; any other section or key is rejected.
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+#: Each campaign-file section's keys and how each value is read; any other
+#: section or key is rejected.
 _SCHEMA = {
-    "campaign": ("mode", "seed", "trials", "out"),
-    "sweep": ("ratios", "chi_fractions"),
-    "geometry": ("state_extent", "channel_length"),
-    "state": ("tail_mass", "ramp_fraction"),
-    "eve": ("enabled", "delay", "resend"),
-    "protocol": ("key_length", "block_size", "blocks_per_parity", "hash_rounds",
-                 "disclose_fraction", "flip_probability", "loss_probability"),
-    "security": ("eps1", "eps2"),
+    "campaign": {"mode": str, "seed": int, "trials": int, "out": str},
+    "sweep": {"ratios": _floats, "chi_fractions": _floats},
+    "geometry": {"state_extent": float, "channel_length": float},
+    "state": {"tail_mass": float, "ramp_fraction": float},
+    "eve": {"enabled": _boolean, "delay": float, "resend": ResendPolicy},
+    "protocol": {"key_length": int, "block_size": int, "blocks_per_parity": int,
+                 "hash_rounds": int, "disclose_fraction": float,
+                 "flip_probability": float, "loss_probability": float},
+    "security": {"eps1": float, "eps2": float},
 }
 
 #: Why a key that the schema once took is gone.
@@ -76,16 +94,14 @@ _REMOVED_KEYS = {
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """One campaign: mode, sweep axes, protocol settings, outputs."""
+    """One campaign: mode, sweep axes, envelope, protocol settings, outputs."""
 
     mode: str
     seed: int
     trials: int = 1
     ratios: tuple[float, ...] = ()
     chi_fractions: tuple[float, ...] = ()
-    state_extent: float = 1.0
-    tail_mass: float = 0.0
-    ramp_fraction: float = 0.0
+    envelope: Plateau = Plateau(1.0)
     resend_policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED
     protocol: ProtocolConfig | None = None
     eps1: float = 1e-3
@@ -122,13 +138,9 @@ def load_campaign(path: str, seed_override: int | None = None,
     try:
         if parser.read(path):
             return _from_parser(parser, seed_override, out_override)
-    except (configparser.Error, KeyError, ValueError) as exc:
+    except (configparser.Error, ValueError) as exc:
         raise InvalidParameterError(f"bad campaign file {path!r}: {exc}") from exc
     raise InvalidParameterError(f"cannot read campaign file {path!r}")
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _check_schema(parser):
@@ -149,71 +161,50 @@ def _check_schema(parser):
                 raise InvalidParameterError(f"unknown [{section}] key {key!r}: {why}")
 
 
+def _given(parser, section: str) -> dict:
+    """The keys the file sets in ``section``, each read as ``_SCHEMA`` says."""
+    if not parser.has_section(section):
+        return {}
+    readers = _SCHEMA[section]
+    return {key: readers[key](value) for key, value in parser.items(section)}
+
+
+def _require(cls, section: str, given: dict):
+    """Reject a ``section`` that lacks a key ``cls`` has no default for, naming the key."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name in _SCHEMA[section] and f.name not in given:
+            raise InvalidParameterError(f"[{section}] lacks {f.name!r}")
+
+
 def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
+    """Build the campaign from the keys the file sets; the dataclasses default the rest."""
     _check_schema(parser)
-    camp = parser["campaign"]
-    mode = camp.get("mode", "").strip()
-    if seed_override is None and "seed" not in camp:
-        raise InvalidParameterError("campaign must carry an explicit seed")
-    seed = seed_override if seed_override is not None else camp.getint("seed")
-    trials = camp.getint("trials", fallback=1)
-    out = out_override if out_override is not None else camp.get("out", fallback=None)
+    campaign = _given(parser, "campaign")
+    if seed_override is not None:
+        campaign["seed"] = seed_override
+    if out_override is not None:
+        campaign["out"] = out_override
+    _require(CampaignSpec, "campaign", campaign)
 
-    geometry = parser["geometry"] if parser.has_section("geometry") else {}
-    state_extent = float(geometry.get("state_extent", 1.0))
-    channel_length = float(geometry.get("channel_length", 0.0))
+    geometry = _given(parser, "geometry")
+    envelope = make_plateau(
+        geometry.get("state_extent", CampaignSpec.envelope.plateau_length),
+        **_given(parser, "state"))
 
-    state = parser["state"] if parser.has_section("state") else {}
-    tail_mass = float(state.get("tail_mass", 0.0))
-    ramp_fraction = float(state.get("ramp_fraction", 0.0))
-
-    sweep = parser["sweep"] if parser.has_section("sweep") else {}
-    ratios = _floats(sweep.get("ratios", ""))
-    chi_fractions = _floats(sweep.get("chi_fractions", ""))
-
-    eve = None
-    policy = ResendPolicy.TRUNCATED_RENORMALIZED
-    if parser.has_section("eve"):
-        sec = parser["eve"]
-        policy = _POLICIES.get(sec.get("resend", "truncated"))
-        if policy is None:
-            raise InvalidParameterError(
-                f"unknown resend policy {sec.get('resend')!r}"
-            )
-        if sec.getboolean("enabled", fallback=False):
-            eve = EveStrategy(sec.getfloat("delay", fallback=0.0), policy)
+    eve = _given(parser, "eve")
+    policy = {"resend_policy": eve["resend"]} if "resend" in eve else {}
+    strategy = EveStrategy(eve.get("delay", 0.0), **policy) if eve.get("enabled") else None
 
     protocol = None
     if parser.has_section("protocol"):
-        sec = parser["protocol"]
+        settings = _given(parser, "protocol")
+        _require(ProtocolConfig, "protocol", settings)
         protocol = ProtocolConfig(
-            key_length=sec.getint("key_length"),
-            block_size=sec.getint("block_size"),
-            blocks_per_parity=sec.getint("blocks_per_parity"),
-            hash_rounds=sec.getint("hash_rounds"),
-            disclose_fraction=sec.getfloat("disclose_fraction"),
-            state_extent=state_extent,
-            channel_length=channel_length,
-            seed=seed,
-            flip_probability=sec.getfloat("flip_probability", fallback=0.0),
-            loss_probability=sec.getfloat("loss_probability", fallback=0.0),
-            eve=eve,
-            tail_mass=tail_mass,
-            ramp_fraction=ramp_fraction,
-        )
+            **settings, envelope=envelope, channel_length=geometry.get("channel_length", 0.0),
+            seed=campaign["seed"], eve=strategy)
 
-    eps1, eps2 = 1e-3, 1e-3
-    if parser.has_section("security"):
-        eps1 = parser["security"].getfloat("eps1", fallback=1e-3)
-        eps2 = parser["security"].getfloat("eps2", fallback=1e-3)
-
-    return CampaignSpec(
-        mode=mode, seed=seed, trials=trials, ratios=ratios,
-        chi_fractions=chi_fractions, state_extent=state_extent,
-        tail_mass=tail_mass, ramp_fraction=ramp_fraction,
-        resend_policy=policy, protocol=protocol,
-        eps1=eps1, eps2=eps2, out=out,
-    )
+    return CampaignSpec(**campaign, **_given(parser, "sweep"), **_given(parser, "security"),
+                        **policy, envelope=envelope, protocol=protocol)
 
 
 @dataclass(frozen=True)
@@ -341,9 +332,9 @@ def rows_to_csv(rows) -> str:
 def cmd_analyze(spec: CampaignSpec) -> list[dict]:
     """Closed-form tradeoff table over the (ratio, chi) grid."""
     rows = []
+    L = spec.envelope.plateau_length
     for ratio in spec.ratios:
         for cf in spec.chi_fractions:
-            L = spec.state_extent
             pr_e = eve_success_probability(ratio + cf)
             pr_b = bob_pass_bound(cf * L, L)
             rows.append({
@@ -360,11 +351,10 @@ def cmd_analyze(spec: CampaignSpec) -> list[dict]:
 def cmd_simulate(spec: CampaignSpec) -> list[dict]:
     """Monte Carlo table: empirical joint success next to the closed form."""
     rows = []
-    L = spec.state_extent
-    envelope = make_plateau(L, spec.tail_mass, spec.ramp_fraction)
+    L = spec.envelope.plateau_length
     grid = itertools.product(spec.ratios, spec.chi_fractions)
     for point, (ratio, cf) in enumerate(grid):
-        summary = _simulate_point(envelope, ratio * L, cf * L, spec.trials,
+        summary = _simulate_point(spec.envelope, ratio * L, cf * L, spec.trials,
                                   (spec.seed, point), spec.resend_policy)
         rows.append({
             "ratio": ratio, "chi_over_L": cf,
@@ -390,7 +380,7 @@ def cmd_distill(spec: CampaignSpec) -> tuple[Transcript, SecurityReport]:
         blocks_per_parity=cfg.blocks_per_parity,
         block_size=cfg.block_size,
         hash_rounds=cfg.hash_rounds,
-        ratio=cfg.channel_length / cfg.state_extent,
+        ratio=cfg.channel_length / cfg.envelope.plateau_length,
         eps1=spec.eps1, eps2=spec.eps2,
         p_err_estimate=transcript.p_err_estimate,
         aborted=transcript.aborted,

@@ -10,7 +10,7 @@ criterion into concrete (k, n, M).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 from .adversary import eve_success_probability
@@ -153,36 +153,18 @@ class SecurityReport:
     def all_ok(self) -> bool:
         return self.identical_ok and self.eve_prob_ok and self.i_ae_ok and self.i_be_ok
 
+    def _items(self):
+        """Each written (key, value): the fields in order, the derived all_ok
+        after i_be_ok, and the session fields only when they are set."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                yield f.name, value
+            if f.name == "i_be_ok":
+                yield "all_ok", self.all_ok
+
     def to_text(self) -> str:
-        lines = [REPORT_SCHEMA]
-        fields = [
-            ("n_key", self.n_key),
-            ("blocks_per_parity", self.blocks_per_parity),
-            ("block_size", self.block_size),
-            ("hash_rounds", self.hash_rounds),
-            ("ratio", self.ratio),
-            ("eta", self.eta),
-            ("zeta", self.zeta),
-            ("pr_eve_key", self.pr_eve_key),
-            ("pr_eve_key_valid", self.pr_eve_key_valid),
-            ("i_ab", self.i_ab),
-            ("i_ae", self.i_ae),
-            ("i_be", self.i_be),
-            ("pr_key_mismatch", self.pr_key_mismatch),
-            ("eps1", self.eps1),
-            ("eps2", self.eps2),
-            ("identical_ok", self.identical_ok),
-            ("eve_prob_ok", self.eve_prob_ok),
-            ("i_ae_ok", self.i_ae_ok),
-            ("i_be_ok", self.i_be_ok),
-            ("all_ok", self.all_ok),
-        ]
-        if self.p_err_estimate is not None:
-            fields.append(("p_err_estimate", self.p_err_estimate))
-        if self.aborted is not None:
-            fields.append(("aborted", self.aborted))
-        for key, value in fields:
-            lines.append(f"{key}={_render(value)}")
+        lines = [REPORT_SCHEMA] + [f"{key}={_render(value)}" for key, value in self._items()]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -206,28 +188,10 @@ class SecurityReport:
             except ValueError as exc:
                 raise InvalidParameterError(f"bad report value {key}={kv[key]!r}") from exc
 
-        def fget(key):
-            return get(key, float)
-
-        def bget(key):
-            return get(key, _parse_bool)
-
-        report = cls(
-            n_key=get("n_key", int),
-            blocks_per_parity=get("blocks_per_parity", int),
-            block_size=get("block_size", int),
-            hash_rounds=get("hash_rounds", int),
-            ratio=fget("ratio"), eta=fget("eta"), zeta=fget("zeta"),
-            pr_eve_key=fget("pr_eve_key"), pr_eve_key_valid=bget("pr_eve_key_valid"),
-            i_ab=fget("i_ab"), i_ae=fget("i_ae"), i_be=fget("i_be"),
-            pr_key_mismatch=fget("pr_key_mismatch"),
-            eps1=fget("eps1"), eps2=fget("eps2"),
-            identical_ok=bget("identical_ok"), eve_prob_ok=bget("eve_prob_ok"),
-            i_ae_ok=bget("i_ae_ok"), i_be_ok=bget("i_be_ok"),
-            p_err_estimate=fget("p_err_estimate") if "p_err_estimate" in kv else None,
-            aborted=bget("aborted") if "aborted" in kv else None,
-        )
-        if bget("all_ok") != report.all_ok:
+        # Annotations are strings here, such as "int" or "float | None".
+        report = cls(**{f.name: get(f.name, _PARSERS[f.type.split(" |")[0]])
+                        for f in fields(cls) if f.name in kv or f.default is MISSING})
+        if get("all_ok", _parse_bool) != report.all_ok:
             raise InvalidParameterError("report all_ok disagrees with its four flags")
         return report
 
@@ -240,6 +204,9 @@ def _parse_bool(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"not a boolean: {text!r}")
     return text == "true"
+
+
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
 
 
 def _render(value) -> str:

@@ -14,10 +14,8 @@ from relqkd.adversary import (
     apply_resend,
     bob_pass_bound,
     channel_probabilities,
-    eve_correct_probability,
     eve_success_probability,
     instrument_contraction_check,
-    joint_success,
     optimal_delay,
     random_kraus_set,
     scaled_invalid_kraus_set,
@@ -35,20 +33,10 @@ from relqkd.wavepacket import Interval, _sample, make_plateau
 
 
 class TestClosedForms:
-    def test_eve_correct_probability(self):
-        assert eve_correct_probability(0.0, 0.0, 1.0) == pytest.approx(0.5)
-        assert eve_correct_probability(0.0, 0.5, 1.0) == pytest.approx(0.75)
-        assert eve_correct_probability(0.5, 0.5, 1.0) == pytest.approx(1.0)
-
     def test_bob_pass_bound(self):
         assert bob_pass_bound(0.0, 1.0) == pytest.approx(1.0)
         assert bob_pass_bound(1.0, 1.0) == pytest.approx(0.0)
         assert bob_pass_bound(0.25, 1.0) == pytest.approx(0.75)
-
-    def test_joint_success(self):
-        assert joint_success(0.0, 0.5, 1.0) == pytest.approx(0.75)
-        assert joint_success(0.0, 1.0, 1.0) == pytest.approx(1.0)
-        assert joint_success(0.5, 0.25, 1.0) == pytest.approx(0.4375)
 
     def test_arrays_match_the_scalar_forms(self):
         fs = np.linspace(-0.1, 1.2, 27)
@@ -65,11 +53,12 @@ class TestClosedForms:
 
     def test_domain_validation(self):
         with pytest.raises(InvalidParameterError):
-            eve_correct_probability(-0.1, 0.5, 1.0)
-        with pytest.raises(InvalidParameterError):
-            eve_correct_probability(0.6, 0.5, 1.0)
-        with pytest.raises(InvalidParameterError):
             bob_pass_bound(1.5, 1.0)
+
+
+def joint(chis, ratio):
+    """The joint success at L = 1: the product of the two closed forms."""
+    return eve_success_probability(ratio + chis) * bob_pass_bound(chis, 1.0)
 
 
 class TestOptimalDelay:
@@ -82,22 +71,12 @@ class TestOptimalDelay:
     def test_strictly_decreasing_in_delay(self):
         for ratio in (0.0, 0.3, 0.7):
             chis = np.linspace(0.0, 1.0 - ratio, 200)
-            vals = np.array([joint_success(c, ratio, 1.0) for c in chis])
-            assert np.all(np.diff(vals) < 0.0)
-
-    def test_scan_matches_joint_success(self):
-        # The one-array scan reproduces the per-delay closed form exactly.
-        for ratio in (0.0, 0.25, 0.5, 0.9):
-            chis = np.linspace(0.0, 1.0 - ratio, 1000)
-            scan = (eve_success_probability((ratio + chis) / 1.0)
-                    * bob_pass_bound(chis, 1.0))
-            assert scan.tolist() == [joint_success(c, ratio, 1.0) for c in chis]
+            assert np.all(np.diff(joint(chis, ratio)) < 0.0)
 
     def test_never_exceeds_pr_max(self):
         for ratio in (0.1, 0.5, 0.85):
             pr_max = 0.5 * (1.0 + ratio)
-            for chi in np.linspace(0.0, 1.0 - ratio, 50):
-                assert joint_success(chi, ratio, 1.0) <= pr_max + 1e-12
+            assert np.all(joint(np.linspace(0.0, 1.0 - ratio, 50), ratio) <= pr_max + 1e-12)
 
 
 class TestEveStrategy:

@@ -25,12 +25,13 @@ from relqkd.errors import (
     ResourceExhaustedError,
 )
 from relqkd.measurement import BobOutcome
+from relqkd.wavepacket import make_plateau
 
 
 def make_config(**overrides):
     defaults = dict(
         key_length=16, block_size=3, blocks_per_parity=4, hash_rounds=8,
-        disclose_fraction=0.1, state_extent=1.0, channel_length=0.5, seed=42,
+        disclose_fraction=0.1, envelope=make_plateau(1.0), channel_length=0.5, seed=42,
     )
     defaults.update(overrides)
     return ProtocolConfig(**defaults)
@@ -328,6 +329,11 @@ class TestRunSession:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
             make_config(seed=-1)
+
+    def test_envelope_must_be_a_plateau(self):
+        # A bare extent, as the config once took, is refused by type.
+        with pytest.raises(InvalidParameterError, match="envelope must be a Plateau"):
+            make_config(envelope=1.0)
 
 
 def _edit(edit):

@@ -397,6 +397,34 @@ class TestCli:
         assert captured.out == ""
         assert f"{value} is outside [0, 1]" in captured.err
 
+    @pytest.mark.parametrize("key", ["key_length", "block_size", "blocks_per_parity",
+                                     "hash_rounds", "disclose_fraction"])
+    def test_missing_protocol_key_is_invalid_input(self, tmp_path, capsys, key):
+        # Each once crashed with a raw TypeError (exit 1).
+        path = tmp_path / "distill.ini"
+        path.write_text("\n".join(line for line in DISTILL_INI.splitlines()
+                                  if not line.startswith(f"{key} =")))
+        assert cli_main(["distill", str(path)]) == 2
+        assert f"[protocol] lacks {key!r}" in capsys.readouterr().err
+
+    def test_session_beyond_memory_is_invalid_input(self, tmp_path, capsys):
+        # 10^15 key bits plan about 8e15 one-byte rounds (7 PiB), so the first
+        # allocation is refused at once; numpy's MemoryError once escaped
+        # (exit 1).
+        path = tmp_path / "distill.ini"
+        path.write_text(DISTILL_INI.replace("key_length = 8", f"key_length = {10**15}"))
+        assert cli_main(["distill", str(path)]) == 2
+        assert "planned rounds does not fit in memory" in capsys.readouterr().err
+
+    def test_bad_state_is_invalid_input_in_every_mode(self, tmp_path, capsys):
+        # analyze once ignored [state] and exited 0.
+        path = tmp_path / "analyze.ini"
+        path.write_text(ANALYZE_INI + "[state]\ntail_mass = 0.5\nramp_fraction = 0\n")
+        assert cli_main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs edge ramps" in captured.err
+
     def test_verify_exit_codes(self, capsys, monkeypatch):
         assert cli_main(["verify"]) == 0
         failing = (lambda: CheckResult("stub", False, "forced failure (tolerance 0)"),)

@@ -151,7 +151,7 @@ def eve_session(delay, seed, key_length=16):
     eve = EveStrategy(delay=delay)
     return run_session(ProtocolConfig(
         key_length=key_length, block_size=3, blocks_per_parity=4, hash_rounds=8,
-        disclose_fraction=0.1, state_extent=L, channel_length=0.5, seed=seed,
+        disclose_fraction=0.1, envelope=make_plateau(L), channel_length=0.5, seed=seed,
         eve=eve)), eve
 
 
@@ -163,7 +163,7 @@ class TestSamplers:
         # always fires, and on the sent bit.
         honest = run_session(ProtocolConfig(
             key_length=16, block_size=3, blocks_per_parity=4, hash_rounds=8,
-            disclose_fraction=0.1, state_extent=L, channel_length=0.5, seed=0))
+            disclose_fraction=0.1, envelope=make_plateau(L), channel_length=0.5, seed=0))
         assert {r.b_outcome for r in honest.rounds if r.a_bit == 0} == {BobOutcome.ZERO}
         assert {r.b_outcome for r in honest.rounds if r.a_bit == 1} == {BobOutcome.ONE}
         transcript, _ = eve_session(delay=0.5, seed=1)

@@ -7,8 +7,8 @@ shows up in the disclosed sample, and how an intercept-resend attack is
 caught.
 """
 
-from relqkd import (ROUND_COLUMNS, EveStrategy, ProtocolConfig, make_plateau, replay_keys,
-                    run_session)
+from relqkd import (ROUND_COLUMNS, EveStrategy, ProtocolConfig, Transcript, make_plateau,
+                    replay_keys, run_session)
 
 
 def summarize(tag, transcript):
@@ -25,8 +25,8 @@ def summarize(tag, transcript):
         match = (transcript.key_a == transcript.key_b).all()
         print(f"key_a = {key}")
         print(f"keys identical: {bool(match)}")
-        ka, kb = replay_keys(transcript)
-        print(f"replay from public data reproduces both keys: "
+        ka, kb = replay_keys(Transcript.from_text(transcript.to_text()))
+        print(f"replay from the transcript text reproduces both keys: "
               f"{bool((ka == transcript.key_a).all() and (kb == transcript.key_b).all())}")
     print()
 

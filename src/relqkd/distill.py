@@ -7,12 +7,19 @@ blocks announced after reception, parity-bit formation over disjoint block
 groups, and the round-by-round hash comparison that whittles N + M parity
 bits down to the final N-bit keys.  Everything is driven by one master seed
 and the resulting transcript is byte-reproducible.
+
+A session's transcript is its public record: the round table, with the
+blocks and parity groups announced after reception, and the hash subsets
+it drew.  The hash log, the keys, the abort and the error estimate are
+derived from that record (``hash_rounds`` is the one hash walk), so they
+cannot disagree with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,24 +115,49 @@ _ALPHABETS = tuple(np.frombuffer(a, dtype=np.uint8)
 _DECODE = np.full((len(_ALPHABETS), 256), -1, dtype=np.int8)
 for _row, _alphabet in zip(_DECODE, _ALPHABETS):
     _row[_alphabet] = np.arange(_alphabet.size)
-_FLAG = {"0": 0, "1": 1}
 
 
 @dataclass(frozen=True)
 class Transcript:
+    """The public record of one session, and what follows from it.
+
+    A session announces the round table (each round's outcomes and flags,
+    and the blocks and parity groups cut after reception) and the hash
+    subsets; these two fields are the whole record.  The hash log (the
+    subsets walked up to the first parity mismatch), both keys, the abort
+    and its reason, and the error estimate over the disclosed rounds are
+    derived from them on first use, once per transcript.  A record they
+    cannot be derived from raises InvalidParameterError there.
+    """
+
     round_table: np.ndarray    # int32, one row per round, columns ROUND_COLUMNS
-    hash_log: tuple[HashRecord, ...]
-    p_err_estimate: float
-    key_a: np.ndarray | None
-    key_b: np.ndarray | None
-    aborted: bool
-    abort_reason: str | None
+    subsets: tuple[str, ...]   # hash subset of round l+1; char i selects string position i
 
     def __eq__(self, other):
-        """Field by field; the round table and the keys compare as arrays."""
+        """The round tables compare as arrays, then the announced hash logs."""
         if not isinstance(other, Transcript):
             return NotImplemented
-        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return (np.array_equal(self.round_table, other.round_table)
+                and self.hash_log == other.hash_log)
+
+    @cached_property
+    def _hash(self) -> HashResult:
+        return hash_rounds(*_parity_strings(self.round_table), self.subsets)
+
+    hash_log = property(lambda self: self._hash.log)
+    key_a = property(lambda self: self._hash.key_a)
+    key_b = property(lambda self: self._hash.key_b)
+    aborted = property(lambda self: self._hash.aborted)
+    abort_reason = property(lambda self: f"hash parity mismatch at round {len(self.hash_log)}"
+                            if self.aborted else None)
+
+    @cached_property
+    def p_err_estimate(self) -> float:
+        shown = self.round_table[self.round_table[:, 4] == 1]
+        if not len(shown) or (shown[:, 1] == 2).any():
+            raise InvalidParameterError("a session discloses one conclusive round or more; "
+                                        "transcript is inconsistent")
+        return float(np.count_nonzero(shown[:, 0] != shown[:, 1]) / len(shown))
 
     @property
     def rounds(self) -> tuple[RoundRecord, ...]:
@@ -137,11 +169,13 @@ class Transcript:
             for i, (a, b, e, s, d, blk, grp) in enumerate(_columns(self.round_table)))
 
     def to_text(self) -> str:
-        """The text form; a round table it cannot spell raises InvalidParameterError.
+        """The text form; a record it cannot spell raises InvalidParameterError.
 
         The text spells the codes of each column's alphabet and blocks
         0..B-1 of one size whose rounds all name their block's parity group,
-        with no group named outside the blocks (see ``_blocks``).
+        with no group named outside the blocks (see ``_blocks``).  It writes
+        the derived hash log, error estimate, keys and abort too, so a text
+        that contradicts its record does not read back (see ``from_text``).
         """
         table = self.round_table
         codes = table[:, :len(_ALPHABETS)]
@@ -158,29 +192,33 @@ class Transcript:
         for h in self.hash_log:
             disc = str(h.discarded) if h.discarded is not None else "-"
             lines.append(f"{h.round_index}\t{h.subset}\t{h.parity_a}\t{h.parity_b}\t{disc}")
-        lines.append(f"p_err\t{float(self.p_err_estimate)!r}")
+        lines.append(f"p_err\t{self.p_err_estimate!r}")
         lines.append(f"key_a\t{_bits_text(self.key_a)}")
         lines.append(f"key_b\t{_bits_text(self.key_b)}")
         lines.append(f"aborted\t{int(self.aborted)}")
-        lines.append(f"abort_reason\t{self.abort_reason if self.abort_reason else '-'}")
+        lines.append(f"abort_reason\t{self.abort_reason or '-'}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
         """Parse ``to_text`` output; any other input raises InvalidParameterError.
 
-        The parsed transcript is written back and must give ``text`` again,
-        so ``Transcript.from_text(t).to_text() == t`` for every accepted ``t``.
+        Only the record is read: the round table and the subset column of
+        the hash log.  The parsed transcript is written back and must give
+        ``text`` again, so ``Transcript.from_text(t).to_text() == t`` for
+        every accepted ``t``, and a text whose parities, discarded
+        positions, error estimate, keys or abort lines contradict its
+        record is rejected.
         """
         lines = text.split("\n")
         if lines[0] != TRANSCRIPT_SCHEMA:
             raise InvalidParameterError(
                 f"expected a {TRANSCRIPT_SCHEMA} file, got first line {lines[0][:40]!r}")
         try:
-            transcript = cls._parse(lines[:-1])
+            transcript = cls._parse(lines)
         except InvalidParameterError:
             raise
-        except (IndexError, KeyError, ValueError, OverflowError) as exc:
+        except (IndexError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
         if transcript.to_text() != text:
             raise InvalidParameterError("the text differs from what to_text writes")
@@ -188,7 +226,7 @@ class Transcript:
 
     @classmethod
     def _parse(cls, lines: list[str]) -> "Transcript":
-        """The values the lines spell.
+        """The record the lines spell.
 
         Only what the arrays need is checked here: the alphabets, and sizes
         that agree before anything is allocated from them.  Every other
@@ -208,28 +246,8 @@ class Transcript:
         block[members] = np.repeat(np.arange(n_blocks), k)
         group[members] = np.repeat(groups, k)
         n_hash = int(lines[10].split("\t")[1])
-        hash_log = []
-        for i, line in enumerate(lines[12:12 + n_hash]):
-            _, subset, parity_a, parity_b, discarded = line.split("\t")
-            hash_log.append(HashRecord(
-                i + 1, _subset_parse(subset), _FLAG[parity_a], _FLAG[parity_b],
-                None if discarded == "-" else int(discarded)))
-        tail = dict(ln.split("\t", 1) for ln in lines[12 + n_hash:])
-        return cls(
-            round_table=np.stack(columns + [block, group], axis=1, dtype=np.int32),
-            hash_log=tuple(hash_log),
-            p_err_estimate=float(tail["p_err"]),
-            key_a=_bits_parse(tail["key_a"]),
-            key_b=_bits_parse(tail["key_b"]),
-            aborted=_FLAG[tail["aborted"]] == 1,
-            abort_reason=None if tail["abort_reason"] == "-" else tail["abort_reason"],
-        )
-
-
-def _same(x, y) -> bool:
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return x is not None and y is not None and np.array_equal(x, y)
-    return x == y
+        return cls(round_table=np.stack(columns + [block, group], axis=1, dtype=np.int32),
+                   subsets=tuple(line.split("\t")[1] for line in lines[12:12 + n_hash]))
 
 
 def _columns(table: np.ndarray):
@@ -261,20 +279,6 @@ def _bits_text(bits) -> str:
     if bits is None:
         return "-"
     return "".join("1" if int(b) else "0" for b in bits)
-
-
-def _bits_parse(text: str):
-    if text == "-":
-        return None
-    if text.strip("01"):
-        raise InvalidParameterError(f"bit string {text!r} holds characters other than 0/1")
-    return np.array([1 if c == "1" else 0 for c in text], dtype=np.uint8)
-
-
-def _subset_parse(text: str) -> str:
-    if text.strip("01") or "1" not in text:
-        raise InvalidParameterError(f"hash subset {text!r} is not a non-zero bit string")
-    return text
 
 
 def estimate_error(a_bits, b_bits, disclose_fraction: float,
@@ -401,20 +405,12 @@ def _parity_strings(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # position i, so one subset parity is an AND and a popcount.  Many strings
 # of one length up to 63 bits travel as a uint64 array, one string a row.
 
-def _bits_to_int(bits) -> int:
-    v = 0
-    for i, b in enumerate(bits):
-        if int(b):
-            v |= 1 << i
-    return v
+def _bits_to_int(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _int_to_bits(v: int, length: int) -> np.ndarray:
     return np.array([(v >> i) & 1 for i in range(length)], dtype=np.uint8)
-
-
-def _int_to_bit_text(v: int, length: int) -> str:
-    return format(v, f"0{length}b")[::-1]
 
 
 def _parity(v):
@@ -436,11 +432,6 @@ def _hash_step(ia, ib, subset):
             ((ia >> 1) & ~keep) | (ia & keep), ((ib >> 1) & ~keep) | (ib & keep))
 
 
-def _dropped_position(subset: int, pa: int, pb: int) -> int | None:
-    """The position a scalar round removes, or None when the parities differ."""
-    return (subset & -subset).bit_length() - 1 if pa == pb else None
-
-
 def _random_nonzero(rng: np.random.Generator, length: int) -> int:
     # All-zero subsets reveal nothing and would break the 2^-M analysis.
     if length <= 62:
@@ -460,38 +451,38 @@ class HashResult:
     log: tuple[HashRecord, ...]
 
 
-def hash_rounds(bits_a, bits_b, rounds: int,
-                rng: np.random.Generator) -> HashResult:
-    """Run the round-by-round parity-hash comparison.
+def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
+    """Walk the round-by-round parity-hash comparison over the given subsets.
 
-    Each round draws a uniform non-zero subset of the current string,
-    compares the subset parities, aborts on mismatch, and otherwise
-    discards the bit at the lowest-index position selected by the subset.
-    After ``rounds`` successful rounds both strings have shrunk by exactly
-    ``rounds`` bits; an undetected residual mismatch survives with
-    probability 2^-rounds.
+    Subset l is a non-zero bit string as long as the strings before round
+    l, character i selecting position i.  Each round compares the subset
+    parities, aborts on a mismatch, and otherwise discards the bit at the
+    lowest position the subset selects.  Over M uniform non-zero subsets an
+    undetected residual mismatch survives with probability 2^-M.  Any
+    other subset, or as many subsets as bits, raises InvalidParameterError.
     """
-    a_list = [int(b) for b in bits_a]
-    b_list = [int(b) for b in bits_b]
-    if len(a_list) != len(b_list):
-        raise InvalidParameterError("hash inputs must have equal length")
-    if rounds < 1:
-        raise InvalidParameterError(f"need at least one hash round, got {rounds}")
-    if len(a_list) <= rounds:
+    a, b = (np.asarray(bits, dtype=np.uint8) for bits in (bits_a, bits_b))
+    if a.shape != b.shape or a.ndim != 1:
+        raise InvalidParameterError("hash inputs must be two bit strings of equal length")
+    if not subsets:
+        raise InvalidParameterError("need at least one hash round, got none")
+    length = a.size
+    if length <= len(subsets):
         raise InvalidParameterError(
-            f"{len(a_list)} parity bits cannot survive {rounds} hash rounds"
+            f"{length} parity bits cannot survive {len(subsets)} hash rounds"
         )
-    ia = _bits_to_int(a_list)
-    ib = _bits_to_int(b_list)
-    length = len(a_list)
+    ia, ib = _bits_to_int(a), _bits_to_int(b)
     log: list[HashRecord] = []
-    for l in range(1, rounds + 1):
-        s = _random_nonzero(rng, length)
+    for l, text in enumerate(subsets, start=1):
+        if len(text) != length or text.strip("01") or "1" not in text:
+            raise InvalidParameterError(
+                f"hash subset {l} is not a non-zero bit string of length {length}")
+        s = int(text[::-1], 2)
         pa, pb, ia, ib = _hash_step(ia, ib, s)
-        pos = _dropped_position(s, pa, pb)
-        log.append(HashRecord(l, _int_to_bit_text(s, length), pa, pb, pos))
-        if pos is None:
+        if pa != pb:
+            log.append(HashRecord(l, text, pa, pb, None))
             return HashResult(None, None, True, tuple(log))
+        log.append(HashRecord(l, text, pa, pb, (s & -s).bit_length() - 1))
         length -= 1
     return HashResult(_int_to_bits(ia, length), _int_to_bits(ib, length),
                       False, tuple(log))
@@ -523,18 +514,37 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
 
     seed_seq = np.random.SeedSequence(cfg.seed)
     for margin in (1.2, 2.4):
-        n_rounds = int(math.ceil(need_bits / per_round * margin))
+        n_rounds = _planned_rounds(need_bits, per_round, margin)
         rngs = [np.random.default_rng(c) for c in seed_seq.spawn(6)]
         try:
+            # numpy sizes an array by a signed 64-bit count; a longer plan
+            # is beyond memory as surely as one numpy refuses to allocate.
+            if n_rounds > np.iinfo(np.int64).max:
+                raise MemoryError
             return _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks)
         except _ShortOfBlocks:
             continue
         except MemoryError as exc:
             raise ResourceExhaustedError(
-                f"a session of {n_rounds} planned rounds does not fit in memory") from exc
+                f"a session of {_count_text(n_rounds)} planned rounds does not fit in memory"
+            ) from exc
     raise ResourceExhaustedError(
         f"insufficient sifted bits to form {need_blocks} blocks after retrying"
     )
+
+
+def _planned_rounds(need_bits: int, per_round: float, margin: float) -> int:
+    """ceil(need_bits / per_round * margin), in floats; exact where they overflow."""
+    try:
+        return int(math.ceil(need_bits / per_round * margin))
+    except OverflowError:
+        (p, q), (m, r) = per_round.as_integer_ratio(), margin.as_integer_ratio()
+        return -(-need_bits * q * m // (p * r))
+
+
+def _count_text(n: int) -> str:
+    """``n`` in digits, or as the power of two at or below it past 128 bits."""
+    return str(n) if n.bit_length() <= 128 else f"at least 2^{n.bit_length() - 1}"
 
 
 def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
@@ -566,7 +576,7 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     if kept.size < 2:
         raise _ShortOfBlocks
 
-    p_err, disclosed_local = estimate_error(
+    _, disclosed_local = estimate_error(
         a_bits[kept], outcome_bits[kept], cfg.disclose_fraction, rng_public)
     disclosed_mask = np.zeros(n_rounds, dtype=bool)
     disclosed_mask[kept[disclosed_local]] = True
@@ -594,47 +604,20 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     eve = np.full(n_rounds, 3) if fired is None else np.where(fired, a_bits, 2)
     table = np.stack((a_bits, np.where(conclusive, outcome_bits, 2), eve,
                       conclusive, disclosed_mask, block, group), axis=1, dtype=np.int32)
-    bit_a, bit_b = _parity_strings(table)
-
-    result = hash_rounds(bit_a, bit_b, cfg.hash_rounds, rng_hash)
-
-    abort_reason = None
-    if result.aborted:
-        abort_reason = f"hash parity mismatch at round {result.log[-1].round_index}"
-    return Transcript(
-        round_table=table,
-        hash_log=result.log,
-        p_err_estimate=p_err,
-        key_a=result.key_a,
-        key_b=result.key_b,
-        aborted=result.aborted,
-        abort_reason=abort_reason,
-    )
+    # All M subsets, at the lengths a matching walk meets; rng_hash feeds
+    # nothing else, so the announced ones are drawn as round by round.
+    length = cfg.key_length + cfg.hash_rounds
+    subsets = tuple(format(_random_nonzero(rng_hash, n), f"0{n}b")[::-1]
+                    for n in range(length, length - cfg.hash_rounds, -1))
+    return Transcript(round_table=table, subsets=subsets)
 
 
 def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Recompute both keys from the recorded public structure.
+    """Both keys as the transcript's public record gives them.
 
-    Uses only the per-round data plus the announced block and parity
-    grouping and the hash log; reproduces the session's keys exactly, or
-    (None, None) if the recorded session aborted.  A transcript whose
-    blocks or hash log the session could not have produced raises
+    The keys follow from the per-round data, the announced block and parity
+    grouping and the hash subsets alone; (None, None) if the recorded
+    session aborted.  A record the session could not have produced raises
     InvalidParameterError.
     """
-    bit_a, bit_b = _parity_strings(transcript.round_table)
-    ia = _bits_to_int(bit_a)
-    ib = _bits_to_int(bit_b)
-
-    length = bit_a.size
-    for h in transcript.hash_log:
-        subset = int(h.subset[::-1], 2)
-        pa, pb, ia, ib = _hash_step(ia, ib, subset)
-        pos = _dropped_position(subset, pa, pb)
-        if (pa, pb, pos) != (h.parity_a, h.parity_b, h.discarded):
-            raise InvalidParameterError(
-                f"hash round {h.round_index} does not replay; transcript is inconsistent"
-            )
-        if pos is None:
-            return None, None
-        length -= 1
-    return _int_to_bits(ia, length), _int_to_bits(ib, length)
+    return transcript.key_a, transcript.key_b

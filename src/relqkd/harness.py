@@ -127,6 +127,9 @@ class CampaignSpec:
                     raise InvalidParameterError(
                         f"sweep {axis} {value} is outside [0, 1]: "
                         f"the {length} must lie in [0, L]")
+        for name, value in (("eps1", self.eps1), ("eps2", self.eps2)):
+            if not (0.0 < value < 1.0):
+                raise InvalidParameterError(f"[security] {name} must lie in (0, 1), got {value}")
         if self.mode == "distill" and self.protocol is None:
             raise InvalidParameterError("mode 'distill' needs a [protocol] section")
 

@@ -167,11 +167,17 @@ class TestParityBits:
             form_parity_bits(np.zeros(6, dtype=int), groups)
 
 
+def _subsets(rng, length, rounds):
+    """Uniform non-zero subsets at the lengths a matching walk meets."""
+    return [format(int(rng.integers(1, 1 << n)), f"0{n}b")
+            for n in range(length, length - rounds, -1)]
+
+
 class TestHashRounds:
     def test_identical_strings_never_abort(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 24)
-        result = hash_rounds(bits, bits.copy(), 8, rng)
+        result = hash_rounds(bits, bits.copy(), _subsets(rng, 24, 8))
         assert not result.aborted
         assert result.key_a.size == 16
         assert (result.key_a == result.key_b).all()
@@ -179,10 +185,17 @@ class TestHashRounds:
     def test_each_round_shortens_by_one(self):
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, 21)
-        result = hash_rounds(bits, bits.copy(), 5, rng)
+        result = hash_rounds(bits, bits.copy(), _subsets(rng, 21, 5))
         lengths = [len(h.subset) for h in result.log]
         assert lengths == [21, 20, 19, 18, 17]
         assert result.key_a.size == 16
+
+    def test_walk_stops_at_the_first_mismatch(self):
+        # Round 1 keeps the differing bit (position 2) and drops position 0;
+        # round 2 selects the differing bit, now at position 1.
+        result = hash_rounds([0, 1, 0, 1], [0, 1, 1, 1], ["1100", "010", "001"])
+        assert result.aborted and result.key_a is None and result.key_b is None
+        assert [(h.round_index, h.discarded) for h in result.log] == [(1, 0), (2, None)]
 
     @pytest.mark.parametrize("errors", [1, 5])
     def test_single_round_detection_is_half(self, errors):
@@ -202,11 +215,18 @@ class TestHashRounds:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
-            hash_rounds([0, 1], [0, 1, 1], 1, np.random.default_rng(0))
+            hash_rounds([0, 1], [0, 1, 1], ["11"])
 
     def test_too_many_rounds_rejected(self):
         with pytest.raises(InvalidParameterError):
-            hash_rounds([0, 1, 1], [0, 1, 1], 3, np.random.default_rng(0))
+            hash_rounds([0, 1, 1], [0, 1, 1], ["111", "11", "1"])
+
+    @pytest.mark.parametrize("subsets", [[], ["1101"], ["11", "1"], ["110", "00"],
+                                         ["1_1", "11"], ["1+1", "11"]],
+                             ids=["none", "long", "short", "zero", "underscore", "plus"])
+    def test_subset_not_a_bit_string_of_the_current_length_rejected(self, subsets):
+        with pytest.raises(InvalidParameterError):
+            hash_rounds([0, 1, 1], [0, 1, 1], subsets)
 
 
 def _drop_bit(v: int, pos: int) -> int:
@@ -465,11 +485,22 @@ class TestTranscript:
         text = run_session(make_config(seed=31)).to_text()
         parsed = Transcript.from_text(text)
         assert parsed == Transcript.from_text(text)
-        flipped = parsed.key_b.copy()
-        flipped[0] ^= 1
-        assert parsed != dataclasses.replace(parsed, key_b=flipped)
-        assert parsed != dataclasses.replace(parsed, key_a=None, key_b=None)
+        table = parsed.round_table.copy()
+        table[0, 2] = 2
+        assert parsed != dataclasses.replace(parsed, round_table=table)
+        first = parsed.subsets[0]
+        rotated = first[1:] + first[:1]
+        assert rotated != first
+        assert parsed != dataclasses.replace(parsed, subsets=(rotated,) + parsed.subsets[1:])
         assert parsed != text
+
+    def test_unannounced_subsets_do_not_count(self):
+        # An aborted session drew all M subsets but announced those up to
+        # the mismatch; its text holds only these.
+        parsed = Transcript.from_text(ABORTED_TEXT)
+        assert ABORTED.aborted
+        assert len(parsed.subsets) == len(ABORTED.hash_log) < len(ABORTED.subsets)
+        assert parsed == ABORTED
 
     def test_replay_reproduces_keys(self):
         for seed in (1, 7, 13):
@@ -501,13 +532,12 @@ class TestTranscript:
             Transcript.from_text(text)
 
     def test_replay_rejects_wrong_discarded_position(self):
-        transcript = run_session(make_config(seed=3))
-        first = transcript.hash_log[0]
-        moved = dataclasses.replace(first, discarded=first.discarded + 1)
-        tampered = dataclasses.replace(
-            transcript, hash_log=(moved,) + transcript.hash_log[1:])
+        text = run_session(make_config(seed=3)).to_text()
+        tampered = re.sub(r"(discarded\n1\t[01]+\t[01]\t[01]\t)(\d+)",
+                          lambda m: m[1] + str(int(m[2]) + 1), text, count=1)
+        assert tampered != text
         with pytest.raises(InvalidParameterError):
-            replay_keys(tampered)
+            Transcript.from_text(tampered)
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT_BLOCKS))
     def test_replay_rejects_inconsistent_blocks(self, case):
@@ -559,9 +589,10 @@ class TestTranscript:
 NOISY = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
                                 flip_probability=0.05, seed=5))
 NOISY_TEXT = NOISY.to_text()
-ABORTED_TEXT = run_session(make_config(
+ABORTED = run_session(make_config(
     key_length=4, hash_rounds=3, blocks_per_parity=2,
-    eve=EveStrategy(delay=0.0), seed=0)).to_text()
+    eve=EveStrategy(delay=0.0), seed=0))
+ABORTED_TEXT = ABORTED.to_text()
 
 
 def _swap_lines(text, i, j):
@@ -597,9 +628,23 @@ class TestTranscriptParseErrors:
         lambda t: t.replace("\naborted\t0\n", "\naborted\t2\n", 1),
         _edit_member(lambda m: str(2 ** 31)),
         _set_group(0, "-2"),
+        # Each of these contradicts the record and was once accepted.
+        lambda t: re.sub(r"\nkey_b\t(.)", lambda m: "\nkey_b\t" + "10"[int(m[1])], t, count=1),
+        lambda t: t.replace("\np_err\t0.0\n", "\np_err\t0.5\n", 1),
+        lambda t: t.replace("\naborted\t0\n", "\naborted\t1\n", 1),
+        lambda t: t.replace("\nabort_reason\t-\n", "\nabort_reason\tcosmic ray\n", 1),
+        lambda t: re.sub(r"\nkey_a\t[01]+\n", "\nkey_a\t1\n", t, count=1),
+        lambda t: re.sub(r"(discarded\n1\t[01]+)", r"\g<1>0", t, count=1),
+        lambda t: re.sub(r"\ndisclosed\t([01]+)", lambda m: "\ndisclosed\t" + "0" * len(m[1]),
+                         t, count=1),
+        _edit(lambda p: p["cols"]["b_outcome"].__setitem__(p["cols"]["disclosed"].index("1"),
+                                                           "?")),
     ], ids=["half", "garbled-a_bit", "empty", "rounds-header-cut", "rounds-overcount",
             "a_bit-7", "sifted-x", "disclosed-2", "rounds-out-of-order",
-            "hash-row-misnumbered", "hash-parity-2", "aborted-2", "block-id-2^31", "group-id-minus-2"])
+            "hash-row-misnumbered", "hash-parity-2", "aborted-2", "block-id-2^31",
+            "group-id-minus-2", "key_b-bit-flipped", "p_err-0.5-on-clean", "aborted-1-with-keys",
+            "made-up-abort-reason", "one-bit-key_a", "subset-wrong-length",
+            "nothing-disclosed", "disclosed-inconclusive"])
     def test_known_defects(self, mangle):
         text = mangle(NOISY_TEXT)
         assert text != NOISY_TEXT

@@ -410,11 +410,30 @@ class TestCli:
     def test_session_beyond_memory_is_invalid_input(self, tmp_path, capsys):
         # 10^15 key bits plan about 8e15 one-byte rounds (7 PiB), so the first
         # allocation is refused at once; numpy's MemoryError once escaped
-        # (exit 1).
+        # (exit 1).  The other sizes plan more rounds than a float holds
+        # (OverflowError) or than numpy can size an array by (ValueError),
+        # and once escaped too.
+        for old, new in [("key_length = 8", f"key_length = {10**15}"),
+                         ("key_length = 8", f"key_length = {10**400}"),
+                         ("key_length = 8", f"key_length = {10**19}"),
+                         ("hash_rounds = 4", f"hash_rounds = {10**26}"),
+                         ("block_size = 3", f"block_size = {10**20 + 1}")]:
+            path = tmp_path / "distill.ini"
+            path.write_text(DISTILL_INI.replace(old, new))
+            assert cli_main(["distill", str(path)]) == 2, new
+            assert "planned rounds does not fit in memory" in capsys.readouterr().err, new
+
+    @pytest.mark.parametrize("key,value", [("eps1", "nan"), ("eps1", "0"), ("eps1", "1"),
+                                           ("eps2", "-0.001"), ("eps2", "inf")])
+    def test_security_epsilon_outside_unit_interval_is_invalid_input(self, tmp_path, capsys,
+                                                                       key, value):
+        # eps1 = nan once ran the session and wrote eps1=nan with exit 0.
         path = tmp_path / "distill.ini"
-        path.write_text(DISTILL_INI.replace("key_length = 8", f"key_length = {10**15}"))
+        path.write_text(DISTILL_INI.replace(f"{key} = 1e-2", f"{key} = {value}"))
         assert cli_main(["distill", str(path)]) == 2
-        assert "planned rounds does not fit in memory" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"[security] {key} must lie in (0, 1), got {float(value)}" in captured.err
 
     def test_bad_state_is_invalid_input_in_every_mode(self, tmp_path, capsys):
         # analyze once ignored [state] and exited 0.

@@ -130,7 +130,7 @@ class Transcript:
     cannot be derived from raises InvalidParameterError there.
     """
 
-    round_table: np.ndarray    # int32, one row per round, columns ROUND_COLUMNS
+    round_table: np.ndarray    # int32, column-major, one row per round, columns ROUND_COLUMNS
     subsets: tuple[str, ...]   # hash subset of round l+1; char i selects string position i
 
     def __eq__(self, other):
@@ -141,8 +141,13 @@ class Transcript:
                 and self.hash_log == other.hash_log)
 
     @cached_property
+    def _announced_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        return _blocks(self.round_table)
+
+    @cached_property
     def _hash(self) -> HashResult:
-        return hash_rounds(*_parity_strings(self.round_table), self.subsets)
+        return hash_rounds(*_parity_strings(self.round_table, *self._announced_blocks),
+                           self.subsets)
 
     hash_log = property(lambda self: self._hash.log)
     key_a = property(lambda self: self._hash.key_a)
@@ -171,20 +176,25 @@ class Transcript:
     def to_text(self) -> str:
         """The text form; a record it cannot spell raises InvalidParameterError.
 
-        The text spells the codes of each column's alphabet and blocks
-        0..B-1 of one size whose rounds all name their block's parity group,
-        with no group named outside the blocks (see ``_blocks``).  It writes
-        the derived hash log, error estimate, keys and abort too, so a text
+        The text spells the codes of each column's alphabet, a sifted flag
+        set on exactly the conclusive outcomes, and blocks 0..B-1 of one
+        size whose rounds all name their block's parity group, with no
+        group named outside the blocks (see ``_blocks``).  It writes the
+        derived hash log, error estimate, keys and abort too, so a text
         that contradicts its record does not read back (see ``from_text``).
         """
         table = self.round_table
-        codes = table[:, :len(_ALPHABETS)]
-        if ((codes < 0) | (codes >= [a.size for a in _ALPHABETS])).any():
+        codes = table.T[:len(_ALPHABETS)]
+        if any(column.min(initial=0) < 0 or column.max(initial=0) >= alphabet.size
+               for alphabet, column in zip(_ALPHABETS, codes)):
             raise InvalidParameterError("a round's code lies outside its column's alphabet")
-        members, groups = _blocks(table)
+        if not np.array_equal(codes[3], codes[1] != 2):
+            raise InvalidParameterError("a round's sifted flag must mark exactly its "
+                                        "conclusive outcome; transcript is inconsistent")
+        members, groups = self._announced_blocks
         lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(table)}"]
         lines.extend(f"{name}\t{alphabet[column].tobytes().decode()}"
-                     for name, alphabet, column in zip(ROUND_COLUMNS, _ALPHABETS, codes.T))
+                     for name, alphabet, column in zip(ROUND_COLUMNS, _ALPHABETS, codes))
         lines.append(f"blocks\t{len(members)}\t{members.shape[1]}")
         lines.extend(map(_ints_text, (members.ravel(), groups)))
         lines.append(f"hash_log\t{len(self.hash_log)}")
@@ -246,17 +256,19 @@ class Transcript:
         block[members] = np.repeat(np.arange(n_blocks), k)
         group[members] = np.repeat(groups, k)
         n_hash = int(lines[10].split("\t")[1])
-        return cls(round_table=np.stack(columns + [block, group], axis=1, dtype=np.int32),
+        return cls(round_table=np.stack(columns + [block, group], dtype=np.int32).T,
                    subsets=tuple(line.split("\t")[1] for line in lines[12:12 + n_hash]))
 
 
 def _columns(table: np.ndarray):
     """The table's rows as tuples of Python ints.
 
-    Built from one list per column: ``tolist()`` of the whole table would
-    hold a list object per row at once.
+    Built from one list per column of 4096 rows at a time: ``tolist()`` of
+    the whole table would hold a list object per row at once, and of whole
+    columns seven list slots per row.
     """
-    return zip(*(column.tolist() for column in table.T))
+    for start in range(0, len(table), 4096):
+        yield from zip(*(column.tolist() for column in table[start:start + 4096].T))
 
 
 def _ints_text(values: np.ndarray) -> str:
@@ -278,7 +290,7 @@ def _ints_text(values: np.ndarray) -> str:
 def _bits_text(bits) -> str:
     if bits is None:
         return "-"
-    return "".join("1" if int(b) else "0" for b in bits)
+    return (bits + ord("0")).tobytes().decode()
 
 
 def estimate_error(a_bits, b_bits, disclose_fraction: float,
@@ -376,19 +388,20 @@ def _blocks(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidParameterError(
             "a block's rounds must name one parity group and no other round may "
             "name one; transcript is inconsistent")
-    return members, named[:, 0]
+    return members, named[:, 0].copy()
 
 
-def _parity_strings(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _parity_strings(round_table: np.ndarray, members: np.ndarray,
+                    named: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Turn a transcript's round table into the parity strings of A and B.
 
-    Blocks of k sifted, undisclosed, conclusive rounds sharing one sent
+    ``members`` and ``named`` are the table's blocks, as ``_blocks`` gives
+    them.  Blocks of k sifted, undisclosed, conclusive rounds sharing one sent
     bit and one parity group decode to A's sent bit and B's majority vote;
     each group XORs its n blocks into one parity bit.  A structure that is
     not of this shape raises InvalidParameterError.
     """
     a_bit, b_outcome, _, sifted, disclosed = round_table.T[:5]
-    members, named = _blocks(round_table)
     b = b_outcome[members]
     if not ((sifted[members] == 1) & (disclosed[members] == 0) & (b != 2)).all():
         raise InvalidParameterError(
@@ -410,7 +423,8 @@ def _bits_to_int(bits: np.ndarray) -> int:
 
 
 def _int_to_bits(v: int, length: int) -> np.ndarray:
-    return np.array([(v >> i) & 1 for i in range(length)], dtype=np.uint8)
+    packed = np.frombuffer(v.to_bytes((length + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=length, bitorder="little")
 
 
 def _parity(v):
@@ -602,8 +616,9 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     block[chosen] = block_ids
     group[chosen] = block_ids // cfg.blocks_per_parity
     eve = np.full(n_rounds, 3) if fired is None else np.where(fired, a_bits, 2)
+    # Stacked column by column and transposed, so every column is contiguous.
     table = np.stack((a_bits, np.where(conclusive, outcome_bits, 2), eve,
-                      conclusive, disclosed_mask, block, group), axis=1, dtype=np.int32)
+                      conclusive, disclosed_mask, block, group), dtype=np.int32).T
     # All M subsets, at the lengths a matching walk meets; rng_hash feeds
     # nothing else, so the announced ones are drawn as round by round.
     length = cfg.key_length + cfg.hash_rounds

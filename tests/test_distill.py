@@ -6,13 +6,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from relqkd import distill
 from relqkd.adversary import EveStrategy, ResendPolicy
 from relqkd.distill import (
     ProtocolConfig,
     Transcript,
+    _bits_text,
     _hash_step,
+    _int_to_bits,
     estimate_error,
     form_parity_bits,
     hash_rounds,
@@ -24,7 +27,7 @@ from relqkd.errors import (
     InvalidParameterError,
     ResourceExhaustedError,
 )
-from relqkd.measurement import BobOutcome
+from relqkd.measurement import BobOutcome, EveOutcome
 from relqkd.wavepacket import make_plateau
 
 
@@ -260,6 +263,30 @@ class TestHashStep:
             assert _hash_step(ia, ib, s) == (
                 (ia & s).bit_count() & 1, (ib & s).bit_count() & 1,
                 _drop_bit(ia, pos), _drop_bit(ib, pos))
+
+
+class TestKeyHelpers:
+    """The vectorised key helpers against the per-bit loops they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, 2 ** n - 1)
+                            | st.integers(2 ** (n - 1), 2 ** n - 1))))
+    @example((1, 1))
+    @example((13, 2 ** 12 | 5))
+    @example((64, 2 ** 63))
+    @example((200, 2 ** 200 - 1))
+    def test_int_to_bits(self, case):
+        length, v = case
+        bits = _int_to_bits(v, length)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [(v >> i) & 1 for i in range(length)]
+
+    @given(st.lists(st.integers(0, 1), max_size=200))
+    @example([])
+    def test_bits_text(self, bits):
+        bits = np.array(bits, dtype=np.uint8)
+        assert _bits_text(bits) == "".join("1" if int(b) else "0" for b in bits)
 
 
 class TestRunSession:
@@ -549,6 +576,42 @@ class TestTranscript:
         with pytest.raises(InvalidParameterError):
             _inconsistent(case).to_text()
 
+    def test_blocks_derived_once(self, monkeypatch):
+        calls = []
+        blocks = distill._blocks
+        monkeypatch.setattr(distill, "_blocks", lambda table: calls.append(1) or blocks(table))
+        transcript = run_session(make_config(flip_probability=0.02, seed=8))
+        text = transcript.to_text()
+        transcript.key_a, transcript.aborted, transcript.hash_log
+        assert len(calls) == 1
+        calls.clear()
+        Transcript.from_text(text).key_a
+        assert len(calls) == 1
+
+    def test_rounds_follow_the_table(self):
+        # Long enough that the records are built over several row chunks.
+        transcript = run_session(make_config(key_length=512, flip_probability=0.02, seed=9))
+        rows = transcript.round_table.tolist()
+        assert len(rows) > 2 * 4096
+        bob, eve = list(BobOutcome), list(EveOutcome) + [None]
+        assert [[r.a_bit, bob.index(r.b_outcome), eve.index(r.eve_outcome), int(r.sifted),
+                 int(r.disclosed), -1 if r.block is None else r.block,
+                 -1 if r.parity_group is None else r.parity_group]
+                for r in transcript.rounds] == rows
+        assert [r.index for r in transcript.rounds] == list(range(len(rows)))
+
+    def test_layout_independence(self):
+        for transcript in (NOISY, ABORTED, Transcript.from_text(NOISY_TEXT)):
+            table = transcript.round_table
+            assert table.flags.f_contiguous
+            assert table.dtype == np.int32 and table.shape == (len(table), 7)
+        c_order = dataclasses.replace(NOISY, round_table=np.ascontiguousarray(NOISY.round_table))
+        assert c_order.round_table.flags.c_contiguous
+        assert c_order.to_text() == NOISY_TEXT
+        assert c_order == NOISY
+        assert c_order.key_a.tolist() == NOISY.key_a.tolist()
+        assert c_order.key_b.tolist() == NOISY.key_b.tolist()
+
     @pytest.mark.parametrize("column,code", [
         (0, 2), (1, 3), (2, 4), (3, 2), (4, 2), (0, -1), (2, -1),
     ])
@@ -683,6 +746,15 @@ class TestTranscriptParseErrors:
         text = mangle(NOISY_TEXT)
         assert text != NOISY_TEXT
         with pytest.raises(InvalidParameterError):
+            Transcript.from_text(text)
+
+    def test_sifted_flag_contradicting_the_outcome(self):
+        # Round 0 of NOISY is conclusive and in no block, so only the sifted
+        # flag's agreement with the outcome can reveal the edit.
+        assert NOISY.round_table[0, 1] != 2 and NOISY.round_table[0, 5] == -1
+        text = _edit(lambda p: p["cols"]["sifted"].__setitem__(0, "0"))(NOISY_TEXT)
+        assert text != NOISY_TEXT
+        with pytest.raises(InvalidParameterError, match="sifted flag"):
             Transcript.from_text(text)
 
     @settings(max_examples=300, deadline=None)

@@ -11,6 +11,7 @@ digests as they are.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from relqkd.distill import Transcript
@@ -158,6 +159,11 @@ def test_distill_transcript_and_report(tmp_path, case):
     transcript, _ = cmd_distill(
         campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case]), case))
     assert session_digest(transcript) == GOLDEN[case + ".session"]
+    # A C-order copy of the column-major table derives the same session.
+    assert transcript.round_table.flags.f_contiguous
+    c_order = dataclasses.replace(
+        transcript, round_table=np.ascontiguousarray(transcript.round_table))
+    assert session_digest(c_order) == GOLDEN[case + ".session"]
     for suffix in (".transcript.txt", ".report.txt"):
         assert sha256(tmp_path / (case + suffix)) == GOLDEN[case + suffix], suffix
     text = (tmp_path / (case + ".transcript.txt")).read_text()

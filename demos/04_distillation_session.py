@@ -13,7 +13,7 @@ from relqkd import (ROUND_COLUMNS, EveStrategy, ProtocolConfig, Transcript, make
 
 def summarize(tag, transcript):
     table = transcript.round_table
-    sifted = int(table[:, ROUND_COLUMNS.index("sifted")].sum())
+    sifted = int((table[:, ROUND_COLUMNS.index("b_outcome")] != 2).sum())
     disclosed = int(table[:, ROUND_COLUMNS.index("disclosed")].sum())
     print(f"--- {tag}")
     print(f"rounds={len(table)}  sifted={sifted}  "

@@ -9,10 +9,10 @@ bits down to the final N-bit keys.  Everything is driven by one master seed
 and the resulting transcript is byte-reproducible.
 
 A session's transcript is its public record: the round table, with the
-blocks and parity groups announced after reception, and the hash subsets
-it drew.  The hash log, the keys, the abort and the error estimate are
-derived from that record (``hash_rounds`` is the one hash walk), so they
-cannot disagree with it.
+blocks announced after reception, the number n of blocks XORed into each
+parity bit, and the hash subsets it drew.  The hash log, the keys, the
+abort and the error estimate are derived from that record (``hash_rounds``
+is the one hash walk), so they cannot disagree with it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import InvalidParameterError, ResourceExhaustedError
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
-TRANSCRIPT_SCHEMA = "relqkd-transcript/2"
+TRANSCRIPT_SCHEMA = "relqkd-transcript/3"
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ class RoundRecord:
     a_bit: int
     b_outcome: BobOutcome
     eve_outcome: EveOutcome | None
-    sifted: bool
     disclosed: bool
     block: int | None
-    parity_group: int | None
 
 
 @dataclass(frozen=True)
@@ -102,15 +100,14 @@ class HashRecord:
 
 
 # The columns of Transcript.round_table.  An outcome's code is its index in
-# the enum's declaration order, so a conclusive or fired outcome's code is
-# its bit, and 2 is inconclusive or no_fire; eve_outcome 3 and block or
-# parity_group -1 stand for none.  The text spells each of the first five
-# columns as one line of one character per round, code c being character c
-# of the column's alphabet, and the last two as the announced blocks.
-ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "sifted", "disclosed",
-                 "block", "parity_group")
+# the enum's declaration order, so a conclusive (sifted) or fired outcome's
+# code is its bit, and 2 is inconclusive or no_fire; eve_outcome 3 and block
+# -1 stand for none.  The text spells each of the first four columns as one
+# line of one character per round, code c being character c of the column's
+# alphabet, and the last as the announced blocks.
+ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "disclosed", "block")
 _ALPHABETS = tuple(np.frombuffer(a, dtype=np.uint8)
-                   for a in (b"01", b"01?", b"01?-", b"01", b"01"))
+                   for a in (b"01", b"01?", b"01?-", b"01"))
 # Row j maps a byte to its code in column j, or to -1 outside the alphabet.
 _DECODE = np.full((len(_ALPHABETS), 256), -1, dtype=np.int8)
 for _row, _alphabet in zip(_DECODE, _ALPHABETS):
@@ -121,33 +118,40 @@ for _row, _alphabet in zip(_DECODE, _ALPHABETS):
 class Transcript:
     """The public record of one session, and what follows from it.
 
-    A session announces the round table (each round's outcomes and flags,
-    and the blocks and parity groups cut after reception) and the hash
-    subsets; these two fields are the whole record.  The hash log (the
-    subsets walked up to the first parity mismatch), both keys, the abort
-    and its reason, and the error estimate over the disclosed rounds are
-    derived from them on first use, once per transcript.  A record they
-    cannot be derived from raises InvalidParameterError there.
+    A session announces the round table (each round's outcomes, disclosure
+    flag and block, cut after reception), n and the hash subsets; parity
+    bit j XORs blocks j*n .. j*n+n-1.  The hash log (the subsets walked up
+    to the first parity mismatch), both keys, the abort and its reason, and
+    the error estimate over the disclosed rounds are derived from them on
+    first use, once per transcript, so the table is kept read-only.  A
+    record they cannot be derived from raises InvalidParameterError there.
     """
 
     round_table: np.ndarray    # int32, column-major, one row per round, columns ROUND_COLUMNS
     subsets: tuple[str, ...]   # hash subset of round l+1; char i selects string position i
+    blocks_per_parity: int     # n
+
+    def __post_init__(self):
+        table = self.round_table.view()
+        table.flags.writeable = False
+        object.__setattr__(self, "round_table", table)
 
     def __eq__(self, other):
-        """The round tables compare as arrays, then the announced hash logs."""
+        """The round tables compare as arrays, then n and the announced hash logs."""
         if not isinstance(other, Transcript):
             return NotImplemented
         return (np.array_equal(self.round_table, other.round_table)
+                and self.blocks_per_parity == other.blocks_per_parity
                 and self.hash_log == other.hash_log)
 
     @cached_property
-    def _announced_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+    def _announced_blocks(self) -> np.ndarray:
         return _blocks(self.round_table)
 
     @cached_property
     def _hash(self) -> HashResult:
-        return hash_rounds(*_parity_strings(self.round_table, *self._announced_blocks),
-                           self.subsets)
+        return hash_rounds(*_parity_strings(self.round_table, self._announced_blocks,
+                                            self.blocks_per_parity), self.subsets)
 
     hash_log = property(lambda self: self._hash.log)
     key_a = property(lambda self: self._hash.key_a)
@@ -158,7 +162,7 @@ class Transcript:
 
     @cached_property
     def p_err_estimate(self) -> float:
-        shown = self.round_table[self.round_table[:, 4] == 1]
+        shown = self.round_table[self.round_table[:, 3] == 1]
         if not len(shown) or (shown[:, 1] == 2).any():
             raise InvalidParameterError("a session discloses one conclusive round or more; "
                                         "transcript is inconsistent")
@@ -169,34 +173,33 @@ class Transcript:
         """One RoundRecord per round, rebuilt from ``round_table`` on each call."""
         bob, eve = tuple(BobOutcome), tuple(EveOutcome) + (None,)
         return tuple(
-            RoundRecord(i, a, bob[b], eve[e], s == 1, d == 1,
-                        None if blk < 0 else blk, None if grp < 0 else grp)
-            for i, (a, b, e, s, d, blk, grp) in enumerate(_columns(self.round_table)))
+            RoundRecord(i, a, bob[b], eve[e], d == 1, None if blk < 0 else blk)
+            for i, (a, b, e, d, blk) in enumerate(_columns(self.round_table)))
 
     def to_text(self) -> str:
         """The text form; a record it cannot spell raises InvalidParameterError.
 
-        The text spells the codes of each column's alphabet, a sifted flag
-        set on exactly the conclusive outcomes, and blocks 0..B-1 of one
-        size whose rounds all name their block's parity group, with no
-        group named outside the blocks (see ``_blocks``).  It writes the
-        derived hash log, error estimate, keys and abort too, so a text
-        that contradicts its record does not read back (see ``from_text``).
+        The text spells the codes of each column's alphabet, a fired
+        eavesdropper outcome that names the sent bit (her firing measurement
+        identifies it without error), and blocks 0..B-1 of one size (see
+        ``_blocks``).  It writes the derived hash log, error estimate, keys
+        and abort too, so a text that contradicts its record does not read
+        back (see ``from_text``).
         """
         table = self.round_table
         codes = table.T[:len(_ALPHABETS)]
         if any(column.min(initial=0) < 0 or column.max(initial=0) >= alphabet.size
                for alphabet, column in zip(_ALPHABETS, codes)):
             raise InvalidParameterError("a round's code lies outside its column's alphabet")
-        if not np.array_equal(codes[3], codes[1] != 2):
-            raise InvalidParameterError("a round's sifted flag must mark exactly its "
-                                        "conclusive outcome; transcript is inconsistent")
-        members, groups = self._announced_blocks
+        if ((codes[2] < 2) & (codes[2] != codes[0])).any():
+            raise InvalidParameterError("a fired eavesdropper outcome must name the sent bit; "
+                                        "transcript is inconsistent")
+        members = self._announced_blocks
         lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(table)}"]
         lines.extend(f"{name}\t{alphabet[column].tobytes().decode()}"
                      for name, alphabet, column in zip(ROUND_COLUMNS, _ALPHABETS, codes))
-        lines.append(f"blocks\t{len(members)}\t{members.shape[1]}")
-        lines.extend(map(_ints_text, (members.ravel(), groups)))
+        lines.append(f"blocks\t{len(members)}\t{members.shape[1]}\t{self.blocks_per_parity}")
+        lines.append(_ints_text(members.ravel()))
         lines.append(f"hash_log\t{len(self.hash_log)}")
         lines.append("l\tsubset\tparity_a\tparity_b\tdiscarded")
         for h in self.hash_log:
@@ -213,10 +216,10 @@ class Transcript:
     def from_text(cls, text: str) -> "Transcript":
         """Parse ``to_text`` output; any other input raises InvalidParameterError.
 
-        Only the record is read: the round table and the subset column of
-        the hash log.  The parsed transcript is written back and must give
-        ``text`` again, so ``Transcript.from_text(t).to_text() == t`` for
-        every accepted ``t``, and a text whose parities, discarded
+        Only the record is read: the round table, n and the subset column
+        of the hash log.  The parsed transcript is written back and must
+        give ``text`` again, so ``Transcript.from_text(t).to_text() == t``
+        for every accepted ``t``, and a text whose parities, discarded
         positions, error estimate, keys or abort lines contradict its
         record is rejected.
         """
@@ -244,20 +247,19 @@ class Transcript:
         """
         n_rounds = int(lines[1].split("\t")[1])
         columns = [decode[np.frombuffer(line.partition("\t")[2].encode(), dtype=np.uint8)]
-                   for decode, line in zip(_DECODE, lines[2:7])]
+                   for decode, line in zip(_DECODE, lines[2:6])]
         if any(c.size != n_rounds or (c < 0).any() for c in columns):
             raise InvalidParameterError("a round column is not one alphabet character per round")
-        n_blocks, k = (int(n) for n in lines[7].split("\t")[1:])
-        members, groups = (np.fromstring(line, dtype=np.int64, sep=" ") for line in lines[8:10])
-        if groups.size != n_blocks or members.size != n_blocks * k:
-            raise InvalidParameterError("the blocks lines disagree with the blocks header")
+        n_blocks, k, n = (int(v) for v in lines[6].split("\t")[1:])
+        members = np.fromstring(lines[7], dtype=np.int64, sep=" ")
+        if members.size != n_blocks * k:
+            raise InvalidParameterError("the members line disagrees with the blocks header")
         block = np.full(n_rounds, -1, dtype=np.int32)
-        group = block.copy()
         block[members] = np.repeat(np.arange(n_blocks), k)
-        group[members] = np.repeat(groups, k)
-        n_hash = int(lines[10].split("\t")[1])
-        return cls(round_table=np.stack(columns + [block, group], dtype=np.int32).T,
-                   subsets=tuple(line.split("\t")[1] for line in lines[12:12 + n_hash]))
+        n_hash = int(lines[8].split("\t")[1])
+        return cls(round_table=np.stack(columns + [block], dtype=np.int32).T,
+                   subsets=tuple(line.split("\t")[1] for line in lines[10:10 + n_hash]),
+                   blocks_per_parity=n)
 
 
 def _columns(table: np.ndarray):
@@ -265,7 +267,7 @@ def _columns(table: np.ndarray):
 
     Built from one list per column of 4096 rows at a time: ``tolist()`` of
     the whole table would hold a list object per row at once, and of whole
-    columns seven list slots per row.
+    columns five list slots per row.
     """
     for start in range(0, len(table), 4096):
         yield from zip(*(column.tolist() for column in table[start:start + 4096].T))
@@ -333,85 +335,58 @@ def majority_decode(block) -> np.int64 | np.ndarray:
     return (bits.sum(axis=-1) * 2 > size).astype(np.int64)
 
 
-def form_parity_bits(blockwise_bits, groups) -> np.ndarray:
-    """XOR the block-wise bits of each disjoint group into one parity bit.
+def form_parity_bits(blockwise_bits, blocks_per_parity: int) -> np.ndarray:
+    """XOR each run of n block-wise bits into one parity bit.
 
-    ``groups`` is a rectangular table: row j lists the blocks of group j.
+    Parity bit j is the XOR of blocks j*n .. j*n+n-1; n must be >= 1 and
+    divide the number of blocks.
     """
     bits = np.asarray(blockwise_bits)
-    try:
-        table = np.asarray(groups, dtype=np.intp)
-    except ValueError as exc:
-        raise InvalidParameterError("parity groups must all have the same size") from exc
-    if table.ndim != 2 or table.shape[1] == 0:
-        raise InvalidParameterError("parity groups must be non-empty")
-    if table.min() < 0:
-        raise InvalidParameterError("parity groups must reference blocks 0, 1, ...")
-    if table.max() >= bits.size:
-        raise ResourceExhaustedError(
-            f"parity groups reference block {table.max()} "
-            f"but only {bits.size} blocks exist"
-        )
-    if np.bincount(table.ravel(), minlength=bits.size).max() > 1:
-        raise InvalidParameterError("parity groups must be disjoint")
-    return (np.bitwise_xor.reduce(bits[table], axis=1) & 1).astype(np.uint8)
+    n = blocks_per_parity
+    if n < 1 or bits.size % n:
+        raise InvalidParameterError(
+            f"{bits.size} blocks do not split into parity groups of {n} blocks")
+    return (np.bitwise_xor.reduce(bits.reshape(-1, n), axis=1) & 1).astype(np.uint8)
 
 
-def _id_table(ids: np.ndarray, what: str) -> np.ndarray:
-    """Row i lists, in ascending order, the positions whose id is i.
+def _blocks(round_table: np.ndarray) -> np.ndarray:
+    """The announced blocks' rounds, one block a row, each row ascending.
 
-    The ids must run over 0..C-1, each held by the same number of positions.
+    The blocks must be numbered 0..B-1 and all have one size; otherwise
+    InvalidParameterError.
     """
+    block = round_table[:, 4]
+    in_block = np.flatnonzero(block != -1)
+    ids = block[in_block]
     # The bound on max() also keeps a corrupt id from sizing bincount.
     numbered = ids.size > 0 and ids.min() >= 0 and ids.max() < ids.size
     sizes = np.bincount(ids) if numbered else None
     if not numbered or sizes.min() != sizes.max():
-        raise InvalidParameterError(
-            f"{what}s must be numbered 0, 1, ... and all have one size; "
-            "transcript is inconsistent")
-    return np.sort(np.argsort(ids).reshape(sizes.size, -1), axis=1)
-
-
-def _blocks(round_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The announced blocks: their rounds, one block a row, and their groups.
-
-    Row b lists block b's rounds in ascending order.  The blocks must be
-    numbered 0..B-1 and all have one size, every round of a block must name
-    the block's parity group, a non-negative id, and no other round may
-    name one; otherwise InvalidParameterError.
-    """
-    block, group = round_table[:, 5], round_table[:, 6]
-    in_block = np.flatnonzero(block != -1)
-    members = in_block[_id_table(block[in_block], "block")]
-    named = group[members]
-    if (named != named[:, :1]).any() or (named < 0).any() or (group[block == -1] != -1).any():
-        raise InvalidParameterError(
-            "a block's rounds must name one parity group and no other round may "
-            "name one; transcript is inconsistent")
-    return members, named[:, 0].copy()
+        raise InvalidParameterError("blocks must be numbered 0, 1, ... and all have one size; "
+                                    "transcript is inconsistent")
+    return in_block[np.sort(np.argsort(ids).reshape(sizes.size, -1), axis=1)]
 
 
 def _parity_strings(round_table: np.ndarray, members: np.ndarray,
-                    named: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    blocks_per_parity: int) -> tuple[np.ndarray, np.ndarray]:
     """Turn a transcript's round table into the parity strings of A and B.
 
-    ``members`` and ``named`` are the table's blocks, as ``_blocks`` gives
-    them.  Blocks of k sifted, undisclosed, conclusive rounds sharing one sent
-    bit and one parity group decode to A's sent bit and B's majority vote;
-    each group XORs its n blocks into one parity bit.  A structure that is
-    not of this shape raises InvalidParameterError.
+    ``members`` are the table's blocks, as ``_blocks`` gives them.  Blocks
+    of k undisclosed, conclusive rounds sharing one sent bit decode to A's
+    sent bit and B's majority vote; each run of n blocks XORs into one
+    parity bit.  A structure that is not of this shape raises
+    InvalidParameterError.
     """
-    a_bit, b_outcome, _, sifted, disclosed = round_table.T[:5]
+    a_bit, b_outcome, _, disclosed = round_table.T[:4]
     b = b_outcome[members]
-    if not ((sifted[members] == 1) & (disclosed[members] == 0) & (b != 2)).all():
+    if not ((disclosed[members] == 0) & (b != 2)).all():
         raise InvalidParameterError(
-            "a block holds an unsifted, disclosed or inconclusive round; "
-            "transcript is inconsistent")
+            "a block holds a disclosed or inconclusive round; transcript is inconsistent")
     a = a_bit[members]
     if (a != a[:, :1]).any():
         raise InvalidParameterError("a block mixes sent bits; transcript is inconsistent")
-    groups = _id_table(named, "parity group")
-    return form_parity_bits(a[:, 0], groups), form_parity_bits(majority_decode(b), groups)
+    return (form_parity_bits(a[:, 0], blocks_per_parity),
+            form_parity_bits(majority_decode(b), blocks_per_parity))
 
 
 # Bit strings travel as Python ints, bit i of the int being string
@@ -579,12 +554,11 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
         resending = True
 
     conclusive = (rng_bob.random(n_rounds) < p_pass) & resending
-    outcome_bits = sent_on.copy()
     # Channel noise: loss first, then polarization flips on the survivors.
     lose = rng_noise.random(n_rounds) < cfg.loss_probability
     flip = rng_noise.random(n_rounds) < cfg.flip_probability
     conclusive &= ~lose
-    outcome_bits = np.where(conclusive & flip, 1 - outcome_bits, outcome_bits)
+    outcome_bits = np.where(conclusive & flip, 1 - sent_on, sent_on)
 
     kept = np.flatnonzero(conclusive)
     if kept.size < 2:
@@ -598,8 +572,8 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     remaining = kept[~disclosed_mask[kept]]
 
     # Antedate coding: blocks of k identical sent bits, grouped by A after
-    # reception in transmission order, then publicly shuffled before the
-    # disjoint parity groups are cut.
+    # reception in transmission order, then publicly shuffled; parity bit j
+    # XORs the shuffled blocks j*n .. j*n+n-1.
     rows = []
     for value in (0, 1):
         ids = remaining[a_bits[remaining] == value]
@@ -611,28 +585,26 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     chosen = blocks[rng_public.permutation(len(blocks))[:need_blocks]]
 
     block = np.full(n_rounds, -1, dtype=np.int32)
-    group = np.full(n_rounds, -1, dtype=np.int32)
-    block_ids = np.arange(need_blocks)[:, None]
-    block[chosen] = block_ids
-    group[chosen] = block_ids // cfg.blocks_per_parity
+    block[chosen] = np.arange(need_blocks)[:, None]
     eve = np.full(n_rounds, 3) if fired is None else np.where(fired, a_bits, 2)
     # Stacked column by column and transposed, so every column is contiguous.
     table = np.stack((a_bits, np.where(conclusive, outcome_bits, 2), eve,
-                      conclusive, disclosed_mask, block, group), dtype=np.int32).T
+                      disclosed_mask, block), dtype=np.int32).T
     # All M subsets, at the lengths a matching walk meets; rng_hash feeds
     # nothing else, so the announced ones are drawn as round by round.
     length = cfg.key_length + cfg.hash_rounds
     subsets = tuple(format(_random_nonzero(rng_hash, n), f"0{n}b")[::-1]
                     for n in range(length, length - cfg.hash_rounds, -1))
-    return Transcript(round_table=table, subsets=subsets)
+    return Transcript(round_table=table, subsets=subsets,
+                      blocks_per_parity=cfg.blocks_per_parity)
 
 
 def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Both keys as the transcript's public record gives them.
 
-    The keys follow from the per-round data, the announced block and parity
-    grouping and the hash subsets alone; (None, None) if the recorded
-    session aborted.  A record the session could not have produced raises
+    The keys follow from the per-round data, the announced blocks, n and
+    the hash subsets alone; (None, None) if the recorded session aborted.
+    A record the session could not have produced raises
     InvalidParameterError.
     """
     return transcript.key_a, transcript.key_b

@@ -438,11 +438,12 @@ def check_parity_identity(limit: int = 20) -> CheckResult:
                        f"exact agreement for all n*k <= {limit} (tolerance: exact)")
 
 
-def check_parity_cosine(limit: int = 200, tol: float = 1e-6) -> CheckResult:
+def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6),
+                        tol: float = 1e-6) -> CheckResult:
     """Cosine closed form tracks the big-integer side at large n*k."""
     worst = 0.0
-    for total in (24, 60, 96, 144, limit):
-        for k in (1, 2, 3, 4, 6):
+    for total in totals:
+        for k in ks:
             if total % k:
                 continue
             count = security.parity_count(total // k, k)

@@ -2,7 +2,7 @@
 
 Every seed and trial count is pinned here; statistical checks use exact
 binomial standard errors around the analytic value with fixed seeds, so the
-suite is deterministic.  Criteria 3 (enumeration), 4, 5 and 7 run the same
+suite is deterministic.  Criteria 3, 4, 5 and 7 run the same
 check implementations as ``relqkd verify``, with this suite's seeds, trial
 counts and tolerances, and criterion 2 the same ``optimal_delay`` scan.
 """
@@ -18,11 +18,12 @@ from relqkd.harness import (
     check_hash_calibration,
     check_instrument_bound,
     check_majority_tail,
+    check_parity_cosine,
     check_parity_identity,
     simulate_intercept_resend,
 )
 from relqkd.infotheory import eve_channel, holevo_quantity, mutual_information
-from relqkd.security import build_report, parity_count, solve_parameters
+from relqkd.security import build_report, solve_parameters
 from relqkd.wavepacket import make_plateau
 
 
@@ -78,16 +79,9 @@ def test_criterion_3_parity_identity(criterion_log):
     """Binomial sum, cosine form, and enumeration agree."""
     exact = check_parity_identity(20)
     assert exact.passed, exact.detail
-    worst = 0.0
-    for total in (40, 80, 120, 160, 200):
-        for k in (1, 2, 4, 5, 8, 10):
-            if total % k:
-                continue
-            count = parity_count(total // k, k)
-            worst = max(worst, abs(count.cosine - float(count.exact)) / float(count.exact))
-    report(criterion_log, 3, worst < 1e-6,
-           f"exact agreement for n*k <= 20; cosine relative error {worst:.2e} "
-           "< 1e-6 up to n*k = 200")
+    cosine = check_parity_cosine(totals=(40, 80, 120, 160, 200), ks=(1, 2, 4, 5, 8, 10))
+    report(criterion_log, 3, cosine.passed,
+           f"exact agreement for n*k <= 20; cosine {cosine.detail} up to n*k = 200")
 
 
 def test_criterion_4_hash_calibration(criterion_log):

@@ -40,26 +40,30 @@ def make_config(**overrides):
     return ProtocolConfig(**defaults)
 
 
+def _sifted(transcript) -> int:
+    """The number of rounds whose receiver outcome is conclusive."""
+    return int(np.count_nonzero(transcript.round_table[:, 1] != 2))
+
+
 class TestSift:
     """A round is sifted exactly when the receiver's outcome is conclusive."""
 
     def test_all_conclusive_kept(self):
         transcript = run_session(make_config(seed=80))
-        assert all(r.sifted and r.b_outcome is not BobOutcome.INCONCLUSIVE
-                   for r in transcript.rounds)
+        assert all(r.b_outcome is not BobOutcome.INCONCLUSIVE for r in transcript.rounds)
 
     def test_all_inconclusive_dropped(self):
         transcript = run_session(make_config(loss_probability=0.2, seed=80))
         lost = [r for r in transcript.rounds if r.b_outcome is BobOutcome.INCONCLUSIVE]
         assert lost
-        assert not any(r.sifted or r.disclosed or r.block is not None for r in lost)
+        assert not any(r.disclosed or r.block is not None for r in lost)
 
     def test_kept_fraction_matches_loss_rate(self):
         transcript = run_session(make_config(key_length=256, loss_probability=0.2,
                                              seed=80))
         n = len(transcript.rounds)
         assert n >= 5_000
-        kept = sum(r.sifted for r in transcript.rounds) / n
+        kept = _sifted(transcript) / n
         sigma = math.sqrt(0.8 * 0.2 / n)
         assert abs(kept - 0.8) <= 3.0 * sigma
 
@@ -135,39 +139,36 @@ class TestMajority:
 
 
 class TestParityBits:
+    """Parity bit j XORs the n blocks j*n .. j*n+n-1."""
+
     def test_all_zero_blocks(self):
-        assert list(form_parity_bits(np.zeros(8, dtype=int), [range(0, 4), range(4, 8)])) == [0, 0]
+        assert list(form_parity_bits(np.zeros(8, dtype=int), 4)) == [0, 0]
 
     def test_single_one_block(self):
         bits = np.zeros(4, dtype=int)
         bits[2] = 1
-        assert list(form_parity_bits(bits, [range(0, 4)])) == [1]
+        assert list(form_parity_bits(bits, 4)) == [1]
 
     def test_against_recomputation(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             bits = rng.integers(0, 2, 24)
-            groups = [range(j * 4, (j + 1) * 4) for j in range(6)]
-            expected = [int(np.bitwise_xor.reduce(bits[list(g)])) for g in groups]
-            assert list(form_parity_bits(bits, groups)) == expected
+            for n in (1, 2, 3, 4, 6, 8, 12, 24):
+                expected = []
+                for j in range(24 // n):
+                    parity = 0
+                    for b in bits[j * n:(j + 1) * n]:
+                        parity ^= int(b)
+                    expected.append(parity)
+                assert form_parity_bits(bits, n).tolist() == expected
 
-    def test_overlapping_groups_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            form_parity_bits(np.zeros(6, dtype=int), [range(0, 3), range(2, 5)])
-
-    def test_missing_blocks_exhaust(self):
-        with pytest.raises(ResourceExhaustedError):
-            form_parity_bits(np.zeros(4, dtype=int), [range(0, 3), range(3, 6)])
-
-    @pytest.mark.parametrize("groups", [
-        [range(0, 3), range(3, 5)],
-        [range(0, 0)],
-        [],
-        [range(-1, 1)],
-    ], ids=["ragged", "empty-group", "no-groups", "negative"])
-    def test_malformed_groups_rejected(self, groups):
-        with pytest.raises(InvalidParameterError):
-            form_parity_bits(np.zeros(6, dtype=int), groups)
+    # Six blocks cannot split into groups of four (ragged), of zero or of a
+    # negative size, or of seven (not even one group).
+    @pytest.mark.parametrize("n", [4, 0, 7, -1],
+                             ids=["ragged", "empty-group", "no-groups", "negative"])
+    def test_malformed_groups_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="do not split into parity groups"):
+            form_parity_bits(np.zeros(6, dtype=int), n)
 
 
 def _subsets(rng, length, rounds):
@@ -297,7 +298,7 @@ class TestRunSession:
         assert (transcript.key_a == transcript.key_b).all()
         assert transcript.p_err_estimate == 0.0
         # Noiseless and honest: every round is conclusive.
-        assert all(r.sifted for r in transcript.rounds)
+        assert _sifted(transcript) == len(transcript.rounds)
 
     def test_same_seed_byte_identical(self):
         t1 = run_session(make_config(flip_probability=0.02, seed=77))
@@ -314,17 +315,17 @@ class TestRunSession:
         members = {}
         for r in transcript.rounds:
             if r.block is not None:
-                assert r.sifted and not r.disclosed
+                assert r.b_outcome is not BobOutcome.INCONCLUSIVE and not r.disclosed
                 members.setdefault(r.block, []).append(r)
-        # Every used block has exactly k members with identical sent bits,
-        # and belongs to exactly one parity group of n blocks.
+        # Every used block has exactly k members with identical sent bits;
+        # the (N + M) * n blocks make N + M parity groups of n blocks each.
+        assert transcript.blocks_per_parity == 4
         groups = {}
         for block, rows in members.items():
             assert len(rows) == 3
             assert len({r.a_bit for r in rows}) == 1
-            group_ids = {r.parity_group for r in rows}
-            assert len(group_ids) == 1
-            groups.setdefault(group_ids.pop(), set()).add(block)
+            groups.setdefault(block // transcript.blocks_per_parity, set()).add(block)
+        assert sorted(members) == list(range((16 + 8) * 4))
         assert len(groups) == 16 + 8
         assert all(len(blocks) == 4 for blocks in groups.values())
 
@@ -344,8 +345,7 @@ class TestRunSession:
 
     def test_loss_shortens_sifted_set(self):
         transcript = run_session(make_config(loss_probability=0.3, seed=5))
-        sifted = sum(r.sifted for r in transcript.rounds)
-        assert 0 < sifted < len(transcript.rounds)
+        assert 0 < _sifted(transcript) < len(transcript.rounds)
         assert not transcript.aborted
 
     def test_eavesdropper_raises_disclosed_mismatch(self):
@@ -386,26 +386,25 @@ class TestRunSession:
 def _edit(edit):
     """A mangle applying ``edit`` to the columns and the blocks of a transcript text.
 
-    ``edit`` gets the text's parts as lists of strings and changes them in
-    place: ``cols`` maps each flag and outcome column to its characters,
-    ``blocks`` lists each block's member round ids and ``groups`` each
-    block's parity group id.  The blocks header is written from the size
-    of the edited blocks.
+    ``edit`` gets the text's parts as strings and lists of strings and
+    changes them in place: ``cols`` maps each flag and outcome column to
+    its characters, ``blocks`` lists each block's member round ids and
+    ``n`` is the blocks header's blocks per parity bit.  The rest of the
+    blocks header is written from the edited blocks.
     """
     def mangle(text):
         lines = text.split("\n")
         cols = {name: list(chars) for name, chars in
-                (line.split("\t") for line in lines[2:7])}
-        k = int(lines[7].split("\t")[2])
-        ids = lines[8].split(" ")
-        parts = dict(cols=cols, groups=lines[9].split(" "),
-                     blocks=[ids[i:i + k] for i in range(0, len(ids), k)])
+                (line.split("\t") for line in lines[2:6])}
+        _, _, k, n = lines[6].split("\t")
+        ids = lines[7].split(" ")
+        parts = dict(cols=cols, n=n,
+                     blocks=[ids[i:i + int(k)] for i in range(0, len(ids), int(k))])
         edit(parts)
         blocks = parts["blocks"]
-        lines[2:7] = [name + "\t" + "".join(chars) for name, chars in cols.items()]
-        lines[7] = f"blocks\t{len(blocks)}\t{len(blocks[0])}"
-        lines[8] = " ".join(i for ids in blocks for i in ids)
-        lines[9] = " ".join(parts["groups"])
+        lines[2:6] = [name + "\t" + "".join(chars) for name, chars in cols.items()]
+        lines[6] = f"blocks\t{len(blocks)}\t{len(blocks[0])}\t{parts['n']}"
+        lines[7] = " ".join(i for ids in blocks for i in ids)
         return "\n".join(lines)
     return mangle
 
@@ -430,12 +429,6 @@ def _flip_sent_bit(parts):
     sent[i] = "1" if sent[i] == "0" else "0"
 
 
-def _renumber_last_group(parts):
-    groups = parts["groups"]
-    last = groups[-1]
-    groups[:] = [str(int(last) + 1) if g == last else g for g in groups]
-
-
 def _inconclusive_one(parts):
     # A round that read `one` in a sent-bit-1 block: the parity strings stay
     # the same, so only the per-round flags can reveal the edit.
@@ -445,13 +438,13 @@ def _inconclusive_one(parts):
     cols["b_outcome"][i] = "?"
 
 
-def _set_group(block, value):
-    return _edit(lambda p: p["groups"].__setitem__(block, value))
+def _set_n(value):
+    return _edit(lambda p: p.__setitem__("n", value))
 
 
 def _block_rows(table):
     """Row b lists the rounds of block b."""
-    return [np.flatnonzero(table[:, 5] == b) for b in range(table[:, 5].max() + 1)]
+    return [np.flatnonzero(table[:, 4] == b) for b in range(table[:, 4].max() + 1)]
 
 
 def _set_table(rows, column, value):
@@ -461,28 +454,24 @@ def _set_table(rows, column, value):
     return tamper
 
 
-# A block defect is a text mangle where the text can spell it.
+# A block defect is a text mangle where the text can spell it.  NOISY has
+# 14 blocks, so groups of n = 3 would differ in size.
 TEXT_BLOCK_DEFECTS = {
     "even-blocks": _edit(_drop_first_rounds),
     "mixed-sent-bits": _edit(_flip_sent_bit),
-    "group-id-gap": _edit(_renumber_last_group),
-    "unequal-groups": _set_group(0, "1"),
+    "unequal-groups": _set_n("3"),
     "member-out-of-range": _edit(
         lambda p: p["blocks"][0].__setitem__(0, str(len(p["cols"]["a_bit"])))),
-    "unsifted-round": _edit(lambda p: _set_members(p, "sifted", "0")),
+    "unsifted-round": _edit(lambda p: _set_members(p, "b_outcome", "?")),
     "disclosed-round": _edit(lambda p: _set_members(p, "disclosed", "1")),
     "inconclusive-round": _edit(_inconclusive_one),
 }
 # The text cannot spell blocks that are not numbered 0..B-1 or differ in
-# size, a block whose rounds name different parity groups or none, or a
-# round outside any block that names one.  These defects tamper with an
-# in-memory round table, which to_text refuses to write.
+# size.  These defects tamper with an in-memory round table, which to_text
+# refuses to write.
 TABLE_BLOCK_DEFECTS = {
-    "blank-group": _set_table(lambda t: _block_rows(t)[0], 6, -1),
-    "two-groups": _set_table(lambda t: _block_rows(t)[0][:1], 6, 1),
-    "unequal-blocks": _set_table(lambda t: _block_rows(t)[0][:1], 5, 1),
-    "huge-block-id": _set_table(lambda t: _block_rows(t)[0], 5, 2 ** 31 - 1),
-    "stray-group": _set_table(lambda t: np.flatnonzero(t[:, 5] == -1)[:1], 6, 0),
+    "unequal-blocks": _set_table(lambda t: _block_rows(t)[0][:1], 4, 1),
+    "huge-block-id": _set_table(lambda t: _block_rows(t)[0], 4, 2 ** 31 - 1),
 }
 INCONSISTENT_BLOCKS = TEXT_BLOCK_DEFECTS | TABLE_BLOCK_DEFECTS
 
@@ -503,7 +492,7 @@ class TestTranscript:
     def test_text_round_trip(self):
         transcript = run_session(make_config(flip_probability=0.01, seed=31))
         text = transcript.to_text()
-        assert text.startswith("relqkd-transcript/2\n")
+        assert text.startswith("relqkd-transcript/3\n")
         parsed = Transcript.from_text(text)
         assert parsed.to_text() == text
         assert parsed == transcript
@@ -515,6 +504,7 @@ class TestTranscript:
         table = parsed.round_table.copy()
         table[0, 2] = 2
         assert parsed != dataclasses.replace(parsed, round_table=table)
+        assert parsed != dataclasses.replace(parsed, blocks_per_parity=3)
         first = parsed.subsets[0]
         rotated = first[1:] + first[:1]
         assert rotated != first
@@ -555,8 +545,15 @@ class TestTranscript:
                 "round\ta_bit\tb_outcome\teve_outcome\tsifted\tdisclosed\tblock\tparity_group\n"
                 "0\t0\tzero\t-\t1\t0\t0\t0\n")
         with pytest.raises(InvalidParameterError,
-                           match="relqkd-transcript/2.*relqkd-transcript/1"):
+                           match="relqkd-transcript/3.*relqkd-transcript/1"):
             Transcript.from_text(text)
+
+    def test_rejects_schema_2(self):
+        # The same session as the /2 writer spelled it, with a sifted column,
+        # a two-field blocks header and a parity-group line.
+        with pytest.raises(InvalidParameterError,
+                           match="relqkd-transcript/3.*relqkd-transcript/2"):
+            Transcript.from_text(_as_schema_2(NOISY_TEXT))
 
     def test_replay_rejects_wrong_discarded_position(self):
         text = run_session(make_config(seed=3)).to_text()
@@ -588,15 +585,23 @@ class TestTranscript:
         Transcript.from_text(text).key_a
         assert len(calls) == 1
 
+    def test_round_table_is_read_only(self):
+        # The derived values are cached, so the table they came from is
+        # frozen, also where dataclasses.replace passes a writeable one.
+        writeable = NOISY.round_table.copy()
+        for transcript in (NOISY, dataclasses.replace(NOISY, round_table=writeable)):
+            with pytest.raises(ValueError):
+                transcript.round_table[0, 0] = 1 - transcript.round_table[0, 0]
+            assert transcript.to_text() == NOISY_TEXT
+
     def test_rounds_follow_the_table(self):
         # Long enough that the records are built over several row chunks.
         transcript = run_session(make_config(key_length=512, flip_probability=0.02, seed=9))
         rows = transcript.round_table.tolist()
         assert len(rows) > 2 * 4096
         bob, eve = list(BobOutcome), list(EveOutcome) + [None]
-        assert [[r.a_bit, bob.index(r.b_outcome), eve.index(r.eve_outcome), int(r.sifted),
-                 int(r.disclosed), -1 if r.block is None else r.block,
-                 -1 if r.parity_group is None else r.parity_group]
+        assert [[r.a_bit, bob.index(r.b_outcome), eve.index(r.eve_outcome),
+                 int(r.disclosed), -1 if r.block is None else r.block]
                 for r in transcript.rounds] == rows
         assert [r.index for r in transcript.rounds] == list(range(len(rows)))
 
@@ -604,7 +609,7 @@ class TestTranscript:
         for transcript in (NOISY, ABORTED, Transcript.from_text(NOISY_TEXT)):
             table = transcript.round_table
             assert table.flags.f_contiguous
-            assert table.dtype == np.int32 and table.shape == (len(table), 7)
+            assert table.dtype == np.int32 and table.shape == (len(table), 5)
         c_order = dataclasses.replace(NOISY, round_table=np.ascontiguousarray(NOISY.round_table))
         assert c_order.round_table.flags.c_contiguous
         assert c_order.to_text() == NOISY_TEXT
@@ -613,7 +618,7 @@ class TestTranscript:
         assert c_order.key_b.tolist() == NOISY.key_b.tolist()
 
     @pytest.mark.parametrize("column,code", [
-        (0, 2), (1, 3), (2, 4), (3, 2), (4, 2), (0, -1), (2, -1),
+        (0, 2), (1, 3), (2, 4), (3, 2), (3, -1), (0, -1), (2, -1),
     ])
     def test_to_text_refuses_codes_outside_the_alphabet(self, column, code):
         table = NOISY.round_table.copy()
@@ -656,6 +661,18 @@ ABORTED = run_session(make_config(
     key_length=4, hash_rounds=3, blocks_per_parity=2,
     eve=EveStrategy(delay=0.0), seed=0))
 ABORTED_TEXT = ABORTED.to_text()
+EAVESDROPPED = run_session(make_config(key_length=8, blocks_per_parity=2, hash_rounds=4,
+                                       eve=EveStrategy(0.25), seed=13))
+
+
+def _as_schema_2(text):
+    """``text`` as the /2 writer spelled it: a sifted line and the parity groups."""
+    lines = text.split("\n")
+    sifted = lines[3].split("\t")[1].replace("0", "1").replace("?", "0")
+    n_blocks, k, n = (int(v) for v in lines[6].split("\t")[1:])
+    groups = " ".join(str(b // n) for b in range(n_blocks))
+    return "\n".join(["relqkd-transcript/2", *lines[1:5], "sifted\t" + sifted, lines[5],
+                      f"blocks\t{n_blocks}\t{k}", lines[7], groups, *lines[8:]])
 
 
 def _swap_lines(text, i, j):
@@ -679,18 +696,20 @@ class TestTranscriptParseErrors:
     @pytest.mark.parametrize("mangle", [
         lambda t: t[: len(t) // 2],
         _edit(lambda p: p["cols"]["a_bit"].__setitem__(0, "x")),
-        lambda t: "relqkd-transcript/2\n",
-        lambda t: "relqkd-transcript/2\nrounds\n",
+        lambda t: "relqkd-transcript/3\n",
+        lambda t: "relqkd-transcript/3\nrounds\n",
         lambda t: t.replace("rounds\t", "rounds\t9", 1),
         _edit(lambda p: p["cols"]["a_bit"].__setitem__(0, "7")),
-        _set_first_member("sifted", "x"),
         _set_first_member("disclosed", "2"),
-        lambda t: _swap_lines(t, 5, 6),
+        lambda t: _swap_lines(t, 4, 5),
         lambda t: t.replace("discarded\n1\t", "discarded\n2\t", 1),
         lambda t: re.sub(r"(discarded\n1\t[01]+\t)[01]", r"\g<1>2", t, count=1),
         lambda t: t.replace("\naborted\t0\n", "\naborted\t2\n", 1),
         _edit_member(lambda m: str(2 ** 31)),
-        _set_group(0, "-2"),
+        _set_n("0"),
+        _set_n("-2"),
+        # n = 7 divides the 14 blocks, but gives 2 parity bits for 7-bit subsets.
+        _set_n("7"),
         # Each of these contradicts the record and was once accepted.
         lambda t: re.sub(r"\nkey_b\t(.)", lambda m: "\nkey_b\t" + "10"[int(m[1])], t, count=1),
         lambda t: t.replace("\np_err\t0.0\n", "\np_err\t0.5\n", 1),
@@ -703,9 +722,10 @@ class TestTranscriptParseErrors:
         _edit(lambda p: p["cols"]["b_outcome"].__setitem__(p["cols"]["disclosed"].index("1"),
                                                            "?")),
     ], ids=["half", "garbled-a_bit", "empty", "rounds-header-cut", "rounds-overcount",
-            "a_bit-7", "sifted-x", "disclosed-2", "rounds-out-of-order",
+            "a_bit-7", "disclosed-2", "rounds-out-of-order",
             "hash-row-misnumbered", "hash-parity-2", "aborted-2", "block-id-2^31",
-            "group-id-minus-2", "key_b-bit-flipped", "p_err-0.5-on-clean", "aborted-1-with-keys",
+            "blocks-per-parity-0", "blocks-per-parity-minus-2", "blocks-per-parity-7",
+            "key_b-bit-flipped", "p_err-0.5-on-clean", "aborted-1-with-keys",
             "made-up-abort-reason", "one-bit-key_a", "subset-wrong-length",
             "nothing-disclosed", "disclosed-inconclusive"])
     def test_known_defects(self, mangle):
@@ -720,24 +740,23 @@ class TestTranscriptParseErrors:
     # the row-per-round text these cases were first written for.
     @pytest.mark.parametrize("mangle", [
         _edit_member(lambda m: "0" + m),
-        _set_group(0, "-0"),
         _edit_member(lambda m: "+" + m),
         _edit_member(above=9, edit=lambda m: m[:1] + "_" + m[1:]),
         _edit_member(lambda m: " " + m),
-        _edit(lambda p: p["groups"].append("")),
-        _set_group(0, "+0"),
-        _set_group(1, "\u0660"),
+        _edit(lambda p: p["blocks"][-1].append("")),
+        _set_n("+2"),
+        _set_n("\u0662"),
         _edit_member(lambda m: str(int(m) - len(NOISY.round_table))),
         lambda t: re.sub(r"rounds\t(\d+)", r"rounds\t0\1", t, count=1),
         lambda t: re.sub(r"(discarded\n1\t[01]+\t[01]\t[01]\t)", r"\g<1>0", t, count=1),
         lambda t: t.replace("discarded\n", "discarded\n\n", 1),
-        lambda t: t.replace("\nsifted\t", "\nsift\t", 1),
+        lambda t: t.replace("\ndisclosed\t", "\ndisclose\t", 1),
         lambda t: t.replace("p_err\t0.0\n", "p_err\t0\n", 1),
         lambda t: t.replace("key_b", "aborted\t0\nkey_b", 1),
         lambda t: t.replace("\n", "\r\n"),
         lambda t: t + "\n",
         lambda t: t[:-1],
-    ], ids=["index-03", "index-minus-0", "index-plus", "block-underscore",
+    ], ids=["index-03", "index-plus", "block-underscore",
             "block-leading-space", "block-trailing-space", "group-plus", "group-arabic-digit",
             "block-minus-1", "rounds-count-0-padded", "discarded-0-padded",
             "hash-log-blank-line", "renamed-column", "p_err-0.0", "duplicate-tail-line",
@@ -748,13 +767,15 @@ class TestTranscriptParseErrors:
         with pytest.raises(InvalidParameterError):
             Transcript.from_text(text)
 
-    def test_sifted_flag_contradicting_the_outcome(self):
-        # Round 0 of NOISY is conclusive and in no block, so only the sifted
-        # flag's agreement with the outcome can reveal the edit.
-        assert NOISY.round_table[0, 1] != 2 and NOISY.round_table[0, 5] == -1
-        text = _edit(lambda p: p["cols"]["sifted"].__setitem__(0, "0"))(NOISY_TEXT)
-        assert text != NOISY_TEXT
-        with pytest.raises(InvalidParameterError, match="sifted flag"):
+    def test_fired_outcome_contradicting_the_sent_bit(self):
+        # A fired measurement identifies the sent bit without error.  Round
+        # 0 fired on a sent 1; no parity or estimate reads her outcome, so
+        # only its agreement with the sent bit can reveal the edit.
+        table = EAVESDROPPED.round_table
+        assert table[0, 0] == table[0, 2] == 1
+        text = _edit(lambda p: p["cols"]["eve_outcome"].__setitem__(0, "0"))(
+            EAVESDROPPED.to_text())
+        with pytest.raises(InvalidParameterError, match="fired eavesdropper outcome"):
             Transcript.from_text(text)
 
     @settings(max_examples=300, deadline=None)

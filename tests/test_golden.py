@@ -87,39 +87,39 @@ GOLDEN = {
     "simulate.csv":
         "abdbeef746da16cdc46294f3dac52a4763e52232626456a1969a2b0b3d5f948c",
     "clean.session":
-        "943b283666c25619e34be6660a3f183a2cb4cf8bd69e9dc3ea5db94fd4ea7fed",
+        "74faa25e53dc0a1cde4aac956df8fc67fd0db58b2458c5bb206d3c5893468123",
     "clean.transcript.txt":
-        "d921489173358ac78c3e3778f81fb303fa04bf1fa9afa1221b637c349716b6aa",
+        "c30dd29b1b44a6d1e31f6636cfd0183da62a5b08a97cdd86776ccc2cbd85b6da",
     "clean.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "noisy.session":
-        "f244accf4411945339a89c6fb31b84b8910bb04b63de2a25e13dbcf2089d5332",
+        "6c452ed37c6306a9585866d936eeb7245cd010816c6aef23ec24723d8b22aea7",
     "noisy.transcript.txt":
-        "5c38f7aad93138fd80ef51a4b1273bdf2772b360ab09b7bac030803331cc5d8e",
+        "e9ece7d85fcfa8c787506953813c215e186a35b1a6bb8f076a6fc088723f0e3d",
     "noisy.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "eve.session":
-        "db8b9ce0150d1d9a5240874ddbe09f32d80d3c412613f820ea80d190c142a663",
+        "1ceef410d5dab95cd4dd3c3d947720a5981ff84561bc2859b9d9447105de8c59",
     "eve.transcript.txt":
-        "6256e9aa80c2b01f226b2ca3dbab8bacfcaea6cc2abd797bb6ddb0c4f43b2108",
+        "82dd3f72ec4ac89880310a5481be5b4b1d4acef09229a6c13b3ac358b090bf18",
     "eve.report.txt":
         "58a8ef1104c637b2e9abd0267b7280ae62f2a6013239463f637682ab7f899c52",
     "tailed.session":
-        "c354d29d599dec3be5fb97de4aa6efe7ad2fa8dee7af24825179a027ab97f59f",
+        "2de17c96ae21f2755951a618303899c8621bedaee2d3077033ffa34cdf7810f8",
     "tailed.transcript.txt":
-        "e98e0aee0f9b246a95ce8a3ccda6ec447037218dde767089f534a29d0965f3a8",
+        "6234c1575d2756f1f104cdf1fdc32410bc6b192e64eb89ed168d94bc8fd83c6d",
     "tailed.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "k1n55.session":
-        "4b8310383b0b2d6cf180a09ad1c49eabef1d7456a860e025b098c501377e9b90",
+        "b090a8a946f1494e2303a88897c843341aaea35d1686d5706b8bcfbdc9fca9c9",
     "k1n55.transcript.txt":
-        "9b8c9955f7545740f131fca6efea75516914a9551c7a63f6a931d5c40cd668c4",
+        "de816e00e4e68175e8bfeeb35f976785dbb88df5f9858285a867dd5b856fb8a9",
     "k1n55.report.txt":
         "ec69f8babcd159b89ea6f9813a1618ae3cb88a3d337fa497f9408a2bce22f325",
     "k7n9.session":
-        "3c76154fce9330cd723cee7d5eab1fb479b175aff3ff0557f133c30a47b9e7cf",
+        "75ecfd950212ef8623a0bf9482bd3bb88656cf81ee3e0f5ef66e0673d72bd269",
     "k7n9.transcript.txt":
-        "d7ac2fdce6c9c3925c906234f90a1b3d8b1e4714a99b2723ba9fae3396f870d9",
+        "528f50f2d52f212bb8d8a63f54986fc0506c3ad514bc08bcacc9c60312cbd0a0",
     "k7n9.report.txt":
         "f875f5356217ab8fdc714dc5eecf21f7ea80ea4e49227725a0fdab7369a34d49",
 }

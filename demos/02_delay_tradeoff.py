@@ -44,7 +44,7 @@ for ratio in (0.25, 0.5):
     for chi in (0.0, 0.25, 0.5):
         s = simulate_intercept_resend(L, ratio, chi, 50_000, seed=(31, point))
         point += 1
-        print(f"{ratio:6.2f} {chi:6.2f} {s.eve_analytic:13.4f} "
-              f"{s.eve_empirical:9.4f} {s.bob_analytic:14.4f} "
-              f"{s.bob_empirical:9.4f} {s.joint_zscore:8.2f}")
+        print(f"{ratio:6.2f} {chi:6.2f} {s.pr_e_analytic:13.4f} "
+              f"{s.eve_empirical:9.4f} {s.pr_b_bound:14.4f} "
+              f"{s.bob_empirical:9.4f} {s.zscore:8.2f}")
 print("z-scores stay within a few units: simulation and closed forms agree.")

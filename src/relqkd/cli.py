@@ -67,21 +67,16 @@ def main(argv=None) -> int:
             raise RelqkdError(
                 f"campaign file declares mode {spec.mode!r}, invoked as {args.command!r}"
             )
-        if args.command == "analyze":
-            rows = harness.cmd_analyze(spec)
-            if not spec.out:
-                sys.stdout.write(harness.rows_to_csv(rows))
-        elif args.command == "simulate":
-            rows = harness.cmd_simulate(spec)
-            if not spec.out:
-                sys.stdout.write(harness.rows_to_csv(rows))
-        else:
+        if args.command == "distill":
             transcript, report = harness.cmd_distill(spec)
             if not spec.out:
                 sys.stdout.write(transcript.to_text())
-                sys.stdout.write(report.to_text())
-            else:
-                sys.stdout.write(report.to_text())
+            sys.stdout.write(report.to_text())
+        else:
+            sweep = harness.cmd_analyze if args.command == "analyze" else harness.cmd_simulate
+            rows = sweep(spec)
+            if not spec.out:
+                sys.stdout.write(harness.rows_to_csv(rows))
         return 0
     except RelqkdError as exc:
         print(f"relqkd: error: {exc}", file=sys.stderr)

@@ -123,8 +123,9 @@ class Transcript:
     bit j XORs blocks j*n .. j*n+n-1.  The hash log (the subsets walked up
     to the first parity mismatch), both keys, the abort and its reason, and
     the error estimate over the disclosed rounds are derived from them on
-    first use, once per transcript, so the table is kept read-only.  A
-    record they cannot be derived from raises InvalidParameterError there.
+    first use, once per transcript, so the transcript keeps a read-only copy
+    of the table it is given.  A record they cannot be derived from raises
+    InvalidParameterError there.
     """
 
     round_table: np.ndarray    # int32, column-major, one row per round, columns ROUND_COLUMNS
@@ -132,7 +133,10 @@ class Transcript:
     blocks_per_parity: int     # n
 
     def __post_init__(self):
-        table = self.round_table.view()
+        given = np.asarray(self.round_table)
+        table = np.array(given, dtype=np.int32, order="F")
+        if given.dtype != table.dtype and not np.array_equal(given, table):
+            raise InvalidParameterError("a round table value does not fit in int32")
         table.flags.writeable = False
         object.__setattr__(self, "round_table", table)
 
@@ -181,10 +185,11 @@ class Transcript:
 
         The text spells the codes of each column's alphabet, a fired
         eavesdropper outcome that names the sent bit (her firing measurement
-        identifies it without error), and blocks 0..B-1 of one size (see
-        ``_blocks``).  It writes the derived hash log, error estimate, keys
-        and abort too, so a text that contradicts its record does not read
-        back (see ``from_text``).
+        identifies it without error), an eavesdropper column that is all
+        ``-`` (no eavesdropper) or holds no ``-``, and blocks 0..B-1 of one
+        size (see ``_blocks``).  It writes the derived hash log, error
+        estimate, keys and abort too, so a text that contradicts its record
+        does not read back (see ``from_text``).
         """
         table = self.round_table
         codes = table.T[:len(_ALPHABETS)]
@@ -194,6 +199,9 @@ class Transcript:
         if ((codes[2] < 2) & (codes[2] != codes[0])).any():
             raise InvalidParameterError("a fired eavesdropper outcome must name the sent bit; "
                                         "transcript is inconsistent")
+        if 0 < np.count_nonzero(codes[2] == 3) < len(table):
+            raise InvalidParameterError("the eavesdropper outcome column mixes '-' with "
+                                        "outcomes; transcript is inconsistent")
         members = self._announced_blocks
         lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(table)}"]
         lines.extend(f"{name}\t{alphabet[column].tobytes().decode()}"

@@ -15,6 +15,11 @@ dataclass field it fills.  It builds the envelope once, in every mode,
 and the ``CampaignSpec`` and its ``ProtocolConfig`` both carry that
 ``Plateau``; ``cmd_analyze``, ``cmd_simulate`` and ``run_session`` build none.
 
+Both sweep modes build one row type, ``InterceptResendSummary``, whose
+first ten fields are the CSV columns.  ``_closed_forms`` computes its
+analytic columns, the only ones ``analyze`` sets; ``simulate`` fills in
+the Monte Carlo columns of the same row.
+
 ``simulate`` draws each grid point's counts exactly, as four binomials
 (see ``_simulate_point``), so a point's cost and memory do not depend on
 ``trials``.  Its ``zscore`` compares the empirical joint rate against the
@@ -30,7 +35,7 @@ import configparser
 import io
 import itertools
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -50,10 +55,6 @@ from .distill import ProtocolConfig, Transcript, majority_decode, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
 from .security import SecurityReport, build_report
 from .wavepacket import Plateau, make_plateau
-
-CSV_COLUMNS = ("ratio", "chi_over_L", "pr_e_analytic", "pr_b_bound",
-               "joint_analytic", "joint_empirical", "stderr", "zscore",
-               "available_fraction", "pass_probability")
 
 MODES = ("analyze", "simulate", "distill", "verify")
 
@@ -212,22 +213,35 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
 
 @dataclass(frozen=True)
 class InterceptResendSummary:
-    """One grid point of the delay-tradeoff Monte Carlo."""
+    """One grid point of the delay tradeoff; its first ten fields are a CSV row.
+
+    ``_closed_forms`` builds the analytic part, which is all that ``analyze``
+    writes; ``simulate`` fills in the Monte Carlo fields, which stay None
+    in ``analyze`` mode.
+    """
 
     ratio: float
-    chi_fraction: float
-    available_fraction: float      # envelope mass in the accessible region
-    pass_probability: float        # envelope pass probability of the resend
-    eve_analytic: float
-    bob_analytic: float
+    chi_over_L: float
+    pr_e_analytic: float
+    pr_b_bound: float
     joint_analytic: float
-    eve_empirical: float
-    bob_empirical: float
-    joint_empirical: float
-    eve_stderr: float
-    bob_stderr: float
-    joint_stderr: float
-    joint_zscore: float
+    joint_empirical: float | None = None
+    stderr: float | None = None
+    zscore: float | None = None
+    available_fraction: float | None = None   # envelope mass in the accessible region
+    pass_probability: float | None = None     # envelope pass probability of the resend
+    eve_empirical: float | None = None
+    bob_empirical: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(InterceptResendSummary)[:10])
+
+
+def _closed_forms(ratio: float, chi_fraction: float) -> InterceptResendSummary:
+    """The analytic columns at L_ch/L = ``ratio`` and chi/L = ``chi_fraction``."""
+    pr_e = eve_success_probability(ratio + chi_fraction)
+    pr_b = bob_pass_bound(chi_fraction, 1.0)
+    return InterceptResendSummary(ratio, chi_fraction, pr_e, pr_b, pr_e * pr_b)
 
 
 def _stderr(p: float, trials: int) -> float:
@@ -294,83 +308,45 @@ def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
     eve_correct = fired + rng.binomial(trials - fired, 0.5)
     joint = rng.binomial(eve_correct, p_pass)
     passed = joint + rng.binomial(trials - eve_correct, p_pass)
-    e_emp = eve_correct / trials
-    b_emp = passed / trials
     j_emp = joint / trials
 
-    ratio = channel_length / L
-    chi_fraction = chi / L
-    eve_analytic = eve_success_probability(ratio + chi_fraction)
-    bob_analytic = bob_pass_bound(chi, L)
-    joint_analytic = eve_analytic * bob_analytic
-
-    return InterceptResendSummary(
-        ratio=ratio, chi_fraction=chi_fraction, available_fraction=f,
-        pass_probability=p_pass,
-        eve_analytic=eve_analytic, bob_analytic=bob_analytic,
-        joint_analytic=joint_analytic,
-        eve_empirical=e_emp, bob_empirical=b_emp, joint_empirical=j_emp,
-        eve_stderr=_stderr(e_emp, trials), bob_stderr=_stderr(b_emp, trials),
-        joint_stderr=_stderr(j_emp, trials),
-        joint_zscore=_zscore(j_emp, joint_analytic, trials),
-    )
+    row = _closed_forms(channel_length / L, chi / L)
+    return replace(row, joint_empirical=j_emp, stderr=_stderr(j_emp, trials),
+                   zscore=_zscore(j_emp, row.joint_analytic, trials),
+                   available_fraction=f, pass_probability=p_pass,
+                   eve_empirical=eve_correct / trials, bob_empirical=passed / trials)
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
+    return "" if value is None else format(value, ".10g")
 
 
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
+        buf.write(",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS) + "\n")
     return buf.getvalue()
 
 
-def cmd_analyze(spec: CampaignSpec) -> list[dict]:
+def cmd_analyze(spec: CampaignSpec) -> list[InterceptResendSummary]:
     """Closed-form tradeoff table over the (ratio, chi) grid."""
-    rows = []
-    L = spec.envelope.plateau_length
-    for ratio in spec.ratios:
-        for cf in spec.chi_fractions:
-            pr_e = eve_success_probability(ratio + cf)
-            pr_b = bob_pass_bound(cf * L, L)
-            rows.append({
-                "ratio": ratio, "chi_over_L": cf,
-                "pr_e_analytic": pr_e, "pr_b_bound": pr_b,
-                "joint_analytic": pr_e * pr_b,
-                "joint_empirical": "", "stderr": "", "zscore": "",
-                "available_fraction": "", "pass_probability": "",
-            })
-    _maybe_write(spec.out, rows_to_csv(rows))
+    rows = [_closed_forms(ratio, cf)
+            for ratio, cf in itertools.product(spec.ratios, spec.chi_fractions)]
+    if spec.out:
+        _write(spec.out, rows_to_csv(rows))
     return rows
 
 
-def cmd_simulate(spec: CampaignSpec) -> list[dict]:
+def cmd_simulate(spec: CampaignSpec) -> list[InterceptResendSummary]:
     """Monte Carlo table: empirical joint success next to the closed form."""
-    rows = []
     L = spec.envelope.plateau_length
     grid = itertools.product(spec.ratios, spec.chi_fractions)
-    for point, (ratio, cf) in enumerate(grid):
-        summary = _simulate_point(spec.envelope, ratio * L, cf * L, spec.trials,
-                                  (spec.seed, point), spec.resend_policy)
-        rows.append({
-            "ratio": ratio, "chi_over_L": cf,
-            "pr_e_analytic": summary.eve_analytic,
-            "pr_b_bound": summary.bob_analytic,
-            "joint_analytic": summary.joint_analytic,
-            "joint_empirical": summary.joint_empirical,
-            "stderr": summary.joint_stderr,
-            "zscore": summary.joint_zscore,
-            "available_fraction": summary.available_fraction,
-            "pass_probability": summary.pass_probability,
-        })
-    _maybe_write(spec.out, rows_to_csv(rows))
+    rows = [_simulate_point(spec.envelope, ratio * L, cf * L, spec.trials,
+                            (spec.seed, point), spec.resend_policy)
+            for point, (ratio, cf) in enumerate(grid)]
+    if spec.out:
+        _write(spec.out, rows_to_csv(rows))
     return rows
 
 
@@ -392,11 +368,6 @@ def cmd_distill(spec: CampaignSpec) -> tuple[Transcript, SecurityReport]:
         _write(spec.out + ".transcript.txt", transcript.to_text())
         _write(spec.out + ".report.txt", report.to_text())
     return transcript, report
-
-
-def _maybe_write(path, text):
-    if path:
-        _write(path, text)
 
 
 def _write(path, text):

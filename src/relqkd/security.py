@@ -10,7 +10,7 @@ criterion into concrete (k, n, M).
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
 
 from .adversary import eve_success_probability
@@ -125,29 +125,50 @@ def information_bounds(n_key: int, hash_rounds: int, zeta_value: float) -> Infor
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Flat summary of one parameter set against the security criterion."""
+    """One parameter set against the security criterion.
+
+    The nine init fields are the parameters, and a session's error estimate
+    and abort; ``__post_init__`` derives every bound and flag from them.
+    """
 
     n_key: int
     blocks_per_parity: int
     block_size: int
     hash_rounds: int
     ratio: float
-    eta: float
-    zeta: float
-    pr_eve_key: float
-    pr_eve_key_valid: bool
-    i_ab: float
-    i_ae: float
-    i_be: float
-    pr_key_mismatch: float
+    eta: float = field(init=False)
+    zeta: float = field(init=False)
+    pr_eve_key: float = field(init=False)
+    pr_eve_key_valid: bool = field(init=False)
+    i_ab: float = field(init=False)
+    i_ae: float = field(init=False)
+    i_be: float = field(init=False)
+    pr_key_mismatch: float = field(init=False)
     eps1: float
     eps2: float
-    identical_ok: bool
-    eve_prob_ok: bool
-    i_ae_ok: bool
-    i_be_ok: bool
+    identical_ok: bool = field(init=False)
+    eve_prob_ok: bool = field(init=False)
+    i_ae_ok: bool = field(init=False)
+    i_be_ok: bool = field(init=False)
     p_err_estimate: float | None = None
     aborted: bool | None = None
+
+    def __post_init__(self):
+        eta = exact_eta(self.blocks_per_parity, self.block_size)
+        z = zeta(self.blocks_per_parity, self.block_size, self.ratio, eta)
+        bound = eve_key_probability(self.n_key, z)
+        info = information_bounds(self.n_key, self.hash_rounds, z)
+        p_miss = 2.0 ** (-self.hash_rounds)
+        derived = dict(
+            eta=eta, zeta=z, pr_eve_key=bound.value, pr_eve_key_valid=bound.valid,
+            **info._asdict(), pr_key_mismatch=p_miss,
+            identical_ok=p_miss <= self.eps1,
+            eve_prob_ok=bound.value <= 2.0 ** (-self.n_key) + self.eps2,
+            i_ae_ok=info.i_ae <= self.eps2,
+            i_be_ok=info.i_be <= self.eps2,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def all_ok(self) -> bool:
@@ -169,44 +190,32 @@ class SecurityReport:
 
     @classmethod
     def from_text(cls, text: str) -> "SecurityReport":
-        """Parse ``to_text`` output; any malformed input raises InvalidParameterError."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != REPORT_SCHEMA:
-            raise InvalidParameterError("not a relqkd-report/1 block")
-        kv = {}
-        for ln in lines[1:]:
-            key, sep, value = ln.partition("=")
-            if not sep or key not in _REPORT_KEYS or key in kv:
-                raise InvalidParameterError(f"unexpected report line {ln!r}")
-            kv[key] = value
+        """Parse ``to_text`` output; any other input raises InvalidParameterError.
 
-        def get(key, parse):
-            if key not in kv:
-                raise InvalidParameterError(f"report lacks {key}")
-            try:
-                return parse(kv[key])
-            except ValueError as exc:
-                raise InvalidParameterError(f"bad report value {key}={kv[key]!r}") from exc
-
-        # Annotations are strings here, such as "int" or "float | None".
-        report = cls(**{f.name: get(f.name, _PARSERS[f.type.split(" |")[0]])
-                        for f in fields(cls) if f.name in kv or f.default is MISSING})
-        if get("all_ok", _parse_bool) != report.all_ok:
-            raise InvalidParameterError("report all_ok disagrees with its four flags")
+        Only the parameters are read.  The report built from them is
+        written back and must give ``text`` again, so a text whose bounds
+        or flags contradict its parameters is rejected.
+        """
+        lines = text.split("\n")
+        if lines[0] != REPORT_SCHEMA:
+            raise InvalidParameterError(
+                f"expected a {REPORT_SCHEMA} block, got first line {lines[0][:40]!r}")
+        kv = dict(line.partition("=")[::2] for line in lines[1:])
+        try:
+            # Annotations are strings here, such as "int" or "float | None".
+            report = cls(**{f.name: _PARSERS[f.type.split(" |")[0]](kv[f.name])
+                            for f in fields(cls)
+                            if f.init and (f.name in kv or f.default is MISSING)})
+        except InvalidParameterError:
+            raise
+        except (KeyError, ValueError, OverflowError) as exc:
+            raise InvalidParameterError(f"malformed report: {exc!r}") from exc
+        if report.to_text() != text:
+            raise InvalidParameterError("the text differs from what to_text writes")
         return report
 
 
-# The keys to_text writes: every field, and the derived all_ok.
-_REPORT_KEYS = frozenset(f.name for f in fields(SecurityReport)) | {"all_ok"}
-
-
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"not a boolean: {text!r}")
-    return text == "true"
-
-
-_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+_PARSERS = {"int": int, "float": float, "bool": {"true": True, "false": False}.__getitem__}
 
 
 def _render(value) -> str:
@@ -234,34 +243,8 @@ def build_report(
     aborted: bool | None = None,
 ) -> SecurityReport:
     """Evaluate every security quantity for one concrete parameter set."""
-    eta = exact_eta(blocks_per_parity, block_size)
-    z = zeta(blocks_per_parity, block_size, ratio, eta)
-    bound = eve_key_probability(n_key, z)
-    info = information_bounds(n_key, hash_rounds, z)
-    p_miss = 2.0 ** (-hash_rounds)
-    return SecurityReport(
-        n_key=n_key,
-        blocks_per_parity=blocks_per_parity,
-        block_size=block_size,
-        hash_rounds=hash_rounds,
-        ratio=ratio,
-        eta=eta,
-        zeta=z,
-        pr_eve_key=bound.value,
-        pr_eve_key_valid=bound.valid,
-        i_ab=info.i_ab,
-        i_ae=info.i_ae,
-        i_be=info.i_be,
-        pr_key_mismatch=p_miss,
-        eps1=eps1,
-        eps2=eps2,
-        identical_ok=p_miss <= eps1,
-        eve_prob_ok=bound.value <= 2.0 ** (-n_key) + eps2,
-        i_ae_ok=info.i_ae <= eps2,
-        i_be_ok=info.i_be <= eps2,
-        p_err_estimate=p_err_estimate,
-        aborted=aborted,
-    )
+    return SecurityReport(n_key, blocks_per_parity, block_size, hash_rounds, ratio,
+                          eps1, eps2, p_err_estimate, aborted)
 
 
 class SolvedParameters(NamedTuple):

@@ -49,11 +49,11 @@ def test_criterion_1_delay_tradeoff_monte_carlo(criterion_log):
             s = simulate_intercept_resend(1.0, ratio, chi, trials, seed=(2026, point))
             point += 1
             # The analytic rate saturates at 1 once ratio + chi >= 1.
-            sig_e = binom_sigma(s.eve_analytic, trials)
-            dev_e = abs(s.eve_empirical - s.eve_analytic)
+            sig_e = binom_sigma(s.pr_e_analytic, trials)
+            dev_e = abs(s.eve_empirical - s.pr_e_analytic)
             assert dev_e <= 3.0 * sig_e + 1e-12, (ratio, chi, dev_e)
-            sig_b = binom_sigma(s.bob_analytic, trials)
-            dev_b = abs(s.bob_empirical - s.bob_analytic)
+            sig_b = binom_sigma(s.pr_b_bound, trials)
+            dev_b = abs(s.bob_empirical - s.pr_b_bound)
             assert dev_b <= 3.0 * sig_b + 1e-3, (ratio, chi, dev_b)
             worst_eve = max(worst_eve, dev_e - 3.0 * sig_e)
             worst_bob = max(worst_bob, dev_b - 3.0 * sig_b)

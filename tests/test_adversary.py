@@ -245,9 +245,10 @@ class TestMonteCarloConsistency:
         # Explicit intercept-resend never beats the closed-form product.
         for idx, (ratio, chi) in enumerate([(0.5, 0.0), (0.5, 0.25), (0.25, 0.5)]):
             s = simulate_intercept_resend(1.0, ratio, chi, 50_000, seed=(5, idx))
-            sigma = max(s.joint_stderr, 1e-6)
+            sigma = max(s.stderr, 1e-6)
             assert s.joint_empirical <= s.joint_analytic + 3.0 * sigma
-            assert abs(s.eve_empirical - s.eve_analytic) <= 3.0 * max(s.eve_stderr, 1e-6)
+            eve_sigma = math.sqrt(s.eve_empirical * (1.0 - s.eve_empirical) / 50_000)
+            assert abs(s.eve_empirical - s.pr_e_analytic) <= 3.0 * max(eve_sigma, 1e-6)
 
 
 class TestKrausInstrument:

@@ -593,6 +593,10 @@ class TestTranscript:
             with pytest.raises(ValueError):
                 transcript.round_table[0, 0] = 1 - transcript.round_table[0, 0]
             assert transcript.to_text() == NOISY_TEXT
+        # It is a copy: whoever holds the array passed in cannot change it.
+        writeable[_block_rows(writeable)[0], 0] ^= 1
+        assert np.array_equal(transcript.round_table, NOISY.round_table)
+        assert transcript.to_text() == NOISY_TEXT
 
     def test_rounds_follow_the_table(self):
         # Long enough that the records are built over several row chunks.
@@ -611,11 +615,17 @@ class TestTranscript:
             assert table.flags.f_contiguous
             assert table.dtype == np.int32 and table.shape == (len(table), 5)
         c_order = dataclasses.replace(NOISY, round_table=np.ascontiguousarray(NOISY.round_table))
-        assert c_order.round_table.flags.c_contiguous
+        assert c_order.round_table.flags.f_contiguous
         assert c_order.to_text() == NOISY_TEXT
         assert c_order == NOISY
         assert c_order.key_a.tolist() == NOISY.key_a.tolist()
         assert c_order.key_b.tolist() == NOISY.key_b.tolist()
+        # Another dtype is copied to int32, and refused where a value would wrap.
+        wide = NOISY.round_table.astype(np.int64)
+        assert dataclasses.replace(NOISY, round_table=wide) == NOISY
+        wide[_block_rows(wide)[0], 4] = 2 ** 32
+        with pytest.raises(InvalidParameterError, match="int32"):
+            dataclasses.replace(NOISY, round_table=wide)
 
     @pytest.mark.parametrize("column,code", [
         (0, 2), (1, 3), (2, 4), (3, 2), (3, -1), (0, -1), (2, -1),
@@ -721,13 +731,15 @@ class TestTranscriptParseErrors:
                          t, count=1),
         _edit(lambda p: p["cols"]["b_outcome"].__setitem__(p["cols"]["disclosed"].index("1"),
                                                            "?")),
+        # No session has an eavesdropper in some rounds only.
+        _edit(lambda p: p["cols"]["eve_outcome"].__setitem__(0, p["cols"]["a_bit"][0])),
     ], ids=["half", "garbled-a_bit", "empty", "rounds-header-cut", "rounds-overcount",
             "a_bit-7", "disclosed-2", "rounds-out-of-order",
             "hash-row-misnumbered", "hash-parity-2", "aborted-2", "block-id-2^31",
             "blocks-per-parity-0", "blocks-per-parity-minus-2", "blocks-per-parity-7",
             "key_b-bit-flipped", "p_err-0.5-on-clean", "aborted-1-with-keys",
             "made-up-abort-reason", "one-bit-key_a", "subset-wrong-length",
-            "nothing-disclosed", "disclosed-inconclusive"])
+            "nothing-disclosed", "disclosed-inconclusive", "eve_outcome-mixes-dash"])
     def test_known_defects(self, mangle):
         text = mangle(NOISY_TEXT)
         assert text != NOISY_TEXT

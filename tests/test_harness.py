@@ -1,6 +1,7 @@
 """Campaign loading, sweep tables, determinism, self-checks, CLI exit codes."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ chi_fractions = 0, 0.25
 
 [geometry]
 state_extent = 1.0
+"""
+
+# The README grid on a tailed envelope.
+TAILED_INI = """
+[campaign]
+mode = simulate
+trials = 1000
+seed = 7
+
+[sweep]
+ratios = 0, 0.25, 0.5, 0.9
+chi_fractions = 0, 0.1, 0.25, 0.5
+
+[state]
+tail_mass = 1e-3
+ramp_fraction = 0.05
 """
 
 DISTILL_INI = """
@@ -159,10 +176,10 @@ class TestConfig:
 class TestAnalyze:
     def test_ratio_sweep_values(self, analyze_spec):
         rows = cmd_analyze(analyze_spec)
-        assert [r["pr_e_analytic"] for r in rows] == [0.5, 0.75, 0.95]
-        assert all(r["pr_b_bound"] == 1.0 for r in rows)
-        assert all(r["joint_empirical"] == "" for r in rows)
-        assert all(r["available_fraction"] == r["pass_probability"] == "" for r in rows)
+        assert [r.pr_e_analytic for r in rows] == [0.5, 0.75, 0.95]
+        assert all(r.pr_b_bound == 1.0 for r in rows)
+        assert all(r.joint_empirical is None for r in rows)
+        assert all(r.available_fraction is None and r.pass_probability is None for r in rows)
 
     def test_csv_is_stable(self, analyze_spec):
         rows = cmd_analyze(analyze_spec)
@@ -181,9 +198,22 @@ class TestSimulate:
         rows = cmd_simulate(spec)
         assert len(rows) == 2
         for row in rows:
-            assert isinstance(row["joint_empirical"], float)
-            assert row["stderr"] > 0.0
-            assert abs(row["zscore"]) < 5.0
+            assert isinstance(row.joint_empirical, float)
+            assert row.stderr > 0.0
+            assert abs(row.zscore) < 5.0
+
+    def test_analyze_rows_are_the_closed_forms_of_simulate_rows(self, tmp_path):
+        def campaign(mode):
+            path = tmp_path / f"{mode}.ini"
+            path.write_text(TAILED_INI.replace("mode = simulate", f"mode = {mode}"))
+            return load_campaign(str(path))
+
+        analyzed = cmd_analyze(campaign("analyze"))
+        simulated = cmd_simulate(campaign("simulate"))
+        assert len(analyzed) == 16
+        assert [astuple(r)[:5] for r in analyzed] == [astuple(r)[:5] for r in simulated]
+        assert all(value is None for r in analyzed for value in astuple(r)[5:])
+        assert all(value is not None for r in simulated for value in astuple(r))
 
     def test_byte_identical_outputs(self, tmp_path):
         path = tmp_path / "sim.ini"
@@ -214,7 +244,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert abs(s.joint_empirical - s.joint_analytic) <= 5.0 * s.joint_stderr
+        assert abs(s.joint_empirical - s.joint_analytic) <= 5.0 * s.stderr
 
     def test_counts_have_the_law_of_per_trial_draws(self):
         # Over many seeds, (E, B, J) from the four binomials and from the

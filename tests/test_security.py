@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -274,14 +275,32 @@ class TestReportSerialization:
         assert SecurityReport.from_text(report.to_text()) == report
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_any_finite_floats_round_trip(self, data):
+    @given(ratio=st.floats(0.0, 1.0, exclude_max=True),
+           eps1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           eps2=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           p_err=st.floats(allow_nan=False))
+    def test_any_finite_floats_round_trip(self, ratio, eps1, eps2, p_err):
+        # Each float parameter anywhere in its domain; the bounds follow.
         _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
-        floats = {f.name: data.draw(st.floats(allow_nan=False), label=f.name)
-                  for f in dataclasses.fields(report)
-                  if isinstance(getattr(report, f.name), float)}
-        report = dataclasses.replace(report, **floats)
+        report = dataclasses.replace(report, ratio=ratio, eps1=eps1, eps2=eps2,
+                                     p_err_estimate=p_err)
         assert SecurityReport.from_text(report.to_text()) == report
+
+    def test_stores_nine_parameters(self):
+        assert [f.name for f in dataclasses.fields(SecurityReport) if f.init] == [
+            "n_key", "blocks_per_parity", "block_size", "hash_rounds", "ratio",
+            "eps1", "eps2", "p_err_estimate", "aborted"]
+
+    def test_replace_rederives_the_bounds(self):
+        _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
+        assert report.all_ok
+        moved = dataclasses.replace(report, ratio=0.9)
+        assert moved == build_report(16, report.blocks_per_parity, 1, report.hash_rounds,
+                                     0.9, 1e-3, 1e-3)
+        assert moved.zeta > report.zeta
+        assert not (moved.eve_prob_ok or moved.i_ae_ok or moved.all_ok)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(report, zeta=0.0)
 
     def test_rejects_foreign_text(self):
         with pytest.raises(InvalidParameterError):
@@ -299,9 +318,23 @@ class TestReportSerialization:
         lambda t: t.replace("all_ok=true", "all_ok=false"),
         lambda t: t.replace("i_be_ok=true", "i_be_ok=false"),
         lambda t: t.replace("all_ok=true\n", ""),
+        # Each of these contradicts the parameters and was once accepted:
+        # 2^-12 <= eps1, and the bounds are what the parameters give.
+        lambda t: t.replace("identical_ok=true", "identical_ok=false").replace(
+            "all_ok=true", "all_ok=false"),
+        lambda t: re.sub(r"\ni_ae=[^\n]*", "\ni_ae=0.0", t),
+        lambda t: re.sub(r"\npr_eve_key=[^\n]*", "\npr_eve_key=1e-300", t),
+        # Text that to_text never writes.
+        lambda t: t.replace("\nratio=", "\n\nratio="),
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("eps1=0.001\neps2=0.001", "eps2=0.001\neps1=0.001"),
+        lambda t: t.replace("n_key=16", "n_key=016"),
+        lambda t: t.replace("hash_rounds=12", "hash_rounds=" + "9" * 400),
     ], ids=["missing-n_key", "n_key-x", "eta-garbled", "bool-yes", "bool-True",
             "no-equals", "unknown-key", "duplicate-key", "all_ok-false",
-            "flag-disagrees", "missing-all_ok"])
+            "flag-disagrees", "missing-all_ok", "identical_ok-false-but-holds",
+            "i_ae-0", "pr_eve_key-1e-300", "blank-line", "crlf", "reordered-keys",
+            "n_key-0-padded", "hash_rounds-overflows-a-float"])
     def test_malformed_reports_raise_typed_errors(self, mangle):
         _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
         text = mangle(report.to_text())

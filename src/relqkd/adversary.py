@@ -197,6 +197,10 @@ class KrausSet:
     (the trace-non-increasing condition) requires
     sum_k lam_k S_k^+ S_k <= identity, which is what makes the domain
     contraction bound a theorem.
+
+    The arrays may carry leading axes: weights of shape (..., K) and
+    vectors of shape (..., K, d) hold a stack of sets, and the admissibility
+    matrix, ``validate`` and ``domain_mass_after`` act on every set at once.
     """
 
     weights: np.ndarray         # lam_k >= 0
@@ -207,16 +211,16 @@ class KrausSet:
         lam = np.asarray(self.weights, dtype=float)
         outs = np.asarray(self.outputs, dtype=complex)
         ins = np.asarray(self.inputs, dtype=complex)
-        if lam.ndim != 1 or outs.ndim != 2 or ins.ndim != 2:
+        if lam.ndim < 1 or outs.ndim != lam.ndim + 1 or ins.ndim != lam.ndim + 1:
             raise InvalidParameterError("Kraus set arrays have wrong ranks")
-        if not (lam.size == outs.shape[0] == ins.shape[0]):
+        if not (lam.shape == outs.shape[:-1] == ins.shape[:-1]):
             raise InvalidParameterError("Kraus set lengths disagree")
-        if outs.shape[1] != ins.shape[1]:
+        if outs.shape[-1] != ins.shape[-1]:
             raise InvalidParameterError("input/output dimensions disagree")
         if np.any(lam < 0.0):
             raise InvalidParameterError("weights must be non-negative")
         for name, rows in (("output", outs), ("input", ins)):
-            norms = np.linalg.norm(rows, axis=1)
+            norms = np.linalg.norm(rows, axis=-1)
             if np.any(np.abs(norms - 1.0) > 1e-9):
                 raise InvalidParameterError(f"{name} vectors must be unit norm")
         for arr in (lam, outs, ins):
@@ -227,31 +231,79 @@ class KrausSet:
 
     @property
     def dimension(self) -> int:
-        return self.inputs.shape[1]
+        return self.inputs.shape[-1]
 
     def admissibility_matrix(self) -> np.ndarray:
-        """sum_k lam_k S_k^+ S_k = sum_k lam_k^2 |in_k><in_k|."""
-        scaled = self.weights[:, None] * self.inputs
-        return scaled.conj().T @ scaled  # (d, d)
+        """sum_k lam_k S_k^+ S_k = sum_k lam_k^2 |in_k><in_k|, shape (..., d, d)."""
+        scaled = self.weights[..., None] * self.inputs
+        return scaled.conj().swapaxes(-1, -2) @ scaled
 
     def validate(self, tol: float = _TOL):
-        m = self.admissibility_matrix()
-        top = float(np.linalg.eigvalsh(m)[-1])
-        if top > 1.0 + tol:
+        """Raise RejectedInstrumentError unless every set is trace-non-increasing."""
+        top = np.linalg.eigvalsh(self.admissibility_matrix())[..., -1]
+        if np.any(top > 1.0 + tol):
             raise RejectedInstrumentError(
-                f"instrument is not trace-non-increasing: top eigenvalue {top:.6g}"
+                f"instrument is not trace-non-increasing: top eigenvalue {top.max():.6g}"
             )
 
-    def domain_mass_after(self, psi: np.ndarray) -> float:
-        """Tr{T[|psi><psi|]} restricted to the available-domain truncation."""
-        amps = self.inputs.conj() @ np.asarray(psi, dtype=complex)
-        return float(np.sum(self.weights ** 2 * np.abs(amps) ** 2))
+    def domain_mass_after(self, psi: np.ndarray) -> float | np.ndarray:
+        """Tr{T[|psi><psi|]} restricted to the available-domain truncation.
+
+        ``psi`` has shape (..., d), one state per set; a single set gives a
+        float, a stack an array of its leading shape.
+        """
+        psi = np.asarray(psi, dtype=complex)[..., None]
+        amps = (self.inputs.conj() @ psi)[..., 0]
+        mass = np.sum(self.weights ** 2 * np.abs(amps) ** 2, axis=-1)
+        return float(mass) if mass.ndim == 0 else mass
 
     @classmethod
     def identity(cls, dimension: int) -> "KrausSet":
         """Complete dephasing set; leaves every domain mass unchanged."""
         eye = np.eye(dimension, dtype=complex)
         return cls(weights=np.ones(dimension), outputs=eye, inputs=eye)
+
+
+def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Unnormalised complex Gaussian array: its real parts drawn first, then its imaginary."""
+    real, imag = rng.normal(size=(2, *shape))
+    return real + 1j * imag
+
+
+def draw_kraus_set(
+    rng: np.random.Generator, dimension: int = 8, n_operators: int = 12,
+    headroom: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The draws of ``random_kraus_set``: (weights, outputs, inputs, headroom).
+
+    Outputs, then inputs, are complex Gaussian rows, not yet normalised;
+    the weights are uniform on [0.1, 1.0]; a ``headroom`` of None is drawn
+    last, uniformly from [0.3, 1.0].  ``kraus_set_from_draws`` turns them,
+    or a stack of them, into an admissible set.
+    """
+    if dimension < 4:
+        raise InvalidParameterError(f"need dimension >= 4, got {dimension}")
+    outs = complex_gaussian(rng, (n_operators, dimension))
+    ins = complex_gaussian(rng, (n_operators, dimension))
+    lam = rng.uniform(0.1, 1.0, size=n_operators)
+    target = rng.uniform(0.3, 1.0) if headroom is None else headroom
+    return lam, outs, ins, float(target)
+
+
+def kraus_set_from_draws(weights, outputs, inputs, headroom) -> KrausSet:
+    """Normalise the vectors and scale the weights to the top eigenvalue ``headroom``.
+
+    Every argument may carry the same leading axes (``headroom`` one value
+    per set), which builds a stack of sets at once.
+    """
+    target = np.asarray(headroom, dtype=float)
+    if not np.all((0.0 < target) & (target <= 1.0)):
+        raise InvalidParameterError(f"headroom must lie in (0, 1], got {headroom}")
+    outs, ins = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (outputs, inputs))
+    raw = KrausSet(weights=weights, outputs=outs, inputs=ins)
+    top = np.linalg.eigvalsh(raw.admissibility_matrix())[..., -1]
+    return KrausSet(weights=raw.weights * np.sqrt(target / top)[..., None],
+                    outputs=raw.outputs, inputs=raw.inputs)
 
 
 def random_kraus_set(
@@ -263,21 +315,7 @@ def random_kraus_set(
     ``headroom`` in (0, 1] sets the top eigenvalue of the admissibility
     matrix; by default it is drawn uniformly from [0.3, 1.0].
     """
-    if dimension < 4:
-        raise InvalidParameterError(f"need dimension >= 4, got {dimension}")
-    def sphere(n):
-        v = rng.normal(size=(n, dimension)) + 1j * rng.normal(size=(n, dimension))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
-    outs = sphere(n_operators)
-    ins = sphere(n_operators)
-    lam = rng.uniform(0.1, 1.0, size=n_operators)
-    raw = KrausSet(weights=lam, outputs=outs, inputs=ins)
-    top = float(np.linalg.eigvalsh(raw.admissibility_matrix())[-1])
-    target = float(rng.uniform(0.3, 1.0)) if headroom is None else float(headroom)
-    if not (0.0 < target <= 1.0):
-        raise InvalidParameterError(f"headroom must lie in (0, 1], got {target}")
-    lam = lam * math.sqrt(target / top)
-    return KrausSet(weights=lam, outputs=outs, inputs=ins)
+    return kraus_set_from_draws(*draw_kraus_set(rng, dimension, n_operators, headroom))
 
 
 def scaled_invalid_kraus_set(rng: np.random.Generator, dimension: int = 8,
@@ -293,13 +331,14 @@ def instrument_contraction_check(
     psi: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     tol: float = _TOL,
-) -> tuple[bool, float]:
+) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Verify that noise cannot raise the mass found in the available domain.
 
     The truncation models the eavesdropper's available region, so the state
     enters with norm-squared ``f``.  Returns (bound_holds, lhs) where lhs is
     the post-instrument domain mass; an inadmissible set raises
-    RejectedInstrumentError.
+    RejectedInstrumentError.  A stack of sets takes one ``psi`` per set,
+    shape (..., d), and gives arrays of the stack's leading shape.
     """
     if not (0.0 <= f <= 1.0):
         raise InvalidParameterError(f"available fraction must lie in [0, 1], got {f}")
@@ -307,10 +346,10 @@ def instrument_contraction_check(
     if psi is None:
         if rng is None:
             raise InvalidParameterError("provide either psi or rng")
-        psi = rng.normal(size=kraus.dimension) + 1j * rng.normal(size=kraus.dimension)
+        psi = complex_gaussian(rng, (kraus.dimension,))
     psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
+    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
         raise InvalidParameterError("state vector must be non-zero")
     psi = psi / norm * math.sqrt(f)
     lhs = kraus.domain_mass_after(psi)

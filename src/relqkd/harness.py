@@ -45,10 +45,12 @@ from .adversary import (
     ResendPolicy,
     bob_pass_bound,
     channel_probabilities,
+    complex_gaussian,
+    draw_kraus_set,
     eve_success_probability,
     instrument_contraction_check,
+    kraus_set_from_draws,
     optimal_delay,
-    random_kraus_set,
     scaled_invalid_kraus_set,
 )
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
@@ -267,11 +269,17 @@ def simulate_intercept_resend(
 ) -> InterceptResendSummary:
     """Monte Carlo one intercept-resend grid point against the closed forms."""
     envelope = make_plateau(state_extent, tail_mass, ramp_fraction)
-    return _simulate_point(envelope, channel_length, chi, trials, seed, policy)
+    L = envelope.plateau_length
+    if not (0.0 <= chi <= L):
+        raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
+    return _simulate_point(envelope, channel_length / L, chi / L, trials, seed, policy)
 
 
-def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
-    """One grid point on a built envelope; a sweep builds it only once.
+def _simulate_point(envelope, ratio, chi_fraction, trials, seed, policy):
+    """One grid point, L_ch/L = ``ratio`` and chi/L = ``chi_fraction``, on a built envelope.
+
+    A sweep builds the envelope only once, and its rows carry the grid
+    fractions exactly, as ``analyze``'s rows do.
 
     Draws come from the per-round probabilities ``channel_probabilities``
     integrates on the envelope, so the comparison checks the envelope
@@ -298,10 +306,10 @@ def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(
             f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    row = _closed_forms(ratio, chi_fraction)  # rejects a delay outside [0, L]
     L = envelope.plateau_length
-    if not (0.0 <= chi <= L):
-        raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
-    f, p_pass = channel_probabilities(envelope, channel_length, EveStrategy(chi, policy))
+    f, p_pass = channel_probabilities(envelope, ratio * L,
+                                      EveStrategy(chi_fraction * L, policy))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     fired = rng.binomial(trials, f)
@@ -309,8 +317,6 @@ def _simulate_point(envelope, channel_length, chi, trials, seed, policy):
     joint = rng.binomial(eve_correct, p_pass)
     passed = joint + rng.binomial(trials - eve_correct, p_pass)
     j_emp = joint / trials
-
-    row = _closed_forms(channel_length / L, chi / L)
     return replace(row, joint_empirical=j_emp, stderr=_stderr(j_emp, trials),
                    zscore=_zscore(j_emp, row.joint_analytic, trials),
                    available_fraction=f, pass_probability=p_pass,
@@ -340,9 +346,8 @@ def cmd_analyze(spec: CampaignSpec) -> list[InterceptResendSummary]:
 
 def cmd_simulate(spec: CampaignSpec) -> list[InterceptResendSummary]:
     """Monte Carlo table: empirical joint success next to the closed form."""
-    L = spec.envelope.plateau_length
     grid = itertools.product(spec.ratios, spec.chi_fractions)
-    rows = [_simulate_point(spec.envelope, ratio * L, cf * L, spec.trials,
+    rows = [_simulate_point(spec.envelope, ratio, cf, spec.trials,
                             (spec.seed, point), spec.resend_policy)
             for point, (ratio, cf) in enumerate(grid)]
     if spec.out:
@@ -387,12 +392,21 @@ class CheckResult:
 
 
 def check_parity_identity(limit: int = 20) -> CheckResult:
-    """Binomial sum, cosine form, and brute-force enumeration agree exactly."""
-    # weights[v] is the popcount of v for every v < 2**limit.
-    weights = np.zeros(1, dtype=np.uint8)
-    for _ in range(limit):
-        weights = np.concatenate((weights, weights + 1))
+    """Binomial sum, cosine form, and brute-force enumeration agree exactly.
+
+    ``histogram[j]`` counts the v < 2**total of popcount j.  Each pass of
+    ``total`` adds the block [2**(total-1), 2**total), whose popcounts are
+    those below it plus one, so every v is counted once; each (n, k) then
+    sums the histogram at the multiples of k.
+    """
+    weights = np.zeros(1, dtype=np.uint8)  # popcounts of v < 2**(total-1)
+    histogram = [1]
     for total in range(1, limit + 1):
+        block = weights + 1
+        histogram.append(0)
+        for j in range(1, total + 1):
+            histogram[j] += int(np.count_nonzero(block == j))
+        weights = np.concatenate((weights, block))
         for k in range(1, total + 1):
             if total % k:
                 continue
@@ -401,8 +415,7 @@ def check_parity_identity(limit: int = 20) -> CheckResult:
             if round(count.cosine) != count.exact:
                 return CheckResult("parity-identity", False,
                                    f"cosine side mismatch at (n={n}, k={k})")
-            enumerated = np.count_nonzero(weights[:2 ** total] % k == 0) // 2
-            if enumerated != count.exact:
+            if sum(histogram[::k]) // 2 != count.exact:
                 return CheckResult("parity-identity", False,
                                    f"enumeration mismatch at (n={n}, k={k})")
     return CheckResult("parity-identity", True,
@@ -441,14 +454,25 @@ def check_delay_bound(tol: float = 1e-9) -> CheckResult:
 
 
 def check_instrument_bound(n_sets: int = 100, seed: int = 715, tol: float = 1e-9) -> CheckResult:
-    """Random admissible instruments never lift the available-domain mass."""
+    """Random admissible instruments never lift the available-domain mass.
+
+    Each set draws its instrument and then its state, as ``random_kraus_set``
+    and ``instrument_contraction_check`` would one set at a time; the sets
+    are then normalised, rescaled, validated and checked as one stack.
+    """
+    if n_sets < 1:
+        raise InvalidParameterError(f"need n_sets >= 1, got {n_sets}")
     rng = np.random.default_rng(seed)
+    draws, states = [], []
     for _ in range(n_sets):
-        kraus = random_kraus_set(rng, dimension=8)
-        holds, lhs = instrument_contraction_check(kraus, f=0.6, rng=rng, tol=tol)
-        if not holds:
-            return CheckResult("instrument-bound", False,
-                               f"bound violated: lhs={lhs:.12g} > 0.6")
+        draws.append(draw_kraus_set(rng, dimension=8))
+        states.append(complex_gaussian(rng, (8,)))
+    stack = kraus_set_from_draws(*(np.stack(column) for column in zip(*draws)))
+    holds, lhs = instrument_contraction_check(stack, f=0.6, psi=np.stack(states), tol=tol)
+    violated = np.flatnonzero(~holds)
+    if violated.size:
+        return CheckResult("instrument-bound", False,
+                           f"bound violated: lhs={lhs[violated[0]]:.12g} > 0.6")
     try:
         instrument_contraction_check(scaled_invalid_kraus_set(rng), f=0.6, rng=rng)
     except RejectedInstrumentError:
@@ -494,12 +518,20 @@ def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
                        f"{expected:.5f} (tolerance 3 sigma = {3 * sigma:.2g})")
 
 
+#: Rows per draw in ``check_majority_tail``: 1.3 MB of uniforms at k = 5.
+_MAJORITY_CHUNK = 1 << 15
+
+
 def check_majority_tail(trials: int = 200_000, k: int = 5, p_flip: float = 0.05,
                         seed: int = 717) -> CheckResult:
     """Decoded block error matches the exact binomial tail."""
     rng = np.random.default_rng(seed)
-    flips = rng.random((trials, k)) < p_flip
-    errors = np.count_nonzero(majority_decode(flips))
+    errors = 0
+    # Row chunks draw the same uniforms as one (trials, k) draw would,
+    # without holding all of them at once.
+    for start in range(0, trials, _MAJORITY_CHUNK):
+        rows = min(_MAJORITY_CHUNK, trials - start)
+        errors += int(np.count_nonzero(majority_decode(rng.random((rows, k)) < p_flip)))
     expected = sum(math.comb(k, j) * p_flip ** j * (1 - p_flip) ** (k - j)
                    for j in range(k // 2 + 1, k + 1))
     sigma = _stderr(expected, trials)

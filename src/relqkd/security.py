@@ -154,6 +154,10 @@ class SecurityReport:
     aborted: bool | None = None
 
     def __post_init__(self):
+        for name in ("eps1", "eps2"):
+            value = getattr(self, name)
+            if not (0.0 < value < 1.0):
+                raise InvalidParameterError(f"{name} must lie in (0, 1), got {value}")
         eta = exact_eta(self.blocks_per_parity, self.block_size)
         z = zeta(self.blocks_per_parity, self.block_size, self.ratio, eta)
         bound = eve_key_probability(self.n_key, z)

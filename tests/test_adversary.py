@@ -14,8 +14,10 @@ from relqkd.adversary import (
     apply_resend,
     bob_pass_bound,
     channel_probabilities,
+    draw_kraus_set,
     eve_success_probability,
     instrument_contraction_check,
+    kraus_set_from_draws,
     optimal_delay,
     random_kraus_set,
     scaled_invalid_kraus_set,
@@ -279,6 +281,24 @@ class TestKrausInstrument:
         assert m.shape == (6, 6)
         top = float(np.linalg.eigvalsh(m)[-1])
         assert top <= 1.0 + 1e-9
+
+    def test_stack_acts_on_every_set(self):
+        rng = np.random.default_rng(5)
+        draws = [draw_kraus_set(rng, dimension=6, n_operators=9, headroom=1.0)
+                 for _ in range(4)]
+        stack = kraus_set_from_draws(*(np.stack(column) for column in zip(*draws)))
+        singles = [kraus_set_from_draws(*draw) for draw in draws]
+        m = stack.admissibility_matrix()
+        assert m.shape == (4, 6, 6)
+        for i, single in enumerate(singles):
+            np.testing.assert_array_equal(stack.weights[i], single.weights)
+            np.testing.assert_allclose(m[i], single.admissibility_matrix(), atol=1e-15)
+        stack.validate()
+        # One inadmissible set rejects the whole stack.
+        weights = stack.weights.copy()
+        weights[2] *= math.sqrt(1.5)
+        with pytest.raises(RejectedInstrumentError, match="top eigenvalue 1.5"):
+            KrausSet(weights, stack.outputs, stack.inputs).validate()
 
     def test_nonunit_vectors_rejected(self):
         with pytest.raises(InvalidParameterError):

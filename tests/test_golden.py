@@ -1,7 +1,7 @@
 """Golden bytes: fixed-seed outputs pinned by their sha256.
 
 Refactors must leave every CSV, transcript and report byte-identical for
-a fixed seed.  A change that moves an RNG stream or a text format on
+a fixed seed, and ``relqkd verify``'s text, which is pinned as a literal.  A change that moves an RNG stream or a text format on
 purpose re-pins the digests below and says so.  Each distill case also
 pins a digest of the session itself, independent of any text format: its
 round table, hash log and keys.  A change of format alone leaves those
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from relqkd.distill import Transcript
-from relqkd.harness import cmd_analyze, cmd_distill, cmd_simulate, load_campaign
+from relqkd.harness import cmd_analyze, cmd_distill, cmd_simulate, cmd_verify, load_campaign
 
 ANALYZE_INI = """
 [campaign]
@@ -124,6 +124,19 @@ GOLDEN = {
         "f875f5356217ab8fdc714dc5eecf21f7ea80ea4e49227725a0fdab7369a34d49",
 }
 
+# ``relqkd verify``'s output: every check's seed, tolerance and printed figure.
+VERIFY_TEXT = (
+    "[PASS] parity-identity: exact agreement for all n*k <= 20 (tolerance: exact)\n"
+    "[PASS] parity-cosine: worst relative error 1.67e-16 (tolerance 1e-06)\n"
+    "[PASS] delay-bound: bound respected on a 25-point delay grid (tolerance 1e-09)\n"
+    "[PASS] instrument-bound: 100 admissible sets below f (tolerance 1e-09); "
+    "negative control rejected\n"
+    "[PASS] hash-calibration: undetected 0.03081 vs 2^-5=0.03125 (tolerance 3 sigma = 0.0017)\n"
+    "[PASS] majority-tail: block error 1.105e-03 vs binomial tail 1.158e-03 "
+    "(tolerance 3 sigma = 0.00023)\n"
+    "6/6 checks passed\n"
+)
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -168,3 +181,7 @@ def test_distill_transcript_and_report(tmp_path, case):
         assert sha256(tmp_path / (case + suffix)) == GOLDEN[case + suffix], suffix
     text = (tmp_path / (case + ".transcript.txt")).read_text()
     assert Transcript.from_text(text) == transcript
+
+
+def test_verify_text():
+    assert cmd_verify().to_text() == VERIFY_TEXT

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from relqkd import distill, harness, security
-from relqkd.adversary import ResendPolicy
+from relqkd.adversary import (
+    KrausSet,
+    ResendPolicy,
+    complex_gaussian,
+    draw_kraus_set,
+    instrument_contraction_check,
+    kraus_set_from_draws,
+    random_kraus_set,
+)
 from relqkd.cli import main as cli_main
 from relqkd.errors import InvalidParameterError
 from relqkd.harness import (
@@ -16,6 +24,7 @@ from relqkd.harness import (
     CheckResult,
     check_delay_bound,
     check_hash_calibration,
+    check_instrument_bound,
     cmd_analyze,
     cmd_distill,
     cmd_simulate,
@@ -215,6 +224,20 @@ class TestSimulate:
         assert all(value is None for r in analyzed for value in astuple(r)[5:])
         assert all(value is not None for r in simulated for value in astuple(r))
 
+    @pytest.mark.parametrize("extent", ["0.7", "3"])
+    def test_rows_carry_the_grid_fractions_at_any_extent(self, tmp_path, extent):
+        # Scaling a fraction by L and dividing by L again can move it by one ulp.
+        def rows(mode):
+            path = tmp_path / f"{mode}.ini"
+            path.write_text(TAILED_INI.replace("mode = simulate", f"mode = {mode}")
+                            + f"\n[geometry]\nstate_extent = {extent}\n")
+            return (cmd_analyze if mode == "analyze" else cmd_simulate)(load_campaign(str(path)))
+
+        analyzed, simulated = rows("analyze"), rows("simulate")
+        assert [astuple(r)[:5] for r in analyzed] == [astuple(r)[:5] for r in simulated]
+        grid = [(ratio, cf) for ratio in (0, 0.25, 0.5, 0.9) for cf in (0, 0.1, 0.25, 0.5)]
+        assert [(r.ratio, r.chi_over_L) for r in simulated] == grid
+
     def test_byte_identical_outputs(self, tmp_path):
         path = tmp_path / "sim.ini"
         path.write_text(SIMULATE_INI)
@@ -336,6 +359,43 @@ class TestVerify:
         assert not summary.all_passed
         assert "[FAIL] parity-identity" in summary.to_text()
 
+    def test_enumeration_mismatch_reported_as_failure(self, monkeypatch):
+        # Both sides of the identity shifted together: only the brute-force
+        # enumeration disagrees.
+        real = security.parity_count
+
+        def tampered(n, k):
+            count = real(n, k)
+            shift = 1 if n * k == 6 else 0
+            return type(count)(count.exact + shift, count.cosine + shift)
+
+        monkeypatch.setattr(security, "parity_count", tampered)
+        assert "[FAIL] parity-identity: enumeration mismatch" in cmd_verify().to_text()
+
+    def test_stacked_instrument_masses_equal_the_per_set_check(self):
+        rng = np.random.default_rng(715)
+        per_set = []
+        for _ in range(100):
+            kraus = random_kraus_set(rng, dimension=8)
+            per_set.append(instrument_contraction_check(kraus, f=0.6, rng=rng)[1])
+        stack_rng = np.random.default_rng(715)
+        draws, states = [], []
+        for _ in range(100):
+            draws.append(draw_kraus_set(stack_rng, dimension=8))
+            states.append(complex_gaussian(stack_rng, (8,)))
+        stack = kraus_set_from_draws(*(np.stack(column) for column in zip(*draws)))
+        holds, stacked = instrument_contraction_check(stack, f=0.6, psi=np.stack(states))
+        assert stack.weights.shape == (100, 12) and stack.inputs.shape == (100, 12, 8)
+        assert holds.all()
+        np.testing.assert_allclose(stacked, per_set, rtol=0.0, atol=1e-15)
+        assert rng.bit_generator.state == stack_rng.bit_generator.state
+
+    def test_lifted_domain_mass_reported_as_failure(self, monkeypatch):
+        real = KrausSet.domain_mass_after
+        monkeypatch.setattr(KrausSet, "domain_mass_after",
+                            lambda self, psi: real(self, psi) + 0.5)
+        assert "[FAIL] instrument-bound: bound violated" in cmd_verify().to_text()
+
     def test_hash_step_that_never_detects_reported_as_failure(self, monkeypatch):
         real = distill._hash_step
 
@@ -345,6 +405,10 @@ class TestVerify:
 
         monkeypatch.setattr(distill, "_hash_step", blind)
         assert "[FAIL] hash-calibration" in cmd_verify().to_text()
+
+    def test_instrument_bound_needs_a_set(self):
+        with pytest.raises(InvalidParameterError, match="n_sets >= 1"):
+            check_instrument_bound(n_sets=0)
 
     @pytest.mark.parametrize("kwargs", [dict(trials=0), dict(rounds=0), dict(rounds=48)],
                              ids=["no-trials", "no-rounds", "64-bit-strings"])

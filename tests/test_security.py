@@ -342,6 +342,18 @@ class TestReportSerialization:
         with pytest.raises(InvalidParameterError):
             SecurityReport.from_text(text)
 
+    @pytest.mark.parametrize("eps1,eps2", [(float("nan"), 2.0), (0.0, 1e-3), (1e-3, 1.0),
+                                           (-1e-3, 1e-3), (1e-3, float("inf"))],
+                             ids=["nan-and-2", "eps1-0", "eps2-1", "eps1-negative", "eps2-inf"])
+    def test_eps_outside_unit_interval_rejected(self, eps1, eps2):
+        with pytest.raises(InvalidParameterError, match=r"eps[12] must lie in \(0, 1\)"):
+            build_report(16, 25, 1, 12, 0.25, eps1, eps2)
+        _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
+        text = report.to_text().replace("eps1=0.001\neps2=0.001",
+                                        f"eps1={eps1!r}\neps2={eps2!r}")
+        with pytest.raises(InvalidParameterError, match=r"eps[12] must lie in \(0, 1\)"):
+            SecurityReport.from_text(text)
+
     def test_session_fields_round_trip(self):
         _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
         report = dataclasses.replace(report, p_err_estimate=0.125, aborted=False)

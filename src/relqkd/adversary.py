@@ -208,9 +208,10 @@ class KrausSet:
     inputs: np.ndarray          # rows: unit vectors |in_k>
 
     def __post_init__(self):
-        lam = np.asarray(self.weights, dtype=float)
-        outs = np.asarray(self.outputs, dtype=complex)
-        ins = np.asarray(self.inputs, dtype=complex)
+        # Copies, frozen below: the caller's own arrays stay writeable.
+        lam = np.array(self.weights, dtype=float)
+        outs = np.array(self.outputs, dtype=complex)
+        ins = np.array(self.inputs, dtype=complex)
         if lam.ndim < 1 or outs.ndim != lam.ndim + 1 or ins.ndim != lam.ndim + 1:
             raise InvalidParameterError("Kraus set arrays have wrong ranks")
         if not (lam.shape == outs.shape[:-1] == ins.shape[:-1]):

@@ -148,6 +148,25 @@ class Transcript:
                 and self.blocks_per_parity == other.blocks_per_parity
                 and self.hash_log == other.hash_log)
 
+    @classmethod
+    def _adopt(cls, round_table: np.ndarray, subsets: tuple[str, ...], blocks_per_parity: int,
+               members: np.ndarray | None = None) -> "Transcript":
+        """A transcript that freezes ``round_table`` and keeps it instead of a copy.
+
+        Only a table that no caller holds may be adopted, and it must be
+        int32 and column-major.  ``members``, if given, must be the blocks
+        ``_blocks`` derives from the table; they are kept as its blocks.
+        """
+        round_table.flags.writeable = False
+        transcript = cls.__new__(cls)
+        for name, value in (("round_table", round_table), ("subsets", subsets),
+                            ("blocks_per_parity", blocks_per_parity)):
+            object.__setattr__(transcript, name, value)
+        if members is not None:
+            members.flags.writeable = False
+            transcript.__dict__["_announced_blocks"] = members
+        return transcript
+
     @cached_property
     def _announced_blocks(self) -> np.ndarray:
         return _blocks(self.round_table)
@@ -166,11 +185,13 @@ class Transcript:
 
     @cached_property
     def p_err_estimate(self) -> float:
-        shown = self.round_table[self.round_table[:, 3] == 1]
-        if not len(shown) or (shown[:, 1] == 2).any():
+        a, b, _, d = self.round_table.T[:4]
+        shown = d == 1
+        count = np.count_nonzero(shown)
+        if not count or (shown & (b == 2)).any():
             raise InvalidParameterError("a session discloses one conclusive round or more; "
                                         "transcript is inconsistent")
-        return float(np.count_nonzero(shown[:, 0] != shown[:, 1]) / len(shown))
+        return float(np.count_nonzero(shown & (a != b)) / count)
 
     @property
     def rounds(self) -> tuple[RoundRecord, ...]:
@@ -204,7 +225,7 @@ class Transcript:
                                         "outcomes; transcript is inconsistent")
         members = self._announced_blocks
         lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(table)}"]
-        lines.extend(f"{name}\t{alphabet[column].tobytes().decode()}"
+        lines.extend(f"{name}\t{alphabet.take(column).tobytes().decode()}"
                      for name, alphabet, column in zip(ROUND_COLUMNS, _ALPHABETS, codes))
         lines.append(f"blocks\t{len(members)}\t{members.shape[1]}\t{self.blocks_per_parity}")
         lines.append(_ints_text(members.ravel()))
@@ -254,20 +275,21 @@ class Transcript:
         defect makes the text differ from what ``to_text`` writes.
         """
         n_rounds = int(lines[1].split("\t")[1])
-        columns = [decode[np.frombuffer(line.partition("\t")[2].encode(), dtype=np.uint8)]
+        columns = [decode.take(np.frombuffer(line.partition("\t")[2].encode(), dtype=np.uint8))
                    for decode, line in zip(_DECODE, lines[2:6])]
         if any(c.size != n_rounds or (c < 0).any() for c in columns):
             raise InvalidParameterError("a round column is not one alphabet character per round")
+        table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
+        for j, column in enumerate(columns):
+            table[:, j] = column
         n_blocks, k, n = (int(v) for v in lines[6].split("\t")[1:])
         members = np.fromstring(lines[7], dtype=np.int64, sep=" ")
-        if members.size != n_blocks * k:
+        if k < 1 or members.size != n_blocks * k:
             raise InvalidParameterError("the members line disagrees with the blocks header")
-        block = np.full(n_rounds, -1, dtype=np.int32)
-        block[members] = np.repeat(np.arange(n_blocks), k)
+        table[:, 4] = -1
+        table[members, 4] = np.repeat(np.arange(n_blocks), k)
         n_hash = int(lines[8].split("\t")[1])
-        return cls(round_table=np.stack(columns + [block], dtype=np.int32).T,
-                   subsets=tuple(line.split("\t")[1] for line in lines[10:10 + n_hash]),
-                   blocks_per_parity=n)
+        return cls._adopt(table, tuple(line.split("\t")[1] for line in lines[10:10 + n_hash]), n)
 
 
 def _columns(table: np.ndarray):
@@ -291,9 +313,14 @@ def _ints_text(values: np.ndarray) -> str:
     width = len(str(values.max(initial=0)))
     chars = np.full((values.size, width + 1), ord(" "), dtype=np.uint8)
     keep = np.ones(chars.shape, dtype=bool)
-    for j, e in enumerate(range(width - 1, -1, -1), start=1):
-        chars[:, j] = values // 10 ** e % 10 + ord("0")
-        keep[:, j] = values >= 10 ** e if e else True
+    rest = values
+    for j in range(width, 0, -1):
+        # rest is values // 10 ** (width - j), so digit j is padding where rest is 0.
+        keep[:, j] = rest > 0
+        tens = rest // 10
+        chars[:, j] = rest - 10 * tens + ord("0")  # numpy's % is slower
+        rest = tens
+    keep[:, width] = True
     return chars[keep].tobytes()[1:].decode()
 
 
@@ -374,7 +401,13 @@ def _blocks(round_table: np.ndarray) -> np.ndarray:
     if not numbered or sizes.min() != sizes.max():
         raise InvalidParameterError("blocks must be numbered 0, 1, ... and all have one size; "
                                     "transcript is inconsistent")
-    return in_block[np.sort(np.argsort(ids).reshape(sizes.size, -1), axis=1)]
+    # Stable radix passes on the low and then the high 16 bits of the ids
+    # (numpy sorts 16-bit keys by radix) keep each block's rounds in their
+    # ascending table order, so no row needs sorting.
+    order = np.argsort(ids.astype(np.uint16), kind="stable")
+    if sizes.size > 1 << 16:
+        order = order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]
+    return in_block[order].reshape(sizes.size, -1)
 
 
 def _parity_strings(round_table: np.ndarray, members: np.ndarray,
@@ -565,10 +598,13 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
 
     conclusive = (rng_bob.random(n_rounds) < p_pass) & resending
     # Channel noise: loss first, then polarization flips on the survivors.
-    lose = rng_noise.random(n_rounds) < cfg.loss_probability
-    flip = rng_noise.random(n_rounds) < cfg.flip_probability
-    conclusive &= ~lose
-    outcome_bits = np.where(conclusive & flip, 1 - sent_on, sent_on)
+    # rng_noise feeds nothing else, so a draw at probability 0 changes no
+    # round and is skipped; the loss draw stays when flips follow it.
+    if cfg.loss_probability or cfg.flip_probability:
+        conclusive &= rng_noise.random(n_rounds) >= cfg.loss_probability
+    outcome_bits = sent_on
+    if cfg.flip_probability:
+        outcome_bits = sent_on ^ (rng_noise.random(n_rounds) < cfg.flip_probability)
 
     kept = np.flatnonzero(conclusive)
     if kept.size < 2:
@@ -579,34 +615,40 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     disclosed_mask = np.zeros(n_rounds, dtype=bool)
     disclosed_mask[kept[disclosed_local]] = True
 
-    remaining = kept[~disclosed_mask[kept]]
+    remaining = np.flatnonzero(conclusive & ~disclosed_mask)
 
     # Antedate coding: blocks of k identical sent bits, grouped by A after
-    # reception in transmission order, then publicly shuffled; parity bit j
-    # XORs the shuffled blocks j*n .. j*n+n-1.
-    rows = []
-    for value in (0, 1):
-        ids = remaining[a_bits[remaining] == value]
-        rows.append(ids[:ids.size - ids.size % k].reshape(-1, k))
-    blocks = np.concatenate(rows)
-    blocks = blocks[np.argsort(blocks[:, 0])]
+    # reception in transmission order, then ordered by their first rounds
+    # and publicly shuffled; parity bit j XORs the shuffled blocks
+    # j*n .. j*n+n-1.  The two bit values' blocks are two ascending runs of
+    # distinct first rounds, which a stable argsort merges in one pass; at
+    # k = 1 the merge gives back ``remaining``.  (``compress`` splits by a
+    # random mask faster than boolean indexing does.)
+    if k == 1:
+        blocks = remaining[:, None]
+    else:
+        one = a_bits[remaining] == 1
+        blocks = np.concatenate([ids[:ids.size - ids.size % k].reshape(-1, k)
+                                 for ids in (remaining.compress(~one), remaining.compress(one))])
+        blocks = blocks[np.argsort(blocks[:, 0], kind="stable")]
     if len(blocks) < need_blocks:
         raise _ShortOfBlocks
     chosen = blocks[rng_public.permutation(len(blocks))[:need_blocks]]
 
-    block = np.full(n_rounds, -1, dtype=np.int32)
-    block[chosen] = np.arange(need_blocks)[:, None]
-    eve = np.full(n_rounds, 3) if fired is None else np.where(fired, a_bits, 2)
-    # Stacked column by column and transposed, so every column is contiguous.
-    table = np.stack((a_bits, np.where(conclusive, outcome_bits, 2), eve,
-                      disclosed_mask, block), dtype=np.int32).T
+    # Filled column by column, so every column is contiguous.
+    table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
+    table[:, 0] = a_bits
+    table[:, 1] = np.where(conclusive, outcome_bits, 2)
+    table[:, 2] = 3 if fired is None else np.where(fired, a_bits, 2)
+    table[:, 3] = disclosed_mask
+    table[:, 4] = -1
+    table[chosen, 4] = np.arange(need_blocks)[:, None]
     # All M subsets, at the lengths a matching walk meets; rng_hash feeds
     # nothing else, so the announced ones are drawn as round by round.
     length = cfg.key_length + cfg.hash_rounds
     subsets = tuple(format(_random_nonzero(rng_hash, n), f"0{n}b")[::-1]
                     for n in range(length, length - cfg.hash_rounds, -1))
-    return Transcript(round_table=table, subsets=subsets,
-                      blocks_per_parity=cfg.blocks_per_parity)
+    return Transcript._adopt(table, subsets, cfg.blocks_per_parity, chosen)
 
 
 def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -198,6 +198,11 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
         **_given(parser, "state"))
 
     eve = _given(parser, "eve")
+    if eve and "enabled" not in eve:
+        # Without it the other keys would be read and no eavesdropper run.
+        raise InvalidParameterError(
+            f"[eve] sets {', '.join(map(repr, eve))} but lacks 'enabled': set "
+            "enabled = true to run the eavesdropper, or enabled = false to run without one")
     policy = {"resend_policy": eve["resend"]} if "resend" in eve else {}
     strategy = EveStrategy(eve.get("delay", 0.0), **policy) if eve.get("enabled") else None
 

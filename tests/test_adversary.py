@@ -275,6 +275,18 @@ class TestKrausInstrument:
         with pytest.raises(RejectedInstrumentError):
             instrument_contraction_check(bad, 0.6, rng=rng)
 
+    def test_set_copies_the_callers_arrays(self):
+        w = np.array([0.5, 0.5])
+        e = np.eye(2, dtype=complex)
+        kraus = KrausSet(w, e, e)
+        assert w.flags.writeable and e.flags.writeable
+        with pytest.raises(ValueError):
+            kraus.weights[0] = 0.0
+        w[0] = 3.0
+        e[0, 0] = 0.0
+        assert kraus.weights.tolist() == [0.5, 0.5]
+        assert kraus.outputs[0, 0] == kraus.inputs[0, 0] == 1.0
+
     def test_admissibility_matrix_shape(self):
         kraus = random_kraus_set(np.random.default_rng(0), dimension=6, n_operators=9)
         m = kraus.admissibility_matrix()

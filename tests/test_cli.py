@@ -1,0 +1,75 @@
+"""The ``relqkd`` command line, run in process through ``relqkd.cli.main``."""
+
+import pytest
+
+from relqkd.cli import main
+from relqkd.distill import Transcript
+from relqkd.errors import InvalidParameterError
+from relqkd.security import SecurityReport
+
+DISTILL_INI = """
+[campaign]
+mode = distill
+seed = {seed}
+
+[geometry]
+channel_length = 0.5
+
+[protocol]
+key_length = {key_length}
+block_size = {block_size}
+blocks_per_parity = {blocks_per_parity}
+hash_rounds = {hash_rounds}
+disclose_fraction = 0.1
+flip_probability = {flip}
+loss_probability = {loss}
+"""
+
+SMALL = DISTILL_INI.format(seed=7, key_length=8, block_size=3, blocks_per_parity=2,
+                           hash_rounds=4, flip=0.0, loss=0.0)
+
+
+def test_large_noisy_session_round_trips(tmp_path, capsys):
+    # An N = 1024 noisy session: its transcript and report read back and
+    # write back the same text, and the same transcript under the /2
+    # header, or the same report with its checks flipped, is refused.
+    path = tmp_path / "large.ini"
+    path.write_text(DISTILL_INI.format(seed=1, key_length=1024, block_size=7,
+                                       blocks_per_parity=9, hash_rounds=10,
+                                       flip=0.02, loss=0.1))
+    assert main(["distill", str(path), "--out", str(tmp_path / "large")]) == 0
+    report = (tmp_path / "large.report.txt").read_text()
+    assert capsys.readouterr().out == report
+    transcript = (tmp_path / "large.transcript.txt").read_text()
+    assert transcript.split("\n", 1)[0] == "relqkd-transcript/3"
+    assert Transcript.from_text(transcript).to_text() == transcript
+    assert SecurityReport.from_text(report).to_text() == report
+    with pytest.raises(InvalidParameterError):
+        Transcript.from_text(transcript.replace("relqkd-transcript/3",
+                                                "relqkd-transcript/2", 1))
+    flipped = report.replace("identical_ok=true", "identical_ok=false").replace(
+        "all_ok=true", "all_ok=false")
+    assert flipped != report
+    with pytest.raises(InvalidParameterError):
+        SecurityReport.from_text(flipped)
+
+
+@pytest.mark.parametrize("eve", ["delay = 0.25\n", "resend = none\n",
+                                 "delay = 0.25\nresend = shifted\n"])
+def test_eve_keys_without_enabled_are_invalid_input(tmp_path, capsys, eve):
+    # These used to run a session with no eavesdropper, silently.
+    path = tmp_path / "eve.ini"
+    path.write_text(SMALL + "[eve]\n" + eve)
+    assert main(["distill", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[eve]" in captured.err and "lacks 'enabled'" in captured.err
+
+
+def test_eve_disabled_explicitly_runs_without_eavesdropper(tmp_path, capsys):
+    path = tmp_path / "eve.ini"
+    path.write_text(SMALL + "[eve]\nenabled = false\ndelay = 0.25\n")
+    assert main(["distill", str(path), "--out", str(tmp_path / "eve")]) == 0
+    lines = (tmp_path / "eve.transcript.txt").read_text().split("\n")
+    eve_column = lines[4].split("\t")
+    assert eve_column[0] == "eve_outcome" and set(eve_column[1]) == {"-"}

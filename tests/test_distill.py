@@ -580,8 +580,8 @@ class TestTranscript:
         transcript = run_session(make_config(flip_probability=0.02, seed=8))
         text = transcript.to_text()
         transcript.key_a, transcript.aborted, transcript.hash_log
-        assert len(calls) == 1
-        calls.clear()
+        # A session's transcript keeps the blocks the session formed.
+        assert not calls
         Transcript.from_text(text).key_a
         assert len(calls) == 1
 
@@ -826,3 +826,125 @@ class TestTranscriptParseErrors:
         except InvalidParameterError:
             return
         assert parsed.to_text() == text
+
+
+def _reference_blocks(table):
+    """``distill._blocks`` as first written: argsort the ids, then sort each row."""
+    block = table[:, 4]
+    in_block = np.flatnonzero(block != -1)
+    ids = block[in_block]
+    numbered = ids.size > 0 and ids.min() >= 0 and ids.max() < ids.size
+    sizes = np.bincount(ids) if numbered else None
+    if not numbered or sizes.min() != sizes.max():
+        raise InvalidParameterError("blocks are not numbered 0..B-1 or differ in size")
+    return in_block[np.sort(np.argsort(ids).reshape(sizes.size, -1), axis=1)]
+
+
+def _reference_p_err(table):
+    """``Transcript.p_err_estimate`` as first written, over the disclosed rows."""
+    shown = table[table[:, 3] == 1]
+    if not len(shown) or (shown[:, 1] == 2).any():
+        raise InvalidParameterError("no disclosed round, or an inconclusive one")
+    return float(np.count_nonzero(shown[:, 0] != shown[:, 1]) / len(shown))
+
+
+def _layout(n_blocks, k, spare, seed):
+    """A round table whose blocks 0..B-1 of k rounds each sit at random rows.
+
+    ``spare`` rounds are in no block; the outcome columns are random.
+    """
+    rng = np.random.default_rng(seed)
+    rows = n_blocks * k + spare
+    table = np.empty((rows, 5), dtype=np.int32, order="F")
+    table[:, 0] = rng.integers(0, 2, rows)
+    table[:, 1] = rng.integers(0, 3, rows)
+    table[:, 2] = 3
+    table[:, 3] = rng.random(rows) < 0.3
+    table[:, 4] = -1
+    table[rng.permutation(rows)[:n_blocks * k], 4] = np.repeat(np.arange(n_blocks), k)
+    return table
+
+
+def _defect(table, kind, rng):
+    """``table``, of two blocks or more and a spare round, made invalid by ``kind``."""
+    block = table[:, 4]
+    members = np.flatnonzero(block != -1)
+    n_blocks = int(block.max()) + 1
+    i = rng.choice(members)
+    if kind == "gap":
+        block[block >= rng.integers(0, n_blocks)] += 1
+    elif kind == "unequal":
+        block[rng.choice(np.flatnonzero(block == -1))] = block[i]
+    elif kind == "too-large":
+        block[i] = rng.integers(members.size, 2 ** 31)
+    else:
+        block[i] = rng.integers(-2 ** 31, -1)
+    return table
+
+
+class TestBlockDerivation:
+    """The radix-pass ``_blocks`` and the masked ``p_err_estimate`` against their first forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_blocks=st.integers(1, 3000), k=st.sampled_from([1, 3, 7]),
+           spare=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
+    def test_valid_layouts(self, n_blocks, k, spare, seed):
+        table = _layout(n_blocks, k, spare, seed)
+        blocks = distill._blocks(table)
+        assert blocks.shape == (n_blocks, k)
+        assert np.array_equal(blocks, _reference_blocks(table))
+        transcript = Transcript(table, (), 1)
+        try:
+            expected = _reference_p_err(table)
+        except InvalidParameterError:
+            with pytest.raises(InvalidParameterError):
+                transcript.p_err_estimate
+        else:
+            assert transcript.p_err_estimate == expected
+
+    @pytest.mark.parametrize("n_blocks,k", [(65537, 1), (70001, 3)])
+    def test_more_blocks_than_16_bits(self, n_blocks, k):
+        # Past 2^16 blocks the ids take the second, high radix pass.
+        table = _layout(n_blocks, k, 1000, seed=n_blocks)
+        assert np.array_equal(distill._blocks(table), _reference_blocks(table))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_blocks=st.integers(2, 300), k=st.sampled_from([1, 3, 7]),
+           spare=st.integers(1, 50), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["gap", "unequal", "too-large", "negative"]))
+    def test_invalid_layouts(self, n_blocks, k, spare, seed, kind):
+        table = _defect(_layout(n_blocks, k, spare, seed), kind, np.random.default_rng(seed))
+        with pytest.raises(InvalidParameterError):
+            _reference_blocks(table)
+        with pytest.raises(InvalidParameterError, match="numbered 0, 1, ... and all have one"):
+            distill._blocks(table)
+
+    @pytest.mark.parametrize("disclosed", [[0, 0, 0], [1, 0, 1]])
+    def test_p_err_refusals(self, disclosed):
+        # Nothing disclosed, and a disclosed inconclusive round.
+        table = _layout(1, 3, 0, seed=4)
+        table[:, 1] = [0, 2, 2]
+        table[:, 3] = disclosed
+        with pytest.raises(InvalidParameterError):
+            _reference_p_err(table)
+        with pytest.raises(InvalidParameterError, match="discloses one conclusive"):
+            Transcript(table, (), 1).p_err_estimate
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_session_keeps_the_blocks_it_formed(self, k):
+        # A session hands its transcript the blocks it formed instead of
+        # having them derived; they are the derived ones, and read-only.
+        transcript = run_session(make_config(
+            key_length=64, block_size=k, flip_probability=0.02, loss_probability=0.1,
+            eve=EveStrategy(0.25) if k == 3 else None, seed=k))
+        blocks = transcript._announced_blocks
+        assert np.array_equal(blocks, _reference_blocks(transcript.round_table))
+        assert not blocks.flags.writeable and not transcript.round_table.flags.writeable
+
+    def test_zero_block_size_header_is_refused_before_allocation(self):
+        # 2^40 blocks of 0 rounds agree with an empty members line; numbering
+        # them would need 8 TiB.
+        lines = NOISY_TEXT.split("\n")
+        lines[6:8] = [f"blocks\t{2 ** 40}\t0\t2", ""]
+        with pytest.raises(InvalidParameterError, match="members line"):
+            Transcript.from_text("\n".join(lines))

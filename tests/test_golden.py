@@ -79,6 +79,9 @@ DISTILL_CASES = {
                   seed=15, flip=0.0, extra=""),
     "k7n9": dict(key_length=128, block_size=7, blocks_per_parity=9, loss=0.1,
                  seed=16, flip=0.02, extra=""),
+    # (1024 + 4) * 64 = 65792 blocks: past 2^16 block ids.
+    "k1n64": dict(key_length=1024, block_size=1, blocks_per_parity=64, loss=0.1,
+                  seed=17, flip=0.0, extra=""),
 }
 
 GOLDEN = {
@@ -122,6 +125,12 @@ GOLDEN = {
         "528f50f2d52f212bb8d8a63f54986fc0506c3ad514bc08bcacc9c60312cbd0a0",
     "k7n9.report.txt":
         "f875f5356217ab8fdc714dc5eecf21f7ea80ea4e49227725a0fdab7369a34d49",
+    "k1n64.session":
+        "ef37c67448421fe773e7cbd025948ed55e3fe896dfd85b40b8b119fd35b53124",
+    "k1n64.transcript.txt":
+        "40c1cf7373197e9ea52cd65b0f85b655f7011fb2dd7f63018d8d1de5e5af5d54",
+    "k1n64.report.txt":
+        "a58f328dd9908b8767b0a20c7e0675597e6709bd6ad71e0ade90255c72c9c765",
 }
 
 # ``relqkd verify``'s output: every check's seed, tolerance and printed figure.

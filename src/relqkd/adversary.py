@@ -258,12 +258,6 @@ class KrausSet:
         mass = np.sum(self.weights ** 2 * np.abs(amps) ** 2, axis=-1)
         return float(mass) if mass.ndim == 0 else mass
 
-    @classmethod
-    def identity(cls, dimension: int) -> "KrausSet":
-        """Complete dephasing set; leaves every domain mass unchanged."""
-        eye = np.eye(dimension, dtype=complex)
-        return cls(weights=np.ones(dimension), outputs=eye, inputs=eye)
-
 
 def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Unnormalised complex Gaussian array: its real parts drawn first, then its imaginary."""

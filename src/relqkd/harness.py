@@ -5,9 +5,9 @@ A campaign is described by a flat INI-style text file (section headers,
 the closed-form tradeoff over a (ratio, delay) grid, ``simulate`` adds
 seeded Monte Carlo columns with binomial standard errors and z-scores,
 ``distill`` runs one full key-distillation session and emits the transcript
-and security report, and ``verify`` replays the built-in identity and bound
-checks.  Given the same campaign file and seed, every output is
-byte-identical across runs.
+and security report, and ``verify`` runs the ``check_*`` self-checks, which
+the acceptance suite runs too, one criterion each.  Given the same campaign
+file and seed, every output is byte-identical across runs.
 
 ``load_campaign`` reads each section through ``_SCHEMA`` and passes on only
 the keys the file sets, so every other value is the default of the
@@ -39,7 +39,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from . import distill, security
+from . import distill, infotheory, security
 from .adversary import (
     EveStrategy,
     ResendPolicy,
@@ -203,6 +203,17 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
         raise InvalidParameterError(
             f"[eve] sets {', '.join(map(repr, eve))} but lacks 'enabled': set "
             "enabled = true to run the eavesdropper, or enabled = false to run without one")
+    mode = campaign["mode"]
+    if mode in ("analyze", "simulate"):
+        for key, ignored, why in (
+            ("enabled", eve.get("enabled") is False, "a sweep always models the eavesdropper"),
+            ("delay", "delay" in eve, "the [sweep] chi_fractions set the delays"),
+            ("resend", "resend" in eve and mode == "analyze",
+             "its columns are the truncated resend's closed forms"),
+        ):
+            if ignored:
+                raise InvalidParameterError(
+                    f"[eve] {key!r} has no effect in mode {mode!r}: {why}")
     policy = {"resend_policy": eve["resend"]} if "resend" in eve else {}
     strategy = EveStrategy(eve.get("delay", 0.0), **policy) if eve.get("enabled") else None
 
@@ -444,7 +455,10 @@ def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6),
 
 
 def check_delay_bound(tol: float = 1e-9) -> CheckResult:
-    """The envelope's pass probability never beats 1 - chi/L; optimum at chi=0."""
+    """The envelope's pass probability never beats 1 - chi/L; optimum at chi=0.
+
+    A delay scan that contradicts the optimum (1 + ratio)/2 fails the check.
+    """
     L = 1.0
     envelope = make_plateau(L)
     for chi in np.linspace(0.0, 0.96, 25):
@@ -452,10 +466,40 @@ def check_delay_bound(tol: float = 1e-9) -> CheckResult:
         if p_pass > bob_pass_bound(float(chi), L) + tol:
             return CheckResult("delay-bound", False,
                                f"pass probability beats the bound at chi={chi}")
-    for ratio in (0.0, 0.25, 0.5, 0.9):
-        optimal_delay(ratio * L, L, grid_points=1000)
+    for ratio in (0.0, 0.25, 0.5, 0.9, 0.99):
+        try:
+            chi_star, pr_max = optimal_delay(ratio * L, L, grid_points=1000)
+        except InvalidParameterError as exc:
+            return CheckResult("delay-bound", False, f"at ratio {ratio}: {exc}")
+        if abs(pr_max - 0.5 * (1.0 + ratio)) > tol:
+            return CheckResult("delay-bound", False,
+                               f"optimum {pr_max!r} at chi={chi_star} for ratio {ratio}")
     return CheckResult("delay-bound", True,
-                       f"bound respected on a 25-point delay grid (tolerance {tol:g})")
+                       "bound respected on a 25-point delay grid; 1000-point scans peak at "
+                       f"chi=0 with value (1+ratio)/2 at 5 ratios (tolerance {tol:g})")
+
+
+def check_intercept_resend() -> CheckResult:
+    """Monte Carlo eavesdropper and pass rates match the closed forms at 3 sigma.
+
+    ``cmd_simulate`` runs the README grid at 10^5 trials and seed 2026.  The
+    eavesdropper's rate may also sit 1e-12 off, for where it saturates at 1
+    and its sigma is 0, and the pass rate 1e-3 off its bound.
+    """
+    trials = 100_000
+    rows = cmd_simulate(CampaignSpec("simulate", 2026, trials, ratios=(0.0, 0.25, 0.5, 0.9),
+                                     chi_fractions=(0.0, 0.1, 0.25, 0.5)))
+    for row in rows:
+        for rate, empirical, analytic, slack in (
+                ("eavesdropper", row.eve_empirical, row.pr_e_analytic, 1e-12),
+                ("pass", row.bob_empirical, row.pr_b_bound, 1e-3)):
+            if abs(empirical - analytic) > 3.0 * _stderr(analytic, trials) + slack:
+                return CheckResult("intercept-resend", False,
+                                   f"{rate} rate {empirical:.6g} vs {analytic:.6g} "
+                                   f"at ratio {row.ratio}, chi/L {row.chi_over_L}")
+    return CheckResult("intercept-resend", True,
+                       f"16 grid points x {trials} trials match the closed forms "
+                       "(tolerance 3 sigma, +1e-3 on the pass rate)")
 
 
 def check_instrument_bound(n_sets: int = 100, seed: int = 715, tol: float = 1e-9) -> CheckResult:
@@ -547,6 +591,44 @@ def check_majority_tail(trials: int = 200_000, k: int = 5, p_flip: float = 0.05,
                        f"{expected:.3e} (tolerance 3 sigma = {3 * sigma:.2g})")
 
 
+def check_information() -> CheckResult:
+    """A restricted-domain measurement that fires with probability f yields f bits.
+
+    Its three-outcome channel's mutual information and the commuting
+    Holevo quantity of the same ensemble both equal f within 1e-9, and two
+    orthogonal states give one bit.
+    """
+    tol = 1e-9
+    worst = 0.0
+    for f in (0.0, 0.25, 0.5, 1.0):
+        mi = infotheory.mutual_information(infotheory.eve_channel(f))
+        holevo = infotheory.holevo_quantity([0.5, 0.5], [[f, 0.0, 1.0 - f], [0.0, f, 1.0 - f]])
+        worst = max(worst, abs(mi - f), abs(holevo - mi))
+    orthogonal = infotheory.holevo_quantity([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+    ok = worst <= tol and abs(orthogonal - 1.0) <= 1e-12
+    return CheckResult("information", ok,
+                       f"mutual information and Holevo quantity {worst:.3g} off f for "
+                       f"f in {{0, 0.25, 0.5, 1}} (tolerance {tol:g}); orthogonal states "
+                       f"give {orthogonal:.15g} bit (tolerance 1e-12)")
+
+
+def check_session() -> CheckResult:
+    """The solver's (k, n, M) at N = 64, L_ch/L = 0.5 distil identical keys, no abort."""
+    seed = 808
+    params, report = security.solve_parameters(1e-3, 1e-3, 64, 0.5)
+    transcript = run_session(ProtocolConfig(
+        key_length=64, block_size=params.block_size,
+        blocks_per_parity=params.blocks_per_parity, hash_rounds=params.hash_rounds,
+        disclose_fraction=0.1, envelope=make_plateau(1.0), channel_length=0.5, seed=seed))
+    keys_agree = (not transcript.aborted and transcript.key_a.size == 64
+                  and np.array_equal(transcript.key_a, transcript.key_b))
+    keys = "identical 64-bit keys" if keys_agree else transcript.abort_reason or "differing keys"
+    return CheckResult("session", report.all_ok and keys_agree,
+                       f"solver's (k={params.block_size}, n={params.blocks_per_parity}, "
+                       f"M={params.hash_rounds}) yields {keys} at seed {seed}, and a report that "
+                       f"{'meets' if report.all_ok else 'fails'} the criterion (tolerance: exact)")
+
+
 DEFAULT_CHECKS = (
     check_parity_identity,
     check_parity_cosine,
@@ -554,6 +636,9 @@ DEFAULT_CHECKS = (
     check_instrument_bound,
     check_hash_calibration,
     check_majority_tail,
+    check_intercept_resend,
+    check_information,
+    check_session,
 )
 
 

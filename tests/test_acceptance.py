@@ -1,30 +1,29 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
-Every seed and trial count is pinned here; statistical checks use exact
-binomial standard errors around the analytic value with fixed seeds, so the
-suite is deterministic.  Criteria 3, 4, 5 and 7 run the same
-check implementations as ``relqkd verify``, with this suite's seeds, trial
-counts and tolerances, and criterion 2 the same ``optimal_delay`` scan.
+Each criterion runs one of ``relqkd verify``'s checks, ``harness.check_*``,
+so the suite and ``relqkd verify`` share one implementation of every check.
+Criteria 1, 2, 6 and 8 run their checks exactly as ``relqkd verify`` does;
+3, 4, 5 and 7 pass their own seeds, trial counts and tolerances.  Statistical
+checks use exact binomial standard errors around the analytic value with
+fixed seeds, so the suite is deterministic.
 """
 
-import math
 import time
 
 import numpy as np
 
-from relqkd.adversary import optimal_delay
-from relqkd.distill import ProtocolConfig, majority_decode, run_session
+from relqkd.distill import majority_decode
 from relqkd.harness import (
+    check_delay_bound,
     check_hash_calibration,
+    check_information,
     check_instrument_bound,
+    check_intercept_resend,
     check_majority_tail,
     check_parity_cosine,
     check_parity_identity,
-    simulate_intercept_resend,
+    check_session,
 )
-from relqkd.infotheory import eve_channel, holevo_quantity, mutual_information
-from relqkd.security import build_report, solve_parameters
-from relqkd.wavepacket import make_plateau
 
 
 def report(log, number: int, ok: bool, detail: str):
@@ -34,45 +33,19 @@ def report(log, number: int, ok: bool, detail: str):
     assert ok, line
 
 
-def binom_sigma(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
 def test_criterion_1_delay_tradeoff_monte_carlo(criterion_log):
     """Eve-correct and receiver-pass rates match the closed forms at 3 sigma."""
     t0 = time.time()
-    trials = 100_000
-    worst_eve = worst_bob = 0.0
-    point = 0
-    for ratio in (0.0, 0.25, 0.5, 0.9):
-        for chi in (0.0, 0.1, 0.25, 0.5):
-            s = simulate_intercept_resend(1.0, ratio, chi, trials, seed=(2026, point))
-            point += 1
-            # The analytic rate saturates at 1 once ratio + chi >= 1.
-            sig_e = binom_sigma(s.pr_e_analytic, trials)
-            dev_e = abs(s.eve_empirical - s.pr_e_analytic)
-            assert dev_e <= 3.0 * sig_e + 1e-12, (ratio, chi, dev_e)
-            sig_b = binom_sigma(s.pr_b_bound, trials)
-            dev_b = abs(s.bob_empirical - s.pr_b_bound)
-            assert dev_b <= 3.0 * sig_b + 1e-3, (ratio, chi, dev_b)
-            worst_eve = max(worst_eve, dev_e - 3.0 * sig_e)
-            worst_bob = max(worst_bob, dev_b - 3.0 * sig_b)
+    result = check_intercept_resend()
     elapsed = time.time() - t0
-    report(criterion_log, 1, elapsed < 60.0,
-           f"16 grid points x {trials} trials agree at 3 sigma "
-           f"(+1e-3 quadrature slack on the pass rate); {elapsed:.1f}s < 60s")
+    report(criterion_log, 1, result.passed and elapsed < 60.0,
+           f"{result.detail}; {elapsed:.1f}s < 60s")
 
 
 def test_criterion_2_optimum_at_boundary(criterion_log):
     """Grid scan puts the joint-success maximum at zero delay."""
-    ok = True
-    for ratio in (0.0, 0.25, 0.5, 0.9, 0.99):
-        # Raises if the 1000-point scan peaks anywhere but chi = 0.
-        chi_star, pr_max = optimal_delay(ratio, 1.0, grid_points=1000)
-        ok &= chi_star == 0.0
-        ok &= abs(pr_max - 0.5 * (1.0 + ratio)) < 1e-9
-    report(criterion_log, 2, ok, "1000-point scans peak at chi=0 with value (1+ratio)/2 "
-                  "within 1e-9 for every ratio < 1")
+    result = check_delay_bound()
+    report(criterion_log, 2, result.passed, result.detail)
 
 
 def test_criterion_3_parity_identity(criterion_log):
@@ -112,16 +85,8 @@ def test_criterion_5_majority_block_error(criterion_log):
 
 def test_criterion_6_information_formulas(criterion_log):
     """Accessible information equals f; commuting Holevo agrees; 1 bit max."""
-    ok = True
-    for f in (0.0, 0.25, 0.5, 1.0):
-        mi = mutual_information(eve_channel(f))
-        ok &= abs(mi - f) <= 1e-9
-        chi = holevo_quantity([0.5, 0.5], [[f, 0.0, 1.0 - f], [0.0, f, 1.0 - f]])
-        ok &= abs(chi - mi) <= 1e-9
-    ok &= abs(holevo_quantity([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]) - 1.0) <= 1e-12
-    report(criterion_log, 6, ok, "three-outcome channel returns f +- 1e-9 for "
-                  "f in {0, 0.25, 0.5, 1}, equals the commuting Holevo "
-                  "quantity, and orthogonal states give 1 bit")
+    result = check_information()
+    report(criterion_log, 6, result.passed, result.detail)
 
 
 def test_criterion_7_instrument_bound(criterion_log):
@@ -132,25 +97,5 @@ def test_criterion_7_instrument_bound(criterion_log):
 
 def test_criterion_8_end_to_end_session(criterion_log):
     """Solver output drives a noiseless session to identical 64-bit keys."""
-    params, solver_report = solve_parameters(1e-3, 1e-3, 64, 0.5)
-    cfg = ProtocolConfig(
-        key_length=64,
-        block_size=params.block_size,
-        blocks_per_parity=params.blocks_per_parity,
-        hash_rounds=params.hash_rounds,
-        disclose_fraction=0.1,
-        envelope=make_plateau(1.0),
-        channel_length=0.5,
-        seed=808,
-    )
-    transcript = run_session(cfg)
-    fresh = build_report(64, params.blocks_per_parity, params.block_size,
-                         params.hash_rounds, 0.5, 1e-3, 1e-3)
-    ok = (not transcript.aborted
-          and transcript.key_a.size == 64
-          and bool((transcript.key_a == transcript.key_b).all())
-          and solver_report.all_ok and fresh.all_ok)
-    report(criterion_log, 8, ok,
-           f"(k={params.block_size}, n={params.blocks_per_parity}, "
-           f"M={params.hash_rounds}) yields identical 64-bit keys without "
-           "abort; re-evaluated report satisfies every criterion flag")
+    result = check_session()
+    report(criterion_log, 8, result.passed, result.detail)

@@ -255,7 +255,7 @@ class TestMonteCarloConsistency:
 
 class TestKrausInstrument:
     def test_identity_instrument_preserves_domain_mass(self):
-        kraus = KrausSet.identity(8)
+        kraus = KrausSet(np.ones(8), np.eye(8), np.eye(8))
         holds, lhs = instrument_contraction_check(
             kraus, 0.6, rng=np.random.default_rng(3))
         assert holds

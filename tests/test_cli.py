@@ -73,3 +73,33 @@ def test_eve_disabled_explicitly_runs_without_eavesdropper(tmp_path, capsys):
     lines = (tmp_path / "eve.transcript.txt").read_text().split("\n")
     eve_column = lines[4].split("\t")
     assert eve_column[0] == "eve_outcome" and set(eve_column[1]) == {"-"}
+
+
+SWEEP = ("[campaign]\nmode = {mode}\ntrials = 1000\nseed = 7\n"
+         "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n")
+
+
+@pytest.mark.parametrize("mode,eve,key", [
+    # This file once wrote the same row as enabled = true.
+    ("simulate", "enabled = false\nresend = none\n", "enabled"),
+    ("analyze", "enabled = false\n", "enabled"),
+    ("simulate", "enabled = true\ndelay = 0.25\n", "delay"),
+    ("analyze", "enabled = true\nresend = shifted\n", "resend"),
+], ids=["found-file", "enabled", "delay", "resend"])
+def test_eve_keys_a_sweep_ignores_are_invalid_input(tmp_path, capsys, mode, eve, key):
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP.format(mode=mode) + "[eve]\n" + eve)
+    assert main([mode, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"[eve] {key!r} has no effect in mode {mode!r}" in captured.err
+
+
+def test_simulate_takes_the_resend_policy(tmp_path, capsys):
+    # Forwarding nothing, the eavesdropper's substitute never passes.
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP.format(mode="simulate") + "[eve]\nenabled = true\nresend = none\n")
+    assert main(["simulate", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    columns = dict(zip(header.split(","), row.split(",")))
+    assert columns["joint_empirical"] == columns["pass_probability"] == "0"

@@ -137,13 +137,20 @@ GOLDEN = {
 VERIFY_TEXT = (
     "[PASS] parity-identity: exact agreement for all n*k <= 20 (tolerance: exact)\n"
     "[PASS] parity-cosine: worst relative error 1.67e-16 (tolerance 1e-06)\n"
-    "[PASS] delay-bound: bound respected on a 25-point delay grid (tolerance 1e-09)\n"
+    "[PASS] delay-bound: bound respected on a 25-point delay grid; 1000-point scans peak at "
+    "chi=0 with value (1+ratio)/2 at 5 ratios (tolerance 1e-09)\n"
     "[PASS] instrument-bound: 100 admissible sets below f (tolerance 1e-09); "
     "negative control rejected\n"
     "[PASS] hash-calibration: undetected 0.03081 vs 2^-5=0.03125 (tolerance 3 sigma = 0.0017)\n"
     "[PASS] majority-tail: block error 1.105e-03 vs binomial tail 1.158e-03 "
     "(tolerance 3 sigma = 0.00023)\n"
-    "6/6 checks passed\n"
+    "[PASS] intercept-resend: 16 grid points x 100000 trials match the closed forms "
+    "(tolerance 3 sigma, +1e-3 on the pass rate)\n"
+    "[PASS] information: mutual information and Holevo quantity 1.11e-16 off f for "
+    "f in {0, 0.25, 0.5, 1} (tolerance 1e-09); orthogonal states give 1 bit (tolerance 1e-12)\n"
+    "[PASS] session: solver's (k=1, n=45, M=12) yields identical 64-bit keys at seed 808, "
+    "and a report that meets the criterion (tolerance: exact)\n"
+    "9/9 checks passed\n"
 )
 
 

@@ -1,12 +1,12 @@
 """Campaign loading, sweep tables, determinism, self-checks, CLI exit codes."""
 
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from relqkd import distill, harness, security
+from relqkd import adversary, distill, harness, infotheory, security
 from relqkd.adversary import (
     KrausSet,
     ResendPolicy,
@@ -105,6 +105,14 @@ def _per_trial_counts(seed, trials, f, p_pass):
     passed = rng.random(trials) < p_pass
     return [np.count_nonzero(eve_correct), np.count_nonzero(passed),
             np.count_nonzero(passed & eve_correct)]
+
+
+def _shifted_eve_count(simulate_point):
+    """``_simulate_point`` with 1000 more right guesses in 10^5 trials."""
+    def point(*args):
+        row = simulate_point(*args)
+        return replace(row, eve_empirical=row.eve_empirical + 0.01)
+    return point
 
 
 @pytest.fixture
@@ -406,6 +414,21 @@ class TestVerify:
         monkeypatch.setattr(distill, "_hash_step", blind)
         assert "[FAIL] hash-calibration" in cmd_verify().to_text()
 
+    @pytest.mark.parametrize("name,owner,attr,fault", [
+        # A pass bound that grows with chi moves the scan's optimum off 0.
+        ("delay-bound", adversary, "bob_pass_bound",
+         lambda real: lambda chi, L: real(L - chi, L)),
+        ("intercept-resend", harness, "_simulate_point", _shifted_eve_count),
+        ("information", infotheory, "mutual_information",
+         lambda real: lambda channel: real(channel) + 1e-6),
+        ("session", distill.Transcript, "key_b",
+         lambda real: property(lambda self: real.fget(self) ^ 1)),
+    ], ids=["delay-bound", "intercept-resend", "information", "session"])
+    def test_fault_reported_as_failure(self, monkeypatch, capsys, name, owner, attr, fault):
+        monkeypatch.setattr(owner, attr, fault(getattr(owner, attr)))
+        assert cli_main(["verify"]) == 1
+        assert f"[FAIL] {name}: " in capsys.readouterr().out
+
     def test_instrument_bound_needs_a_set(self):
         with pytest.raises(InvalidParameterError, match="n_sets >= 1"):
             check_instrument_bound(n_sets=0)
@@ -433,8 +456,9 @@ class TestCli:
     def test_bad_config_is_invalid_input(self, capsys):
         assert cli_main(["analyze", "/nonexistent.ini"]) == 2
 
-    @pytest.mark.parametrize("resolution", ["nan", "inf"])
+    @pytest.mark.parametrize("resolution", ["nan", "inf", "4096"])
     def test_non_finite_resolution_is_invalid_input(self, tmp_path, capsys, resolution):
+        # The removed key is refused whatever its value.
         path = tmp_path / "sim.ini"
         path.write_text(SIMULATE_INI + f"\n[state]\nresolution = {resolution}\n")
         assert cli_main(["simulate", str(path)]) == 2
@@ -461,16 +485,18 @@ class TestCli:
     def test_full_delay_on_untailed_envelope(self, tmp_path, capsys):
         # At chi = L the truncated resend has nothing left to send: the
         # point passes with probability 0, as analyze tabulates it.
+        # 10^12 trials per point run as fast as 2000: the counts are drawn exactly.
         sweep = "[sweep]\nratios = 0, 0.5\nchi_fractions = 0.5, 1\n"
         path = tmp_path / "sim.ini"
-        path.write_text(f"[campaign]\nmode = simulate\ntrials = 2000\nseed = 3\n{sweep}")
-        assert cli_main(["simulate", str(path)]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
-        columns = dict(zip(rows[0], zip(*rows[1:])))
-        full = [i for i, cf in enumerate(columns["chi_over_L"]) if cf == "1"]
-        assert len(full) == 2
-        for name in ("pr_b_bound", "joint_empirical", "zscore"):
-            assert [columns[name][i] for i in full] == ["0", "0"]
+        for trials in (2000, 10**12):
+            path.write_text(f"[campaign]\nmode = simulate\ntrials = {trials}\nseed = 3\n{sweep}")
+            assert cli_main(["simulate", str(path)]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+            columns = dict(zip(rows[0], zip(*rows[1:])))
+            full = [i for i, cf in enumerate(columns["chi_over_L"]) if cf == "1"]
+            assert len(full) == 2
+            for name in ("pr_b_bound", "joint_empirical", "zscore"):
+                assert [columns[name][i] for i in full] == ["0", "0"]
         # A session there cannot sift a single round, and says so.
         path.write_text(DISTILL_INI.replace("channel_length = 0.5", "channel_length = 0")
                         + "[eve]\nenabled = true\ndelay = 1.0\n")

@@ -150,26 +150,42 @@ class Transcript:
 
     @classmethod
     def _adopt(cls, round_table: np.ndarray, subsets: tuple[str, ...], blocks_per_parity: int,
-               members: np.ndarray | None = None) -> "Transcript":
+               **derived) -> "Transcript":
         """A transcript that freezes ``round_table`` and keeps it instead of a copy.
 
         Only a table that no caller holds may be adopted, and it must be
-        int32 and column-major.  ``members``, if given, must be the blocks
-        ``_blocks`` derives from the table; they are kept as its blocks.
+        int32 and column-major.  ``derived`` maps the names of cached
+        properties (``_announced_blocks``, ``_column_texts``,
+        ``_members_text``) to the values they would derive from the record;
+        they are kept as those values, the blocks read-only.
         """
         round_table.flags.writeable = False
         transcript = cls.__new__(cls)
         for name, value in (("round_table", round_table), ("subsets", subsets),
                             ("blocks_per_parity", blocks_per_parity)):
             object.__setattr__(transcript, name, value)
-        if members is not None:
-            members.flags.writeable = False
-            transcript.__dict__["_announced_blocks"] = members
+        if "_announced_blocks" in derived:
+            derived["_announced_blocks"].flags.writeable = False
+        transcript.__dict__.update(derived)
         return transcript
 
     @cached_property
     def _announced_blocks(self) -> np.ndarray:
         return _blocks(self.round_table)
+
+    @cached_property
+    def _column_texts(self) -> tuple[str, ...]:
+        """The characters of the four column lines; a code outside its alphabet raises."""
+        codes = self.round_table.T[:len(_ALPHABETS)]
+        if any(column.min(initial=0) < 0 or column.max(initial=0) >= alphabet.size
+               for alphabet, column in zip(_ALPHABETS, codes)):
+            raise InvalidParameterError("a round's code lies outside its column's alphabet")
+        return tuple(alphabet.take(column).tobytes().decode()
+                     for alphabet, column in zip(_ALPHABETS, codes))
+
+    @cached_property
+    def _members_text(self) -> str:
+        return _ints_text(self._announced_blocks.ravel())
 
     @cached_property
     def _hash(self) -> HashResult:
@@ -213,22 +229,19 @@ class Transcript:
         does not read back (see ``from_text``).
         """
         table = self.round_table
-        codes = table.T[:len(_ALPHABETS)]
-        if any(column.min(initial=0) < 0 or column.max(initial=0) >= alphabet.size
-               for alphabet, column in zip(_ALPHABETS, codes)):
-            raise InvalidParameterError("a round's code lies outside its column's alphabet")
-        if ((codes[2] < 2) & (codes[2] != codes[0])).any():
+        columns = self._column_texts
+        sent, _, eve = table.T[:3]
+        if ((eve < 2) & (eve != sent)).any():
             raise InvalidParameterError("a fired eavesdropper outcome must name the sent bit; "
                                         "transcript is inconsistent")
-        if 0 < np.count_nonzero(codes[2] == 3) < len(table):
+        if 0 < np.count_nonzero(eve == 3) < len(table):
             raise InvalidParameterError("the eavesdropper outcome column mixes '-' with "
                                         "outcomes; transcript is inconsistent")
         members = self._announced_blocks
         lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(table)}"]
-        lines.extend(f"{name}\t{alphabet.take(column).tobytes().decode()}"
-                     for name, alphabet, column in zip(ROUND_COLUMNS, _ALPHABETS, codes))
+        lines.extend(f"{name}\t{chars}" for name, chars in zip(ROUND_COLUMNS, columns))
         lines.append(f"blocks\t{len(members)}\t{members.shape[1]}\t{self.blocks_per_parity}")
-        lines.append(_ints_text(members.ravel()))
+        lines.append(self._members_text)
         lines.append(f"hash_log\t{len(self.hash_log)}")
         lines.append("l\tsubset\tparity_a\tparity_b\tdiscarded")
         for h in self.hash_log:
@@ -250,7 +263,8 @@ class Transcript:
         give ``text`` again, so ``Transcript.from_text(t).to_text() == t``
         for every accepted ``t``, and a text whose parities, discarded
         positions, error estimate, keys or abort lines contradict its
-        record is rejected.
+        record is rejected.  The blocks and the text lines that exact
+        checks prove canonical are kept, not derived again (see ``_parse``).
         """
         lines = text.split("\n")
         if lines[0] != TRANSCRIPT_SCHEMA:
@@ -268,15 +282,21 @@ class Transcript:
 
     @classmethod
     def _parse(cls, lines: list[str]) -> "Transcript":
-        """The record the lines spell.
+        """The record the lines spell, and what they are proven to spell of it.
 
         Only what the arrays need is checked here: the alphabets, and sizes
         that agree before anything is allocated from them.  Every other
-        defect makes the text differ from what ``to_text`` writes.
+        defect makes the text differ from what ``to_text`` writes.  A column
+        line that decodes holds only its alphabet's characters, so they are
+        what ``to_text`` spells from the codes, and are kept.  The members
+        line's blocks, and the line itself, are kept only where exact checks
+        (``_listed_blocks``, ``_spells``) show them to be what ``_blocks``
+        and ``_ints_text`` derive; otherwise ``to_text`` derives them.
         """
         n_rounds = int(lines[1].split("\t")[1])
-        columns = [decode.take(np.frombuffer(line.partition("\t")[2].encode(), dtype=np.uint8))
-                   for decode, line in zip(_DECODE, lines[2:6])]
+        texts = tuple(line.partition("\t")[2] for line in lines[2:6])
+        columns = [decode.take(np.frombuffer(chars.encode(), dtype=np.uint8))
+                   for decode, chars in zip(_DECODE, texts)]
         if any(c.size != n_rounds or (c < 0).any() for c in columns):
             raise InvalidParameterError("a round column is not one alphabet character per round")
         table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
@@ -289,7 +309,51 @@ class Transcript:
         table[:, 4] = -1
         table[members, 4] = np.repeat(np.arange(n_blocks), k)
         n_hash = int(lines[8].split("\t")[1])
-        return cls._adopt(table, tuple(line.split("\t")[1] for line in lines[10:10 + n_hash]), n)
+        derived = {"_column_texts": texts}
+        if _listed_blocks(table, members, k):
+            derived["_announced_blocks"] = members.reshape(n_blocks, k)
+            if _spells(lines[7], members):
+                derived["_members_text"] = lines[7]
+        return cls._adopt(table, tuple(line.split("\t")[1] for line in lines[10:10 + n_hash]),
+                          n, **derived)
+
+
+def _listed_blocks(table: np.ndarray, members: np.ndarray, k: int) -> bool:
+    """Whether ``_blocks(table)`` gives ``members``, k per row.
+
+    ``members`` are the round ids a members line lists, which were just
+    numbered in the table's block column, block b taking ids b*k ..
+    b*k+k-1; the numbering refused ids of ``len(table)`` or more.  They
+    are the blocks if there is one, no id is negative (numpy reads -1 as
+    the last round), each block's ids rise, and no round is in two blocks,
+    which holds when the numbering left as many rounds in blocks as there
+    are ids.
+    """
+    if not members.size or members.min() < 0:
+        return False
+    rising = members[1:] > members[:-1]
+    rising[k - 1::k] = True  # a block's last id and the next block's first
+    return bool(rising.all()) and np.count_nonzero(table[:, 4] != -1) == members.size
+
+
+def _spells(line: str, values: np.ndarray) -> bool:
+    """Whether ``line`` is ``_ints_text(values)``, given the round ids read from it.
+
+    It is when the line holds only ASCII digits and spaces, one space
+    fewer than there are values, and as many digits as the values have.
+    Every value is read from a run of digits, so then no run is empty: no
+    space doubles or ends the line.  Each run has at least as many digits
+    as the value it reads as, and exactly as many only when it spells that
+    value: a leading zero adds a digit, and a run past int64, which numpy
+    reads as a clamped or wrapped value, has more digits than any round id.
+    """
+    raw = np.frombuffer(line.encode(), dtype=np.uint8)
+    spaces = np.count_nonzero(raw == ord(" "))
+    digits = values.size
+    for power in range(1, len(str(values.max()))):
+        digits += np.count_nonzero(values >= 10 ** power)
+    return (spaces + 1 == values.size and digits + spaces == raw.size
+            and np.count_nonzero(raw - ord("0") < 10) == digits)
 
 
 def _columns(table: np.ndarray):
@@ -341,18 +405,24 @@ def estimate_error(a_bits, b_bits, disclose_fraction: float,
     b_arr = np.asarray(b_bits)
     if a_arr.shape != b_arr.shape or a_arr.ndim != 1 or a_arr.size == 0:
         raise InvalidParameterError("need two equal-length non-empty bit sequences")
+    positions = _disclosed_positions(a_arr.size, disclose_fraction, rng)
+    p_err = float(np.mean(a_arr[positions] != b_arr[positions]))
+    return p_err, positions
+
+
+def _disclosed_positions(size: int, disclose_fraction: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """The ascending positions, out of ``size``, that ``estimate_error`` discloses."""
     if not (0.0 < disclose_fraction < 1.0):
         raise InvalidParameterError(
             f"disclose fraction must lie in (0, 1), got {disclose_fraction}"
         )
-    count = int(round(disclose_fraction * a_arr.size))
+    count = int(round(disclose_fraction * size))
     if count < 1:
         raise InvalidParameterError(
-            f"disclosing {disclose_fraction} of {a_arr.size} rounds discloses nothing"
+            f"disclosing {disclose_fraction} of {size} rounds discloses nothing"
         )
-    positions = np.sort(rng.choice(a_arr.size, size=count, replace=False))
-    p_err = float(np.mean(a_arr[positions] != b_arr[positions]))
-    return p_err, positions
+    return np.sort(rng.choice(size, size=count, replace=False))
 
 
 def majority_decode(block) -> np.int64 | np.ndarray:
@@ -596,7 +666,12 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
         sent_on = a_bits
         resending = True
 
-    conclusive = (rng_bob.random(n_rounds) < p_pass) & resending
+    # rng_bob feeds nothing else, and a uniform draw on [0, 1) is below a
+    # pass probability of exactly 1, so a certain pass draws nothing.
+    if p_pass == 1.0:
+        conclusive = np.full(n_rounds, resending)
+    else:
+        conclusive = (rng_bob.random(n_rounds) < p_pass) & resending
     # Channel noise: loss first, then polarization flips on the survivors.
     # rng_noise feeds nothing else, so a draw at probability 0 changes no
     # round and is skipped; the loss draw stays when flips follow it.
@@ -610,10 +685,11 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     if kept.size < 2:
         raise _ShortOfBlocks
 
-    _, disclosed_local = estimate_error(
-        a_bits[kept], outcome_bits[kept], cfg.disclose_fraction, rng_public)
+    # The session's error estimate is derived from its transcript, so only
+    # the positions are drawn.
+    disclosed = kept[_disclosed_positions(kept.size, cfg.disclose_fraction, rng_public)]
     disclosed_mask = np.zeros(n_rounds, dtype=bool)
-    disclosed_mask[kept[disclosed_local]] = True
+    disclosed_mask[disclosed] = True
 
     remaining = np.flatnonzero(conclusive & ~disclosed_mask)
 
@@ -633,7 +709,7 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
         blocks = blocks[np.argsort(blocks[:, 0], kind="stable")]
     if len(blocks) < need_blocks:
         raise _ShortOfBlocks
-    chosen = blocks[rng_public.permutation(len(blocks))[:need_blocks]]
+    chosen = blocks.take(rng_public.permutation(len(blocks))[:need_blocks], axis=0)
 
     # Filled column by column, so every column is contiguous.
     table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
@@ -648,7 +724,8 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     length = cfg.key_length + cfg.hash_rounds
     subsets = tuple(format(_random_nonzero(rng_hash, n), f"0{n}b")[::-1]
                     for n in range(length, length - cfg.hash_rounds, -1))
-    return Transcript._adopt(table, subsets, cfg.blocks_per_parity, chosen)
+    return Transcript._adopt(table, subsets, cfg.blocks_per_parity,
+                             _announced_blocks=chosen)
 
 
 def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray | None]:

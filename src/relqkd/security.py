@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 from .adversary import eve_success_probability
@@ -189,6 +190,12 @@ class SecurityReport:
                 yield "all_ok", self.all_ok
 
     def to_text(self) -> str:
+        """The text form, rendered on the first call and kept: ``relqkd distill``
+        writes it to the report file and to stdout."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         lines = [REPORT_SCHEMA] + [f"{key}={_render(value)}" for key, value in self._items()]
         return "\n".join(lines) + "\n"
 

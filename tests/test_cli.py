@@ -54,6 +54,19 @@ def test_large_noisy_session_round_trips(tmp_path, capsys):
         SecurityReport.from_text(flipped)
 
 
+def test_distill_renders_the_report_once(tmp_path, capsys, monkeypatch):
+    # The report file and stdout get the same text, rendered once.
+    renders = []
+    items = SecurityReport._items
+    monkeypatch.setattr(SecurityReport, "_items",
+                        lambda self: renders.append(1) or items(self))
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL)
+    assert main(["distill", str(path), "--out", str(tmp_path / "small")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "small.report.txt").read_text()
+    assert len(renders) == 1
+
+
 @pytest.mark.parametrize("eve", ["delay = 0.25\n", "resend = none\n",
                                  "delay = 0.25\nresend = shifted\n"])
 def test_eve_keys_without_enabled_are_invalid_input(tmp_path, capsys, eve):

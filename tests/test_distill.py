@@ -438,6 +438,11 @@ def _inconclusive_one(parts):
     cols["b_outcome"][i] = "?"
 
 
+def _descend_first_block(parts):
+    ids = parts["blocks"][0]
+    ids[0], ids[1] = ids[1], ids[0]
+
+
 def _set_n(value):
     return _edit(lambda p: p.__setitem__("n", value))
 
@@ -580,9 +585,14 @@ class TestTranscript:
         transcript = run_session(make_config(flip_probability=0.02, seed=8))
         text = transcript.to_text()
         transcript.key_a, transcript.aborted, transcript.hash_log
-        # A session's transcript keeps the blocks the session formed.
+        # A session's transcript keeps the blocks the session formed, and a
+        # reader keeps the blocks that a session's text lists.
         assert not calls
         Transcript.from_text(text).key_a
+        assert not calls
+        # Members listed out of order are derived once, and refused.
+        with pytest.raises(InvalidParameterError, match="differs from what to_text writes"):
+            Transcript.from_text(_edit(_descend_first_block)(text))
         assert len(calls) == 1
 
     def test_round_table_is_read_only(self):
@@ -825,6 +835,169 @@ class TestTranscriptParseErrors:
             parsed = Transcript.from_text(text)
         except InvalidParameterError:
             return
+        assert parsed.to_text() == text
+
+
+def _members_line(edit):
+    """A mangle applying ``edit`` to the members line."""
+    def mangle(text):
+        lines = text.split("\n")
+        lines[7] = edit(lines[7])
+        return "\n".join(lines)
+    return mangle
+
+
+def _zero_blocks(text):
+    lines = text.split("\n")
+    lines[6:8] = ["blocks\t0\t" + "\t".join(lines[6].split("\t")[2:]), ""]
+    return "\n".join(lines)
+
+
+# One input per defect that the reader's checks look for before it keeps
+# the blocks, the members line or a column line instead of deriving them,
+# with the error it raises; a check that let one through would keep what
+# the text does not spell.
+_DIFFERS = "differs from what to_text writes"
+_UNNUMBERED = r"numbered 0, 1, \.\.\. and all have one size"
+READER_CORPUS = {
+    "member-03": (_edit_member(lambda m: "0" + m), _DIFFERS),
+    "member-plus": (_edit_member(lambda m: "+" + m), _DIFFERS),
+    "member-underscore": (_edit_member(above=9, edit=lambda m: m[:1] + "_" + m[1:]),
+                          "malformed transcript: ValueError"),
+    "member-leading-space": (_edit_member(lambda m: " " + m), _DIFFERS),
+    "member-non-ascii-digit": (_edit_member(lambda m: m[:-1] + chr(0x0660 + int(m[-1]))),
+                               "malformed transcript: ValueError"),
+    "members-double-space": (_members_line(lambda line: line.replace(" ", "  ", 1)), _DIFFERS),
+    "members-trailing-space": (_members_line(lambda line: line + " "), _DIFFERS),
+    # numpy 2.4 reads a number past int64 as its maximum; one that wraps it
+    # reads m, and the text then differs from what to_text writes.
+    "member-20-digits": (_edit_member(lambda m: str(2 ** 64 + int(m))),
+                         "malformed transcript: IndexError|" + _DIFFERS),
+    "member-negative": (_edit_member(lambda m: str(int(m) - len(NOISY.round_table))), _DIFFERS),
+    "member-past-rounds": (_edit_member(lambda m: str(len(NOISY.round_table))),
+                           "malformed transcript: IndexError"),
+    "round-in-two-blocks": (_edit(lambda p: p["blocks"].__setitem__(1, list(p["blocks"][0]))),
+                            _UNNUMBERED),
+    "descending-pair": (_edit(_descend_first_block), _DIFFERS),
+    "zero-blocks": (_zero_blocks, _UNNUMBERED),
+    "column-renamed": (lambda t: t.replace("\na_bit\t", "\nsent\t", 1), _DIFFERS),
+    "column-byte-outside-alphabet": (
+        _edit(lambda p: p["cols"]["b_outcome"].__setitem__(0, "-")),
+        "a round column is not one alphabet character per round"),
+}
+
+_KEPT_NAMES = {"_announced_blocks", "_column_texts", "_members_text"}
+
+
+def _oracle_accepts(text) -> bool:
+    """The round trip without kept values: parse, rebuild the record, write it back."""
+    lines = text.split("\n")
+    try:
+        if lines[0] != distill.TRANSCRIPT_SCHEMA:
+            return False
+        parsed = Transcript._parse(lines)
+        rebuilt = Transcript(parsed.round_table, parsed.subsets, parsed.blocks_per_parity)
+        return rebuilt.to_text() == text
+    except (InvalidParameterError, IndexError, ValueError, OverflowError):
+        return False
+
+
+def _assert_kept_values_derive(text) -> set[str]:
+    """Each value the parse of ``text`` keeps is the one its record derives.
+
+    Returns the names of the kept values; none if the text does not parse.
+    """
+    try:
+        parsed = Transcript._parse(text.split("\n"))
+    except (InvalidParameterError, IndexError, ValueError, OverflowError):
+        return set()
+    fresh = Transcript(parsed.round_table, parsed.subsets, parsed.blocks_per_parity)
+    names = _KEPT_NAMES & parsed.__dict__.keys()
+    assert "_column_texts" in names
+    for name in names:
+        kept, derived = parsed.__dict__[name], getattr(fresh, name)
+        if isinstance(kept, np.ndarray):
+            assert kept.dtype == derived.dtype and np.array_equal(kept, derived), name
+            assert not kept.flags.writeable
+        else:
+            assert kept == derived, name
+    return names
+
+
+_SESSION = dict(
+    k=st.sampled_from([1, 3, 5, 7]), n=st.integers(1, 4), key_length=st.integers(1, 24),
+    rounds=st.integers(1, 6), flip=st.sampled_from([0.0, 0.03]),
+    loss=st.sampled_from([0.0, 0.1]), eve_delay=st.sampled_from([None, 0.0, 0.25]),
+    policy=st.sampled_from([ResendPolicy.TRUNCATED_RENORMALIZED, ResendPolicy.SHIFTED_COPY]),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _session_text(k, n, key_length, rounds, flip, loss, eve_delay, policy, seed):
+    eve = None if eve_delay is None else EveStrategy(eve_delay, policy)
+    try:
+        return run_session(make_config(
+            key_length=key_length, block_size=k, blocks_per_parity=n, hash_rounds=rounds,
+            flip_probability=flip, loss_probability=loss, eve=eve, seed=seed)).to_text()
+    except ResourceExhaustedError:
+        return None
+
+
+class TestReaderKeepsWhatItChecked:
+    """``from_text`` keeps the blocks, members line and column lines it proved canonical.
+
+    The oracle is the round trip with nothing kept: every kept value must
+    be the derived one, and the reader must accept exactly what the oracle
+    accepts.
+    """
+
+    @pytest.mark.parametrize("case", sorted(READER_CORPUS))
+    def test_corpus_is_refused(self, case):
+        mangle, message = READER_CORPUS[case]
+        text = mangle(NOISY_TEXT)
+        assert text != NOISY_TEXT
+        assert not _oracle_accepts(text)
+        _assert_kept_values_derive(text)
+        with pytest.raises(InvalidParameterError, match=message):
+            Transcript.from_text(text)
+
+    @pytest.mark.parametrize("line,values,spelled", [
+        ("7 0 12", [7, 0, 12], True),
+        ("7 00 12", [7, 0, 12], False),
+        # Each value's digits and the spaces fill the line, but a run is not digits.
+        ("7 + 12", [7, 0, 12], False),
+    ])
+    def test_spells_reads_digit_runs(self, line, values, spelled):
+        assert distill._spells(line, np.array(values)) == spelled
+
+    def test_session_text_keeps_all_three(self):
+        for transcript in (NOISY, ABORTED, EAVESDROPPED):
+            assert _assert_kept_values_derive(transcript.to_text()) == _KEPT_NAMES
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), session=st.fixed_dictionaries(_SESSION))
+    def test_agrees_with_the_oracle(self, data, session):
+        text = _session_text(**session)
+        if text is None:
+            return
+        if data.draw(st.booleans()):
+            # One character changed, within the members line half the time.
+            start, end = 0, len(text)
+            if data.draw(st.booleans()):
+                start = text.index("\n", text.index("\nblocks\t") + 1) + 1
+                end = text.index("\n", start)
+            i = data.draw(st.integers(start, end - 1))
+            char = data.draw(st.sampled_from("0123456789 \t\n-?+_x\u0662"))
+            text = text[:i] + char + text[i + 1:]
+        accepted = _oracle_accepts(text)
+        kept = _assert_kept_values_derive(text)
+        try:
+            parsed = Transcript.from_text(text)
+        except InvalidParameterError:
+            assert not accepted
+            return
+        assert accepted
+        # The checks pass every text the reader accepts.
+        assert kept == _KEPT_NAMES
         assert parsed.to_text() == text
 
 

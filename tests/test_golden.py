@@ -72,6 +72,9 @@ DISTILL_CASES = {
     "noisy": dict(SMALL, seed=12, flip=0.05, extra=""),
     "eve": dict(SMALL, seed=13, flip=0.0,
                 extra="[eve]\nenabled = true\ndelay = 0.25\nresend = truncated\n"),
+    # An eavesdropper at delay 0 passes every round (p_pass is exactly 1).
+    "eve0": dict(SMALL, seed=18, flip=0.0,
+                 extra="[eve]\nenabled = true\ndelay = 0\nresend = shifted\n"),
     "tailed": dict(SMALL, seed=14, flip=0.0,
                    extra="[state]\ntail_mass = 1e-3\nramp_fraction = 0.05\n"),
     # The block shapes of the distill-large benchmark at a shorter key.
@@ -107,6 +110,12 @@ GOLDEN = {
         "82dd3f72ec4ac89880310a5481be5b4b1d4acef09229a6c13b3ac358b090bf18",
     "eve.report.txt":
         "58a8ef1104c637b2e9abd0267b7280ae62f2a6013239463f637682ab7f899c52",
+    "eve0.session":
+        "204ec45583b91f3358e9e975fe8e5beeaebf1c2b933c2e3dc51be1e3618569d4",
+    "eve0.transcript.txt":
+        "7ef0fa9ae60fa1fc8553a69c5fb9545dee9d2645f5bbc9eca7e2bfb2d957e8e5",
+    "eve0.report.txt":
+        "f945a3284d941c856939090dbc11263fb7331b4e25d70ab541ba2564ca6d42f5",
     "tailed.session":
         "2de17c96ae21f2755951a618303899c8621bedaee2d3077033ffa34cdf7810f8",
     "tailed.transcript.txt":

@@ -7,8 +7,9 @@ traced ``distill-small`` run covers the distill and audit ops and every
 traced name; ``sweep-tailed`` covers ``relqkd simulate``.  ``verify-solve``
 is left out: its final r = 0.99 solve alone takes about 20 s.  A plain run
 reports the end-to-end metrics of ``BENCHMARK.json`` and a traced run its
-per-layer metrics.  The runs write their JSON records to
-``perfbench/out/``, as any benchmark run does.
+per-layer metrics; the traced ``distill-large`` run makes one N = 1024
+distill and audit of each of its two campaigns.  The runs write their JSON
+records to ``perfbench/out/``, as any benchmark run does.
 """
 
 import json
@@ -22,7 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("workload, trace", [("distill-small", 1), ("sweep-tailed", 0)])
+@pytest.mark.parametrize("workload, trace", [
+    ("distill-small", 1), ("distill-large", 1), ("sweep-tailed", 0)])
 def test_benchmark_runs(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

@@ -188,6 +188,21 @@ def _unit(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _check_shapes(weights: np.ndarray, outputs: np.ndarray, inputs: np.ndarray):
+    """Reject Kraus-set arrays whose ranks, lengths or dimensions disagree."""
+    if weights.ndim < 1 or outputs.ndim != weights.ndim + 1 or inputs.ndim != weights.ndim + 1:
+        raise InvalidParameterError("Kraus set arrays have wrong ranks")
+    if not (weights.shape == outputs.shape[:-1] == inputs.shape[:-1]):
+        raise InvalidParameterError("Kraus set lengths disagree")
+    if outputs.shape[-1] != inputs.shape[-1]:
+        raise InvalidParameterError("input/output dimensions disagree")
+
+
+def _admissibility(weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    scaled = weights[..., None] * inputs
+    return scaled.conj().swapaxes(-1, -2) @ scaled
+
+
 @dataclass(frozen=True)
 class KrausSet:
     """Rank-one noise instrument on a finite-dimensional truncation.
@@ -212,12 +227,7 @@ class KrausSet:
         lam = np.array(self.weights, dtype=float)
         outs = np.array(self.outputs, dtype=complex)
         ins = np.array(self.inputs, dtype=complex)
-        if lam.ndim < 1 or outs.ndim != lam.ndim + 1 or ins.ndim != lam.ndim + 1:
-            raise InvalidParameterError("Kraus set arrays have wrong ranks")
-        if not (lam.shape == outs.shape[:-1] == ins.shape[:-1]):
-            raise InvalidParameterError("Kraus set lengths disagree")
-        if outs.shape[-1] != ins.shape[-1]:
-            raise InvalidParameterError("input/output dimensions disagree")
+        _check_shapes(lam, outs, ins)
         if np.any(lam < 0.0):
             raise InvalidParameterError("weights must be non-negative")
         for name, rows in (("output", outs), ("input", ins)):
@@ -236,8 +246,7 @@ class KrausSet:
 
     def admissibility_matrix(self) -> np.ndarray:
         """sum_k lam_k S_k^+ S_k = sum_k lam_k^2 |in_k><in_k|, shape (..., d, d)."""
-        scaled = self.weights[..., None] * self.inputs
-        return scaled.conj().swapaxes(-1, -2) @ scaled
+        return _admissibility(self.weights, self.inputs)
 
     def validate(self, tol: float = _TOL):
         """Raise RejectedInstrumentError unless every set is trace-non-increasing."""
@@ -265,40 +274,84 @@ def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
     return real + 1j * imag
 
 
+def draw_kraus_sets(
+    rng: np.random.Generator, n_sets: int, dimension: int = 8, n_operators: int = 12,
+    headroom: float | None = None, states: bool = False,
+):
+    """The draws of ``n_sets`` instruments, each stacked along a leading axis.
+
+    Set by set, the outputs, then the inputs, are complex Gaussian rows,
+    not yet normalised, as ``complex_gaussian`` draws them; the weights are
+    uniform on [0.1, 1.0]; and a ``headroom`` of None is drawn next,
+    uniformly from [0.3, 1.0].  With ``states``, a complex Gaussian state
+    of the dimension follows each set, as ``instrument_contraction_check``
+    draws one.  A set's state and the next set's vectors are consecutive
+    normal draws, so one call draws both: a set costs three generator
+    calls (two with a given headroom) into preallocated stacks, and the
+    stream is consumed as one call per array would consume it.
+
+    Returns (weights, outputs, inputs, headroom), plus the states with
+    ``states``; ``kraus_set_from_draws`` turns the first four into a stack
+    of admissible sets.
+    """
+    if dimension < 4:
+        raise InvalidParameterError(f"need dimension >= 4, got {dimension}")
+    if n_sets < 1:
+        raise InvalidParameterError(f"need n_sets >= 1, got {n_sets}")
+    k, d = n_operators, dimension
+    n_vectors, n_state = 4 * k * d, 2 * d * states
+    per_set = n_vectors + n_state
+    # Set i's normals: outputs then inputs, real then imaginary; then its state.
+    normals = np.empty((n_sets, per_set))
+    flat = normals.reshape(-1)
+    lam = np.empty((n_sets, k))
+    target = np.full(n_sets, np.nan if headroom is None else headroom)
+    flat[:n_vectors] = rng.normal(size=n_vectors)
+    for i in range(n_sets):
+        lam[i] = rng.uniform(0.1, 1.0, size=k)
+        if headroom is None:
+            target[i] = rng.uniform(0.3, 1.0)
+        start = i * per_set + n_vectors
+        stop = min(start + per_set, flat.size)
+        flat[start:stop] = rng.normal(size=stop - start)
+    vectors = normals[:, :n_vectors].reshape(n_sets, 2, 2, k, d)
+    outs, ins = (vectors[:, j, 0] + 1j * vectors[:, j, 1] for j in (0, 1))
+    draws = (lam, outs, ins, target)
+    if not states:
+        return draws
+    psi = normals[:, n_vectors:].reshape(n_sets, 2, d)
+    return draws + (psi[:, 0] + 1j * psi[:, 1],)
+
+
 def draw_kraus_set(
     rng: np.random.Generator, dimension: int = 8, n_operators: int = 12,
     headroom: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """The draws of ``random_kraus_set``: (weights, outputs, inputs, headroom).
 
-    Outputs, then inputs, are complex Gaussian rows, not yet normalised;
-    the weights are uniform on [0.1, 1.0]; a ``headroom`` of None is drawn
-    last, uniformly from [0.3, 1.0].  ``kraus_set_from_draws`` turns them,
-    or a stack of them, into an admissible set.
+    One set of ``draw_kraus_sets``, without its leading axis.
     """
-    if dimension < 4:
-        raise InvalidParameterError(f"need dimension >= 4, got {dimension}")
-    outs = complex_gaussian(rng, (n_operators, dimension))
-    ins = complex_gaussian(rng, (n_operators, dimension))
-    lam = rng.uniform(0.1, 1.0, size=n_operators)
-    target = rng.uniform(0.3, 1.0) if headroom is None else headroom
-    return lam, outs, ins, float(target)
+    lam, outs, ins, target = draw_kraus_sets(rng, 1, dimension, n_operators, headroom)
+    return lam[0], outs[0], ins[0], float(target[0])
 
 
 def kraus_set_from_draws(weights, outputs, inputs, headroom) -> KrausSet:
     """Normalise the vectors and scale the weights to the top eigenvalue ``headroom``.
 
     Every argument may carry the same leading axes (``headroom`` one value
-    per set), which builds a stack of sets at once.
+    per set), which builds a stack of sets at once.  The top eigenvalue of
+    the unscaled set comes from its normalised inputs and weights, so only
+    the scaled set is built.
     """
     target = np.asarray(headroom, dtype=float)
     if not np.all((0.0 < target) & (target <= 1.0)):
         raise InvalidParameterError(f"headroom must lie in (0, 1], got {headroom}")
-    outs, ins = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (outputs, inputs))
-    raw = KrausSet(weights=weights, outputs=outs, inputs=ins)
-    top = np.linalg.eigvalsh(raw.admissibility_matrix())[..., -1]
-    return KrausSet(weights=raw.weights * np.sqrt(target / top)[..., None],
-                    outputs=raw.outputs, inputs=raw.inputs)
+    lam = np.asarray(weights, dtype=float)
+    outs, ins = (np.asarray(v / np.linalg.norm(v, axis=-1, keepdims=True), dtype=complex)
+                 for v in (outputs, inputs))
+    _check_shapes(lam, outs, ins)
+    top = np.linalg.eigvalsh(_admissibility(lam, ins))[..., -1]
+    return KrausSet(weights=lam * np.sqrt(target / top)[..., None], outputs=outs, inputs=ins)
 
 
 def random_kraus_set(

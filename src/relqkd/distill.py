@@ -429,7 +429,8 @@ def majority_decode(block) -> np.int64 | np.ndarray:
     """Majority vote over the last axis of an odd-size block of bits.
 
     One block gives one int64 vote; a stack of blocks, one row each,
-    gives an int64 array of votes.
+    gives an int64 array of votes.  The bits are 0 or 1, of any integer
+    or bool dtype.
     """
     bits = np.atleast_1d(np.asarray(block))
     size = bits.shape[-1]
@@ -437,9 +438,13 @@ def majority_decode(block) -> np.int64 | np.ndarray:
         raise InvalidParameterError(
             f"majority voting needs an odd block size, got {size}"
         )
-    # An int64 sum of the columns: a sum over a short last axis is slower.
-    votes = sum(bits[..., j].astype(np.int64) for j in range(size))
-    return (votes * 2 > size).astype(np.int64)
+    # A sum of the columns, in the narrowest unsigned dtype that holds
+    # ``size`` ones: a sum over a short last axis is slower.
+    bits = bits.astype(np.min_scalar_type(size), copy=False)
+    votes = bits[..., 0] + bits[..., 1] if size > 1 else bits[..., 0]
+    for j in range(2, size):
+        votes += bits[..., j]
+    return (votes > size // 2).astype(np.int64)
 
 
 def form_parity_bits(blockwise_bits, blocks_per_parity: int) -> np.ndarray:
@@ -504,7 +509,8 @@ def _parity_strings(round_table: np.ndarray, members: np.ndarray,
 
 # Bit strings travel as Python ints, bit i of the int being string
 # position i, so one subset parity is an AND and a popcount.  Many strings
-# of one length up to 63 bits travel as a uint64 array, one string a row.
+# of one length up to 63 bits travel as a uint64 array (up to 32 bits, a
+# uint32 one will do), one string a row.
 
 def _bits_to_int(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -522,7 +528,8 @@ def _parity(v):
 def _hash_step(ia, ib, subset):
     """One hash round on two strings and a non-zero subset.
 
-    The arguments are either three Python ints or three uint64 arrays, in
+    The arguments are either three Python ints or three arrays of one
+    unsigned dtype (uint64, or uint32 for strings of up to 32 bits), in
     which case the round runs row by row.  Returns (parity_a, parity_b,
     ia, ib): the subset parities of both strings, and both strings with
     the bit at the lowest position the subset selects removed.  The

@@ -45,8 +45,7 @@ from .adversary import (
     ResendPolicy,
     bob_pass_bound,
     channel_probabilities,
-    complex_gaussian,
-    draw_kraus_set,
+    draw_kraus_sets,
     eve_success_probability,
     instrument_contraction_check,
     kraus_set_from_draws,
@@ -415,6 +414,8 @@ def check_parity_identity(limit: int = 20) -> CheckResult:
     those below it plus one, so every v is counted once; each (n, k) then
     sums the histogram at the multiples of k.
     """
+    if limit < 1:
+        raise InvalidParameterError(f"need limit >= 1, got {limit}")
     weights = np.zeros(1, dtype=np.uint8)  # popcounts of v < 2**(total-1)
     histogram = [1]
     for total in range(1, limit + 1):
@@ -440,15 +441,23 @@ def check_parity_identity(limit: int = 20) -> CheckResult:
 
 def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6),
                         tol: float = 1e-6) -> CheckResult:
-    """Cosine closed form tracks the big-integer side at large n*k."""
+    """Cosine closed form tracks the big-integer side at large n*k.
+
+    Every (total, k) pair with k dividing the total is checked, and at
+    least one must.
+    """
+    for name, values in (("totals", totals), ("ks", ks)):
+        if not all(value >= 1 for value in values):
+            raise InvalidParameterError(f"{name} must all be >= 1, got {values}")
+    pairs = [(total, k) for total in totals for k in ks if total % k == 0]
+    if not pairs:
+        raise InvalidParameterError(
+            f"no k in ks={ks} divides a total in totals={totals}: nothing to check")
     worst = 0.0
-    for total in totals:
-        for k in ks:
-            if total % k:
-                continue
-            count = security.parity_count(total // k, k)
-            rel = abs(count.cosine - float(count.exact)) / float(count.exact)
-            worst = max(worst, rel)
+    for total, k in pairs:
+        count = security.parity_count(total // k, k)
+        rel = abs(count.cosine - float(count.exact)) / float(count.exact)
+        worst = max(worst, rel)
     ok = worst < tol
     return CheckResult("parity-cosine", ok,
                        f"worst relative error {worst:.3g} (tolerance {tol:g})")
@@ -506,18 +515,14 @@ def check_instrument_bound(n_sets: int = 100, seed: int = 715, tol: float = 1e-9
     """Random admissible instruments never lift the available-domain mass.
 
     Each set draws its instrument and then its state, as ``random_kraus_set``
-    and ``instrument_contraction_check`` would one set at a time; the sets
-    are then normalised, rescaled, validated and checked as one stack.
+    and ``instrument_contraction_check`` would one set at a time
+    (``draw_kraus_sets``); the sets are then normalised, rescaled, validated
+    and checked as one stack.
     """
-    if n_sets < 1:
-        raise InvalidParameterError(f"need n_sets >= 1, got {n_sets}")
     rng = np.random.default_rng(seed)
-    draws, states = [], []
-    for _ in range(n_sets):
-        draws.append(draw_kraus_set(rng, dimension=8))
-        states.append(complex_gaussian(rng, (8,)))
-    stack = kraus_set_from_draws(*(np.stack(column) for column in zip(*draws)))
-    holds, lhs = instrument_contraction_check(stack, f=0.6, psi=np.stack(states), tol=tol)
+    *draws, states = draw_kraus_sets(rng, n_sets, dimension=8, states=True)
+    holds, lhs = instrument_contraction_check(kraus_set_from_draws(*draws), f=0.6,
+                                              psi=states, tol=tol)
     violated = np.flatnonzero(~holds)
     if violated.size:
         return CheckResult("instrument-bound", False,
@@ -538,9 +543,12 @@ def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
                            seed: int = 716) -> CheckResult:
     """A single discrepancy escapes M hash rounds with probability 2^-M.
 
-    All trials run at once, one uint64 row per string pair, through the
+    All trials run at once, one unsigned row per string pair, through the
     session's own hash step; every surviving row has the same length, so
     each round draws one subset per row and keeps the rows that match.
+    Strings of up to 32 bits travel as uint32: a bounded draw below 2^32
+    takes the same 32-bit path for either dtype, so the values and the
+    stream are those of uint64 rows, at half the memory traffic.
     """
     n_bits = 16 + rounds
     if trials < 1 or rounds < 1:
@@ -549,14 +557,15 @@ def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
     if n_bits > 63:
         raise InvalidParameterError(
             f"{n_bits}-bit strings do not fit in uint64; need rounds <= 47, got {rounds}")
+    dtype = np.uint32 if n_bits <= 32 else np.uint64
     rng = np.random.default_rng(seed)
-    ia = rng.integers(0, 1 << n_bits, size=trials, dtype=np.uint64)
-    ib = ia ^ (np.uint64(1) << rng.integers(0, n_bits, size=trials, dtype=np.uint64))
+    ia = rng.integers(0, 1 << n_bits, size=trials, dtype=dtype)
+    ib = ia ^ (dtype(1) << rng.integers(0, n_bits, size=trials, dtype=dtype))
     for length in range(n_bits, n_bits - rounds, -1):
-        subset = rng.integers(1, 1 << length, size=ia.size, dtype=np.uint64)
+        subset = rng.integers(1, 1 << length, size=ia.size, dtype=dtype)
         pa, pb, ia, ib = distill._hash_step(ia, ib, subset)
-        match = pa == pb
-        ia, ib = ia[match], ib[match]
+        match = np.flatnonzero(pa == pb)
+        ia, ib = ia.take(match), ib.take(match)
     undetected = ia.size
     expected = 2.0 ** (-rounds)
     sigma = _stderr(expected, trials)
@@ -574,13 +583,22 @@ _MAJORITY_CHUNK = 1 << 15
 def check_majority_tail(trials: int = 200_000, k: int = 5, p_flip: float = 0.05,
                         seed: int = 717) -> CheckResult:
     """Decoded block error matches the exact binomial tail."""
+    if trials < 1:
+        raise InvalidParameterError(f"need trials >= 1, got {trials}")
+    if k < 1 or k % 2 == 0:
+        raise InvalidParameterError(f"need an odd block size k >= 1, got {k}")
+    if not (0.0 <= p_flip <= 1.0):
+        raise InvalidParameterError(f"p_flip must lie in [0, 1], got {p_flip}")
     rng = np.random.default_rng(seed)
     errors = 0
     # Row chunks draw the same uniforms as one (trials, k) draw would,
-    # without holding all of them at once.
+    # without holding all of them at once; each chunk reuses two buffers.
+    uniforms = np.empty((min(_MAJORITY_CHUNK, trials), k))
+    flips = np.empty(uniforms.shape, dtype=bool)
     for start in range(0, trials, _MAJORITY_CHUNK):
         rows = min(_MAJORITY_CHUNK, trials - start)
-        errors += int(np.count_nonzero(majority_decode(rng.random((rows, k)) < p_flip)))
+        chunk = np.less(rng.random(out=uniforms[:rows]), p_flip, out=flips[:rows])
+        errors += int(np.count_nonzero(majority_decode(chunk)))
     expected = sum(math.comb(k, j) * p_flip ** j * (1 - p_flip) ** (k - j)
                    for j in range(k // 2 + 1, k + 1))
     sigma = _stderr(expected, trials)

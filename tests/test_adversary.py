@@ -14,7 +14,9 @@ from relqkd.adversary import (
     apply_resend,
     bob_pass_bound,
     channel_probabilities,
+    complex_gaussian,
     draw_kraus_set,
+    draw_kraus_sets,
     eve_success_probability,
     instrument_contraction_check,
     kraus_set_from_draws,
@@ -317,3 +319,57 @@ class TestKrausInstrument:
             KrausSet(weights=np.ones(1),
                      outputs=np.array([[2.0, 0.0, 0.0, 0.0]]),
                      inputs=np.array([[1.0, 0.0, 0.0, 0.0]]))
+
+
+def _per_array_draws(rng, dimension, n_operators, headroom, state):
+    """One set, and its state if ``state``, drawn with one generator call per array."""
+    outs = complex_gaussian(rng, (n_operators, dimension))
+    ins = complex_gaussian(rng, (n_operators, dimension))
+    lam = rng.uniform(0.1, 1.0, size=n_operators)
+    target = rng.uniform(0.3, 1.0) if headroom is None else headroom
+    return (lam, outs, ins, target) + ((complex_gaussian(rng, (dimension,)),) if state else ())
+
+
+class TestStackedDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(4, 10),
+           st.integers(1, 15), st.none() | st.floats(0.05, 1.0), st.booleans())
+    def test_equal_the_per_set_draws(self, seed, n_sets, dimension, n_operators, headroom,
+                                     states):
+        stacked_rng, single_rng, per_array_rng = (np.random.default_rng(seed) for _ in range(3))
+        stacked = draw_kraus_sets(stacked_rng, n_sets, dimension, n_operators, headroom,
+                                  states=states)
+        singles = [draw_kraus_set(single_rng, dimension, n_operators, headroom)
+                   + ((complex_gaussian(single_rng, (dimension,)),) if states else ())
+                   for _ in range(n_sets)]
+        per_array = [_per_array_draws(per_array_rng, dimension, n_operators, headroom, states)
+                     for _ in range(n_sets)]
+        assert len(stacked) == 4 + states
+        for per_set in (singles, per_array):
+            for column, expected in zip(stacked, zip(*per_set)):
+                expected = np.stack(expected)
+                assert column.dtype == expected.dtype and column.shape == expected.shape
+                assert column.tobytes() == expected.tobytes()
+        assert (stacked_rng.bit_generator.state == single_rng.bit_generator.state
+                == per_array_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("kwargs", [dict(n_sets=0), dict(n_sets=1, dimension=3)],
+                             ids=["no-sets", "dimension-3"])
+    def test_rejects_bad_sizes(self, kwargs):
+        with pytest.raises(InvalidParameterError):
+            draw_kraus_sets(np.random.default_rng(0), **kwargs)
+
+    def test_one_set_is_built_once(self, monkeypatch):
+        built = []
+        real = KrausSet.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(KrausSet, "__post_init__", counted)
+        draws = draw_kraus_sets(np.random.default_rng(4), 3, 6, 5)
+        stack = kraus_set_from_draws(*draws)
+        assert len(built) == 1
+        np.testing.assert_allclose(np.linalg.eigvalsh(stack.admissibility_matrix())[:, -1],
+                                   draws[3], rtol=1e-12)

@@ -123,6 +123,21 @@ class TestMajority:
         with pytest.raises(InvalidParameterError):
             majority_decode(stack[:, :2])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 3, 5, 255, 257, 511]),
+           st.sampled_from([np.bool_, np.uint8, np.int32, np.int64]),
+           st.integers(0, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_votes_equal_an_int64_column_sum(self, k, dtype, rows, seed, p_one):
+        # At k = 255 and above, the votes of an all-ones row pass the
+        # largest value of a narrower sum.
+        bits = (np.random.default_rng(seed).random((rows, k)) < p_one).astype(dtype)
+        bits[: rows // 4] = 1
+        expected = (bits.astype(np.int64).sum(axis=-1) * 2 > k).astype(np.int64)
+        votes = majority_decode(bits)
+        assert votes.dtype == np.int64 and np.array_equal(votes, expected)
+        if rows:
+            assert majority_decode(bits[0]) == expected[0]
+
     @pytest.mark.parametrize("p_flip", [0.01, 0.05, 0.1])
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_block_error_matches_binomial_tail(self, p_flip, k):

@@ -14,8 +14,20 @@ import hashlib
 import numpy as np
 import pytest
 
+from relqkd.adversary import draw_kraus_sets, instrument_contraction_check, kraus_set_from_draws
 from relqkd.distill import Transcript
-from relqkd.harness import cmd_analyze, cmd_distill, cmd_simulate, cmd_verify, load_campaign
+from relqkd.harness import (
+    check_hash_calibration,
+    check_instrument_bound,
+    check_majority_tail,
+    check_parity_cosine,
+    check_parity_identity,
+    cmd_analyze,
+    cmd_distill,
+    cmd_simulate,
+    cmd_verify,
+    load_campaign,
+)
 
 ANALYZE_INI = """
 [campaign]
@@ -162,6 +174,17 @@ VERIFY_TEXT = (
     "9/9 checks passed\n"
 )
 
+# The details of the acceptance criteria that pass their own seeds and
+# sizes (see tests/test_acceptance.py), which ``VERIFY_TEXT`` does not reach.
+CRITERION_DETAILS = {
+    3: ("exact agreement for all n*k <= 20 (tolerance: exact)",
+        "worst relative error 2.19e-16 (tolerance 1e-06)"),
+    4: ("undetected 0.03193 vs 2^-5=0.03125 (tolerance 3 sigma = 0.0017)",
+        "undetected 0.00093 vs 2^-10=0.00098 (tolerance 3 sigma = 0.0003)"),
+    5: ("block error 1.095e-03 vs binomial tail 1.158e-03 (tolerance 3 sigma = 0.0001)",),
+    7: ("100 admissible sets below f (tolerance 1e-09); negative control rejected",),
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -210,3 +233,45 @@ def test_distill_transcript_and_report(tmp_path, case):
 
 def test_verify_text():
     assert cmd_verify().to_text() == VERIFY_TEXT
+
+
+# The instrument-bound check's draws at the seeds of ``relqkd verify`` and
+# criterion 7, which its detail does not show: the sha256 of the weights,
+# outputs, inputs, headroom and states, the generator state after them,
+# and the largest and the summed domain mass they give, to 10 digits.
+INSTRUMENT_DRAWS = {
+    715: ("a5f167d7f13b57edcd2b85bdc16b79b3cb40db07b434fc424a41add73aaf8d73",
+          201256116132405278847980425078656371898, "0.3110631056", "13.11123279"),
+    777: ("b085e887afee43477bc08a57b5130d9136205c8945f05639185606ab746b5ce1",
+          87613285083448629009547909420387918446, "0.41824032", "13.74341287"),
+}
+
+#: The checks behind each of ``CRITERION_DETAILS``, at the suite's arguments.
+CRITERION_CHECKS = {
+    3: lambda: (check_parity_identity(20),
+                check_parity_cosine(totals=(40, 80, 120, 160, 200), ks=(1, 2, 4, 5, 8, 10))),
+    4: lambda: tuple(check_hash_calibration(100_000, rounds, 4000 + rounds)
+                     for rounds in (5, 10)),
+    5: lambda: (check_majority_tail(1_000_000, 5, 0.05, 55),),
+    7: lambda: (check_instrument_bound(100, 777, 1e-9),),
+}
+
+
+@pytest.mark.parametrize("criterion", sorted(CRITERION_DETAILS))
+def test_criterion_details(criterion):
+    results = CRITERION_CHECKS[criterion]()
+    assert all(r.passed for r in results)
+    assert tuple(r.detail for r in results) == CRITERION_DETAILS[criterion]
+
+
+@pytest.mark.parametrize("seed", sorted(INSTRUMENT_DRAWS))
+def test_instrument_draws_and_masses(seed):
+    rng = np.random.default_rng(seed)
+    draws = draw_kraus_sets(rng, 100, dimension=8, states=True)
+    digest = hashlib.sha256()
+    for column in draws:
+        digest.update(np.ascontiguousarray(column).tobytes())
+    _, masses = instrument_contraction_check(kraus_set_from_draws(*draws[:4]), f=0.6,
+                                             psi=draws[4])
+    assert (digest.hexdigest(), rng.bit_generator.state["state"]["state"],
+            format(masses.max(), ".10g"), format(masses.sum(), ".10g")) == INSTRUMENT_DRAWS[seed]

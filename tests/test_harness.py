@@ -2,9 +2,12 @@
 
 import tracemalloc
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqkd import adversary, distill, harness, infotheory, security
 from relqkd.adversary import (
@@ -25,6 +28,9 @@ from relqkd.harness import (
     check_delay_bound,
     check_hash_calibration,
     check_instrument_bound,
+    check_majority_tail,
+    check_parity_cosine,
+    check_parity_identity,
     cmd_analyze,
     cmd_distill,
     cmd_simulate,
@@ -404,6 +410,38 @@ class TestVerify:
                             lambda self, psi: real(self, psi) + 0.5)
         assert "[FAIL] instrument-bound: bound violated" in cmd_verify().to_text()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_hash_survivors_equal_the_boolean_mask_compaction(self, trials, rounds, seed):
+        # Each round's hash step sees the rows that the boolean mask of the
+        # previous round's matches would keep, in the same order, and the
+        # values that uint64 draws give (strings of up to 32 bits, up to
+        # 16 rounds, travel as uint32).
+        real = distill._hash_step
+        seen = []
+
+        def recording(ia, ib, subset):
+            seen.append((ia.copy(), ib.copy(), subset.copy()))
+            return real(ia, ib, subset)
+
+        with mock.patch.object(distill, "_hash_step", recording):
+            detail = check_hash_calibration(trials, rounds, seed).detail
+        n_bits = 16 + rounds
+        rng = np.random.default_rng(seed)
+        ia = rng.integers(0, 1 << n_bits, size=trials, dtype=np.uint64)
+        ib = ia ^ (np.uint64(1) << rng.integers(0, n_bits, size=trials, dtype=np.uint64))
+        assert len(seen) == rounds
+        for length, (seen_a, seen_b, seen_subset) in zip(
+                range(n_bits, n_bits - rounds, -1), seen):
+            subset = rng.integers(1, 1 << length, size=ia.size, dtype=np.uint64)
+            for got, expected in ((seen_a, ia), (seen_b, ib), (seen_subset, subset)):
+                assert got.dtype == (np.uint32 if n_bits <= 32 else np.uint64)
+                assert np.array_equal(got, expected)
+            pa, pb, ia, ib = real(ia, ib, subset)
+            match = pa == pb
+            ia, ib = ia[match], ib[match]
+        assert detail.startswith(f"undetected {ia.size / trials:.5f} ")
+
     def test_hash_step_that_never_detects_reported_as_failure(self, monkeypatch):
         real = distill._hash_step
 
@@ -438,6 +476,36 @@ class TestVerify:
     def test_hash_calibration_rejects_bad_sizes(self, kwargs):
         with pytest.raises(InvalidParameterError):
             check_hash_calibration(**kwargs)
+
+    # Each argument that would check nothing, or crash with a raw error,
+    # raises InvalidParameterError naming it.
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(trials=0), "trials"),
+        (dict(trials=-5), "trials"),
+        (dict(p_flip=1.5), "p_flip"),
+        (dict(p_flip=-0.1), "p_flip"),
+        (dict(k=4), "k"),
+        (dict(k=0), "k"),
+    ], ids=["no-trials", "negative-trials", "p-above-1", "p-below-0", "even-k", "no-k"])
+    def test_majority_tail_rejects_bad_arguments(self, kwargs, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            check_majority_tail(**kwargs)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_parity_identity_rejects_an_empty_range(self, limit):
+        with pytest.raises(InvalidParameterError, match="limit"):
+            check_parity_identity(limit)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(totals=()), "totals"),
+        (dict(totals=(7, 11), ks=(2, 3)), "divides"),
+        (dict(ks=(0,)), "ks"),
+        (dict(ks=(-2, 2)), "ks"),
+        (dict(totals=(0, 24)), "totals"),
+    ], ids=["no-totals", "no-divisible-pair", "zero-k", "negative-k", "zero-total"])
+    def test_parity_cosine_rejects_an_empty_grid(self, kwargs, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            check_parity_cosine(**kwargs)
 
 
 class TestCli:

@@ -4,12 +4,12 @@ Each case runs ``perfbench/run.py`` once at the shortest length (one cycle)
 in a subprocess, so a renamed function, traced name or transcript field
 that the benchmark uses fails here instead of in a benchmark run.  The
 traced ``distill-small`` run covers the distill and audit ops and every
-traced name; ``sweep-tailed`` covers ``relqkd simulate``.  ``verify-solve``
-is left out: its final r = 0.99 solve alone takes about 20 s.  A plain run
-reports the end-to-end metrics of ``BENCHMARK.json`` and a traced run its
-per-layer metrics; the traced ``distill-large`` run makes one N = 1024
-distill and audit of each of its two campaigns.  The runs write their JSON
-records to ``perfbench/out/``, as any benchmark run does.
+traced name; ``sweep-tailed`` covers ``relqkd simulate``; ``verify-solve``
+covers ``relqkd verify`` and every solve, the r = 0.99 one included.  A
+plain run reports the end-to-end metrics of ``BENCHMARK.json`` and a
+traced run its per-layer metrics; the traced ``distill-large`` run makes
+one N = 1024 distill and audit of each of its two campaigns.  The runs
+write their JSON records to ``perfbench/out/``, as any benchmark run does.
 """
 
 import json
@@ -24,7 +24,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 @pytest.mark.parametrize("workload, trace", [
-    ("distill-small", 1), ("distill-large", 1), ("sweep-tailed", 0)])
+    ("distill-small", 1), ("distill-large", 1), ("sweep-tailed", 0), ("verify-solve", 1)])
 def test_benchmark_runs(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

@@ -28,7 +28,7 @@ from .errors import InvalidParameterError, ResourceExhaustedError
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
-TRANSCRIPT_SCHEMA = "relqkd-transcript/3"
+TRANSCRIPT_SCHEMA = "relqkd-transcript/4"
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "disclosed", "block")
 _ALPHABETS = tuple(np.frombuffer(a, dtype=np.uint8)
                    for a in (b"01", b"01?", b"01?-", b"01"))
 # Row j maps a byte to its code in column j, or to -1 outside the alphabet.
-_DECODE = np.full((len(_ALPHABETS), 256), -1, dtype=np.int8)
+_DECODE = np.full((len(_ALPHABETS), 256), -1, dtype=np.int32)
 for _row, _alphabet in zip(_DECODE, _ALPHABETS):
     _row[_alphabet] = np.arange(_alphabet.size)
 
@@ -155,9 +155,9 @@ class Transcript:
 
         Only a table that no caller holds may be adopted, and it must be
         int32 and column-major.  ``derived`` maps the names of cached
-        properties (``_announced_blocks``, ``_column_texts``,
-        ``_members_text``) to the values they would derive from the record;
-        they are kept as those values, the blocks read-only.
+        properties (``_announced_blocks``) to the values they would derive
+        from the record; they are kept as those values, the blocks
+        read-only.
         """
         round_table.flags.writeable = False
         transcript = cls.__new__(cls)
@@ -172,20 +172,6 @@ class Transcript:
     @cached_property
     def _announced_blocks(self) -> np.ndarray:
         return _blocks(self.round_table)
-
-    @cached_property
-    def _column_texts(self) -> tuple[str, ...]:
-        """The characters of the four column lines; a code outside its alphabet raises."""
-        codes = self.round_table.T[:len(_ALPHABETS)]
-        if any(column.min(initial=0) < 0 or column.max(initial=0) >= alphabet.size
-               for alphabet, column in zip(_ALPHABETS, codes)):
-            raise InvalidParameterError("a round's code lies outside its column's alphabet")
-        return tuple(alphabet.take(column).tobytes().decode()
-                     for alphabet, column in zip(_ALPHABETS, codes))
-
-    @cached_property
-    def _members_text(self) -> str:
-        return _ints_text(self._announced_blocks.ravel())
 
     @cached_property
     def _hash(self) -> HashResult:
@@ -221,29 +207,68 @@ class Transcript:
         """The text form; a record it cannot spell raises InvalidParameterError.
 
         The text spells the codes of each column's alphabet, a fired
-        eavesdropper outcome that names the sent bit (her firing measurement
-        identifies it without error), an eavesdropper column that is all
-        ``-`` (no eavesdropper) or holds no ``-``, and blocks 0..B-1 of one
-        size (see ``_blocks``).  It writes the derived hash log, error
-        estimate, keys and abort too, so a text that contradicts its record
-        does not read back (see ``from_text``).
+        eavesdropper outcome that names the sent bit (her firing
+        measurement identifies it without error), an eavesdropper column
+        that is all ``-`` (no eavesdropper) or holds no ``-``, and blocks
+        0..B-1 of one size (see ``_blocks``).  It writes the derived hash
+        log, error estimate, keys and abort too, so a text that contradicts
+        its record does not read back (see ``from_text``).  The text is
+        written once per transcript.
         """
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """``to_text``'s text, spelled into one byte buffer.
+
+        A column line's characters are its codes looked up in the column's
+        alphabet, and the members line is a matrix of one row per round id
+        (see ``_spell_ids``).  The derived lines follow it.
+        """
+        self._check_codes()
         table = self.round_table
-        columns = self._column_texts
-        sent, _, eve = table.T[:3]
+        members = self._announced_blocks
+        rounds = len(table)
+        width = _id_width(rounds)
+        heads = [f"{name}\t".encode() for name in ROUND_COLUMNS[:len(_ALPHABETS)]]
+        heads[0] = f"{TRANSCRIPT_SCHEMA}\nrounds\t{rounds}\n".encode() + heads[0]
+        blocks = f"blocks\t{len(members)}\t{members.shape[1]}\t{self.blocks_per_parity}\n"
+        derived = self._derived_lines()
+        cells = members.size * (width + 1)
+        out = np.empty(sum(map(len, heads)) + len(heads) * (rounds + 1) + len(blocks) + cells
+                       + len(derived), dtype=np.uint8)
+        at = 0
+        for head, alphabet, column in zip(heads, _ALPHABETS, table.T):
+            at = _put(out, at, head)
+            alphabet.take(column, out=out[at:at + rounds], mode="clip")
+            out[at + rounds] = ord("\n")
+            at += rounds + 1
+        at = _put(out, at, blocks.encode())
+        _spell_ids(out[at:at + cells].reshape(members.size, width + 1), members.ravel())
+        _put(out, at + cells, derived.encode())
+        return str(out, "ascii")
+
+    def _check_codes(self) -> None:
+        """Refuse the codes ``to_text`` cannot spell (see there)."""
+        # Viewed as unsigned, a negative code lies past every alphabet.
+        if any(column.view(np.uint32).max(initial=0) >= alphabet.size
+               for alphabet, column in zip(_ALPHABETS, self.round_table.T)):
+            raise InvalidParameterError("a round's code lies outside its column's alphabet")
+        self._check_eve()
+
+    def _check_eve(self) -> None:
+        """Refuse an eavesdropper column that ``to_text`` cannot spell (see there)."""
+        sent, _, eve = self.round_table.T[:3]
         if ((eve < 2) & (eve != sent)).any():
             raise InvalidParameterError("a fired eavesdropper outcome must name the sent bit; "
                                         "transcript is inconsistent")
-        if 0 < np.count_nonzero(eve == 3) < len(table):
+        if 0 < np.count_nonzero(eve == 3) < len(eve):
             raise InvalidParameterError("the eavesdropper outcome column mixes '-' with "
                                         "outcomes; transcript is inconsistent")
-        members = self._announced_blocks
-        lines = [TRANSCRIPT_SCHEMA, f"rounds\t{len(table)}"]
-        lines.extend(f"{name}\t{chars}" for name, chars in zip(ROUND_COLUMNS, columns))
-        lines.append(f"blocks\t{len(members)}\t{members.shape[1]}\t{self.blocks_per_parity}")
-        lines.append(self._members_text)
-        lines.append(f"hash_log\t{len(self.hash_log)}")
-        lines.append("l\tsubset\tparity_a\tparity_b\tdiscarded")
+
+    def _derived_lines(self) -> str:
+        """The lines after the members line: hash log, error estimate, keys and abort."""
+        lines = [f"hash_log\t{len(self.hash_log)}", "l\tsubset\tparity_a\tparity_b\tdiscarded"]
         for h in self.hash_log:
             disc = str(h.discarded) if h.discarded is not None else "-"
             lines.append(f"{h.round_index}\t{h.subset}\t{h.parity_a}\t{h.parity_b}\t{disc}")
@@ -263,59 +288,142 @@ class Transcript:
         give ``text`` again, so ``Transcript.from_text(t).to_text() == t``
         for every accepted ``t``, and a text whose parities, discarded
         positions, error estimate, keys or abort lines contradict its
-        record is rejected.  The blocks and the text lines that exact
-        checks prove canonical are kept, not derived again (see ``_parse``).
+        record is rejected.  Where ``_parse`` proves the lines through the
+        members line to be what ``to_text`` writes, only the eavesdropper
+        column is checked and the derived lines written back; the blocks it
+        proves are kept, and so is ``text``, as the text the transcript
+        writes.
         """
-        lines = text.split("\n")
-        if lines[0] != TRANSCRIPT_SCHEMA:
-            raise InvalidParameterError(
-                f"expected a {TRANSCRIPT_SCHEMA} file, got first line {lines[0][:40]!r}")
         try:
-            transcript = cls._parse(lines)
+            transcript, derived_at = cls._parse(text)
         except InvalidParameterError:
             raise
         except (IndexError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
-        if transcript.to_text() != text:
+        if derived_at is None:
+            same = transcript.to_text() == text
+        else:
+            transcript._check_eve()  # the decoded codes lie in their alphabets
+            same = transcript._derived_lines() == text[derived_at:]
+        if not same:
             raise InvalidParameterError("the text differs from what to_text writes")
+        transcript.__dict__["_text"] = text  # what to_text writes, as just shown
         return transcript
 
     @classmethod
-    def _parse(cls, lines: list[str]) -> "Transcript":
-        """The record the lines spell, and what they are proven to spell of it.
+    def _parse(cls, text: str) -> tuple["Transcript", int | None]:
+        """The record ``text`` spells, and the offset of its derived lines if it proves the rest.
 
-        Only what the arrays need is checked here: the alphabets, and sizes
+        Only what the arrays need is checked here: the schema line, that
+        the text is ASCII, the alphabets, the member ids' digits, and sizes
         that agree before anything is allocated from them.  Every other
-        defect makes the text differ from what ``to_text`` writes.  A column
-        line that decodes holds only its alphabet's characters, so they are
-        what ``to_text`` spells from the codes, and are kept.  The members
-        line's blocks, and the line itself, are kept only where exact checks
-        (``_listed_blocks``, ``_spells``) show them to be what ``_blocks``
-        and ``_ints_text`` derive; otherwise ``to_text`` derives them.
+        defect makes the text differ from what ``to_text`` writes.  A
+        column line that decodes, and a members line of fixed-width ids,
+        are spelled as ``to_text`` spells them.  So the member ids are kept
+        as the blocks where ``_listed_blocks`` shows them to be what
+        ``_blocks`` derives, and the lines before the derived ones are
+        proven where, besides, the two header lines and the column names
+        are the ones it writes; otherwise the offset is None.
         """
-        n_rounds = int(lines[1].split("\t")[1])
-        texts = tuple(line.partition("\t")[2] for line in lines[2:6])
-        columns = [decode.take(np.frombuffer(chars.encode(), dtype=np.uint8))
-                   for decode, chars in zip(_DECODE, texts)]
-        if any(c.size != n_rounds or (c < 0).any() for c in columns):
+        schema = text[:text.find("\n")] if "\n" in text else text
+        if schema != TRANSCRIPT_SCHEMA:
+            raise InvalidParameterError(
+                f"expected a {TRANSCRIPT_SCHEMA} file, got first line {schema[:40]!r}")
+        if not text.isascii():
+            raise InvalidParameterError("a transcript is ASCII text")
+        # Line i runs from starts[i] to the newline at starts[i + 1] - 1;
+        # lines 1 to 7 are the rounds line through the members line.
+        starts = [0]
+        for _ in range(8):
+            starts.append(text.index("\n", starts[-1]) + 1)
+        rounds_line = text[starts[1]:starts[2] - 1]
+        n_rounds = int(rounds_line.partition("\t")[2])
+        # Each column line's characters start after its first tab.
+        firsts = [text.find("\t", starts[i], starts[i + 1]) + 1 for i in range(2, 6)]
+        if any(first == 0 or after - first != n_rounds + 1
+               for first, after in zip(firsts, starts[3:7])):
             raise InvalidParameterError("a round column is not one alphabet character per round")
-        table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
-        for j, column in enumerate(columns):
-            table[:, j] = column
-        n_blocks, k, n = (int(v) for v in lines[6].split("\t")[1:])
-        members = np.fromstring(lines[7], dtype=np.int64, sep=" ")
-        if k < 1 or members.size != n_blocks * k:
+        blocks_line = text[starts[6]:starts[7] - 1]
+        n_blocks, k, n = (int(v) for v in blocks_line.split("\t")[1:])
+        width = _id_width(n_rounds)
+        if k < 1 or n_blocks < 0 or starts[8] - starts[7] != max(n_blocks * k * (width + 1), 1):
             raise InvalidParameterError("the members line disagrees with the blocks header")
+
+        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
+        for j, (decode, first) in enumerate(zip(_DECODE, firsts)):
+            decode.take(raw[first:first + n_rounds], out=table[:, j], mode="clip")
+        if table[:, :len(_DECODE)].min(initial=0) < 0:
+            raise InvalidParameterError("a round column is not one alphabet character per round")
+        members = _member_ids(raw[starts[7]:starts[8]], n_blocks * k, width)
+        if members.size and members.max() >= n_rounds:
+            raise InvalidParameterError("a member id is not a round of the table")
         table[:, 4] = -1
         table[members, 4] = np.repeat(np.arange(n_blocks), k)
-        n_hash = int(lines[8].split("\t")[1])
-        derived = {"_column_texts": texts}
-        if _listed_blocks(table, members, k):
-            derived["_announced_blocks"] = members.reshape(n_blocks, k)
-            if _spells(lines[7], members):
-                derived["_members_text"] = lines[7]
-        return cls._adopt(table, tuple(line.split("\t")[1] for line in lines[10:10 + n_hash]),
-                          n, **derived)
+
+        derived_lines = text[starts[8]:].split("\n")
+        subsets = tuple(line.split("\t")[1]
+                        for line in derived_lines[2:2 + int(derived_lines[0].split("\t")[1])])
+        if not _listed_blocks(table, members, k):
+            return cls._adopt(table, subsets, n), None
+        proven = (rounds_line == f"rounds\t{n_rounds}"
+                  and blocks_line == f"blocks\t{n_blocks}\t{k}\t{n}"
+                  and all(text[start:first] == f"{name}\t"
+                          for start, first, name in zip(starts[2:6], firsts, ROUND_COLUMNS)))
+        return (cls._adopt(table, subsets, n, _announced_blocks=members.reshape(n_blocks, k)),
+                starts[8] if proven else None)
+
+
+def _id_width(rounds: int) -> int:
+    """Digits of each member id in the text: those of the last round's id."""
+    return len(str(max(rounds - 1, 0)))
+
+
+def _put(out: np.ndarray, at: int, data: bytes) -> int:
+    """Copy ``data`` into ``out`` at ``at``; returns the position after it."""
+    out[at:at + len(data)] = np.frombuffer(data, dtype=np.uint8)
+    return at + len(data)
+
+
+def _spell_ids(cells: np.ndarray, ids: np.ndarray) -> None:
+    """Spell round ids into the rows of ``cells`` as a members line does.
+
+    Row i gets the digits of id i, zero-padded to the width of a row less
+    one, and a space, or on the last row the newline.
+    """
+    width = cells.shape[1] - 1
+    cells[:, width] = ord(" ")
+    cells[-1, width] = ord("\n")
+    rest = ids.astype(np.min_scalar_type(10 ** width - 1))
+    for j in range(width - 1, -1, -1):
+        tens = rest // 10
+        cells[:, j] = rest - 10 * tens + ord("0")  # numpy's % is slower
+        rest = tens
+
+
+def _member_ids(line: np.ndarray, count: int, width: int) -> np.ndarray:
+    """The ``count`` round ids a members line spells, given its bytes and newline.
+
+    The line must be ``count`` ids of ``width`` ASCII digits, each followed
+    by a space and the last by the newline, and its size must already
+    agree with that.  Then no other spelling of the same ids exists, so an
+    id needs no check beyond its digits.  As the columns are as long as
+    the table, ``width`` is at most the digits of the text's length, and
+    the digits' sum fits in int64 before the '0's are taken off it.
+    """
+    if not count:
+        return np.empty(0, dtype=np.intp)
+    cells = line.reshape(count, width + 1)
+    if (np.count_nonzero(line - ord("0") < 10) != count * width
+            or (cells[:-1, width] != ord(" ")).any()):
+        raise InvalidParameterError(
+            "the members line is not fixed-width round ids, one space apart")
+    ids = cells[:, 0].astype(np.intp)
+    for j in range(1, width):
+        ids *= 10
+        ids += cells[:, j]
+    ids -= int("1" * width) * ord("0")
+    return ids
 
 
 def _listed_blocks(table: np.ndarray, members: np.ndarray, k: int) -> bool:
@@ -323,37 +431,16 @@ def _listed_blocks(table: np.ndarray, members: np.ndarray, k: int) -> bool:
 
     ``members`` are the round ids a members line lists, which were just
     numbered in the table's block column, block b taking ids b*k ..
-    b*k+k-1; the numbering refused ids of ``len(table)`` or more.  They
-    are the blocks if there is one, no id is negative (numpy reads -1 as
-    the last round), each block's ids rise, and no round is in two blocks,
-    which holds when the numbering left as many rounds in blocks as there
-    are ids.
+    b*k+k-1; each is below ``len(table)``.  They are the blocks if there
+    is one, each block's ids rise, and no round is in two blocks, which
+    holds when the numbering left as many rounds in blocks as there are
+    ids.
     """
-    if not members.size or members.min() < 0:
+    if not members.size:
         return False
     rising = members[1:] > members[:-1]
     rising[k - 1::k] = True  # a block's last id and the next block's first
     return bool(rising.all()) and np.count_nonzero(table[:, 4] != -1) == members.size
-
-
-def _spells(line: str, values: np.ndarray) -> bool:
-    """Whether ``line`` is ``_ints_text(values)``, given the round ids read from it.
-
-    It is when the line holds only ASCII digits and spaces, one space
-    fewer than there are values, and as many digits as the values have.
-    Every value is read from a run of digits, so then no run is empty: no
-    space doubles or ends the line.  Each run has at least as many digits
-    as the value it reads as, and exactly as many only when it spells that
-    value: a leading zero adds a digit, and a run past int64, which numpy
-    reads as a clamped or wrapped value, has more digits than any round id.
-    """
-    raw = np.frombuffer(line.encode(), dtype=np.uint8)
-    spaces = np.count_nonzero(raw == ord(" "))
-    digits = values.size
-    for power in range(1, len(str(values.max()))):
-        digits += np.count_nonzero(values >= 10 ** power)
-    return (spaces + 1 == values.size and digits + spaces == raw.size
-            and np.count_nonzero(raw - ord("0") < 10) == digits)
 
 
 def _columns(table: np.ndarray):
@@ -365,27 +452,6 @@ def _columns(table: np.ndarray):
     """
     for start in range(0, len(table), 4096):
         yield from zip(*(column.tolist() for column in table[start:start + 4096].T))
-
-
-def _ints_text(values: np.ndarray) -> str:
-    """Non-negative int32 values as ``" ".join(map(str, values))`` writes them.
-
-    Row i of ``chars`` holds a space and the digits of value i, padded with
-    zeros to the widest value; ``keep`` drops the first space and the padding.
-    """
-    values = values.astype(np.uint32)
-    width = len(str(values.max(initial=0)))
-    chars = np.full((values.size, width + 1), ord(" "), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    rest = values
-    for j in range(width, 0, -1):
-        # rest is values // 10 ** (width - j), so digit j is padding where rest is 0.
-        keep[:, j] = rest > 0
-        tens = rest // 10
-        chars[:, j] = rest - 10 * tens + ord("0")  # numpy's % is slower
-        rest = tens
-    keep[:, width] = True
-    return chars[keep].tobytes()[1:].decode()
 
 
 def _bits_text(bits) -> str:
@@ -552,6 +618,33 @@ def _random_nonzero(rng: np.random.Generator, length: int) -> int:
             return v
 
 
+def _random_subsets(rng: np.random.Generator, lengths: list[int]) -> list[int]:
+    """``_random_nonzero(rng, n)`` for each n of ``lengths`` in turn, in fewer draws.
+
+    ``Generator.bytes(m)`` is the first m bytes of ceil(m/4) 32-bit words,
+    and consecutive calls continue one stream of words.  So a subset longer
+    than 62 bits is the next ceil(n/32) words of that stream, masked to n
+    bits, and the leading run of such subsets takes its words in one call.
+    A zero subset is drawn again from the words that follow, in order, and
+    the words the run is then short of are drawn when they are reached.
+    The shorter subsets follow one call each.  (``bytes(0)`` draws a word,
+    so a run of none draws nothing.)
+    """
+    run = next((i for i, n in enumerate(lengths) if n <= 62), len(lengths))
+    sizes = [4 * ((n + 31) // 32) for n in lengths[:run]]  # bytes of whole words
+    stream, at = rng.bytes(sum(sizes)) if sizes else b"", 0
+    subsets = []
+    for n, size in zip(lengths, sizes):
+        v = 0
+        while not v:
+            if at + size > len(stream):
+                stream += rng.bytes(at + size - len(stream))
+            v = int.from_bytes(stream[at:at + size], "little") & ((1 << n) - 1)
+            at += size
+        subsets.append(v)
+    return subsets + [_random_nonzero(rng, n) for n in lengths[run:]]
+
+
 @dataclass(frozen=True)
 class HashResult:
     key_a: np.ndarray | None
@@ -583,7 +676,8 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
     ia, ib = _bits_to_int(a), _bits_to_int(b)
     log: list[HashRecord] = []
     for l, text in enumerate(subsets, start=1):
-        if len(text) != length or text.strip("01") or "1" not in text:
+        ones = text.count("1")
+        if len(text) != length or not ones or ones + text.count("0") != length:
             raise InvalidParameterError(
                 f"hash subset {l} is not a non-zero bit string of length {length}")
         s = int(text[::-1], 2)
@@ -729,8 +823,9 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     # All M subsets, at the lengths a matching walk meets; rng_hash feeds
     # nothing else, so the announced ones are drawn as round by round.
     length = cfg.key_length + cfg.hash_rounds
-    subsets = tuple(format(_random_nonzero(rng_hash, n), f"0{n}b")[::-1]
-                    for n in range(length, length - cfg.hash_rounds, -1))
+    lengths = list(range(length, length - cfg.hash_rounds, -1))
+    subsets = tuple(format(v, f"0{n}b")[::-1]
+                    for n, v in zip(lengths, _random_subsets(rng_hash, lengths)))
     return Transcript._adopt(table, subsets, cfg.blocks_per_parity,
                              _announced_blocks=chosen)
 

@@ -192,9 +192,11 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
     _require(CampaignSpec, "campaign", campaign)
 
     geometry = _given(parser, "geometry")
-    envelope = make_plateau(
-        geometry.get("state_extent", CampaignSpec.envelope.plateau_length),
-        **_given(parser, "state"))
+    extent = geometry.get("state_extent", CampaignSpec.envelope.plateau_length)
+    try:
+        envelope = make_plateau(extent, **_given(parser, "state"))
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"no envelope of state_extent {extent}: {exc}") from exc
 
     eve = _given(parser, "eve")
     if eve and "enabled" not in eve:

@@ -26,6 +26,7 @@ them as the square of the grid step.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,11 @@ DEFAULT_SAMPLES_ACROSS_PLATEAU = 4096
 
 #: A ramp that the sampled grid covers with fewer samples is rejected.
 MIN_SAMPLES_PER_RAMP = 8
+
+#: Longest plateau with edge ramps.  The ramps' closed-form integrals add
+#: coordinates that reach five plateau lengths (a delayed copy's cosine
+#: phase sums two of them), so past this the sums could overflow.
+MAX_RAMPED_LENGTH = sys.float_info.max / 8
 
 
 @dataclass(frozen=True)
@@ -317,6 +323,10 @@ class Plateau:
             raise InvalidParameterError(f"ramp width must lie in [0, L/2], got {w}")
         if not (0.0 <= a <= w):
             raise InvalidParameterError(f"overhang must lie in [0, w], got {a}")
+        if w > 0.0 and L > MAX_RAMPED_LENGTH:
+            raise InvalidParameterError(
+                f"plateau length {L} is too long for edge ramps: their closed-form "
+                f"integrals overflow past {MAX_RAMPED_LENGTH:.4g}")
 
     @property
     def support(self) -> Interval:

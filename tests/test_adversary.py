@@ -33,7 +33,7 @@ from relqkd.measurement import (
     bob_outcome_distribution,
     eve_outcome_distribution,
 )
-from relqkd.wavepacket import Interval, _sample, make_plateau
+from relqkd.wavepacket import MAX_RAMPED_LENGTH, Interval, _sample, make_plateau
 
 
 class TestClosedForms:
@@ -93,6 +93,23 @@ class TestEveStrategy:
 
 
 class TestChannelProbabilities:
+    @settings(max_examples=200, deadline=None)
+    @given(tail=st.sampled_from([0.0, 1e-3, 1e-2, 0.5]),
+           ramp=st.sampled_from([0.05, 0.2, 0.49]),
+           ratio=st.sampled_from([0.0, 0.5, 0.9]), chi=st.floats(0.0, 3.0),
+           policy=st.sampled_from(list(ResendPolicy)))
+    def test_longest_ramped_plateau_scales(self, tail, ramp, ratio, chi, policy):
+        # The integrals at MAX_RAMPED_LENGTH stay finite and give what the
+        # same envelope gives at L = 1; one step further is refused.
+        L = MAX_RAMPED_LENGTH
+        scaled = channel_probabilities(make_plateau(L, tail, ramp), ratio * L,
+                                       EveStrategy(chi * L, policy))
+        unit = channel_probabilities(make_plateau(1.0, tail, ramp), ratio,
+                                     EveStrategy(chi, policy))
+        assert scaled == pytest.approx(unit, abs=1e-9)
+        with pytest.raises(InvalidParameterError, match="too long for edge ramps"):
+            make_plateau(math.nextafter(L, math.inf), tail, ramp)
+
     def test_honest_and_intercepted(self):
         envelope = make_plateau(1.0)
         f_eve, p_pass = channel_probabilities(envelope, 0.5)

@@ -31,7 +31,7 @@ SMALL = DISTILL_INI.format(seed=7, key_length=8, block_size=3, blocks_per_parity
 
 def test_large_noisy_session_round_trips(tmp_path, capsys):
     # An N = 1024 noisy session: its transcript and report read back and
-    # write back the same text, and the same transcript under the /2
+    # write back the same text, and the same transcript under the /3
     # header, or the same report with its checks flipped, is refused.
     path = tmp_path / "large.ini"
     path.write_text(DISTILL_INI.format(seed=1, key_length=1024, block_size=7,
@@ -41,12 +41,12 @@ def test_large_noisy_session_round_trips(tmp_path, capsys):
     report = (tmp_path / "large.report.txt").read_text()
     assert capsys.readouterr().out == report
     transcript = (tmp_path / "large.transcript.txt").read_text()
-    assert transcript.split("\n", 1)[0] == "relqkd-transcript/3"
+    assert transcript.split("\n", 1)[0] == "relqkd-transcript/4"
     assert Transcript.from_text(transcript).to_text() == transcript
     assert SecurityReport.from_text(report).to_text() == report
     with pytest.raises(InvalidParameterError):
-        Transcript.from_text(transcript.replace("relqkd-transcript/3",
-                                                "relqkd-transcript/2", 1))
+        Transcript.from_text(transcript.replace("relqkd-transcript/4",
+                                                "relqkd-transcript/3", 1))
     flipped = report.replace("identical_ok=true", "identical_ok=false").replace(
         "all_ok=true", "all_ok=false")
     assert flipped != report
@@ -116,3 +116,22 @@ def test_simulate_takes_the_resend_policy(tmp_path, capsys):
     header, row = capsys.readouterr().out.splitlines()
     columns = dict(zip(header.split(","), row.split(",")))
     assert columns["joint_empirical"] == columns["pass_probability"] == "0"
+
+
+@pytest.mark.parametrize("mode,extra", [
+    ("simulate", "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n"),
+    ("distill", "[protocol]\nkey_length = 8\nblock_size = 3\nblocks_per_parity = 2\n"
+                "hash_rounds = 4\ndisclose_fraction = 0.1\n"
+                "[eve]\nenabled = true\ndelay = 0.25\n"),
+])
+def test_ramped_extent_past_the_closed_forms_is_invalid_input(tmp_path, capsys, mode, extra):
+    # At 1e308 the ramps' cosine integrals once overflowed: math.cos(inf)
+    # raised a raw ValueError with a traceback, and the program exited 1.
+    path = tmp_path / "huge.ini"
+    path.write_text(f"[campaign]\nmode = {mode}\ntrials = 1000\nseed = 7\n{extra}"
+                    "[geometry]\nstate_extent = 1e308\n"
+                    "[state]\ntail_mass = 1e-3\nramp_fraction = 0.05\n")
+    assert main([mode, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "state_extent 1e+308" in captured.err and "too long for edge ramps" in captured.err

@@ -144,7 +144,9 @@ class TestMajority:
         blocks = 50_000
         rng = np.random.default_rng(900 + k * 10 + int(p_flip * 100))
         flips = (rng.random((blocks, k)) < p_flip).astype(int)
-        wrong = sum(majority_decode(row) for row in flips)
+        # One stacked call: test_votes_equal_an_int64_column_sum checks it
+        # against row-by-row votes.
+        wrong = int(majority_decode(flips).sum())
         expected = sum(
             math.comb(k, j) * p_flip ** j * (1.0 - p_flip) ** (k - j)
             for j in range(k // 2 + 1, k + 1)
@@ -512,7 +514,7 @@ class TestTranscript:
     def test_text_round_trip(self):
         transcript = run_session(make_config(flip_probability=0.01, seed=31))
         text = transcript.to_text()
-        assert text.startswith("relqkd-transcript/3\n")
+        assert text.startswith("relqkd-transcript/4\n")
         parsed = Transcript.from_text(text)
         assert parsed.to_text() == text
         assert parsed == transcript
@@ -565,15 +567,25 @@ class TestTranscript:
                 "round\ta_bit\tb_outcome\teve_outcome\tsifted\tdisclosed\tblock\tparity_group\n"
                 "0\t0\tzero\t-\t1\t0\t0\t0\n")
         with pytest.raises(InvalidParameterError,
-                           match="relqkd-transcript/3.*relqkd-transcript/1"):
+                           match="relqkd-transcript/4.*relqkd-transcript/1"):
             Transcript.from_text(text)
 
     def test_rejects_schema_2(self):
         # The same session as the /2 writer spelled it, with a sifted column,
         # a two-field blocks header and a parity-group line.
         with pytest.raises(InvalidParameterError,
-                           match="relqkd-transcript/3.*relqkd-transcript/2"):
+                           match="relqkd-transcript/4.*relqkd-transcript/2"):
             Transcript.from_text(_as_schema_2(NOISY_TEXT))
+
+    def test_rejects_schema_3(self):
+        # The same session as the /3 writer spelled it, its member ids
+        # unpadded; under a /4 header those ids do not fill the line.
+        text = _as_schema_3(NOISY_TEXT)
+        with pytest.raises(InvalidParameterError,
+                           match="relqkd-transcript/4.*relqkd-transcript/3"):
+            Transcript.from_text(text)
+        with pytest.raises(InvalidParameterError, match="members line disagrees"):
+            Transcript.from_text(text.replace("/3", "/4", 1))
 
     def test_replay_rejects_wrong_discarded_position(self):
         text = run_session(make_config(seed=3)).to_text()
@@ -592,6 +604,13 @@ class TestTranscript:
     def test_to_text_refuses_unspellable_blocks(self, case):
         with pytest.raises(InvalidParameterError):
             _inconsistent(case).to_text()
+
+    @pytest.mark.parametrize("column,code", [(0, 2), (0, -1), (1, 3), (2, 4), (3, -2 ** 31)])
+    def test_to_text_refuses_codes_outside_the_alphabets(self, column, code):
+        table = NOISY.round_table.copy()
+        table[0, column] = code
+        with pytest.raises(InvalidParameterError, match="outside its column's alphabet"):
+            dataclasses.replace(NOISY, round_table=table).to_text()
 
     def test_blocks_derived_once(self, monkeypatch):
         calls = []
@@ -710,6 +729,14 @@ def _as_schema_2(text):
                       f"blocks\t{n_blocks}\t{k}", lines[7], groups, *lines[8:]])
 
 
+def _as_schema_3(text):
+    """``text`` as the /3 writer spelled it: the member ids without zero padding."""
+    lines = text.split("\n")
+    lines[0] = "relqkd-transcript/3"
+    lines[7] = " ".join(str(int(m)) for m in lines[7].split(" "))
+    return "\n".join(lines)
+
+
 def _swap_lines(text, i, j):
     lines = text.split("\n")
     lines[i], lines[j] = lines[j], lines[i]
@@ -731,8 +758,8 @@ class TestTranscriptParseErrors:
     @pytest.mark.parametrize("mangle", [
         lambda t: t[: len(t) // 2],
         _edit(lambda p: p["cols"]["a_bit"].__setitem__(0, "x")),
-        lambda t: "relqkd-transcript/3\n",
-        lambda t: "relqkd-transcript/3\nrounds\n",
+        lambda t: "relqkd-transcript/4\n",
+        lambda t: "relqkd-transcript/4\nrounds\n",
         lambda t: t.replace("rounds\t", "rounds\t9", 1),
         _edit(lambda p: p["cols"]["a_bit"].__setitem__(0, "7")),
         _set_first_member("disclosed", "2"),
@@ -862,6 +889,16 @@ def _members_line(edit):
     return mangle
 
 
+def _blocks_header(edit):
+    """A mangle applying ``edit`` to the blocks header's (B, k, n), members line kept."""
+    def mangle(text):
+        lines = text.split("\n")
+        values = edit(*(int(v) for v in lines[6].split("\t")[1:]))
+        lines[6] = "\t".join(["blocks", *map(str, values)])
+        return "\n".join(lines)
+    return mangle
+
+
 def _zero_blocks(text):
     lines = text.split("\n")
     lines[6:8] = ["blocks\t0\t" + "\t".join(lines[6].split("\t")[2:]), ""]
@@ -869,28 +906,33 @@ def _zero_blocks(text):
 
 
 # One input per defect that the reader's checks look for before it keeps
-# the blocks, the members line or a column line instead of deriving them,
-# with the error it raises; a check that let one through would keep what
-# the text does not spell.
+# the blocks, or proves the lines before the derived ones, instead of
+# deriving them, with the error it raises; a check that let one through
+# would keep what the text does not spell.  NOISY has 72 rounds, so each
+# member id is two digits wide.
 _DIFFERS = "differs from what to_text writes"
 _UNNUMBERED = r"numbered 0, 1, \.\.\. and all have one size"
+_DISAGREES = "the members line disagrees with the blocks header"
+_NOT_IDS = "the members line is not fixed-width round ids"
 READER_CORPUS = {
-    "member-03": (_edit_member(lambda m: "0" + m), _DIFFERS),
-    "member-plus": (_edit_member(lambda m: "+" + m), _DIFFERS),
-    "member-underscore": (_edit_member(above=9, edit=lambda m: m[:1] + "_" + m[1:]),
-                          "malformed transcript: ValueError"),
-    "member-leading-space": (_edit_member(lambda m: " " + m), _DIFFERS),
+    "member-short": (_edit_member(lambda m: m[1:]), _DISAGREES),
+    "member-03": (_edit_member(lambda m: "0" + m), _DISAGREES),
+    "member-plus": (_edit_member(lambda m: "+" + m[1:]), _NOT_IDS),
+    "member-underscore": (_edit_member(above=9, edit=lambda m: m[:1] + "_"), _NOT_IDS),
+    "member-leading-space": (_edit_member(lambda m: " " + m[1:]), _NOT_IDS),
     "member-non-ascii-digit": (_edit_member(lambda m: m[:-1] + chr(0x0660 + int(m[-1]))),
-                               "malformed transcript: ValueError"),
-    "members-double-space": (_members_line(lambda line: line.replace(" ", "  ", 1)), _DIFFERS),
-    "members-trailing-space": (_members_line(lambda line: line + " "), _DIFFERS),
-    # numpy 2.4 reads a number past int64 as its maximum; one that wraps it
-    # reads m, and the text then differs from what to_text writes.
-    "member-20-digits": (_edit_member(lambda m: str(2 ** 64 + int(m))),
-                         "malformed transcript: IndexError|" + _DIFFERS),
-    "member-negative": (_edit_member(lambda m: str(int(m) - len(NOISY.round_table))), _DIFFERS),
-    "member-past-rounds": (_edit_member(lambda m: str(len(NOISY.round_table))),
-                           "malformed transcript: IndexError"),
+                               "a transcript is ASCII text"),
+    "members-double-space": (_members_line(lambda line: line.replace(" ", "  ", 1)),
+                             _DISAGREES),
+    "members-trailing-space": (_members_line(lambda line: line + " "), _DISAGREES),
+    # A number past int64 is too long to be an id of the line's width.
+    "member-20-digits": (_edit_member(lambda m: str(2 ** 64 + int(m))), _DISAGREES),
+    "member-negative": (_edit_member(lambda m: "-" + m[1:]), _NOT_IDS),
+    "member-past-rounds": (_edit_member(lambda m: str(len(NOISY.round_table)).zfill(len(m))),
+                           "a member id is not a round of the table"),
+    # The line's length is compared with the header's 2^40 blocks before
+    # anything is allocated for them.
+    "members-2^40-blocks": (_blocks_header(lambda b, k, n: (2 ** 40, k, n)), _DISAGREES),
     "round-in-two-blocks": (_edit(lambda p: p["blocks"].__setitem__(1, list(p["blocks"][0]))),
                             _UNNUMBERED),
     "descending-pair": (_edit(_descend_first_block), _DIFFERS),
@@ -901,42 +943,45 @@ READER_CORPUS = {
         "a round column is not one alphabet character per round"),
 }
 
-_KEPT_NAMES = {"_announced_blocks", "_column_texts", "_members_text"}
-
-
 def _oracle_accepts(text) -> bool:
     """The round trip without kept values: parse, rebuild the record, write it back."""
-    lines = text.split("\n")
     try:
-        if lines[0] != distill.TRANSCRIPT_SCHEMA:
+        if text.split("\n", 1)[0] != distill.TRANSCRIPT_SCHEMA:
             return False
-        parsed = Transcript._parse(lines)
+        parsed, _ = Transcript._parse(text)
         rebuilt = Transcript(parsed.round_table, parsed.subsets, parsed.blocks_per_parity)
         return rebuilt.to_text() == text
     except (InvalidParameterError, IndexError, ValueError, OverflowError):
         return False
 
 
-def _assert_kept_values_derive(text) -> set[str]:
-    """Each value the parse of ``text`` keeps is the one its record derives.
+def _assert_parse_derives(text) -> tuple[bool, bool]:
+    """What the parse of ``text`` keeps and proves is what its record derives.
 
-    Returns the names of the kept values; none if the text does not parse.
+    Returns whether it keeps the blocks and whether it proves the lines
+    before the derived ones; neither if the text does not parse.  Proven
+    lines are kept only with the blocks, and are what ``to_text`` writes
+    wherever the record can be written.
     """
     try:
-        parsed = Transcript._parse(text.split("\n"))
+        parsed, derived_at = Transcript._parse(text)
     except (InvalidParameterError, IndexError, ValueError, OverflowError):
-        return set()
+        return False, False
     fresh = Transcript(parsed.round_table, parsed.subsets, parsed.blocks_per_parity)
-    names = _KEPT_NAMES & parsed.__dict__.keys()
-    assert "_column_texts" in names
-    for name in names:
-        kept, derived = parsed.__dict__[name], getattr(fresh, name)
-        if isinstance(kept, np.ndarray):
-            assert kept.dtype == derived.dtype and np.array_equal(kept, derived), name
-            assert not kept.flags.writeable
-        else:
-            assert kept == derived, name
-    return names
+    assert "_text" not in parsed.__dict__
+    kept = "_announced_blocks" in parsed.__dict__
+    if kept:
+        blocks, derived = parsed.__dict__["_announced_blocks"], fresh._announced_blocks
+        assert blocks.dtype == derived.dtype and np.array_equal(blocks, derived)
+        assert not blocks.flags.writeable
+    if derived_at is not None:
+        assert kept
+        try:
+            written = fresh.to_text()
+        except InvalidParameterError:
+            written = text[:derived_at]
+        assert written[:derived_at] == text[:derived_at]
+    return kept, derived_at is not None
 
 
 _SESSION = dict(
@@ -958,11 +1003,12 @@ def _session_text(k, n, key_length, rounds, flip, loss, eve_delay, policy, seed)
 
 
 class TestReaderKeepsWhatItChecked:
-    """``from_text`` keeps the blocks, members line and column lines it proved canonical.
+    """``from_text`` keeps the blocks it proved and writes back only the derived lines.
 
-    The oracle is the round trip with nothing kept: every kept value must
-    be the derived one, and the reader must accept exactly what the oracle
-    accepts.
+    The oracle is the round trip with nothing kept: every kept value and
+    every proven line must be the derived one, and the reader must accept
+    exactly what the oracle accepts.  An accepted text is kept as the text
+    the transcript writes.
     """
 
     @pytest.mark.parametrize("case", sorted(READER_CORPUS))
@@ -971,22 +1017,15 @@ class TestReaderKeepsWhatItChecked:
         text = mangle(NOISY_TEXT)
         assert text != NOISY_TEXT
         assert not _oracle_accepts(text)
-        _assert_kept_values_derive(text)
+        _assert_parse_derives(text)
         with pytest.raises(InvalidParameterError, match=message):
             Transcript.from_text(text)
 
-    @pytest.mark.parametrize("line,values,spelled", [
-        ("7 0 12", [7, 0, 12], True),
-        ("7 00 12", [7, 0, 12], False),
-        # Each value's digits and the spaces fill the line, but a run is not digits.
-        ("7 + 12", [7, 0, 12], False),
-    ])
-    def test_spells_reads_digit_runs(self, line, values, spelled):
-        assert distill._spells(line, np.array(values)) == spelled
-
-    def test_session_text_keeps_all_three(self):
+    def test_session_text_keeps_both(self):
         for transcript in (NOISY, ABORTED, EAVESDROPPED):
-            assert _assert_kept_values_derive(transcript.to_text()) == _KEPT_NAMES
+            text = transcript.to_text()
+            assert _assert_parse_derives(text) == (True, True)
+            assert Transcript.from_text(text).__dict__["_text"] is text
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), session=st.fixed_dictionaries(_SESSION))
@@ -1004,7 +1043,7 @@ class TestReaderKeepsWhatItChecked:
             char = data.draw(st.sampled_from("0123456789 \t\n-?+_x\u0662"))
             text = text[:i] + char + text[i + 1:]
         accepted = _oracle_accepts(text)
-        kept = _assert_kept_values_derive(text)
+        proofs = _assert_parse_derives(text)
         try:
             parsed = Transcript.from_text(text)
         except InvalidParameterError:
@@ -1012,8 +1051,84 @@ class TestReaderKeepsWhatItChecked:
             return
         assert accepted
         # The checks pass every text the reader accepts.
-        assert kept == _KEPT_NAMES
-        assert parsed.to_text() == text
+        assert proofs == (True, True)
+        assert parsed.to_text() is text
+
+
+class _WordStream:
+    """A generator stand-in whose ``bytes(m)`` reads ceil(m/4) scripted 32-bit words."""
+
+    def __init__(self, words):
+        self.words, self.used = list(words), 0
+
+    def bytes(self, m):
+        count = (m + 3) // 4
+        chunk = self.words[self.used:self.used + count]
+        assert len(chunk) == count, "the script ran out of words"
+        self.used += count
+        return np.array(chunk, dtype="<u4").tobytes()[:m]
+
+
+class TestHashSubsets:
+    """``_random_subsets`` against ``_random_nonzero`` called once per subset."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(top=st.integers(1, 2000), rounds=st.integers(1, 20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_draws_as_one_call_per_subset(self, top, rounds, seed):
+        lengths = list(range(top, max(top - rounds, 0), -1))
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert distill._random_subsets(batched, lengths) == [
+            distill._random_nonzero(single, n) for n in lengths]
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    def test_zero_subset_is_drawn_again_in_order(self):
+        # Subsets of 100, 99 and 98 bits take four words each.  The second
+        # draw of 99 bits is zero: its last word keeps only 3 bits, all 0.
+        words = [1, 2, 3, 4, 0, 0, 0, 0xFFFFFFF8, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
+        lengths = [100, 99, 98]
+        batched, single = _WordStream(words), _WordStream(words)
+        subsets = distill._random_subsets(batched, lengths)
+        assert subsets == [distill._random_nonzero(single, n) for n in lengths]
+        assert batched.used == single.used == 16
+        assert subsets[1] == int.from_bytes(np.array([5, 6, 7, 8], "<u4").tobytes(),
+                                            "little") & ((1 << 99) - 1)
+
+
+class TestMemberIds:
+    """The members line's codec: ids of one width, zero-padded, one space apart."""
+
+    @staticmethod
+    def _spelled(ids, width):
+        cells = np.empty((len(ids), width + 1), dtype=np.uint8)
+        distill._spell_ids(cells, np.array(ids, dtype=np.intp))
+        return cells.ravel()
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 10), data=st.data())
+    def test_round_trip(self, width, data):
+        # Rounds whose last id, rounds - 1, has ``width`` digits.
+        rounds = data.draw(st.integers(10 ** (width - 1) + (width > 1), 10 ** width))
+        assert distill._id_width(rounds) == width
+        ids = data.draw(st.lists(st.integers(0, rounds - 1), min_size=1, max_size=40))
+        line = self._spelled(ids, width)
+        assert line.tobytes() == (" ".join(f"{i:0{width}d}" for i in ids) + "\n").encode()
+        assert distill._member_ids(line, len(ids), width).tolist() == ids
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 10), data=st.data())
+    def test_only_the_spelling_of_its_ids_reads(self, width, data):
+        # A line whose newline ends it reads only if it is the spelling of
+        # the ids it reads as.
+        ids = data.draw(st.lists(st.integers(0, 10 ** width - 1), min_size=1, max_size=20))
+        line = self._spelled(ids, width).copy()
+        i = data.draw(st.integers(0, line.size - 2))
+        line[i] = ord(data.draw(st.sampled_from("0123456789 +-_\t\n")))
+        try:
+            read = distill._member_ids(line, len(ids), width)
+        except InvalidParameterError:
+            return
+        assert np.array_equal(self._spelled(read.tolist(), width), line)
 
 
 def _reference_blocks(table):

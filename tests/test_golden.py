@@ -107,49 +107,49 @@ GOLDEN = {
     "clean.session":
         "74faa25e53dc0a1cde4aac956df8fc67fd0db58b2458c5bb206d3c5893468123",
     "clean.transcript.txt":
-        "c30dd29b1b44a6d1e31f6636cfd0183da62a5b08a97cdd86776ccc2cbd85b6da",
+        "20e917c414f40de8b4d7d2f5561af6d238a7d4dd88abcd84488f4b141de9c142",
     "clean.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "noisy.session":
         "6c452ed37c6306a9585866d936eeb7245cd010816c6aef23ec24723d8b22aea7",
     "noisy.transcript.txt":
-        "e9ece7d85fcfa8c787506953813c215e186a35b1a6bb8f076a6fc088723f0e3d",
+        "866fe7309172285116f42da02160d19e02327ae214fb7e044b2bc88cc0ae1006",
     "noisy.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "eve.session":
         "1ceef410d5dab95cd4dd3c3d947720a5981ff84561bc2859b9d9447105de8c59",
     "eve.transcript.txt":
-        "82dd3f72ec4ac89880310a5481be5b4b1d4acef09229a6c13b3ac358b090bf18",
+        "2f9b92856eaa07849a287f24b7012991ff743492e85105c5fef4e01c53cc295b",
     "eve.report.txt":
         "58a8ef1104c637b2e9abd0267b7280ae62f2a6013239463f637682ab7f899c52",
     "eve0.session":
         "204ec45583b91f3358e9e975fe8e5beeaebf1c2b933c2e3dc51be1e3618569d4",
     "eve0.transcript.txt":
-        "7ef0fa9ae60fa1fc8553a69c5fb9545dee9d2645f5bbc9eca7e2bfb2d957e8e5",
+        "2a2e0459e51984d5429aa015f658f3a115c57ab069d089422e2ef82d438008a6",
     "eve0.report.txt":
         "f945a3284d941c856939090dbc11263fb7331b4e25d70ab541ba2564ca6d42f5",
     "tailed.session":
         "2de17c96ae21f2755951a618303899c8621bedaee2d3077033ffa34cdf7810f8",
     "tailed.transcript.txt":
-        "6234c1575d2756f1f104cdf1fdc32410bc6b192e64eb89ed168d94bc8fd83c6d",
+        "b2cf43b44d7665ecfde21f5b5c36ef7eb7cfa437abeeb954599613c934a920f3",
     "tailed.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "k1n55.session":
         "b090a8a946f1494e2303a88897c843341aaea35d1686d5706b8bcfbdc9fca9c9",
     "k1n55.transcript.txt":
-        "de816e00e4e68175e8bfeeb35f976785dbb88df5f9858285a867dd5b856fb8a9",
+        "f62e1dec71d7b786733744f70984bf201e0443e20725eb0a2ed58e6e08cd4ba8",
     "k1n55.report.txt":
         "ec69f8babcd159b89ea6f9813a1618ae3cb88a3d337fa497f9408a2bce22f325",
     "k7n9.session":
         "75ecfd950212ef8623a0bf9482bd3bb88656cf81ee3e0f5ef66e0673d72bd269",
     "k7n9.transcript.txt":
-        "528f50f2d52f212bb8d8a63f54986fc0506c3ad514bc08bcacc9c60312cbd0a0",
+        "33e7e17497cbddcd1cb64a7a5c3e14f45b669535750bd8f517a51e23e2f954bd",
     "k7n9.report.txt":
         "f875f5356217ab8fdc714dc5eecf21f7ea80ea4e49227725a0fdab7369a34d49",
     "k1n64.session":
         "ef37c67448421fe773e7cbd025948ed55e3fe896dfd85b40b8b119fd35b53124",
     "k1n64.transcript.txt":
-        "40c1cf7373197e9ea52cd65b0f85b655f7011fb2dd7f63018d8d1de5e5af5d54",
+        "72df9a3753ecde40b6729fea883931c9927857388a19ae4035fb7badaea9cd19",
     "k1n64.report.txt":
         "a58f328dd9908b8767b0a20c7e0675597e6709bd6ad71e0ade90255c72c9c765",
 }

@@ -346,7 +346,7 @@ class TestDistill:
         assert not transcript.aborted
         assert (transcript.key_a == transcript.key_b).all()
         assert (tmp_path / "run.transcript.txt").read_text().startswith(
-            "relqkd-transcript/3")
+            "relqkd-transcript/4")
         assert (tmp_path / "run.report.txt").read_text().startswith(
             "relqkd-report/1")
         assert report.p_err_estimate == transcript.p_err_estimate

@@ -31,6 +31,16 @@ class TestInterval:
 
 
 class TestMakePlateau:
+    def test_ramped_length_is_bounded(self):
+        # make_plateau(1e308, 1e-3, 0.05) once built a plateau whose
+        # integrals raised a raw ValueError; without ramps there is no bound.
+        with pytest.raises(InvalidParameterError, match="too long for edge ramps"):
+            make_plateau(1e308, 1e-3, 0.05)
+        with pytest.raises(InvalidParameterError, match="too long for edge ramps"):
+            Plateau(1e308, 1e306)
+        assert make_plateau(1e308).plateau_length == 1e308
+        assert make_plateau(1e307, 1e-3, 0.05).ramp_width > 0.0
+
     def test_ideal_flat_profile(self):
         p = make_plateau(1.0, 0.0, 0.0)
         assert p == Plateau(1.0)

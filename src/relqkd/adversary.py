@@ -323,18 +323,6 @@ def draw_kraus_sets(
     return draws + (psi[:, 0] + 1j * psi[:, 1],)
 
 
-def draw_kraus_set(
-    rng: np.random.Generator, dimension: int = 8, n_operators: int = 12,
-    headroom: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The draws of ``random_kraus_set``: (weights, outputs, inputs, headroom).
-
-    One set of ``draw_kraus_sets``, without its leading axis.
-    """
-    lam, outs, ins, target = draw_kraus_sets(rng, 1, dimension, n_operators, headroom)
-    return lam[0], outs[0], ins[0], float(target[0])
-
-
 def kraus_set_from_draws(weights, outputs, inputs, headroom) -> KrausSet:
     """Normalise the vectors and scale the weights to the top eigenvalue ``headroom``.
 
@@ -363,7 +351,8 @@ def random_kraus_set(
     ``headroom`` in (0, 1] sets the top eigenvalue of the admissibility
     matrix; by default it is drawn uniformly from [0.3, 1.0].
     """
-    return kraus_set_from_draws(*draw_kraus_set(rng, dimension, n_operators, headroom))
+    draws = draw_kraus_sets(rng, 1, dimension, n_operators, headroom)
+    return kraus_set_from_draws(*(draw[0] for draw in draws))
 
 
 def scaled_invalid_kraus_set(rng: np.random.Generator, dimension: int = 8,

@@ -150,23 +150,16 @@ class Transcript:
 
     @classmethod
     def _adopt(cls, round_table: np.ndarray, subsets: tuple[str, ...], blocks_per_parity: int,
-               **derived) -> "Transcript":
-        """A transcript that freezes ``round_table`` and keeps it instead of a copy.
+               blocks: np.ndarray) -> "Transcript":
+        """A transcript that freezes ``round_table`` and ``blocks`` and keeps them, not copies.
 
-        Only a table that no caller holds may be adopted, and it must be
-        int32 and column-major.  ``derived`` maps the names of cached
-        properties (``_announced_blocks``) to the values they would derive
-        from the record; they are kept as those values, the blocks
-        read-only.
+        Only an int32, column-major table that no caller holds may be
+        adopted, with the blocks ``_blocks`` would derive from it.
         """
-        round_table.flags.writeable = False
+        round_table.flags.writeable = blocks.flags.writeable = False
         transcript = cls.__new__(cls)
-        for name, value in (("round_table", round_table), ("subsets", subsets),
-                            ("blocks_per_parity", blocks_per_parity)):
-            object.__setattr__(transcript, name, value)
-        if "_announced_blocks" in derived:
-            derived["_announced_blocks"].flags.writeable = False
-        transcript.__dict__.update(derived)
+        transcript.__dict__.update(round_table=round_table, subsets=subsets,
+                                   blocks_per_parity=blocks_per_parity, _announced_blocks=blocks)
         return transcript
 
     @cached_property
@@ -284,15 +277,13 @@ class Transcript:
         """Parse ``to_text`` output; any other input raises InvalidParameterError.
 
         Only the record is read: the round table, n and the subset column
-        of the hash log.  The parsed transcript is written back and must
-        give ``text`` again, so ``Transcript.from_text(t).to_text() == t``
-        for every accepted ``t``, and a text whose parities, discarded
-        positions, error estimate, keys or abort lines contradict its
-        record is rejected.  Where ``_parse`` proves the lines through the
-        members line to be what ``to_text`` writes, only the eavesdropper
-        column is checked and the derived lines written back; the blocks it
-        proves are kept, and so is ``text``, as the text the transcript
-        writes.
+        of the hash log.  ``_parse`` proves the lines through the members
+        line; the eavesdropper column is checked, and the derived lines are
+        written back and compared with the rest.  So
+        ``Transcript.from_text(t).to_text() == t`` for every accepted ``t``,
+        and a text whose parities, discarded positions, error estimate,
+        keys or abort lines contradict its record is rejected.  The
+        transcript keeps the blocks the text lists, and ``t``.
         """
         try:
             transcript, derived_at = cls._parse(text)
@@ -300,30 +291,25 @@ class Transcript:
             raise
         except (IndexError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
-        if derived_at is None:
-            same = transcript.to_text() == text
-        else:
-            transcript._check_eve()  # the decoded codes lie in their alphabets
-            same = transcript._derived_lines() == text[derived_at:]
-        if not same:
+        transcript._check_eve()  # the decoded codes lie in their alphabets
+        if transcript._derived_lines() != text[derived_at:]:
             raise InvalidParameterError("the text differs from what to_text writes")
         transcript.__dict__["_text"] = text  # what to_text writes, as just shown
         return transcript
 
     @classmethod
-    def _parse(cls, text: str) -> tuple["Transcript", int | None]:
-        """The record ``text`` spells, and the offset of its derived lines if it proves the rest.
+    def _parse(cls, text: str) -> tuple["Transcript", int]:
+        """The record ``text`` spells, and the offset of its derived lines.
 
-        Only what the arrays need is checked here: the schema line, that
-        the text is ASCII, the alphabets, the member ids' digits, and sizes
-        that agree before anything is allocated from them.  Every other
-        defect makes the text differ from what ``to_text`` writes.  A
-        column line that decodes, and a members line of fixed-width ids,
-        are spelled as ``to_text`` spells them.  So the member ids are kept
-        as the blocks where ``_listed_blocks`` shows them to be what
-        ``_blocks`` derives, and the lines before the derived ones are
-        proven where, besides, the two header lines and the column names
-        are the ones it writes; otherwise the offset is None.
+        Only what the arrays need is checked before they are built: the
+        schema line, that the text is ASCII, the alphabets, the member ids'
+        digits, and sizes that agree before anything is allocated from
+        them.  A column line that decodes, and a members line of
+        fixed-width ids, are spelled as ``to_text`` spells them.  So the
+        lines before the derived ones are proven, and the ids kept as the
+        blocks, where ``_listed_blocks`` shows them to be what ``_blocks``
+        derives and the two header lines and the column names are the ones
+        ``to_text`` writes; any other text is refused.
         """
         schema = text[:text.find("\n")] if "\n" in text else text
         if schema != TRANSCRIPT_SCHEMA:
@@ -360,18 +346,17 @@ class Transcript:
             raise InvalidParameterError("a member id is not a round of the table")
         table[:, 4] = -1
         table[members, 4] = np.repeat(np.arange(n_blocks), k)
+        if not (_listed_blocks(table, members, k)
+                and rounds_line == f"rounds\t{n_rounds}"
+                and blocks_line == f"blocks\t{n_blocks}\t{k}\t{n}"
+                and all(text[start:first] == f"{name}\t"
+                        for start, first, name in zip(starts[2:6], firsts, ROUND_COLUMNS))):
+            raise InvalidParameterError("the text differs from what to_text writes")
 
         derived_lines = text[starts[8]:].split("\n")
         subsets = tuple(line.split("\t")[1]
                         for line in derived_lines[2:2 + int(derived_lines[0].split("\t")[1])])
-        if not _listed_blocks(table, members, k):
-            return cls._adopt(table, subsets, n), None
-        proven = (rounds_line == f"rounds\t{n_rounds}"
-                  and blocks_line == f"blocks\t{n_blocks}\t{k}\t{n}"
-                  and all(text[start:first] == f"{name}\t"
-                          for start, first, name in zip(starts[2:6], firsts, ROUND_COLUMNS)))
-        return (cls._adopt(table, subsets, n, _announced_blocks=members.reshape(n_blocks, k)),
-                starts[8] if proven else None)
+        return cls._adopt(table, subsets, n, members.reshape(n_blocks, k)), starts[8]
 
 
 def _id_width(rounds: int) -> int:
@@ -562,11 +547,11 @@ def _parity_strings(round_table: np.ndarray, members: np.ndarray,
     InvalidParameterError.
     """
     a_bit, b_outcome, _, disclosed = round_table.T[:4]
-    b = b_outcome[members]
-    if not ((disclosed[members] == 0) & (b != 2)).all():
+    b = b_outcome.take(members)
+    if not ((disclosed.take(members) == 0) & (b != 2)).all():
         raise InvalidParameterError(
             "a block holds a disclosed or inconclusive round; transcript is inconsistent")
-    a = a_bit[members]
+    a = a_bit.take(members)
     if (a != a[:, :1]).any():
         raise InvalidParameterError("a block mixes sent bits; transcript is inconsistent")
     return (form_parity_bits(a[:, 0], blocks_per_parity),
@@ -826,8 +811,7 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     lengths = list(range(length, length - cfg.hash_rounds, -1))
     subsets = tuple(format(v, f"0{n}b")[::-1]
                     for n, v in zip(lengths, _random_subsets(rng_hash, lengths)))
-    return Transcript._adopt(table, subsets, cfg.blocks_per_parity,
-                             _announced_blocks=chosen)
+    return Transcript._adopt(table, subsets, cfg.blocks_per_parity, chosen)
 
 
 def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -64,9 +64,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def shifted(self, delta: float) -> "Interval":
-        return Interval(self.lo + delta, self.hi + delta)
-
 
 def _exact_mass(x: np.ndarray, f: np.ndarray, a: float, b: float) -> float:
     """Integral of the squared piecewise-linear envelope over [a, b]."""

@@ -15,7 +15,6 @@ from relqkd.adversary import (
     bob_pass_bound,
     channel_probabilities,
     complex_gaussian,
-    draw_kraus_set,
     draw_kraus_sets,
     eve_success_probability,
     instrument_contraction_check,
@@ -314,11 +313,10 @@ class TestKrausInstrument:
         assert top <= 1.0 + 1e-9
 
     def test_stack_acts_on_every_set(self):
-        rng = np.random.default_rng(5)
-        draws = [draw_kraus_set(rng, dimension=6, n_operators=9, headroom=1.0)
-                 for _ in range(4)]
-        stack = kraus_set_from_draws(*(np.stack(column) for column in zip(*draws)))
-        singles = [kraus_set_from_draws(*draw) for draw in draws]
+        draws = draw_kraus_sets(np.random.default_rng(5), 4, dimension=6, n_operators=9,
+                                headroom=1.0)
+        stack = kraus_set_from_draws(*draws)
+        singles = [kraus_set_from_draws(*(column[i] for column in draws)) for i in range(4)]
         m = stack.admissibility_matrix()
         assert m.shape == (4, 6, 6)
         for i, single in enumerate(singles):
@@ -356,7 +354,8 @@ class TestStackedDraws:
         stacked_rng, single_rng, per_array_rng = (np.random.default_rng(seed) for _ in range(3))
         stacked = draw_kraus_sets(stacked_rng, n_sets, dimension, n_operators, headroom,
                                   states=states)
-        singles = [draw_kraus_set(single_rng, dimension, n_operators, headroom)
+        singles = [tuple(column[0] for column in
+                         draw_kraus_sets(single_rng, 1, dimension, n_operators, headroom))
                    + ((complex_gaussian(single_rng, (dimension,)),) if states else ())
                    for _ in range(n_sets)]
         per_array = [_per_array_draws(per_array_rng, dimension, n_operators, headroom, states)

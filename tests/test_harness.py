@@ -14,7 +14,7 @@ from relqkd.adversary import (
     KrausSet,
     ResendPolicy,
     complex_gaussian,
-    draw_kraus_set,
+    draw_kraus_sets,
     instrument_contraction_check,
     kraus_set_from_draws,
     random_kraus_set,
@@ -395,7 +395,7 @@ class TestVerify:
         stack_rng = np.random.default_rng(715)
         draws, states = [], []
         for _ in range(100):
-            draws.append(draw_kraus_set(stack_rng, dimension=8))
+            draws.append([column[0] for column in draw_kraus_sets(stack_rng, 1, dimension=8)])
             states.append(complex_gaussian(stack_rng, (8,)))
         stack = kraus_set_from_draws(*(np.stack(column) for column in zip(*draws)))
         holds, stacked = instrument_contraction_check(stack, f=0.6, psi=np.stack(states))

@@ -154,7 +154,7 @@ def channel_probabilities(
       p_pass = I^2 / (m_B m_R); m_R is the mass of C over [s0 + chi, s1]
       for the truncated copy and m_B for the shifted one.  Forwarding
       nothing gives p_pass = 0, and so does a truncated copy at chi >= S,
-      which has nothing left to send.
+      which has nothing left to send, or one whose m_R rounds to 0 or less.
 
     This geometry always meets the causality checks that
     ``bob_outcome_distribution`` enforces, so none is repeated here: with
@@ -175,11 +175,13 @@ def channel_probabilities(
     chi = eve.delay
     f_eve = _unit(envelope.carrier_mass(-(channel_length + chi), 0.0) / m_b)
     truncated = eve.resend_policy is ResendPolicy.TRUNCATED_RENORMALIZED
-    if eve.resend_policy is ResendPolicy.NO_RESEND or (truncated and chi >= s1 - s0):
+    m_r = envelope.carrier_mass(s0 + chi, s1) if truncated and chi > 0.0 else m_b
+    # Rounding cancels m_R to 0 or below only within about 1e-5 of chi = S,
+    # where p_pass <= carrier_mass(s0, s1 - chi) / m_B (Cauchy-Schwarz) lies
+    # below 1e-19.
+    if (eve.resend_policy is ResendPolicy.NO_RESEND or (truncated and chi >= s1 - s0)
+            or m_r <= 0.0):
         return f_eve, 0.0
-    m_r = m_b
-    if truncated and chi > 0.0:
-        m_r = envelope.carrier_mass(s0 + chi, s1)
     overlap = envelope.carrier_overlap(chi, s0, s1 - chi)
     return f_eve, _unit((overlap / m_b) * (overlap / m_r))
 

@@ -8,11 +8,11 @@ groups, and the round-by-round hash comparison that whittles N + M parity
 bits down to the final N-bit keys.  Everything is driven by one master seed
 and the resulting transcript is byte-reproducible.
 
-A session's transcript is its public record: the round table, with the
-blocks announced after reception, the number n of blocks XORed into each
-parity bit, and the hash subsets it drew.  The hash log, the keys, the
-abort and the error estimate are derived from that record (``hash_rounds``
-is the one hash walk), so they cannot disagree with it.
+A session's transcript is its public record: the round table, the blocks
+announced after reception, the number n of blocks XORed into each parity
+bit, and the hash subsets it drew.  The hash log, the keys, the abort and
+the error estimate are derived from that record (``hash_rounds`` is the
+one hash walk), so they cannot disagree with it.
 """
 
 from __future__ import annotations
@@ -101,11 +101,10 @@ class HashRecord:
 
 # The columns of Transcript.round_table.  An outcome's code is its index in
 # the enum's declaration order, so a conclusive (sifted) or fired outcome's
-# code is its bit, and 2 is inconclusive or no_fire; eve_outcome 3 and block
-# -1 stand for none.  The text spells each of the first four columns as one
-# line of one character per round, code c being character c of the column's
-# alphabet, and the last as the announced blocks.
-ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "disclosed", "block")
+# code is its bit, and 2 is inconclusive or no_fire; eve_outcome 3 stands
+# for no eavesdropper.  The text spells each column as one line of one
+# character per round, code c being character c of the column's alphabet.
+ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "disclosed")
 _ALPHABETS = tuple(np.frombuffer(a, dtype=np.uint8)
                    for a in (b"01", b"01?", b"01?-", b"01"))
 # Row j maps a byte to its code in column j, or to -1 outside the alphabet.
@@ -118,57 +117,59 @@ for _row, _alphabet in zip(_DECODE, _ALPHABETS):
 class Transcript:
     """The public record of one session, and what follows from it.
 
-    A session announces the round table (each round's outcomes, disclosure
-    flag and block, cut after reception), n and the hash subsets; parity
-    bit j XORs blocks j*n .. j*n+n-1.  The hash log (the subsets walked up
-    to the first parity mismatch), both keys, the abort and its reason, and
-    the error estimate over the disclosed rounds are derived from them on
-    first use, once per transcript, so the transcript keeps a read-only copy
-    of the table it is given.  A record they cannot be derived from raises
-    InvalidParameterError there.
+    A session announces the round table (each round's outcomes and
+    disclosure flag), the blocks it cuts after reception, n and the hash
+    subsets; parity bit j XORs blocks j*n .. j*n+n-1.  The hash log (the
+    subsets walked up to the first parity mismatch), both keys, the abort
+    and its reason, and the error estimate over the disclosed rounds are
+    derived from them on first use, once per transcript, so the transcript
+    keeps read-only copies of the arrays it is given.  Blocks that are not
+    one or more rows of rising round ids of the table, no round in two
+    rows, are refused at once; a record the rest cannot be derived from
+    raises InvalidParameterError there.
     """
 
     round_table: np.ndarray    # int32, column-major, one row per round, columns ROUND_COLUMNS
+    blocks: np.ndarray         # intp, row b the rounds of block b, ascending
     subsets: tuple[str, ...]   # hash subset of round l+1; char i selects string position i
     blocks_per_parity: int     # n
 
     def __post_init__(self):
-        given = np.asarray(self.round_table)
-        table = np.array(given, dtype=np.int32, order="F")
-        if given.dtype != table.dtype and not np.array_equal(given, table):
-            raise InvalidParameterError("a round table value does not fit in int32")
-        table.flags.writeable = False
+        table = _frozen_copy(self.round_table, np.int32, "F", "the round table")
+        blocks = _frozen_copy(self.blocks, np.intp, "C", "blocks")
+        if (blocks.ndim != 2 or blocks.min(initial=0) < 0 or blocks.max(initial=0) >= len(table)
+                or not _listed_blocks(blocks, len(table))):
+            raise InvalidParameterError("blocks must be one row or more of rising round ids "
+                                        "of the table, no round in two rows")
         object.__setattr__(self, "round_table", table)
+        object.__setattr__(self, "blocks", blocks)
 
     def __eq__(self, other):
-        """The round tables compare as arrays, then n and the announced hash logs."""
+        """The arrays compare as arrays, then n and the announced hash logs."""
         if not isinstance(other, Transcript):
             return NotImplemented
         return (np.array_equal(self.round_table, other.round_table)
+                and np.array_equal(self.blocks, other.blocks)
                 and self.blocks_per_parity == other.blocks_per_parity
                 and self.hash_log == other.hash_log)
 
     @classmethod
-    def _adopt(cls, round_table: np.ndarray, subsets: tuple[str, ...], blocks_per_parity: int,
-               blocks: np.ndarray) -> "Transcript":
+    def _adopt(cls, round_table: np.ndarray, blocks: np.ndarray, subsets: tuple[str, ...],
+               blocks_per_parity: int) -> "Transcript":
         """A transcript that freezes ``round_table`` and ``blocks`` and keeps them, not copies.
 
-        Only an int32, column-major table that no caller holds may be
-        adopted, with the blocks ``_blocks`` would derive from it.
+        Only an int32, column-major table and intp blocks that no caller
+        holds, and that the constructor would accept, may be adopted.
         """
         round_table.flags.writeable = blocks.flags.writeable = False
         transcript = cls.__new__(cls)
-        transcript.__dict__.update(round_table=round_table, subsets=subsets,
-                                   blocks_per_parity=blocks_per_parity, _announced_blocks=blocks)
+        transcript.__dict__.update(round_table=round_table, blocks=blocks, subsets=subsets,
+                                   blocks_per_parity=blocks_per_parity)
         return transcript
 
     @cached_property
-    def _announced_blocks(self) -> np.ndarray:
-        return _blocks(self.round_table)
-
-    @cached_property
     def _hash(self) -> HashResult:
-        return hash_rounds(*_parity_strings(self.round_table, self._announced_blocks,
+        return hash_rounds(*_parity_strings(self.round_table, self.blocks,
                                             self.blocks_per_parity), self.subsets)
 
     hash_log = property(lambda self: self._hash.log)
@@ -180,7 +181,7 @@ class Transcript:
 
     @cached_property
     def p_err_estimate(self) -> float:
-        a, b, _, d = self.round_table.T[:4]
+        a, b, _, d = self.round_table.T
         shown = d == 1
         count = np.count_nonzero(shown)
         if not count or (shown & (b == 2)).any():
@@ -190,23 +191,25 @@ class Transcript:
 
     @property
     def rounds(self) -> tuple[RoundRecord, ...]:
-        """One RoundRecord per round, rebuilt from ``round_table`` on each call."""
+        """One RoundRecord per round, rebuilt from the record on each call."""
         bob, eve = tuple(BobOutcome), tuple(EveOutcome) + (None,)
+        block = np.full(len(self.round_table), -1)
+        block[self.blocks] = np.arange(len(self.blocks))[:, None]
         return tuple(
             RoundRecord(i, a, bob[b], eve[e], d == 1, None if blk < 0 else blk)
-            for i, (a, b, e, d, blk) in enumerate(_columns(self.round_table)))
+            for i, (a, b, e, d, blk) in enumerate(_columns(*self.round_table.T, block)))
 
     def to_text(self) -> str:
         """The text form; a record it cannot spell raises InvalidParameterError.
 
         The text spells the codes of each column's alphabet, a fired
         eavesdropper outcome that names the sent bit (her firing
-        measurement identifies it without error), an eavesdropper column
-        that is all ``-`` (no eavesdropper) or holds no ``-``, and blocks
-        0..B-1 of one size (see ``_blocks``).  It writes the derived hash
-        log, error estimate, keys and abort too, so a text that contradicts
-        its record does not read back (see ``from_text``).  The text is
-        written once per transcript.
+        measurement identifies it without error), and an eavesdropper
+        column that is all ``-`` (no eavesdropper) or holds no ``-``.  It
+        writes the blocks as they are, and the derived hash log, error
+        estimate, keys and abort too, so a text that contradicts its record
+        does not read back (see ``from_text``).  The text is written once
+        per transcript.
         """
         return self._text
 
@@ -219,11 +222,10 @@ class Transcript:
         (see ``_spell_ids``).  The derived lines follow it.
         """
         self._check_codes()
-        table = self.round_table
-        members = self._announced_blocks
-        rounds = len(table)
+        members = self.blocks
+        rounds = len(self.round_table)
         width = _id_width(rounds)
-        heads = [f"{name}\t".encode() for name in ROUND_COLUMNS[:len(_ALPHABETS)]]
+        heads = [f"{name}\t".encode() for name in ROUND_COLUMNS]
         heads[0] = f"{TRANSCRIPT_SCHEMA}\nrounds\t{rounds}\n".encode() + heads[0]
         blocks = f"blocks\t{len(members)}\t{members.shape[1]}\t{self.blocks_per_parity}\n"
         derived = self._derived_lines()
@@ -231,7 +233,7 @@ class Transcript:
         out = np.empty(sum(map(len, heads)) + len(heads) * (rounds + 1) + len(blocks) + cells
                        + len(derived), dtype=np.uint8)
         at = 0
-        for head, alphabet, column in zip(heads, _ALPHABETS, table.T):
+        for head, alphabet, column in zip(heads, _ALPHABETS, self.round_table.T):
             at = _put(out, at, head)
             alphabet.take(column, out=out[at:at + rounds], mode="clip")
             out[at + rounds] = ord("\n")
@@ -276,10 +278,10 @@ class Transcript:
     def from_text(cls, text: str) -> "Transcript":
         """Parse ``to_text`` output; any other input raises InvalidParameterError.
 
-        Only the record is read: the round table, n and the subset column
-        of the hash log.  ``_parse`` proves the lines through the members
-        line; the eavesdropper column is checked, and the derived lines are
-        written back and compared with the rest.  So
+        Only the record is read: the round table, the blocks, n and the
+        subset column of the hash log.  ``_parse`` proves the lines through
+        the members line; the eavesdropper column is checked, and the
+        derived lines are written back and compared with the rest.  So
         ``Transcript.from_text(t).to_text() == t`` for every accepted ``t``,
         and a text whose parities, discarded positions, error estimate,
         keys or abort lines contradict its record is rejected.  The
@@ -307,9 +309,9 @@ class Transcript:
         them.  A column line that decodes, and a members line of
         fixed-width ids, are spelled as ``to_text`` spells them.  So the
         lines before the derived ones are proven, and the ids kept as the
-        blocks, where ``_listed_blocks`` shows them to be what ``_blocks``
-        derives and the two header lines and the column names are the ones
-        ``to_text`` writes; any other text is refused.
+        blocks, where ``_listed_blocks`` shows them to be blocks and the two
+        header lines and the column names are the ones ``to_text`` writes;
+        any other text is refused.
         """
         schema = text[:text.find("\n")] if "\n" in text else text
         if schema != TRANSCRIPT_SCHEMA:
@@ -339,14 +341,12 @@ class Transcript:
         table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
         for j, (decode, first) in enumerate(zip(_DECODE, firsts)):
             decode.take(raw[first:first + n_rounds], out=table[:, j], mode="clip")
-        if table[:, :len(_DECODE)].min(initial=0) < 0:
+        if table.min(initial=0) < 0:
             raise InvalidParameterError("a round column is not one alphabet character per round")
-        members = _member_ids(raw[starts[7]:starts[8]], n_blocks * k, width)
-        if members.size and members.max() >= n_rounds:
+        members = _member_ids(raw[starts[7]:starts[8]], n_blocks * k, width).reshape(n_blocks, k)
+        if members.max(initial=0) >= n_rounds:
             raise InvalidParameterError("a member id is not a round of the table")
-        table[:, 4] = -1
-        table[members, 4] = np.repeat(np.arange(n_blocks), k)
-        if not (_listed_blocks(table, members, k)
+        if not (_listed_blocks(members, n_rounds)
                 and rounds_line == f"rounds\t{n_rounds}"
                 and blocks_line == f"blocks\t{n_blocks}\t{k}\t{n}"
                 and all(text[start:first] == f"{name}\t"
@@ -356,7 +356,7 @@ class Transcript:
         derived_lines = text[starts[8]:].split("\n")
         subsets = tuple(line.split("\t")[1]
                         for line in derived_lines[2:2 + int(derived_lines[0].split("\t")[1])])
-        return cls._adopt(table, subsets, n, members.reshape(n_blocks, k)), starts[8]
+        return cls._adopt(table, members, subsets, n), starts[8]
 
 
 def _id_width(rounds: int) -> int:
@@ -411,32 +411,42 @@ def _member_ids(line: np.ndarray, count: int, width: int) -> np.ndarray:
     return ids
 
 
-def _listed_blocks(table: np.ndarray, members: np.ndarray, k: int) -> bool:
-    """Whether ``_blocks(table)`` gives ``members``, k per row.
+def _frozen_copy(values, dtype, order: str, what: str) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``; a value that would change is refused."""
+    try:
+        given = np.asarray(values)
+        copy = np.array(given, dtype=dtype, order=order)
+    except (OverflowError, TypeError, ValueError):
+        copy = None
+    if copy is None or given.dtype != copy.dtype and not np.array_equal(given, copy):
+        raise InvalidParameterError(f"{what} must be an array of {np.dtype(dtype)} values")
+    copy.flags.writeable = False
+    return copy
 
-    ``members`` are the round ids a members line lists, which were just
-    numbered in the table's block column, block b taking ids b*k ..
-    b*k+k-1; each is below ``len(table)``.  They are the blocks if there
-    is one, each block's ids rise, and no round is in two blocks, which
-    holds when the numbering left as many rounds in blocks as there are
-    ids.
+
+def _listed_blocks(members: np.ndarray, rounds: int) -> bool:
+    """Whether ``members``, one block a row, list blocks of a table of ``rounds`` rounds.
+
+    The ids must lie in [0, rounds).  They list blocks if there is a row,
+    each row rises, and no round is in two rows; the last holds when the
+    ids mark as many rounds as there are ids.
     """
     if not members.size:
         return False
-    rising = members[1:] > members[:-1]
-    rising[k - 1::k] = True  # a block's last id and the next block's first
-    return bool(rising.all()) and np.count_nonzero(table[:, 4] != -1) == members.size
+    marked = np.zeros(rounds, dtype=bool)
+    marked[members] = True
+    return (bool((members[:, 1:] > members[:, :-1]).all())
+            and np.count_nonzero(marked) == members.size)
 
 
-def _columns(table: np.ndarray):
-    """The table's rows as tuples of Python ints.
+def _columns(*columns: np.ndarray):
+    """The rows of equal-length ``columns`` as tuples of Python ints.
 
     Built from one list per column of 4096 rows at a time: ``tolist()`` of
-    the whole table would hold a list object per row at once, and of whole
-    columns five list slots per row.
+    whole columns would hold a list slot per column and row at once.
     """
-    for start in range(0, len(table), 4096):
-        yield from zip(*(column.tolist() for column in table[start:start + 4096].T))
+    for start in range(0, len(columns[0]), 4096):
+        yield from zip(*(column[start:start + 4096].tolist() for column in columns))
 
 
 def _bits_text(bits) -> str:
@@ -512,41 +522,17 @@ def form_parity_bits(blockwise_bits, blocks_per_parity: int) -> np.ndarray:
     return (np.bitwise_xor.reduce(bits.reshape(-1, n), axis=1) & 1).astype(np.uint8)
 
 
-def _blocks(round_table: np.ndarray) -> np.ndarray:
-    """The announced blocks' rounds, one block a row, each row ascending.
-
-    The blocks must be numbered 0..B-1 and all have one size; otherwise
-    InvalidParameterError.
-    """
-    block = round_table[:, 4]
-    in_block = np.flatnonzero(block != -1)
-    ids = block[in_block]
-    # The bound on max() also keeps a corrupt id from sizing bincount.
-    numbered = ids.size > 0 and ids.min() >= 0 and ids.max() < ids.size
-    sizes = np.bincount(ids) if numbered else None
-    if not numbered or sizes.min() != sizes.max():
-        raise InvalidParameterError("blocks must be numbered 0, 1, ... and all have one size; "
-                                    "transcript is inconsistent")
-    # Stable radix passes on the low and then the high 16 bits of the ids
-    # (numpy sorts 16-bit keys by radix) keep each block's rounds in their
-    # ascending table order, so no row needs sorting.
-    order = np.argsort(ids.astype(np.uint16), kind="stable")
-    if sizes.size > 1 << 16:
-        order = order[np.argsort((ids[order] >> 16).astype(np.uint16), kind="stable")]
-    return in_block[order].reshape(sizes.size, -1)
-
-
 def _parity_strings(round_table: np.ndarray, members: np.ndarray,
                     blocks_per_parity: int) -> tuple[np.ndarray, np.ndarray]:
     """Turn a transcript's round table into the parity strings of A and B.
 
-    ``members`` are the table's blocks, as ``_blocks`` gives them.  Blocks
+    ``members`` are the transcript's blocks, one a row.  Blocks
     of k undisclosed, conclusive rounds sharing one sent bit decode to A's
     sent bit and B's majority vote; each run of n blocks XORs into one
     parity bit.  A structure that is not of this shape raises
     InvalidParameterError.
     """
-    a_bit, b_outcome, _, disclosed = round_table.T[:4]
+    a_bit, b_outcome, _, disclosed = round_table.T
     b = b_outcome.take(members)
     if not ((disclosed.take(members) == 0) & (b != 2)).all():
         raise InvalidParameterError(
@@ -803,15 +789,13 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     table[:, 1] = np.where(conclusive, outcome_bits, 2)
     table[:, 2] = 3 if fired is None else np.where(fired, a_bits, 2)
     table[:, 3] = disclosed_mask
-    table[:, 4] = -1
-    table[chosen, 4] = np.arange(need_blocks)[:, None]
     # All M subsets, at the lengths a matching walk meets; rng_hash feeds
     # nothing else, so the announced ones are drawn as round by round.
     length = cfg.key_length + cfg.hash_rounds
     lengths = list(range(length, length - cfg.hash_rounds, -1))
     subsets = tuple(format(v, f"0{n}b")[::-1]
                     for n, v in zip(lengths, _random_subsets(rng_hash, lengths)))
-    return Transcript._adopt(table, subsets, cfg.blocks_per_parity, chosen)
+    return Transcript._adopt(table, chosen, subsets, cfg.blocks_per_parity)
 
 
 def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray | None]:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relqkd.adversary import (
@@ -97,6 +97,10 @@ class TestChannelProbabilities:
            ramp=st.sampled_from([0.05, 0.2, 0.49]),
            ratio=st.sampled_from([0.0, 0.5, 0.9]), chi=st.floats(0.0, 3.0),
            policy=st.sampled_from(list(ResendPolicy)))
+    # The truncated copy's reachable mass once cancelled to 0 here and
+    # raised a raw ZeroDivisionError.
+    @example(tail=0.0, ramp=0.2, ratio=0.0, chi=0.99999,
+             policy=ResendPolicy.TRUNCATED_RENORMALIZED)
     def test_longest_ramped_plateau_scales(self, tail, ramp, ratio, chi, policy):
         # The integrals at MAX_RAMPED_LENGTH stay finite and give what the
         # same envelope gives at L = 1; one step further is refused.

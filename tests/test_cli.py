@@ -118,6 +118,29 @@ def test_simulate_takes_the_resend_policy(tmp_path, capsys):
     assert columns["joint_empirical"] == columns["pass_probability"] == "0"
 
 
+# Within about 1e-5 of the support length the truncated copy's reachable
+# mass cancels to 0; both commands once exited 1 with a ZeroDivisionError.
+NEAR_SUPPORT = "[state]\nramp_fraction = 0.2\n"
+
+
+def test_simulate_delay_at_the_support_length_never_passes(tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    path.write_text(SWEEP.format(mode="simulate").replace("0.1", "0.99999") + NEAR_SUPPORT)
+    assert main(["simulate", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    columns = dict(zip(header.split(","), row.split(",")))
+    assert columns["chi_over_L"] == "0.99999" and columns["pass_probability"] == "0"
+
+
+def test_distill_delay_at_the_support_length_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "eve.ini"
+    path.write_text(SMALL + NEAR_SUPPORT + "[eve]\nenabled = true\ndelay = 0.99999\n")
+    assert main(["distill", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no round can ever pass" in captured.err
+
+
 @pytest.mark.parametrize("mode,extra", [
     ("simulate", "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n"),
     ("distill", "[protocol]\nkey_length = 8\nblock_size = 3\nblocks_per_parity = 2\n"

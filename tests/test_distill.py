@@ -464,15 +464,12 @@ def _set_n(value):
     return _edit(lambda p: p.__setitem__("n", value))
 
 
-def _block_rows(table):
-    """Row b lists the rounds of block b."""
-    return [np.flatnonzero(table[:, 4] == b) for b in range(table[:, 4].max() + 1)]
-
-
-def _set_table(rows, column, value):
-    """A tamper writing ``value`` into ``column`` of the rounds ``rows`` picks."""
-    def tamper(table):
-        table[rows(table), column] = value
+def _set_block(index, value):
+    """A tamper writing ``value`` at ``index`` of a copy of the blocks."""
+    def tamper(blocks):
+        blocks = blocks.copy()
+        blocks[index] = value
+        return blocks
     return tamper
 
 
@@ -488,14 +485,14 @@ TEXT_BLOCK_DEFECTS = {
     "disclosed-round": _edit(lambda p: _set_members(p, "disclosed", "1")),
     "inconclusive-round": _edit(_inconclusive_one),
 }
-# The text cannot spell blocks that are not numbered 0..B-1 or differ in
-# size.  These defects tamper with an in-memory round table, which to_text
-# refuses to write.
-TABLE_BLOCK_DEFECTS = {
-    "unequal-blocks": _set_table(lambda t: _block_rows(t)[0][:1], 4, 1),
-    "huge-block-id": _set_table(lambda t: _block_rows(t)[0], 4, 2 ** 31 - 1),
+# The text cannot spell blocks of unequal sizes or ids that are not rounds
+# of the table.  These defects are given to the constructor, which refuses
+# them, so no transcript that holds them reaches to_text.
+ARRAY_BLOCK_DEFECTS = {
+    "unequal-blocks": lambda blocks: [*blocks[:-1].tolist(), blocks[-1, 1:].tolist()],
+    "huge-block-id": _set_block((0, 0), 2 ** 31 - 1),
 }
-INCONSISTENT_BLOCKS = TEXT_BLOCK_DEFECTS | TABLE_BLOCK_DEFECTS
+INCONSISTENT_BLOCKS = TEXT_BLOCK_DEFECTS | ARRAY_BLOCK_DEFECTS
 
 
 def _inconsistent(case) -> Transcript:
@@ -504,10 +501,7 @@ def _inconsistent(case) -> Transcript:
         text = TEXT_BLOCK_DEFECTS[case](NOISY_TEXT)
         assert text != NOISY_TEXT
         return Transcript.from_text(text)
-    table = NOISY.round_table.copy()
-    TABLE_BLOCK_DEFECTS[case](table)
-    assert not np.array_equal(table, NOISY.round_table)
-    return dataclasses.replace(NOISY, round_table=table)
+    return dataclasses.replace(NOISY, blocks=ARRAY_BLOCK_DEFECTS[case](NOISY.blocks))
 
 
 class TestTranscript:
@@ -526,6 +520,11 @@ class TestTranscript:
         table = parsed.round_table.copy()
         table[0, 2] = 2
         assert parsed != dataclasses.replace(parsed, round_table=table)
+        # Blocks 0 and 1 XOR into the same parity bit: swapped, only the
+        # blocks tell the records apart.
+        order = [1, 0, *range(2, len(parsed.blocks))]
+        swapped = dataclasses.replace(parsed, blocks=parsed.blocks[order])
+        assert swapped.hash_log == parsed.hash_log and swapped != parsed
         assert parsed != dataclasses.replace(parsed, blocks_per_parity=3)
         first = parsed.subsets[0]
         rotated = first[1:] + first[:1]
@@ -600,9 +599,10 @@ class TestTranscript:
         with pytest.raises(InvalidParameterError):
             replay_keys(_inconsistent(case))
 
-    @pytest.mark.parametrize("case", sorted(TABLE_BLOCK_DEFECTS))
+    @pytest.mark.parametrize("case", sorted(ARRAY_BLOCK_DEFECTS))
     def test_to_text_refuses_unspellable_blocks(self, case):
-        with pytest.raises(InvalidParameterError):
+        # The constructor refuses them before to_text could spell them.
+        with pytest.raises(InvalidParameterError, match="blocks must be"):
             _inconsistent(case).to_text()
 
     @pytest.mark.parametrize("column,code", [(0, 2), (0, -1), (1, 3), (2, 4), (3, -2 ** 31)])
@@ -613,33 +613,42 @@ class TestTranscript:
             dataclasses.replace(NOISY, round_table=table).to_text()
 
     def test_blocks_derived_once(self, monkeypatch):
+        # A session's transcript keeps the blocks the session formed, and a
+        # reader or the constructor keeps the blocks it is given, after one
+        # check of the listing; nothing derives them again.
         calls = []
-        blocks = distill._blocks
-        monkeypatch.setattr(distill, "_blocks", lambda table: calls.append(1) or blocks(table))
+        listed = distill._listed_blocks
+        monkeypatch.setattr(distill, "_listed_blocks",
+                            lambda *args: calls.append(1) or listed(*args))
         transcript = run_session(make_config(flip_probability=0.02, seed=8))
         text = transcript.to_text()
         transcript.key_a, transcript.aborted, transcript.hash_log
-        # A session's transcript keeps the blocks the session formed, and a
-        # reader keeps the blocks that a session's text lists.
         assert not calls
         Transcript.from_text(text).key_a
-        assert not calls
-        # Members listed out of order are refused without deriving the blocks.
+        assert len(calls) == 1
+        Transcript(transcript.round_table, transcript.blocks, transcript.subsets,
+                   transcript.blocks_per_parity).key_a
+        assert len(calls) == 2
         with pytest.raises(InvalidParameterError, match="differs from what to_text writes"):
             Transcript.from_text(_edit(_descend_first_block)(text))
-        assert not calls
+        assert len(calls) == 3
 
     def test_round_table_is_read_only(self):
-        # The derived values are cached, so the table they came from is
-        # frozen, also where dataclasses.replace passes a writeable one.
-        writeable = NOISY.round_table.copy()
-        for transcript in (NOISY, dataclasses.replace(NOISY, round_table=writeable)):
+        # The derived values are cached, so the arrays they came from are
+        # frozen, also where dataclasses.replace passes writeable ones.
+        writeable, blocks = NOISY.round_table.copy(), NOISY.blocks.copy()
+        for transcript in (NOISY, dataclasses.replace(NOISY, round_table=writeable,
+                                                      blocks=blocks)):
             with pytest.raises(ValueError):
                 transcript.round_table[0, 0] = 1 - transcript.round_table[0, 0]
+            with pytest.raises(ValueError):
+                transcript.blocks[[0, 1]] = transcript.blocks[[1, 0]]
             assert transcript.to_text() == NOISY_TEXT
-        # It is a copy: whoever holds the array passed in cannot change it.
-        writeable[_block_rows(writeable)[0], 0] ^= 1
+        # They are copies: whoever holds the arrays passed in cannot change them.
+        writeable[NOISY.blocks[0], 0] ^= 1
+        blocks[[0, 1]] = blocks[[1, 0]]
         assert np.array_equal(transcript.round_table, NOISY.round_table)
+        assert np.array_equal(transcript.blocks, NOISY.blocks)
         assert transcript.to_text() == NOISY_TEXT
 
     def test_rounds_follow_the_table(self):
@@ -647,9 +656,12 @@ class TestTranscript:
         transcript = run_session(make_config(key_length=512, flip_probability=0.02, seed=9))
         rows = transcript.round_table.tolist()
         assert len(rows) > 2 * 4096
+        for b, members in enumerate(transcript.blocks.tolist()):
+            for i in members:
+                rows[i].append(b)
         bob, eve = list(BobOutcome), list(EveOutcome) + [None]
-        assert [[r.a_bit, bob.index(r.b_outcome), eve.index(r.eve_outcome),
-                 int(r.disclosed), -1 if r.block is None else r.block]
+        assert [[r.a_bit, bob.index(r.b_outcome), eve.index(r.eve_outcome), int(r.disclosed),
+                 *([] if r.block is None else [r.block])]
                 for r in transcript.rounds] == rows
         assert [r.index for r in transcript.rounds] == list(range(len(rows)))
 
@@ -657,7 +669,7 @@ class TestTranscript:
         for transcript in (NOISY, ABORTED, Transcript.from_text(NOISY_TEXT)):
             table = transcript.round_table
             assert table.flags.f_contiguous
-            assert table.dtype == np.int32 and table.shape == (len(table), 5)
+            assert table.dtype == np.int32 and table.shape == (len(table), 4)
         c_order = dataclasses.replace(NOISY, round_table=np.ascontiguousarray(NOISY.round_table))
         assert c_order.round_table.flags.f_contiguous
         assert c_order.to_text() == NOISY_TEXT
@@ -667,9 +679,14 @@ class TestTranscript:
         # Another dtype is copied to int32, and refused where a value would wrap.
         wide = NOISY.round_table.astype(np.int64)
         assert dataclasses.replace(NOISY, round_table=wide) == NOISY
-        wide[_block_rows(wide)[0], 4] = 2 ** 32
+        wide[0, 0] = 2 ** 32
         with pytest.raises(InvalidParameterError, match="int32"):
             dataclasses.replace(NOISY, round_table=wide)
+        # A Python int past int64 once raised a raw OverflowError.
+        huge = NOISY.round_table.astype(object)
+        huge[0, 0] = 2 ** 70
+        with pytest.raises(InvalidParameterError, match="int32"):
+            dataclasses.replace(NOISY, round_table=huge)
 
     @pytest.mark.parametrize("column,code", [
         (0, 2), (1, 3), (2, 4), (3, 2), (3, -1), (0, -1), (2, -1),
@@ -942,12 +959,27 @@ READER_CORPUS = {
 }
 
 
+def _reference_listing(blocks, rounds) -> bool:
+    """Whether ``blocks`` list blocks of a ``rounds``-round table, checked plainly.
+
+    One row or more, each a block's round ids, which lie in [0, rounds),
+    rise along the row and are in no other row.
+    """
+    blocks = np.asarray(blocks)
+    if blocks.ndim != 2 or not blocks.size:
+        return False
+    ids = blocks.ravel().tolist()
+    return (len(set(ids)) == len(ids) and all(0 <= i < rounds for i in ids)
+            and all(row == sorted(row) for row in blocks.tolist()))
+
+
 def _reference_read(text) -> Transcript | None:
     """The reader written plainly: the record ``text`` spells, or None if it is refused.
 
-    Each field is read with ``int()`` and ``str.index``, the record is
-    built with the public constructor, which derives its blocks, and the
-    text is accepted only if that record writes it again.
+    Each field is read with ``int()`` and ``str.index``, the member ids are
+    checked by ``_reference_listing``, the record is built with the public
+    constructor, and the text is accepted only if that record writes it
+    again.
     """
     try:
         lines = text.split("\n")
@@ -956,11 +988,13 @@ def _reference_read(text) -> Transcript | None:
         for j, (chars, alphabet) in enumerate(zip(columns, ("01", "01?", "01?-", "01"))):
             table[:, j] = [alphabet.index(c) for c in chars]
         k, n = (int(v) for v in lines[6].split("\t")[2:])
-        for i, member in enumerate(lines[7].split(" ")):
-            table[int(member), 4] = i // k
+        ids = [int(member) for member in lines[7].split(" ")]
+        blocks = [ids[i:i + k] for i in range(0, len(ids), k)]
+        if not _reference_listing(blocks, len(table)):
+            return None
         count = int(lines[8][lines[8].index("\t") + 1:])
         subsets = tuple(line.split("\t")[1] for line in lines[10:10 + count])
-        transcript = Transcript(table, subsets, n)
+        transcript = Transcript(table, blocks, subsets, n)
         return transcript if transcript.to_text() == text else None
     except (InvalidParameterError, IndexError, ValueError, OverflowError, ZeroDivisionError):
         return None
@@ -969,9 +1003,8 @@ def _reference_read(text) -> Transcript | None:
 def _assert_read_as(parsed, reference, text):
     """``parsed`` is ``reference``'s record, and keeps its blocks, read-only, and ``text``."""
     assert parsed == reference
-    blocks, derived = parsed.__dict__["_announced_blocks"], reference._announced_blocks
-    assert blocks.dtype == derived.dtype and np.array_equal(blocks, derived)
-    assert not blocks.flags.writeable
+    assert parsed.blocks.dtype == reference.blocks.dtype == np.intp
+    assert not parsed.blocks.flags.writeable
     assert parsed.to_text() is text
 
 
@@ -1028,9 +1061,8 @@ class TestReaderKeepsWhatItChecked:
 
     The reference reads each field plainly, builds the record with the
     public constructor and writes it back.  The reader must accept exactly
-    what the reference accepts, as the same record; the blocks it keeps
-    must be the derived ones, and it keeps an accepted text as the text
-    the transcript writes.
+    what the reference accepts, as the same record with the same blocks,
+    and it keeps an accepted text as the text the transcript writes.
     """
 
     @pytest.mark.parametrize("case", sorted(READER_CORPUS))
@@ -1140,18 +1172,6 @@ class TestMemberIds:
         assert np.array_equal(self._spelled(read.tolist(), width), line)
 
 
-def _reference_blocks(table):
-    """``distill._blocks`` as first written: argsort the ids, then sort each row."""
-    block = table[:, 4]
-    in_block = np.flatnonzero(block != -1)
-    ids = block[in_block]
-    numbered = ids.size > 0 and ids.min() >= 0 and ids.max() < ids.size
-    sizes = np.bincount(ids) if numbered else None
-    if not numbered or sizes.min() != sizes.max():
-        raise InvalidParameterError("blocks are not numbered 0..B-1 or differ in size")
-    return in_block[np.sort(np.argsort(ids).reshape(sizes.size, -1), axis=1)]
-
-
 def _reference_p_err(table):
     """``Transcript.p_err_estimate`` as first written, over the disclosed rows."""
     shown = table[table[:, 3] == 1]
@@ -1161,51 +1181,61 @@ def _reference_p_err(table):
 
 
 def _layout(n_blocks, k, spare, seed):
-    """A round table whose blocks 0..B-1 of k rounds each sit at random rows.
+    """A round table, and blocks 0..B-1 of k rounds each at random rows.
 
     ``spare`` rounds are in no block; the outcome columns are random.
     """
     rng = np.random.default_rng(seed)
     rows = n_blocks * k + spare
-    table = np.empty((rows, 5), dtype=np.int32, order="F")
+    table = np.empty((rows, 4), dtype=np.int32, order="F")
     table[:, 0] = rng.integers(0, 2, rows)
     table[:, 1] = rng.integers(0, 3, rows)
     table[:, 2] = 3
     table[:, 3] = rng.random(rows) < 0.3
-    table[:, 4] = -1
-    table[rng.permutation(rows)[:n_blocks * k], 4] = np.repeat(np.arange(n_blocks), k)
-    return table
+    blocks = np.sort(rng.permutation(rows)[:n_blocks * k].reshape(n_blocks, k), axis=1)
+    return table, blocks
 
 
-def _defect(table, kind, rng):
-    """``table``, of two blocks or more and a spare round, made invalid by ``kind``."""
-    block = table[:, 4]
-    members = np.flatnonzero(block != -1)
-    n_blocks = int(block.max()) + 1
-    i = rng.choice(members)
-    if kind == "gap":
-        block[block >= rng.integers(0, n_blocks)] += 1
-    elif kind == "unequal":
-        block[rng.choice(np.flatnonzero(block == -1))] = block[i]
-    elif kind == "too-large":
-        block[i] = rng.integers(members.size, 2 ** 31)
-    else:
-        block[i] = rng.integers(-2 ** 31, -1)
-    return table
+def _defect(blocks, rounds, kind, rng):
+    """``blocks``, of two rows or more, made invalid by ``kind``."""
+    blocks = blocks.copy()
+    b, j = rng.integers(0, blocks.shape[0]), rng.integers(0, blocks.shape[1])
+    if kind == "empty":
+        return blocks[:0]
+    if kind == "not-2-D":
+        return blocks.ravel()
+    if kind == "out-of-range":
+        blocks[b, j] = rng.integers(rounds, 2 ** 31)
+    elif kind == "negative":
+        blocks[b, j] = rng.integers(-2 ** 31, 0)
+    elif kind == "descending":
+        blocks[b] = blocks[b, ::-1]
+    else:  # a round in two blocks; both rows still rise
+        blocks[b] = blocks[b - 1]
+    return blocks
+
+
+_LISTING_DEFECTS = ["empty", "not-2-D", "out-of-range", "negative", "descending",
+                    "round-in-two-blocks"]
 
 
 class TestBlockDerivation:
-    """The radix-pass ``_blocks`` and the masked ``p_err_estimate`` against their first forms."""
+    """The constructor's check of a block listing and the masked ``p_err_estimate``.
+
+    Both against plain forms.
+    """
 
     @settings(max_examples=150, deadline=None)
     @given(n_blocks=st.integers(1, 3000), k=st.sampled_from([1, 3, 7]),
            spare=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
     def test_valid_layouts(self, n_blocks, k, spare, seed):
-        table = _layout(n_blocks, k, spare, seed)
-        blocks = distill._blocks(table)
-        assert blocks.shape == (n_blocks, k)
-        assert np.array_equal(blocks, _reference_blocks(table))
-        transcript = Transcript(table, (), 1)
+        table, blocks = _layout(n_blocks, k, spare, seed)
+        assert _reference_listing(blocks, len(table))
+        transcript = Transcript(table, blocks, (), 1)
+        kept = transcript.blocks
+        assert kept.shape == (n_blocks, k) and kept.dtype == np.intp
+        assert np.array_equal(kept, blocks)
+        assert not kept.flags.writeable and not np.shares_memory(kept, blocks)
         try:
             expected = _reference_p_err(table)
         except InvalidParameterError:
@@ -1214,44 +1244,45 @@ class TestBlockDerivation:
         else:
             assert transcript.p_err_estimate == expected
 
-    @pytest.mark.parametrize("n_blocks,k", [(65537, 1), (70001, 3)])
-    def test_more_blocks_than_16_bits(self, n_blocks, k):
-        # Past 2^16 blocks the ids take the second, high radix pass.
-        table = _layout(n_blocks, k, 1000, seed=n_blocks)
-        assert np.array_equal(distill._blocks(table), _reference_blocks(table))
-
     @settings(max_examples=150, deadline=None)
-    @given(n_blocks=st.integers(2, 300), k=st.sampled_from([1, 3, 7]),
-           spare=st.integers(1, 50), seed=st.integers(0, 2 ** 32 - 1),
-           kind=st.sampled_from(["gap", "unequal", "too-large", "negative"]))
-    def test_invalid_layouts(self, n_blocks, k, spare, seed, kind):
-        table = _defect(_layout(n_blocks, k, spare, seed), kind, np.random.default_rng(seed))
-        with pytest.raises(InvalidParameterError):
-            _reference_blocks(table)
-        with pytest.raises(InvalidParameterError, match="numbered 0, 1, ... and all have one"):
-            distill._blocks(table)
+    @given(n_blocks=st.integers(2, 300),
+           k_kind=st.tuples(st.sampled_from([1, 3, 7]), st.sampled_from(_LISTING_DEFECTS))
+           .filter(lambda k_kind: k_kind != (1, "descending")),  # one round cannot descend
+           spare=st.integers(1, 50), seed=st.integers(0, 2 ** 32 - 1))
+    def test_invalid_layouts(self, n_blocks, k_kind, spare, seed):
+        k, kind = k_kind
+        table, blocks = _layout(n_blocks, k, spare, seed)
+        blocks = _defect(blocks, len(table), kind, np.random.default_rng(seed))
+        assert not _reference_listing(blocks, len(table))
+        with pytest.raises(InvalidParameterError, match="blocks must be one row or more"):
+            Transcript(table, blocks, (), 1)
 
     @pytest.mark.parametrize("disclosed", [[0, 0, 0], [1, 0, 1]])
     def test_p_err_refusals(self, disclosed):
         # Nothing disclosed, and a disclosed inconclusive round.
-        table = _layout(1, 3, 0, seed=4)
+        table, blocks = _layout(1, 3, 0, seed=4)
         table[:, 1] = [0, 2, 2]
         table[:, 3] = disclosed
         with pytest.raises(InvalidParameterError):
             _reference_p_err(table)
         with pytest.raises(InvalidParameterError, match="discloses one conclusive"):
-            Transcript(table, (), 1).p_err_estimate
+            Transcript(table, blocks, (), 1).p_err_estimate
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_session_keeps_the_blocks_it_formed(self, k):
-        # A session hands its transcript the blocks it formed instead of
-        # having them derived; they are the derived ones, and read-only.
+        # A session hands its transcript the blocks it formed, read-only;
+        # the constructor accepts them, and the record it builds from the
+        # same fields is the same and writes the same text.
         transcript = run_session(make_config(
             key_length=64, block_size=k, flip_probability=0.02, loss_probability=0.1,
             eve=EveStrategy(0.25) if k == 3 else None, seed=k))
-        blocks = transcript._announced_blocks
-        assert np.array_equal(blocks, _reference_blocks(transcript.round_table))
+        blocks = transcript.blocks
+        assert blocks.dtype == np.intp and _reference_listing(blocks, len(transcript.round_table))
         assert not blocks.flags.writeable and not transcript.round_table.flags.writeable
+        rebuilt = Transcript(transcript.round_table, transcript.blocks, transcript.subsets,
+                             transcript.blocks_per_parity)
+        assert rebuilt == transcript
+        assert rebuilt.to_text() == transcript.to_text()
 
     def test_zero_block_size_header_is_refused_before_allocation(self):
         # 2^40 blocks of 0 rounds agree with an empty members line; numbering

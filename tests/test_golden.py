@@ -191,8 +191,15 @@ def sha256(path) -> str:
 
 
 def session_digest(transcript) -> str:
-    """sha256 of the round table's bytes, the hash log's fields and both keys."""
-    digest = hashlib.sha256(transcript.round_table.tobytes())
+    """sha256 of the round table's bytes, the hash log's fields and both keys.
+
+    The table is hashed as the five int32 columns it once had: the four of
+    ``round_table``, then each round's block, -1 for none.
+    """
+    table = np.column_stack([transcript.round_table,
+                             np.full(len(transcript.round_table), -1, dtype=np.int32)])
+    table[transcript.blocks, 4] = np.arange(len(transcript.blocks))[:, None]
+    digest = hashlib.sha256(table.tobytes())
     digest.update(repr([dataclasses.astuple(h) for h in transcript.hash_log]).encode())
     for key in (transcript.key_a, transcript.key_b):
         digest.update(b"-" if key is None else key.tobytes())

@@ -16,7 +16,6 @@ from .adversary import (
     eve_success_probability,
     instrument_contraction_check,
     optimal_delay,
-    random_kraus_set,
 )
 from .distill import (
     ROUND_COLUMNS,

@@ -242,18 +242,14 @@ class KrausSet:
         object.__setattr__(self, "outputs", outs)
         object.__setattr__(self, "inputs", ins)
 
-    @property
-    def dimension(self) -> int:
-        return self.inputs.shape[-1]
-
     def admissibility_matrix(self) -> np.ndarray:
         """sum_k lam_k S_k^+ S_k = sum_k lam_k^2 |in_k><in_k|, shape (..., d, d)."""
         return _admissibility(self.weights, self.inputs)
 
-    def validate(self, tol: float = _TOL):
+    def validate(self):
         """Raise RejectedInstrumentError unless every set is trace-non-increasing."""
         top = np.linalg.eigvalsh(self.admissibility_matrix())[..., -1]
-        if np.any(top > 1.0 + tol):
+        if np.any(top > 1.0 + _TOL):
             raise RejectedInstrumentError(
                 f"instrument is not trace-non-increasing: top eigenvalue {top.max():.6g}"
             )
@@ -270,12 +266,6 @@ class KrausSet:
         return float(mass) if mass.ndim == 0 else mass
 
 
-def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Unnormalised complex Gaussian array: its real parts drawn first, then its imaginary."""
-    real, imag = rng.normal(size=(2, *shape))
-    return real + 1j * imag
-
-
 def draw_kraus_sets(
     rng: np.random.Generator, n_sets: int, dimension: int = 8, n_operators: int = 12,
     headroom: float | None = None, states: bool = False,
@@ -283,14 +273,14 @@ def draw_kraus_sets(
     """The draws of ``n_sets`` instruments, each stacked along a leading axis.
 
     Set by set, the outputs, then the inputs, are complex Gaussian rows,
-    not yet normalised, as ``complex_gaussian`` draws them; the weights are
-    uniform on [0.1, 1.0]; and a ``headroom`` of None is drawn next,
-    uniformly from [0.3, 1.0].  With ``states``, a complex Gaussian state
-    of the dimension follows each set, as ``instrument_contraction_check``
-    draws one.  A set's state and the next set's vectors are consecutive
-    normal draws, so one call draws both: a set costs three generator
-    calls (two with a given headroom) into preallocated stacks, and the
-    stream is consumed as one call per array would consume it.
+    not yet normalised, each array one normal draw of its real parts then
+    its imaginary parts; the weights are uniform on [0.1, 1.0]; and a
+    ``headroom`` of None is drawn next, uniformly from [0.3, 1.0].  With
+    ``states``, a complex Gaussian state of the dimension, drawn the same
+    way, follows each set.  A set's state and the next set's vectors are
+    consecutive normal draws, so one call draws both: a set costs three
+    generator calls (two with a given headroom) into preallocated stacks,
+    and the stream is consumed as one call per array would consume it.
 
     Returns (weights, outputs, inputs, headroom), plus the states with
     ``states``; ``kraus_set_from_draws`` turns the first four into a stack
@@ -344,52 +334,24 @@ def kraus_set_from_draws(weights, outputs, inputs, headroom) -> KrausSet:
     return KrausSet(weights=lam * np.sqrt(target / top)[..., None], outputs=outs, inputs=ins)
 
 
-def random_kraus_set(
-    rng: np.random.Generator, dimension: int = 8, n_operators: int = 12,
-    headroom: float | None = None,
-) -> KrausSet:
-    """Admissible random instrument: sphere-uniform vectors, scaled weights.
-
-    ``headroom`` in (0, 1] sets the top eigenvalue of the admissibility
-    matrix; by default it is drawn uniformly from [0.3, 1.0].
-    """
-    draws = draw_kraus_sets(rng, 1, dimension, n_operators, headroom)
-    return kraus_set_from_draws(*(draw[0] for draw in draws))
-
-
-def scaled_invalid_kraus_set(rng: np.random.Generator, dimension: int = 8,
-                             factor: float = 1.5) -> KrausSet:
-    """Negative control: deliberately inadmissible (top eigenvalue = factor)."""
-    valid = random_kraus_set(rng, dimension=dimension, headroom=1.0)
-    return KrausSet(weights=valid.weights * math.sqrt(factor),
-                    outputs=valid.outputs, inputs=valid.inputs)
-
-
 def instrument_contraction_check(
-    kraus: KrausSet, f: float,
-    psi: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-    tol: float = _TOL,
+    kraus: KrausSet, f: float, psi: np.ndarray,
 ) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Verify that noise cannot raise the mass found in the available domain.
 
-    The truncation models the eavesdropper's available region, so the state
-    enters with norm-squared ``f``.  Returns (bound_holds, lhs) where lhs is
-    the post-instrument domain mass; an inadmissible set raises
-    RejectedInstrumentError.  A stack of sets takes one ``psi`` per set,
-    shape (..., d), and gives arrays of the stack's leading shape.
+    The truncation models the eavesdropper's available region, so ``psi``
+    enters rescaled to norm-squared ``f``.  Returns (bound_holds, lhs) where
+    lhs is the post-instrument domain mass; an inadmissible set raises
+    RejectedInstrumentError before ``psi`` is read.  A stack of sets takes
+    one ``psi`` per set, shape (..., d), and gives arrays of its leading shape.
     """
     if not (0.0 <= f <= 1.0):
         raise InvalidParameterError(f"available fraction must lie in [0, 1], got {f}")
-    kraus.validate(tol)
-    if psi is None:
-        if rng is None:
-            raise InvalidParameterError("provide either psi or rng")
-        psi = complex_gaussian(rng, (kraus.dimension,))
+    kraus.validate()
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi, axis=-1, keepdims=True)
     if np.any(norm == 0.0):
         raise InvalidParameterError("state vector must be non-zero")
     psi = psi / norm * math.sqrt(f)
     lhs = kraus.domain_mass_after(psi)
-    return lhs <= f + tol, lhs
+    return lhs <= f + _TOL, lhs

@@ -48,6 +48,8 @@ class ProtocolConfig:
     eve: EveStrategy | None = None
 
     def __post_init__(self):
+        _require_integers(self, "key_length", "block_size", "blocks_per_parity",
+                          "hash_rounds", "seed")
         if self.key_length < 1:
             raise InvalidParameterError(f"key length must be >= 1, got {self.key_length}")
         if self.block_size < 1 or self.block_size % 2 == 0:
@@ -67,6 +69,8 @@ class ProtocolConfig:
         if not isinstance(self.envelope, Plateau):
             raise InvalidParameterError(
                 f"envelope must be a Plateau, as make_plateau builds it, got {self.envelope!r}")
+        if self.eve is not None and not isinstance(self.eve, EveStrategy):
+            raise InvalidParameterError(f"eve must be an EveStrategy or None, got {self.eve!r}")
         L = self.envelope.plateau_length
         if not (0.0 <= self.channel_length < L):
             raise InvalidParameterError(
@@ -78,6 +82,14 @@ class ProtocolConfig:
             raise InvalidParameterError("loss probability must lie in [0, 1)")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+
+
+def _require_integers(owner, *names: str):
+    """Refuse each named field of ``owner`` that is neither an int nor a numpy integer."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, (int, np.integer)):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +135,8 @@ class Transcript:
     subsets walked up to the first parity mismatch), both keys, the abort
     and its reason, and the error estimate over the disclosed rounds are
     derived from them on first use, once per transcript, so the transcript
-    keeps read-only copies of the arrays it is given.  Blocks that are not
+    keeps read-only copies of the arrays it is given.  A table that is not
+    2-D with one column per ``ROUND_COLUMNS`` name, and blocks that are not
     one or more rows of rising round ids of the table, no round in two
     rows, are refused at once; a record the rest cannot be derived from
     raises InvalidParameterError there.
@@ -136,6 +149,9 @@ class Transcript:
 
     def __post_init__(self):
         table = _frozen_copy(self.round_table, np.int32, "F", "the round table")
+        if table.ndim != 2 or table.shape[1] != len(ROUND_COLUMNS):
+            raise InvalidParameterError(f"the round table must be 2-D with one column each "
+                                        f"for {', '.join(ROUND_COLUMNS)}; got shape {table.shape}")
         blocks = _frozen_copy(self.blocks, np.intp, "C", "blocks")
         if (blocks.ndim != 2 or blocks.min(initial=0) < 0 or blocks.max(initial=0) >= len(table)
                 or not _listed_blocks(blocks, len(table))):

@@ -41,7 +41,9 @@ import numpy as np
 
 from . import distill, infotheory, security
 from .adversary import (
+    _TOL,
     EveStrategy,
+    KrausSet,
     ResendPolicy,
     bob_pass_bound,
     channel_probabilities,
@@ -50,7 +52,6 @@ from .adversary import (
     instrument_contraction_check,
     kraus_set_from_draws,
     optimal_delay,
-    scaled_invalid_kraus_set,
 )
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
 from .errors import InvalidParameterError, RejectedInstrumentError
@@ -113,6 +114,7 @@ class CampaignSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
+        distill._require_integers(self, "seed", "trials")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.trials <= MAX_TRIALS:
@@ -408,16 +410,15 @@ class CheckResult:
     detail: str
 
 
-def check_parity_identity(limit: int = 20) -> CheckResult:
-    """Binomial sum, cosine form, and brute-force enumeration agree exactly.
+def check_parity_identity() -> CheckResult:
+    """Binomial sum, cosine form, and brute-force enumeration agree exactly for n*k <= 20.
 
     ``histogram[j]`` counts the v < 2**total of popcount j.  Each pass of
     ``total`` adds the block [2**(total-1), 2**total), whose popcounts are
     those below it plus one, so every v is counted once; each (n, k) then
     sums the histogram at the multiples of k.
     """
-    if limit < 1:
-        raise InvalidParameterError(f"need limit >= 1, got {limit}")
+    limit = 20
     weights = np.zeros(1, dtype=np.uint8)  # popcounts of v < 2**(total-1)
     histogram = [1]
     for total in range(1, limit + 1):
@@ -441,13 +442,13 @@ def check_parity_identity(limit: int = 20) -> CheckResult:
                        f"exact agreement for all n*k <= {limit} (tolerance: exact)")
 
 
-def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6),
-                        tol: float = 1e-6) -> CheckResult:
-    """Cosine closed form tracks the big-integer side at large n*k.
+def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6)) -> CheckResult:
+    """Cosine closed form tracks the big-integer side at large n*k, to 1e-6 relative.
 
     Every (total, k) pair with k dividing the total is checked, and at
     least one must.
     """
+    tol = 1e-6
     for name, values in (("totals", totals), ("ks", ks)):
         if not all(value >= 1 for value in values):
             raise InvalidParameterError(f"{name} must all be >= 1, got {values}")
@@ -465,7 +466,7 @@ def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6),
                        f"worst relative error {worst:.3g} (tolerance {tol:g})")
 
 
-def check_delay_bound(tol: float = 1e-9) -> CheckResult:
+def check_delay_bound() -> CheckResult:
     """The envelope's pass probability never beats 1 - chi/L; optimum at chi=0.
 
     A delay scan that contradicts the optimum (1 + ratio)/2 fails the check.
@@ -474,7 +475,7 @@ def check_delay_bound(tol: float = 1e-9) -> CheckResult:
     envelope = make_plateau(L)
     for chi in np.linspace(0.0, 0.96, 25):
         _, p_pass = channel_probabilities(envelope, 0.4, EveStrategy(float(chi)))
-        if p_pass > bob_pass_bound(float(chi), L) + tol:
+        if p_pass > bob_pass_bound(float(chi), L) + _TOL:
             return CheckResult("delay-bound", False,
                                f"pass probability beats the bound at chi={chi}")
     for ratio in (0.0, 0.25, 0.5, 0.9, 0.99):
@@ -482,12 +483,12 @@ def check_delay_bound(tol: float = 1e-9) -> CheckResult:
             chi_star, pr_max = optimal_delay(ratio * L, L, grid_points=1000)
         except InvalidParameterError as exc:
             return CheckResult("delay-bound", False, f"at ratio {ratio}: {exc}")
-        if abs(pr_max - 0.5 * (1.0 + ratio)) > tol:
+        if abs(pr_max - 0.5 * (1.0 + ratio)) > _TOL:
             return CheckResult("delay-bound", False,
                                f"optimum {pr_max!r} at chi={chi_star} for ratio {ratio}")
     return CheckResult("delay-bound", True,
                        "bound respected on a 25-point delay grid; 1000-point scans peak at "
-                       f"chi=0 with value (1+ratio)/2 at 5 ratios (tolerance {tol:g})")
+                       f"chi=0 with value (1+ratio)/2 at 5 ratios (tolerance {_TOL:g})")
 
 
 def check_intercept_resend() -> CheckResult:
@@ -513,31 +514,32 @@ def check_intercept_resend() -> CheckResult:
                        "(tolerance 3 sigma, +1e-3 on the pass rate)")
 
 
-def check_instrument_bound(n_sets: int = 100, seed: int = 715, tol: float = 1e-9) -> CheckResult:
-    """Random admissible instruments never lift the available-domain mass.
+def check_instrument_bound(seed: int = 715) -> CheckResult:
+    """100 random admissible instruments never lift the available-domain mass.
 
-    Each set draws its instrument and then its state, as ``random_kraus_set``
-    and ``instrument_contraction_check`` would one set at a time
-    (``draw_kraus_sets``); the sets are then normalised, rescaled, validated
-    and checked as one stack.
+    ``draw_kraus_sets`` draws each set, then its state; the sets are checked
+    as one stack.  The negative control, one more set at headroom 1 with its
+    weights scaled by sqrt(1.5), must be refused before its state is read.
     """
+    n_sets = 100
     rng = np.random.default_rng(seed)
     *draws, states = draw_kraus_sets(rng, n_sets, dimension=8, states=True)
-    holds, lhs = instrument_contraction_check(kraus_set_from_draws(*draws), f=0.6,
-                                              psi=states, tol=tol)
+    holds, lhs = instrument_contraction_check(kraus_set_from_draws(*draws), f=0.6, psi=states)
     violated = np.flatnonzero(~holds)
     if violated.size:
         return CheckResult("instrument-bound", False,
                            f"bound violated: lhs={lhs[violated[0]]:.12g} > 0.6")
+    valid = kraus_set_from_draws(*(draw[0] for draw in draw_kraus_sets(rng, 1, headroom=1.0)))
+    invalid = KrausSet(valid.weights * math.sqrt(1.5), valid.outputs, valid.inputs)
     try:
-        instrument_contraction_check(scaled_invalid_kraus_set(rng), f=0.6, rng=rng)
+        instrument_contraction_check(invalid, f=0.6, psi=states[0])
     except RejectedInstrumentError:
         pass
     else:
         return CheckResult("instrument-bound", False,
                            "inadmissible instrument was not rejected")
     return CheckResult("instrument-bound", True,
-                       f"{n_sets} admissible sets below f (tolerance {tol:g}); "
+                       f"{n_sets} admissible sets below f (tolerance {_TOL:g}); "
                        "negative control rejected")
 
 
@@ -582,15 +584,11 @@ def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
 _MAJORITY_CHUNK = 1 << 15
 
 
-def check_majority_tail(trials: int = 200_000, k: int = 5, p_flip: float = 0.05,
-                        seed: int = 717) -> CheckResult:
-    """Decoded block error matches the exact binomial tail."""
+def check_majority_tail(trials: int = 200_000, seed: int = 717) -> CheckResult:
+    """Decoded error of 5-round blocks at flip probability 0.05 matches the binomial tail."""
     if trials < 1:
         raise InvalidParameterError(f"need trials >= 1, got {trials}")
-    if k < 1 or k % 2 == 0:
-        raise InvalidParameterError(f"need an odd block size k >= 1, got {k}")
-    if not (0.0 <= p_flip <= 1.0):
-        raise InvalidParameterError(f"p_flip must lie in [0, 1], got {p_flip}")
+    k, p_flip = 5, 0.05
     rng = np.random.default_rng(seed)
     errors = 0
     # Row chunks draw the same uniforms as one (trials, k) draw would,
@@ -678,11 +676,9 @@ class VerifySummary:
         return "\n".join(lines) + "\n"
 
 
-def cmd_verify(checks=None, out: str | None = None) -> VerifySummary:
-    """Run the self-check suite and summarize one line per check."""
-    if checks is None:
-        checks = DEFAULT_CHECKS
-    summary = VerifySummary(tuple(check() for check in checks))
+def cmd_verify(out: str | None = None) -> VerifySummary:
+    """Run ``DEFAULT_CHECKS``, as bound when called, and summarize one line per check."""
+    summary = VerifySummary(tuple(check() for check in DEFAULT_CHECKS))
     if out:
         _write(out, summary.to_text())
     return summary

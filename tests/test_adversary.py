@@ -14,14 +14,11 @@ from relqkd.adversary import (
     apply_resend,
     bob_pass_bound,
     channel_probabilities,
-    complex_gaussian,
     draw_kraus_sets,
     eve_success_probability,
     instrument_contraction_check,
     kraus_set_from_draws,
     optimal_delay,
-    random_kraus_set,
-    scaled_invalid_kraus_set,
 )
 from relqkd.errors import InvalidParameterError, RejectedInstrumentError
 from relqkd.harness import simulate_intercept_resend
@@ -275,27 +272,41 @@ class TestMonteCarloConsistency:
             assert abs(s.eve_empirical - s.pr_e_analytic) <= 3.0 * max(eve_sigma, 1e-6)
 
 
+def _complex_gaussian(rng, shape):
+    """One normal draw of shape (2, *shape): the real parts, then the imaginary parts."""
+    real, imag = rng.normal(size=(2, *shape))
+    return real + 1j * imag
+
+
+def _one_set(rng, dimension=8, n_operators=12, headroom=None):
+    """A single admissible set, drawn and built as set 0 of a one-set stack."""
+    draws = draw_kraus_sets(rng, 1, dimension, n_operators, headroom)
+    return kraus_set_from_draws(*(draw[0] for draw in draws))
+
+
 class TestKrausInstrument:
     def test_identity_instrument_preserves_domain_mass(self):
         kraus = KrausSet(np.ones(8), np.eye(8), np.eye(8))
         holds, lhs = instrument_contraction_check(
-            kraus, 0.6, rng=np.random.default_rng(3))
+            kraus, 0.6, _complex_gaussian(np.random.default_rng(3), (8,)))
         assert holds
         assert lhs == pytest.approx(0.6, abs=1e-12)
 
     def test_random_instruments_respect_bound(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            kraus = random_kraus_set(rng, dimension=8)
-            holds, lhs = instrument_contraction_check(kraus, 0.6, rng=rng)
+            kraus = _one_set(rng)
+            holds, lhs = instrument_contraction_check(kraus, 0.6, _complex_gaussian(rng, (8,)))
             assert holds
             assert lhs <= 0.6 + 1e-9
 
     def test_invalid_set_rejected(self):
+        # The check validates the set before it reads the state.
         rng = np.random.default_rng(11)
-        bad = scaled_invalid_kraus_set(rng, factor=1.5)
+        valid = _one_set(rng, headroom=1.0)
+        bad = KrausSet(valid.weights * math.sqrt(1.5), valid.outputs, valid.inputs)
         with pytest.raises(RejectedInstrumentError):
-            instrument_contraction_check(bad, 0.6, rng=rng)
+            instrument_contraction_check(bad, 0.6, _complex_gaussian(rng, (8,)))
 
     def test_set_copies_the_callers_arrays(self):
         w = np.array([0.5, 0.5])
@@ -310,7 +321,7 @@ class TestKrausInstrument:
         assert kraus.outputs[0, 0] == kraus.inputs[0, 0] == 1.0
 
     def test_admissibility_matrix_shape(self):
-        kraus = random_kraus_set(np.random.default_rng(0), dimension=6, n_operators=9)
+        kraus = _one_set(np.random.default_rng(0), dimension=6, n_operators=9)
         m = kraus.admissibility_matrix()
         assert m.shape == (6, 6)
         top = float(np.linalg.eigvalsh(m)[-1])
@@ -342,11 +353,11 @@ class TestKrausInstrument:
 
 def _per_array_draws(rng, dimension, n_operators, headroom, state):
     """One set, and its state if ``state``, drawn with one generator call per array."""
-    outs = complex_gaussian(rng, (n_operators, dimension))
-    ins = complex_gaussian(rng, (n_operators, dimension))
+    outs = _complex_gaussian(rng, (n_operators, dimension))
+    ins = _complex_gaussian(rng, (n_operators, dimension))
     lam = rng.uniform(0.1, 1.0, size=n_operators)
     target = rng.uniform(0.3, 1.0) if headroom is None else headroom
-    return (lam, outs, ins, target) + ((complex_gaussian(rng, (dimension,)),) if state else ())
+    return (lam, outs, ins, target) + ((_complex_gaussian(rng, (dimension,)),) if state else ())
 
 
 class TestStackedDraws:
@@ -360,7 +371,7 @@ class TestStackedDraws:
                                   states=states)
         singles = [tuple(column[0] for column in
                          draw_kraus_sets(single_rng, 1, dimension, n_operators, headroom))
-                   + ((complex_gaussian(single_rng, (dimension,)),) if states else ())
+                   + ((_complex_gaussian(single_rng, (dimension,)),) if states else ())
                    for _ in range(n_sets)]
         per_array = [_per_array_draws(per_array_rng, dimension, n_operators, headroom, states)
                      for _ in range(n_sets)]

@@ -394,10 +394,27 @@ class TestRunSession:
         with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
             make_config(seed=-1)
 
-    def test_envelope_must_be_a_plateau(self):
-        # A bare extent, as the config once took, is refused by type.
-        with pytest.raises(InvalidParameterError, match="envelope must be a Plateau"):
-            make_config(envelope=1.0)
+    # A bare extent, as the config once took, is refused by type, and so is
+    # every other field of the wrong type, which once raised a raw error in
+    # run_session or was truncated without a word.
+    @pytest.mark.parametrize("field, value, refusal", [
+        ("envelope", 1.0, "envelope must be a Plateau"),
+        ("eve", 0.5, "eve must be an EveStrategy or None"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("key_length", 4.5, "key_length must be an integer"),
+        ("block_size", 3.0, "block_size must be an integer"),
+        ("blocks_per_parity", "2", "blocks_per_parity must be an integer"),
+        ("hash_rounds", 4.0, "hash_rounds must be an integer"),
+    ], ids=["envelope", "eve", "seed", "key-length", "block-size", "blocks-per-parity",
+            "hash-rounds"])
+    def test_field_of_the_wrong_type_rejected(self, field, value, refusal):
+        with pytest.raises(InvalidParameterError, match=refusal):
+            make_config(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        config = make_config(key_length=np.int64(8), block_size=np.int32(3), seed=np.uint8(3))
+        assert run_session(config) == run_session(make_config(key_length=8, block_size=3,
+                                                              seed=3))
 
 
 def _edit(edit):
@@ -493,14 +510,25 @@ ARRAY_BLOCK_DEFECTS = {
     "huge-block-id": _set_block((0, 0), 2 ** 31 - 1),
 }
 INCONSISTENT_BLOCKS = TEXT_BLOCK_DEFECTS | ARRAY_BLOCK_DEFECTS
+# Nor can it spell a round table that is not 2-D with one column per
+# ROUND_COLUMNS name, as the five columns were while a block column
+# followed the four.  The constructor refuses these too.
+TABLE_SHAPE_DEFECTS = {
+    "block-column": lambda table: np.column_stack([table, np.full(len(table), -1)]),
+    "one-d-table": lambda table: table[:, 0],
+    "no-columns": lambda table: table[:, :0],
+}
 
 
 def _inconsistent(case) -> Transcript:
-    """NOISY with the block defect ``case``, parsed from text where it can be spelled."""
+    """NOISY with the defect ``case``, parsed from text where it can be spelled."""
     if case in TEXT_BLOCK_DEFECTS:
         text = TEXT_BLOCK_DEFECTS[case](NOISY_TEXT)
         assert text != NOISY_TEXT
         return Transcript.from_text(text)
+    if case in TABLE_SHAPE_DEFECTS:
+        return dataclasses.replace(
+            NOISY, round_table=TABLE_SHAPE_DEFECTS[case](NOISY.round_table))
     return dataclasses.replace(NOISY, blocks=ARRAY_BLOCK_DEFECTS[case](NOISY.blocks))
 
 
@@ -599,10 +627,11 @@ class TestTranscript:
         with pytest.raises(InvalidParameterError):
             replay_keys(_inconsistent(case))
 
-    @pytest.mark.parametrize("case", sorted(ARRAY_BLOCK_DEFECTS))
+    @pytest.mark.parametrize("case", sorted(ARRAY_BLOCK_DEFECTS | TABLE_SHAPE_DEFECTS))
     def test_to_text_refuses_unspellable_blocks(self, case):
         # The constructor refuses them before to_text could spell them.
-        with pytest.raises(InvalidParameterError, match="blocks must be"):
+        refusal = "round table must be 2-D" if case in TABLE_SHAPE_DEFECTS else "blocks must be"
+        with pytest.raises(InvalidParameterError, match=refusal):
             _inconsistent(case).to_text()
 
     @pytest.mark.parametrize("column,code", [(0, 2), (0, -1), (1, 3), (2, 4), (3, -2 ** 31)])

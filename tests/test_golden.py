@@ -255,12 +255,12 @@ INSTRUMENT_DRAWS = {
 
 #: The checks behind each of ``CRITERION_DETAILS``, at the suite's arguments.
 CRITERION_CHECKS = {
-    3: lambda: (check_parity_identity(20),
+    3: lambda: (check_parity_identity(),
                 check_parity_cosine(totals=(40, 80, 120, 160, 200), ks=(1, 2, 4, 5, 8, 10))),
     4: lambda: tuple(check_hash_calibration(100_000, rounds, 4000 + rounds)
                      for rounds in (5, 10)),
-    5: lambda: (check_majority_tail(1_000_000, 5, 0.05, 55),),
-    7: lambda: (check_instrument_bound(100, 777, 1e-9),),
+    5: lambda: (check_majority_tail(1_000_000, 55),),
+    7: lambda: (check_instrument_bound(777),),
 }
 
 

@@ -24,11 +24,13 @@ from functools import cached_property
 import numpy as np
 
 from .adversary import EveStrategy, ResendPolicy, channel_probabilities
-from .errors import InvalidParameterError, ResourceExhaustedError
+from .errors import InvalidParameterError, ResourceExhaustedError, require_integer
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
 TRANSCRIPT_SCHEMA = "relqkd-transcript/4"
+# Round ids are int32, so a session or a transcript holds at most this many rounds.
+_MAX_ROUNDS = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,12 @@ class ProtocolConfig:
 
 
 def _require_integers(owner, *names: str):
-    """Refuse each named field of ``owner`` that is neither an int nor a numpy integer."""
+    """Store each named field of the frozen ``owner`` as a Python int, or refuse it.
+
+    See ``require_integer``.
+    """
     for name in names:
-        value = getattr(owner, name)
-        if not isinstance(value, (int, np.integer)):
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(owner, name, require_integer(name, getattr(owner, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +122,8 @@ class HashRecord:
 ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "disclosed")
 _ALPHABETS = tuple(np.frombuffer(a, dtype=np.uint8)
                    for a in (b"01", b"01?", b"01?-", b"01"))
-# Row j maps a byte to its code in column j, or to -1 outside the alphabet.
-_DECODE = np.full((len(_ALPHABETS), 256), -1, dtype=np.int32)
+# Row j maps a byte to its code in column j, or to 255 outside the alphabet.
+_DECODE = np.full((len(_ALPHABETS), 256), 255, dtype=np.uint8)
 for _row, _alphabet in zip(_DECODE, _ALPHABETS):
     _row[_alphabet] = np.arange(_alphabet.size)
 
@@ -135,24 +138,26 @@ class Transcript:
     subsets walked up to the first parity mismatch), both keys, the abort
     and its reason, and the error estimate over the disclosed rounds are
     derived from them on first use, once per transcript, so the transcript
-    keeps read-only copies of the arrays it is given.  A table that is not
-    2-D with one column per ``ROUND_COLUMNS`` name, and blocks that are not
-    one or more rows of rising round ids of the table, no round in two
-    rows, are refused at once; a record the rest cannot be derived from
-    raises InvalidParameterError there.
+    keeps read-only copies of the arrays it is given: the table as uint8
+    codes, one byte per round and column, and the blocks as int32 round
+    ids.  A table that is not 2-D with one column per ``ROUND_COLUMNS``
+    name or holds a value outside [0, 255], and blocks that are not one or
+    more rows of rising round ids of the table, no round in two rows, are
+    refused at once; a record the rest cannot be derived from raises
+    InvalidParameterError there.
     """
 
-    round_table: np.ndarray    # int32, column-major, one row per round, columns ROUND_COLUMNS
-    blocks: np.ndarray         # intp, row b the rounds of block b, ascending
+    round_table: np.ndarray    # uint8, column-major, one row per round, columns ROUND_COLUMNS
+    blocks: np.ndarray         # int32, row b the rounds of block b, ascending
     subsets: tuple[str, ...]   # hash subset of round l+1; char i selects string position i
     blocks_per_parity: int     # n
 
     def __post_init__(self):
-        table = _frozen_copy(self.round_table, np.int32, "F", "the round table")
+        table = _frozen_copy(self.round_table, np.uint8, "F", "the round table")
         if table.ndim != 2 or table.shape[1] != len(ROUND_COLUMNS):
             raise InvalidParameterError(f"the round table must be 2-D with one column each "
                                         f"for {', '.join(ROUND_COLUMNS)}; got shape {table.shape}")
-        blocks = _frozen_copy(self.blocks, np.intp, "C", "blocks")
+        blocks = _frozen_copy(self.blocks, np.int32, "C", "blocks")
         if (blocks.ndim != 2 or blocks.min(initial=0) < 0 or blocks.max(initial=0) >= len(table)
                 or not _listed_blocks(blocks, len(table))):
             raise InvalidParameterError("blocks must be one row or more of rising round ids "
@@ -174,7 +179,7 @@ class Transcript:
                blocks_per_parity: int) -> "Transcript":
         """A transcript that freezes ``round_table`` and ``blocks`` and keeps them, not copies.
 
-        Only an int32, column-major table and intp blocks that no caller
+        Only a uint8, column-major table and int32 blocks that no caller
         holds, and that the constructor would accept, may be adopted.
         """
         round_table.flags.writeable = blocks.flags.writeable = False
@@ -261,8 +266,7 @@ class Transcript:
 
     def _check_codes(self) -> None:
         """Refuse the codes ``to_text`` cannot spell (see there)."""
-        # Viewed as unsigned, a negative code lies past every alphabet.
-        if any(column.view(np.uint32).max(initial=0) >= alphabet.size
+        if any(column.max(initial=0) >= alphabet.size
                for alphabet, column in zip(_ALPHABETS, self.round_table.T)):
             raise InvalidParameterError("a round's code lies outside its column's alphabet")
         self._check_eve()
@@ -354,14 +358,13 @@ class Transcript:
             raise InvalidParameterError("the members line disagrees with the blocks header")
 
         raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
+        table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
         for j, (decode, first) in enumerate(zip(_DECODE, firsts)):
             decode.take(raw[first:first + n_rounds], out=table[:, j], mode="clip")
-        if table.min(initial=0) < 0:
+        if table.max(initial=0) == 255:
             raise InvalidParameterError("a round column is not one alphabet character per round")
-        members = _member_ids(raw[starts[7]:starts[8]], n_blocks * k, width).reshape(n_blocks, k)
-        if members.max(initial=0) >= n_rounds:
-            raise InvalidParameterError("a member id is not a round of the table")
+        members = _member_ids(raw[starts[7]:starts[8]], n_blocks * k, width,
+                              n_rounds).reshape(n_blocks, k)
         if not (_listed_blocks(members, n_rounds)
                 and rounds_line == f"rounds\t{n_rounds}"
                 and blocks_line == f"blocks\t{n_blocks}\t{k}\t{n}"
@@ -402,29 +405,36 @@ def _spell_ids(cells: np.ndarray, ids: np.ndarray) -> None:
         rest = tens
 
 
-def _member_ids(line: np.ndarray, count: int, width: int) -> np.ndarray:
+def _member_ids(line: np.ndarray, count: int, width: int, rounds: int) -> np.ndarray:
     """The ``count`` round ids a members line spells, given its bytes and newline.
 
     The line must be ``count`` ids of ``width`` ASCII digits, each followed
     by a space and the last by the newline, and its size must already
     agree with that.  Then no other spelling of the same ids exists, so an
-    id needs no check beyond its digits.  As the columns are as long as
-    the table, ``width`` is at most the digits of the text's length, and
-    the digits' sum fits in int64 before the '0's are taken off it.
+    id needs no check beyond its digits and that it is a round of the
+    table's ``rounds``, which are at most ``_MAX_ROUNDS``.  So ``width`` is
+    at most 10, and the digits' sum before the '0's are taken off it fits
+    in int64, and up to 8 digits (57 * 11111111 < 2^31) in int32, which
+    the ids are kept as.
     """
+    if rounds > _MAX_ROUNDS:
+        raise InvalidParameterError(
+            f"a transcript holds at most {_MAX_ROUNDS} rounds, got {rounds}")
     if not count:
-        return np.empty(0, dtype=np.intp)
+        return np.empty(0, dtype=np.int32)
     cells = line.reshape(count, width + 1)
     if (np.count_nonzero(line - ord("0") < 10) != count * width
             or (cells[:-1, width] != ord(" ")).any()):
         raise InvalidParameterError(
             "the members line is not fixed-width round ids, one space apart")
-    ids = cells[:, 0].astype(np.intp)
+    ids = cells[:, 0].astype(np.int32 if width <= 8 else np.int64)
     for j in range(1, width):
         ids *= 10
         ids += cells[:, j]
     ids -= int("1" * width) * ord("0")
-    return ids
+    if ids.max() >= rounds:
+        raise InvalidParameterError("a member id is not a round of the table")
+    return ids.astype(np.int32, copy=False)
 
 
 def _frozen_copy(values, dtype, order: str, what: str) -> np.ndarray:
@@ -688,7 +698,8 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     The engine plans enough rounds to supply (N + M) * n blocks of k bits
     after sifting and disclosure (20% margin), retries once with a doubled
     margin, and raises ResourceExhaustedError if still short, or if the
-    planned rounds do not fit in memory.  A hash parity mismatch is not an
+    planned rounds do not fit in memory or number more than 2^31 - 1, the
+    most that int32 round ids can name.  A hash parity mismatch is not an
     error: the abort is recorded in the transcript.
     """
     f_eve, p_pass = channel_probabilities(cfg.envelope, cfg.channel_length, cfg.eve)
@@ -707,9 +718,9 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
         n_rounds = _planned_rounds(need_bits, per_round, margin)
         rngs = [np.random.default_rng(c) for c in seed_seq.spawn(6)]
         try:
-            # numpy sizes an array by a signed 64-bit count; a longer plan
-            # is beyond memory as surely as one numpy refuses to allocate.
-            if n_rounds > np.iinfo(np.int64).max:
+            # A plan past what int32 round ids can name is beyond memory as
+            # surely as one numpy refuses to allocate.
+            if n_rounds > _MAX_ROUNDS:
                 raise MemoryError
             return _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks)
         except _ShortOfBlocks:
@@ -779,7 +790,7 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     disclosed_mask = np.zeros(n_rounds, dtype=bool)
     disclosed_mask[disclosed] = True
 
-    remaining = np.flatnonzero(conclusive & ~disclosed_mask)
+    remaining = np.flatnonzero(conclusive & ~disclosed_mask).astype(np.int32)
 
     # Antedate coding: blocks of k identical sent bits, grouped by A after
     # reception in transmission order, then ordered by their first rounds
@@ -800,7 +811,7 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     chosen = blocks.take(rng_public.permutation(len(blocks))[:need_blocks], axis=0)
 
     # Filled column by column, so every column is contiguous.
-    table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.int32, order="F")
+    table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
     table[:, 0] = a_bits
     table[:, 1] = np.where(conclusive, outcome_bits, 2)
     table[:, 2] = 3 if fired is None else np.where(fired, a_bits, 2)

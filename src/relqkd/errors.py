@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all relqkd modules."""
+"""Exception hierarchy shared by all relqkd modules, and the one integer check."""
+
+import operator
 
 
 class RelqkdError(Exception):
@@ -19,3 +21,15 @@ class ResourceExhaustedError(RelqkdError, RuntimeError):
 
 class RejectedInstrumentError(RelqkdError, ValueError):
     """A Kraus set violates the trace-non-increasing admissibility condition."""
+
+
+def require_integer(name: str, value) -> int:
+    """``value`` as a Python int; a value that is not an integer is refused.
+
+    An int, a bool or a numpy integer is an integer.  Converting at entry
+    keeps numpy's fixed-width arithmetic, which wraps, out of the package.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .adversary import eve_success_probability
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_integer
 
 LN2 = math.log(2.0)
 
@@ -37,6 +37,7 @@ def parity_count(n: int, k: int) -> ParityCount:
     While 2^{nk} is a float it is evaluated term by term; beyond that the
     cosine side is the float nearest the count, or inf past the float range.
     """
+    n, k = require_integer("n", n), require_integer("k", k)
     if n < 1 or k < 1:
         raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
     total = n * k
@@ -74,6 +75,7 @@ def _log2_int(v: int) -> float:
 
 def zeta(n: int, k: int, ratio: float, eta: float) -> float:
     """Per-parity-bit advantage factor [(1 + ratio)/2]^(eta * n * k)."""
+    n, k = require_integer("n", n), require_integer("k", k)
     if not (0.0 <= ratio < 1.0):
         raise InvalidParameterError(f"channel ratio must lie in [0, 1), got {ratio}")
     if not (0.0 < eta <= 1.0):
@@ -89,13 +91,21 @@ class EveKeyBound(NamedTuple):
 
 
 def eve_key_probability(n_key: int, zeta_value: float) -> EveKeyBound:
-    """Bound 2^-N (1 + 2*zeta)^N on the eavesdropper guessing the full key."""
+    """Bound 2^-N (1 + 2*zeta)^N on the eavesdropper guessing the full key.
+
+    The bound is computed in log space; past the float range it is inf,
+    and vacuous.
+    """
+    n_key = require_integer("key length", n_key)
     if n_key < 1:
         raise InvalidParameterError(f"key length must be >= 1, got {n_key}")
     if zeta_value < 0.0:
         raise InvalidParameterError(f"zeta must be >= 0, got {zeta_value}")
     log_value = n_key * (math.log1p(2.0 * zeta_value) - LN2)
-    value = math.exp(log_value)
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
     return EveKeyBound(value, value <= 1.0 + 1e-12)
 
 
@@ -113,6 +123,8 @@ def information_bounds(n_key: int, hash_rounds: int, zeta_value: float) -> Infor
     The conservative + sign is used in the I(B;E) combination so the bound
     can never go negative.
     """
+    n_key = require_integer("key length", n_key)
+    hash_rounds = require_integer("hash rounds", hash_rounds)
     if n_key < 1 or hash_rounds < 1:
         raise InvalidParameterError("key length and hash rounds must be >= 1")
     if zeta_value < 0.0:
@@ -129,7 +141,8 @@ class SecurityReport:
     """One parameter set against the security criterion.
 
     The nine init fields are the parameters, and a session's error estimate
-    and abort; ``__post_init__`` derives every bound and flag from them.
+    and abort; ``__post_init__`` stores the four integers as Python ints
+    and derives every bound and flag from them.
     """
 
     n_key: int
@@ -155,6 +168,8 @@ class SecurityReport:
     aborted: bool | None = None
 
     def __post_init__(self):
+        for name in ("n_key", "blocks_per_parity", "block_size", "hash_rounds"):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         for name in ("eps1", "eps2"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
@@ -239,6 +254,7 @@ def _render(value) -> str:
 
 def exact_eta(n: int, k: int) -> float:
     """Hartley information of the parity set per raw bit, computed exactly."""
+    n, k = require_integer("n", n), require_integer("k", k)
     return _log2_int(parity_count(n, k).exact) / (n * k)
 
 
@@ -298,6 +314,8 @@ def solve_parameters(
     """
     if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
         raise InvalidParameterError("eps1 and eps2 must lie in (0, 1)")
+    n_key = require_integer("key length", n_key)
+    max_total = require_integer("max_total", max_total)
     if n_key < 1:
         raise InvalidParameterError(f"key length must be >= 1, got {n_key}")
     if not (0.0 <= ratio < 1.0):

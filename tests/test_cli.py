@@ -54,6 +54,19 @@ def test_large_noisy_session_round_trips(tmp_path, capsys):
         SecurityReport.from_text(flipped)
 
 
+def test_distill_writes_a_vacuous_bound_as_inf(tmp_path, capsys):
+    # N = 4000 at zeta = .75: 2^-N (1 + 2 zeta)^N overflows a float, and
+    # the command once exited 1 with a raw OverflowError.
+    path = tmp_path / "vacuous.ini"
+    path.write_text(DISTILL_INI.format(seed=7, key_length=4000, block_size=1,
+                                       blocks_per_parity=2, hash_rounds=10, flip=0.0, loss=0.0))
+    assert main(["distill", str(path), "--out", str(tmp_path / "vacuous")]) == 0
+    report = capsys.readouterr().out
+    assert "\npr_eve_key=inf\npr_eve_key_valid=false\n" in report
+    assert "\nall_ok=false\n" in report
+    assert SecurityReport.from_text(report).to_text() == report
+
+
 def test_distill_renders_the_report_once(tmp_path, capsys, monkeypatch):
     # The report file and stdout get the same text, rendered once.
     renders = []

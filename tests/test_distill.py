@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relqkd import distill
 from relqkd.adversary import EveStrategy, ResendPolicy
@@ -378,6 +378,17 @@ class TestRunSession:
         with pytest.raises(ResourceExhaustedError):
             run_session(make_config(eve=eve))
 
+    def test_plan_past_int32_round_ids_refused(self, monkeypatch):
+        # Round ids are int32, so a plan of 2^31 - 1 rounds is played and
+        # one more is refused, naming its count, before anything is drawn.
+        monkeypatch.setattr(distill, "_attempt", lambda cfg, n_rounds, *args: n_rounds)
+        monkeypatch.setattr(distill, "_planned_rounds", lambda *args: 2 ** 31 - 1)
+        assert run_session(make_config()) == 2 ** 31 - 1
+        monkeypatch.setattr(distill, "_planned_rounds", lambda *args: 2 ** 31)
+        with pytest.raises(ResourceExhaustedError,
+                           match="a session of 2147483648 planned rounds does not fit"):
+            run_session(make_config())
+
     def test_strategy_geometry_mismatch_rejected(self):
         # The channel length lives in the config alone, so a strategy cannot
         # disagree with it: a strategy given one of its own is refused.
@@ -512,9 +523,10 @@ ARRAY_BLOCK_DEFECTS = {
 INCONSISTENT_BLOCKS = TEXT_BLOCK_DEFECTS | ARRAY_BLOCK_DEFECTS
 # Nor can it spell a round table that is not 2-D with one column per
 # ROUND_COLUMNS name, as the five columns were while a block column
-# followed the four.  The constructor refuses these too.
+# followed the four.  The constructor refuses these too.  (A block column
+# of -1 for no block is refused sooner, as no uint8 value.)
 TABLE_SHAPE_DEFECTS = {
-    "block-column": lambda table: np.column_stack([table, np.full(len(table), -1)]),
+    "block-column": lambda table: np.column_stack([table, np.zeros(len(table), np.uint8)]),
     "one-d-table": lambda table: table[:, 0],
     "no-columns": lambda table: table[:, :0],
 }
@@ -636,9 +648,11 @@ class TestTranscript:
 
     @pytest.mark.parametrize("column,code", [(0, 2), (0, -1), (1, 3), (2, 4), (3, -2 ** 31)])
     def test_to_text_refuses_codes_outside_the_alphabets(self, column, code):
-        table = NOISY.round_table.copy()
+        # A code that is no uint8 value is refused by the constructor first.
+        table = NOISY.round_table.astype(np.int64)
         table[0, column] = code
-        with pytest.raises(InvalidParameterError, match="outside its column's alphabet"):
+        refusal = "outside its column's alphabet" if code >= 0 else "array of uint8 values"
+        with pytest.raises(InvalidParameterError, match=refusal):
             dataclasses.replace(NOISY, round_table=table).to_text()
 
     def test_blocks_derived_once(self, monkeypatch):
@@ -698,33 +712,64 @@ class TestTranscript:
         for transcript in (NOISY, ABORTED, Transcript.from_text(NOISY_TEXT)):
             table = transcript.round_table
             assert table.flags.f_contiguous
-            assert table.dtype == np.int32 and table.shape == (len(table), 4)
+            assert table.dtype == np.uint8 and table.shape == (len(table), 4)
         c_order = dataclasses.replace(NOISY, round_table=np.ascontiguousarray(NOISY.round_table))
         assert c_order.round_table.flags.f_contiguous
         assert c_order.to_text() == NOISY_TEXT
         assert c_order == NOISY
         assert c_order.key_a.tolist() == NOISY.key_a.tolist()
         assert c_order.key_b.tolist() == NOISY.key_b.tolist()
-        # Another dtype is copied to int32, and refused where a value would wrap.
+        # Another dtype is copied to uint8, and refused where a value would wrap.
         wide = NOISY.round_table.astype(np.int64)
         assert dataclasses.replace(NOISY, round_table=wide) == NOISY
-        wide[0, 0] = 2 ** 32
-        with pytest.raises(InvalidParameterError, match="int32"):
+        wide[0, 0] = 2 ** 8
+        with pytest.raises(InvalidParameterError, match="uint8"):
             dataclasses.replace(NOISY, round_table=wide)
         # A Python int past int64 once raised a raw OverflowError.
         huge = NOISY.round_table.astype(object)
         huge[0, 0] = 2 ** 70
-        with pytest.raises(InvalidParameterError, match="int32"):
+        with pytest.raises(InvalidParameterError, match="uint8"):
             dataclasses.replace(NOISY, round_table=huge)
 
     @pytest.mark.parametrize("column,code", [
         (0, 2), (1, 3), (2, 4), (3, 2), (3, -1), (0, -1), (2, -1),
     ])
     def test_to_text_refuses_codes_outside_the_alphabet(self, column, code):
-        table = NOISY.round_table.copy()
+        table = NOISY.round_table.astype(np.int64)
         table[0, column] = code
         with pytest.raises(InvalidParameterError):
             dataclasses.replace(NOISY, round_table=table).to_text()
+
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from([np.bool_, np.int8, np.uint8, np.int16, np.uint16, np.int32,
+                                  np.uint32, np.int64, np.uint64, object]),
+           rows=st.integers(1, 50), order=st.sampled_from("CF"),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_table_of_codes_is_kept_as_uint8(self, dtype, rows, order, seed):
+        # Any integer or bool table of in-alphabet codes is kept unchanged.
+        sizes = [2, 2, 2, 2] if dtype is np.bool_ else [2, 3, 4, 2]
+        codes = np.random.default_rng(seed).integers(0, sizes, size=(rows, 4))
+        table = np.asarray(codes.astype(dtype), order=order)
+        kept = Transcript(table, [[0]], (), 1).round_table
+        assert kept.dtype == np.uint8 and kept.flags.f_contiguous
+        assert not kept.flags.writeable and np.array_equal(kept, codes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell=st.tuples(st.integers(0, 71), st.integers(0, 3)),
+           value=st.one_of(st.integers(-2 ** 70, -1), st.integers(2, 300),
+                           st.integers(256, 2 ** 70)))
+    def test_code_outside_uint8_or_its_alphabet_is_refused(self, cell, value):
+        # The table takes the narrowest dtype that holds the value (object
+        # past 64 bits); a value outside [0, 255] is no uint8 code, and one
+        # inside it but past the column's alphabet cannot be spelled.
+        i, j = cell
+        assume(value < 0 or value >= distill._ALPHABETS[j].size)
+        table = NOISY.round_table.astype(object)
+        table[i, j] = value
+        table = np.array(table, dtype=np.min_scalar_type(value))
+        with pytest.raises(InvalidParameterError,
+                           match="array of uint8 values|outside its column's alphabet"):
+            Transcript(table, NOISY.blocks, NOISY.subsets, NOISY.blocks_per_parity).to_text()
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.sampled_from([1, 3, 5]), n=st.integers(1, 3),
@@ -1032,7 +1077,7 @@ def _reference_read(text) -> Transcript | None:
 def _assert_read_as(parsed, reference, text):
     """``parsed`` is ``reference``'s record, and keeps its blocks, read-only, and ``text``."""
     assert parsed == reference
-    assert parsed.blocks.dtype == reference.blocks.dtype == np.intp
+    assert parsed.blocks.dtype == reference.blocks.dtype == np.int32
     assert not parsed.blocks.flags.writeable
     assert parsed.to_text() is text
 
@@ -1171,34 +1216,44 @@ class TestMemberIds:
     @staticmethod
     def _spelled(ids, width):
         cells = np.empty((len(ids), width + 1), dtype=np.uint8)
-        distill._spell_ids(cells, np.array(ids, dtype=np.intp))
+        distill._spell_ids(cells, np.array(ids, dtype=np.int32))
         return cells.ravel()
 
     @settings(max_examples=200, deadline=None)
     @given(width=st.integers(1, 10), data=st.data())
     def test_round_trip(self, width, data):
-        # Rounds whose last id, rounds - 1, has ``width`` digits.
-        rounds = data.draw(st.integers(10 ** (width - 1) + (width > 1), 10 ** width))
+        # Rounds whose last id, rounds - 1, has ``width`` digits; at 10
+        # digits, up to the most a transcript holds, whose ids fill int32.
+        rounds = data.draw(st.integers(10 ** (width - 1) + (width > 1),
+                                       min(10 ** width, distill._MAX_ROUNDS)))
         assert distill._id_width(rounds) == width
         ids = data.draw(st.lists(st.integers(0, rounds - 1), min_size=1, max_size=40))
         line = self._spelled(ids, width)
         assert line.tobytes() == (" ".join(f"{i:0{width}d}" for i in ids) + "\n").encode()
-        assert distill._member_ids(line, len(ids), width).tolist() == ids
+        read = distill._member_ids(line, len(ids), width, rounds)
+        assert read.dtype == np.int32 and read.tolist() == ids
 
     @settings(max_examples=300, deadline=None)
     @given(width=st.integers(1, 10), data=st.data())
     def test_only_the_spelling_of_its_ids_reads(self, width, data):
         # A line whose newline ends it reads only if it is the spelling of
         # the ids it reads as.
-        ids = data.draw(st.lists(st.integers(0, 10 ** width - 1), min_size=1, max_size=20))
+        rounds = min(10 ** width, distill._MAX_ROUNDS)
+        ids = data.draw(st.lists(st.integers(0, rounds - 1), min_size=1, max_size=20))
         line = self._spelled(ids, width).copy()
         i = data.draw(st.integers(0, line.size - 2))
         line[i] = ord(data.draw(st.sampled_from("0123456789 +-_\t\n")))
         try:
-            read = distill._member_ids(line, len(ids), width)
+            read = distill._member_ids(line, len(ids), width, rounds)
         except InvalidParameterError:
             return
         assert np.array_equal(self._spelled(read.tolist(), width), line)
+
+    def test_more_rounds_than_int32_ids_number_are_refused(self):
+        line = self._spelled([2 ** 31 - 2], 10)
+        assert distill._member_ids(line, 1, 10, 2 ** 31 - 1).tolist() == [2 ** 31 - 2]
+        with pytest.raises(InvalidParameterError, match="at most 2147483647 rounds"):
+            distill._member_ids(line, 1, 10, 2 ** 31)
 
 
 def _reference_p_err(table):
@@ -1262,7 +1317,7 @@ class TestBlockDerivation:
         assert _reference_listing(blocks, len(table))
         transcript = Transcript(table, blocks, (), 1)
         kept = transcript.blocks
-        assert kept.shape == (n_blocks, k) and kept.dtype == np.intp
+        assert kept.shape == (n_blocks, k) and kept.dtype == np.int32
         assert np.array_equal(kept, blocks)
         assert not kept.flags.writeable and not np.shares_memory(kept, blocks)
         try:
@@ -1306,7 +1361,7 @@ class TestBlockDerivation:
             key_length=64, block_size=k, flip_probability=0.02, loss_probability=0.1,
             eve=EveStrategy(0.25) if k == 3 else None, seed=k))
         blocks = transcript.blocks
-        assert blocks.dtype == np.intp and _reference_listing(blocks, len(transcript.round_table))
+        assert blocks.dtype == np.int32 and _reference_listing(blocks, len(transcript.round_table))
         assert not blocks.flags.writeable and not transcript.round_table.flags.writeable
         rebuilt = Transcript(transcript.round_table, transcript.blocks, transcript.subsets,
                              transcript.blocks_per_parity)

@@ -358,6 +358,20 @@ class TestDistill:
             "relqkd-report/1")
         assert report.p_err_estimate == transcript.p_err_estimate
 
+    def test_numpy_integer_fields_write_the_same_report(self, tmp_path):
+        # The report once raised a raw AttributeError on numpy integers.
+        path = tmp_path / "distill.ini"
+        path.write_text(DISTILL_INI)
+        spec = load_campaign(str(path), out_override=str(tmp_path / "plain"))
+        fields = ("key_length", "block_size", "blocks_per_parity", "hash_rounds", "seed")
+        protocol = replace(spec.protocol,
+                           **{name: np.int64(getattr(spec.protocol, name)) for name in fields})
+        cmd_distill(spec)
+        cmd_distill(replace(spec, protocol=protocol, out=str(tmp_path / "numpy")))
+        for suffix in (".report.txt", ".transcript.txt"):
+            assert ((tmp_path / f"numpy{suffix}").read_text()
+                    == (tmp_path / f"plain{suffix}").read_text())
+
 
 class TestVerify:
     def test_all_checks_pass(self):

@@ -1,8 +1,11 @@
 """Parity counting identity, key-level bounds, and the parameter solver."""
 
+import contextlib
 import dataclasses
 import math
 import re
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +133,11 @@ class TestEveKeyProbability:
     def test_vacuous_bound_flagged(self):
         assert not eve_key_probability(8, 0.8).valid
 
+    @pytest.mark.parametrize("n_key,zeta_value", [(10 ** 6, 0.9), (4000, 0.75), (1752, 1.0)])
+    def test_bound_past_the_float_range_is_inf(self, n_key, zeta_value):
+        # exp of the log bound once raised a raw OverflowError here.
+        assert eve_key_probability(n_key, zeta_value) == (math.inf, False)
+
     def test_monotone_in_zeta(self):
         values = [eve_key_probability(16, z).value for z in np.linspace(0, 0.5, 11)]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -229,6 +237,14 @@ class TestSolveParameters:
         with pytest.raises(InvalidParameterError):
             solve_parameters(1e-3, 1e-3, 64, 1.0)
 
+    @pytest.mark.parametrize("n_key", [math.nan, math.inf, 64.5, 64.0, "64"])
+    def test_key_length_that_is_no_integer_rejected(self, n_key):
+        # NaN once passed n_key < 1 and the search never returned; 64.5
+        # was answered for a 64.5-bit key.
+        with _time_limit(5), pytest.raises(InvalidParameterError,
+                                           match="key length must be an integer"):
+            solve_parameters(0.3, 0.3, n_key, 0.3)
+
     @pytest.mark.parametrize("ratio,n", [(0.0, 20), (0.5, 45), (0.9, 246), (0.95, 498)])
     def test_pinned_solutions(self, ratio, n):
         params, report = solve_parameters(1e-3, 1e-3, 64, ratio)
@@ -252,6 +268,59 @@ class TestSolveParameters:
         below = params.block_size * params.blocks_per_parity - shortfall
         assert (_outcome(solve_parameters, eps1, eps2, n_key, ratio, max_total=below)
                 == _outcome(reference_solve, eps1, eps2, n_key, ratio, max_total=below))
+
+
+class TestNumpyIntegers:
+    """Each integer argument is read as a Python int, so numpy's int64 cannot wrap."""
+
+    def test_parity_count(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parity_count(np.int64(100), np.int32(1)) == parity_count(100, 1)
+        assert parity_count(np.int64(100), 1).exact == 2 ** 99
+
+    def test_report(self):
+        # _log2_int once raised a raw AttributeError on numpy integers.
+        report = build_report(np.int64(64), np.int64(45), np.int8(1), np.uint16(12), 0.5,
+                              1e-3, 1e-3)
+        assert report.to_text() == build_report(64, 45, 1, 12, 0.5, 1e-3, 1e-3).to_text()
+        assert type(report.n_key) is int and type(report.hash_rounds) is int
+
+    def test_solver_and_bounds(self):
+        assert (solve_parameters(1e-3, 1e-3, np.int64(64), 0.5)[0]
+                == solve_parameters(1e-3, 1e-3, 64, 0.5)[0])
+        assert eve_key_probability(np.int64(16), 0.1) == eve_key_probability(16, 0.1)
+        assert (information_bounds(np.int64(16), np.int64(4), 0.1)
+                == information_bounds(16, 4, 0.1))
+        assert zeta(np.int64(9), np.int64(1), 0.5, 1.0) == zeta(9, 1, 0.5, 1.0)
+        assert exact_eta(np.int64(9), np.int64(3)) == exact_eta(9, 3)
+
+    @pytest.mark.parametrize("value", [2.0, math.nan, np.float64(3.0), np.bool_(True), "3"])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            parity_count(value, 1)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            build_report(64, value, 1, 12, 0.5, 1e-3, 1e-3)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError from the block once ``seconds`` have passed.
+
+    It is raised again from here: pytest cannot format a traceback that
+    ends in the frame the signal interrupted.
+    """
+    def expire(signum, frame):
+        raise TimeoutError
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        raise TimeoutError(f"no answer within {seconds} s") from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestReportSerialization:

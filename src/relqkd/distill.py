@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .adversary import EveStrategy, ResendPolicy, channel_probabilities
-from .errors import InvalidParameterError, ResourceExhaustedError, require_integer
+from .errors import InvalidParameterError, ResourceExhaustedError, require_integers
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
@@ -50,8 +50,8 @@ class ProtocolConfig:
     eve: EveStrategy | None = None
 
     def __post_init__(self):
-        _require_integers(self, "key_length", "block_size", "blocks_per_parity",
-                          "hash_rounds", "seed")
+        require_integers(self, "key_length", "block_size", "blocks_per_parity",
+                         "hash_rounds", "seed")
         if self.key_length < 1:
             raise InvalidParameterError(f"key length must be >= 1, got {self.key_length}")
         if self.block_size < 1 or self.block_size % 2 == 0:
@@ -84,15 +84,6 @@ class ProtocolConfig:
             raise InvalidParameterError("loss probability must lie in [0, 1)")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-
-
-def _require_integers(owner, *names: str):
-    """Store each named field of the frozen ``owner`` as a Python int, or refuse it.
-
-    See ``require_integer``.
-    """
-    for name in names:
-        object.__setattr__(owner, name, require_integer(name, getattr(owner, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -414,8 +405,7 @@ def _member_ids(line: np.ndarray, count: int, width: int, rounds: int) -> np.nda
     id needs no check beyond its digits and that it is a round of the
     table's ``rounds``, which are at most ``_MAX_ROUNDS``.  So ``width`` is
     at most 10, and the digits' sum before the '0's are taken off it fits
-    in int64, and up to 8 digits (57 * 11111111 < 2^31) in int32, which
-    the ids are kept as.
+    in int64; the ids it leaves fit in int32, which they are kept as.
     """
     if rounds > _MAX_ROUNDS:
         raise InvalidParameterError(
@@ -427,14 +417,14 @@ def _member_ids(line: np.ndarray, count: int, width: int, rounds: int) -> np.nda
             or (cells[:-1, width] != ord(" ")).any()):
         raise InvalidParameterError(
             "the members line is not fixed-width round ids, one space apart")
-    ids = cells[:, 0].astype(np.int32 if width <= 8 else np.int64)
+    ids = cells[:, 0].astype(np.int64)
     for j in range(1, width):
         ids *= 10
         ids += cells[:, j]
     ids -= int("1" * width) * ord("0")
     if ids.max() >= rounds:
         raise InvalidParameterError("a member id is not a round of the table")
-    return ids.astype(np.int32, copy=False)
+    return ids.astype(np.int32)
 
 
 def _frozen_copy(values, dtype, order: str, what: str) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all relqkd modules, and the one integer check."""
+"""Exception hierarchy shared by all relqkd modules, and the integer checks."""
 
 import operator
 
@@ -33,3 +33,12 @@ def require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_integers(owner, *names: str):
+    """Store each named field of the frozen ``owner`` as a Python int, or refuse it.
+
+    See ``require_integer``.
+    """
+    for name in names:
+        object.__setattr__(owner, name, require_integer(name, getattr(owner, name)))

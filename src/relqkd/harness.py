@@ -54,7 +54,7 @@ from .adversary import (
     optimal_delay,
 )
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
-from .errors import InvalidParameterError, RejectedInstrumentError
+from .errors import InvalidParameterError, RejectedInstrumentError, require_integers
 from .security import SecurityReport, build_report
 from .wavepacket import Plateau, make_plateau
 
@@ -114,7 +114,7 @@ class CampaignSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
-        distill._require_integers(self, "seed", "trials")
+        require_integers(self, "seed", "trials")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.trials <= MAX_TRIALS:

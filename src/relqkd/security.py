@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .adversary import eve_success_probability
-from .errors import InvalidParameterError, require_integer
+from .errors import InvalidParameterError, require_integer, require_integers
 
 LN2 = math.log(2.0)
 
@@ -168,8 +168,7 @@ class SecurityReport:
     aborted: bool | None = None
 
     def __post_init__(self):
-        for name in ("n_key", "blocks_per_parity", "block_size", "hash_rounds"):
-            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
+        require_integers(self, "n_key", "blocks_per_parity", "block_size", "hash_rounds")
         for name in ("eps1", "eps2"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):

@@ -21,6 +21,9 @@ from .measurement import PhotonState
 from .wavepacket import AmplitudeProfile, Interval, Plateau
 
 _TOL = 1e-9
+DIMENSION = 8             # of the truncation ``draw_kraus_sets`` draws on
+N_OPERATORS = 12          # per set ``draw_kraus_sets`` draws
+DELAY_GRID_POINTS = 1000  # delays ``optimal_delay`` scans
 
 
 class ResendPolicy(Enum):
@@ -73,25 +76,21 @@ def bob_pass_bound(chi, extent: float):
     return p if np.ndim(p) else float(p)
 
 
-def optimal_delay(
-    channel_length: float, extent: float, grid_points: int = 1024
-) -> tuple[float, float]:
+def optimal_delay(channel_length: float, extent: float) -> tuple[float, float]:
     """Best delay and its joint-success value, confirmed by a grid scan.
 
     The joint success, ``eve_success_probability((L_ch + chi)/L)`` times
     ``bob_pass_bound(chi, L)``, is strictly decreasing in the delay, so the optimum
     sits at chi = 0 with value (1 + L_ch/L)/2; the scan over
-    ``grid_points`` delays, evaluated as one array, asserts no grid value
-    exceeds it.
+    ``DELAY_GRID_POINTS`` delays, evaluated as one array, asserts no grid
+    value exceeds it.
     """
     if not (0.0 <= channel_length < extent):
         raise InvalidParameterError(
             f"need 0 <= L_ch < L, got L_ch={channel_length}, L={extent}"
         )
-    if grid_points < 2:
-        raise InvalidParameterError("grid needs at least 2 points")
     pr_max = eve_success_probability(channel_length / extent)
-    chis = np.linspace(0.0, extent - channel_length, grid_points)
+    chis = np.linspace(0.0, extent - channel_length, DELAY_GRID_POINTS)
     values = (eve_success_probability((channel_length + chis) / extent)
               * bob_pass_bound(chis, extent))
     if int(np.argmax(values)) != 0 or values.max() > pr_max + _TOL:
@@ -236,11 +235,9 @@ class KrausSet:
             norms = np.linalg.norm(rows, axis=-1)
             if np.any(np.abs(norms - 1.0) > 1e-9):
                 raise InvalidParameterError(f"{name} vectors must be unit norm")
-        for arr in (lam, outs, ins):
+        for name, arr in (("weights", lam), ("outputs", outs), ("inputs", ins)):
             arr.setflags(write=False)
-        object.__setattr__(self, "weights", lam)
-        object.__setattr__(self, "outputs", outs)
-        object.__setattr__(self, "inputs", ins)
+            object.__setattr__(self, name, arr)
 
     def admissibility_matrix(self) -> np.ndarray:
         """sum_k lam_k S_k^+ S_k = sum_k lam_k^2 |in_k><in_k|, shape (..., d, d)."""
@@ -266,53 +263,27 @@ class KrausSet:
         return float(mass) if mass.ndim == 0 else mass
 
 
-def draw_kraus_sets(
-    rng: np.random.Generator, n_sets: int, dimension: int = 8, n_operators: int = 12,
-    headroom: float | None = None, states: bool = False,
-):
-    """The draws of ``n_sets`` instruments, each stacked along a leading axis.
+def draw_kraus_sets(rng: np.random.Generator, n_sets: int, headroom: float | None = None):
+    """The draws of ``n_sets`` instruments, stacked along a leading axis.
 
-    Set by set, the outputs, then the inputs, are complex Gaussian rows,
-    not yet normalised, each array one normal draw of its real parts then
-    its imaginary parts; the weights are uniform on [0.1, 1.0]; and a
-    ``headroom`` of None is drawn next, uniformly from [0.3, 1.0].  With
-    ``states``, a complex Gaussian state of the dimension, drawn the same
-    way, follows each set.  A set's state and the next set's vectors are
-    consecutive normal draws, so one call draws both: a set costs three
-    generator calls (two with a given headroom) into preallocated stacks,
-    and the stream is consumed as one call per array would consume it.
+    One normal draw gives every vector: set by set, the outputs then the
+    inputs, each the real parts then the imaginary parts of ``N_OPERATORS``
+    complex Gaussian rows of ``DIMENSION``, not yet normalised.  One uniform
+    draw on [0.1, 1.0] gives every weight, and a ``headroom`` of None is
+    drawn last, uniformly from [0.3, 1.0] for each set.  So a stack costs
+    three generator calls whatever its size, two with a given headroom.
 
-    Returns (weights, outputs, inputs, headroom), plus the states with
-    ``states``; ``kraus_set_from_draws`` turns the first four into a stack
-    of admissible sets.
+    Returns (weights, outputs, inputs, headroom), which
+    ``kraus_set_from_draws`` turns into a stack of admissible sets.
     """
-    if dimension < 4:
-        raise InvalidParameterError(f"need dimension >= 4, got {dimension}")
     if n_sets < 1:
         raise InvalidParameterError(f"need n_sets >= 1, got {n_sets}")
-    k, d = n_operators, dimension
-    n_vectors, n_state = 4 * k * d, 2 * d * states
-    per_set = n_vectors + n_state
-    # Set i's normals: outputs then inputs, real then imaginary; then its state.
-    normals = np.empty((n_sets, per_set))
-    flat = normals.reshape(-1)
-    lam = np.empty((n_sets, k))
-    target = np.full(n_sets, np.nan if headroom is None else headroom)
-    flat[:n_vectors] = rng.normal(size=n_vectors)
-    for i in range(n_sets):
-        lam[i] = rng.uniform(0.1, 1.0, size=k)
-        if headroom is None:
-            target[i] = rng.uniform(0.3, 1.0)
-        start = i * per_set + n_vectors
-        stop = min(start + per_set, flat.size)
-        flat[start:stop] = rng.normal(size=stop - start)
-    vectors = normals[:, :n_vectors].reshape(n_sets, 2, 2, k, d)
+    vectors = rng.normal(size=(n_sets, 2, 2, N_OPERATORS, DIMENSION))
     outs, ins = (vectors[:, j, 0] + 1j * vectors[:, j, 1] for j in (0, 1))
-    draws = (lam, outs, ins, target)
-    if not states:
-        return draws
-    psi = normals[:, n_vectors:].reshape(n_sets, 2, d)
-    return draws + (psi[:, 0] + 1j * psi[:, 1],)
+    lam = rng.uniform(0.1, 1.0, size=(n_sets, N_OPERATORS))
+    target = (rng.uniform(0.3, 1.0, size=n_sets) if headroom is None
+              else np.full(n_sets, float(headroom)))
+    return lam, outs, ins, target
 
 
 def kraus_set_from_draws(weights, outputs, inputs, headroom) -> KrausSet:

@@ -688,9 +688,11 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     The engine plans enough rounds to supply (N + M) * n blocks of k bits
     after sifting and disclosure (20% margin), retries once with a doubled
     margin, and raises ResourceExhaustedError if still short, or if the
-    planned rounds do not fit in memory or number more than 2^31 - 1, the
-    most that int32 round ids can name.  A hash parity mismatch is not an
-    error: the abort is recorded in the transcript.
+    rounds do not fit in memory or number more than 2^31 - 1, the most that
+    int32 round ids can name.  A plan holds at least as many rounds as the
+    bits it needs, so a need past that cap is refused before any plan.  A
+    hash parity mismatch is not an error: the abort is recorded in the
+    transcript.
     """
     f_eve, p_pass = channel_probabilities(cfg.envelope, cfg.channel_length, cfg.eve)
     p_sift = p_pass * (1.0 - cfg.loss_probability)
@@ -701,6 +703,9 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
 
     need_blocks = (cfg.key_length + cfg.hash_rounds) * cfg.blocks_per_parity
     need_bits = need_blocks * cfg.block_size + 2 * (cfg.block_size - 1) + 8
+    if need_bits > _MAX_ROUNDS:
+        raise ResourceExhaustedError(
+            f"a session of more than {_MAX_ROUNDS} planned rounds does not fit in memory")
     per_round = p_sift * (1.0 - cfg.disclose_fraction)
 
     seed_seq = np.random.SeedSequence(cfg.seed)
@@ -708,34 +713,23 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
         n_rounds = _planned_rounds(need_bits, per_round, margin)
         rngs = [np.random.default_rng(c) for c in seed_seq.spawn(6)]
         try:
-            # A plan past what int32 round ids can name is beyond memory as
-            # surely as one numpy refuses to allocate.
-            if n_rounds > _MAX_ROUNDS:
-                raise MemoryError
-            return _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks)
+            if n_rounds <= _MAX_ROUNDS:
+                return _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks)
         except _ShortOfBlocks:
             continue
-        except MemoryError as exc:
-            raise ResourceExhaustedError(
-                f"a session of {_count_text(n_rounds)} planned rounds does not fit in memory"
-            ) from exc
+        except MemoryError:
+            pass
+        raise ResourceExhaustedError(
+            f"a session of {n_rounds} planned rounds does not fit in memory")
     raise ResourceExhaustedError(
         f"insufficient sifted bits to form {need_blocks} blocks after retrying"
     )
 
 
 def _planned_rounds(need_bits: int, per_round: float, margin: float) -> int:
-    """ceil(need_bits / per_round * margin), in floats; exact where they overflow."""
-    try:
-        return int(math.ceil(need_bits / per_round * margin))
-    except OverflowError:
-        (p, q), (m, r) = per_round.as_integer_ratio(), margin.as_integer_ratio()
-        return -(-need_bits * q * m // (p * r))
-
-
-def _count_text(n: int) -> str:
-    """``n`` in digits, or as the power of two at or below it past 128 bits."""
-    return str(n) if n.bit_length() <= 128 else f"at least 2^{n.bit_length() - 1}"
+    """ceil(need_bits / per_round * margin): finite, since ``run_session`` caps
+    need_bits at 2^31 - 1, so the plan stays below 2^31 / 1e-12 / 2^-53 * 2.4."""
+    return math.ceil(need_bits / per_round * margin)
 
 
 def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,

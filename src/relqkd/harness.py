@@ -42,6 +42,7 @@ import numpy as np
 from . import distill, infotheory, security
 from .adversary import (
     _TOL,
+    DIMENSION,
     EveStrategy,
     KrausSet,
     ResendPolicy,
@@ -480,7 +481,7 @@ def check_delay_bound() -> CheckResult:
                                f"pass probability beats the bound at chi={chi}")
     for ratio in (0.0, 0.25, 0.5, 0.9, 0.99):
         try:
-            chi_star, pr_max = optimal_delay(ratio * L, L, grid_points=1000)
+            chi_star, pr_max = optimal_delay(ratio * L, L)
         except InvalidParameterError as exc:
             return CheckResult("delay-bound", False, f"at ratio {ratio}: {exc}")
         if abs(pr_max - 0.5 * (1.0 + ratio)) > _TOL:
@@ -517,22 +518,25 @@ def check_intercept_resend() -> CheckResult:
 def check_instrument_bound(seed: int = 715) -> CheckResult:
     """100 random admissible instruments never lift the available-domain mass.
 
-    ``draw_kraus_sets`` draws each set, then its state; the sets are checked
-    as one stack.  The negative control, one more set at headroom 1 with its
-    weights scaled by sqrt(1.5), must be refused before its state is read.
+    ``draw_kraus_sets`` draws the sets as one stack; one normal draw then
+    gives each its state.  The negative control, one more set at headroom 1
+    with its weights scaled by sqrt(1.5), must be refused before its state
+    is read.
     """
     n_sets = 100
     rng = np.random.default_rng(seed)
-    *draws, states = draw_kraus_sets(rng, n_sets, dimension=8, states=True)
-    holds, lhs = instrument_contraction_check(kraus_set_from_draws(*draws), f=0.6, psi=states)
+    stack = kraus_set_from_draws(*draw_kraus_sets(rng, n_sets))
+    real, imag = rng.normal(size=(2, n_sets, DIMENSION))
+    states = real + 1j * imag
+    holds, lhs = instrument_contraction_check(stack, f=0.6, psi=states)
     violated = np.flatnonzero(~holds)
     if violated.size:
         return CheckResult("instrument-bound", False,
                            f"bound violated: lhs={lhs[violated[0]]:.12g} > 0.6")
-    valid = kraus_set_from_draws(*(draw[0] for draw in draw_kraus_sets(rng, 1, headroom=1.0)))
+    valid = kraus_set_from_draws(*draw_kraus_sets(rng, 1, headroom=1.0))
     invalid = KrausSet(valid.weights * math.sqrt(1.5), valid.outputs, valid.inputs)
     try:
-        instrument_contraction_check(invalid, f=0.6, psi=states[0])
+        instrument_contraction_check(invalid, f=0.6, psi=states[:1])
     except RejectedInstrumentError:
         pass
     else:

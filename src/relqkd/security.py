@@ -10,6 +10,7 @@ criterion into concrete (k, n, M).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -74,15 +75,29 @@ def _log2_int(v: int) -> float:
 
 
 def zeta(n: int, k: int, ratio: float, eta: float) -> float:
-    """Per-parity-bit advantage factor [(1 + ratio)/2]^(eta * n * k)."""
+    """Per-parity-bit advantage factor [(1 + ratio)/2]^(eta * n * k).
+
+    eta = 0, one string per parity set as at n = 1, gives 1: a vacuous bound.
+    """
     n, k = require_integer("n", n), require_integer("k", k)
     if not (0.0 <= ratio < 1.0):
         raise InvalidParameterError(f"channel ratio must lie in [0, 1), got {ratio}")
-    if not (0.0 < eta <= 1.0):
-        raise InvalidParameterError(f"eta must lie in (0, 1], got {eta}")
+    if not (0.0 <= eta <= 1.0):
+        raise InvalidParameterError(f"eta must lie in [0, 1], got {eta}")
     if n < 1 or k < 1:
         raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
     return eve_success_probability(ratio) ** (eta * n * k)
+
+
+def _key_length(n_key) -> int:
+    """The key length N as a Python int: an integer from 1 up to the float range."""
+    n_key = require_integer("key length", n_key)
+    if n_key < 1:
+        raise InvalidParameterError(f"key length must be >= 1, got {n_key}")
+    if n_key > sys.float_info.max:
+        raise InvalidParameterError(f"key length must be at most {sys.float_info.max:g}, "
+                                    f"got an integer of {n_key.bit_length()} bits")
+    return n_key
 
 
 class EveKeyBound(NamedTuple):
@@ -96,9 +111,7 @@ def eve_key_probability(n_key: int, zeta_value: float) -> EveKeyBound:
     The bound is computed in log space; past the float range it is inf,
     and vacuous.
     """
-    n_key = require_integer("key length", n_key)
-    if n_key < 1:
-        raise InvalidParameterError(f"key length must be >= 1, got {n_key}")
+    n_key = _key_length(n_key)
     if zeta_value < 0.0:
         raise InvalidParameterError(f"zeta must be >= 0, got {zeta_value}")
     log_value = n_key * (math.log1p(2.0 * zeta_value) - LN2)
@@ -123,16 +136,17 @@ def information_bounds(n_key: int, hash_rounds: int, zeta_value: float) -> Infor
     The conservative + sign is used in the I(B;E) combination so the bound
     can never go negative.
     """
-    n_key = require_integer("key length", n_key)
+    n_key = _key_length(n_key)
     hash_rounds = require_integer("hash rounds", hash_rounds)
-    if n_key < 1 or hash_rounds < 1:
-        raise InvalidParameterError("key length and hash rounds must be >= 1")
+    if hash_rounds < 1:
+        raise InvalidParameterError(f"hash rounds must be >= 1, got {hash_rounds}")
     if zeta_value < 0.0:
         raise InvalidParameterError(f"zeta must be >= 0, got {zeta_value}")
     p_miss = 2.0 ** (-hash_rounds)
     i_ab = n_key + math.log1p(-p_miss) / LN2
     i_ae = n_key * math.log1p(2.0 * zeta_value) / LN2
-    i_be = (2.0 * n_key * zeta_value + p_miss) / LN2
+    # N zeta first: 2.0 * N overflows to inf near the float range, and inf * 0 is NaN.
+    i_be = (2.0 * (n_key * zeta_value) + p_miss) / LN2
     return InformationBounds(i_ab, i_ae, i_be)
 
 
@@ -313,10 +327,8 @@ def solve_parameters(
     """
     if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
         raise InvalidParameterError("eps1 and eps2 must lie in (0, 1)")
-    n_key = require_integer("key length", n_key)
+    n_key = _key_length(n_key)
     max_total = require_integer("max_total", max_total)
-    if n_key < 1:
-        raise InvalidParameterError(f"key length must be >= 1, got {n_key}")
     if not (0.0 <= ratio < 1.0):
         raise InvalidParameterError(
             f"channel ratio must lie in [0, 1) for a solution to exist, got {ratio}"

@@ -67,6 +67,22 @@ def test_distill_writes_a_vacuous_bound_as_inf(tmp_path, capsys):
     assert SecurityReport.from_text(report).to_text() == report
 
 
+def test_distill_one_block_per_parity_writes_a_vacuous_report(tmp_path, capsys):
+    # n = 1 once ran the session and then exited 2 with "eta must lie in
+    # (0, 1], got 0.0", naming no config key.  Its parity set holds one
+    # string, so zeta = 1 and every flag is false.
+    path = tmp_path / "single.ini"
+    path.write_text(DISTILL_INI.format(seed=7, key_length=8, block_size=3,
+                                       blocks_per_parity=1, hash_rounds=4, flip=0.0, loss=0.0))
+    assert main(["distill", str(path), "--out", str(tmp_path / "single")]) == 0
+    report = capsys.readouterr().out
+    assert "\neta=0.0\nzeta=1.0\n" in report
+    for flag in ("pr_eve_key_valid", "identical_ok", "eve_prob_ok", "i_ae_ok", "i_be_ok",
+                 "all_ok"):
+        assert f"\n{flag}=false\n" in report
+    assert SecurityReport.from_text(report).to_text() == report
+
+
 def test_distill_renders_the_report_once(tmp_path, capsys, monkeypatch):
     # The report file and stdout get the same text, rendered once.
     renders = []

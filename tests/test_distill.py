@@ -28,6 +28,7 @@ from relqkd.errors import (
     ResourceExhaustedError,
 )
 from relqkd.measurement import BobOutcome, EveOutcome
+from relqkd.security import build_report
 from relqkd.wavepacket import make_plateau
 
 
@@ -1375,3 +1376,46 @@ class TestBlockDerivation:
         lines[6:8] = [f"blocks\t{2 ** 40}\t0\t2", ""]
         with pytest.raises(InvalidParameterError, match="members line"):
             Transcript.from_text("\n".join(lines))
+
+
+class TestEavesdropperKnowledgeGap:
+    """What a session's eavesdropper knows, against the report's bound.
+
+    She knows a block's bit when she fired on any of its k rounds, and a
+    parity bit when she knows all n of its blocks: (1 - (1 - f)^k)^n of
+    them.  Her firing is drawn apart from the receiver's test, so on the
+    rounds kept in blocks she fired with f(chi) itself.  The report bounds
+    her guess of each key bit by 1/2 + zeta, while knowing a fraction q of
+    the parity bits gives her (1 + q)/2: these tests pin that gap open at
+    N = 64, M = 12, r = .5, until the report bounds the blocks and the
+    sifting it misses.
+    """
+
+    @staticmethod
+    def _fired_in_blocks(k, n, delay, sessions):
+        """Per session, whether she fired on each round of each block, shape (B, k)."""
+        for seed in range(sessions):
+            transcript = run_session(make_config(
+                key_length=64, block_size=k, blocks_per_parity=n, hash_rounds=12, seed=seed,
+                eve=EveStrategy(delay)))
+            yield transcript.round_table[:, 2][transcript.blocks] < 2
+
+    @staticmethod
+    def _assert_binomial(hits, p):
+        """The hit rate lies within 4 binomial sigma of p."""
+        assert abs(hits.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / hits.size)
+
+    @pytest.mark.parametrize("k, n", [(7, 9), (3, 4)])
+    def test_parity_bits_known_at_delay_0(self, k, n):
+        known = np.concatenate([fired.any(axis=1).reshape(-1, n).all(axis=1)
+                                for fired in self._fired_in_blocks(k, n, 0.0, 40)])
+        self._assert_binomial(known, (1.0 - 0.5 ** k) ** n)   # f = .5 at delay 0
+        zeta = build_report(64, n, k, 12, 0.5, 1e-3, 1e-3).zeta
+        assert known.mean() > 2.0 * zeta
+
+    @pytest.mark.parametrize("delay, f", [(0.25, 0.75), (0.4, 0.9)])
+    def test_fired_with_f_on_block_rounds(self, delay, f):
+        fired = np.concatenate([fired.ravel() for fired in self._fired_in_blocks(1, 45, delay, 20)])
+        self._assert_binomial(fired, f)
+        # Her success per kept round beats the report's (1 + r)/2 = .75.
+        assert (1.0 + fired.mean()) / 2.0 > 0.75

@@ -247,10 +247,10 @@ def test_verify_text():
 # outputs, inputs, headroom and states, the generator state after them,
 # and the largest and the summed domain mass they give, to 10 digits.
 INSTRUMENT_DRAWS = {
-    715: ("a5f167d7f13b57edcd2b85bdc16b79b3cb40db07b434fc424a41add73aaf8d73",
-          201256116132405278847980425078656371898, "0.3110631056", "13.11123279"),
-    777: ("b085e887afee43477bc08a57b5130d9136205c8945f05639185606ab746b5ce1",
-          87613285083448629009547909420387918446, "0.41824032", "13.74341287"),
+    715: ("a12da007e4dfe6dde449991b115b18c4206aeae255a84e3aa529e6cb24e25301",
+          108551056349699919846667109019255309517, "0.3357015258", "13.32485086"),
+    777: ("faf6b45f282aaadf7edbcfe9baee8c30510f7747deeffbc6e4a4ca20070fe52d",
+          244373309724017682668638941931093148855, "0.3366007458", "13.18427236"),
 }
 
 #: The checks behind each of ``CRITERION_DETAILS``, at the suite's arguments.
@@ -274,11 +274,12 @@ def test_criterion_details(criterion):
 @pytest.mark.parametrize("seed", sorted(INSTRUMENT_DRAWS))
 def test_instrument_draws_and_masses(seed):
     rng = np.random.default_rng(seed)
-    draws = draw_kraus_sets(rng, 100, dimension=8, states=True)
+    draws = draw_kraus_sets(rng, 100)
+    real, imag = rng.normal(size=(2, 100, 8))
+    states = real + 1j * imag
     digest = hashlib.sha256()
-    for column in draws:
+    for column in (*draws, states):
         digest.update(np.ascontiguousarray(column).tobytes())
-    _, masses = instrument_contraction_check(kraus_set_from_draws(*draws[:4]), f=0.6,
-                                             psi=draws[4])
+    _, masses = instrument_contraction_check(kraus_set_from_draws(*draws), f=0.6, psi=states)
     assert (digest.hexdigest(), rng.bit_generator.state["state"]["state"],
             format(masses.max(), ".10g"), format(masses.sum(), ".10g")) == INSTRUMENT_DRAWS[seed]

@@ -408,27 +408,19 @@ class TestVerify:
         assert "[FAIL] parity-identity: enumeration mismatch" in cmd_verify().to_text()
 
     def test_stacked_instrument_masses_equal_the_per_set_check(self):
-        def state(rng):
-            real, imag = rng.normal(size=(2, 8))
-            return real + 1j * imag
-
+        # The check's own draws at the verify seed: the stack, then one state per set.
         rng = np.random.default_rng(715)
-        per_set = []
-        for _ in range(100):
-            draws = draw_kraus_sets(rng, 1, dimension=8)
-            kraus = kraus_set_from_draws(*(draw[0] for draw in draws))
-            per_set.append(instrument_contraction_check(kraus, f=0.6, psi=state(rng))[1])
-        stack_rng = np.random.default_rng(715)
-        draws, states = [], []
-        for _ in range(100):
-            draws.append([column[0] for column in draw_kraus_sets(stack_rng, 1, dimension=8)])
-            states.append(state(stack_rng))
-        stack = kraus_set_from_draws(*(np.stack(column) for column in zip(*draws)))
-        holds, stacked = instrument_contraction_check(stack, f=0.6, psi=np.stack(states))
-        assert stack.weights.shape == (100, 12) and stack.inputs.shape == (100, 12, 8)
-        assert holds.all()
+        draws = draw_kraus_sets(rng, 100)
+        real, imag = rng.normal(size=(2, 100, 8))
+        states = real + 1j * imag
+        holds, stacked = instrument_contraction_check(kraus_set_from_draws(*draws), f=0.6,
+                                                      psi=states)
+        per_set = [instrument_contraction_check(
+                       kraus_set_from_draws(*(column[i] for column in draws)), f=0.6,
+                       psi=states[i])[1]
+                   for i in range(100)]
+        assert holds.shape == stacked.shape == (100,) and holds.all()
         np.testing.assert_allclose(stacked, per_set, rtol=0.0, atol=1e-15)
-        assert rng.bit_generator.state == stack_rng.bit_generator.state
 
     def test_lifted_domain_mass_reported_as_failure(self, monkeypatch):
         real = KrausSet.domain_mass_after

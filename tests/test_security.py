@@ -113,6 +113,19 @@ class TestZeta:
         with pytest.raises(InvalidParameterError):
             zeta(10, 1, 1.0, 1.0)
 
+    def test_one_block_per_parity_is_vacuous(self):
+        # n = 1: the parity set holds one string, so eta = 0 and zeta = 1.
+        assert exact_eta(1, 3) == 0.0
+        assert zeta(1, 3, 0.5, 0.0) == 1.0
+        report = build_report(8, 1, 3, 4, 0.5, 1e-2, 1e-2)
+        assert not (report.pr_eve_key_valid or report.identical_ok or report.eve_prob_ok
+                    or report.i_ae_ok or report.i_be_ok)
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
+    def test_eta_outside_unit_interval_rejected(self, eta):
+        with pytest.raises(InvalidParameterError, match="eta must lie in"):
+            zeta(10, 1, 0.5, eta)
+
 
 class TestEveKeyProbability:
     def test_guessing_floor(self):
@@ -301,6 +314,38 @@ class TestNumpyIntegers:
             parity_count(value, 1)
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             build_report(64, value, 1, 12, 0.5, 1e-3, 1e-3)
+
+
+class TestKeyLength:
+    """Every function that takes a key length reads it the same way."""
+
+    CALLS = {
+        "eve_key_probability": lambda n_key: eve_key_probability(n_key, 0.9),
+        "information_bounds": lambda n_key: information_bounds(n_key, 10, 0.1),
+        "build_report": lambda n_key: build_report(n_key, 2, 1, 10, 0.5, 1e-3, 1e-3),
+        "solve_parameters": lambda n_key: solve_parameters(1e-3, 1e-3, n_key, 0.5),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_past_the_float_range_rejected(self, call):
+        # Each once raised a raw OverflowError converting N to a float.
+        with _time_limit(5), pytest.raises(InvalidParameterError,
+                                           match="key length must be at most"):
+            self.CALLS[call](10**400)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_below_one_rejected(self, call):
+        with pytest.raises(InvalidParameterError, match="key length must be >= 1, got 0"):
+            self.CALLS[call](0)
+
+    def test_largest_float_accepted(self):
+        assert eve_key_probability(int(1.7e308), 0.9) == (math.inf, False)
+        # 2N overflows here; the I(B;E) bound once read NaN at zeta = 0, so
+        # no report passed and the solver searched up to max_total.
+        assert information_bounds(int(1.7e308), 12, 0.0).i_be == 2.0 ** -12 / LN2
+        with _time_limit(5):
+            params, report = solve_parameters(1e-3, 1e-3, 10**308, 0.5)
+        assert report.all_ok and params.blocks_per_parity == 2496
 
 
 @contextlib.contextmanager

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, RejectedInstrumentError
+from .errors import InvalidParameterError, RejectedInstrumentError, require_float
 from .measurement import PhotonState
 from .wavepacket import AmplitudeProfile, Interval, Plateau
 
@@ -44,6 +44,7 @@ class EveStrategy:
     resend_policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED
 
     def __post_init__(self):
+        object.__setattr__(self, "delay", require_float("delay", self.delay))
         if not (0.0 <= self.delay < math.inf):
             raise InvalidParameterError(
                 f"delay must be finite and >= 0, got {self.delay}")
@@ -68,8 +69,9 @@ def bob_pass_bound(chi, extent: float):
 
     ``chi`` may be an array of delays; a scalar gives a float.
     """
-    if extent <= 0.0:
-        raise InvalidParameterError(f"state extent must be positive, got {extent}")
+    extent = require_float("state extent", extent)
+    if not (0.0 < extent < math.inf):
+        raise InvalidParameterError(f"state extent must be finite and positive, got {extent}")
     if not np.all((0.0 <= chi) & (chi <= extent + _TOL)):
         raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
     p = 1.0 - np.minimum(chi, extent) / extent
@@ -85,9 +87,11 @@ def optimal_delay(channel_length: float, extent: float) -> tuple[float, float]:
     ``DELAY_GRID_POINTS`` delays, evaluated as one array, asserts no grid
     value exceeds it.
     """
-    if not (0.0 <= channel_length < extent):
+    channel_length = require_float("channel length", channel_length)
+    extent = require_float("state extent", extent)
+    if not (0.0 <= channel_length < extent < math.inf):
         raise InvalidParameterError(
-            f"need 0 <= L_ch < L, got L_ch={channel_length}, L={extent}"
+            f"need 0 <= L_ch < L < inf, got L_ch={channel_length}, L={extent}"
         )
     pr_max = eve_success_probability(channel_length / extent)
     chis = np.linspace(0.0, extent - channel_length, DELAY_GRID_POINTS)
@@ -163,6 +167,7 @@ def channel_probabilities(
     domain is S >= L long.  The tests compose those measurements on
     ``envelope.sampled()`` and agree with this to within the grid error.
     """
+    channel_length = require_float("channel length", channel_length)
     if not (0.0 <= channel_length < math.inf):
         raise InvalidParameterError(
             f"channel length must be finite and >= 0, got {channel_length}")

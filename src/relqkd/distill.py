@@ -10,15 +10,15 @@ and the resulting transcript is byte-reproducible.
 
 A session's transcript is its public record: the round table, the blocks
 announced after reception, the number n of blocks XORed into each parity
-bit, and the hash subsets it drew.  The hash log, the keys, the abort and
-the error estimate are derived from that record (``hash_rounds`` is the
-one hash walk), so they cannot disagree with it.
+bit, and the hash subsets it announced.  The hash log, the keys, the abort
+and the error estimate are derived from that record when the transcript is
+made (``hash_rounds`` is the one hash walk), so they cannot disagree with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -125,23 +125,36 @@ class Transcript:
 
     A session announces the round table (each round's outcomes and
     disclosure flag), the blocks it cuts after reception, n and the hash
-    subsets; parity bit j XORs blocks j*n .. j*n+n-1.  The hash log (the
-    subsets walked up to the first parity mismatch), both keys, the abort
-    and its reason, and the error estimate over the disclosed rounds are
-    derived from them on first use, once per transcript, so the transcript
-    keeps read-only copies of the arrays it is given: the table as uint8
-    codes, one byte per round and column, and the blocks as int32 round
-    ids.  A table that is not 2-D with one column per ``ROUND_COLUMNS``
-    name or holds a value outside [0, 255], and blocks that are not one or
-    more rows of rising round ids of the table, no round in two rows, are
-    refused at once; a record the rest cannot be derived from raises
-    InvalidParameterError there.
+    subsets; parity bit j XORs blocks j*n .. j*n+n-1.  When a transcript
+    is made, by the constructor (and so ``dataclasses.replace``), the
+    reader or a session, ``_derive`` checks this record and derives the
+    rest: the hash log (the subsets walked up to the first parity
+    mismatch), both keys, the abort and the error estimate over the
+    disclosed rounds.  ``subsets`` keeps only the announced subsets.  The
+    constructor keeps read-only copies of the arrays it is given: the
+    table as uint8 codes, the blocks as int32 round ids.
+
+    A record that is not what a session announces is refused with
+    InvalidParameterError, so no derived value and no ``to_text`` raises.
+    That is: a 2-D table, one column per ``ROUND_COLUMNS`` name and each
+    code in its column's alphabet; an eavesdropper column that is all 3
+    (no eavesdropper) or holds no 3, each fired outcome naming the sent
+    bit; one disclosed round or more, all conclusive; one block or more,
+    each row an odd number of rising ids of undisclosed, conclusive rounds
+    of one sent bit, no round in two rows; an integer n >= 1 that divides
+    the number of blocks; and a tuple of fewer subsets than parity bits,
+    each a non-zero bit string as long as the strings it meets.
     """
 
     round_table: np.ndarray    # uint8, column-major, one row per round, columns ROUND_COLUMNS
     blocks: np.ndarray         # int32, row b the rounds of block b, ascending
     subsets: tuple[str, ...]   # hash subset of round l+1; char i selects string position i
     blocks_per_parity: int     # n
+    hash_log: tuple[HashRecord, ...] = field(init=False)
+    key_a: np.ndarray | None = field(init=False)
+    key_b: np.ndarray | None = field(init=False)
+    aborted: bool = field(init=False)
+    p_err_estimate: float = field(init=False)
 
     def __post_init__(self):
         table = _frozen_copy(self.round_table, np.uint8, "F", "the round table")
@@ -153,53 +166,69 @@ class Transcript:
                 or not _listed_blocks(blocks, len(table))):
             raise InvalidParameterError("blocks must be one row or more of rising round ids "
                                         "of the table, no round in two rows")
+        if not (isinstance(self.subsets, tuple) and all(isinstance(s, str) for s in self.subsets)):
+            raise InvalidParameterError("subsets must be a tuple of strings")
+        require_integers(self, "blocks_per_parity")
         object.__setattr__(self, "round_table", table)
         object.__setattr__(self, "blocks", blocks)
+        self._derive()
+
+    def _derive(self) -> None:
+        """Refuse the record as the class docstring says, or set what follows from it.
+
+        The constructor and the reader check the table's shape, the block
+        listing and the types, where these come from outside.
+        """
+        table, blocks, n = self.round_table, self.blocks, self.blocks_per_parity
+        sent, bob, eve, disclosed = table.T
+        if any(column.max(initial=0) >= alphabet.size
+               for alphabet, column in zip(_ALPHABETS, table.T)):
+            raise InvalidParameterError("a round's code lies outside its column's alphabet")
+        if ((eve < 2) & (eve != sent)).any() or 0 < np.count_nonzero(eve == 3) < len(eve):
+            raise InvalidParameterError("a fired eavesdropper outcome must name the sent bit, "
+                                        "and '-' mark every round or none")
+        shown = disclosed == 1
+        count = np.count_nonzero(shown)
+        if not count or (shown & (bob == 2)).any():
+            raise InvalidParameterError("a session discloses one conclusive round or more")
+        # A block's rounds decode to A's sent bit and B's majority vote.
+        a, b = sent.take(blocks), bob.take(blocks)
+        if (a != a[:, :1]).any() or not ((disclosed.take(blocks) == 0) & (b != 2)).all():
+            raise InvalidParameterError("a block must hold undisclosed, conclusive rounds "
+                                        "of one sent bit")
+        walk = hash_rounds(form_parity_bits(a[:, 0], n),
+                           form_parity_bits(majority_decode(b), n), self.subsets)
+        self.__dict__.update(subsets=self.subsets[:len(walk.log)], hash_log=walk.log,
+                             key_a=walk.key_a, key_b=walk.key_b, aborted=walk.aborted,
+                             p_err_estimate=float(np.count_nonzero(shown & (sent != bob)) / count))
 
     def __eq__(self, other):
-        """The arrays compare as arrays, then n and the announced hash logs."""
+        """The arrays compare as arrays, then the subsets and n."""
         if not isinstance(other, Transcript):
             return NotImplemented
         return (np.array_equal(self.round_table, other.round_table)
                 and np.array_equal(self.blocks, other.blocks)
-                and self.blocks_per_parity == other.blocks_per_parity
-                and self.hash_log == other.hash_log)
+                and self.subsets == other.subsets
+                and self.blocks_per_parity == other.blocks_per_parity)
 
     @classmethod
     def _adopt(cls, round_table: np.ndarray, blocks: np.ndarray, subsets: tuple[str, ...],
                blocks_per_parity: int) -> "Transcript":
         """A transcript that freezes ``round_table`` and ``blocks`` and keeps them, not copies.
 
-        Only a uint8, column-major table and int32 blocks that no caller
-        holds, and that the constructor would accept, may be adopted.
+        Only a uint8, column-major table and int32 blocks of it that no
+        caller holds, a tuple of strings and an int n may be adopted.
         """
         round_table.flags.writeable = blocks.flags.writeable = False
         transcript = cls.__new__(cls)
         transcript.__dict__.update(round_table=round_table, blocks=blocks, subsets=subsets,
                                    blocks_per_parity=blocks_per_parity)
+        transcript._derive()
         return transcript
 
-    @cached_property
-    def _hash(self) -> HashResult:
-        return hash_rounds(*_parity_strings(self.round_table, self.blocks,
-                                            self.blocks_per_parity), self.subsets)
-
-    hash_log = property(lambda self: self._hash.log)
-    key_a = property(lambda self: self._hash.key_a)
-    key_b = property(lambda self: self._hash.key_b)
-    aborted = property(lambda self: self._hash.aborted)
-    abort_reason = property(lambda self: f"hash parity mismatch at round {len(self.hash_log)}"
-                            if self.aborted else None)
-
-    @cached_property
-    def p_err_estimate(self) -> float:
-        a, b, _, d = self.round_table.T
-        shown = d == 1
-        count = np.count_nonzero(shown)
-        if not count or (shown & (b == 2)).any():
-            raise InvalidParameterError("a session discloses one conclusive round or more; "
-                                        "transcript is inconsistent")
-        return float(np.count_nonzero(shown & (a != b)) / count)
+    @property
+    def abort_reason(self) -> str | None:
+        return f"hash parity mismatch at round {len(self.hash_log)}" if self.aborted else None
 
     @property
     def rounds(self) -> tuple[RoundRecord, ...]:
@@ -212,16 +241,11 @@ class Transcript:
             for i, (a, b, e, d, blk) in enumerate(_columns(*self.round_table.T, block)))
 
     def to_text(self) -> str:
-        """The text form; a record it cannot spell raises InvalidParameterError.
+        """The text form, written once per transcript.
 
-        The text spells the codes of each column's alphabet, a fired
-        eavesdropper outcome that names the sent bit (her firing
-        measurement identifies it without error), and an eavesdropper
-        column that is all ``-`` (no eavesdropper) or holds no ``-``.  It
-        writes the blocks as they are, and the derived hash log, error
-        estimate, keys and abort too, so a text that contradicts its record
-        does not read back (see ``from_text``).  The text is written once
-        per transcript.
+        It spells the record, the blocks as they are, and the derived hash
+        log, error estimate, keys and abort too, so a text that contradicts
+        its record does not read back (see ``from_text``).
         """
         return self._text
 
@@ -233,7 +257,6 @@ class Transcript:
         alphabet, and the members line is a matrix of one row per round id
         (see ``_spell_ids``).  The derived lines follow it.
         """
-        self._check_codes()
         members = self.blocks
         rounds = len(self.round_table)
         width = _id_width(rounds)
@@ -255,23 +278,6 @@ class Transcript:
         _put(out, at + cells, derived.encode())
         return str(out, "ascii")
 
-    def _check_codes(self) -> None:
-        """Refuse the codes ``to_text`` cannot spell (see there)."""
-        if any(column.max(initial=0) >= alphabet.size
-               for alphabet, column in zip(_ALPHABETS, self.round_table.T)):
-            raise InvalidParameterError("a round's code lies outside its column's alphabet")
-        self._check_eve()
-
-    def _check_eve(self) -> None:
-        """Refuse an eavesdropper column that ``to_text`` cannot spell (see there)."""
-        sent, _, eve = self.round_table.T[:3]
-        if ((eve < 2) & (eve != sent)).any():
-            raise InvalidParameterError("a fired eavesdropper outcome must name the sent bit; "
-                                        "transcript is inconsistent")
-        if 0 < np.count_nonzero(eve == 3) < len(eve):
-            raise InvalidParameterError("the eavesdropper outcome column mixes '-' with "
-                                        "outcomes; transcript is inconsistent")
-
     def _derived_lines(self) -> str:
         """The lines after the members line: hash log, error estimate, keys and abort."""
         lines = [f"hash_log\t{len(self.hash_log)}", "l\tsubset\tparity_a\tparity_b\tdiscarded"]
@@ -291,12 +297,12 @@ class Transcript:
 
         Only the record is read: the round table, the blocks, n and the
         subset column of the hash log.  ``_parse`` proves the lines through
-        the members line; the eavesdropper column is checked, and the
-        derived lines are written back and compared with the rest.  So
-        ``Transcript.from_text(t).to_text() == t`` for every accepted ``t``,
-        and a text whose parities, discarded positions, error estimate,
-        keys or abort lines contradict its record is rejected.  The
-        transcript keeps the blocks the text lists, and ``t``.
+        the members line, the record is checked as the constructor checks
+        it, and the derived lines are written back and compared with the
+        rest.  So ``Transcript.from_text(t).to_text() == t`` for every
+        accepted ``t``, and a text whose parities, discarded positions,
+        error estimate, keys or abort lines contradict its record is
+        rejected.  The transcript keeps the blocks the text lists, and ``t``.
         """
         try:
             transcript, derived_at = cls._parse(text)
@@ -304,7 +310,6 @@ class Transcript:
             raise
         except (IndexError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
-        transcript._check_eve()  # the decoded codes lie in their alphabets
         if transcript._derived_lines() != text[derived_at:]:
             raise InvalidParameterError("the text differs from what to_text writes")
         transcript.__dict__["_text"] = text  # what to_text writes, as just shown
@@ -315,9 +320,10 @@ class Transcript:
         """The record ``text`` spells, and the offset of its derived lines.
 
         Only what the arrays need is checked before they are built: the
-        schema line, that the text is ASCII, the alphabets, the member ids'
-        digits, and sizes that agree before anything is allocated from
-        them.  A column line that decodes, and a members line of
+        schema line, that the text is ASCII, the member ids' digits, and
+        sizes that agree before anything is allocated from them.  A byte
+        outside its column's alphabet decodes to 255, which ``_derive``
+        refuses.  A column line that decodes, and a members line of
         fixed-width ids, are spelled as ``to_text`` spells them.  So the
         lines before the derived ones are proven, and the ids kept as the
         blocks, where ``_listed_blocks`` shows them to be blocks and the two
@@ -352,8 +358,6 @@ class Transcript:
         table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
         for j, (decode, first) in enumerate(zip(_DECODE, firsts)):
             decode.take(raw[first:first + n_rounds], out=table[:, j], mode="clip")
-        if table.max(initial=0) == 255:
-            raise InvalidParameterError("a round column is not one alphabet character per round")
         members = _member_ids(raw[starts[7]:starts[8]], n_blocks * k, width,
                               n_rounds).reshape(n_blocks, k)
         if not (_listed_blocks(members, n_rounds)
@@ -536,28 +540,6 @@ def form_parity_bits(blockwise_bits, blocks_per_parity: int) -> np.ndarray:
         raise InvalidParameterError(
             f"{bits.size} blocks do not split into parity groups of {n} blocks")
     return (np.bitwise_xor.reduce(bits.reshape(-1, n), axis=1) & 1).astype(np.uint8)
-
-
-def _parity_strings(round_table: np.ndarray, members: np.ndarray,
-                    blocks_per_parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Turn a transcript's round table into the parity strings of A and B.
-
-    ``members`` are the transcript's blocks, one a row.  Blocks
-    of k undisclosed, conclusive rounds sharing one sent bit decode to A's
-    sent bit and B's majority vote; each run of n blocks XORs into one
-    parity bit.  A structure that is not of this shape raises
-    InvalidParameterError.
-    """
-    a_bit, b_outcome, _, disclosed = round_table.T
-    b = b_outcome.take(members)
-    if not ((disclosed.take(members) == 0) & (b != 2)).all():
-        raise InvalidParameterError(
-            "a block holds a disclosed or inconclusive round; transcript is inconsistent")
-    a = a_bit.take(members)
-    if (a != a[:, :1]).any():
-        raise InvalidParameterError("a block mixes sent bits; transcript is inconsistent")
-    return (form_parity_bits(a[:, 0], blocks_per_parity),
-            form_parity_bits(majority_decode(b), blocks_per_parity))
 
 
 # Bit strings travel as Python ints, bit i of the int being string
@@ -801,7 +783,8 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
     table[:, 2] = 3 if fired is None else np.where(fired, a_bits, 2)
     table[:, 3] = disclosed_mask
     # All M subsets, at the lengths a matching walk meets; rng_hash feeds
-    # nothing else, so the announced ones are drawn as round by round.
+    # nothing else, so the announced ones are drawn as round by round.  The
+    # transcript keeps those its hash walk announces.
     length = cfg.key_length + cfg.hash_rounds
     lengths = list(range(length, length - cfg.hash_rounds, -1))
     subsets = tuple(format(v, f"0{n}b")[::-1]
@@ -814,7 +797,5 @@ def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray |
 
     The keys follow from the per-round data, the announced blocks, n and
     the hash subsets alone; (None, None) if the recorded session aborted.
-    A record the session could not have produced raises
-    InvalidParameterError.
     """
     return transcript.key_a, transcript.key_b

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all relqkd modules, and the integer checks."""
+"""Exception hierarchy shared by all relqkd modules, and the integer and float checks."""
 
+import numbers
 import operator
 
 
@@ -33,6 +34,22 @@ def require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_float(name: str, value) -> float:
+    """``value`` as a Python float; a value that is not a real number is refused.
+
+    An int, a bool, a numpy integer or float or a float is a real number,
+    unless it is an integer past the float range.  Converting at entry
+    keeps numpy's fixed-width arithmetic, which overflows, out of the
+    package.  NaN and the infinities are floats: the caller checks ranges.
+    """
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidParameterError(f"{name} must be a real number, got {value!r:.40}")
 
 
 def require_integers(owner, *names: str):

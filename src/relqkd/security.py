@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .adversary import eve_success_probability
-from .errors import InvalidParameterError, require_integer, require_integers
+from .errors import InvalidParameterError, require_float, require_integer, require_integers
 
 LN2 = math.log(2.0)
 
@@ -100,6 +100,14 @@ def _key_length(n_key) -> int:
     return n_key
 
 
+def _zeta_value(zeta_value) -> float:
+    """zeta as a Python float, refused unless it is >= 0 (so NaN is refused)."""
+    z = require_float("zeta", zeta_value)
+    if not z >= 0.0:
+        raise InvalidParameterError(f"zeta must be >= 0, got {zeta_value}")
+    return z
+
+
 class EveKeyBound(NamedTuple):
     value: float
     valid: bool   # False when the bound exceeds 1 and is vacuous
@@ -111,9 +119,7 @@ def eve_key_probability(n_key: int, zeta_value: float) -> EveKeyBound:
     The bound is computed in log space; past the float range it is inf,
     and vacuous.
     """
-    n_key = _key_length(n_key)
-    if zeta_value < 0.0:
-        raise InvalidParameterError(f"zeta must be >= 0, got {zeta_value}")
+    n_key, zeta_value = _key_length(n_key), _zeta_value(zeta_value)
     log_value = n_key * (math.log1p(2.0 * zeta_value) - LN2)
     try:
         value = math.exp(log_value)
@@ -140,8 +146,7 @@ def information_bounds(n_key: int, hash_rounds: int, zeta_value: float) -> Infor
     hash_rounds = require_integer("hash rounds", hash_rounds)
     if hash_rounds < 1:
         raise InvalidParameterError(f"hash rounds must be >= 1, got {hash_rounds}")
-    if zeta_value < 0.0:
-        raise InvalidParameterError(f"zeta must be >= 0, got {zeta_value}")
+    zeta_value = _zeta_value(zeta_value)
     p_miss = 2.0 ** (-hash_rounds)
     i_ab = n_key + math.log1p(-p_miss) / LN2
     i_ae = n_key * math.log1p(2.0 * zeta_value) / LN2

@@ -57,6 +57,15 @@ class TestClosedForms:
         with pytest.raises(InvalidParameterError):
             bob_pass_bound(1.5, 1.0)
 
+    def test_extent_read_as_a_float(self):
+        # np.minimum once raised a raw OverflowError on an extent past int64.
+        assert bob_pass_bound(0, 2 ** 63) == 1.0
+
+    def test_infinite_extent_rejected(self):
+        # inf / inf once gave NaN.
+        with pytest.raises(InvalidParameterError, match="extent must be finite"):
+            bob_pass_bound(math.inf, math.inf)
+
 
 def joint(chis, ratio):
     """The joint success at L = 1: the product of the two closed forms."""
@@ -75,6 +84,16 @@ class TestOptimalDelay:
             chis = np.linspace(0.0, 1.0 - ratio, 200)
             assert np.all(np.diff(joint(chis, ratio)) < 0.0)
 
+    def test_lengths_read_as_floats(self):
+        # np.int64(5) / 2**63 once raised a raw OverflowError.
+        assert optimal_delay(np.int64(5), 2 ** 63) == optimal_delay(5.0, 2.0 ** 63)
+
+    def test_infinite_extent_rejected_briefly(self):
+        # The refusal once printed the 1000-point delay scan.
+        with pytest.raises(InvalidParameterError) as refusal:
+            optimal_delay(0.0, math.inf)
+        assert str(refusal.value) == "need 0 <= L_ch < L < inf, got L_ch=0.0, L=inf"
+
     def test_never_exceeds_pr_max(self):
         for ratio in (0.1, 0.5, 0.85):
             pr_max = 0.5 * (1.0 + ratio)
@@ -91,6 +110,13 @@ class TestEveStrategy:
 
 
 class TestChannelProbabilities:
+    def test_lengths_read_as_floats(self):
+        # np.int64(5) + 2**63 once raised a raw OverflowError.
+        envelope = make_plateau(1.0, 1e-3, 0.05)
+        assert EveStrategy(2 ** 63).delay == 2.0 ** 63
+        assert (channel_probabilities(envelope, np.int64(5), EveStrategy(2 ** 63))
+                == channel_probabilities(envelope, 5.0, EveStrategy(2.0 ** 63)))
+
     @settings(max_examples=200, deadline=None)
     @given(tail=st.sampled_from([0.0, 1e-3, 1e-2, 0.5]),
            ramp=st.sampled_from([0.05, 0.2, 0.49]),

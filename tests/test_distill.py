@@ -558,15 +558,22 @@ class TestTranscript:
         text = run_session(make_config(seed=31)).to_text()
         parsed = Transcript.from_text(text)
         assert parsed == Transcript.from_text(text)
+        # A conclusive round, neither disclosed nor in a block, made
+        # inconclusive: only the tables tell the records apart.
         table = parsed.round_table.copy()
-        table[0, 2] = 2
-        assert parsed != dataclasses.replace(parsed, round_table=table)
+        free = np.setdiff1d(np.flatnonzero((table[:, 1] != 2) & (table[:, 3] == 0)),
+                            parsed.blocks)
+        table[free[0], 1] = 2
+        changed = dataclasses.replace(parsed, round_table=table)
+        assert changed.hash_log == parsed.hash_log and changed != parsed
         # Blocks 0 and 1 XOR into the same parity bit: swapped, only the
         # blocks tell the records apart.
         order = [1, 0, *range(2, len(parsed.blocks))]
         swapped = dataclasses.replace(parsed, blocks=parsed.blocks[order])
         assert swapped.hash_log == parsed.hash_log and swapped != parsed
-        assert parsed != dataclasses.replace(parsed, blocks_per_parity=3)
+        # n sets the length of the first subset, so n alone cannot change.
+        with pytest.raises(InvalidParameterError, match="hash subset 1"):
+            dataclasses.replace(parsed, blocks_per_parity=3)
         first = parsed.subsets[0]
         rotated = first[1:] + first[:1]
         assert rotated != first
@@ -574,12 +581,17 @@ class TestTranscript:
         assert parsed != text
 
     def test_unannounced_subsets_do_not_count(self):
-        # An aborted session drew all M subsets but announced those up to
-        # the mismatch; its text holds only these.
+        # An aborted session drew all M = 3 subsets but announced those up
+        # to the mismatch; it keeps only these, as its text does, and so
+        # does the constructor given all three.
         parsed = Transcript.from_text(ABORTED_TEXT)
         assert ABORTED.aborted
-        assert len(parsed.subsets) == len(ABORTED.hash_log) < len(ABORTED.subsets)
+        assert parsed.subsets == ABORTED.subsets
+        assert len(ABORTED.subsets) == len(ABORTED.hash_log) < 3
         assert parsed == ABORTED
+        drawn = ABORTED.subsets + ("1" * 6, "1" * 5)[len(ABORTED.subsets) - 1:]
+        rebuilt = dataclasses.replace(ABORTED, subsets=drawn)
+        assert rebuilt.subsets == ABORTED.subsets and rebuilt == ABORTED
 
     def test_replay_reproduces_keys(self):
         for seed in (1, 7, 13):
@@ -637,24 +649,27 @@ class TestTranscript:
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT_BLOCKS))
     def test_replay_rejects_inconsistent_blocks(self, case):
+        # The reader or the constructor refuses them, so no transcript
+        # that replay_keys could be given holds them.
         with pytest.raises(InvalidParameterError):
-            replay_keys(_inconsistent(case))
+            _inconsistent(case)
 
     @pytest.mark.parametrize("case", sorted(ARRAY_BLOCK_DEFECTS | TABLE_SHAPE_DEFECTS))
     def test_to_text_refuses_unspellable_blocks(self, case):
-        # The constructor refuses them before to_text could spell them.
+        # The constructor refuses them, so no transcript to_text could spell holds them.
         refusal = "round table must be 2-D" if case in TABLE_SHAPE_DEFECTS else "blocks must be"
         with pytest.raises(InvalidParameterError, match=refusal):
-            _inconsistent(case).to_text()
+            _inconsistent(case)
 
     @pytest.mark.parametrize("column,code", [(0, 2), (0, -1), (1, 3), (2, 4), (3, -2 ** 31)])
     def test_to_text_refuses_codes_outside_the_alphabets(self, column, code):
-        # A code that is no uint8 value is refused by the constructor first.
+        # The constructor refuses a code to_text could not spell, and one
+        # that is no uint8 value first.
         table = NOISY.round_table.astype(np.int64)
         table[0, column] = code
         refusal = "outside its column's alphabet" if code >= 0 else "array of uint8 values"
         with pytest.raises(InvalidParameterError, match=refusal):
-            dataclasses.replace(NOISY, round_table=table).to_text()
+            dataclasses.replace(NOISY, round_table=table)
 
     def test_blocks_derived_once(self, monkeypatch):
         # A session's transcript keeps the blocks the session formed, and a
@@ -739,19 +754,22 @@ class TestTranscript:
         table = NOISY.round_table.astype(np.int64)
         table[0, column] = code
         with pytest.raises(InvalidParameterError):
-            dataclasses.replace(NOISY, round_table=table).to_text()
+            dataclasses.replace(NOISY, round_table=table)
 
     @settings(max_examples=100, deadline=None)
     @given(dtype=st.sampled_from([np.bool_, np.int8, np.uint8, np.int16, np.uint16, np.int32,
                                   np.uint32, np.int64, np.uint64, object]),
-           rows=st.integers(1, 50), order=st.sampled_from("CF"),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_table_of_codes_is_kept_as_uint8(self, dtype, rows, order, seed):
-        # Any integer or bool table of in-alphabet codes is kept unchanged.
-        sizes = [2, 2, 2, 2] if dtype is np.bool_ else [2, 3, 4, 2]
-        codes = np.random.default_rng(seed).integers(0, sizes, size=(rows, 4))
+           order=st.sampled_from("CF"), fired=st.booleans())
+    def test_table_of_codes_is_kept_as_uint8(self, dtype, order, fired):
+        # Any integer or bool table of a record's codes is kept unchanged.
+        # A bool table holds 0 and 1 only: every round conclusive and every
+        # round fired on, which changes no block and no parity.
+        codes = NOISY.round_table.copy()
+        if fired or dtype is np.bool_:
+            codes[:, 1] = np.where(codes[:, 1] == 2, codes[:, 0], codes[:, 1])
+            codes[:, 2] = codes[:, 0]
         table = np.asarray(codes.astype(dtype), order=order)
-        kept = Transcript(table, [[0]], (), 1).round_table
+        kept = Transcript(table, NOISY.blocks, NOISY.subsets, NOISY.blocks_per_parity).round_table
         assert kept.dtype == np.uint8 and kept.flags.f_contiguous
         assert not kept.flags.writeable and np.array_equal(kept, codes)
 
@@ -770,7 +788,7 @@ class TestTranscript:
         table = np.array(table, dtype=np.min_scalar_type(value))
         with pytest.raises(InvalidParameterError,
                            match="array of uint8 values|outside its column's alphabet"):
-            Transcript(table, NOISY.blocks, NOISY.subsets, NOISY.blocks_per_parity).to_text()
+            Transcript(table, NOISY.blocks, NOISY.subsets, NOISY.blocks_per_parity)
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.sampled_from([1, 3, 5]), n=st.integers(1, 3),
@@ -790,7 +808,7 @@ class TestTranscript:
         text = transcript.to_text()
         parsed = Transcript.from_text(text)
         assert parsed.to_text() == text
-        assert parsed == transcript
+        assert parsed == transcript and parsed.subsets == transcript.subsets
         assert parsed.round_table.dtype == transcript.round_table.dtype
         key_a, key_b = replay_keys(parsed)
         if transcript.aborted:
@@ -809,6 +827,63 @@ ABORTED = run_session(make_config(
 ABORTED_TEXT = ABORTED.to_text()
 EAVESDROPPED = run_session(make_config(key_length=8, blocks_per_parity=2, hash_rounds=4,
                                        eve=EveStrategy(0.25), seed=13))
+
+
+def _mutated_record(data, base):
+    """The four record fields of ``base`` with one part drawn from ``data`` changed.
+
+    One table cell, one block member, n or one subset.
+    """
+    fields = dict(round_table=base.round_table.astype(np.int64),
+                  blocks=base.blocks.astype(np.int64), subsets=base.subsets,
+                  blocks_per_parity=base.blocks_per_parity)
+    wide = st.integers(-2 ** 63, 2 ** 63 - 1)
+    part = data.draw(st.sampled_from(["cell", "member", "n", "subset"]))
+    if part == "cell":
+        table = fields["round_table"]
+        cell = data.draw(st.tuples(st.integers(0, len(table) - 1), st.integers(0, 3)))
+        table[cell] = data.draw(st.one_of(st.integers(-1, 4), wide))
+    elif part == "member":
+        blocks = fields["blocks"]
+        member = data.draw(st.tuples(st.integers(0, blocks.shape[0] - 1),
+                                     st.integers(0, blocks.shape[1] - 1)))
+        blocks[member] = data.draw(st.one_of(st.integers(-1, len(base.round_table)), wide))
+    elif part == "n":
+        n = base.blocks_per_parity
+        fields["blocks_per_parity"] = data.draw(st.one_of(
+            st.integers(-1, 2 * n + 1), st.integers(-2 ** 70, 2 ** 70),
+            st.sampled_from([float(n), np.int64(n), str(n), None])))
+    else:
+        subsets = list(base.subsets)
+        l = data.draw(st.integers(0, len(subsets) - 1))
+        size = len(subsets[l])
+        subsets[l] = data.draw(st.text(data.draw(st.sampled_from(["01", "01x"])),
+                                       min_size=size - 1, max_size=size + 1))
+        fields["subsets"] = tuple(subsets)
+    return fields
+
+
+class TestBirthCheck:
+    """A transcript that exists is a record a session could announce.
+
+    Whatever one part of a session's record is changed to, the constructor
+    refuses the record, or every derived value and the text read without
+    raising and the text reads back as the same record.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_record_is_refused_or_whole(self, data):
+        fields = _mutated_record(data, data.draw(st.sampled_from([NOISY, ABORTED,
+                                                                   EAVESDROPPED])))
+        try:
+            transcript = Transcript(**fields)
+        except InvalidParameterError:
+            return
+        # Each derived value reads.
+        (transcript.hash_log, transcript.aborted, transcript.abort_reason,
+         transcript.p_err_estimate, transcript.rounds, replay_keys(transcript))
+        assert Transcript.from_text(transcript.to_text()) == transcript
 
 
 def _as_schema_2(text):
@@ -1030,7 +1105,7 @@ READER_CORPUS = {
     "column-renamed": (lambda t: t.replace("\na_bit\t", "\nsent\t", 1), _DIFFERS),
     "column-byte-outside-alphabet": (
         _edit(lambda p: p["cols"]["b_outcome"].__setitem__(0, "-")),
-        "a round column is not one alphabet character per round"),
+        "outside its column's alphabet"),
 }
 
 
@@ -1268,16 +1343,26 @@ def _reference_p_err(table):
 def _layout(n_blocks, k, spare, seed):
     """A round table, and blocks 0..B-1 of k rounds each at random rows.
 
-    ``spare`` rounds are in no block; the outcome columns are random.
+    ``spare`` rounds are in no block, and the first of them and about 30%
+    of the rest are disclosed.  The outcome columns are random, but a
+    block's rounds share a sent bit and, as the disclosed rounds, are
+    conclusive: at n = 1 the record needs only a subset to be accepted.
     """
     rng = np.random.default_rng(seed)
     rows = n_blocks * k + spare
+    order = rng.permutation(rows)
+    blocks = np.sort(order[:n_blocks * k].reshape(n_blocks, k), axis=1)
     table = np.empty((rows, 4), dtype=np.int32, order="F")
     table[:, 0] = rng.integers(0, 2, rows)
     table[:, 1] = rng.integers(0, 3, rows)
     table[:, 2] = 3
-    table[:, 3] = rng.random(rows) < 0.3
-    blocks = np.sort(rng.permutation(rows)[:n_blocks * k].reshape(n_blocks, k), axis=1)
+    table[:, 3] = 0
+    table[blocks, 0] = table[blocks[:, :1], 0]
+    spare_rows = order[n_blocks * k:]
+    table[spare_rows[:1], 3] = 1
+    table[spare_rows[rng.random(spare) < 0.3], 3] = 1
+    table[blocks, 1] %= 2
+    table[table[:, 3] == 1, 1] %= 2
     return table, blocks
 
 
@@ -1311,23 +1396,17 @@ class TestBlockDerivation:
     """
 
     @settings(max_examples=150, deadline=None)
-    @given(n_blocks=st.integers(1, 3000), k=st.sampled_from([1, 3, 7]),
-           spare=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
+    @given(n_blocks=st.integers(2, 3000), k=st.sampled_from([1, 3, 7]),
+           spare=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
     def test_valid_layouts(self, n_blocks, k, spare, seed):
         table, blocks = _layout(n_blocks, k, spare, seed)
         assert _reference_listing(blocks, len(table))
-        transcript = Transcript(table, blocks, (), 1)
+        transcript = Transcript(table, blocks, ("1" * n_blocks,), 1)
         kept = transcript.blocks
         assert kept.shape == (n_blocks, k) and kept.dtype == np.int32
         assert np.array_equal(kept, blocks)
         assert not kept.flags.writeable and not np.shares_memory(kept, blocks)
-        try:
-            expected = _reference_p_err(table)
-        except InvalidParameterError:
-            with pytest.raises(InvalidParameterError):
-                transcript.p_err_estimate
-        else:
-            assert transcript.p_err_estimate == expected
+        assert transcript.p_err_estimate == _reference_p_err(table)
 
     @settings(max_examples=150, deadline=None)
     @given(n_blocks=st.integers(2, 300),
@@ -1351,7 +1430,7 @@ class TestBlockDerivation:
         with pytest.raises(InvalidParameterError):
             _reference_p_err(table)
         with pytest.raises(InvalidParameterError, match="discloses one conclusive"):
-            Transcript(table, blocks, (), 1).p_err_estimate
+            Transcript(table, blocks, (), 1)
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_session_keeps_the_blocks_it_formed(self, k):

@@ -477,8 +477,8 @@ class TestVerify:
         ("intercept-resend", harness, "_simulate_point", _shifted_eve_count),
         ("information", infotheory, "mutual_information",
          lambda real: lambda channel: real(channel) + 1e-6),
-        ("session", distill.Transcript, "key_b",
-         lambda real: property(lambda self: real.fget(self) ^ 1)),
+        # Flipped votes flip B's parity bits (n = 45 is odd), so the keys differ.
+        ("session", distill, "majority_decode", lambda real: lambda block: real(block) ^ 1),
         # A validation that accepts anything lets the negative control through.
         ("instrument-bound", KrausSet, "validate", lambda real: lambda self: None),
     ], ids=["delay-bound", "intercept-resend", "information", "session", "instrument-bound"])

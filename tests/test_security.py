@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relqkd.errors import InvalidParameterError
+from relqkd.errors import InvalidParameterError, RelqkdError
 from relqkd.security import (
     SecurityReport,
     SolvedParameters,
@@ -366,6 +366,41 @@ def _time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# ROADMAP item 17's pool of numeric edges.
+_EDGES = st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 1e308,
+                          2 ** 63, 2 ** 70, np.int64(5), np.int64(-1), np.uint64(2 ** 63),
+                          np.float64(0.25), np.float64(math.nan), np.float32(1e30)])
+
+
+class TestZetaValue:
+    """Both functions that take zeta read it once, as a Python float."""
+
+    @pytest.mark.parametrize("call", [lambda z: eve_key_probability(5, z),
+                                      lambda z: information_bounds(5, 3, z)],
+                             ids=["eve_key_probability", "information_bounds"])
+    def test_nan_rejected(self, call):
+        # Each once returned NaN.
+        with pytest.raises(InvalidParameterError, match="zeta must be >= 0, got nan"):
+            call(float("nan"))
+
+    def test_numpy_zeta_against_a_huge_key(self):
+        # N * np.int64 zeta once raised a raw OverflowError.
+        assert (information_bounds(2 ** 63, 1, np.int64(5))
+                == information_bounds(2 ** 63, 1, 5.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_key=_EDGES, hash_rounds=_EDGES, zeta_value=_EDGES)
+    def test_numeric_edges(self, n_key, hash_rounds, zeta_value):
+        # Each call returns a non-NaN result or raises a RelqkdError.
+        for call in (lambda: eve_key_probability(n_key, zeta_value),
+                     lambda: information_bounds(n_key, hash_rounds, zeta_value)):
+            try:
+                result = call()
+            except RelqkdError:
+                continue
+            assert not any(math.isnan(value) for value in result)
 
 
 class TestReportSerialization:

@@ -164,8 +164,8 @@ def channel_probabilities(
     L_ch >= 0 and the support covering the window (s0 <= -L), the
     measurement time t_b >= L_ch + L is after the emission at t = 0 and no
     earlier than the plateau's rear edge can reach the domain, and the
-    domain is S >= L long.  The tests compose those measurements on
-    ``envelope.sampled()`` and agree with this to within the grid error.
+    domain is S >= L long.  The tests compose those measurements on the
+    envelope sampled on a grid and agree with this to within the grid error.
     """
     channel_length = require_float("channel length", channel_length)
     if not (0.0 <= channel_length < math.inf):

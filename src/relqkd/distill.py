@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .adversary import EveStrategy, ResendPolicy, channel_probabilities
+from .adversary import EveStrategy, channel_probabilities
 from .errors import InvalidParameterError, ResourceExhaustedError, require_integers
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
@@ -725,18 +725,17 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
         fired = rng_eve.random(n_rounds) < f_eve
         guesses = rng_eve.integers(0, 2, size=n_rounds, dtype=np.int8)
         sent_on = np.where(fired, a_bits, guesses)
-        resending = cfg.eve.resend_policy is not ResendPolicy.NO_RESEND
     else:
         fired = None
         sent_on = a_bits
-        resending = True
 
     # rng_bob feeds nothing else, and a uniform draw on [0, 1) is below a
-    # pass probability of exactly 1, so a certain pass draws nothing.
+    # pass probability of exactly 1, so a certain pass draws nothing.  No
+    # policy is checked: ``run_session`` refuses p_pass 0 before any attempt.
     if p_pass == 1.0:
-        conclusive = np.full(n_rounds, resending)
+        conclusive = np.full(n_rounds, True)
     else:
-        conclusive = (rng_bob.random(n_rounds) < p_pass) & resending
+        conclusive = rng_bob.random(n_rounds) < p_pass
     # Channel noise: loss first, then polarization flips on the survivors.
     # rng_noise feeds nothing else, so a draw at probability 0 changes no
     # round and is skipped; the loss draw stays when flips follow it.

@@ -11,10 +11,11 @@ guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CausalityViolationError, InvalidParameterError
+from .errors import CausalityViolationError, InvalidParameterError, require_float
 from .wavepacket import AmplitudeProfile, Interval, mass_in_interval, overlap
 
 _EDGE_TOL = 1e-9
@@ -54,8 +55,12 @@ class PhotonState:
     def __post_init__(self):
         if self.bit not in (0, 1):
             raise InvalidParameterError(f"bit must be 0 or 1, got {self.bit}")
-        if self.delay < 0.0:
-            raise InvalidParameterError(f"delay must be >= 0, got {self.delay}")
+        for name in ("emission_time", "delay"):
+            object.__setattr__(self, name, require_float(name, getattr(self, name)))
+        if not math.isfinite(self.emission_time):
+            raise InvalidParameterError(f"emission_time must be finite, got {self.emission_time}")
+        if not (0.0 <= self.delay < math.inf):
+            raise InvalidParameterError(f"delay must be finite and >= 0, got {self.delay}")
 
     def envelope_shift(self, t: float) -> float:
         return t - self.emission_time - self.delay

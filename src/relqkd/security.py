@@ -15,6 +15,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
+
 from .adversary import eve_success_probability
 from .errors import InvalidParameterError, require_float, require_integer, require_integers
 
@@ -160,8 +162,8 @@ class SecurityReport:
     """One parameter set against the security criterion.
 
     The nine init fields are the parameters, and a session's error estimate
-    and abort; ``__post_init__`` stores the four integers as Python ints
-    and derives every bound and flag from them.
+    and abort; ``__post_init__`` reads each as a Python int, float or bool,
+    refuses it out of range, and derives every bound and flag from them.
     """
 
     n_key: int
@@ -188,10 +190,18 @@ class SecurityReport:
 
     def __post_init__(self):
         require_integers(self, "n_key", "blocks_per_parity", "block_size", "hash_rounds")
+        for name in ("ratio", "eps1", "eps2", "p_err_estimate"):
+            if name != "p_err_estimate" or self.p_err_estimate is not None:
+                object.__setattr__(self, name, require_float(name, getattr(self, name)))
         for name in ("eps1", "eps2"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise InvalidParameterError(f"{name} must lie in (0, 1), got {value}")
+        if not (self.p_err_estimate is None or 0.0 <= self.p_err_estimate <= 1.0):
+            raise InvalidParameterError(f"p_err_estimate {self.p_err_estimate} is outside [0, 1]")
+        if not isinstance(self.aborted, (type(None), bool, np.bool_)):
+            raise InvalidParameterError(f"aborted must be a bool, got {self.aborted!r:.40}")
+        object.__setattr__(self, "aborted", None if self.aborted is None else bool(self.aborted))
         eta = exact_eta(self.blocks_per_parity, self.block_size)
         z = zeta(self.blocks_per_parity, self.block_size, self.ratio, eta)
         bound = eve_key_probability(self.n_key, z)

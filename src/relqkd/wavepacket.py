@@ -1,4 +1,4 @@
-"""One-dimensional photon envelopes: the closed-form plateau and its samples.
+"""One-dimensional photon envelopes: the closed-form plateau.
 
 The information carrier of one protocol round is a real non-negative
 envelope F(x - t) travelling in the +x direction at unit speed.  The
@@ -9,18 +9,16 @@ and the ramp overhang a) from which every integral the runtime needs is
 a closed form.  Each non-zero piece of the carrier is A + B cos(k y + phi),
 so the mass of F^2 and the overlap of F with a translated copy over any
 interval are sums of cosine antiderivatives; no grid is built.
+``Plateau`` refuses every shape for which those sums would overflow.
 
 The mass left outside the plateau window (the tail mass) is the fidelity
 knob of the whole model: ``make_plateau`` slides the ramps across the
 window edges until the closed-form tail equals the requested one.
 
-``AmplitudeProfile`` is the sampled model: F on a uniform grid, linear
-between samples and zero outside the support, with every mass and
-overlap integral exact for that piecewise-linear interpolant.
-``Plateau.sampled()`` builds it on a fixed grid of 4096 samples across L.
-It is the oracle that the tests, through the outcome distributions of
-``relqkd.measurement``, hold the closed forms against; it converges to
-them as the square of the grid step.
+``AmplitudeProfile`` is a sampled envelope: F on a grid, linear between
+samples and zero outside the support, with exact piecewise-linear mass
+and overlap integrals; the tests compose it state by state through
+``relqkd.measurement`` and hold the closed forms against it.
 """
 
 from __future__ import annotations
@@ -32,12 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-
-#: Number of samples across one plateau length in ``Plateau.sampled()``.
-DEFAULT_SAMPLES_ACROSS_PLATEAU = 4096
-
-#: A ramp that the sampled grid covers with fewer samples is rejected.
-MIN_SAMPLES_PER_RAMP = 8
 
 #: Longest plateau with edge ramps.  The ramps' closed-form integrals add
 #: coordinates that reach five plateau lengths (a delayed copy's cosine
@@ -191,36 +183,6 @@ class AmplitudeProfile:
         return replace(self, f=self.f / math.sqrt(m))
 
 
-def _ramp(u: np.ndarray) -> np.ndarray:
-    """Raised-cosine rise from 0 at u=0 to 1 at u=1."""
-    return np.sin(0.5 * np.pi * np.clip(u, 0.0, 1.0)) ** 2
-
-
-def _plateau_samples(L: float, w: float, a: float, x: np.ndarray) -> np.ndarray:
-    """Unnormalized plateau shape: unit flat top, ramps of width w.
-
-    Each ramp spans [-a, w - a] relative to its window edge, i.e. it
-    overhangs the plateau window by ``a`` on the outside.
-    """
-    f = np.zeros_like(x)
-    if w == 0.0:
-        f[(x >= 0.0) & (x <= L)] = 1.0
-        return f
-    b = w - a
-    left = x < b
-    right = x > L - b
-    mid = ~(left | right)
-    f[mid] = 1.0
-    f[left] = _ramp((x[left] + a) / w)
-    f[right] = _ramp((L + a - x[right]) / w)
-    return f
-
-
-def _grid(x_lo: float, x_hi: float, resolution: float) -> np.ndarray:
-    n = max(2, int(math.ceil((x_hi - x_lo) * resolution)) + 1)
-    return np.linspace(x_lo, x_hi, n)
-
-
 def _ramp_tail(t: float) -> float:
     """G(t) = int_0^t sin^4(pi s/2) ds, the mass of a unit ramp's first t.
 
@@ -303,7 +265,8 @@ class Plateau:
     plateau_length : float
         Extent L of the plateau window, > 0.
     ramp_width : float
-        Width w of each edge ramp, in [0, L/2].
+        Width w of each edge ramp, in [0, L/2]; a positive w must keep the
+        ramps' highest cosine frequency 2 pi/w finite (w >= about 3.5e-308).
     overhang : float
         Part a of each ramp outside the window, in [0, w].
     """
@@ -324,6 +287,9 @@ class Plateau:
             raise InvalidParameterError(
                 f"plateau length {L} is too long for edge ramps: their closed-form "
                 f"integrals overflow past {MAX_RAMPED_LENGTH:.4g}")
+        if w > 0.0 and 2.0 * (math.pi / w) == math.inf:
+            raise InvalidParameterError(
+                f"ramp width {w} is too narrow: its cosine frequency 2 pi/w overflows")
 
     @property
     def support(self) -> Interval:
@@ -376,21 +342,6 @@ class Plateau:
                     total += _product_integral(p_terms, shifted, a, b)
         return total
 
-    def sampled(self) -> AmplitudeProfile:
-        """This envelope on the fixed grid of 4096 samples across L.
-
-        The sampled model is the test oracle for the closed forms; every
-        envelope ``make_plateau`` accepts has at least 8 samples per ramp.
-        """
-        return _sample(self, DEFAULT_SAMPLES_ACROSS_PLATEAU / self.plateau_length)
-
-
-def _sample(plateau: Plateau, resolution: float) -> AmplitudeProfile:
-    """``plateau`` sampled on [-a, L + a] at ``resolution`` points per unit length."""
-    L, w, a = plateau.plateau_length, plateau.ramp_width, plateau.overhang
-    x = _grid(-a, L + a, resolution)
-    return AmplitudeProfile(x, _plateau_samples(L, w, a, x), L, 0.0).normalized()
-
 
 def _bisect(outside, target: float, w: float) -> float:
     """Overhang in [0, w] at which the increasing ``outside`` crosses ``target``."""
@@ -426,9 +377,8 @@ def make_plateau(
         achieved value is reported by ``tail_mass``.
     ramp_fraction : float
         Width of each raised-cosine edge ramp as a fraction of L, in
-        [0, 1/2); must be positive when ``tail_mass`` is.  A ramp below
-        8/4096 of L is rejected, so that ``Plateau.sampled()`` covers
-        every ramp with at least ``MIN_SAMPLES_PER_RAMP`` = 8 samples.
+        [0, 1/2); must be positive when ``tail_mass`` is.  ``Plateau``
+        refuses a ramp too narrow for its closed forms.
 
     Notes
     -----
@@ -458,12 +408,6 @@ def make_plateau(
             f"tail mass {tail_mass} needs edge ramps to carry it; ramp fraction is 0"
         )
     w = ramp_fraction * L
-    if w > 0.0 and w * (DEFAULT_SAMPLES_ACROSS_PLATEAU / L) < MIN_SAMPLES_PER_RAMP:
-        raise InvalidParameterError(
-            f"ramp fraction {ramp_fraction} is below "
-            f"{MIN_SAMPLES_PER_RAMP}/{DEFAULT_SAMPLES_ACROSS_PLATEAU}: the sampled "
-            f"oracle would cover a ramp with fewer than {MIN_SAMPLES_PER_RAMP} samples"
-        )
 
     # Solve the ramp overhang so the achieved tail mass hits the request.
     a = 0.0

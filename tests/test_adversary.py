@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle import sample, sampled
 from relqkd.adversary import (
     DIMENSION,
     N_OPERATORS,
@@ -31,7 +32,7 @@ from relqkd.measurement import (
     bob_outcome_distribution,
     eve_outcome_distribution,
 )
-from relqkd.wavepacket import MAX_RAMPED_LENGTH, Interval, _sample, make_plateau
+from relqkd.wavepacket import MAX_RAMPED_LENGTH, Interval, Plateau, make_plateau
 
 
 class TestClosedForms:
@@ -166,13 +167,13 @@ class TestChannelProbabilities:
         for policy in ResendPolicy:
             f_eve, p_pass = channel_probabilities(envelope, 0.0, EveStrategy(1.0, policy))
             assert (f_eve, p_pass) == (1.0, 0.0)
-        assert apply_resend(EveStrategy(1.0), envelope.sampled(), bit=0) is None
+        assert apply_resend(EveStrategy(1.0), sampled(envelope), bit=0) is None
         tailed = make_plateau(1.0, 1e-3, 0.05)
         support = tailed.support.length
         for chi in (support, 1.5):
             eve = EveStrategy(chi)
             assert channel_probabilities(tailed, 0.0, eve)[1] == 0.0
-            assert composed_probabilities(tailed.sampled(), 0.0, eve)[1] == 0.0
+            assert composed_probabilities(sampled(tailed), 0.0, eve)[1] == 0.0
 
     @pytest.mark.parametrize("args", [(1.0,), (0.7, 1e-4, 0.01), (2.5, 1e-2, 0.2)])
     def test_honest_pass_is_exactly_one(self, args):
@@ -190,7 +191,7 @@ class TestChannelProbabilities:
 def composed_probabilities(profile, channel_length, eve):
     """(f_eve, p_pass) through the explicit states and measurements.
 
-    ``profile`` is a sampled envelope, such as ``Plateau.sampled()``.  The
+    ``profile`` is a sampled envelope, such as ``oracle.sampled(envelope)``.  The
     carrier, the eavesdropper's region and the receiver's domain and time
     are those ``channel_probabilities`` documents; the honest state, her
     resent substitute and both outcome distributions are built out.
@@ -242,7 +243,7 @@ class TestChannelProbabilityIntegrals:
         L = envelope.plateau_length
         channel_length = ratio * L
         chi = chi_frac * (L - channel_length)
-        profile = envelope.sampled()
+        profile = sampled(envelope)
         tol = grid_error(envelope)
         for policy in ResendPolicy:
             eve = EveStrategy(chi, policy)
@@ -281,12 +282,59 @@ class TestChannelProbabilityIntegrals:
         direct = channel_probabilities(envelope, 0.5 * L, eve)
         gaps = []
         for samples in (4096, 16384, 65536):
-            composed = composed_probabilities(_sample(envelope, samples / L), 0.5 * L, eve)
+            composed = composed_probabilities(sample(envelope, samples / L), 0.5 * L, eve)
             gaps.append([abs(d - c) for d, c in zip(direct, composed)])
         assert 1e-6 < gaps[0][1] < 1e-5
         for coarse, fine in zip(gaps, gaps[1:]):
             for g_coarse, g_fine in zip(coarse, fine):
                 assert 12.0 < g_coarse / g_fine < 20.0
+
+
+def log_uniform(lo: float, hi: float):
+    """Floats 10^e for e uniform on [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+class TestEnvelopeNumericEdges:
+    @settings(max_examples=500, deadline=None)
+    @given(L=log_uniform(-306.0, 300.0),
+           # Down to the least subnormal, far below the 8/4096 of L that
+           # make_plateau once refused.
+           fraction=st.one_of(log_uniform(-323.3, -0.302),
+                              st.sampled_from([0.0, 5e-324, 1e-320, 2.2e-308, 8 / 4096])),
+           tail=st.one_of(st.just(0.0), log_uniform(-15.0, -1e-4)),
+           overhang=st.one_of(st.none(), st.floats(0.0, 1.0)),
+           ratio=st.floats(0.0, 0.99), chi=st.floats(0.0, 2.0),
+           policy=st.sampled_from(list(ResendPolicy)))
+    @example(L=1e-306, fraction=0.01, tail=1e-3, overhang=None, ratio=0.5, chi=0.1,
+             policy=ResendPolicy.TRUNCATED_RENORMALIZED)
+    def test_every_envelope_is_refused_or_sound(self, L, fraction, tail, overhang, ratio,
+                                                 chi, policy):
+        """Each envelope is refused, or its tail and both probabilities are sound.
+
+        ``overhang`` None builds through ``make_plateau``, a fraction of the
+        ramp width builds a ``Plateau`` directly.  Below 8/4096 of L, where
+        the sampled oracle cannot cover a ramp, the probabilities are held
+        against the ideal plateau's instead: a ramp moves each carrier
+        integral by at most about w and the norm by at most 5w/4, and the
+        largest gap seen on random draws was 1.4 w/L.
+        """
+        try:
+            if overhang is None:
+                envelope = make_plateau(L, tail, fraction)
+            else:
+                w = fraction * L
+                envelope = Plateau(L, w, overhang * w)
+        except InvalidParameterError:
+            return
+        assert math.isfinite(envelope.tail_mass)
+        eve = EveStrategy(chi * L, policy)
+        probabilities = channel_probabilities(envelope, ratio * L, eve)
+        assert all(0.0 <= p <= 1.0 for p in probabilities)
+        if fraction < 8 / 4096:
+            ideal = channel_probabilities(make_plateau(L), ratio * L, eve)
+            tol = 4.0 * envelope.ramp_width / L + 1e-15
+            assert probabilities == pytest.approx(ideal, abs=tol, rel=0)
 
 
 class TestMonteCarloConsistency:

@@ -170,12 +170,16 @@ def test_distill_delay_at_the_support_length_is_invalid_input(tmp_path, capsys):
     assert "no round can ever pass" in captured.err
 
 
-@pytest.mark.parametrize("mode,extra", [
+# Both modes build the envelope from [geometry] and [state].
+ENVELOPE_MODES = [
     ("simulate", "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n"),
     ("distill", "[protocol]\nkey_length = 8\nblock_size = 3\nblocks_per_parity = 2\n"
                 "hash_rounds = 4\ndisclose_fraction = 0.1\n"
                 "[eve]\nenabled = true\ndelay = 0.25\n"),
-])
+]
+
+
+@pytest.mark.parametrize("mode,extra", ENVELOPE_MODES)
 def test_ramped_extent_past_the_closed_forms_is_invalid_input(tmp_path, capsys, mode, extra):
     # At 1e308 the ramps' cosine integrals once overflowed: math.cos(inf)
     # raised a raw ValueError with a traceback, and the program exited 1.
@@ -187,3 +191,17 @@ def test_ramped_extent_past_the_closed_forms_is_invalid_input(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "state_extent 1e+308" in captured.err and "too long for edge ramps" in captured.err
+
+
+@pytest.mark.parametrize("mode,extra", ENVELOPE_MODES)
+def test_ramp_too_narrow_for_the_closed_forms_is_invalid_input(tmp_path, capsys, mode, extra):
+    # A ramp width of 1e-308 makes the ramps' cosine frequency 2 pi/w
+    # overflow: math.cos raised a raw ValueError, and the program exited 1.
+    path = tmp_path / "tiny.ini"
+    path.write_text(f"[campaign]\nmode = {mode}\ntrials = 1000\nseed = 7\n{extra}"
+                    "[geometry]\nstate_extent = 1e-306\nchannel_length = 0.0\n"
+                    "[state]\ntail_mass = 1e-3\nramp_fraction = 0.01\n")
+    assert main([mode, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "state_extent 1e-306" in captured.err and "ramp width 1e-308" in captured.err

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle import sampled
 from relqkd.adversary import (
     EveStrategy,
     ResendPolicy,
@@ -28,7 +29,7 @@ L = 1.0
 
 @pytest.fixture(scope="module")
 def base():
-    return make_plateau(L).sampled().shifted(-L)
+    return sampled(make_plateau(L)).shifted(-L)
 
 
 def receiver_geometry(profile, channel_length=0.4):
@@ -57,7 +58,7 @@ class TestBobDistribution:
         assert dist[BobOutcome.INCONCLUSIVE] == pytest.approx(0.25, abs=1e-9)
 
     def test_tail_mass_shows_up_as_inconclusive(self):
-        profile = make_plateau(L, 0.01, 0.02).sampled().shifted(-L)
+        profile = sampled(make_plateau(L, 0.01, 0.02)).shifted(-L)
         state = PhotonState(bit=0, profile=profile)
         # Receiver domain of exactly the plateau length: the tails straddle
         # its edges and their mass becomes the inconclusive probability.
@@ -195,6 +196,20 @@ class TestPhotonState:
             PhotonState(bit=2, profile=base)
         with pytest.raises(InvalidParameterError):
             PhotonState(bit=0, profile=base, delay=-0.1)
+
+    @pytest.mark.parametrize("name", ["emission_time", "delay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None])
+    def test_times_must_be_finite_reals(self, base, name, value):
+        # A NaN emission time was once accepted, and bob_outcome_distribution
+        # then gave a certain conclusive outcome; a NaN delay was refused
+        # only at measurement, by a message that named neither.
+        with pytest.raises(InvalidParameterError, match=name):
+            PhotonState(bit=0, profile=base, **{name: value})
+
+    def test_times_are_stored_as_floats(self, base):
+        state = PhotonState(bit=0, profile=base, emission_time=np.int64(1), delay=np.float32(0.25))
+        assert (type(state.emission_time), type(state.delay)) == (float, float)
+        assert (state.emission_time, state.delay) == (1.0, 0.25)
 
     def test_envelope_translation(self, base):
         state = PhotonState(bit=0, profile=base, emission_time=1.0, delay=0.25)

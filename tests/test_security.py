@@ -427,7 +427,7 @@ class TestReportSerialization:
     @given(ratio=st.floats(0.0, 1.0, exclude_max=True),
            eps1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            eps2=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           p_err=st.floats(allow_nan=False))
+           p_err=st.floats(0.0, 1.0))
     def test_any_finite_floats_round_trip(self, ratio, eps1, eps2, p_err):
         # Each float parameter anywhere in its domain; the bounds follow.
         _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
@@ -510,3 +510,53 @@ class TestReportSerialization:
         assert SecurityReport.from_text(text).to_text() == text
         with pytest.raises(InvalidParameterError):
             SecurityReport.from_text(text.replace("aborted=false", "aborted=0"))
+
+
+class TestReportFields:
+    """The constructor reads every parameter, so each report it makes reads back."""
+
+    REPORT = (16, 20, 1, 8, 0.25, 1e-3, 1e-3)
+
+    @pytest.mark.parametrize("changes", [
+        # Once accepted, and read back unequal to itself.
+        dict(p_err_estimate=math.nan),
+        # Each once accepted, and written as text that from_text refused.
+        dict(p_err_estimate="x"),
+        dict(p_err_estimate=-3.0),
+        dict(p_err_estimate=1.5),
+        dict(aborted="yes"),
+        # Each once raised a raw TypeError.
+        dict(ratio="x"),
+        dict(ratio=None),
+        dict(eps1="x"),
+        dict(eps2=None),
+    ], ids=["p_err-nan", "p_err-x", "p_err-negative", "p_err-above-1", "aborted-yes",
+            "ratio-x", "ratio-none", "eps1-x", "eps2-none"])
+    def test_bad_field_refused(self, changes):
+        name = next(iter(changes))
+        report = build_report(*self.REPORT)
+        with pytest.raises(InvalidParameterError, match=name):
+            dataclasses.replace(report, **changes)
+
+    def test_numpy_bool_abort_is_stored_as_a_bool(self):
+        # np.True_ was once written as "aborted=True", which from_text refused.
+        report = build_report(*self.REPORT, 0.125, np.True_)
+        assert report.aborted is True
+        assert "\naborted=true\n" in report.to_text()
+        assert SecurityReport.from_text(report.to_text()) == report
+
+    @settings(max_examples=300, deadline=None)
+    @given(ratio=_EDGES | st.sampled_from([0.5, 0.99, None, "x"]),
+           eps1=_EDGES | st.sampled_from([1e-3, 0.5, 5e-324, None, "x"]),
+           eps2=_EDGES | st.sampled_from([1e-3, 0.5, None, "x"]),
+           p_err=_EDGES | st.sampled_from([0.125, 5e-324, None, "x"]),
+           aborted=st.sampled_from([None, True, False, np.True_, np.False_, 1, "yes"]))
+    def test_every_accepted_report_round_trips(self, ratio, eps1, eps2, p_err, aborted):
+        try:
+            report = build_report(16, 20, 1, 8, ratio, eps1, eps2, p_err, aborted)
+        except RelqkdError:
+            return
+        assert all(type(getattr(report, name)) is float for name in ("ratio", "eps1", "eps2"))
+        assert report.p_err_estimate is None or type(report.p_err_estimate) is float
+        assert report.aborted is None or type(report.aborted) is bool
+        assert SecurityReport.from_text(report.to_text()) == report

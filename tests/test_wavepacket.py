@@ -1,21 +1,20 @@
 """Envelope construction and integral tests against independent quadrature.
 
 ``make_plateau`` returns the closed-form ``Plateau``; the sampled
-``AmplitudeProfile`` it yields through ``.sampled()`` is the oracle the
+``AmplitudeProfile`` that ``oracle.sampled`` makes of it is the oracle the
 closed forms are checked against, and is itself checked here.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracle import plateau_samples, sample, sampled
 from relqkd.errors import InvalidParameterError
-from relqkd.wavepacket import (
-    Interval, Plateau, _plateau_samples, _sample, make_plateau, mass_in_interval,
-    overlap,
-)
+from relqkd.wavepacket import Interval, Plateau, make_plateau, mass_in_interval, overlap
 
 
 def dense_quadrature(profile, lo, hi, n=200_001):
@@ -45,7 +44,7 @@ class TestMakePlateau:
         p = make_plateau(1.0, 0.0, 0.0)
         assert p == Plateau(1.0)
         assert (p.flat_value, p.tail_mass, p.norm) == (1.0, 0.0, 1.0)
-        s = p.sampled()
+        s = sampled(p)
         assert s.total_mass() == pytest.approx(1.0, abs=1e-12)
         assert mass_in_interval(s, s.window) == pytest.approx(1.0, abs=1e-12)
         assert s.flat_value == pytest.approx(1.0, abs=1e-12)
@@ -53,7 +52,7 @@ class TestMakePlateau:
 
     def test_window_mass_hits_requested_tail(self):
         p = make_plateau(1.0, 0.01, 0.02)
-        s = p.sampled()
+        s = sampled(p)
         assert mass_in_interval(s, s.window) == pytest.approx(0.99, abs=1e-6)
         assert s.total_mass() == pytest.approx(1.0, abs=1e-9)
         assert s.tail_mass == pytest.approx(0.01, abs=1e-6)
@@ -67,11 +66,11 @@ class TestMakePlateau:
         assert abs(p.flat_value * math.sqrt(2.0) - 1.0) < 0.01
         # Flat across the plateau interior.
         xs = np.linspace(0.2, 1.8, 101)
-        assert np.ptp(p.sampled().value(xs)) < 1e-12
+        assert np.ptp(sampled(p).value(xs)) < 1e-12
 
     def test_dense_quadrature_agrees(self):
         p = make_plateau(1.5, 0.008, 0.03)
-        s = p.sampled()
+        s = sampled(p)
         lo, hi = s.support.lo, s.support.hi
         assert dense_quadrature(s, lo - 0.1, hi + 0.1) == pytest.approx(1.0, abs=1e-6)
         assert dense_quadrature(s, s.window.lo, s.window.hi) == pytest.approx(
@@ -81,13 +80,13 @@ class TestMakePlateau:
         p = make_plateau(1.0, 0.5, 0.02)
         assert p.tail_mass < 0.5
         assert p.overhang == p.ramp_width
-        s = p.sampled()
+        s = sampled(p)
         assert mass_in_interval(s, s.window) >= 1.0 - 0.5
 
     # (L, tail, ramp) -> tail_mass, flat_value, x[0], x.size of the sampled
     # oracle at the closed-form overhang (x[0] is minus the overhang).  The
-    # fifth case is the narrowest ramp accepted, 8/4096 of L; in the sixth
-    # the ramps sit fully outside.
+    # fifth case is a ramp of 8/4096 of L, the narrowest that the oracle's
+    # grid covers with 8 samples; in the sixth the ramps sit fully outside.
     @pytest.mark.parametrize("args, tail, flat, x0, size", [
         ((1.0, 1e-3, 0.05), 0.0010000556713648523, 1.0116907455160722,
          -0.019761360756365587, 4259),
@@ -102,7 +101,7 @@ class TestMakePlateau:
         ((1.0, 0.3, 0.05), 0.03614412274268641, 0.9817616196765001, -0.05, 4507),
     ])
     def test_pinned_plateau_values(self, args, tail, flat, x0, size):
-        p = make_plateau(*args).sampled()
+        p = sampled(make_plateau(*args))
         assert abs(p.tail_mass - tail) <= 1e-12
         assert abs(p.flat_value - flat) <= 1e-12
         assert abs(p.x[0] - x0) <= 1e-12
@@ -121,7 +120,7 @@ class TestMakePlateau:
         w = ramp * L
         h = w / samples_per_ramp
         plateau = Plateau(L, w, a_frac * w)
-        assert abs(plateau.tail_mass - _sample(plateau, 1.0 / h).tail_mass) <= (
+        assert abs(plateau.tail_mass - sample(plateau, 1.0 / h).tail_mass) <= (
             math.pi ** 2 * h * h / (w * L))
 
     @pytest.mark.parametrize("kwargs", [
@@ -130,7 +129,8 @@ class TestMakePlateau:
         dict(plateau_length=1.0, tail_mass=1.0),
         dict(plateau_length=1.0, tail_mass=-0.1),
         dict(plateau_length=1.0, ramp_fraction=0.5),
-        dict(plateau_length=1.0, tail_mass=0.01, ramp_fraction=0.00195),
+        # The ramp width 1e-308 is past the closed forms' limit (2 pi/w overflows).
+        dict(plateau_length=1e-306, tail_mass=1e-3, ramp_fraction=0.01),
         dict(plateau_length=1.0, tail_mass=0.01, ramp_fraction=0.0),
         dict(plateau_length=math.nan),
         dict(plateau_length=math.inf),
@@ -139,13 +139,22 @@ class TestMakePlateau:
         with pytest.raises(InvalidParameterError):
             make_plateau(**kwargs)
 
+    @pytest.mark.parametrize("ramp_fraction", [0.00195, 1e-4, 1e-12])
+    def test_ramps_below_the_old_sampling_floor_are_accepted(self, ramp_fraction):
+        # make_plateau once refused every ramp below 8/4096 of L, so that a
+        # sampled oracle had 8 samples per ramp; the closed forms need no floor.
+        for tail in (1e-3, 0.01):
+            p = make_plateau(1.0, tail, ramp_fraction)
+            assert p.ramp_width == ramp_fraction and 0.0 < p.overhang <= p.ramp_width
+            assert 0.0 < p.tail_mass <= tail
+
 
 def carrier(plateau, y):
     """Unit-height carrier C with its window at [-L, 0], sampled at ``y``."""
     L, w, a = plateau.plateau_length, plateau.ramp_width, plateau.overhang
     x = np.asarray(y) + L
     inside = (x >= -a) & (x <= L + a)
-    return np.where(inside, _plateau_samples(L, w, a, x), 0.0)
+    return np.where(inside, plateau_samples(L, w, a, x), 0.0)
 
 
 class TestClosedForm:
@@ -195,33 +204,46 @@ class TestClosedForm:
             np.trapezoid(c * carrier(p, y + chi), y), abs=1e-7)
 
     @pytest.mark.parametrize("args", [(0.0,), (math.inf,), (1.0, 0.6), (1.0, -0.1),
-                                      (1.0, 0.1, 0.2), (1.0, 0.1, -0.01)])
+                                      (1.0, 0.1, 0.2), (1.0, 0.1, -0.01), (1.0, 1e-308)])
     def test_invalid_shape(self, args):
         with pytest.raises(InvalidParameterError):
             Plateau(*args)
 
+    def test_narrowest_ramp(self):
+        # The ramps' integrals take cosines at pi/w and 2 pi/w: the narrowest
+        # ramp keeps 2 pi/w finite, and one step narrower is refused.
+        w = 2.0 * math.pi / sys.float_info.max
+        while 2.0 * (math.pi / w) == math.inf:
+            w = math.nextafter(w, math.inf)
+        narrowest = Plateau(1.0, w, 0.5 * w)
+        assert 0.0 <= narrowest.carrier_overlap(0.25 * w, -1.0, 0.0) <= 1.0
+        assert 0.0 < narrowest.tail_mass < 1e-300
+        for args in ((1.0, math.nextafter(w, 0.0)), (1e-306, 5e-324)):
+            with pytest.raises(InvalidParameterError, match="too narrow"):
+                Plateau(*args)
+
 
 class TestMassInInterval:
     def test_left_half_by_symmetry(self):
-        p = make_plateau(1.0).sampled()
+        p = sampled(make_plateau(1.0))
         assert mass_in_interval(p, Interval(0.0, 0.5)) == pytest.approx(0.5, abs=1e-12)
 
     def test_disjoint_window(self):
-        p = make_plateau(1.0).sampled()
+        p = sampled(make_plateau(1.0))
         assert mass_in_interval(p, Interval(5.0, 6.0)) == 0.0
 
     def test_partial_window_fraction(self):
         # A window of length 0.6 L inside the support carries 0.6 of the mass.
-        p = make_plateau(1.0).sampled()
+        p = sampled(make_plateau(1.0))
         assert mass_in_interval(p, Interval(0.1, 0.7)) == pytest.approx(0.6, abs=1e-12)
 
     def test_time_translation(self):
-        p = make_plateau(1.0).sampled()
+        p = sampled(make_plateau(1.0))
         assert mass_in_interval(p, Interval(0.3 + 2.0, 0.8 + 2.0), 2.0) == pytest.approx(
             mass_in_interval(p, Interval(0.3, 0.8)), abs=1e-12)
 
     def test_shift_moves_support_exactly(self):
-        p = make_plateau(1.0, 0.01, 0.02).sampled()
+        p = sampled(make_plateau(1.0, 0.01, 0.02))
         q = p.shifted(3.25)
         assert q.support.lo == pytest.approx(p.support.lo + 3.25, abs=0)
         assert q.window.lo == pytest.approx(p.window.lo + 3.25, abs=0)
@@ -229,18 +251,18 @@ class TestMassInInterval:
 
 class TestOverlap:
     def test_self_overlap_is_unit(self):
-        p = make_plateau(1.0).sampled()
+        p = sampled(make_plateau(1.0))
         assert overlap(p, p, Interval(-1.0, 2.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_shifted_copy(self):
-        p = make_plateau(1.0).sampled()
+        p = sampled(make_plateau(1.0))
         q = p.shifted(-0.25)
         amp = overlap(p, q, Interval(-2.0, 2.0))
         assert amp == pytest.approx(0.75, abs=1e-12)
         assert amp ** 2 == pytest.approx(0.5625, abs=1e-12)
 
     def test_truncated_renormalized_saturates_delay_bound(self):
-        p = make_plateau(1.0).sampled()
+        p = sampled(make_plateau(1.0))
         chi = 0.25
         q = p.restrict(Interval(chi, 1.0)).normalized()
         amp = overlap(p, q, Interval(0.0, 1.0))
@@ -250,7 +272,7 @@ class TestOverlap:
     def test_delay_bound_over_chi_grid_ideal(self):
         # No delayed substitute can pass the test with probability above
         # 1 - chi/L; the truncated-renormalized resend saturates it.
-        p = make_plateau(1.0).sampled()
+        p = sampled(make_plateau(1.0))
         L = 1.0
         for chi in np.linspace(0.0, 0.9, 10):
             window = Interval(p.support.lo + chi, p.support.hi)
@@ -262,7 +284,7 @@ class TestOverlap:
         # The bound is derived for the exactly flat state; edge ramps leave
         # a mass deficit of order the ramp width, so the slack scales with
         # the ramp geometry rather than staying at quadrature level.
-        p = make_plateau(1.0, 0.002, 0.02).sampled()
+        p = sampled(make_plateau(1.0, 0.002, 0.02))
         L = 1.0
         slack = 0.02 * L
         for chi in np.linspace(0.0, 0.9, 10):
@@ -273,7 +295,7 @@ class TestOverlap:
 
 
 profiles = st.builds(
-    lambda *args: make_plateau(*args).sampled(),
+    lambda *args: sampled(make_plateau(*args)),
     st.floats(0.5, 3.0),
     st.floats(0.0, 0.02),
     st.floats(0.02, 0.1),

@@ -18,13 +18,16 @@ made (``hash_rounds`` is the one hash walk), so they cannot disagree with it.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .adversary import EveStrategy, channel_probabilities
-from .errors import InvalidParameterError, ResourceExhaustedError, require_integers
+from .errors import (InvalidParameterError, ResourceExhaustedError, require_integer,
+                     require_integers)
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
@@ -230,15 +233,10 @@ class Transcript:
     def abort_reason(self) -> str | None:
         return f"hash parity mismatch at round {len(self.hash_log)}" if self.aborted else None
 
-    @property
-    def rounds(self) -> tuple[RoundRecord, ...]:
-        """One RoundRecord per round, rebuilt from the record on each call."""
-        bob, eve = tuple(BobOutcome), tuple(EveOutcome) + (None,)
-        block = np.full(len(self.round_table), -1)
-        block[self.blocks] = np.arange(len(self.blocks))[:, None]
-        return tuple(
-            RoundRecord(i, a, bob[b], eve[e], d == 1, None if blk < 0 else blk)
-            for i, (a, b, e, d, blk) in enumerate(_columns(*self.round_table.T, block)))
+    @cached_property
+    def rounds(self) -> RoundView:
+        """A read-only sequence of one RoundRecord per round, each built when read."""
+        return RoundView(self.round_table, self.blocks)
 
     def to_text(self) -> str:
         """The text form, written once per transcript.
@@ -469,6 +467,52 @@ def _columns(*columns: np.ndarray):
         yield from zip(*(column[start:start + 4096].tolist() for column in columns))
 
 
+_BOB_OUTCOMES = tuple(BobOutcome)
+_EVE_OUTCOMES = tuple(EveOutcome) + (None,)
+
+
+class RoundView(Sequence):
+    """The rounds of a transcript as RoundRecords, built only when read.
+
+    It holds the transcript's round table and one int32 column of each
+    round's block, -1 for none: 4 B per round beside the table.  An
+    integer index, a negative one and a slice (which gives a tuple) read
+    as they read a tuple of the records, and iteration walks the columns
+    in chunks.
+    """
+
+    __slots__ = ("_table", "_block")
+
+    def __init__(self, table: np.ndarray, blocks: np.ndarray):
+        block = np.full(len(table), -1, dtype=np.int32)
+        block[blocks] = np.arange(len(blocks), dtype=np.int32)[:, None]
+        block.flags.writeable = False
+        self._table, self._block = table, block
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self._records(range(len(self))[key], key))
+        i = operator.index(key)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"round index {key} out of range for {len(self)} rounds")
+        return self[i:i + 1][0]
+
+    def __iter__(self):
+        return self._records(range(len(self)), slice(None))
+
+    def _records(self, indices: range, rows: slice):
+        """The records of the rounds ``indices``, which ``rows`` selects."""
+        return (RoundRecord(i, a, _BOB_OUTCOMES[b], _EVE_OUTCOMES[e], d == 1,
+                            None if blk < 0 else blk)
+                for i, (a, b, e, d, blk) in zip(indices, _columns(*self._table[rows].T,
+                                                                  self._block[rows])))
+
+
 def _bits_text(bits) -> str:
     if bits is None:
         return "-"
@@ -531,15 +575,29 @@ def majority_decode(block) -> np.int64 | np.ndarray:
 def form_parity_bits(blockwise_bits, blocks_per_parity: int) -> np.ndarray:
     """XOR each run of n block-wise bits into one parity bit.
 
-    Parity bit j is the XOR of blocks j*n .. j*n+n-1; n must be >= 1 and
-    divide the number of blocks.
+    Parity bit j is the XOR of blocks j*n .. j*n+n-1; each block-wise bit
+    must be 0 or 1, and n an integer >= 1 that divides the number of blocks.
     """
-    bits = np.asarray(blockwise_bits)
-    n = blocks_per_parity
+    bits = _bit_array(blockwise_bits, "block-wise bits")
+    n = require_integer("blocks per parity", blocks_per_parity)
     if n < 1 or bits.size % n:
         raise InvalidParameterError(
             f"{bits.size} blocks do not split into parity groups of {n} blocks")
-    return (np.bitwise_xor.reduce(bits.reshape(-1, n), axis=1) & 1).astype(np.uint8)
+    return np.bitwise_xor.reduce(bits.reshape(-1, n), axis=1)
+
+
+def _bit_array(values, what: str) -> np.ndarray:
+    """``values`` as a uint8 array; anything but integers 0 and 1 is refused.
+
+    A signed dtype is read as the unsigned one of its size, where a
+    negative value lies above 1, so one pass over the values checks them.
+    """
+    bits = np.asarray(values)
+    if bits.dtype.kind == "i":
+        bits = bits.view(f"u{bits.itemsize}")
+    if bits.size and (bits.dtype.kind not in "bu" or bits.max() > 1):
+        raise InvalidParameterError(f"{what} must be integers 0 or 1")
+    return bits.astype(np.uint8, copy=False)
 
 
 # Bit strings travel as Python ints, bit i of the int being string
@@ -630,9 +688,10 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
     parities, aborts on a mismatch, and otherwise discards the bit at the
     lowest position the subset selects.  Over M uniform non-zero subsets an
     undetected residual mismatch survives with probability 2^-M.  Any
-    other subset, or as many subsets as bits, raises InvalidParameterError.
+    other subset, as many subsets as bits, or a bit that is not the integer
+    0 or 1 raises InvalidParameterError.
     """
-    a, b = (np.asarray(bits, dtype=np.uint8) for bits in (bits_a, bits_b))
+    a, b = (_bit_array(bits, "hash inputs") for bits in (bits_a, bits_b))
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidParameterError("hash inputs must be two bit strings of equal length")
     if not subsets:

@@ -82,6 +82,7 @@ def zeta(n: int, k: int, ratio: float, eta: float) -> float:
     eta = 0, one string per parity set as at n = 1, gives 1: a vacuous bound.
     """
     n, k = require_integer("n", n), require_integer("k", k)
+    ratio, eta = require_float("ratio", ratio), require_float("eta", eta)
     if not (0.0 <= ratio < 1.0):
         raise InvalidParameterError(f"channel ratio must lie in [0, 1), got {ratio}")
     if not (0.0 <= eta <= 1.0):
@@ -340,10 +341,12 @@ def solve_parameters(
     grows with n it is monotone: n doubles from 2 until the report passes,
     then bisects.  n = 1 never passes: its parity set has one element.
     """
+    eps1, eps2 = require_float("eps1", eps1), require_float("eps2", eps2)
     if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
         raise InvalidParameterError("eps1 and eps2 must lie in (0, 1)")
     n_key = _key_length(n_key)
     max_total = require_integer("max_total", max_total)
+    ratio = require_float("ratio", ratio)
     if not (0.0 <= ratio < 1.0):
         raise InvalidParameterError(
             f"channel ratio must lie in [0, 1) for a solution to exist, got {ratio}"

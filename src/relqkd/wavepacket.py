@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_float
 
 #: Longest plateau with edge ramps.  The ramps' closed-form integrals add
 #: coordinates that reach five plateau lengths (a delayed copy's cosine
@@ -377,8 +377,9 @@ def make_plateau(
         achieved value is reported by ``tail_mass``.
     ramp_fraction : float
         Width of each raised-cosine edge ramp as a fraction of L, in
-        [0, 1/2); must be positive when ``tail_mass`` is.  ``Plateau``
-        refuses a ramp too narrow for its closed forms.
+        [0, 1/2); must be positive when ``tail_mass`` is.  A positive
+        fraction whose width ramp_fraction * L rounds to 0 is refused, and
+        ``Plateau`` refuses a ramp too narrow for its closed forms.
 
     Notes
     -----
@@ -394,7 +395,9 @@ def make_plateau(
     together pin the height to slightly below 1/sqrt(L).  The achieved
     value is exposed as ``flat_value``.
     """
-    L = float(plateau_length)
+    L = require_float("plateau length", plateau_length)
+    tail_mass = require_float("tail mass", tail_mass)
+    ramp_fraction = require_float("ramp fraction", ramp_fraction)
     if not (L > 0.0 and math.isfinite(L)):
         raise InvalidParameterError(f"plateau length must be positive, got {L}")
     if not (0.0 <= tail_mass < 1.0):
@@ -408,6 +411,9 @@ def make_plateau(
             f"tail mass {tail_mass} needs edge ramps to carry it; ramp fraction is 0"
         )
     w = ramp_fraction * L
+    if ramp_fraction > 0.0 and w == 0.0:
+        raise InvalidParameterError(
+            f"ramp fraction {ramp_fraction} of L = {L} gives a ramp width that rounds to 0")
 
     # Solve the ramp overhang so the achieved tail mass hits the request.
     a = 0.0

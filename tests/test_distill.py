@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from relqkd import distill
 from relqkd.adversary import EveStrategy, ResendPolicy
 from relqkd.distill import (
     ProtocolConfig,
+    RoundRecord,
     Transcript,
     _bits_text,
     _hash_step,
@@ -27,9 +30,11 @@ from relqkd.errors import (
     InvalidParameterError,
     ResourceExhaustedError,
 )
+from relqkd.harness import cmd_distill
 from relqkd.measurement import BobOutcome, EveOutcome
 from relqkd.security import build_report
 from relqkd.wavepacket import make_plateau
+from test_golden import DISTILL_CASES, DISTILL_INI, campaign
 
 
 def make_config(**overrides):
@@ -188,6 +193,23 @@ class TestParityBits:
         with pytest.raises(InvalidParameterError, match="do not split into parity groups"):
             form_parity_bits(np.zeros(6, dtype=int), n)
 
+    @pytest.mark.parametrize("bits", [[2, 0], [0.5, 0], [-1, 0], ["1", "0"],
+                                      np.array([0, 255], dtype=np.uint8),
+                                      np.array([0, -128], dtype=np.int8)])
+    def test_values_that_are_not_bits_rejected(self, bits):
+        # [2, 0] once gave [0]: the XOR was masked to its low bit.
+        with pytest.raises(InvalidParameterError, match="block-wise bits must be integers 0 or 1"):
+            form_parity_bits(bits, 1)
+
+    def test_group_size_that_is_no_integer_rejected(self):
+        with pytest.raises(InvalidParameterError, match="blocks per parity must be an integer"):
+            form_parity_bits([1, 0], "x")
+
+    def test_bits_of_any_integer_or_bool_dtype_accepted(self):
+        for dtype in (np.bool_, np.int8, np.uint8, np.int64, np.uint64):
+            bits = np.array([1, 0, 1, 1], dtype=dtype)
+            assert form_parity_bits(bits, 2).tolist() == [1, 0]
+
 
 def _subsets(rng, length, rounds):
     """Uniform non-zero subsets at the lengths a matching walk meets."""
@@ -249,6 +271,13 @@ class TestHashRounds:
     def test_subset_not_a_bit_string_of_the_current_length_rejected(self, subsets):
         with pytest.raises(InvalidParameterError):
             hash_rounds([0, 1, 1], [0, 1, 1], subsets)
+
+    # 2 was read as 1, 0.5 truncated to 0 and -1 raised a raw OverflowError.
+    @pytest.mark.parametrize("bits", [[2, 0, 1], [0.5, 0, 1], [-1, 0, 1], [None, 0, 1]])
+    def test_values_that_are_not_bits_rejected(self, bits):
+        for a, b in ((bits, [1, 0, 1]), ([1, 0, 1], bits)):
+            with pytest.raises(InvalidParameterError, match="hash inputs must be integers 0 or 1"):
+                hash_rounds(a, b, ("100",))
 
 
 def _drop_bit(v: int, pos: int) -> int:
@@ -882,8 +911,87 @@ class TestBirthCheck:
             return
         # Each derived value reads.
         (transcript.hash_log, transcript.aborted, transcript.abort_reason,
-         transcript.p_err_estimate, transcript.rounds, replay_keys(transcript))
+         transcript.p_err_estimate, tuple(transcript.rounds), replay_keys(transcript))
         assert Transcript.from_text(transcript.to_text()) == transcript
+
+
+def _reference_rounds(transcript) -> tuple[RoundRecord, ...]:
+    """Every round's record, built at once from whole-column lists.
+
+    The reference the ``Transcript.rounds`` view is compared with; held,
+    it costs about 140 B per round, where the view costs 4.
+    """
+    bob, eve = tuple(BobOutcome), tuple(EveOutcome) + (None,)
+    block = np.full(len(transcript.round_table), -1)
+    block[transcript.blocks] = np.arange(len(transcript.blocks))[:, None]
+    rows = zip(*transcript.round_table.T.tolist(), block.tolist())
+    return tuple(RoundRecord(i, a, bob[b], eve[e], d == 1, None if blk < 0 else blk)
+                 for i, (a, b, e, d, blk) in enumerate(rows))
+
+
+class TestRoundView:
+    """``Transcript.rounds`` reads as the tuple of records it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(DISTILL_CASES))
+    def test_golden_sessions(self, tmp_path, case):
+        transcript, _ = cmd_distill(
+            campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case]), case))
+        rounds, reference = transcript.rounds, _reference_rounds(transcript)
+        assert len(rounds) == len(reference)
+        assert tuple(rounds) == reference
+        assert rounds[-1] == reference[-1] and rounds[0] == reference[0]
+        third = len(rounds) // 3
+        assert rounds[third:2 * third] == reference[third:2 * third]
+
+    @settings(max_examples=40, deadline=None)
+    @given(session=st.fixed_dictionaries(dict(
+               seed=st.integers(0, 2 ** 32), block_size=st.sampled_from([1, 3, 5]),
+               blocks_per_parity=st.integers(1, 3), key_length=st.integers(1, 600),
+               flip_probability=st.sampled_from([0.0, 0.05]),
+               loss_probability=st.sampled_from([0.0, 0.2]),
+               eve=st.sampled_from([None, EveStrategy(0.0), EveStrategy(0.25)]))),
+           data=st.data())
+    def test_random_sessions(self, session, data):
+        transcript = run_session(make_config(**session))
+        rounds, reference = transcript.rounds, _reference_rounds(transcript)
+        assert tuple(rounds) == reference
+        size = len(reference)
+        i = data.draw(st.integers(-size, size - 1))
+        assert rounds[i] == reference[i] and rounds[np.int64(i)] == reference[i]
+        cut = data.draw(st.slices(size))
+        assert rounds[cut] == reference[cut]
+
+    def test_index_out_of_range(self):
+        rounds = NOISY.rounds
+        for i in (len(rounds), -len(rounds) - 1):
+            with pytest.raises(IndexError, match="out of range"):
+                rounds[i]
+        with pytest.raises(TypeError):
+            rounds[1.0]
+
+    def test_read_only_sequence(self):
+        rounds = EAVESDROPPED.rounds
+        reference = _reference_rounds(EAVESDROPPED)
+        assert isinstance(rounds, Sequence) and not isinstance(rounds, tuple)
+        assert list(reversed(rounds)) == list(reversed(reference))
+        assert rounds.index(reference[7]) == 7 and reference[-1] in rounds
+        with pytest.raises(TypeError):
+            rounds[0] = reference[1]
+        assert EAVESDROPPED.rounds is rounds
+
+    def test_held_view_costs_at_most_8_bytes_a_round(self):
+        # N = 1024 with one round a block, as the distill-large benchmark runs it.
+        transcript = run_session(make_config(key_length=1024, block_size=1,
+                                             blocks_per_parity=55, hash_rounds=10))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rounds = transcript.rounds
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rounds) > 50_000
+        assert held <= 8 * len(rounds)
 
 
 def _as_schema_2(text):

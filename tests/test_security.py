@@ -112,6 +112,10 @@ class TestZeta:
     def test_ratio_validation(self):
         with pytest.raises(InvalidParameterError):
             zeta(10, 1, 1.0, 1.0)
+        # A ratio or eta that is no real number once raised a raw TypeError.
+        for args in ((1, 1, "a", 0.5), (1, 1, 0.5, "a")):
+            with pytest.raises(InvalidParameterError, match="must be a real number"):
+                zeta(*args)
 
     def test_one_block_per_parity_is_vacuous(self):
         # n = 1: the parity set holds one string, so eta = 0 and zeta = 1.
@@ -249,6 +253,10 @@ class TestSolveParameters:
     def test_invalid_ratio_rejected(self):
         with pytest.raises(InvalidParameterError):
             solve_parameters(1e-3, 1e-3, 64, 1.0)
+        # An eps1, eps2 or ratio that is no real number once raised a raw TypeError.
+        for args in (("x", 0.3, 64, 0.3), (0.3, "x", 64, 0.3), (0.3, 0.3, 64, "x")):
+            with pytest.raises(InvalidParameterError, match="must be a real number"):
+                solve_parameters(*args)
 
     @pytest.mark.parametrize("n_key", [math.nan, math.inf, 64.5, 64.0, "64"])
     def test_key_length_that_is_no_integer_rejected(self, n_key):

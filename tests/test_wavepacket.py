@@ -134,6 +134,15 @@ class TestMakePlateau:
         dict(plateau_length=1.0, tail_mass=0.01, ramp_fraction=0.0),
         dict(plateau_length=math.nan),
         dict(plateau_length=math.inf),
+        # Arguments that are no real number once raised a raw ValueError
+        # (from float("x")) or TypeError (from a comparison).
+        dict(plateau_length="x"),
+        dict(plateau_length=1.0, tail_mass="x", ramp_fraction=0.05),
+        dict(plateau_length=1.0, ramp_fraction=None),
+        # A ramp width 1e-30 * 1e-300 that rounds to 0 once built the ideal
+        # plateau, with tail mass 0 for a requested 1e-3.
+        dict(plateau_length=1e-300, tail_mass=1e-3, ramp_fraction=1e-30),
+        dict(plateau_length=1e-300, ramp_fraction=1e-30),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParameterError):

@@ -8,7 +8,6 @@ security bounds -- with seeded Monte Carlo validation of all of it.
 
 from .adversary import (
     EveStrategy,
-    KrausSet,
     ResendPolicy,
     apply_resend,
     bob_pass_bound,
@@ -31,7 +30,6 @@ from .distill import (
 from .errors import (
     CausalityViolationError,
     InvalidParameterError,
-    RejectedInstrumentError,
     RelqkdError,
     ResourceExhaustedError,
 )
@@ -43,12 +41,6 @@ from .harness import (
     cmd_verify,
     load_campaign,
     simulate_intercept_resend,
-)
-from .infotheory import (
-    ClassicalChannel,
-    eve_channel,
-    holevo_quantity,
-    mutual_information,
 )
 from .measurement import (
     BobOutcome,

@@ -3,9 +3,10 @@
 Delaying the carrier by chi enlarges the fraction of the state the
 eavesdropper can measure, at the price of shrinking the region her resent
 substitute can causally occupy by the receiver's measurement time.  The
-closed forms below quantify both sides and their product; the Kraus-set
-machinery checks numerically that no admissible noise instrument can lift
-the mass she finds in her domain above the ideal-channel value.
+closed forms below quantify both sides and their product.
+``instrument_contraction_check`` gives the mass she finds in her domain
+after a noise instrument, a Rayleigh quotient of its admissibility matrix,
+which no admissible instrument can lift above the ideal-channel value.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, RejectedInstrumentError, require_float
+from .errors import InvalidParameterError, require_float
 from .measurement import PhotonState
 from .wavepacket import AmplitudeProfile, Interval, Plateau
 
 _TOL = 1e-9
-DIMENSION = 8             # of the truncation ``draw_kraus_sets`` draws on
-N_OPERATORS = 12          # per set ``draw_kraus_sets`` draws
 DELAY_GRID_POINTS = 1000  # delays ``optimal_delay`` scans
 
 
@@ -194,140 +193,32 @@ def _unit(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _check_shapes(weights: np.ndarray, outputs: np.ndarray, inputs: np.ndarray):
-    """Reject Kraus-set arrays whose ranks, lengths or dimensions disagree."""
-    if weights.ndim < 1 or outputs.ndim != weights.ndim + 1 or inputs.ndim != weights.ndim + 1:
-        raise InvalidParameterError("Kraus set arrays have wrong ranks")
-    if not (weights.shape == outputs.shape[:-1] == inputs.shape[:-1]):
-        raise InvalidParameterError("Kraus set lengths disagree")
-    if outputs.shape[-1] != inputs.shape[-1]:
-        raise InvalidParameterError("input/output dimensions disagree")
+def instrument_contraction_check(admissibility: np.ndarray, f: float, psi: np.ndarray):
+    """Domain mass psi^H A psi after a noise instrument, with psi rescaled to norm^2 f.
 
-
-def _admissibility(weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    scaled = weights[..., None] * inputs
-    return scaled.conj().swapaxes(-1, -2) @ scaled
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Rank-one noise instrument on a finite-dimensional truncation.
-
-    Operators S_k = sqrt(lam_k) |out_k><in_k| with unit vectors; the
-    instrument acts as T[rho] = sum_k lam_k S_k rho S_k^+.  Admissibility
-    (the trace-non-increasing condition) requires
-    sum_k lam_k S_k^+ S_k <= identity, which is what makes the domain
-    contraction bound a theorem.
-
-    The arrays may carry leading axes: weights of shape (..., K) and
-    vectors of shape (..., K, d) hold a stack of sets, and the admissibility
-    matrix, ``validate`` and ``domain_mass_after`` act on every set at once.
-    """
-
-    weights: np.ndarray         # lam_k >= 0
-    outputs: np.ndarray         # rows: unit vectors |out_k>
-    inputs: np.ndarray          # rows: unit vectors |in_k>
-
-    def __post_init__(self):
-        # Copies, frozen below: the caller's own arrays stay writeable.
-        lam = np.array(self.weights, dtype=float)
-        outs = np.array(self.outputs, dtype=complex)
-        ins = np.array(self.inputs, dtype=complex)
-        _check_shapes(lam, outs, ins)
-        if np.any(lam < 0.0):
-            raise InvalidParameterError("weights must be non-negative")
-        for name, rows in (("output", outs), ("input", ins)):
-            norms = np.linalg.norm(rows, axis=-1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise InvalidParameterError(f"{name} vectors must be unit norm")
-        for name, arr in (("weights", lam), ("outputs", outs), ("inputs", ins)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def admissibility_matrix(self) -> np.ndarray:
-        """sum_k lam_k S_k^+ S_k = sum_k lam_k^2 |in_k><in_k|, shape (..., d, d)."""
-        return _admissibility(self.weights, self.inputs)
-
-    def validate(self):
-        """Raise RejectedInstrumentError unless every set is trace-non-increasing."""
-        top = np.linalg.eigvalsh(self.admissibility_matrix())[..., -1]
-        if np.any(top > 1.0 + _TOL):
-            raise RejectedInstrumentError(
-                f"instrument is not trace-non-increasing: top eigenvalue {top.max():.6g}"
-            )
-
-    def domain_mass_after(self, psi: np.ndarray) -> float | np.ndarray:
-        """Tr{T[|psi><psi|]} restricted to the available-domain truncation.
-
-        ``psi`` has shape (..., d), one state per set; a single set gives a
-        float, a stack an array of its leading shape.
-        """
-        psi = np.asarray(psi, dtype=complex)[..., None]
-        amps = (self.inputs.conj() @ psi)[..., 0]
-        mass = np.sum(self.weights ** 2 * np.abs(amps) ** 2, axis=-1)
-        return float(mass) if mass.ndim == 0 else mass
-
-
-def draw_kraus_sets(rng: np.random.Generator, n_sets: int, headroom: float | None = None):
-    """The draws of ``n_sets`` instruments, stacked along a leading axis.
-
-    One normal draw gives every vector: set by set, the outputs then the
-    inputs, each the real parts then the imaginary parts of ``N_OPERATORS``
-    complex Gaussian rows of ``DIMENSION``, not yet normalised.  One uniform
-    draw on [0.1, 1.0] gives every weight, and a ``headroom`` of None is
-    drawn last, uniformly from [0.3, 1.0] for each set.  So a stack costs
-    three generator calls whatever its size, two with a given headroom.
-
-    Returns (weights, outputs, inputs, headroom), which
-    ``kraus_set_from_draws`` turns into a stack of admissible sets.
-    """
-    if n_sets < 1:
-        raise InvalidParameterError(f"need n_sets >= 1, got {n_sets}")
-    vectors = rng.normal(size=(n_sets, 2, 2, N_OPERATORS, DIMENSION))
-    outs, ins = (vectors[:, j, 0] + 1j * vectors[:, j, 1] for j in (0, 1))
-    lam = rng.uniform(0.1, 1.0, size=(n_sets, N_OPERATORS))
-    target = (rng.uniform(0.3, 1.0, size=n_sets) if headroom is None
-              else np.full(n_sets, float(headroom)))
-    return lam, outs, ins, target
-
-
-def kraus_set_from_draws(weights, outputs, inputs, headroom) -> KrausSet:
-    """Normalise the vectors and scale the weights to the top eigenvalue ``headroom``.
-
-    Every argument may carry the same leading axes (``headroom`` one value
-    per set), which builds a stack of sets at once.  The top eigenvalue of
-    the unscaled set comes from its normalised inputs and weights, so only
-    the scaled set is built.
-    """
-    target = np.asarray(headroom, dtype=float)
-    if not np.all((0.0 < target) & (target <= 1.0)):
-        raise InvalidParameterError(f"headroom must lie in (0, 1], got {headroom}")
-    lam = np.asarray(weights, dtype=float)
-    outs, ins = (np.asarray(v / np.linalg.norm(v, axis=-1, keepdims=True), dtype=complex)
-                 for v in (outputs, inputs))
-    _check_shapes(lam, outs, ins)
-    top = np.linalg.eigvalsh(_admissibility(lam, ins))[..., -1]
-    return KrausSet(weights=lam * np.sqrt(target / top)[..., None], outputs=outs, inputs=ins)
-
-
-def instrument_contraction_check(
-    kraus: KrausSet, f: float, psi: np.ndarray,
-) -> tuple[bool | np.ndarray, float | np.ndarray]:
-    """Verify that noise cannot raise the mass found in the available domain.
-
-    The truncation models the eavesdropper's available region, so ``psi``
-    enters rescaled to norm-squared ``f``.  Returns (bound_holds, lhs) where
-    lhs is the post-instrument domain mass; an inadmissible set raises
-    RejectedInstrumentError before ``psi`` is read.  A stack of sets takes
-    one ``psi`` per set, shape (..., d), and gives arrays of its leading shape.
+    A rank-one instrument S_k = sqrt(lam_k) |out_k><in_k| has the
+    admissibility matrix A = sum_k lam_k S_k^+ S_k = sum_k lam_k^2
+    |in_k><in_k|; it is trace-non-increasing exactly when A <= I, and an
+    ``admissibility`` that is not is refused with InvalidParameterError
+    before ``psi``'s values are read.  The mass is then a Rayleigh quotient
+    of A, at most its top eigenvalue times f, so noise cannot lift it above
+    f.  A stack of Hermitian matrices, shape (..., d, d), takes one state
+    per matrix, shape (..., d), and gives an array of its leading shape.
     """
     if not (0.0 <= f <= 1.0):
         raise InvalidParameterError(f"available fraction must lie in [0, 1], got {f}")
-    kraus.validate()
-    psi = np.asarray(psi, dtype=complex)
-    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise InvalidParameterError("state vector must be non-zero")
-    psi = psi / norm * math.sqrt(f)
-    lhs = kraus.domain_mass_after(psi)
-    return lhs <= f + _TOL, lhs
+    a, psi = np.asarray(admissibility, dtype=complex), np.asarray(psi, dtype=complex)
+    if (a.ndim < 2 or a.shape[:-1] != psi.shape or a.shape[-2] != a.shape[-1]
+            or not np.allclose(a, a.swapaxes(-1, -2).conj())):
+        raise InvalidParameterError("need Hermitian (..., d, d) matrices and (..., d) states")
+    if not np.all(_admissible(a)):
+        raise InvalidParameterError("instrument is not trace-non-increasing: A exceeds I")
+    norm2 = np.einsum("...i,...i->...", psi.conj(), psi).real
+    if not np.all((0.0 < norm2) & (norm2 < math.inf)):
+        raise InvalidParameterError("state vector must be non-zero and finite")
+    return np.einsum("...i,...ij,...j->...", psi.conj(), a, psi).real * (f / norm2)
+
+
+def _admissible(admissibility: np.ndarray) -> np.ndarray:
+    """Whether each A of the stack is at most I: its top eigenvalue is at most 1."""
+    return np.linalg.eigvalsh(admissibility)[..., -1] <= 1.0 + _TOL

@@ -8,11 +8,14 @@ groups, and the round-by-round hash comparison that whittles N + M parity
 bits down to the final N-bit keys.  Everything is driven by one master seed
 and the resulting transcript is byte-reproducible.
 
-A session's transcript is its public record: the round table, the blocks
-announced after reception, the number n of blocks XORed into each parity
-bit, and the hash subsets it announced.  The hash log, the keys, the abort
-and the error estimate are derived from that record when the transcript is
-made (``hash_rounds`` is the one hash walk), so they cannot disagree with it.
+A session's transcript is the simulator's full record, not its public
+discussion: the round table, the blocks announced after reception, the
+number n of blocks XORed into each parity bit, and the announced hash
+subsets.  A session never announces the table's ``a_bit`` and
+``eve_outcome`` columns, nor ``b_outcome``'s bits off the disclosed rounds.
+The hash log, the keys, the abort and the error estimate are derived from
+that record when the transcript is made (``hash_rounds`` is the one hash
+walk), so they cannot disagree with it.
 """
 
 from __future__ import annotations
@@ -124,20 +127,21 @@ for _row, _alphabet in zip(_DECODE, _ALPHABETS):
 
 @dataclass(frozen=True)
 class Transcript:
-    """The public record of one session, and what follows from it.
+    """The simulator's full record of one session, and what follows from it.
 
-    A session announces the round table (each round's outcomes and
-    disclosure flag), the blocks it cuts after reception, n and the hash
-    subsets; parity bit j XORs blocks j*n .. j*n+n-1.  When a transcript
-    is made, by the constructor (and so ``dataclasses.replace``), the
-    reader or a session, ``_derive`` checks this record and derives the
-    rest: the hash log (the subsets walked up to the first parity
-    mismatch), both keys, the abort and the error estimate over the
-    disclosed rounds.  ``subsets`` keeps only the announced subsets.  The
-    constructor keeps read-only copies of the arrays it is given: the
-    table as uint8 codes, the blocks as int32 round ids.
+    The record is the round table (each round's sent bit, outcomes and
+    disclosure flag), the blocks cut after reception, n and the hash
+    subsets; parity bit j XORs blocks j*n .. j*n+n-1.  A session never
+    announces the sent bits, her outcomes or B's bits off the disclosed
+    rounds.  When a transcript is made, by the constructor (and so
+    ``dataclasses.replace``), the reader or a session, ``_derive`` checks
+    this record and derives the rest: the hash log (the subsets walked up
+    to the first parity mismatch), both keys, the abort and the error
+    estimate over the disclosed rounds.  ``subsets`` keeps only the
+    announced subsets.  The constructor keeps read-only copies of the
+    arrays it is given: the table as uint8 codes, the blocks as int32 round ids.
 
-    A record that is not what a session announces is refused with
+    A record that no session could make is refused with
     InvalidParameterError, so no derived value and no ``to_text`` raises.
     That is: a 2-D table, one column per ``ROUND_COLUMNS`` name and each
     code in its column's alphabet; an eavesdropper column that is all 3
@@ -851,9 +855,10 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
 
 
 def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Both keys as the transcript's public record gives them.
+    """Both keys as the transcript, the simulator's full record, gives them.
 
-    The keys follow from the per-round data, the announced blocks, n and
-    the hash subsets alone; (None, None) if the recorded session aborted.
+    The keys follow from the round table's ``a_bit`` and ``b_outcome``
+    columns, which no session announces, the blocks, n and the hash
+    subsets alone; (None, None) if the recorded session aborted.
     """
     return transcript.key_a, transcript.key_b

@@ -20,10 +20,6 @@ class ResourceExhaustedError(RelqkdError, RuntimeError):
     """A session ran out of raw material (sifted bits, blocks) after retrying."""
 
 
-class RejectedInstrumentError(RelqkdError, ValueError):
-    """A Kraus set violates the trace-non-increasing admissibility condition."""
-
-
 def require_integer(name: str, value) -> int:
     """``value`` as a Python int; a value that is not an integer is refused.
 

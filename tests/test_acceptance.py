@@ -85,13 +85,13 @@ def test_criterion_5_majority_block_error(criterion_log):
 
 
 def test_criterion_6_information_formulas(criterion_log):
-    """Accessible information equals f; commuting Holevo agrees; 1 bit max."""
+    """Her information about the sent bits in a session is f(chi), at two delays."""
     result = check_information()
     report(criterion_log, 6, result.passed, result.detail)
 
 
 def test_criterion_7_instrument_bound(criterion_log):
-    """Random admissible instruments never exceed the available mass."""
+    """Random admissible instruments never exceed the available mass; the identity attains it."""
     result = check_instrument_bound(777)
     report(criterion_log, 7, result.passed, f"f = 0.6, d = 8: {result.detail}")
 

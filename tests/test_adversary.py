@@ -9,22 +9,17 @@ from hypothesis import strategies as st
 
 from oracle import sample, sampled
 from relqkd.adversary import (
-    DIMENSION,
-    N_OPERATORS,
     EveStrategy,
-    KrausSet,
     ResendPolicy,
     apply_resend,
     bob_pass_bound,
     channel_probabilities,
-    draw_kraus_sets,
     eve_success_probability,
     instrument_contraction_check,
-    kraus_set_from_draws,
     optimal_delay,
 )
-from relqkd.errors import InvalidParameterError, RejectedInstrumentError
-from relqkd.harness import simulate_intercept_resend
+from relqkd.errors import InvalidParameterError
+from relqkd.harness import _draw_admissibility, simulate_intercept_resend
 from relqkd.measurement import (
     BobOutcome,
     EveOutcome,
@@ -354,76 +349,68 @@ def _complex_gaussian(rng, shape):
     return real + 1j * imag
 
 
-def _one_set(rng, headroom=None):
-    """A single admissible set, drawn and built as set 0 of a one-set stack."""
-    draws = draw_kraus_sets(rng, 1, headroom)
-    return kraus_set_from_draws(*(draw[0] for draw in draws))
-
-
 class TestKrausInstrument:
+    """``instrument_contraction_check`` on admissibility matrices sum_k lam_k^2 |in_k><in_k|."""
+
     def test_identity_instrument_preserves_domain_mass(self):
-        kraus = KrausSet(np.ones(8), np.eye(8), np.eye(8))
-        holds, lhs = instrument_contraction_check(
-            kraus, 0.6, _complex_gaussian(np.random.default_rng(3), (8,)))
-        assert holds
+        # A = I, the largest admissible matrix, attains the bound.
+        lhs = instrument_contraction_check(
+            np.eye(8), 0.6, _complex_gaussian(np.random.default_rng(3), (8,)))
         assert lhs == pytest.approx(0.6, abs=1e-12)
 
-    def test_random_instruments_respect_bound(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            kraus = _one_set(rng)
-            holds, lhs = instrument_contraction_check(kraus, 0.6, _complex_gaussian(rng, (8,)))
-            assert holds
-            assert lhs <= 0.6 + 1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 12),
+           st.integers(1, 8), st.floats(0.0, 1.0), st.floats(1e-3, 1.0))
+    def test_random_instruments_respect_bound(self, seed, n_sets, rank, dim, f, headroom):
+        # Random PSD stacks scaled to top eigenvalue h give at most h * f.
+        rng = np.random.default_rng(seed)
+        vectors = _complex_gaussian(rng, (n_sets, rank, dim))
+        stack = vectors.conj().swapaxes(-1, -2) @ vectors
+        stack *= (headroom / np.linalg.eigvalsh(stack)[:, -1])[:, None, None]
+        lhs = instrument_contraction_check(stack, f, _complex_gaussian(rng, (n_sets, dim)))
+        assert lhs.shape == (n_sets,)
+        assert np.all((-1e-12 <= lhs) & (lhs <= headroom * f + 1e-9))
 
     def test_invalid_set_rejected(self):
-        # The check validates the set before it reads the state.
-        rng = np.random.default_rng(11)
-        valid = _one_set(rng, headroom=1.0)
-        bad = KrausSet(valid.weights * math.sqrt(1.5), valid.outputs, valid.inputs)
-        with pytest.raises(RejectedInstrumentError):
-            instrument_contraction_check(bad, 0.6, _complex_gaussian(rng, (8,)))
+        # Set 0 at headroom 1, its weights scaled by sqrt(1.5): refused
+        # before the state, which is not one, is read.
+        stack, headroom = _draw_admissibility(np.random.default_rng(11), 1)
+        bad = stack[0] * (1.5 / headroom[0])
+        with pytest.raises(InvalidParameterError, match="trace-non-increasing"):
+            instrument_contraction_check(bad, 0.6, np.zeros(8))
 
-    def test_set_copies_the_callers_arrays(self):
-        w = np.array([0.5, 0.5])
-        e = np.eye(2, dtype=complex)
-        kraus = KrausSet(w, e, e)
-        assert w.flags.writeable and e.flags.writeable
-        with pytest.raises(ValueError):
-            kraus.weights[0] = 0.0
-        w[0] = 3.0
-        e[0, 0] = 0.0
-        assert kraus.weights.tolist() == [0.5, 0.5]
-        assert kraus.outputs[0, 0] == kraus.inputs[0, 0] == 1.0
+    @pytest.mark.parametrize("stack, f, psi, match", [
+        (np.eye(8)[:, :7], 0.6, np.ones(8), "Hermitian"),
+        (np.eye(8), 0.6, np.ones(7), "Hermitian"),
+        (np.stack([np.eye(8)] * 3), 0.6, np.ones((2, 8)), "Hermitian"),
+        (np.ones(8), 0.6, np.ones(8), "Hermitian"),
+        (np.triu(np.full((8, 8), 0.1)), 0.6, np.ones(8), "Hermitian"),
+        (np.full((8, 8), np.nan), 0.6, np.ones(8), "Hermitian"),
+        (np.eye(8), 1.5, np.ones(8), "fraction"),
+        (np.eye(8), 0.6, np.zeros(8), "non-zero"),
+        (np.eye(8), 0.6, np.full(8, np.nan), "finite"),
+        (np.eye(8), 0.6, np.full(8, np.inf), "finite"),
+    ], ids=["not-square", "short-state", "state-count", "no-matrix", "not-hermitian",
+            "nan", "f-above-1", "zero-state", "nan-state", "infinite-state"])
+    def test_malformed_arguments_rejected(self, stack, f, psi, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            instrument_contraction_check(stack, f, psi)
 
     def test_admissibility_matrix_shape(self):
-        kraus = _one_set(np.random.default_rng(0))
-        m = kraus.admissibility_matrix()
-        assert m.shape == (8, 8)
-        top = float(np.linalg.eigvalsh(m)[-1])
-        assert top <= 1.0 + 1e-9
+        stack, headroom = _draw_admissibility(np.random.default_rng(0), 5)
+        assert stack.shape == (5, 8, 8) and headroom.shape == (5,)
+        np.testing.assert_allclose(stack, stack.conj().swapaxes(-1, -2), atol=1e-15)
+        assert np.all(np.linalg.eigvalsh(stack)[:, 0] >= -1e-15)
 
     def test_stack_acts_on_every_set(self):
-        draws = draw_kraus_sets(np.random.default_rng(5), 4, headroom=1.0)
-        stack = kraus_set_from_draws(*draws)
-        singles = [kraus_set_from_draws(*(column[i] for column in draws)) for i in range(4)]
-        m = stack.admissibility_matrix()
-        assert m.shape == (4, 8, 8)
-        for i, single in enumerate(singles):
-            np.testing.assert_array_equal(stack.weights[i], single.weights)
-            np.testing.assert_allclose(m[i], single.admissibility_matrix(), atol=1e-15)
-        stack.validate()
-        # One inadmissible set rejects the whole stack.
-        weights = stack.weights.copy()
-        weights[2] *= math.sqrt(1.5)
-        with pytest.raises(RejectedInstrumentError, match="top eigenvalue 1.5"):
-            KrausSet(weights, stack.outputs, stack.inputs).validate()
-
-    def test_nonunit_vectors_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            KrausSet(weights=np.ones(1),
-                     outputs=np.array([[2.0, 0.0, 0.0, 0.0]]),
-                     inputs=np.array([[1.0, 0.0, 0.0, 0.0]]))
+        # One inadmissible set rejects the whole stack.  (The masses of a
+        # stack and of its sets one by one agree: see test_harness.py.)
+        rng = np.random.default_rng(5)
+        stack, headroom = _draw_admissibility(rng, 4)
+        states = _complex_gaussian(rng, (4, 8))
+        stack[2] *= 1.5 / headroom[2]
+        with pytest.raises(InvalidParameterError, match="trace-non-increasing"):
+            instrument_contraction_check(stack, 0.6, states)
 
 
 class _CountingGenerator:
@@ -444,41 +431,11 @@ class _CountingGenerator:
 
 class TestStackedDraws:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.none() | st.floats(0.05, 1.0))
-    def test_every_set_is_admissible_at_its_headroom(self, seed, n_sets, headroom):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200))
+    def test_every_set_is_admissible_at_its_headroom(self, seed, n_sets):
         rng = _CountingGenerator(np.random.default_rng(seed))
-        draws = draw_kraus_sets(rng, n_sets, headroom)
-        # The vectors, the weights and a drawn headroom: one call each, whatever n_sets is.
-        assert rng.calls == 2 + (headroom is None)
-        target = draws[3]
-        assert target.shape == (n_sets,)
-        if headroom is None:
-            assert np.all((0.3 <= target) & (target < 1.0))
-        else:
-            assert np.all(target == headroom)
-        stack = kraus_set_from_draws(*draws)
-        assert stack.weights.shape == (n_sets, N_OPERATORS)
-        assert stack.outputs.shape == stack.inputs.shape == (n_sets, N_OPERATORS, DIMENSION)
-        stack.validate()
-        np.testing.assert_allclose(np.linalg.eigvalsh(stack.admissibility_matrix())[:, -1],
-                                   target, rtol=1e-12)
-
-    @pytest.mark.parametrize("n_sets", [0], ids=["no-sets"])
-    def test_rejects_bad_sizes(self, n_sets):
-        with pytest.raises(InvalidParameterError):
-            draw_kraus_sets(np.random.default_rng(0), n_sets)
-
-    def test_one_set_is_built_once(self, monkeypatch):
-        built = []
-        real = KrausSet.__post_init__
-
-        def counted(self):
-            built.append(self)
-            real(self)
-
-        monkeypatch.setattr(KrausSet, "__post_init__", counted)
-        draws = draw_kraus_sets(np.random.default_rng(4), 3)
-        stack = kraus_set_from_draws(*draws)
-        assert len(built) == 1
-        np.testing.assert_allclose(np.linalg.eigvalsh(stack.admissibility_matrix())[:, -1],
-                                   draws[3], rtol=1e-12)
+        stack, headroom = _draw_admissibility(rng, n_sets)
+        # The vectors, the weights and the headroom: one call each, whatever n_sets is.
+        assert rng.calls == 3
+        assert np.all((0.3 <= headroom) & (headroom < 1.0))
+        np.testing.assert_allclose(np.linalg.eigvalsh(stack)[:, -1], headroom, rtol=1e-12)

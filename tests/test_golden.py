@@ -14,9 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from relqkd.adversary import draw_kraus_sets, instrument_contraction_check, kraus_set_from_draws
+from relqkd.adversary import instrument_contraction_check
 from relqkd.distill import Transcript
 from relqkd.harness import (
+    _draw_admissibility,
     check_hash_calibration,
     check_instrument_bound,
     check_majority_tail,
@@ -160,15 +161,15 @@ VERIFY_TEXT = (
     "[PASS] parity-cosine: worst relative error 1.67e-16 (tolerance 1e-06)\n"
     "[PASS] delay-bound: bound respected on a 25-point delay grid; 1000-point scans peak at "
     "chi=0 with value (1+ratio)/2 at 5 ratios (tolerance 1e-09)\n"
-    "[PASS] instrument-bound: 100 admissible sets below f (tolerance 1e-09); "
-    "negative control rejected\n"
+    "[PASS] instrument-bound: 100 admissible sets below headroom * f (tolerance 1e-09); "
+    "the identity attains f (tolerance 1e-12); negative control rejected\n"
     "[PASS] hash-calibration: undetected 0.03081 vs 2^-5=0.03125 (tolerance 3 sigma = 0.0017)\n"
     "[PASS] majority-tail: block error 1.105e-03 vs binomial tail 1.158e-03 "
     "(tolerance 3 sigma = 0.00023)\n"
     "[PASS] intercept-resend: 16 grid points x 100000 trials match the closed forms "
     "(tolerance 3 sigma, +1e-3 on the pass rate)\n"
-    "[PASS] information: mutual information and Holevo quantity 1.11e-16 off f for "
-    "f in {0, 0.25, 0.5, 1} (tolerance 1e-09); orthogonal states give 1 bit (tolerance 1e-12)\n"
+    "[PASS] information: 0.4980 bit over 1271 rounds vs f=0.5 at chi=0 (z=-0.14); "
+    "0.7628 bit over 1695 rounds vs f=0.75 at chi=0.25 (z=+1.22) (tolerance 3 sigma)\n"
     "[PASS] session: solver's (k=1, n=45, M=12) yields identical 64-bit keys at seed 808, "
     "and a report that meets the criterion (tolerance: exact)\n"
     "9/9 checks passed\n"
@@ -182,7 +183,8 @@ CRITERION_DETAILS = {
     4: ("undetected 0.03193 vs 2^-5=0.03125 (tolerance 3 sigma = 0.0017)",
         "undetected 0.00093 vs 2^-10=0.00098 (tolerance 3 sigma = 0.0003)"),
     5: ("block error 1.095e-03 vs binomial tail 1.158e-03 (tolerance 3 sigma = 0.0001)",),
-    7: ("100 admissible sets below f (tolerance 1e-09); negative control rejected",),
+    7: ("100 admissible sets below headroom * f (tolerance 1e-09); the identity attains f "
+        "(tolerance 1e-12); negative control rejected",),
 }
 
 
@@ -243,14 +245,14 @@ def test_verify_text():
 
 
 # The instrument-bound check's draws at the seeds of ``relqkd verify`` and
-# criterion 7, which its detail does not show: the sha256 of the weights,
-# outputs, inputs, headroom and states, the generator state after them,
-# and the largest and the summed domain mass they give, to 10 digits.
+# criterion 7, which its detail does not show: the sha256 of the
+# admissibility stack, the headroom and the states, the generator state
+# after them, and the largest and the summed domain mass they give, to 10 digits.
 INSTRUMENT_DRAWS = {
-    715: ("a12da007e4dfe6dde449991b115b18c4206aeae255a84e3aa529e6cb24e25301",
-          108551056349699919846667109019255309517, "0.3357015258", "13.32485086"),
-    777: ("faf6b45f282aaadf7edbcfe9baee8c30510f7747deeffbc6e4a4ca20070fe52d",
-          244373309724017682668638941931093148855, "0.3366007458", "13.18427236"),
+    715: ("e10e1e673f08dd7f4700b6c7a4f96aad057fcec91fa47fe10942736fcae516cf",
+          47888842252620474903058081340161630857, "0.3339748071", "12.44576449"),
+    777: ("a710428b435bb83e19f2ff0181ac9ce92c3102369382d5b070dc2e6b28c3bfff",
+          54677608274575527939177844303485555757, "0.4437591494", "13.51357438"),
 }
 
 #: The checks behind each of ``CRITERION_DETAILS``, at the suite's arguments.
@@ -274,12 +276,12 @@ def test_criterion_details(criterion):
 @pytest.mark.parametrize("seed", sorted(INSTRUMENT_DRAWS))
 def test_instrument_draws_and_masses(seed):
     rng = np.random.default_rng(seed)
-    draws = draw_kraus_sets(rng, 100)
+    stack, headroom = _draw_admissibility(rng, 100)
     real, imag = rng.normal(size=(2, 100, 8))
     states = real + 1j * imag
     digest = hashlib.sha256()
-    for column in (*draws, states):
+    for column in (stack, headroom, states):
         digest.update(np.ascontiguousarray(column).tobytes())
-    _, masses = instrument_contraction_check(kraus_set_from_draws(*draws), f=0.6, psi=states)
+    masses = instrument_contraction_check(stack, 0.6, states)
     assert (digest.hexdigest(), rng.bit_generator.state["state"]["state"],
             format(masses.max(), ".10g"), format(masses.sum(), ".10g")) == INSTRUMENT_DRAWS[seed]

@@ -568,3 +568,27 @@ class TestReportFields:
         assert report.p_err_estimate is None or type(report.p_err_estimate) is float
         assert report.aborted is None or type(report.aborted) is bool
         assert SecurityReport.from_text(report.to_text()) == report
+
+
+class TestHartley:
+    """Hartley information log2|parity set| = eta * n * k, with eta exact."""
+
+    def test_small_cases_against_enumeration(self):
+        # All 6-bit strings whose weight is a multiple of 2, halved: 16.
+        assert exact_eta(3, 2) * 6 == pytest.approx(math.log2(16), abs=1e-12)
+        assert exact_eta(2, 1) * 2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_large_block_approximation(self):
+        # n*k = 40, k = 4: within half a bit of n*k - log2(2k) = 37.
+        assert abs(exact_eta(10, 4) * 40 - 37.0) < 0.5
+
+    def test_eta_approaches_one(self):
+        k = 3
+        etas = [exact_eta(n, k) for n in (4, 10, 30, 60)]
+        assert all(b >= a for a, b in zip(etas, etas[1:]))
+        assert etas[-1] > 0.95
+
+    def test_matches_exact_counter(self):
+        for n, k in [(5, 3), (7, 2), (4, 5)]:
+            assert exact_eta(n, k) * n * k == pytest.approx(
+                math.log2(parity_count(n, k).exact), abs=1e-12)

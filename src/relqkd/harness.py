@@ -407,23 +407,32 @@ class CheckResult:
     detail: str
 
 
+#: Values per count in ``check_parity_identity``: a 64 KB bool buffer.
+_COUNT_SLICE = 1 << 16
+
+
 def check_parity_identity() -> CheckResult:
     """Binomial sum, cosine form, and brute-force enumeration agree exactly for n*k <= 20.
 
-    ``histogram[j]`` counts the v < 2**total of popcount j.  Each pass of
-    ``total`` adds the block [2**(total-1), 2**total), whose popcounts are
-    those below it plus one, so every v is counted once; each (n, k) then
-    sums the histogram at the multiples of k.
+    ``weights[v]`` is the popcount of v, filled in place by doubling: each
+    pass of ``total`` writes the block [2**(total-1), 2**total), whose
+    popcounts are those below it plus one.  ``histogram[j]`` counts the
+    v < 2**total of popcount j; the pass counts its block through one
+    reused bool buffer, ``_COUNT_SLICE`` values at a time, so every v is
+    counted once.  Each (n, k) then sums the histogram at the multiples of k.
     """
     limit = 20
-    weights = np.zeros(1, dtype=np.uint8)  # popcounts of v < 2**(total-1)
+    weights = np.zeros(1 << limit, dtype=np.uint8)
+    equal = np.empty(_COUNT_SLICE, dtype=bool)
     histogram = [1]
     for total in range(1, limit + 1):
-        block = weights + 1
+        half = 1 << (total - 1)
+        block = np.add(weights[:half], 1, out=weights[half:2 * half])
         histogram.append(0)
-        for j in range(1, total + 1):
-            histogram[j] += int(np.count_nonzero(block == j))
-        weights = np.concatenate((weights, block))
+        for start in range(0, half, equal.size):
+            part = block[start:start + equal.size]
+            for j in range(1, total + 1):
+                histogram[j] += int(np.count_nonzero(np.equal(part, j, out=equal[:part.size])))
         for k in range(1, total + 1):
             if total % k:
                 continue
@@ -561,13 +570,21 @@ def _draw_admissibility(rng: np.random.Generator, n_sets: int):
     return stack * (headroom / np.linalg.eigvalsh(stack)[:, -1])[:, None, None], headroom
 
 
+#: Rows per chunk in ``check_hash_calibration`` and ``check_majority_tail``:
+#: 320 KB of uniforms at k = 5.
+_CHUNK_ROWS = 1 << 13
+
+
 def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
                            seed: int = 716) -> CheckResult:
     """A single discrepancy escapes M hash rounds with probability 2^-M.
 
-    All trials run at once, one unsigned row per string pair, through the
-    session's own hash step; every surviving row has the same length, so
-    each round draws one subset per row and keeps the rows that match.
+    Each trial is one unsigned row per string pair, run through the
+    session's own hash step.  A round walks the surviving rows in chunks of
+    ``_CHUNK_ROWS``: it draws one subset per row, hashes the chunk, and
+    moves the rows that match to the front of ``ia`` and ``ib``, in order,
+    where the next round reads them.  A bounded draw continues one stream
+    across calls, so the chunks draw what one draw per round would.
     Strings of up to 32 bits travel as uint32: a bounded draw below 2^32
     takes the same 32-bit path for either dtype, so the values and the
     stream are those of uint64 rows, at half the memory traffic.
@@ -582,24 +599,30 @@ def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
     dtype = np.uint32 if n_bits <= 32 else np.uint64
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, 1 << n_bits, size=trials, dtype=dtype)
-    ib = ia ^ (dtype(1) << rng.integers(0, n_bits, size=trials, dtype=dtype))
+    ib = np.empty_like(ia)
+    for start in range(0, trials, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, trials))
+        flip = rng.integers(0, n_bits, size=rows.stop - start, dtype=dtype)
+        np.bitwise_xor(ia[rows], np.left_shift(dtype(1), flip, out=flip), out=ib[rows])
+    survivors = trials
     for length in range(n_bits, n_bits - rounds, -1):
-        subset = rng.integers(1, 1 << length, size=ia.size, dtype=dtype)
-        pa, pb, ia, ib = distill._hash_step(ia, ib, subset)
-        match = np.flatnonzero(pa == pb)
-        ia, ib = ia.take(match), ib.take(match)
-    undetected = ia.size
+        kept = 0
+        for start in range(0, survivors, _CHUNK_ROWS):
+            rows = slice(start, min(start + _CHUNK_ROWS, survivors))
+            subset = rng.integers(1, 1 << length, size=rows.stop - start, dtype=dtype)
+            pa, pb, next_a, next_b = distill._hash_step(ia[rows], ib[rows], subset)
+            match = np.flatnonzero(pa == pb)
+            end = kept + match.size
+            ia[kept:end], ib[kept:end] = next_a.take(match), next_b.take(match)
+            kept = end
+        survivors = kept
     expected = 2.0 ** (-rounds)
     sigma = _stderr(expected, trials)
-    dev = abs(undetected / trials - expected)
+    dev = abs(survivors / trials - expected)
     ok = dev <= 3.0 * sigma
     return CheckResult("hash-calibration", ok,
-                       f"undetected {undetected / trials:.5f} vs 2^-{rounds}="
+                       f"undetected {survivors / trials:.5f} vs 2^-{rounds}="
                        f"{expected:.5f} (tolerance 3 sigma = {3 * sigma:.2g})")
-
-
-#: Rows per draw in ``check_majority_tail``: 1.3 MB of uniforms at k = 5.
-_MAJORITY_CHUNK = 1 << 15
 
 
 def check_majority_tail(trials: int = 200_000, seed: int = 717) -> CheckResult:
@@ -611,10 +634,10 @@ def check_majority_tail(trials: int = 200_000, seed: int = 717) -> CheckResult:
     errors = 0
     # Row chunks draw the same uniforms as one (trials, k) draw would,
     # without holding all of them at once; each chunk reuses two buffers.
-    uniforms = np.empty((min(_MAJORITY_CHUNK, trials), k))
+    uniforms = np.empty((min(_CHUNK_ROWS, trials), k))
     flips = np.empty(uniforms.shape, dtype=bool)
-    for start in range(0, trials, _MAJORITY_CHUNK):
-        rows = min(_MAJORITY_CHUNK, trials - start)
+    for start in range(0, trials, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, trials - start)
         chunk = np.less(rng.random(out=uniforms[:rows]), p_flip, out=flips[:rows])
         errors += int(np.count_nonzero(majority_decode(chunk)))
     expected = sum(math.comb(k, j) * p_flip ** j * (1 - p_flip) ** (k - j)

@@ -37,20 +37,25 @@ def parity_count(n: int, k: int) -> ParityCount:
     sum (1/2) * sum_i C(n*k, i*k) and the cosine closed form
     (2^{nk}/2k) * sum_{l=1..k} cos^{nk}(l*pi/k) * cos(n*l*pi).  They agree
     exactly; the cosine side is exposed for numerical cross-checking.
-    While 2^{nk} is a float it is evaluated term by term; beyond that the
-    cosine side is the float nearest the count, or inf past the float range.
+    At k = 1 every j is a multiple of k, so the exact side is 2^(n-1);
+    otherwise it walks the binomial row in O((nk)^2) bit operations.
+    While 2^{nk} is a float the cosine side is evaluated term by term;
+    beyond that it is the float nearest the count, or inf past the float range.
     """
     n, k = require_integer("n", n), require_integer("k", k)
     if n < 1 or k < 1:
         raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
     total = n * k
-    # C(total, j) for j = 0..total in one multiplicative pass.
-    binom = twice = 1
-    for j in range(1, total + 1):
-        binom = binom * (total - j + 1) // j
-        if j % k == 0:
-            twice += binom
-    exact = twice // 2
+    if k == 1:
+        exact = 1 << (n - 1)
+    else:
+        # C(total, j) for j = 0..total in one multiplicative pass.
+        binom = twice = 1
+        for j in range(1, total + 1):
+            binom = binom * (total - j + 1) // j
+            if j % k == 0:
+                twice += binom
+        exact = twice // 2
     if total < 1024:   # 2.0 ** total is a float
         acc = 0.0
         for l in range(1, k + 1):

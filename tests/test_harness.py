@@ -6,9 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from relqkd import adversary, distill, harness, security
 from relqkd.adversary import ResendPolicy, instrument_contraction_check
 from relqkd.cli import main as cli_main
@@ -21,6 +22,7 @@ from relqkd.harness import (
     check_hash_calibration,
     check_majority_tail,
     check_parity_cosine,
+    check_parity_identity,
     cmd_analyze,
     cmd_distill,
     cmd_simulate,
@@ -30,6 +32,8 @@ from relqkd.harness import (
     simulate_intercept_resend,
 )
 from relqkd.wavepacket import make_plateau
+
+_CHUNK = harness._CHUNK_ROWS
 
 ANALYZE_INI = """
 [campaign]
@@ -419,9 +423,11 @@ class TestVerify:
         assert "[FAIL] instrument-bound: bound violated" in cmd_verify().to_text()
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3000), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 3 * _CHUNK), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @example(_CHUNK + 1, 17, 716)
     def test_hash_survivors_equal_the_boolean_mask_compaction(self, trials, rounds, seed):
-        # Each round's hash step sees the rows that the boolean mask of the
+        # Each round's hash steps, one per chunk of at most _CHUNK rows and
+        # joined in order, see the rows that the boolean mask of the
         # previous round's matches would keep, in the same order, and the
         # values that uint64 draws give (strings of up to 32 bits, up to
         # 16 rounds, travel as uint32).
@@ -438,17 +444,53 @@ class TestVerify:
         rng = np.random.default_rng(seed)
         ia = rng.integers(0, 1 << n_bits, size=trials, dtype=np.uint64)
         ib = ia ^ (np.uint64(1) << rng.integers(0, n_bits, size=trials, dtype=np.uint64))
-        assert len(seen) == rounds
-        for length, (seen_a, seen_b, seen_subset) in zip(
-                range(n_bits, n_bits - rounds, -1), seen):
+        for length in range(n_bits, n_bits - rounds, -1):
             subset = rng.integers(1, 1 << length, size=ia.size, dtype=np.uint64)
-            for got, expected in ((seen_a, ia), (seen_b, ib), (seen_subset, subset)):
-                assert got.dtype == (np.uint32 if n_bits <= 32 else np.uint64)
-                assert np.array_equal(got, expected)
+            calls = -(-ia.size // _CHUNK)
+            chunks, seen = seen[:calls], seen[calls:]
+            assert all(0 < chunk[0].size <= _CHUNK for chunk in chunks)
+            for got, expected in zip(zip(*chunks), (ia, ib, subset)):
+                assert all(part.dtype == (np.uint32 if n_bits <= 32 else np.uint64)
+                           for part in got)
+                assert np.array_equal(np.concatenate(got), expected)
             pa, pb, ia, ib = real(ia, ib, subset)
             match = pa == pb
             ia, ib = ia[match], ib[match]
+        assert not seen
         assert detail.startswith(f"undetected {ia.size / trials:.5f} ")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3 * _CHUNK), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @example(_CHUNK - 1, 17, 716)
+    @example(_CHUNK, 18, 716)
+    @example(_CHUNK + 1, 19, 716)
+    @example(_CHUNK + 1, 20, 1)
+    def test_chunked_checks_equal_their_whole_array_forms(self, trials, rounds, seed):
+        assert check_hash_calibration(trials, rounds, seed) == reference.hash_calibration(
+            trials, rounds, seed)
+        assert check_majority_tail(trials, seed) == reference.majority_tail(trials, seed)
+
+    def test_in_place_enumeration_equals_the_concatenating_one(self, monkeypatch):
+        assert check_parity_identity() == reference.parity_identity()
+        # A count off at n*k = 20, the last block, is found by both.
+        real = security.parity_count
+        monkeypatch.setattr(security, "parity_count", lambda n, k: real(n, k)._replace(
+            exact=real(n, k).exact + (n * k == 20), cosine=real(n, k).cosine + (n * k == 20)))
+        failed = check_parity_identity()
+        assert failed == reference.parity_identity() and not failed.passed
+
+    @pytest.mark.parametrize("check", [
+        check_parity_identity, check_hash_calibration, check_majority_tail])
+    def test_check_runs_in_bounded_memory(self, check):
+        # The whole-array forms peak at 2.10, 3.00 and 1.97 MB.
+        check()
+        tracemalloc.start()
+        try:
+            passed = check().passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert passed and peak <= 1.6e6
 
     def test_hash_step_that_never_detects_reported_as_failure(self, monkeypatch):
         real = distill._hash_step

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import parity_walk
 from relqkd.errors import InvalidParameterError, RelqkdError
 from relqkd.security import (
     SecurityReport,
@@ -74,6 +75,11 @@ class TestParityCount:
                     expected = sum(math.comb(total, i * k)
                                    for i in range(total // k + 1)) // 2
                     assert parity_count(total // k, k).exact == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 2000))
+    def test_closed_form_at_k1_is_the_walk(self, n):
+        assert parity_count(n, 1).exact == parity_walk(n, 1) == 2 ** (n - 1)
 
     def test_cosine_side_is_the_term_by_term_form(self):
         # Bitwise the expression evaluated while 2^{nk} is a float.

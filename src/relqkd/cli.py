@@ -70,7 +70,8 @@ def main(argv=None) -> int:
         if args.command == "distill":
             transcript, report = harness.cmd_distill(spec)
             if not spec.out:
-                sys.stdout.write(transcript.to_text())
+                sys.stdout.writelines(piece.decode("ascii")
+                                      for piece in transcript.text_pieces())
             sys.stdout.write(report.to_text())
         else:
             sweep = harness.cmd_analyze if args.command == "analyze" else harness.cmd_simulate

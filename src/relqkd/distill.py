@@ -24,7 +24,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -37,6 +37,16 @@ from .wavepacket import Plateau
 TRANSCRIPT_SCHEMA = "relqkd-transcript/4"
 # Round ids are int32, so a session or a transcript holds at most this many rounds.
 _MAX_ROUNDS = 2 ** 31 - 1
+# Rows, ids or characters taken at once wherever a session draws, checks,
+# writes or reads its record: the working memory beyond the record is a
+# few chunks, however many rounds the session plays.
+_CHUNK = 1 << 16
+
+# A session's random streams, by name.  Stream i of attempt a draws from
+# SeedSequence(seed, spawn_key=(6a + i,)), the child that six spawns per
+# attempt once gave it, so a new stream takes a key outside that range
+# and moves none of these.
+STREAMS = ("bits", "eve", "bob", "noise", "public", "hash")
 
 
 @dataclass(frozen=True)
@@ -119,10 +129,11 @@ class HashRecord:
 ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "disclosed")
 _ALPHABETS = tuple(np.frombuffer(a, dtype=np.uint8)
                    for a in (b"01", b"01?", b"01?-", b"01"))
-# Row j maps a byte to its code in column j, or to 255 outside the alphabet.
-_DECODE = np.full((len(_ALPHABETS), 256), 255, dtype=np.uint8)
-for _row, _alphabet in zip(_DECODE, _ALPHABETS):
-    _row[_alphabet] = np.arange(_alphabet.size)
+# Tables for bytes.translate, one per column: _SPELL[j] maps code c to
+# character c of column j's alphabet, and _READ[j] maps a byte to its code
+# in column j, or to 255 (find's -1) outside the alphabet.
+_SPELL = tuple(a.tobytes().ljust(256, b"\0") for a in _ALPHABETS)
+_READ = tuple(bytes(a.tobytes().find(byte) % 256 for byte in range(256)) for a in _ALPHABETS)
 
 
 @dataclass(frozen=True)
@@ -191,23 +202,37 @@ class Transcript:
         if any(column.max(initial=0) >= alphabet.size
                for alphabet, column in zip(_ALPHABETS, table.T)):
             raise InvalidParameterError("a round's code lies outside its column's alphabet")
-        if ((eve < 2) & (eve != sent)).any() or 0 < np.count_nonzero(eve == 3) < len(eve):
+        # One pass over the rows, a chunk at a time: whether a fired outcome
+        # names another bit or a disclosed round is inconclusive, and the
+        # rounds with no eavesdropper, disclosed and disclosed in error.
+        # The disclosure codes are 0 or 1 here, so they read as bools.
+        misfired = inconclusive = False
+        absent = count = errors = 0
+        for rows in _chunks(len(table)):
+            shown = disclosed[rows].view(np.bool_)
+            misfired = misfired or bool(((eve[rows] < 2) & (eve[rows] != sent[rows])).any())
+            inconclusive = inconclusive or bool((shown & (bob[rows] == 2)).any())
+            absent += np.count_nonzero(eve[rows] == 3)
+            count += np.count_nonzero(shown)
+            errors += np.count_nonzero(shown & (sent[rows] != bob[rows]))
+        if misfired or 0 < absent < len(eve):
             raise InvalidParameterError("a fired eavesdropper outcome must name the sent bit, "
                                         "and '-' mark every round or none")
-        shown = disclosed == 1
-        count = np.count_nonzero(shown)
-        if not count or (shown & (bob == 2)).any():
+        if not count or inconclusive:
             raise InvalidParameterError("a session discloses one conclusive round or more")
         # A block's rounds decode to A's sent bit and B's majority vote.
-        a, b = sent.take(blocks), bob.take(blocks)
-        if (a != a[:, :1]).any() or not ((disclosed.take(blocks) == 0) & (b != 2)).all():
-            raise InvalidParameterError("a block must hold undisclosed, conclusive rounds "
-                                        "of one sent bit")
-        walk = hash_rounds(form_parity_bits(a[:, 0], n),
-                           form_parity_bits(majority_decode(b), n), self.subsets)
+        firsts, votes = np.empty((2, len(blocks)), dtype=np.uint8)
+        for rows in _chunks(len(blocks), blocks.shape[1]):
+            members = blocks[rows]
+            a, b = sent.take(members), bob.take(members)
+            if (a != a[:, :1]).any() or not ((disclosed.take(members) == 0) & (b != 2)).all():
+                raise InvalidParameterError("a block must hold undisclosed, conclusive rounds "
+                                            "of one sent bit")
+            firsts[rows], votes[rows] = a[:, 0], majority_decode(b)
+        walk = hash_rounds(form_parity_bits(firsts, n), form_parity_bits(votes, n), self.subsets)
         self.__dict__.update(subsets=self.subsets[:len(walk.log)], hash_log=walk.log,
                              key_a=walk.key_a, key_b=walk.key_b, aborted=walk.aborted,
-                             p_err_estimate=float(np.count_nonzero(shown & (sent != bob)) / count))
+                             p_err_estimate=float(errors / count))
 
     def __eq__(self, other):
         """The arrays compare as arrays, then the subsets and n."""
@@ -243,7 +268,7 @@ class Transcript:
         return RoundView(self.round_table, self.blocks)
 
     def to_text(self) -> str:
-        """The text form, written once per transcript.
+        """The text form, joined from ``text_pieces`` once per transcript.
 
         It spells the record, the blocks as they are, and the derived hash
         log, error estimate, keys and abort too, so a text that contradicts
@@ -253,32 +278,37 @@ class Transcript:
 
     @cached_property
     def _text(self) -> str:
-        """``to_text``'s text, spelled into one byte buffer.
+        """``to_text``'s text: the pieces of ``text_pieces``, joined."""
+        return b"".join(self.text_pieces()).decode("ascii")
 
-        A column line's characters are its codes looked up in the column's
-        alphabet, and the members line is a matrix of one row per round id
-        (see ``_spell_ids``).  The derived lines follow it.
+    def text_pieces(self):
+        """The bytes of ``to_text``, in pieces of at most ``_CHUNK`` characters each.
+
+        This is the one routine that spells a transcript.  A column line's
+        characters are its codes translated by the column's ``_SPELL``
+        table, and the members line is a matrix of one row per round id
+        (see ``_spell_ids``) spelled into one reused buffer, both a chunk
+        at a time.  The derived lines follow them.
         """
-        members = self.blocks
-        rounds = len(self.round_table)
+        table, (n_blocks, k) = self.round_table, self.blocks.shape
+        ids = self.blocks.reshape(-1)
+        rounds = len(table)
         width = _id_width(rounds)
-        heads = [f"{name}\t".encode() for name in ROUND_COLUMNS]
-        heads[0] = f"{TRANSCRIPT_SCHEMA}\nrounds\t{rounds}\n".encode() + heads[0]
-        blocks = f"blocks\t{len(members)}\t{members.shape[1]}\t{self.blocks_per_parity}\n"
-        derived = self._derived_lines()
-        cells = members.size * (width + 1)
-        out = np.empty(sum(map(len, heads)) + len(heads) * (rounds + 1) + len(blocks) + cells
-                       + len(derived), dtype=np.uint8)
-        at = 0
-        for head, alphabet, column in zip(heads, _ALPHABETS, self.round_table.T):
-            at = _put(out, at, head)
-            alphabet.take(column, out=out[at:at + rounds], mode="clip")
-            out[at + rounds] = ord("\n")
-            at += rounds + 1
-        at = _put(out, at, blocks.encode())
-        _spell_ids(out[at:at + cells].reshape(members.size, width + 1), members.ravel())
-        _put(out, at + cells, derived.encode())
-        return str(out, "ascii")
+        buffer = np.empty(max(_CHUNK, width + 1), dtype=np.uint8)
+        yield f"{TRANSCRIPT_SCHEMA}\nrounds\t{rounds}\n".encode()
+        for name, spell, column in zip(ROUND_COLUMNS, _SPELL, table.T):
+            yield f"{name}\t".encode()
+            for rows in _chunks(rounds):
+                yield column[rows].tobytes().translate(spell)
+            yield b"\n"
+        yield f"blocks\t{n_blocks}\t{k}\t{self.blocks_per_parity}\n".encode()
+        for part in _chunks(ids.size, width + 1):
+            cells = buffer[:(part.stop - part.start) * (width + 1)].reshape(-1, width + 1)
+            _spell_ids(cells, ids[part])
+            if part.stop < ids.size:
+                cells[-1, width] = ord(" ")  # the line goes on
+            yield cells.tobytes()
+        yield self._derived_lines().encode()
 
     def _derived_lines(self) -> str:
         """The lines after the members line: hash log, error estimate, keys and abort."""
@@ -330,7 +360,8 @@ class Transcript:
         lines before the derived ones are proven, and the ids kept as the
         blocks, where ``_listed_blocks`` shows them to be blocks and the two
         header lines and the column names are the ones ``to_text`` writes;
-        any other text is refused.
+        any other text is refused.  The columns and the member ids are read
+        a chunk of characters at a time, so the text is never encoded whole.
         """
         schema = text[:text.find("\n")] if "\n" in text else text
         if schema != TRANSCRIPT_SCHEMA:
@@ -356,12 +387,17 @@ class Transcript:
         if k < 1 or n_blocks < 0 or starts[8] - starts[7] != max(n_blocks * k * (width + 1), 1):
             raise InvalidParameterError("the members line disagrees with the blocks header")
 
-        raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
         table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
-        for j, (decode, first) in enumerate(zip(_DECODE, firsts)):
-            decode.take(raw[first:first + n_rounds], out=table[:, j], mode="clip")
-        members = _member_ids(raw[starts[7]:starts[8]], n_blocks * k, width,
-                              n_rounds).reshape(n_blocks, k)
+        for read, first, column in zip(_READ, firsts, table.T):
+            for rows in _chunks(n_rounds):
+                chars = text[first + rows.start:first + rows.stop].encode("ascii")
+                column[rows] = np.frombuffer(chars.translate(read), dtype=np.uint8)
+        members = np.empty((n_blocks, k), dtype=np.int32)
+        ids, cell = members.reshape(-1), width + 1
+        for part in _chunks(ids.size, cell):
+            line = text[starts[7] + part.start * cell:starts[7] + part.stop * cell]
+            ids[part] = _member_ids(np.frombuffer(line.encode("ascii"), dtype=np.uint8),
+                                    part.stop - part.start, width, n_rounds)
         if not (_listed_blocks(members, n_rounds)
                 and rounds_line == f"rounds\t{n_rounds}"
                 and blocks_line == f"blocks\t{n_blocks}\t{k}\t{n}"
@@ -378,12 +414,6 @@ class Transcript:
 def _id_width(rounds: int) -> int:
     """Digits of each member id in the text: those of the last round's id."""
     return len(str(max(rounds - 1, 0)))
-
-
-def _put(out: np.ndarray, at: int, data: bytes) -> int:
-    """Copy ``data`` into ``out`` at ``at``; returns the position after it."""
-    out[at:at + len(data)] = np.frombuffer(data, dtype=np.uint8)
-    return at + len(data)
 
 
 def _spell_ids(cells: np.ndarray, ids: np.ndarray) -> None:
@@ -407,11 +437,14 @@ def _member_ids(line: np.ndarray, count: int, width: int, rounds: int) -> np.nda
 
     The line must be ``count`` ids of ``width`` ASCII digits, each followed
     by a space and the last by the newline, and its size must already
-    agree with that.  Then no other spelling of the same ids exists, so an
-    id needs no check beyond its digits and that it is a round of the
-    table's ``rounds``, which are at most ``_MAX_ROUNDS``.  So ``width`` is
-    at most 10, and the digits' sum before the '0's are taken off it fits
-    in int64; the ids it leaves fit in int32, which they are kept as.
+    agree with that.  A piece of the line, ``count`` ids that the line
+    goes on past, reads the same way with a space after its last id; the
+    caller finds the line's one newline.  Then no other spelling of the
+    same ids exists, so an id needs no check beyond its digits and that it
+    is a round of the table's ``rounds``, which are at most
+    ``_MAX_ROUNDS``.  So ``width`` is at most 10, and the digits' sum
+    before the '0's are taken off it fits in int64; the ids it leaves fit
+    in int32, which they are kept as.
     """
     if rounds > _MAX_ROUNDS:
         raise InvalidParameterError(
@@ -420,7 +453,7 @@ def _member_ids(line: np.ndarray, count: int, width: int, rounds: int) -> np.nda
         return np.empty(0, dtype=np.int32)
     cells = line.reshape(count, width + 1)
     if (np.count_nonzero(line - ord("0") < 10) != count * width
-            or (cells[:-1, width] != ord(" ")).any()):
+            or (cells[:-1, width] != ord(" ")).any() or cells[-1, width] not in b" \n"):
         raise InvalidParameterError(
             "the members line is not fixed-width round ids, one space apart")
     ids = cells[:, 0].astype(np.int64)
@@ -456,9 +489,12 @@ def _listed_blocks(members: np.ndarray, rounds: int) -> bool:
     if not members.size:
         return False
     marked = np.zeros(rounds, dtype=bool)
-    marked[members] = True
-    return (bool((members[:, 1:] > members[:, :-1]).all())
-            and np.count_nonzero(marked) == members.size)
+    for rows in _chunks(len(members), members.shape[1]):
+        part = members[rows]
+        if not (part[:, 1:] > part[:, :-1]).all():
+            return False
+        marked[part] = True
+    return np.count_nonzero(marked) == members.size
 
 
 def _columns(*columns: np.ndarray):
@@ -489,7 +525,8 @@ class RoundView(Sequence):
 
     def __init__(self, table: np.ndarray, blocks: np.ndarray):
         block = np.full(len(table), -1, dtype=np.int32)
-        block[blocks] = np.arange(len(blocks), dtype=np.int32)[:, None]
+        for rows in _chunks(len(blocks), blocks.shape[1]):
+            block[blocks[rows]] = np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
         block.flags.writeable = False
         self._table, self._block = table, block
 
@@ -753,13 +790,12 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
             f"a session of more than {_MAX_ROUNDS} planned rounds does not fit in memory")
     per_round = p_sift * (1.0 - cfg.disclose_fraction)
 
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    for margin in (1.2, 2.4):
+    for attempt, margin in enumerate((1.2, 2.4)):
         n_rounds = _planned_rounds(need_bits, per_round, margin)
-        rngs = [np.random.default_rng(c) for c in seed_seq.spawn(6)]
         try:
             if n_rounds <= _MAX_ROUNDS:
-                return _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks)
+                return _attempt(cfg, n_rounds, partial(_stream, cfg.seed, attempt),
+                                f_eve, p_pass, need_blocks)
         except _ShortOfBlocks:
             continue
         except MemoryError:
@@ -777,81 +813,153 @@ def _planned_rounds(need_bits: int, per_round: float, margin: float) -> int:
     return math.ceil(need_bits / per_round * margin)
 
 
-def _attempt(cfg: ProtocolConfig, n_rounds: int, rngs, f_eve: float,
+def _stream(seed, attempt: int, name: str) -> np.random.Generator:
+    """The generator of stream ``name`` of ``STREAMS`` for a session's ``attempt``, 0 or 1."""
+    key = len(STREAMS) * attempt + STREAMS.index(name)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
+
+
+def _attempt(cfg: ProtocolConfig, n_rounds: int, stream, f_eve: float,
              p_pass: float, need_blocks: int) -> Transcript:
-    rng_bits, rng_eve, rng_bob, rng_noise, rng_public, rng_hash = rngs
+    """One try at a session of ``n_rounds`` rounds; ``stream(name)`` builds a named stream.
+
+    A stream's generator is built when its stage first draws from it.
+    The table is filled in place, column by column, and every float64
+    stream is drawn through one reused buffer of ``_CHUNK`` doubles, in
+    the order of one whole draw; the round ids are int32 from the start.
+    """
     k = cfg.block_size
+    table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
+    sent, bob, eve, shown = table.T
+    sent[:] = stream("bits").integers(0, 2, size=n_rounds, dtype=np.int8)
 
-    a_bits = rng_bits.integers(0, 2, size=n_rounds, dtype=np.int8)
-
+    # B's column starts as the bits the channel carries on to him: A's
+    # where she fired, else her guess.  All of rng_eve's uniforms come
+    # before its guesses; the disclosure column holds her fired mask until
+    # the disclosures are marked.
     if cfg.eve is not None:
-        fired = rng_eve.random(n_rounds) < f_eve
-        guesses = rng_eve.integers(0, 2, size=n_rounds, dtype=np.int8)
-        sent_on = np.where(fired, a_bits, guesses)
+        rng_eve = stream("eve")
+        fired = shown.view(np.bool_)
+        _uniforms(rng_eve, n_rounds, lambda rows, u: np.less(u, f_eve, out=fired[rows]))
+        bob[:] = rng_eve.integers(0, 2, size=n_rounds, dtype=np.int8)
+        np.copyto(bob, sent, where=fired)
+        eve[:] = 2
+        np.copyto(eve, sent, where=fired)
     else:
-        fired = None
-        sent_on = a_bits
+        bob[:] = sent
+        eve[:] = 3
 
     # rng_bob feeds nothing else, and a uniform draw on [0, 1) is below a
     # pass probability of exactly 1, so a certain pass draws nothing.  No
     # policy is checked: ``run_session`` refuses p_pass 0 before any attempt.
-    if p_pass == 1.0:
-        conclusive = np.full(n_rounds, True)
-    else:
-        conclusive = rng_bob.random(n_rounds) < p_pass
-    # Channel noise: loss first, then polarization flips on the survivors.
-    # rng_noise feeds nothing else, so a draw at probability 0 changes no
-    # round and is skipped; the loss draw stays when flips follow it.
-    if cfg.loss_probability or cfg.flip_probability:
-        conclusive &= rng_noise.random(n_rounds) >= cfg.loss_probability
-    outcome_bits = sent_on
-    if cfg.flip_probability:
-        outcome_bits = sent_on ^ (rng_noise.random(n_rounds) < cfg.flip_probability)
-
-    kept = np.flatnonzero(conclusive)
-    if kept.size < 2:
-        raise _ShortOfBlocks
+    if p_pass != 1.0:
+        _uniforms(stream("bob"), n_rounds,
+                  lambda rows, u: np.copyto(bob[rows], 2, where=u >= p_pass))
+    # Channel noise: every loss draw, then every polarization flip draw,
+    # a flip acting on the survivors.  rng_noise feeds nothing else, so a
+    # draw at probability 0 changes no round and is skipped; the loss draw
+    # stays when flips follow it.
+    loss, flip = cfg.loss_probability, cfg.flip_probability
+    if loss or flip:
+        rng_noise = stream("noise")
+        _uniforms(rng_noise, n_rounds, lambda rows, u: np.copyto(bob[rows], 2, where=u < loss))
+        if flip:
+            _uniforms(rng_noise, n_rounds, lambda rows, u: np.bitwise_xor(
+                bob[rows], (u < flip) & (bob[rows] < 2), out=bob[rows]))
 
     # The session's error estimate is derived from its transcript, so only
-    # the positions are drawn.
-    disclosed = kept[_disclosed_positions(kept.size, cfg.disclose_fraction, rng_public)]
-    disclosed_mask = np.zeros(n_rounds, dtype=bool)
-    disclosed_mask[disclosed] = True
-
-    remaining = np.flatnonzero(conclusive & ~disclosed_mask).astype(np.int32)
+    # the positions among the kept rounds are drawn.
+    kept = sum(np.count_nonzero(bob[rows] < 2) for rows in _chunks(n_rounds))
+    if kept < 2:
+        raise _ShortOfBlocks
+    rng_public = stream("public")
+    _mark_disclosed(table, _disclosed_positions(kept, cfg.disclose_fraction, rng_public))
 
     # Antedate coding: blocks of k identical sent bits, grouped by A after
     # reception in transmission order, then ordered by their first rounds
     # and publicly shuffled; parity bit j XORs the shuffled blocks
     # j*n .. j*n+n-1.  The two bit values' blocks are two ascending runs of
     # distinct first rounds, which a stable argsort merges in one pass; at
-    # k = 1 the merge gives back ``remaining``.  (``compress`` splits by a
-    # random mask faster than boolean indexing does.)
+    # k = 1 the merge gives back the undisclosed conclusive rounds.
+    def unspent(rows):
+        return (bob[rows] < 2) & (shown[rows] == 0)
+
     if k == 1:
-        blocks = remaining[:, None]
+        blocks = _flat_ids(unspent, n_rounds)[:, None]
     else:
-        one = a_bits[remaining] == 1
-        blocks = np.concatenate([ids[:ids.size - ids.size % k].reshape(-1, k)
-                                 for ids in (remaining.compress(~one), remaining.compress(one))])
+        runs = [_flat_ids(lambda rows: unspent(rows) & (sent[rows] == bit), n_rounds)
+                for bit in (0, 1)]
+        blocks = np.concatenate([ids[:ids.size - ids.size % k].reshape(-1, k) for ids in runs])
+        del runs
         blocks = blocks[np.argsort(blocks[:, 0], kind="stable")]
     if len(blocks) < need_blocks:
         raise _ShortOfBlocks
-    chosen = blocks.take(rng_public.permutation(len(blocks))[:need_blocks], axis=0)
+    # ``shuffle`` swaps rows as ``permutation(len(blocks))`` swaps the
+    # entries of its arange, with the same draws, so the shuffled rows are
+    # the blocks that permutation orders, and no int64 arange is made.
+    rng_public.shuffle(blocks.view(np.dtype((np.void, blocks.itemsize * k)))[:, 0])
+    chosen = blocks[:need_blocks].copy()
+    del blocks
 
-    # Filled column by column, so every column is contiguous.
-    table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
-    table[:, 0] = a_bits
-    table[:, 1] = np.where(conclusive, outcome_bits, 2)
-    table[:, 2] = 3 if fired is None else np.where(fired, a_bits, 2)
-    table[:, 3] = disclosed_mask
     # All M subsets, at the lengths a matching walk meets; rng_hash feeds
     # nothing else, so the announced ones are drawn as round by round.  The
     # transcript keeps those its hash walk announces.
     length = cfg.key_length + cfg.hash_rounds
     lengths = list(range(length, length - cfg.hash_rounds, -1))
     subsets = tuple(format(v, f"0{n}b")[::-1]
-                    for n, v in zip(lengths, _random_subsets(rng_hash, lengths)))
+                    for n, v in zip(lengths, _random_subsets(stream("hash"), lengths)))
     return Transcript._adopt(table, chosen, subsets, cfg.blocks_per_parity)
+
+
+def _chunks(size: int, per_row: int = 1) -> list[slice]:
+    """Slices that cover rows 0 .. size - 1, each of ``_CHUNK`` cells at most where
+    a row holds ``per_row`` cells (one row, if a row holds more)."""
+    step = max(1, _CHUNK // per_row)
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
+
+
+def _uniforms(rng: np.random.Generator, size: int, use) -> None:
+    """Call ``use(rows, doubles)`` for each chunk ``rows`` of ``_chunks(size)``, in order.
+
+    The doubles are drawn into one reused buffer, which is freed on return;
+    chunk after chunk, they are those of ``rng.random(size)``.
+    """
+    buffer = np.empty(min(size, _CHUNK))
+    for rows in _chunks(size):
+        use(rows, rng.random(out=buffer[:rows.stop - rows.start]))
+
+
+def _mark_disclosed(table: np.ndarray, positions: np.ndarray) -> None:
+    """Fill the disclosure column: the kept rounds at the rising ``positions`` among them.
+
+    A chunk of rounds at a time, each chunk marks the run of positions
+    that falls on its kept (conclusive) rounds.
+    """
+    _, bob, _, shown = table.T
+    shown[:] = 0
+    before = 0
+    for rows in _chunks(len(table)):
+        ids = np.flatnonzero(bob[rows] < 2)
+        run = positions[slice(*np.searchsorted(positions, (before, before + ids.size)))]
+        shown[rows][ids[run - before]] = 1
+        before += ids.size
+
+
+def _flat_ids(test, size: int) -> np.ndarray:
+    """The rows below ``size`` where ``test`` holds, as ascending int32 ids.
+
+    ``test`` maps a slice of rows to a bool array of them.  It runs twice
+    on each chunk, once to count the ids and once to fill them in, so the
+    ids are held once, as int32.
+    """
+    chunks = _chunks(size)
+    ids = np.empty(sum(np.count_nonzero(test(rows)) for rows in chunks), dtype=np.int32)
+    at = 0
+    for rows in chunks:
+        found = np.flatnonzero(test(rows))
+        np.add(found, rows.start, out=ids[at:at + found.size], casting="unsafe")
+        at += found.size
+    return ids
 
 
 def replay_keys(transcript: Transcript) -> tuple[np.ndarray | None, np.ndarray | None]:

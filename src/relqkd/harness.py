@@ -386,7 +386,8 @@ def cmd_distill(spec: CampaignSpec) -> tuple[Transcript, SecurityReport]:
         aborted=transcript.aborted,
     )
     if spec.out:
-        _write(spec.out + ".transcript.txt", transcript.to_text())
+        with open(spec.out + ".transcript.txt", "wb") as fh:
+            fh.writelines(transcript.text_pieces())
         _write(spec.out + ".report.txt", report.to_text())
     return transcript, report
 

@@ -23,6 +23,9 @@ from .errors import InvalidParameterError, require_float, require_integer, requi
 LN2 = math.log(2.0)
 
 REPORT_SCHEMA = "relqkd-report/1"
+# The largest n*k that the parity count, and so a report, takes, and the
+# solver's default search bound: the count walks O((nk)^2) bit operations.
+MAX_TOTAL = 1_000_000
 
 
 class ParityCount(NamedTuple):
@@ -41,11 +44,14 @@ def parity_count(n: int, k: int) -> ParityCount:
     otherwise it walks the binomial row in O((nk)^2) bit operations.
     While 2^{nk} is a float the cosine side is evaluated term by term;
     beyond that it is the float nearest the count, or inf past the float range.
+    An n*k above ``MAX_TOTAL`` is refused.
     """
     n, k = require_integer("n", n), require_integer("k", k)
     if n < 1 or k < 1:
         raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
     total = n * k
+    if total > MAX_TOTAL:
+        raise InvalidParameterError(f"n*k must be at most {MAX_TOTAL}, got {total}")
     if k == 1:
         exact = 1 << (n - 1)
     else:
@@ -319,7 +325,7 @@ def solve_parameters(
     eps2: float,
     n_key: int,
     ratio: float,
-    max_total: int = 1_000_000,
+    max_total: int = MAX_TOTAL,
 ) -> tuple[SolvedParameters, SecurityReport]:
     """Smallest (k, n, M) satisfying the two-part security criterion.
 
@@ -345,12 +351,17 @@ def solve_parameters(
     So the search is over n alone with k = 1, and since the exponent n - 1
     grows with n it is monotone: n doubles from 2 until the report passes,
     then bisects.  n = 1 never passes: its parity set has one element.
+    The search stops at n*k = ``max_total``, which may not exceed
+    ``MAX_TOTAL``, the largest n*k a report takes.
     """
     eps1, eps2 = require_float("eps1", eps1), require_float("eps2", eps2)
     if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
         raise InvalidParameterError("eps1 and eps2 must lie in (0, 1)")
     n_key = _key_length(n_key)
     max_total = require_integer("max_total", max_total)
+    if max_total > MAX_TOTAL:
+        raise InvalidParameterError(
+            f"max_total must be at most {MAX_TOTAL}, the largest n*k a report takes")
     ratio = require_float("ratio", ratio)
     if not (0.0 <= ratio < 1.0):
         raise InvalidParameterError(

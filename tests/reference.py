@@ -1,11 +1,14 @@
-"""Whole-array references for the bounded-memory self-checks and the parity count.
+"""Whole-array references for the bounded-memory paths and the parity count.
 
 ``relqkd.harness`` runs its hash-calibration, majority-tail and
-parity-identity checks in fixed-size chunks, and ``relqkd.security`` takes
-``parity_count``'s exact side at k = 1 in closed form.  The functions here
-are the plain forms those replace: each check draws or builds its whole
-working array at once, and ``parity_walk`` walks the binomial row for any
-k.  The tests hold the package's results equal to these, byte for byte.
+parity-identity checks in fixed-size chunks, ``relqkd.distill`` draws a
+session's streams in chunks and addresses each by name, and
+``relqkd.security`` takes ``parity_count``'s exact side at k = 1 in closed
+form.  The functions here are the plain forms those replace: each check
+and ``session`` draws or builds its whole working array at once,
+``session`` spawns its streams in order, and ``parity_walk`` walks the
+binomial row for any k.  The tests hold the package's results equal to
+these, byte for byte.
 """
 
 import math
@@ -13,8 +16,83 @@ import math
 import numpy as np
 
 from relqkd import distill, security
-from relqkd.distill import majority_decode
+from relqkd.adversary import channel_probabilities
+from relqkd.distill import ROUND_COLUMNS, Transcript, majority_decode
+from relqkd.errors import ResourceExhaustedError
 from relqkd.harness import CheckResult, _stderr
+
+
+def session(cfg: distill.ProtocolConfig) -> Transcript:
+    """``run_session`` with six streams spawned per attempt and whole-array draws.
+
+    The plan is ``distill._planned_rounds``'s, so a test that patches it
+    patches both; a plan past int32 round ids or memory is not modelled.
+    """
+    f_eve, p_pass = channel_probabilities(cfg.envelope, cfg.channel_length, cfg.eve)
+    p_sift = p_pass * (1.0 - cfg.loss_probability)
+    need_blocks = (cfg.key_length + cfg.hash_rounds) * cfg.blocks_per_parity
+    need_bits = need_blocks * cfg.block_size + 2 * (cfg.block_size - 1) + 8
+    per_round = p_sift * (1.0 - cfg.disclose_fraction)
+    seed_seq = np.random.SeedSequence(cfg.seed)
+    for margin in (1.2, 2.4):
+        n_rounds = distill._planned_rounds(need_bits, per_round, margin)
+        rngs = [np.random.default_rng(c) for c in seed_seq.spawn(6)]
+        try:
+            return _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks)
+        except distill._ShortOfBlocks:
+            continue
+    raise ResourceExhaustedError(f"insufficient sifted bits to form {need_blocks} blocks")
+
+
+def _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks) -> Transcript:
+    """``distill._attempt`` as it drew every stream whole, before it drew in chunks."""
+    rng_bits, rng_eve, rng_bob, rng_noise, rng_public, rng_hash = rngs
+    k = cfg.block_size
+    a_bits = rng_bits.integers(0, 2, size=n_rounds, dtype=np.int8)
+    if cfg.eve is not None:
+        fired = rng_eve.random(n_rounds) < f_eve
+        guesses = rng_eve.integers(0, 2, size=n_rounds, dtype=np.int8)
+        sent_on = np.where(fired, a_bits, guesses)
+    else:
+        fired = None
+        sent_on = a_bits
+    if p_pass == 1.0:
+        conclusive = np.full(n_rounds, True)
+    else:
+        conclusive = rng_bob.random(n_rounds) < p_pass
+    if cfg.loss_probability or cfg.flip_probability:
+        conclusive &= rng_noise.random(n_rounds) >= cfg.loss_probability
+    outcome_bits = sent_on
+    if cfg.flip_probability:
+        outcome_bits = sent_on ^ (rng_noise.random(n_rounds) < cfg.flip_probability)
+    kept = np.flatnonzero(conclusive)
+    if kept.size < 2:
+        raise distill._ShortOfBlocks
+    disclosed = kept[distill._disclosed_positions(kept.size, cfg.disclose_fraction,
+                                                  rng_public)]
+    disclosed_mask = np.zeros(n_rounds, dtype=bool)
+    disclosed_mask[disclosed] = True
+    remaining = np.flatnonzero(conclusive & ~disclosed_mask).astype(np.int32)
+    if k == 1:
+        blocks = remaining[:, None]
+    else:
+        one = a_bits[remaining] == 1
+        blocks = np.concatenate([ids[:ids.size - ids.size % k].reshape(-1, k)
+                                 for ids in (remaining.compress(~one), remaining.compress(one))])
+        blocks = blocks[np.argsort(blocks[:, 0], kind="stable")]
+    if len(blocks) < need_blocks:
+        raise distill._ShortOfBlocks
+    chosen = blocks.take(rng_public.permutation(len(blocks))[:need_blocks], axis=0)
+    table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
+    table[:, 0] = a_bits
+    table[:, 1] = np.where(conclusive, outcome_bits, 2)
+    table[:, 2] = 3 if fired is None else np.where(fired, a_bits, 2)
+    table[:, 3] = disclosed_mask
+    length = cfg.key_length + cfg.hash_rounds
+    lengths = list(range(length, length - cfg.hash_rounds, -1))
+    subsets = tuple(format(v, f"0{n}b")[::-1]
+                    for n, v in zip(lengths, distill._random_subsets(rng_hash, lengths)))
+    return Transcript(table, chosen, subsets, cfg.blocks_per_parity)
 
 
 def parity_walk(n: int, k: int) -> int:

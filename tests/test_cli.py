@@ -3,8 +3,9 @@
 import pytest
 
 from relqkd.cli import main
-from relqkd.distill import Transcript
+from relqkd.distill import _CHUNK, Transcript, run_session
 from relqkd.errors import InvalidParameterError
+from relqkd.harness import load_campaign
 from relqkd.security import SecurityReport
 
 DISTILL_INI = """
@@ -52,6 +53,24 @@ def test_large_noisy_session_round_trips(tmp_path, capsys):
     assert flipped != report
     with pytest.raises(InvalidParameterError):
         SecurityReport.from_text(flipped)
+
+
+def test_transcript_written_in_pieces_is_to_text(tmp_path, capsys):
+    # ``--out`` writes the transcript a piece at a time, and stdout gets the
+    # same pieces without it: an N = 1024 noisy session of over 90,000
+    # rounds spans two pieces or more of every line, and both outputs are the
+    # session's to_text() byte for byte.
+    path = tmp_path / "large.ini"
+    path.write_text(DISTILL_INI.format(seed=1, key_length=1024, block_size=7,
+                                       blocks_per_parity=9, hash_rounds=10,
+                                       flip=0.02, loss=0.1))
+    expected = run_session(load_campaign(str(path)).protocol).to_text()
+    assert len(expected.split("\n")[2]) > _CHUNK
+    assert main(["distill", str(path), "--out", str(tmp_path / "large")]) == 0
+    report = capsys.readouterr().out
+    assert (tmp_path / "large.transcript.txt").read_bytes() == expected.encode("ascii")
+    assert main(["distill", str(path)]) == 0
+    assert capsys.readouterr().out == expected + report
 
 
 def test_distill_writes_a_vacuous_bound_as_inf(tmp_path, capsys):

@@ -34,6 +34,7 @@ from relqkd.harness import cmd_distill
 from relqkd.measurement import BobOutcome, EveOutcome
 from relqkd.security import build_report
 from relqkd.wavepacket import make_plateau
+import reference
 from test_golden import DISTILL_CASES, DISTILL_INI, campaign
 
 
@@ -1606,3 +1607,129 @@ class TestEavesdropperKnowledgeGap:
         self._assert_binomial(fired, f)
         # Her success per kept round beats the report's (1 + r)/2 = .75.
         assert (1.0 + fired.mean()) / 2.0 > 0.75
+
+
+class TestBoundedSession:
+    """A session drawn in chunks and addressed by stream name, against the whole-array one.
+
+    ``reference.session`` spawns six streams per attempt and draws each
+    whole, as sessions did before; every transcript must come out the same.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 808, 2 ** 70, [3, 4]], ids=["0", "808", "2^70", "[3,4]"])
+    def test_named_streams_are_the_spawned_children(self, seed):
+        # Attempt a's stream i is the (6a + i)-th spawned child, also on the retry.
+        children = np.random.SeedSequence(seed).spawn(12)
+        for attempt in (0, 1):
+            for i, name in enumerate(distill.STREAMS):
+                spawned = np.random.default_rng(children[6 * attempt + i])
+                named = distill._stream(seed, attempt, name)
+                assert named.bit_generator.state == spawned.bit_generator.state
+                assert named.random(3).tolist() == spawned.random(3).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(0, 3 * distill._CHUNK + 5) | st.sampled_from(
+               [distill._CHUNK - 1, distill._CHUNK, distill._CHUNK + 1, 2 * distill._CHUNK]),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_chunked_uniforms_are_one_whole_draw(self, size, seed):
+        rng, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = []
+        distill._uniforms(rng, size, lambda rows, u: drawn.append((rows, u.copy())))
+        # The chunks cover the rows in order, each of at most _CHUNK doubles.
+        stops = [0] + [rows.stop for rows, _ in drawn]
+        assert [(rows.start, rows.stop - rows.start) for rows, _ in drawn] == [
+            (start, u.size) for start, (_, u) in zip(stops, drawn)]
+        assert stops[-1] == size and all(0 < u.size <= distill._CHUNK for _, u in drawn)
+        assert np.concatenate([np.empty(0)] + [u for _, u in drawn]).tobytes() == \
+            whole.random(size).tobytes()
+        # The stream goes on where one whole draw leaves it.
+        assert rng.bit_generator.state == whole.bit_generator.state
+
+    CORPUS = [dict(block_size=k, eve=eve, flip_probability=flip, loss_probability=loss, seed=seed)
+              for seed, (k, eve, flip, loss) in enumerate(
+                  (k, eve, flip, loss) for k in (1, 3, 7) for eve in (None, 0.25, 0.0)
+                  for flip, loss in ((0.0, 0.0), (0.05, 0.0), (0.0, 0.1), (0.02, 0.1)))]
+
+    @staticmethod
+    def _config(case):
+        eve = None if case["eve"] is None else EveStrategy(delay=case["eve"])
+        return make_config(key_length=24, blocks_per_parity=3, hash_rounds=6,
+                           **dict(case, eve=eve))
+
+    @pytest.mark.parametrize("chunk", [None, 1, 5], ids=["module", "1", "5"])
+    def test_corpus_matches_the_whole_array_session(self, monkeypatch, chunk):
+        # k in {1, 3, 7}; no eavesdropper, one at delay .25 and one at delay
+        # 0 (every round passes); loss and flips off and on.  At chunks of
+        # 1 and 5 rows every stream, id list, check and text line crosses
+        # chunk boundaries.
+        if chunk is not None:
+            monkeypatch.setattr(distill, "_CHUNK", chunk)
+        for case in self.CORPUS:
+            cfg = self._config(case)
+            transcript, expected = run_session(cfg), reference.session(cfg)
+            assert transcript == expected, case
+            assert transcript.to_text() == expected.to_text()
+            assert Transcript.from_text(transcript.to_text()) == transcript
+
+    @pytest.mark.parametrize("k, n", [(1, 55), (7, 9)])
+    def test_sessions_of_several_chunks(self, k, n):
+        cfg = make_config(key_length=1024, block_size=k, blocks_per_parity=n,
+                          flip_probability=0.02, loss_probability=0.1, seed=41)
+        transcript = run_session(cfg)
+        assert len(transcript.round_table) > distill._CHUNK
+        assert transcript.to_text() == reference.session(cfg).to_text()
+
+    def test_forced_retry(self, monkeypatch):
+        # The first plan holds too few rounds, so the session retries on
+        # children 6 to 11; the retry's streams are the spawned ones.
+        planned = distill._planned_rounds
+        monkeypatch.setattr(distill, "_planned_rounds", lambda need, per_round, margin:
+                            need if margin < 2 else planned(need, per_round, margin))
+        attempts = []
+        attempt = distill._attempt
+        monkeypatch.setattr(distill, "_attempt",
+                            lambda *args: attempts.append(args[1]) or attempt(*args))
+        for case in self.CORPUS[::5]:
+            cfg = self._config(case)
+            attempts.clear()
+            transcript = run_session(cfg)
+            assert len(attempts) == 2
+            assert transcript.to_text() == reference.session(cfg).to_text()
+
+    def test_noisy_n1024_session_peak_per_round(self):
+        # The noisy N = 1024 session of the distill-large benchmark.  Drawn
+        # whole, its arrays peaked at 34.5 bytes a round.  In chunks the
+        # peak is at most 12 bytes a round, the 4 B table and the 8 B
+        # arange of the kept rounds that numpy's choice makes for the
+        # disclosure draw, and 8 bytes a chunk row, one buffer of doubles.
+        cfg = make_config(key_length=1024, block_size=7, blocks_per_parity=9, hash_rounds=10,
+                          flip_probability=0.02, loss_probability=0.1, seed=1)
+        run_session(cfg)
+        tracemalloc.start()
+        try:
+            transcript = run_session(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(transcript.round_table) == 96_537
+        assert peak <= 12 * 96_537 + 8 * distill._CHUNK
+
+    def test_reader_peak_beyond_the_record(self):
+        # Read a chunk at a time, the text is never encoded whole and no
+        # index array is copied to intp whole.  Beyond the record it keeps,
+        # the reader's peak is a chunk's intp indices and bytes, about 12
+        # bytes a chunk row, and under 3 bytes a round: a mark per round
+        # and each block's sent bit and vote.  Read whole, it was 18 bytes
+        # a round here.
+        cfg = make_config(key_length=1024, block_size=1, blocks_per_parity=55, hash_rounds=10,
+                          seed=3)
+        text = run_session(cfg).to_text()
+        tracemalloc.start()
+        try:
+            transcript = Transcript.from_text(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rounds = len(transcript.round_table)
+        assert rounds > 50_000
+        assert peak - held <= 12 * distill._CHUNK + 3 * rounds

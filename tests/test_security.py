@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reference import parity_walk
 from relqkd.errors import InvalidParameterError, RelqkdError
 from relqkd.security import (
+    MAX_TOTAL,
     SecurityReport,
     SolvedParameters,
     build_report,
@@ -330,6 +331,33 @@ class TestNumpyIntegers:
             build_report(64, value, 1, 12, 0.5, 1e-3, 1e-3)
 
 
+class TestSizeBound:
+    """n*k above MAX_TOTAL, the solver's default bound, is refused before any count."""
+
+    @pytest.mark.parametrize("call", [lambda: parity_count(2 ** 40, 1),
+                                      lambda: exact_eta(2 ** 40, 1),
+                                      lambda: build_report(64, 2 ** 62, 1, 12, 0.5, 1e-3, 1e-3),
+                                      lambda: parity_count(MAX_TOTAL // 3 + 1, 3)],
+                             ids=["parity_count", "exact_eta", "build_report", "k3"])
+    def test_past_the_bound_refused(self, call):
+        # The first three once raised a raw MemoryError computing 1 << (n - 1).
+        with _time_limit(5), pytest.raises(InvalidParameterError,
+                                           match=f"n\\*k must be at most {MAX_TOTAL}, got"):
+            call()
+
+    def test_the_bound_itself_accepted(self):
+        assert MAX_TOTAL == 1_000_000
+        with _time_limit(5):
+            assert parity_count(MAX_TOTAL, 1).exact == 1 << (MAX_TOTAL - 1)
+            assert build_report(64, MAX_TOTAL, 1, 12, 0.5, 1e-3, 1e-3).all_ok
+
+    def test_solver_bound_past_it_refused(self):
+        with pytest.raises(InvalidParameterError, match="max_total must be at most 1000000"):
+            solve_parameters(1e-3, 1e-3, 64, 0.5, max_total=MAX_TOTAL + 1)
+        assert (solve_parameters(1e-3, 1e-3, 64, 0.5, max_total=MAX_TOTAL)
+                == solve_parameters(1e-3, 1e-3, 64, 0.5))
+
+
 class TestKeyLength:
     """Every function that takes a key length reads it the same way."""
 
@@ -407,14 +435,21 @@ class TestZetaValue:
     @settings(max_examples=300, deadline=None)
     @given(n_key=_EDGES, hash_rounds=_EDGES, zeta_value=_EDGES)
     def test_numeric_edges(self, n_key, hash_rounds, zeta_value):
-        # Each call returns a non-NaN result or raises a RelqkdError.
+        # Each call returns a non-NaN result or raises a RelqkdError, within
+        # 5 s.  The parity count takes the edges as (n, k) and a report as
+        # its key length and (n, k); 2^63 blocks once raised a raw MemoryError.
         for call in (lambda: eve_key_probability(n_key, zeta_value),
-                     lambda: information_bounds(n_key, hash_rounds, zeta_value)):
+                     lambda: information_bounds(n_key, hash_rounds, zeta_value),
+                     lambda: parity_count(n_key, hash_rounds),
+                     lambda: (exact_eta(n_key, hash_rounds),),
+                     lambda: dataclasses.astuple(build_report(
+                         n_key, n_key, hash_rounds, 12, 0.5, 1e-3, 1e-3))):
             try:
-                result = call()
+                with _time_limit(5):
+                    result = call()
             except RelqkdError:
                 continue
-            assert not any(math.isnan(value) for value in result)
+            assert not any(isinstance(value, float) and math.isnan(value) for value in result)
 
 
 class TestReportSerialization:

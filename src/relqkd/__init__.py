@@ -52,11 +52,8 @@ from .measurement import (
 from .security import (
     SecurityReport,
     build_report,
-    eve_key_probability,
-    information_bounds,
     parity_count,
     solve_parameters,
-    zeta,
 )
 from .wavepacket import (
     AmplitudeProfile,

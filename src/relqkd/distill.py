@@ -268,17 +268,12 @@ class Transcript:
         return RoundView(self.round_table, self.blocks)
 
     def to_text(self) -> str:
-        """The text form, joined from ``text_pieces`` once per transcript.
+        """The text form: the pieces of ``text_pieces``, joined.
 
         It spells the record, the blocks as they are, and the derived hash
         log, error estimate, keys and abort too, so a text that contradicts
         its record does not read back (see ``from_text``).
         """
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        """``to_text``'s text: the pieces of ``text_pieces``, joined."""
         return b"".join(self.text_pieces()).decode("ascii")
 
     def text_pieces(self):
@@ -334,7 +329,8 @@ class Transcript:
         rest.  So ``Transcript.from_text(t).to_text() == t`` for every
         accepted ``t``, and a text whose parities, discarded positions,
         error estimate, keys or abort lines contradict its record is
-        rejected.  The transcript keeps the blocks the text lists, and ``t``.
+        rejected.  The transcript keeps the blocks the text lists, not ``t``:
+        ``to_text`` spells it again from the record.
         """
         try:
             transcript, derived_at = cls._parse(text)
@@ -344,7 +340,6 @@ class Transcript:
             raise InvalidParameterError(f"malformed transcript: {exc!r}") from exc
         if transcript._derived_lines() != text[derived_at:]:
             raise InvalidParameterError("the text differs from what to_text writes")
-        transcript.__dict__["_text"] = text  # what to_text writes, as just shown
         return transcript
 
     @classmethod
@@ -675,28 +670,19 @@ def _hash_step(ia, ib, subset):
             ((ia >> 1) & ~keep) | (ia & keep), ((ib >> 1) & ~keep) | (ib & keep))
 
 
-def _random_nonzero(rng: np.random.Generator, length: int) -> int:
-    # All-zero subsets reveal nothing and would break the 2^-M analysis.
-    if length <= 62:
-        return int(rng.integers(1, 1 << length))
-    mask = (1 << length) - 1
-    while True:
-        v = int.from_bytes(rng.bytes((length + 7) // 8), "little") & mask
-        if v:
-            return v
-
-
 def _random_subsets(rng: np.random.Generator, lengths: list[int]) -> list[int]:
-    """``_random_nonzero(rng, n)`` for each n of ``lengths`` in turn, in fewer draws.
+    """A random non-zero subset of n bits for each n of ``lengths`` in turn.
 
+    All-zero subsets reveal nothing and would break the 2^-M analysis.
     ``Generator.bytes(m)`` is the first m bytes of ceil(m/4) 32-bit words,
     and consecutive calls continue one stream of words.  So a subset longer
     than 62 bits is the next ceil(n/32) words of that stream, masked to n
     bits, and the leading run of such subsets takes its words in one call.
     A zero subset is drawn again from the words that follow, in order, and
     the words the run is then short of are drawn when they are reached.
-    The shorter subsets follow one call each.  (``bytes(0)`` draws a word,
-    so a run of none draws nothing.)
+    The shorter subsets follow one ``integers`` call each.  (``bytes(0)``
+    draws a word, so a run of none draws nothing.)  A session's lengths
+    fall by one per round, so no longer subset follows a shorter one.
     """
     run = next((i for i, n in enumerate(lengths) if n <= 62), len(lengths))
     sizes = [4 * ((n + 31) // 32) for n in lengths[:run]]  # bytes of whole words
@@ -710,7 +696,7 @@ def _random_subsets(rng: np.random.Generator, lengths: list[int]) -> list[int]:
             v = int.from_bytes(stream[at:at + size], "little") & ((1 << n) - 1)
             at += size
         subsets.append(v)
-    return subsets + [_random_nonzero(rng, n) for n in lengths[run:]]
+    return subsets + [int(rng.integers(1, 1 << n)) for n in lengths[run:]]
 
 
 @dataclass(frozen=True)

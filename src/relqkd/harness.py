@@ -408,10 +408,6 @@ class CheckResult:
     detail: str
 
 
-#: Values per count in ``check_parity_identity``: a 64 KB bool buffer.
-_COUNT_SLICE = 1 << 16
-
-
 def check_parity_identity() -> CheckResult:
     """Binomial sum, cosine form, and brute-force enumeration agree exactly for n*k <= 20.
 
@@ -419,19 +415,19 @@ def check_parity_identity() -> CheckResult:
     pass of ``total`` writes the block [2**(total-1), 2**total), whose
     popcounts are those below it plus one.  ``histogram[j]`` counts the
     v < 2**total of popcount j; the pass counts its block through one
-    reused bool buffer, ``_COUNT_SLICE`` values at a time, so every v is
-    counted once.  Each (n, k) then sums the histogram at the multiples of k.
+    reused bool buffer, one chunk of ``distill._chunks`` at a time, so every
+    v is counted once.  Each (n, k) then sums the histogram at the multiples of k.
     """
     limit = 20
     weights = np.zeros(1 << limit, dtype=np.uint8)
-    equal = np.empty(_COUNT_SLICE, dtype=bool)
+    equal = np.empty(distill._CHUNK, dtype=bool)
     histogram = [1]
     for total in range(1, limit + 1):
         half = 1 << (total - 1)
         block = np.add(weights[:half], 1, out=weights[half:2 * half])
         histogram.append(0)
-        for start in range(0, half, equal.size):
-            part = block[start:start + equal.size]
+        for rows in distill._chunks(half):
+            part = block[rows]
             for j in range(1, total + 1):
                 histogram[j] += int(np.count_nonzero(np.equal(part, j, out=equal[:part.size])))
         for k in range(1, total + 1):

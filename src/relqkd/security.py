@@ -2,9 +2,10 @@
 
 Everything here is closed-form arithmetic on the protocol parameters: the
 combinatorial identity counting the raw strings compatible with one parity
-bit, the eavesdropper's key-guessing probability, the three mutual
-informations of the final keys, and the search that inverts the security
-criterion into concrete (k, n, M).
+bit, its exact Hartley ratio eta, the ``SecurityReport`` that derives the
+eavesdropper's advantage zeta, her key-guessing probability and the three
+mutual informations of the final keys from its parameters, and the search
+that inverts the security criterion into concrete (k, n, M).
 """
 
 from __future__ import annotations
@@ -87,22 +88,6 @@ def _log2_int(v: int) -> float:
     return math.log2(v >> shift) + shift
 
 
-def zeta(n: int, k: int, ratio: float, eta: float) -> float:
-    """Per-parity-bit advantage factor [(1 + ratio)/2]^(eta * n * k).
-
-    eta = 0, one string per parity set as at n = 1, gives 1: a vacuous bound.
-    """
-    n, k = require_integer("n", n), require_integer("k", k)
-    ratio, eta = require_float("ratio", ratio), require_float("eta", eta)
-    if not (0.0 <= ratio < 1.0):
-        raise InvalidParameterError(f"channel ratio must lie in [0, 1), got {ratio}")
-    if not (0.0 <= eta <= 1.0):
-        raise InvalidParameterError(f"eta must lie in [0, 1], got {eta}")
-    if n < 1 or k < 1:
-        raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
-    return eve_success_probability(ratio) ** (eta * n * k)
-
-
 def _key_length(n_key) -> int:
     """The key length N as a Python int: an integer from 1 up to the float range."""
     n_key = require_integer("key length", n_key)
@@ -114,68 +99,22 @@ def _key_length(n_key) -> int:
     return n_key
 
 
-def _zeta_value(zeta_value) -> float:
-    """zeta as a Python float, refused unless it is >= 0 (so NaN is refused)."""
-    z = require_float("zeta", zeta_value)
-    if not z >= 0.0:
-        raise InvalidParameterError(f"zeta must be >= 0, got {zeta_value}")
-    return z
-
-
-class EveKeyBound(NamedTuple):
-    value: float
-    valid: bool   # False when the bound exceeds 1 and is vacuous
-
-
-def eve_key_probability(n_key: int, zeta_value: float) -> EveKeyBound:
-    """Bound 2^-N (1 + 2*zeta)^N on the eavesdropper guessing the full key.
-
-    The bound is computed in log space; past the float range it is inf,
-    and vacuous.
-    """
-    n_key, zeta_value = _key_length(n_key), _zeta_value(zeta_value)
-    log_value = n_key * (math.log1p(2.0 * zeta_value) - LN2)
-    try:
-        value = math.exp(log_value)
-    except OverflowError:
-        value = math.inf
-    return EveKeyBound(value, value <= 1.0 + 1e-12)
-
-
-class InformationBounds(NamedTuple):
-    i_ab: float
-    i_ae: float
-    i_be: float
-
-
-def information_bounds(n_key: int, hash_rounds: int, zeta_value: float) -> InformationBounds:
-    """Mutual-information bounds (bits) between the three parties' keys.
-
-    I(A;B) = N + log2(1 - 2^-M); I(A;E) = N log2(1 + 2 zeta); the bound on
-    I(B;E) combines the two through the information triangle inequality.
-    The conservative + sign is used in the I(B;E) combination so the bound
-    can never go negative.
-    """
-    n_key = _key_length(n_key)
-    hash_rounds = require_integer("hash rounds", hash_rounds)
-    if hash_rounds < 1:
-        raise InvalidParameterError(f"hash rounds must be >= 1, got {hash_rounds}")
-    zeta_value = _zeta_value(zeta_value)
-    p_miss = 2.0 ** (-hash_rounds)
-    i_ab = n_key + math.log1p(-p_miss) / LN2
-    i_ae = n_key * math.log1p(2.0 * zeta_value) / LN2
-    # N zeta first: 2.0 * N overflows to inf near the float range, and inf * 0 is NaN.
-    i_be = (2.0 * (n_key * zeta_value) + p_miss) / LN2
-    return InformationBounds(i_ab, i_ae, i_be)
-
-
 @dataclass(frozen=True)
 class SecurityReport:
     """One parameter set against the security criterion.
 
     The nine init fields are the parameters, and a session's error estimate
-    and abort; ``__post_init__`` reads each as a Python int, float or bool,
-    refuses it out of range, and derives every bound and flag from them.
+    and abort; ``__post_init__`` reads each once as a Python int, float or
+    bool, refuses it out of range, and derives every bound and flag from
+    them.  For key length N, M hash rounds and n blocks of k per parity bit:
+    her per-parity-bit advantage ``zeta`` is [(1 + ratio)/2]^(eta n k), and
+    1, a vacuous bound, at n = 1, whose parity set holds one string (eta = 0).
+    ``pr_eve_key`` = 2^-N (1 + 2 zeta)^N bounds her guessing the whole key;
+    it is computed in log space, and past the float range it is inf and
+    flagged invalid, as is any value above 1.  In bits, I(A;B) =
+    N + log2(1 - 2^-M), I(A;E) = N log2(1 + 2 zeta), and the I(B;E) bound
+    (2 N zeta + 2^-M)/ln 2 combines the two through the information triangle
+    inequality with the conservative + sign, so it is never negative.
     """
 
     n_key: int
@@ -214,19 +153,28 @@ class SecurityReport:
         if not isinstance(self.aborted, (type(None), bool, np.bool_)):
             raise InvalidParameterError(f"aborted must be a bool, got {self.aborted!r:.40}")
         object.__setattr__(self, "aborted", None if self.aborted is None else bool(self.aborted))
-        eta = exact_eta(self.blocks_per_parity, self.block_size)
-        z = zeta(self.blocks_per_parity, self.block_size, self.ratio, eta)
-        bound = eve_key_probability(self.n_key, z)
-        info = information_bounds(self.n_key, self.hash_rounds, z)
+        n, k = self.blocks_per_parity, self.block_size
+        eta = exact_eta(n, k)
+        if not (0.0 <= self.ratio < 1.0):
+            raise InvalidParameterError(f"channel ratio must lie in [0, 1), got {self.ratio}")
+        n_key = _key_length(self.n_key)
+        if self.hash_rounds < 1:
+            raise InvalidParameterError(f"hash rounds must be >= 1, got {self.hash_rounds}")
+        z = eve_success_probability(self.ratio) ** (eta * n * k)
+        try:
+            pr_eve_key = math.exp(n_key * (math.log1p(2.0 * z) - LN2))
+        except OverflowError:
+            pr_eve_key = math.inf
         p_miss = 2.0 ** (-self.hash_rounds)
+        i_ae = n_key * math.log1p(2.0 * z) / LN2
+        # N zeta first: 2.0 * N overflows to inf near the float range, and inf * 0 is NaN.
+        i_be = (2.0 * (n_key * z) + p_miss) / LN2
         derived = dict(
-            eta=eta, zeta=z, pr_eve_key=bound.value, pr_eve_key_valid=bound.valid,
-            **info._asdict(), pr_key_mismatch=p_miss,
-            identical_ok=p_miss <= self.eps1,
-            eve_prob_ok=bound.value <= 2.0 ** (-self.n_key) + self.eps2,
-            i_ae_ok=info.i_ae <= self.eps2,
-            i_be_ok=info.i_be <= self.eps2,
-        )
+            eta=eta, zeta=z, pr_eve_key=pr_eve_key, pr_eve_key_valid=pr_eve_key <= 1.0 + 1e-12,
+            i_ab=n_key + math.log1p(-p_miss) / LN2, i_ae=i_ae, i_be=i_be,
+            pr_key_mismatch=p_miss, identical_ok=p_miss <= self.eps1,
+            eve_prob_ok=pr_eve_key <= 2.0 ** (-n_key) + self.eps2,
+            i_ae_ok=i_ae <= self.eps2, i_be_ok=i_be <= self.eps2)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 

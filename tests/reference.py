@@ -2,23 +2,33 @@
 
 ``relqkd.harness`` runs its hash-calibration, majority-tail and
 parity-identity checks in fixed-size chunks, ``relqkd.distill`` draws a
-session's streams in chunks and addresses each by name, and
-``relqkd.security`` takes ``parity_count``'s exact side at k = 1 in closed
-form.  The functions here are the plain forms those replace: each check
-and ``session`` draws or builds its whole working array at once,
-``session`` spawns its streams in order, and ``parity_walk`` walks the
-binomial row for any k.  The tests hold the package's results equal to
-these, byte for byte.
+session's streams in chunks and addresses each by name and its hash
+subsets in batches, and ``relqkd.security`` takes ``parity_count``'s exact
+side at k = 1 in closed form and derives a report's bounds in one place.
+The functions here are the plain forms those replace: each check and
+``session`` draws or builds its whole working array at once, ``session``
+spawns its streams in order, ``random_nonzero`` draws one subset per call,
+``parity_walk`` walks the binomial row for any k, and ``zeta``,
+``eve_key_probability`` and ``information_bounds`` compute the bounds one
+function each.  The tests hold the package's results equal to these, byte
+for byte.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from relqkd import distill, security
-from relqkd.adversary import channel_probabilities
+from relqkd.adversary import channel_probabilities, eve_success_probability
 from relqkd.distill import ROUND_COLUMNS, Transcript, majority_decode
-from relqkd.errors import ResourceExhaustedError
+from relqkd.errors import (
+    InvalidParameterError,
+    ResourceExhaustedError,
+    require_float,
+    require_integer,
+)
+from relqkd.security import LN2
 from relqkd.harness import CheckResult, _stderr
 
 
@@ -89,10 +99,91 @@ def _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks) -> Transcript:
     table[:, 2] = 3 if fired is None else np.where(fired, a_bits, 2)
     table[:, 3] = disclosed_mask
     length = cfg.key_length + cfg.hash_rounds
-    lengths = list(range(length, length - cfg.hash_rounds, -1))
-    subsets = tuple(format(v, f"0{n}b")[::-1]
-                    for n, v in zip(lengths, distill._random_subsets(rng_hash, lengths)))
+    subsets = tuple(format(random_nonzero(rng_hash, n), f"0{n}b")[::-1]
+                    for n in range(length, length - cfg.hash_rounds, -1))
     return Transcript(table, chosen, subsets, cfg.blocks_per_parity)
+
+
+def random_nonzero(rng: np.random.Generator, length: int) -> int:
+    """One random non-zero subset of ``length`` bits, as a session drew each one."""
+    if length <= 62:
+        return int(rng.integers(1, 1 << length))
+    mask = (1 << length) - 1
+    while True:
+        v = int.from_bytes(rng.bytes((length + 7) // 8), "little") & mask
+        if v:
+            return v
+
+
+def zeta(n: int, k: int, ratio: float, eta: float) -> float:
+    """Per-parity-bit advantage factor [(1 + ratio)/2]^(eta * n * k).
+
+    eta = 0, one string per parity set as at n = 1, gives 1: a vacuous bound.
+    """
+    n, k = require_integer("n", n), require_integer("k", k)
+    ratio, eta = require_float("ratio", ratio), require_float("eta", eta)
+    if not (0.0 <= ratio < 1.0):
+        raise InvalidParameterError(f"channel ratio must lie in [0, 1), got {ratio}")
+    if not (0.0 <= eta <= 1.0):
+        raise InvalidParameterError(f"eta must lie in [0, 1], got {eta}")
+    if n < 1 or k < 1:
+        raise InvalidParameterError(f"need n, k >= 1, got n={n}, k={k}")
+    return eve_success_probability(ratio) ** (eta * n * k)
+
+
+def _zeta_value(zeta_value) -> float:
+    """zeta as a Python float, refused unless it is >= 0 (so NaN is refused)."""
+    z = require_float("zeta", zeta_value)
+    if not z >= 0.0:
+        raise InvalidParameterError(f"zeta must be >= 0, got {zeta_value}")
+    return z
+
+
+class EveKeyBound(NamedTuple):
+    value: float
+    valid: bool   # False when the bound exceeds 1 and is vacuous
+
+
+def eve_key_probability(n_key: int, zeta_value: float) -> EveKeyBound:
+    """Bound 2^-N (1 + 2*zeta)^N on the eavesdropper guessing the full key.
+
+    The bound is computed in log space; past the float range it is inf,
+    and vacuous.
+    """
+    n_key, zeta_value = security._key_length(n_key), _zeta_value(zeta_value)
+    log_value = n_key * (math.log1p(2.0 * zeta_value) - LN2)
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    return EveKeyBound(value, value <= 1.0 + 1e-12)
+
+
+class InformationBounds(NamedTuple):
+    i_ab: float
+    i_ae: float
+    i_be: float
+
+
+def information_bounds(n_key: int, hash_rounds: int, zeta_value: float) -> InformationBounds:
+    """Mutual-information bounds (bits) between the three parties' keys.
+
+    I(A;B) = N + log2(1 - 2^-M); I(A;E) = N log2(1 + 2 zeta); the bound on
+    I(B;E) combines the two through the information triangle inequality.
+    The conservative + sign is used in the I(B;E) combination so the bound
+    can never go negative.
+    """
+    n_key = security._key_length(n_key)
+    hash_rounds = require_integer("hash rounds", hash_rounds)
+    if hash_rounds < 1:
+        raise InvalidParameterError(f"hash rounds must be >= 1, got {hash_rounds}")
+    zeta_value = _zeta_value(zeta_value)
+    p_miss = 2.0 ** (-hash_rounds)
+    i_ab = n_key + math.log1p(-p_miss) / LN2
+    i_ae = n_key * math.log1p(2.0 * zeta_value) / LN2
+    # N zeta first: 2.0 * N overflows to inf near the float range, and inf * 0 is NaN.
+    i_be = (2.0 * (n_key * zeta_value) + p_miss) / LN2
+    return InformationBounds(i_ab, i_ae, i_be)
 
 
 def parity_walk(n: int, k: int) -> int:

@@ -1,5 +1,9 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ runs to completion and prints its pinned text.
 
+A change that moves a demo's stdout must re-pin its digest here, openly.
+"""
+
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +13,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# The leading 16 hex digits of the sha256 of each demo's stdout.
+STDOUT_SHA256 = {
+    "01_plateau_envelopes": "70edad0a6f80ba8a",
+    "02_delay_tradeoff": "d6a6a2c8ce53d797",
+    "03_information_quantities": "5cb38695f196f7cb",
+    "04_distillation_session": "de2f4b909aa98be4",
+    "05_security_solver": "98061958a5853d19",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -19,3 +31,4 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest()[:16] == STDOUT_SHA256[demo.stem]

@@ -1260,11 +1260,11 @@ def _reference_read(text) -> Transcript | None:
 
 
 def _assert_read_as(parsed, reference, text):
-    """``parsed`` is ``reference``'s record, and keeps its blocks, read-only, and ``text``."""
+    """``parsed`` is ``reference``'s record, keeps its blocks, read-only, and writes ``text``."""
     assert parsed == reference
     assert parsed.blocks.dtype == reference.blocks.dtype == np.int32
     assert not parsed.blocks.flags.writeable
-    assert parsed.to_text() is text
+    assert parsed.to_text() == text
 
 
 _SESSION = dict(
@@ -1370,7 +1370,7 @@ class _WordStream:
 
 
 class TestHashSubsets:
-    """``_random_subsets`` against ``_random_nonzero`` called once per subset."""
+    """``_random_subsets`` against ``reference.random_nonzero`` called once per subset."""
 
     @settings(max_examples=150, deadline=None)
     @given(top=st.integers(1, 2000), rounds=st.integers(1, 20),
@@ -1379,7 +1379,7 @@ class TestHashSubsets:
         lengths = list(range(top, max(top - rounds, 0), -1))
         batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
         assert distill._random_subsets(batched, lengths) == [
-            distill._random_nonzero(single, n) for n in lengths]
+            reference.random_nonzero(single, n) for n in lengths]
         assert batched.bit_generator.state == single.bit_generator.state
 
     def test_zero_subset_is_drawn_again_in_order(self):
@@ -1389,7 +1389,7 @@ class TestHashSubsets:
         lengths = [100, 99, 98]
         batched, single = _WordStream(words), _WordStream(words)
         subsets = distill._random_subsets(batched, lengths)
-        assert subsets == [distill._random_nonzero(single, n) for n in lengths]
+        assert subsets == [reference.random_nonzero(single, n) for n in lengths]
         assert batched.used == single.used == 16
         assert subsets[1] == int.from_bytes(np.array([5, 6, 7, 8], "<u4").tobytes(),
                                             "little") & ((1 << 99) - 1)

@@ -12,19 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import parity_walk
+import reference
 from relqkd.errors import InvalidParameterError, RelqkdError
 from relqkd.security import (
     MAX_TOTAL,
     SecurityReport,
     SolvedParameters,
     build_report,
-    eve_key_probability,
     exact_eta,
-    information_bounds,
     parity_count,
     solve_parameters,
-    zeta,
 )
 
 LN2 = math.log(2.0)
@@ -80,7 +77,7 @@ class TestParityCount:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 2000))
     def test_closed_form_at_k1_is_the_walk(self, n):
-        assert parity_count(n, 1).exact == parity_walk(n, 1) == 2 ** (n - 1)
+        assert parity_count(n, 1).exact == reference.parity_walk(n, 1) == 2 ** (n - 1)
 
     def test_cosine_side_is_the_term_by_term_form(self):
         # Bitwise the expression evaluated while 2^{nk} is a float.
@@ -106,90 +103,105 @@ class TestParityCount:
 
 
 class TestZeta:
+    """zeta = [(1 + ratio)/2]^(eta n k), as a report derives it."""
+
     def test_zero_ratio(self):
-        assert zeta(10, 1, 0.0, 1.0) == pytest.approx(2.0 ** -10, abs=0)
+        # At k = 1, eta n k = n - 1.
+        assert build_report(16, 11, 1, 12, 0.0, 1e-3, 1e-3).zeta == pytest.approx(
+            2.0 ** -10, rel=1e-12)
 
     def test_half_ratio(self):
-        assert zeta(20, 1, 0.5, 1.0) == pytest.approx(0.75 ** 20, rel=1e-12)
+        assert build_report(16, 21, 1, 12, 0.5, 1e-3, 1e-3).zeta == pytest.approx(
+            0.75 ** 20, rel=1e-12)
 
     def test_decreasing_in_block_product(self):
-        values = [zeta(n, 1, 0.5, 1.0) for n in (5, 10, 20, 40)]
+        values = [build_report(16, n, 1, 12, 0.5, 1e-3, 1e-3).zeta for n in (5, 10, 20, 40)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_ratio_validation(self):
-        with pytest.raises(InvalidParameterError):
-            zeta(10, 1, 1.0, 1.0)
-        # A ratio or eta that is no real number once raised a raw TypeError.
-        for args in ((1, 1, "a", 0.5), (1, 1, 0.5, "a")):
-            with pytest.raises(InvalidParameterError, match="must be a real number"):
-                zeta(*args)
+        for ratio in (1.0, math.nan, -0.1):
+            with pytest.raises(InvalidParameterError, match="channel ratio must lie in"):
+                build_report(16, 10, 1, 12, ratio, 1e-3, 1e-3)
+        # A ratio that is no real number once raised a raw TypeError.
+        with pytest.raises(InvalidParameterError, match="must be a real number"):
+            build_report(16, 10, 1, 12, "a", 1e-3, 1e-3)
 
     def test_one_block_per_parity_is_vacuous(self):
         # n = 1: the parity set holds one string, so eta = 0 and zeta = 1.
         assert exact_eta(1, 3) == 0.0
-        assert zeta(1, 3, 0.5, 0.0) == 1.0
         report = build_report(8, 1, 3, 4, 0.5, 1e-2, 1e-2)
+        assert report.eta == 0.0 and report.zeta == 1.0
         assert not (report.pr_eve_key_valid or report.identical_ok or report.eve_prob_ok
                     or report.i_ae_ok or report.i_be_ok)
 
-    @pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
-    def test_eta_outside_unit_interval_rejected(self, eta):
-        with pytest.raises(InvalidParameterError, match="eta must lie in"):
-            zeta(10, 1, 0.5, eta)
-
 
 class TestEveKeyProbability:
+    """The key-guessing bound 2^-N (1 + 2 zeta)^N, as a report derives it."""
+
     def test_guessing_floor(self):
-        bound = eve_key_probability(16, 0.0)
-        assert bound.value == pytest.approx(2.0 ** -16, rel=1e-12)
-        assert bound.valid
+        # 0.5 ** 1099 underflows, so zeta = 0.
+        report = build_report(16, 1100, 1, 12, 0.0, 1e-3, 1e-3)
+        assert report.zeta == 0.0
+        assert report.pr_eve_key == pytest.approx(2.0 ** -16, rel=1e-12)
+        assert report.pr_eve_key_valid
 
     def test_small_zeta(self):
-        bound = eve_key_probability(16, 1e-4)
-        assert bound.value == pytest.approx(2.0 ** -16 * 1.0002 ** 16, rel=1e-9)
+        report = build_report(16, 14, 1, 12, 0.0, 1e-3, 1e-3)
+        assert report.zeta == pytest.approx(2.0 ** -13, rel=1e-12)
+        assert report.pr_eve_key == pytest.approx(
+            2.0 ** -16 * (1.0 + 2.0 * report.zeta) ** 16, rel=1e-9)
 
     def test_degenerate_channel(self):
         # zeta = 1/2 reproduces certainty: the full-length channel limit.
-        bound = eve_key_probability(16, 0.5)
-        assert bound.value == pytest.approx(1.0, rel=1e-12)
-        assert bound.valid
+        report = build_report(16, 2, 1, 12, 0.0, 1e-3, 1e-3)
+        assert report.zeta == 0.5
+        assert report.pr_eve_key == pytest.approx(1.0, rel=1e-12)
+        assert report.pr_eve_key_valid
 
     def test_vacuous_bound_flagged(self):
-        assert not eve_key_probability(8, 0.8).valid
+        assert not build_report(8, 1, 1, 12, 0.5, 1e-3, 1e-3).pr_eve_key_valid
 
     @pytest.mark.parametrize("n_key,zeta_value", [(10 ** 6, 0.9), (4000, 0.75), (1752, 1.0)])
     def test_bound_past_the_float_range_is_inf(self, n_key, zeta_value):
-        # exp of the log bound once raised a raw OverflowError here.
-        assert eve_key_probability(n_key, zeta_value) == (math.inf, False)
+        # exp of the log bound once raised a raw OverflowError here.  n = 2
+        # at k = 1 gives zeta = (1 + ratio)/2; n = 1 gives zeta = 1.
+        n, ratio = (1, 0.5) if zeta_value == 1.0 else (2, 2.0 * zeta_value - 1.0)
+        report = build_report(n_key, n, 1, 12, ratio, 1e-3, 1e-3)
+        assert report.zeta == zeta_value
+        assert (report.pr_eve_key, report.pr_eve_key_valid) == (math.inf, False)
 
     def test_monotone_in_zeta(self):
-        values = [eve_key_probability(16, z).value for z in np.linspace(0, 0.5, 11)]
-        assert all(b > a for a, b in zip(values, values[1:]))
+        reports = [build_report(16, n, 1, 12, 0.5, 1e-3, 1e-3) for n in (40, 20, 10, 5, 2, 1)]
+        assert all(b.zeta > a.zeta and b.pr_eve_key > a.pr_eve_key
+                   for a, b in zip(reports, reports[1:]))
 
 
 class TestInformationBounds:
+    """I(A;B), I(A;E) and the I(B;E) bound, as a report derives them."""
+
     def test_perfect_limit(self):
-        info = information_bounds(16, 60, 0.0)
-        assert info.i_ab == pytest.approx(16.0, abs=1e-9)
-        assert info.i_ae == 0.0
-        assert info.i_be == pytest.approx(0.0, abs=1e-15)
+        report = build_report(16, 1100, 1, 60, 0.0, 1e-3, 1e-3)
+        assert report.zeta == 0.0
+        assert report.i_ab == pytest.approx(16.0, abs=1e-9)
+        assert report.i_ae == 0.0
+        assert report.i_be == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_point(self):
-        info = information_bounds(16, 20, 1e-6)
-        assert info.i_ab == pytest.approx(16.0 - 2.0 ** -20 / LN2, rel=1e-9)
-        assert info.i_ae == pytest.approx(16.0 * math.log1p(2e-6) / LN2, rel=1e-9)
-        assert info.i_be == pytest.approx((32e-6 + 2.0 ** -20) / LN2, rel=1e-9)
+        report = build_report(16, 21, 1, 20, 0.0, 1e-3, 1e-3)
+        z = report.zeta
+        assert z == pytest.approx(2.0 ** -20, rel=1e-12)
+        assert report.i_ab == pytest.approx(16.0 - 2.0 ** -20 / LN2, rel=1e-9)
+        assert report.i_ae == pytest.approx(16.0 * math.log1p(2.0 * z) / LN2, rel=1e-9)
+        assert report.i_be == pytest.approx((32.0 * z + 2.0 ** -20) / LN2, rel=1e-9)
 
     def test_vanishing_with_block_product(self):
-        etas = [(nk, exact_eta(nk, 1)) for nk in (20, 60, 120)]
-        iaes = [information_bounds(64, 40, zeta(nk, 1, 0.5, eta)).i_ae
-                for nk, eta in etas]
+        iaes = [build_report(64, n, 1, 40, 0.5, 1e-3, 1e-3).i_ae for n in (20, 60, 120)]
         assert all(b < a for a, b in zip(iaes, iaes[1:]))
         assert iaes[-1] < 1e-6
 
     def test_i_ab_never_exceeds_key_length(self):
         for m in (1, 5, 20):
-            assert information_bounds(32, m, 0.0).i_ab <= 32.0
+            assert build_report(32, 20, 1, m, 0.0, 1e-3, 1e-3).i_ab <= 32.0
 
 
 def reference_solve(eps1, eps2, n_key, ratio, max_total=1_000_000):
@@ -231,10 +243,9 @@ class TestSolveParameters:
         assert report.all_ok
         # Independent check of the binding constraint at the solution.
         n, k, m = params.blocks_per_parity, params.block_size, params.hash_rounds
-        eta = exact_eta(n, k)
-        z = zeta(n, k, 0.0, eta)
-        assert information_bounds(64, m, z).i_ae <= 1e-3
-        assert information_bounds(64, m, z).i_be <= 1e-3
+        z = reference.zeta(n, k, 0.0, exact_eta(n, k))
+        assert reference.information_bounds(64, m, z).i_ae <= 1e-3
+        assert reference.information_bounds(64, m, z).i_be <= 1e-3
 
     def test_report_round_trips_through_reevaluation(self):
         params, report = solve_parameters(1e-3, 1e-3, 64, 0.5)
@@ -317,10 +328,11 @@ class TestNumpyIntegers:
     def test_solver_and_bounds(self):
         assert (solve_parameters(1e-3, 1e-3, np.int64(64), 0.5)[0]
                 == solve_parameters(1e-3, 1e-3, 64, 0.5)[0])
-        assert eve_key_probability(np.int64(16), 0.1) == eve_key_probability(16, 0.1)
-        assert (information_bounds(np.int64(16), np.int64(4), 0.1)
-                == information_bounds(16, 4, 0.1))
-        assert zeta(np.int64(9), np.int64(1), 0.5, 1.0) == zeta(9, 1, 0.5, 1.0)
+        report = build_report(np.int64(16), np.int64(9), np.int64(1), np.int64(4),
+                              np.float64(0.5), 1e-3, 1e-3)
+        again = build_report(16, 9, 1, 4, 0.5, 1e-3, 1e-3)
+        assert ((report.zeta, report.pr_eve_key, report.i_ab, report.i_ae, report.i_be)
+                == (again.zeta, again.pr_eve_key, again.i_ab, again.i_ae, again.i_be))
         assert exact_eta(np.int64(9), np.int64(3)) == exact_eta(9, 3)
 
     @pytest.mark.parametrize("value", [2.0, math.nan, np.float64(3.0), np.bool_(True), "3"])
@@ -362,8 +374,6 @@ class TestKeyLength:
     """Every function that takes a key length reads it the same way."""
 
     CALLS = {
-        "eve_key_probability": lambda n_key: eve_key_probability(n_key, 0.9),
-        "information_bounds": lambda n_key: information_bounds(n_key, 10, 0.1),
         "build_report": lambda n_key: build_report(n_key, 2, 1, 10, 0.5, 1e-3, 1e-3),
         "solve_parameters": lambda n_key: solve_parameters(1e-3, 1e-3, n_key, 0.5),
     }
@@ -381,10 +391,12 @@ class TestKeyLength:
             self.CALLS[call](0)
 
     def test_largest_float_accepted(self):
-        assert eve_key_probability(int(1.7e308), 0.9) == (math.inf, False)
+        report = build_report(int(1.7e308), 2, 1, 12, 0.8, 1e-3, 1e-3)
+        assert (report.pr_eve_key, report.pr_eve_key_valid) == (math.inf, False)
         # 2N overflows here; the I(B;E) bound once read NaN at zeta = 0, so
         # no report passed and the solver searched up to max_total.
-        assert information_bounds(int(1.7e308), 12, 0.0).i_be == 2.0 ** -12 / LN2
+        report = build_report(int(1.7e308), 1100, 1, 12, 0.0, 1e-3, 1e-3)
+        assert report.zeta == 0.0 and report.i_be == 2.0 ** -12 / LN2
         with _time_limit(5):
             params, report = solve_parameters(1e-3, 1e-3, 10**308, 0.5)
         assert report.all_ok and params.blocks_per_parity == 2496
@@ -417,30 +429,15 @@ _EDGES = st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0, math.nan, math.inf, -math.in
 
 
 class TestZetaValue:
-    """Both functions that take zeta read it once, as a Python float."""
-
-    @pytest.mark.parametrize("call", [lambda z: eve_key_probability(5, z),
-                                      lambda z: information_bounds(5, 3, z)],
-                             ids=["eve_key_probability", "information_bounds"])
-    def test_nan_rejected(self, call):
-        # Each once returned NaN.
-        with pytest.raises(InvalidParameterError, match="zeta must be >= 0, got nan"):
-            call(float("nan"))
-
-    def test_numpy_zeta_against_a_huge_key(self):
-        # N * np.int64 zeta once raised a raw OverflowError.
-        assert (information_bounds(2 ** 63, 1, np.int64(5))
-                == information_bounds(2 ** 63, 1, 5.0))
+    """Every entry on the path to a report's zeta meets numeric edges with a typed refusal."""
 
     @settings(max_examples=300, deadline=None)
-    @given(n_key=_EDGES, hash_rounds=_EDGES, zeta_value=_EDGES)
-    def test_numeric_edges(self, n_key, hash_rounds, zeta_value):
+    @given(n_key=_EDGES, hash_rounds=_EDGES)
+    def test_numeric_edges(self, n_key, hash_rounds):
         # Each call returns a non-NaN result or raises a RelqkdError, within
         # 5 s.  The parity count takes the edges as (n, k) and a report as
         # its key length and (n, k); 2^63 blocks once raised a raw MemoryError.
-        for call in (lambda: eve_key_probability(n_key, zeta_value),
-                     lambda: information_bounds(n_key, hash_rounds, zeta_value),
-                     lambda: parity_count(n_key, hash_rounds),
+        for call in (lambda: parity_count(n_key, hash_rounds),
                      lambda: (exact_eta(n_key, hash_rounds),),
                      lambda: dataclasses.astuple(build_report(
                          n_key, n_key, hash_rounds, 12, 0.5, 1e-3, 1e-3))):
@@ -586,6 +583,20 @@ class TestReportFields:
         report = build_report(*self.REPORT)
         with pytest.raises(InvalidParameterError, match=name):
             dataclasses.replace(report, **changes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_key=st.integers(1, int(1.7e308)), n=st.integers(1, 200), k=st.integers(1, 9),
+           hash_rounds=st.integers(1, 80), ratio=st.floats(0.0, 1.0, exclude_max=True))
+    def test_bounds_are_the_reference_functions(self, n_key, n, k, hash_rounds, ratio):
+        # The report derives its bounds in one place; these are the three
+        # functions that once derived them, bit for bit.
+        report = build_report(n_key, n, k, hash_rounds, ratio, 1e-3, 1e-3)
+        z = reference.zeta(n, k, ratio, exact_eta(n, k))
+        assert report.zeta == z
+        assert ((report.pr_eve_key, report.pr_eve_key_valid)
+                == tuple(reference.eve_key_probability(n_key, z)))
+        assert ((report.i_ab, report.i_ae, report.i_be)
+                == tuple(reference.information_bounds(n_key, hash_rounds, z)))
 
     def test_numpy_bool_abort_is_stored_as_a_bool(self):
         # np.True_ was once written as "aborted=True", which from_text refused.

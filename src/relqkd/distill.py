@@ -5,8 +5,9 @@ transmission with optional intercept-resend interference, sifting on the
 receiver's conclusive outcomes, disclosure-based error estimation, majority
 blocks announced after reception, parity-bit formation over disjoint block
 groups, and the round-by-round hash comparison that whittles N + M parity
-bits down to the final N-bit keys.  Everything is driven by one master seed
-and the resulting transcript is byte-reproducible.
+bits down to the final N-bit keys.  No round count is fixed before
+sending: rounds are drawn until their blocks are complete.  Everything is
+driven by one master seed and the resulting transcript is byte-reproducible.
 
 A session's transcript is the simulator's full record, not its public
 discussion: the round table, the blocks announced after reception, the
@@ -42,11 +43,12 @@ _MAX_ROUNDS = 2 ** 31 - 1
 # few chunks, however many rounds the session plays.
 _CHUNK = 1 << 16
 
-# A session's random streams, by name.  Stream i of attempt a draws from
-# SeedSequence(seed, spawn_key=(6a + i,)), the child that six spawns per
-# attempt once gave it, so a new stream takes a key outside that range
-# and moves none of these.
-STREAMS = ("bits", "eve", "bob", "noise", "public", "hash")
+# A session's random streams, by name.  Stream i draws from
+# SeedSequence(seed, spawn_key=(i,)), the i-th child that
+# SeedSequence(seed).spawn gives, so a new stream takes the next key and
+# moves none of these.  The first five draw a fixed number of doubles a
+# round; "hash" and "shuffle" draw only after the last round.
+STREAMS = ("bits", "eve", "bob", "noise", "public", "hash", "shuffle")
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class ProtocolConfig:
     block_size: int            # k, odd
     blocks_per_parity: int     # n
     hash_rounds: int           # M
-    disclose_fraction: float   # fraction of sifted rounds spent on noise estimation
+    disclose_fraction: float   # chance that a conclusive round is disclosed for noise estimation
     envelope: Plateau          # as make_plateau builds it; L = envelope.plateau_length
     channel_length: float      # L_ch < L
     seed: int
@@ -220,16 +222,22 @@ class Transcript:
                                         "and '-' mark every round or none")
         if not count or inconclusive:
             raise InvalidParameterError("a session discloses one conclusive round or more")
-        # A block's rounds decode to A's sent bit and B's majority vote.
-        firsts, votes = np.empty((2, len(blocks)), dtype=np.uint8)
-        for rows in _chunks(len(blocks), blocks.shape[1]):
-            members = blocks[rows]
+        # A block's rounds decode to A's sent bit and B's majority vote,
+        # which parity bit j XORs over blocks j*n .. j*n+n-1: a chunk of
+        # whole parity groups at a time.
+        if n < 1 or len(blocks) % n:
+            raise InvalidParameterError(
+                f"{len(blocks)} blocks do not split into parity groups of {n} blocks")
+        parities = np.empty((2, len(blocks) // n), dtype=np.uint8)
+        for groups in _chunks(len(blocks) // n, n * blocks.shape[1]):
+            members = blocks[groups.start * n:groups.stop * n]
             a, b = sent.take(members), bob.take(members)
             if (a != a[:, :1]).any() or not ((disclosed.take(members) == 0) & (b != 2)).all():
                 raise InvalidParameterError("a block must hold undisclosed, conclusive rounds "
                                             "of one sent bit")
-            firsts[rows], votes[rows] = a[:, 0], majority_decode(b)
-        walk = hash_rounds(form_parity_bits(firsts, n), form_parity_bits(votes, n), self.subsets)
+            parities[:, groups] = (form_parity_bits(a[:, 0], n),
+                                   form_parity_bits(majority_decode(b), n))
+        walk = hash_rounds(*parities, self.subsets)
         self.__dict__.update(subsets=self.subsets[:len(walk.log)], hash_log=walk.log,
                              key_a=walk.key_a, key_b=walk.key_b, aborted=walk.aborted,
                              p_err_estimate=float(errors / count))
@@ -746,21 +754,16 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
                       False, tuple(log))
 
 
-class _ShortOfBlocks(Exception):
-    pass
-
-
 def run_session(cfg: ProtocolConfig) -> Transcript:
     """Play one full session and return its transcript.
 
-    The engine plans enough rounds to supply (N + M) * n blocks of k bits
-    after sifting and disclosure (20% margin), retries once with a doubled
-    margin, and raises ResourceExhaustedError if still short, or if the
-    rounds do not fit in memory or number more than 2^31 - 1, the most that
-    int32 round ids can name.  A plan holds at least as many rounds as the
-    bits it needs, so a need past that cap is refused before any plan.  A
-    hash parity mismatch is not an error: the abort is recorded in the
-    transcript.
+    Rounds are drawn until the session has its (N + M) * n blocks (see
+    ``_rounds``), so the transcript holds the rounds it uses.  It expects
+    (N + M) * n * k rounds over the chance that one is conclusive and
+    undisclosed; past 2^31 - 1, the most that int32 round ids can name,
+    it is refused with ResourceExhaustedError before drawing, as it is
+    when its rounds pass that count while drawing or exhaust memory.  A
+    hash parity mismatch is not an error: the abort is in the transcript.
     """
     f_eve, p_pass = channel_probabilities(cfg.envelope, cfg.channel_length, cfg.eve)
     p_sift = p_pass * (1.0 - cfg.loss_probability)
@@ -768,124 +771,43 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
         raise ResourceExhaustedError(
             "no round can ever pass the receiver test under this configuration"
         )
-
-    need_blocks = (cfg.key_length + cfg.hash_rounds) * cfg.blocks_per_parity
-    need_bits = need_blocks * cfg.block_size + 2 * (cfg.block_size - 1) + 8
-    if need_bits > _MAX_ROUNDS:
-        raise ResourceExhaustedError(
-            f"a session of more than {_MAX_ROUNDS} planned rounds does not fit in memory")
-    per_round = p_sift * (1.0 - cfg.disclose_fraction)
-
-    for attempt, margin in enumerate((1.2, 2.4)):
-        n_rounds = _planned_rounds(need_bits, per_round, margin)
-        try:
-            if n_rounds <= _MAX_ROUNDS:
-                return _attempt(cfg, n_rounds, partial(_stream, cfg.seed, attempt),
-                                f_eve, p_pass, need_blocks)
-        except _ShortOfBlocks:
-            continue
-        except MemoryError:
-            pass
-        raise ResourceExhaustedError(
-            f"a session of {n_rounds} planned rounds does not fit in memory")
-    raise ResourceExhaustedError(
-        f"insufficient sifted bits to form {need_blocks} blocks after retrying"
-    )
-
-
-def _planned_rounds(need_bits: int, per_round: float, margin: float) -> int:
-    """ceil(need_bits / per_round * margin): finite, since ``run_session`` caps
-    need_bits at 2^31 - 1, so the plan stays below 2^31 / 1e-12 / 2^-53 * 2.4."""
-    return math.ceil(need_bits / per_round * margin)
-
-
-def _stream(seed, attempt: int, name: str) -> np.random.Generator:
-    """The generator of stream ``name`` of ``STREAMS`` for a session's ``attempt``, 0 or 1."""
-    key = len(STREAMS) * attempt + STREAMS.index(name)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
-
-
-def _attempt(cfg: ProtocolConfig, n_rounds: int, stream, f_eve: float,
-             p_pass: float, need_blocks: int) -> Transcript:
-    """One try at a session of ``n_rounds`` rounds; ``stream(name)`` builds a named stream.
-
-    A stream's generator is built when its stage first draws from it.
-    The table is filled in place, column by column, and every float64
-    stream is drawn through one reused buffer of ``_CHUNK`` doubles, in
-    the order of one whole draw; the round ids are int32 from the start.
-    """
     k = cfg.block_size
-    table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
-    sent, bob, eve, shown = table.T
-    sent[:] = stream("bits").integers(0, 2, size=n_rounds, dtype=np.int8)
+    need_blocks = (cfg.key_length + cfg.hash_rounds) * cfg.blocks_per_parity
+    per_round = p_sift * (1.0 - cfg.disclose_fraction)
+    # An int past the float range would raise OverflowError; its count is inf.
+    expected = need_blocks * k / per_round if need_blocks * k < 2 ** 1023 else math.inf
+    if expected > _MAX_ROUNDS:
+        raise ResourceExhaustedError(f"a session expects {expected:.4g} rounds, more than the "
+                                     f"{_MAX_ROUNDS} that int32 round ids can name")
+    try:
+        table, blocks_end = _rounds(cfg, f_eve, p_pass, need_blocks, expected)
+        sent, bob, _, shown = table.T
 
-    # B's column starts as the bits the channel carries on to him: A's
-    # where she fired, else her guess.  All of rng_eve's uniforms come
-    # before its guesses; the disclosure column holds her fired mask until
-    # the disclosures are marked.
-    if cfg.eve is not None:
-        rng_eve = stream("eve")
-        fired = shown.view(np.bool_)
-        _uniforms(rng_eve, n_rounds, lambda rows, u: np.less(u, f_eve, out=fired[rows]))
-        bob[:] = rng_eve.integers(0, 2, size=n_rounds, dtype=np.int8)
-        np.copyto(bob, sent, where=fired)
-        eve[:] = 2
-        np.copyto(eve, sent, where=fired)
-    else:
-        bob[:] = sent
-        eve[:] = 3
+        # Antedate coding: blocks of k identical sent bits, grouped by A after
+        # reception in transmission order, then ordered by their first rounds
+        # and publicly shuffled; parity bit j XORs the shuffled blocks
+        # j*n .. j*n+n-1.  The two bit values' blocks are two ascending runs of
+        # distinct first rounds, which a stable argsort merges in one pass; at
+        # k = 1 the merge gives back the undisclosed conclusive rounds.
+        def unspent(rows):
+            return (bob[rows] < 2) & (shown[rows] == 0)
 
-    # rng_bob feeds nothing else, and a uniform draw on [0, 1) is below a
-    # pass probability of exactly 1, so a certain pass draws nothing.  No
-    # policy is checked: ``run_session`` refuses p_pass 0 before any attempt.
-    if p_pass != 1.0:
-        _uniforms(stream("bob"), n_rounds,
-                  lambda rows, u: np.copyto(bob[rows], 2, where=u >= p_pass))
-    # Channel noise: every loss draw, then every polarization flip draw,
-    # a flip acting on the survivors.  rng_noise feeds nothing else, so a
-    # draw at probability 0 changes no round and is skipped; the loss draw
-    # stays when flips follow it.
-    loss, flip = cfg.loss_probability, cfg.flip_probability
-    if loss or flip:
-        rng_noise = stream("noise")
-        _uniforms(rng_noise, n_rounds, lambda rows, u: np.copyto(bob[rows], 2, where=u < loss))
-        if flip:
-            _uniforms(rng_noise, n_rounds, lambda rows, u: np.bitwise_xor(
-                bob[rows], (u < flip) & (bob[rows] < 2), out=bob[rows]))
-
-    # The session's error estimate is derived from its transcript, so only
-    # the positions among the kept rounds are drawn.
-    kept = sum(np.count_nonzero(bob[rows] < 2) for rows in _chunks(n_rounds))
-    if kept < 2:
-        raise _ShortOfBlocks
-    rng_public = stream("public")
-    _mark_disclosed(table, _disclosed_positions(kept, cfg.disclose_fraction, rng_public))
-
-    # Antedate coding: blocks of k identical sent bits, grouped by A after
-    # reception in transmission order, then ordered by their first rounds
-    # and publicly shuffled; parity bit j XORs the shuffled blocks
-    # j*n .. j*n+n-1.  The two bit values' blocks are two ascending runs of
-    # distinct first rounds, which a stable argsort merges in one pass; at
-    # k = 1 the merge gives back the undisclosed conclusive rounds.
-    def unspent(rows):
-        return (bob[rows] < 2) & (shown[rows] == 0)
-
-    if k == 1:
-        blocks = _flat_ids(unspent, n_rounds)[:, None]
-    else:
-        runs = [_flat_ids(lambda rows: unspent(rows) & (sent[rows] == bit), n_rounds)
-                for bit in (0, 1)]
-        blocks = np.concatenate([ids[:ids.size - ids.size % k].reshape(-1, k) for ids in runs])
-        del runs
-        blocks = blocks[np.argsort(blocks[:, 0], kind="stable")]
-    if len(blocks) < need_blocks:
-        raise _ShortOfBlocks
+        if k == 1:
+            blocks = _flat_ids(unspent, blocks_end)[:, None]
+        else:
+            runs = [_flat_ids(lambda rows: unspent(rows) & (sent[rows] == bit), blocks_end)
+                    for bit in (0, 1)]
+            blocks = np.concatenate([ids[:ids.size - ids.size % k].reshape(-1, k)
+                                     for ids in runs])
+            del runs
+            blocks = blocks[np.argsort(blocks[:, 0], kind="stable")]
+    except MemoryError:
+        raise ResourceExhaustedError(
+            f"a session of about {expected:.4g} rounds does not fit in memory") from None
     # ``shuffle`` swaps rows as ``permutation(len(blocks))`` swaps the
-    # entries of its arange, with the same draws, so the shuffled rows are
-    # the blocks that permutation orders, and no int64 arange is made.
-    rng_public.shuffle(blocks.view(np.dtype((np.void, blocks.itemsize * k)))[:, 0])
-    chosen = blocks[:need_blocks].copy()
-    del blocks
+    # entries of its arange, with the same draws, so no int64 arange is made.
+    _stream(cfg.seed, "shuffle").shuffle(
+        blocks.view(np.dtype((np.void, blocks.itemsize * k)))[:, 0])
 
     # All M subsets, at the lengths a matching walk meets; rng_hash feeds
     # nothing else, so the announced ones are drawn as round by round.  The
@@ -893,8 +815,96 @@ def _attempt(cfg: ProtocolConfig, n_rounds: int, stream, f_eve: float,
     length = cfg.key_length + cfg.hash_rounds
     lengths = list(range(length, length - cfg.hash_rounds, -1))
     subsets = tuple(format(v, f"0{n}b")[::-1]
-                    for n, v in zip(lengths, _random_subsets(stream("hash"), lengths)))
-    return Transcript._adopt(table, chosen, subsets, cfg.blocks_per_parity)
+                    for n, v in zip(lengths, _random_subsets(_stream(cfg.seed, "hash"), lengths)))
+    return Transcript._adopt(table, blocks, subsets, cfg.blocks_per_parity)
+
+
+def _stream(seed, name: str) -> np.random.Generator:
+    """The generator of a session's stream ``name`` of ``STREAMS``."""
+    key = STREAMS.index(name)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
+
+
+def _rounds(cfg: ProtocolConfig, f_eve: float, p_pass: float, need_blocks: int,
+            expected: float) -> tuple[np.ndarray, int]:
+    """The round table of a session, and the rounds through the one that completes its blocks.
+
+    Rounds are drawn a chunk at a time until the classes' whole blocks,
+    floor(c0 / k) + floor(c1 / k) where c_b counts the conclusive,
+    undisclosed rounds of sent bit b, number ``need_blocks`` and a round
+    has been disclosed; rounds past the one that completes the blocks join
+    none.  Each stream draws a fixed number of doubles a round, so neither
+    the chunks' sizes, which follow the rounds still expected, nor the
+    draws past the stop move a round.
+    """
+    k, loss, flip = cfg.block_size, cfg.loss_probability, cfg.flip_probability
+    stream = partial(_stream, cfg.seed)
+    rng_bits, rng_public = stream("bits"), stream("public")
+    # A uniform draw on [0, 1) is below a pass probability of exactly 1, so
+    # a certain pass draws nothing, and no noise draws nothing.  No policy
+    # is checked: ``run_session`` refuses p_pass 0 before any round.
+    rng_eve = stream("eve") if cfg.eve is not None else None
+    rng_bob = stream("bob") if p_pass != 1.0 else None
+    rng_noise = stream("noise") if loss or flip else None
+    # Every stream draws into one buffer of two doubles a chunk row.
+    doubles = np.empty(max(2, min(_CHUNK, 2 * math.ceil(expected))))
+
+    def uniforms(rng, rows, width=1):
+        return rng.random(out=doubles[:rows * width]).reshape(rows, width).T
+
+    parts, counts, drawn = [], [0, 0], 0
+    blocks_end = disclosed_at = None
+    while blocks_end is None or disclosed_at is None:
+        if drawn == _MAX_ROUNDS:
+            raise ResourceExhaustedError(f"a session needs more than {_MAX_ROUNDS} rounds, "
+                                         f"the most that int32 round ids can name")
+        missing = max(need_blocks - sum(c // k for c in counts), 1)
+        rows = min(doubles.size // 2, _MAX_ROUNDS - drawn,
+                   math.ceil(expected * missing / need_blocks))
+        part = np.empty((rows, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
+        sent, bob, eve, shown = part.T
+        np.less(uniforms(rng_bits, rows)[0], 0.5, out=sent.view(np.bool_))
+        # B's column starts as the bit the channel carries on to him: A's
+        # where she fired, else her guess.  The disclosure column holds her
+        # fired mask until the disclosures are drawn.
+        if rng_eve is not None:
+            fire, guess = uniforms(rng_eve, rows, 2)
+            fired = shown.view(np.bool_)
+            np.less(fire, f_eve, out=fired)
+            np.less(guess, 0.5, out=bob.view(np.bool_))
+            np.copyto(bob, sent, where=fired)
+            eve[:] = 2
+            np.copyto(eve, sent, where=fired)
+        else:
+            bob[:] = sent
+            eve[:] = 3
+        if rng_bob is not None:
+            np.copyto(bob, 2, where=uniforms(rng_bob, rows)[0] >= p_pass)
+        # Channel noise: a loss, then a polarization flip of a survivor.
+        if rng_noise is not None:
+            lost, flipped = uniforms(rng_noise, rows, 2)
+            np.copyto(bob, 2, where=lost < loss)
+            np.bitwise_xor(bob, (flipped < flip) & (bob < 2), out=bob)
+        np.logical_and(uniforms(rng_public, rows)[0] < cfg.disclose_fraction, bob < 2,
+                       out=shown.view(np.bool_))
+
+        if disclosed_at is None and shown.any():
+            disclosed_at = drawn + int(shown.argmax())
+        if blocks_end is None:
+            classes = [(bob < 2) & (shown == 0) & (sent == bit) for bit in (0, 1)]
+            after = [c + np.count_nonzero(m) for c, m in zip(counts, classes)]
+            if sum(c // k for c in after) >= need_blocks:
+                # The whole blocks after each row; they grow by one at most a row.
+                made = sum((np.cumsum(m, dtype=np.int32) + c) // k
+                           for c, m in zip(counts, classes))
+                blocks_end = drawn + int(np.searchsorted(made, need_blocks)) + 1
+            counts, classes = after, None  # the masks go before the next chunk's
+        parts.append(part)
+        drawn += rows
+    stop = max(blocks_end, disclosed_at + 1)
+    parts[-1] = part[:rows - (drawn - stop)]
+    table = np.empty((stop, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
+    return np.concatenate(parts, out=table), blocks_end
 
 
 def _chunks(size: int, per_row: int = 1) -> list[slice]:
@@ -902,33 +912,6 @@ def _chunks(size: int, per_row: int = 1) -> list[slice]:
     a row holds ``per_row`` cells (one row, if a row holds more)."""
     step = max(1, _CHUNK // per_row)
     return [slice(start, min(start + step, size)) for start in range(0, size, step)]
-
-
-def _uniforms(rng: np.random.Generator, size: int, use) -> None:
-    """Call ``use(rows, doubles)`` for each chunk ``rows`` of ``_chunks(size)``, in order.
-
-    The doubles are drawn into one reused buffer, which is freed on return;
-    chunk after chunk, they are those of ``rng.random(size)``.
-    """
-    buffer = np.empty(min(size, _CHUNK))
-    for rows in _chunks(size):
-        use(rows, rng.random(out=buffer[:rows.stop - rows.start]))
-
-
-def _mark_disclosed(table: np.ndarray, positions: np.ndarray) -> None:
-    """Fill the disclosure column: the kept rounds at the rising ``positions`` among them.
-
-    A chunk of rounds at a time, each chunk marks the run of positions
-    that falls on its kept (conclusive) rounds.
-    """
-    _, bob, _, shown = table.T
-    shown[:] = 0
-    before = 0
-    for rows in _chunks(len(table)):
-        ids = np.flatnonzero(bob[rows] < 2)
-        run = positions[slice(*np.searchsorted(positions, (before, before + ids.size)))]
-        shown[rows][ids[run - before]] = 1
-        before += ids.size
 
 
 def _flat_ids(test, size: int) -> np.ndarray:

@@ -17,7 +17,7 @@ class CausalityViolationError(RelqkdError):
 
 
 class ResourceExhaustedError(RelqkdError, RuntimeError):
-    """A session ran out of raw material (sifted bits, blocks) after retrying."""
+    """A session cannot finish: no round passes, or its rounds pass int32 ids or memory."""
 
 
 def require_integer(name: str, value) -> int:

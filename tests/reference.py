@@ -2,16 +2,16 @@
 
 ``relqkd.harness`` runs its hash-calibration, majority-tail and
 parity-identity checks in fixed-size chunks, ``relqkd.distill`` draws a
-session's streams in chunks and addresses each by name and its hash
-subsets in batches, and ``relqkd.security`` takes ``parity_count``'s exact
-side at k = 1 in closed form and derives a report's bounds in one place.
-The functions here are the plain forms those replace: each check and
-``session`` draws or builds its whole working array at once, ``session``
-spawns its streams in order, ``random_nonzero`` draws one subset per call,
-``parity_walk`` walks the binomial row for any k, and ``zeta``,
-``eve_key_probability`` and ``information_bounds`` compute the bounds one
-function each.  The tests hold the package's results equal to these, byte
-for byte.
+session's rounds in chunks until it has its blocks, addresses each stream
+by name and draws its hash subsets in batches, and ``relqkd.security``
+takes ``parity_count``'s exact side at k = 1 in closed form and derives a
+report's bounds in one place.  The functions here are the plain forms
+those replace: each check and ``session`` draws or builds its whole
+working array at once, ``session`` spawns its streams in order,
+``random_nonzero`` draws one subset per call, ``parity_walk`` walks the
+binomial row for any k, and ``zeta``, ``eve_key_probability`` and
+``information_bounds`` compute the bounds one function each.  The tests
+hold the package's results equal to these, byte for byte.
 """
 
 import math
@@ -24,7 +24,6 @@ from relqkd.adversary import channel_probabilities, eve_success_probability
 from relqkd.distill import ROUND_COLUMNS, Transcript, majority_decode
 from relqkd.errors import (
     InvalidParameterError,
-    ResourceExhaustedError,
     require_float,
     require_integer,
 )
@@ -33,75 +32,74 @@ from relqkd.harness import CheckResult, _stderr
 
 
 def session(cfg: distill.ProtocolConfig) -> Transcript:
-    """``run_session`` with six streams spawned per attempt and whole-array draws.
+    """``run_session`` with spawned streams and whole-array draws.
 
-    The plan is ``distill._planned_rounds``'s, so a test that patches it
-    patches both; a plan past int32 round ids or memory is not modelled.
+    Each per-round stream is drawn whole over a bound on the rounds, which
+    doubles until the stop lies within it; the table is cut at the stop,
+    and the blocks are grouped and shuffled.  A session past int32 round
+    ids or memory is not modelled.
     """
     f_eve, p_pass = channel_probabilities(cfg.envelope, cfg.channel_length, cfg.eve)
-    p_sift = p_pass * (1.0 - cfg.loss_probability)
-    need_blocks = (cfg.key_length + cfg.hash_rounds) * cfg.blocks_per_parity
-    need_bits = need_blocks * cfg.block_size + 2 * (cfg.block_size - 1) + 8
-    per_round = p_sift * (1.0 - cfg.disclose_fraction)
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    for margin in (1.2, 2.4):
-        n_rounds = distill._planned_rounds(need_bits, per_round, margin)
-        rngs = [np.random.default_rng(c) for c in seed_seq.spawn(6)]
-        try:
-            return _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks)
-        except distill._ShortOfBlocks:
-            continue
-    raise ResourceExhaustedError(f"insufficient sifted bits to form {need_blocks} blocks")
-
-
-def _attempt(cfg, n_rounds, rngs, f_eve, p_pass, need_blocks) -> Transcript:
-    """``distill._attempt`` as it drew every stream whole, before it drew in chunks."""
-    rng_bits, rng_eve, rng_bob, rng_noise, rng_public, rng_hash = rngs
     k = cfg.block_size
-    a_bits = rng_bits.integers(0, 2, size=n_rounds, dtype=np.int8)
+    need_blocks = (cfg.key_length + cfg.hash_rounds) * cfg.blocks_per_parity
+    bound = need_blocks * k
+    while True:
+        bound *= 2
+        children = np.random.SeedSequence(cfg.seed).spawn(len(distill.STREAMS))
+        rngs = dict(zip(distill.STREAMS, map(np.random.default_rng, children)))
+        table, blocks_end, stop = _draw(cfg, rngs, f_eve, p_pass, need_blocks, bound)
+        if stop is not None:
+            break
+    table = table[:stop]
+    unspent = np.flatnonzero((table[:blocks_end, 1] < 2) & (table[:blocks_end, 3] == 0))
+    if k == 1:
+        blocks = unspent[:, None]
+    else:
+        one = table[unspent, 0] == 1
+        blocks = np.concatenate([ids[:ids.size - ids.size % k].reshape(-1, k)
+                                 for ids in (unspent.compress(~one), unspent.compress(one))])
+        blocks = blocks[np.argsort(blocks[:, 0], kind="stable")]
+    blocks = blocks.take(rngs["shuffle"].permutation(len(blocks)), axis=0)
+    length = cfg.key_length + cfg.hash_rounds
+    subsets = tuple(format(random_nonzero(rngs["hash"], n), f"0{n}b")[::-1]
+                    for n in range(length, length - cfg.hash_rounds, -1))
+    return Transcript(table, blocks, subsets, cfg.blocks_per_parity)
+
+
+def _draw(cfg, rngs, f_eve, p_pass, need_blocks, rounds):
+    """The first ``rounds`` rounds' table, the rounds through the one that
+    completes the blocks, and the session's stop; None for either that lies
+    past ``rounds``."""
+    k = cfg.block_size
+    a_bits = rngs["bits"].random(rounds) < 0.5
     if cfg.eve is not None:
-        fired = rng_eve.random(n_rounds) < f_eve
-        guesses = rng_eve.integers(0, 2, size=n_rounds, dtype=np.int8)
-        sent_on = np.where(fired, a_bits, guesses)
+        fire, guess = rngs["eve"].random((rounds, 2)).T
+        fired = fire < f_eve
+        sent_on = np.where(fired, a_bits, guess < 0.5)
     else:
         fired = None
         sent_on = a_bits
     if p_pass == 1.0:
-        conclusive = np.full(n_rounds, True)
+        conclusive = np.full(rounds, True)
     else:
-        conclusive = rng_bob.random(n_rounds) < p_pass
-    if cfg.loss_probability or cfg.flip_probability:
-        conclusive &= rng_noise.random(n_rounds) >= cfg.loss_probability
+        conclusive = rngs["bob"].random(rounds) < p_pass
     outcome_bits = sent_on
-    if cfg.flip_probability:
-        outcome_bits = sent_on ^ (rng_noise.random(n_rounds) < cfg.flip_probability)
-    kept = np.flatnonzero(conclusive)
-    if kept.size < 2:
-        raise distill._ShortOfBlocks
-    disclosed = kept[distill._disclosed_positions(kept.size, cfg.disclose_fraction,
-                                                  rng_public)]
-    disclosed_mask = np.zeros(n_rounds, dtype=bool)
-    disclosed_mask[disclosed] = True
-    remaining = np.flatnonzero(conclusive & ~disclosed_mask).astype(np.int32)
-    if k == 1:
-        blocks = remaining[:, None]
-    else:
-        one = a_bits[remaining] == 1
-        blocks = np.concatenate([ids[:ids.size - ids.size % k].reshape(-1, k)
-                                 for ids in (remaining.compress(~one), remaining.compress(one))])
-        blocks = blocks[np.argsort(blocks[:, 0], kind="stable")]
-    if len(blocks) < need_blocks:
-        raise distill._ShortOfBlocks
-    chosen = blocks.take(rng_public.permutation(len(blocks))[:need_blocks], axis=0)
-    table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
+    if cfg.loss_probability or cfg.flip_probability:
+        lost, flipped = rngs["noise"].random((rounds, 2)).T
+        conclusive &= lost >= cfg.loss_probability
+        outcome_bits = sent_on ^ (flipped < cfg.flip_probability)
+    disclosed = conclusive & (rngs["public"].random(rounds) < cfg.disclose_fraction)
+    unspent = conclusive & ~disclosed
+    made = sum(np.cumsum(unspent & (a_bits == bit)) // k for bit in (False, True))
+    table = np.empty((rounds, len(ROUND_COLUMNS)), dtype=np.uint8)
     table[:, 0] = a_bits
     table[:, 1] = np.where(conclusive, outcome_bits, 2)
     table[:, 2] = 3 if fired is None else np.where(fired, a_bits, 2)
-    table[:, 3] = disclosed_mask
-    length = cfg.key_length + cfg.hash_rounds
-    subsets = tuple(format(random_nonzero(rng_hash, n), f"0{n}b")[::-1]
-                    for n in range(length, length - cfg.hash_rounds, -1))
-    return Transcript(table, chosen, subsets, cfg.blocks_per_parity)
+    table[:, 3] = disclosed
+    if made[-1] < need_blocks or not disclosed.any():
+        return table, None, None
+    blocks_end = int(np.argmax(made >= need_blocks)) + 1
+    return table, blocks_end, max(blocks_end, int(np.argmax(disclosed)) + 1)
 
 
 def random_nonzero(rng: np.random.Generator, length: int) -> int:

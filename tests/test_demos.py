@@ -17,8 +17,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "01_plateau_envelopes": "70edad0a6f80ba8a",
     "02_delay_tradeoff": "d6a6a2c8ce53d797",
-    "03_information_quantities": "5cb38695f196f7cb",
-    "04_distillation_session": "de2f4b909aa98be4",
+    "03_information_quantities": "7c2f67a843fe063d",
+    "04_distillation_session": "b0d290763b1b7d5c",
     "05_security_solver": "98061958a5853d19",
 }
 

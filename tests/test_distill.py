@@ -1,6 +1,7 @@
 """Protocol engine: sifting, blocks, parities, hashing, full sessions."""
 
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -66,7 +67,7 @@ class TestSift:
         assert not any(r.disclosed or r.block is not None for r in lost)
 
     def test_kept_fraction_matches_loss_rate(self):
-        transcript = run_session(make_config(key_length=256, loss_probability=0.2,
+        transcript = run_session(make_config(key_length=320, loss_probability=0.2,
                                              seed=80))
         n = len(transcript.rounds)
         assert n >= 5_000
@@ -410,14 +411,29 @@ class TestRunSession:
             run_session(make_config(eve=eve))
 
     def test_plan_past_int32_round_ids_refused(self, monkeypatch):
-        # Round ids are int32, so a plan of 2^31 - 1 rounds is played and
-        # one more is refused, naming its count, before anything is drawn.
-        monkeypatch.setattr(distill, "_attempt", lambda cfg, n_rounds, *args: n_rounds)
-        monkeypatch.setattr(distill, "_planned_rounds", lambda *args: 2 ** 31 - 1)
-        assert run_session(make_config()) == 2 ** 31 - 1
-        monkeypatch.setattr(distill, "_planned_rounds", lambda *args: 2 ** 31)
+        # Round ids are int32, so a session holds at most _MAX_ROUNDS
+        # rounds; the cap is lowered here so that no test draws 2^31.  This
+        # session expects 288 / 0.9 = 320 rounds (every round passes) and
+        # plays 323.  A cap of 323 plays it; one of 322 refuses it while
+        # drawing, and one below 320 before anything is drawn, naming the
+        # expected count.
+        cfg = make_config()
+        assert len(run_session(cfg).round_table) == 323
+        monkeypatch.setattr(distill, "_MAX_ROUNDS", 323)
+        assert len(run_session(cfg).round_table) == 323
+        monkeypatch.setattr(distill, "_MAX_ROUNDS", 322)
+        with pytest.raises(ResourceExhaustedError, match="a session needs more than 322 rounds"):
+            run_session(cfg)
+        monkeypatch.setattr(distill, "_MAX_ROUNDS", 319)
         with pytest.raises(ResourceExhaustedError,
-                           match="a session of 2147483648 planned rounds does not fit"):
+                           match="a session expects 320 rounds, more than the 319 "):
+            run_session(cfg)
+
+    def test_memory_error_refused(self, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(distill, "_rounds", exhausted)
+        with pytest.raises(ResourceExhaustedError, match="about 320 rounds does not fit"):
             run_session(make_config())
 
     def test_strategy_geometry_mismatch_rejected(self):
@@ -742,7 +758,7 @@ class TestTranscript:
 
     def test_rounds_follow_the_table(self):
         # Long enough that the records are built over several row chunks.
-        transcript = run_session(make_config(key_length=512, flip_probability=0.02, seed=9))
+        transcript = run_session(make_config(key_length=640, flip_probability=0.02, seed=9))
         rows = transcript.round_table.tolist()
         assert len(rows) > 2 * 4096
         for b, members in enumerate(transcript.blocks.tolist()):
@@ -812,6 +828,7 @@ class TestTranscript:
         # past 64 bits); a value outside [0, 255] is no uint8 code, and one
         # inside it but past the column's alphabet cannot be spelled.
         i, j = cell
+        i %= len(NOISY.round_table)
         assume(value < 0 or value >= distill._ALPHABETS[j].size)
         table = NOISY.round_table.astype(object)
         table[i, j] = value
@@ -851,9 +868,11 @@ class TestTranscript:
 NOISY = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
                                 flip_probability=0.05, seed=5))
 NOISY_TEXT = NOISY.to_text()
-ABORTED = run_session(make_config(
-    key_length=4, hash_rounds=3, blocks_per_parity=2,
-    eve=EveStrategy(delay=0.0), seed=0))
+# The first seed whose eavesdropped session aborts before its last hash round.
+ABORTED = next(transcript for transcript in (
+    run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
+                            eve=EveStrategy(delay=0.0), seed=seed)) for seed in itertools.count())
+    if len(transcript.hash_log) < 3 and transcript.aborted)
 ABORTED_TEXT = ABORTED.to_text()
 EAVESDROPPED = run_session(make_config(key_length=8, blocks_per_parity=2, hash_rounds=4,
                                        eve=EveStrategy(0.25), seed=13))
@@ -1109,11 +1128,13 @@ class TestTranscriptParseErrors:
 
     def test_fired_outcome_contradicting_the_sent_bit(self):
         # A fired measurement identifies the sent bit without error.  Round
-        # 0 fired on a sent 1; no parity or estimate reads her outcome, so
-        # only its agreement with the sent bit can reveal the edit.
+        # i is the first that she fired on a sent 1; no parity or estimate
+        # reads her outcome, so only its agreement with the sent bit can
+        # reveal the edit.
         table = EAVESDROPPED.round_table
-        assert table[0, 0] == table[0, 2] == 1
-        text = _edit(lambda p: p["cols"]["eve_outcome"].__setitem__(0, "0"))(
+        i = int(np.argmax(table[:, 2] == 1))
+        assert table[i, 0] == table[i, 2] == 1
+        text = _edit(lambda p: p["cols"]["eve_outcome"].__setitem__(i, "0"))(
             EAVESDROPPED.to_text())
         with pytest.raises(InvalidParameterError, match="fired eavesdropper outcome"):
             Transcript.from_text(text)
@@ -1612,38 +1633,19 @@ class TestEavesdropperKnowledgeGap:
 class TestBoundedSession:
     """A session drawn in chunks and addressed by stream name, against the whole-array one.
 
-    ``reference.session`` spawns six streams per attempt and draws each
-    whole, as sessions did before; every transcript must come out the same.
+    ``reference.session`` spawns one stream per name and draws each whole
+    over a bound on the rounds; every transcript must come out the same.
     """
 
     @pytest.mark.parametrize("seed", [0, 808, 2 ** 70, [3, 4]], ids=["0", "808", "2^70", "[3,4]"])
     def test_named_streams_are_the_spawned_children(self, seed):
-        # Attempt a's stream i is the (6a + i)-th spawned child, also on the retry.
-        children = np.random.SeedSequence(seed).spawn(12)
-        for attempt in (0, 1):
-            for i, name in enumerate(distill.STREAMS):
-                spawned = np.random.default_rng(children[6 * attempt + i])
-                named = distill._stream(seed, attempt, name)
-                assert named.bit_generator.state == spawned.bit_generator.state
-                assert named.random(3).tolist() == spawned.random(3).tolist()
-
-    @settings(max_examples=60, deadline=None)
-    @given(size=st.integers(0, 3 * distill._CHUNK + 5) | st.sampled_from(
-               [distill._CHUNK - 1, distill._CHUNK, distill._CHUNK + 1, 2 * distill._CHUNK]),
-           seed=st.integers(0, 2 ** 64 - 1))
-    def test_chunked_uniforms_are_one_whole_draw(self, size, seed):
-        rng, whole = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = []
-        distill._uniforms(rng, size, lambda rows, u: drawn.append((rows, u.copy())))
-        # The chunks cover the rows in order, each of at most _CHUNK doubles.
-        stops = [0] + [rows.stop for rows, _ in drawn]
-        assert [(rows.start, rows.stop - rows.start) for rows, _ in drawn] == [
-            (start, u.size) for start, (_, u) in zip(stops, drawn)]
-        assert stops[-1] == size and all(0 < u.size <= distill._CHUNK for _, u in drawn)
-        assert np.concatenate([np.empty(0)] + [u for _, u in drawn]).tobytes() == \
-            whole.random(size).tobytes()
-        # The stream goes on where one whole draw leaves it.
-        assert rng.bit_generator.state == whole.bit_generator.state
+        # Stream i is the i-th spawned child: one key per name.
+        children = np.random.SeedSequence(seed).spawn(len(distill.STREAMS))
+        for child, name in zip(children, distill.STREAMS):
+            spawned = np.random.default_rng(child)
+            named = distill._stream(seed, name)
+            assert named.bit_generator.state == spawned.bit_generator.state
+            assert named.random(3).tolist() == spawned.random(3).tolist()
 
     CORPUS = [dict(block_size=k, eve=eve, flip_probability=flip, loss_probability=loss, seed=seed)
               for seed, (k, eve, flip, loss) in enumerate(
@@ -1679,29 +1681,42 @@ class TestBoundedSession:
         assert len(transcript.round_table) > distill._CHUNK
         assert transcript.to_text() == reference.session(cfg).to_text()
 
-    def test_forced_retry(self, monkeypatch):
-        # The first plan holds too few rounds, so the session retries on
-        # children 6 to 11; the retry's streams are the spawned ones.
-        planned = distill._planned_rounds
-        monkeypatch.setattr(distill, "_planned_rounds", lambda need, per_round, margin:
-                            need if margin < 2 else planned(need, per_round, margin))
-        attempts = []
-        attempt = distill._attempt
-        monkeypatch.setattr(distill, "_attempt",
-                            lambda *args: attempts.append(args[1]) or attempt(*args))
-        for case in self.CORPUS[::5]:
-            cfg = self._config(case)
-            attempts.clear()
-            transcript = run_session(cfg)
-            assert len(attempts) == 2
-            assert transcript.to_text() == reference.session(cfg).to_text()
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([1, 3, 7]), eve=st.sampled_from([None, 0.25, 0.0]),
+           flip=st.sampled_from([0.0, 0.05]), loss=st.sampled_from([0.0, 0.1]),
+           key_length=st.integers(1, 40), hash_rounds=st.integers(1, 6),
+           blocks_per_parity=st.integers(1, 4), disclose=st.sampled_from([0.02, 0.1, 0.3]),
+           seed=st.integers(0, 2 ** 32))
+    def test_transcript_holds_exactly_what_it_needs(self, k, eve, flip, loss, key_length,
+                                                     hash_rounds, blocks_per_parity, disclose,
+                                                     seed):
+        cfg = make_config(key_length=key_length, hash_rounds=hash_rounds, block_size=k,
+                          blocks_per_parity=blocks_per_parity, disclose_fraction=disclose,
+                          flip_probability=flip, loss_probability=loss, seed=seed,
+                          eve=None if eve is None else EveStrategy(delay=eve))
+        transcript = run_session(cfg)
+        need_blocks = (key_length + hash_rounds) * blocks_per_parity
+        sent, bob, _, shown = transcript.round_table.T
+        unspent = (bob < 2) & (shown == 0)
+        last = int(transcript.blocks.max())
+        # The round that completes the blocks is a member, and the classes'
+        # whole blocks through it, and through the round before, are
+        # need_blocks and one fewer.
+        made = [sum(np.count_nonzero(unspent[:end] & (sent[:end] == bit)) // k
+                    for bit in (0, 1)) for end in (last, last + 1)]
+        assert made == [need_blocks - 1, need_blocks]
+        assert transcript.blocks.shape == (need_blocks, k)
+        assert shown.any()
+        # The session stops there, or, when no round was disclosed by then,
+        # at its first disclosed round.
+        assert len(transcript.round_table) - 1 == max(last, int(np.argmax(shown)))
 
     def test_noisy_n1024_session_peak_per_round(self):
         # The noisy N = 1024 session of the distill-large benchmark.  Drawn
-        # whole, its arrays peaked at 34.5 bytes a round.  In chunks the
-        # peak is at most 12 bytes a round, the 4 B table and the 8 B
-        # arange of the kept rounds that numpy's choice makes for the
-        # disclosure draw, and 8 bytes a chunk row, one buffer of doubles.
+        # whole, its arrays peaked at 34.5 bytes a round of the 96,537 its
+        # plan drew.  Its rounds now stop when its blocks are complete,
+        # and the peak stays within 12 bytes a planned round and 8 bytes a
+        # chunk row.
         cfg = make_config(key_length=1024, block_size=7, blocks_per_parity=9, hash_rounds=10,
                           flip_probability=0.02, loss_probability=0.1, seed=1)
         run_session(cfg)
@@ -1711,16 +1726,35 @@ class TestBoundedSession:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(transcript.round_table) == 96_537
+        assert len(transcript.round_table) == 80_437
         assert peak <= 12 * 96_537 + 8 * distill._CHUNK
+
+    def test_clean_n1024_session_peak_per_round(self):
+        # A clean k = 1 session keeps its 4 B table and its 4 B block ids
+        # for 9 rounds in 10, and no int64 copy of the rounds: the peak is
+        # at most 10 bytes a round and 8 bytes a chunk row.  Disclosing a
+        # fixed count of rounds with numpy's choice once added an int64
+        # arange of the conclusive rounds.
+        cfg = make_config(key_length=1024, block_size=1, blocks_per_parity=55, hash_rounds=10,
+                          seed=3)
+        run_session(cfg)
+        tracemalloc.start()
+        try:
+            transcript = run_session(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rounds = len(transcript.round_table)
+        assert rounds > 60_000
+        assert peak <= 10 * rounds + 8 * distill._CHUNK
 
     def test_reader_peak_beyond_the_record(self):
         # Read a chunk at a time, the text is never encoded whole and no
         # index array is copied to intp whole.  Beyond the record it keeps,
         # the reader's peak is a chunk's intp indices and bytes, about 12
-        # bytes a chunk row, and under 3 bytes a round: a mark per round
-        # and each block's sent bit and vote.  Read whole, it was 18 bytes
-        # a round here.
+        # bytes a chunk row, and under 3 bytes a round: a mark per round,
+        # and once each block's sent bit and vote.  Read whole, it was 18
+        # bytes a round here.
         cfg = make_config(key_length=1024, block_size=1, blocks_per_parity=55, hash_rounds=10,
                           seed=3)
         text = run_session(cfg).to_text()

@@ -106,51 +106,51 @@ GOLDEN = {
     "simulate.csv":
         "abdbeef746da16cdc46294f3dac52a4763e52232626456a1969a2b0b3d5f948c",
     "clean.session":
-        "74faa25e53dc0a1cde4aac956df8fc67fd0db58b2458c5bb206d3c5893468123",
+        "bc8b33951e7b07c0f50badb3076da98d93a14900a927de3b50e843d2b5f32f08",
     "clean.transcript.txt":
-        "20e917c414f40de8b4d7d2f5561af6d238a7d4dd88abcd84488f4b141de9c142",
+        "2952e3fe859b013a1d2e19f62848539a2e9fc8af38fd12009ad22f269f62d717",
     "clean.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "noisy.session":
-        "6c452ed37c6306a9585866d936eeb7245cd010816c6aef23ec24723d8b22aea7",
+        "81e41ff10521720e91c61239043cbbb47a5c49d9e834c8c6aedacaa979a688ae",
     "noisy.transcript.txt":
-        "866fe7309172285116f42da02160d19e02327ae214fb7e044b2bc88cc0ae1006",
+        "713b949f0da7e45fcc95375f6454e460155492e0b529df9f7f6d8679e3bd9b7c",
     "noisy.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "eve.session":
-        "1ceef410d5dab95cd4dd3c3d947720a5981ff84561bc2859b9d9447105de8c59",
+        "aeac9f64db1f05bc4d4993a1f342c4b6718da048cb57fca32d80e45370d998ab",
     "eve.transcript.txt":
-        "2f9b92856eaa07849a287f24b7012991ff743492e85105c5fef4e01c53cc295b",
+        "214e7c0e1f5e0b28095331b527d686042cfc77809313207d03cf29853eeeb3d3",
     "eve.report.txt":
-        "58a8ef1104c637b2e9abd0267b7280ae62f2a6013239463f637682ab7f899c52",
+        "1ab32714af7c7a5d6874ca3854c5096e3fcbd87ad60f5c30e6ac4d2c612c981a",
     "eve0.session":
-        "204ec45583b91f3358e9e975fe8e5beeaebf1c2b933c2e3dc51be1e3618569d4",
+        "cf67b27fbd9840cecaf9364ac30f7d7300d50274ee08daa9780d8f3b866f5da6",
     "eve0.transcript.txt":
-        "2a2e0459e51984d5429aa015f658f3a115c57ab069d089422e2ef82d438008a6",
+        "9d8129c91c836ebccbfdf4208a0e7fd5831fb3752a9e804883a2d79348b8dcf4",
     "eve0.report.txt":
-        "f945a3284d941c856939090dbc11263fb7331b4e25d70ab541ba2564ca6d42f5",
+        "63a45c4cbf98fb73d982611cf33070c5d759464f13b3e579d2dcdb292fec3d77",
     "tailed.session":
-        "2de17c96ae21f2755951a618303899c8621bedaee2d3077033ffa34cdf7810f8",
+        "94b56ac8e0cf212d8e7ea824afa633047cabb2b1ab7c3de25d88aaaebe52fef3",
     "tailed.transcript.txt":
-        "b2cf43b44d7665ecfde21f5b5c36ef7eb7cfa437abeeb954599613c934a920f3",
+        "a5d514bd9a39b511afa8865d21c782dc829004f19724299981c166ecac818bc1",
     "tailed.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "k1n55.session":
-        "b090a8a946f1494e2303a88897c843341aaea35d1686d5706b8bcfbdc9fca9c9",
+        "b3833e912feaa938bffd9960ee5decdce6aacf6e39eff29f12dcb84edae7b38d",
     "k1n55.transcript.txt":
-        "f62e1dec71d7b786733744f70984bf201e0443e20725eb0a2ed58e6e08cd4ba8",
+        "3c52c13fa970e0d019eddb939351379ef54f847d3254b453be7f2e7122adaffa",
     "k1n55.report.txt":
         "ec69f8babcd159b89ea6f9813a1618ae3cb88a3d337fa497f9408a2bce22f325",
     "k7n9.session":
-        "75ecfd950212ef8623a0bf9482bd3bb88656cf81ee3e0f5ef66e0673d72bd269",
+        "032fa2a8c0b24e2a6f5350b8584d8f08ec1d45eaddf1bf3064d7ddb83e890c6e",
     "k7n9.transcript.txt":
-        "33e7e17497cbddcd1cb64a7a5c3e14f45b669535750bd8f517a51e23e2f954bd",
+        "0d297add8612c20cfd5a273848e933fa411ab66803c6c7b8c1adced9b628e427",
     "k7n9.report.txt":
-        "f875f5356217ab8fdc714dc5eecf21f7ea80ea4e49227725a0fdab7369a34d49",
+        "d0896f61f05c2f88c5166644a1e34d86c40e278b2965e848166db472486d3dcc",
     "k1n64.session":
-        "ef37c67448421fe773e7cbd025948ed55e3fe896dfd85b40b8b119fd35b53124",
+        "c87d16bb7e5bda46623457f5cc844c4bb85cacf24cde86ef3c77f6985044bfcc",
     "k1n64.transcript.txt":
-        "72df9a3753ecde40b6729fea883931c9927857388a19ae4035fb7badaea9cd19",
+        "4b205712f14fadfe3b0ba6d95ff038aa3f1826181a06d47b1862e93090c04044",
     "k1n64.report.txt":
         "a58f328dd9908b8767b0a20c7e0675597e6709bd6ad71e0ade90255c72c9c765",
 }
@@ -168,8 +168,8 @@ VERIFY_TEXT = (
     "(tolerance 3 sigma = 0.00023)\n"
     "[PASS] intercept-resend: 16 grid points x 100000 trials match the closed forms "
     "(tolerance 3 sigma, +1e-3 on the pass rate)\n"
-    "[PASS] information: 0.4980 bit over 1271 rounds vs f=0.5 at chi=0 (z=-0.14); "
-    "0.7628 bit over 1695 rounds vs f=0.75 at chi=0.25 (z=+1.22) (tolerance 3 sigma)\n"
+    "[PASS] information: 0.4948 bit over 1063 rounds vs f=0.5 at chi=0 (z=-0.34); "
+    "0.7499 bit over 1408 rounds vs f=0.75 at chi=0.25 (z=-0.01) (tolerance 3 sigma)\n"
     "[PASS] session: solver's (k=1, n=45, M=12) yields identical 64-bit keys at seed 808, "
     "and a report that meets the criterion (tolerance: exact)\n"
     "9/9 checks passed\n"

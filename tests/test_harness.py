@@ -636,11 +636,11 @@ class TestCli:
         assert f"[protocol] lacks {key!r}" in capsys.readouterr().err
 
     def test_session_beyond_memory_is_invalid_input(self, tmp_path, capsys):
-        # 10^15 key bits plan about 8e15 one-byte rounds (7 PiB), so the first
-        # allocation is refused at once; numpy's MemoryError once escaped
-        # (exit 1).  The other sizes plan more rounds than a float holds
-        # (OverflowError) or than numpy can size an array by (ValueError),
-        # and once escaped too.
+        # 10^15 key bits expect about 7e15 rounds, past the 2^31 - 1 that
+        # int32 round ids can name, so the session is refused before it
+        # draws; numpy's MemoryError once escaped (exit 1).  The other sizes
+        # once planned more rounds than a float holds (OverflowError) or
+        # than numpy can size an array by (ValueError), and escaped too.
         for old, new in [("key_length = 8", f"key_length = {10**15}"),
                          ("key_length = 8", f"key_length = {10**400}"),
                          ("key_length = 8", f"key_length = {10**19}"),
@@ -649,7 +649,8 @@ class TestCli:
             path = tmp_path / "distill.ini"
             path.write_text(DISTILL_INI.replace(old, new))
             assert cli_main(["distill", str(path)]) == 2, new
-            assert "planned rounds does not fit in memory" in capsys.readouterr().err, new
+            assert "rounds, more than the 2147483647 that int32 round ids can name" in \
+                capsys.readouterr().err, new
 
     @pytest.mark.parametrize("key,value", [("eps1", "nan"), ("eps1", "0"), ("eps1", "1"),
                                            ("eps2", "-0.001"), ("eps2", "inf")])

@@ -173,8 +173,8 @@ class TestSamplers:
                                      else EveOutcome.FIRED_ONE)
 
     def test_fire_rate_matches_binomial(self):
-        # 5632 key bits take about 100k rounds.
-        transcript, eve = eve_session(delay=0.1, seed=1234, key_length=5632)
+        # 6784 key bits take about 100k rounds.
+        transcript, eve = eve_session(delay=0.1, seed=1234, key_length=6784)
         f_eve, _ = channel_probabilities(make_plateau(L), 0.5, eve)
         assert f_eve == pytest.approx(0.6, abs=1e-9)
         n = len(transcript.rounds)

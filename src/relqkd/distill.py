@@ -229,7 +229,7 @@ class Transcript:
             raise InvalidParameterError(
                 f"{len(blocks)} blocks do not split into parity groups of {n} blocks")
         parities = np.empty((2, len(blocks) // n), dtype=np.uint8)
-        for groups in _chunks(len(blocks) // n, n * blocks.shape[1]):
+        for groups in _chunks(len(blocks) // n, 4 * n * blocks.shape[1]):  # take makes intp ids
             members = blocks[groups.start * n:groups.stop * n]
             a, b = sent.take(members), bob.take(members)
             if (a != a[:, :1]).any() or not ((disclosed.take(members) == 0) & (b != 2)).all():
@@ -757,13 +757,14 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
 def run_session(cfg: ProtocolConfig) -> Transcript:
     """Play one full session and return its transcript.
 
-    Rounds are drawn until the session has its (N + M) * n blocks (see
-    ``_rounds``), so the transcript holds the rounds it uses.  It expects
-    (N + M) * n * k rounds over the chance that one is conclusive and
-    undisclosed; past 2^31 - 1, the most that int32 round ids can name,
-    it is refused with ResourceExhaustedError before drawing, as it is
-    when its rounds pass that count while drawing or exhaust memory.  A
-    hash parity mismatch is not an error: the abort is in the transcript.
+    Rounds are drawn until the session has its (N + M) * n blocks and a
+    disclosed round (``_rounds``), so the transcript holds the rounds it
+    uses.  It expects (N + M) * n * k rounds over the chance that one is
+    conclusive and undisclosed, or 1 / (p_sift * d) for a disclosure if
+    more; past 2^31 - 1, the most that int32 round ids can name, it is
+    refused with ResourceExhaustedError before drawing, as it is when its
+    rounds pass that count while drawing or exhaust memory.  A hash parity
+    mismatch is not an error: the abort is in the transcript.
     """
     f_eve, p_pass = channel_probabilities(cfg.envelope, cfg.channel_length, cfg.eve)
     p_sift = p_pass * (1.0 - cfg.loss_probability)
@@ -775,12 +776,14 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     need_blocks = (cfg.key_length + cfg.hash_rounds) * cfg.blocks_per_parity
     per_round = p_sift * (1.0 - cfg.disclose_fraction)
     # An int past the float range would raise OverflowError; its count is inf.
-    expected = need_blocks * k / per_round if need_blocks * k < 2 ** 1023 else math.inf
+    for_blocks = need_blocks * k / per_round if need_blocks * k < 2 ** 1023 else math.inf
+    wait = 1.0 / p_sift / cfg.disclose_fraction  # inf where p_sift * d is 0.0
+    expected = max(for_blocks, wait)
     if expected > _MAX_ROUNDS:
         raise ResourceExhaustedError(f"a session expects {expected:.4g} rounds, more than the "
                                      f"{_MAX_ROUNDS} that int32 round ids can name")
     try:
-        table, blocks_end = _rounds(cfg, f_eve, p_pass, need_blocks, expected)
+        table, blocks_end = _rounds(cfg, f_eve, p_pass, need_blocks, for_blocks, wait)
         sent, bob, _, shown = table.T
 
         # Antedate coding: blocks of k identical sent bits, grouped by A after
@@ -826,7 +829,7 @@ def _stream(seed, name: str) -> np.random.Generator:
 
 
 def _rounds(cfg: ProtocolConfig, f_eve: float, p_pass: float, need_blocks: int,
-            expected: float) -> tuple[np.ndarray, int]:
+            for_blocks: float, wait: float) -> tuple[np.ndarray, int]:
     """The round table of a session, and the rounds through the one that completes its blocks.
 
     Rounds are drawn a chunk at a time until the classes' whole blocks,
@@ -846,11 +849,12 @@ def _rounds(cfg: ProtocolConfig, f_eve: float, p_pass: float, need_blocks: int,
     rng_eve = stream("eve") if cfg.eve is not None else None
     rng_bob = stream("bob") if p_pass != 1.0 else None
     rng_noise = stream("noise") if loss or flip else None
-    # Every stream draws into one buffer of two doubles a chunk row.
-    doubles = np.empty(max(2, min(_CHUNK, 2 * math.ceil(expected))))
+    # Every stream draws into one buffer of ``width`` doubles a chunk row.
+    width = 2 if rng_eve is not None or rng_noise is not None else 1
+    doubles = np.empty(width * max(1, min(_CHUNK // 2, math.ceil(max(for_blocks, wait)))))
 
-    def uniforms(rng, rows, width=1):
-        return rng.random(out=doubles[:rows * width]).reshape(rows, width).T
+    def uniforms(rng, rows, per_row=1):
+        return rng.random(out=doubles[:rows * per_row]).reshape(rows, per_row).T
 
     parts, counts, drawn = [], [0, 0], 0
     blocks_end = disclosed_at = None
@@ -858,9 +862,9 @@ def _rounds(cfg: ProtocolConfig, f_eve: float, p_pass: float, need_blocks: int,
         if drawn == _MAX_ROUNDS:
             raise ResourceExhaustedError(f"a session needs more than {_MAX_ROUNDS} rounds, "
                                          f"the most that int32 round ids can name")
-        missing = max(need_blocks - sum(c // k for c in counts), 1)
-        rows = min(doubles.size // 2, _MAX_ROUNDS - drawn,
-                   math.ceil(expected * missing / need_blocks))
+        ahead = max(for_blocks * (1 - sum(c // k for c in counts) / need_blocks),
+                    wait if disclosed_at is None else 0)
+        rows = min(doubles.size // width, _MAX_ROUNDS - drawn, math.ceil(ahead))
         part = np.empty((rows, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
         sent, bob, eve, shown = part.T
         np.less(uniforms(rng_bits, rows)[0], 0.5, out=sent.view(np.bool_))
@@ -921,7 +925,7 @@ def _flat_ids(test, size: int) -> np.ndarray:
     on each chunk, once to count the ids and once to fill them in, so the
     ids are held once, as int32.
     """
-    chunks = _chunks(size)
+    chunks = _chunks(size, 4)  # flatnonzero gives intp ids
     ids = np.empty(sum(np.count_nonzero(test(rows)) for rows in chunks), dtype=np.int32)
     at = 0
     for rows in chunks:

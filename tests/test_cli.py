@@ -189,6 +189,17 @@ def test_distill_delay_at_the_support_length_is_invalid_input(tmp_path, capsys):
     assert "no round can ever pass" in captured.err
 
 
+def test_distill_disclosure_too_rare_to_wait_for_is_refused(tmp_path, capsys):
+    # A session waits 1 / (p_sift * d) = 10^12 rounds on average for a
+    # disclosed round, past the int32 round ids: refused before drawing.
+    path = tmp_path / "rare.ini"
+    path.write_text(SMALL.replace("disclose_fraction = 0.1", "disclose_fraction = 1e-12"))
+    assert main(["distill", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a session expects 1e+12 rounds" in captured.err
+
+
 # Both modes build the envelope from [geometry] and [state].
 ENVELOPE_MODES = [
     ("simulate", "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n"),

@@ -429,6 +429,35 @@ class TestRunSession:
                            match="a session expects 320 rounds, more than the 319 "):
             run_session(cfg)
 
+    def test_wait_for_a_disclosure_refused_before_drawing(self, monkeypatch):
+        # A session also waits for a disclosed round, 1 / (p_sift * d)
+        # rounds on average: 10^12 here, where its blocks need 320.
+        def no_draw(*args):
+            raise AssertionError("a refused session drew rounds")
+        monkeypatch.setattr(distill, "_rounds", no_draw)
+        with pytest.raises(ResourceExhaustedError, match="a session expects 1e\\+12 rounds"):
+            run_session(make_config(disclose_fraction=1e-12))
+
+    def test_wait_for_a_disclosure_sizes_the_chunks(self, monkeypatch):
+        # Its blocks take 320 rounds and a disclosure 10^4 on average, so
+        # every chunk is 10^4 rounds long, the blocks' and the later ones.
+        draws = []
+
+        class Counted(np.random.Generator):
+            def random(self, **kw):
+                draws.append(kw["out"].size)
+                return super().random(**kw)
+
+        stream = distill._stream
+        monkeypatch.setattr(distill, "_stream", lambda seed, name: (
+            Counted(stream(seed, name).bit_generator) if name == "bits" else stream(seed, name)))
+        cfg = make_config(disclose_fraction=1e-4)
+        transcript = run_session(cfg)
+        rounds = len(transcript.round_table)
+        assert rounds > 10_000
+        assert draws == [10_000] * math.ceil(rounds / 10_000)
+        assert transcript == reference.session(cfg)
+
     def test_memory_error_refused(self, monkeypatch):
         def exhausted(*args):
             raise MemoryError
@@ -1732,9 +1761,10 @@ class TestBoundedSession:
     def test_clean_n1024_session_peak_per_round(self):
         # A clean k = 1 session keeps its 4 B table and its 4 B block ids
         # for 9 rounds in 10, and no int64 copy of the rounds: the peak is
-        # at most 10 bytes a round and 8 bytes a chunk row.  Disclosing a
-        # fixed count of rounds with numpy's choice once added an int64
-        # arange of the conclusive rounds.
+        # at most 8 bytes a round and 8 bytes a chunk row (0.77 of 1.03 MB
+        # here).  Disclosing a fixed count of rounds with numpy's choice
+        # once added an int64 arange of the conclusive rounds, and the
+        # peak was 17 bytes a round.
         cfg = make_config(key_length=1024, block_size=1, blocks_per_parity=55, hash_rounds=10,
                           seed=3)
         run_session(cfg)
@@ -1746,7 +1776,7 @@ class TestBoundedSession:
             tracemalloc.stop()
         rounds = len(transcript.round_table)
         assert rounds > 60_000
-        assert peak <= 10 * rounds + 8 * distill._CHUNK
+        assert peak <= 8 * rounds + 8 * distill._CHUNK
 
     def test_reader_peak_beyond_the_record(self):
         # Read a chunk at a time, the text is never encoded whole and no

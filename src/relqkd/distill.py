@@ -22,16 +22,15 @@ walk), so they cannot disagree with it.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from .adversary import EveStrategy, channel_probabilities
-from .errors import (InvalidParameterError, ResourceExhaustedError, require_integer,
-                     require_integers)
+from .errors import (InvalidParameterError, ResourceExhaustedError, require_floats,
+                     require_integer, require_integers)
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
@@ -70,6 +69,8 @@ class ProtocolConfig:
     def __post_init__(self):
         require_integers(self, "key_length", "block_size", "blocks_per_parity",
                          "hash_rounds", "seed")
+        require_floats(self, "disclose_fraction", "channel_length", "flip_probability",
+                       "loss_probability")
         if self.key_length < 1:
             raise InvalidParameterError(f"key length must be >= 1, got {self.key_length}")
         if self.block_size < 1 or self.block_size % 2 == 0:
@@ -270,9 +271,9 @@ class Transcript:
     def abort_reason(self) -> str | None:
         return f"hash parity mismatch at round {len(self.hash_log)}" if self.aborted else None
 
-    @cached_property
+    @property
     def rounds(self) -> RoundView:
-        """A read-only sequence of one RoundRecord per round, each built when read."""
+        """A new view of one RoundRecord per round, with a length, on each access."""
         return RoundView(self.round_table, self.blocks)
 
     def to_text(self) -> str:
@@ -500,28 +501,12 @@ def _listed_blocks(members: np.ndarray, rounds: int) -> bool:
     return np.count_nonzero(marked) == members.size
 
 
-def _columns(*columns: np.ndarray):
-    """The rows of equal-length ``columns`` as tuples of Python ints.
-
-    Built from one list per column of 4096 rows at a time: ``tolist()`` of
-    whole columns would hold a list slot per column and row at once.
-    """
-    for start in range(0, len(columns[0]), 4096):
-        yield from zip(*(column[start:start + 4096].tolist() for column in columns))
-
-
-_BOB_OUTCOMES = tuple(BobOutcome)
-_EVE_OUTCOMES = tuple(EveOutcome) + (None,)
-
-
-class RoundView(Sequence):
-    """The rounds of a transcript as RoundRecords, built only when read.
+class RoundView:
+    """The rounds of a transcript as RoundRecords, built only when iterated.
 
     It holds the transcript's round table and one int32 column of each
-    round's block, -1 for none: 4 B per round beside the table.  An
-    integer index, a negative one and a slice (which gives a tuple) read
-    as they read a tuple of the records, and iteration walks the columns
-    in chunks.
+    round's block, -1 for none: 4 B per round beside the table.  Iteration
+    builds the records from one list per column of 4096 rows at a time.
     """
 
     __slots__ = ("_table", "_block")
@@ -530,31 +515,18 @@ class RoundView(Sequence):
         block = np.full(len(table), -1, dtype=np.int32)
         for rows in _chunks(len(blocks), blocks.shape[1]):
             block[blocks[rows]] = np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
-        block.flags.writeable = False
         self._table, self._block = table, block
 
     def __len__(self) -> int:
         return len(self._table)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return tuple(self._records(range(len(self))[key], key))
-        i = operator.index(key)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"round index {key} out of range for {len(self)} rounds")
-        return self[i:i + 1][0]
-
     def __iter__(self):
-        return self._records(range(len(self)), slice(None))
-
-    def _records(self, indices: range, rows: slice):
-        """The records of the rounds ``indices``, which ``rows`` selects."""
-        return (RoundRecord(i, a, _BOB_OUTCOMES[b], _EVE_OUTCOMES[e], d == 1,
-                            None if blk < 0 else blk)
-                for i, (a, b, e, d, blk) in zip(indices, _columns(*self._table[rows].T,
-                                                                  self._block[rows])))
+        bob, eve = tuple(BobOutcome), tuple(EveOutcome) + (None,)
+        for start in range(0, len(self), 4096):
+            rows = slice(start, start + 4096)
+            columns = (column.tolist() for column in (*self._table[rows].T, self._block[rows]))
+            for i, (a, b, e, d, blk) in enumerate(zip(*columns), start):
+                yield RoundRecord(i, a, bob[b], eve[e], d == 1, None if blk < 0 else blk)
 
 
 def _bits_text(bits) -> str:
@@ -574,34 +546,26 @@ def estimate_error(a_bits, b_bits, disclose_fraction: float,
     b_arr = np.asarray(b_bits)
     if a_arr.shape != b_arr.shape or a_arr.ndim != 1 or a_arr.size == 0:
         raise InvalidParameterError("need two equal-length non-empty bit sequences")
-    positions = _disclosed_positions(a_arr.size, disclose_fraction, rng)
-    p_err = float(np.mean(a_arr[positions] != b_arr[positions]))
-    return p_err, positions
-
-
-def _disclosed_positions(size: int, disclose_fraction: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """The ascending positions, out of ``size``, that ``estimate_error`` discloses."""
     if not (0.0 < disclose_fraction < 1.0):
         raise InvalidParameterError(
-            f"disclose fraction must lie in (0, 1), got {disclose_fraction}"
-        )
-    count = int(round(disclose_fraction * size))
+            f"disclose fraction must lie in (0, 1), got {disclose_fraction}")
+    count = int(round(disclose_fraction * a_arr.size))
     if count < 1:
         raise InvalidParameterError(
-            f"disclosing {disclose_fraction} of {size} rounds discloses nothing"
-        )
-    return np.sort(rng.choice(size, size=count, replace=False))
+            f"disclosing {disclose_fraction} of {a_arr.size} rounds discloses nothing")
+    positions = np.sort(rng.choice(a_arr.size, size=count, replace=False))
+    p_err = float(np.mean(a_arr[positions] != b_arr[positions]))
+    return p_err, positions
 
 
 def majority_decode(block) -> np.int64 | np.ndarray:
     """Majority vote over the last axis of an odd-size block of bits.
 
     One block gives one int64 vote; a stack of blocks, one row each,
-    gives an int64 array of votes.  The bits are 0 or 1, of any integer
-    or bool dtype.
+    gives an int64 array of votes.  Any bit but the integers 0 and 1
+    raises InvalidParameterError.
     """
-    bits = np.atleast_1d(np.asarray(block))
+    bits = np.atleast_1d(_bit_array(block, "majority bits"))
     size = bits.shape[-1]
     if size < 1 or size % 2 == 0:
         raise InvalidParameterError(
@@ -722,15 +686,16 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
     l, character i selecting position i.  Each round compares the subset
     parities, aborts on a mismatch, and otherwise discards the bit at the
     lowest position the subset selects.  Over M uniform non-zero subsets an
-    undetected residual mismatch survives with probability 2^-M.  Any
-    other subset, as many subsets as bits, or a bit that is not the integer
-    0 or 1 raises InvalidParameterError.
+    undetected residual mismatch survives with probability 2^-M.  Subsets
+    that are not a sequence of one string or more, any other subset, as
+    many subsets as bits, or a bit that is not the integer 0 or 1 raises
+    InvalidParameterError.
     """
     a, b = (_bit_array(bits, "hash inputs") for bits in (bits_a, bits_b))
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidParameterError("hash inputs must be two bit strings of equal length")
-    if not subsets:
-        raise InvalidParameterError("need at least one hash round, got none")
+    if not isinstance(subsets, Sequence) or not subsets:
+        raise InvalidParameterError("hash subsets must be a sequence of one string or more")
     length = a.size
     if length <= len(subsets):
         raise InvalidParameterError(
@@ -739,8 +704,8 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
     ia, ib = _bits_to_int(a), _bits_to_int(b)
     log: list[HashRecord] = []
     for l, text in enumerate(subsets, start=1):
-        ones = text.count("1")
-        if len(text) != length or not ones or ones + text.count("0") != length:
+        ones = text.count("1") if isinstance(text, str) else 0
+        if not ones or len(text) != length or ones + text.count("0") != length:
             raise InvalidParameterError(
                 f"hash subset {l} is not a non-zero bit string of length {length}")
         s = int(text[::-1], 2)

@@ -55,3 +55,12 @@ def require_integers(owner, *names: str):
     """
     for name in names:
         object.__setattr__(owner, name, require_integer(name, getattr(owner, name)))
+
+
+def require_floats(owner, *names: str):
+    """Store each named field of the frozen ``owner`` as a Python float, or refuse it.
+
+    See ``require_float``.
+    """
+    for name in names:
+        object.__setattr__(owner, name, require_float(name, getattr(owner, name)))

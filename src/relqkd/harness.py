@@ -322,12 +322,16 @@ def _simulate_point(envelope, ratio, chi_fraction, trials, seed, policy):
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(
             f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    try:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"seed must be an integer >= 0 or a sequence of them, "
+                                    f"got {seed!r:.40}") from None
     row = _closed_forms(ratio, chi_fraction)  # rejects a delay outside [0, L]
     L = envelope.plateau_length
     f, p_pass = channel_probabilities(envelope, ratio * L,
                                       EveStrategy(chi_fraction * L, policy))
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     fired = rng.binomial(trials, f)
     eve_correct = fired + rng.binomial(trials - fired, 0.5)
     joint = rng.binomial(eve_correct, p_pass)
@@ -411,25 +415,19 @@ class CheckResult:
 def check_parity_identity() -> CheckResult:
     """Binomial sum, cosine form, and brute-force enumeration agree exactly for n*k <= 20.
 
-    ``weights[v]`` is the popcount of v, filled in place by doubling: each
-    pass of ``total`` writes the block [2**(total-1), 2**total), whose
-    popcounts are those below it plus one.  ``histogram[j]`` counts the
-    v < 2**total of popcount j; the pass counts its block through one
-    reused bool buffer, one chunk of ``distill._chunks`` at a time, so every
-    v is counted once.  Each (n, k) then sums the histogram at the multiples of k.
+    ``histogram[j]`` counts the v < 2**total of popcount j.  Each pass of
+    ``total`` adds the popcounts of [2**(total-1), 2**total), one chunk of
+    ``distill._chunks`` at a time, and each (n, k) then sums the histogram
+    at the multiples of k.
     """
     limit = 20
-    weights = np.zeros(1 << limit, dtype=np.uint8)
-    equal = np.empty(distill._CHUNK, dtype=bool)
-    histogram = [1]
+    histogram = np.zeros(limit + 1, dtype=np.int64)
+    histogram[0] = 1
     for total in range(1, limit + 1):
         half = 1 << (total - 1)
-        block = np.add(weights[:half], 1, out=weights[half:2 * half])
-        histogram.append(0)
         for rows in distill._chunks(half):
-            part = block[rows]
-            for j in range(1, total + 1):
-                histogram[j] += int(np.count_nonzero(np.equal(part, j, out=equal[:part.size])))
+            values = np.arange(half + rows.start, half + rows.stop, dtype=np.uint32)
+            histogram += np.bincount(np.bitwise_count(values), minlength=limit + 1)
         for k in range(1, total + 1):
             if total % k:
                 continue
@@ -438,7 +436,7 @@ def check_parity_identity() -> CheckResult:
             if round(count.cosine) != count.exact:
                 return CheckResult("parity-identity", False,
                                    f"cosine side mismatch at (n={n}, k={k})")
-            if sum(histogram[::k]) // 2 != count.exact:
+            if int(histogram[::k].sum()) // 2 != count.exact:
                 return CheckResult("parity-identity", False,
                                    f"enumeration mismatch at (n={n}, k={k})")
     return CheckResult("parity-identity", True,

@@ -13,19 +13,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .adversary import eve_success_probability
-from .errors import InvalidParameterError, require_float, require_integer, require_integers
+from .errors import (InvalidParameterError, require_float, require_floats, require_integer,
+                     require_integers)
 
 LN2 = math.log(2.0)
 
 REPORT_SCHEMA = "relqkd-report/1"
 # The largest n*k that the parity count, and so a report, takes, and the
-# solver's default search bound: the count walks O((nk)^2) bit operations.
+# solver's search bound: the count walks O((nk)^2) bit operations.
 MAX_TOTAL = 1_000_000
 
 
@@ -141,9 +141,9 @@ class SecurityReport:
 
     def __post_init__(self):
         require_integers(self, "n_key", "blocks_per_parity", "block_size", "hash_rounds")
-        for name in ("ratio", "eps1", "eps2", "p_err_estimate"):
-            if name != "p_err_estimate" or self.p_err_estimate is not None:
-                object.__setattr__(self, name, require_float(name, getattr(self, name)))
+        require_floats(self, "ratio", "eps1", "eps2")
+        if self.p_err_estimate is not None:
+            require_floats(self, "p_err_estimate")
         for name in ("eps1", "eps2"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
@@ -193,12 +193,7 @@ class SecurityReport:
                 yield "all_ok", self.all_ok
 
     def to_text(self) -> str:
-        """The text form, rendered on the first call and kept: ``relqkd distill``
-        writes it to the report file and to stdout."""
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
+        """The text form, rendered on each call."""
         lines = [REPORT_SCHEMA] + [f"{key}={_render(value)}" for key, value in self._items()]
         return "\n".join(lines) + "\n"
 
@@ -273,7 +268,6 @@ def solve_parameters(
     eps2: float,
     n_key: int,
     ratio: float,
-    max_total: int = MAX_TOTAL,
 ) -> tuple[SolvedParameters, SecurityReport]:
     """Smallest (k, n, M) satisfying the two-part security criterion.
 
@@ -299,17 +293,12 @@ def solve_parameters(
     So the search is over n alone with k = 1, and since the exponent n - 1
     grows with n it is monotone: n doubles from 2 until the report passes,
     then bisects.  n = 1 never passes: its parity set has one element.
-    The search stops at n*k = ``max_total``, which may not exceed
-    ``MAX_TOTAL``, the largest n*k a report takes.
+    The search stops at n*k = ``MAX_TOTAL``, the largest n*k a report takes.
     """
     eps1, eps2 = require_float("eps1", eps1), require_float("eps2", eps2)
     if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
         raise InvalidParameterError("eps1 and eps2 must lie in (0, 1)")
     n_key = _key_length(n_key)
-    max_total = require_integer("max_total", max_total)
-    if max_total > MAX_TOTAL:
-        raise InvalidParameterError(
-            f"max_total must be at most {MAX_TOTAL}, the largest n*k a report takes")
     ratio = require_float("ratio", ratio)
     if not (0.0 <= ratio < 1.0):
         raise InvalidParameterError(
@@ -324,15 +313,15 @@ def solve_parameters(
         return build_report(n_key, n, 1, hash_rounds, ratio, eps1, eps2)
 
     # n = fail is known to fail; double the probe until a report passes.
-    fail, probe = 1, min(2, max_total)
+    fail, probe = 1, min(2, MAX_TOTAL)
     while probe > fail:
         report = report_at(probe)
         if report.all_ok:
             break
-        fail, probe = probe, min(2 * probe, max_total)
+        fail, probe = probe, min(2 * probe, MAX_TOTAL)
     else:
         raise InvalidParameterError(
-            f"no (n, k) with n*k <= {max_total} satisfies the criterion"
+            f"no (n, k) with n*k <= {MAX_TOTAL} satisfies the criterion"
         )
     # Bisect (fail, probe]: the smallest passing n.
     while probe - fail > 1:

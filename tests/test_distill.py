@@ -5,7 +5,6 @@ import itertools
 import math
 import re
 import tracemalloc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -124,6 +123,14 @@ class TestMajority:
     def test_even_block_rejected(self):
         with pytest.raises(InvalidParameterError):
             majority_decode((0, 1, 1, 0))
+
+    # 2 once voted 1, -1 wrapped in the uint8 sum and voted 0, 0.5 was
+    # truncated to 0, and a string or None raised a raw ValueError or TypeError.
+    @pytest.mark.parametrize("block", [[2, 0, 0], [-1, 0, 1], [0.5, 1, 1], "abc", [None, 1, 0]],
+                             ids=["two", "minus-one", "half", "string", "none"])
+    def test_values_that_are_not_bits_rejected(self, block):
+        with pytest.raises(InvalidParameterError, match="majority bits must be integers 0 or 1"):
+            majority_decode(block)
 
     def test_votes_over_last_axis(self):
         stack = np.array([[0, 0, 1], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
@@ -272,6 +279,13 @@ class TestHashRounds:
                              ids=["none", "long", "short", "zero", "underscore", "plus"])
     def test_subset_not_a_bit_string_of_the_current_length_rejected(self, subsets):
         with pytest.raises(InvalidParameterError):
+            hash_rounds([0, 1, 1], [0, 1, 1], subsets)
+
+    # Each once raised a raw AttributeError or TypeError.
+    @pytest.mark.parametrize("subsets", [[5], [None], [b"100"], iter(["100"])],
+                             ids=["int", "none", "bytes", "iterator"])
+    def test_subsets_that_are_not_a_sequence_of_strings_rejected(self, subsets):
+        with pytest.raises(InvalidParameterError, match="hash subset"):
             hash_rounds([0, 1, 1], [0, 1, 1], subsets)
 
     # 2 was read as 1, 0.5 truncated to 0 and -1 raised a raw OverflowError.
@@ -492,11 +506,24 @@ class TestRunSession:
         ("block_size", 3.0, "block_size must be an integer"),
         ("blocks_per_parity", "2", "blocks_per_parity must be an integer"),
         ("hash_rounds", 4.0, "hash_rounds must be an integer"),
+        ("disclose_fraction", "x", "disclose_fraction must be a real number"),
+        ("channel_length", "x", "channel_length must be a real number"),
+        ("flip_probability", "x", "flip_probability must be a real number"),
+        ("loss_probability", None, "loss_probability must be a real number"),
     ], ids=["envelope", "eve", "seed", "key-length", "block-size", "blocks-per-parity",
-            "hash-rounds"])
+            "hash-rounds", "disclose-fraction", "channel-length", "flip-probability",
+            "loss-probability"])
     def test_field_of_the_wrong_type_rejected(self, field, value, refusal):
         with pytest.raises(InvalidParameterError, match=refusal):
             make_config(**{field: value})
+
+    def test_numpy_float_fields_read_as_floats(self):
+        config = make_config(disclose_fraction=np.float32(0.125), channel_length=np.float64(0.5),
+                             flip_probability=0, loss_probability=np.float16(0.25))
+        assert all(type(getattr(config, name)) is float
+                   for name in ("disclose_fraction", "channel_length", "flip_probability",
+                                "loss_probability"))
+        assert (config.disclose_fraction, config.flip_probability) == (0.125, 0.0)
 
     def test_numpy_integer_fields_accepted(self):
         config = make_config(key_length=np.int64(8), block_size=np.int32(3), seed=np.uint8(3))
@@ -979,7 +1006,7 @@ def _reference_rounds(transcript) -> tuple[RoundRecord, ...]:
 
 
 class TestRoundView:
-    """``Transcript.rounds`` reads as the tuple of records it replaced."""
+    """``Transcript.rounds`` has the length and iterates the records of the tuple it replaced."""
 
     @pytest.mark.parametrize("case", sorted(DISTILL_CASES))
     def test_golden_sessions(self, tmp_path, case):
@@ -988,9 +1015,6 @@ class TestRoundView:
         rounds, reference = transcript.rounds, _reference_rounds(transcript)
         assert len(rounds) == len(reference)
         assert tuple(rounds) == reference
-        assert rounds[-1] == reference[-1] and rounds[0] == reference[0]
-        third = len(rounds) // 3
-        assert rounds[third:2 * third] == reference[third:2 * third]
 
     @settings(max_examples=40, deadline=None)
     @given(session=st.fixed_dictionaries(dict(
@@ -998,35 +1022,18 @@ class TestRoundView:
                blocks_per_parity=st.integers(1, 3), key_length=st.integers(1, 600),
                flip_probability=st.sampled_from([0.0, 0.05]),
                loss_probability=st.sampled_from([0.0, 0.2]),
-               eve=st.sampled_from([None, EveStrategy(0.0), EveStrategy(0.25)]))),
-           data=st.data())
-    def test_random_sessions(self, session, data):
+               eve=st.sampled_from([None, EveStrategy(0.0), EveStrategy(0.25)]))))
+    def test_random_sessions(self, session):
         transcript = run_session(make_config(**session))
         rounds, reference = transcript.rounds, _reference_rounds(transcript)
+        assert len(rounds) == len(reference)
         assert tuple(rounds) == reference
-        size = len(reference)
-        i = data.draw(st.integers(-size, size - 1))
-        assert rounds[i] == reference[i] and rounds[np.int64(i)] == reference[i]
-        cut = data.draw(st.slices(size))
-        assert rounds[cut] == reference[cut]
 
-    def test_index_out_of_range(self):
-        rounds = NOISY.rounds
-        for i in (len(rounds), -len(rounds) - 1):
-            with pytest.raises(IndexError, match="out of range"):
-                rounds[i]
-        with pytest.raises(TypeError):
-            rounds[1.0]
-
-    def test_read_only_sequence(self):
+    def test_each_access_builds_a_view(self):
+        # The transcript keeps no view, so it holds no block column after an audit.
         rounds = EAVESDROPPED.rounds
-        reference = _reference_rounds(EAVESDROPPED)
-        assert isinstance(rounds, Sequence) and not isinstance(rounds, tuple)
-        assert list(reversed(rounds)) == list(reversed(reference))
-        assert rounds.index(reference[7]) == 7 and reference[-1] in rounds
-        with pytest.raises(TypeError):
-            rounds[0] = reference[1]
-        assert EAVESDROPPED.rounds is rounds
+        assert "rounds" not in vars(EAVESDROPPED)
+        assert tuple(rounds) == tuple(rounds) == tuple(EAVESDROPPED.rounds)
 
     def test_held_view_costs_at_most_8_bytes_a_round(self):
         # N = 1024 with one round a block, as the distill-large benchmark runs it.

@@ -272,6 +272,13 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError):
             simulate_intercept_resend(1.0, 0.5, 0.0, 0, seed=1)
 
+    # SeedSequence once raised a raw ValueError or TypeError.
+    @pytest.mark.parametrize("seed", [-1, "s", 1.5, (5, -1)],
+                             ids=["negative", "string", "float", "negative-entry"])
+    def test_seed_that_seeds_nothing_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0"):
+            simulate_intercept_resend(1.0, 0.5, 0.0, 10, seed=seed)
+
     def test_trials_beyond_int64_rejected(self):
         # numpy's binomial would raise a raw OverflowError.
         with pytest.raises(InvalidParameterError, match="trials must lie in"):

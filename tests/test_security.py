@@ -6,6 +6,7 @@ import math
 import re
 import signal
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from relqkd import security
 from relqkd.errors import InvalidParameterError, RelqkdError
 from relqkd.security import (
     MAX_TOTAL,
@@ -305,8 +307,10 @@ class TestSolveParameters:
         assert _outcome(solve_parameters, eps1, eps2, n_key, ratio) == expected
         params = expected[0]
         below = params.block_size * params.blocks_per_parity - shortfall
-        assert (_outcome(solve_parameters, eps1, eps2, n_key, ratio, max_total=below)
-                == _outcome(reference_solve, eps1, eps2, n_key, ratio, max_total=below))
+        with mock.patch.object(security, "MAX_TOTAL", below):
+            below_outcome = _outcome(solve_parameters, eps1, eps2, n_key, ratio)
+        assert below_outcome == _outcome(reference_solve, eps1, eps2, n_key, ratio,
+                                         max_total=below)
 
 
 class TestNumpyIntegers:
@@ -344,7 +348,7 @@ class TestNumpyIntegers:
 
 
 class TestSizeBound:
-    """n*k above MAX_TOTAL, the solver's default bound, is refused before any count."""
+    """n*k above MAX_TOTAL, the solver's search bound, is refused before any count."""
 
     @pytest.mark.parametrize("call", [lambda: parity_count(2 ** 40, 1),
                                       lambda: exact_eta(2 ** 40, 1),
@@ -362,12 +366,6 @@ class TestSizeBound:
         with _time_limit(5):
             assert parity_count(MAX_TOTAL, 1).exact == 1 << (MAX_TOTAL - 1)
             assert build_report(64, MAX_TOTAL, 1, 12, 0.5, 1e-3, 1e-3).all_ok
-
-    def test_solver_bound_past_it_refused(self):
-        with pytest.raises(InvalidParameterError, match="max_total must be at most 1000000"):
-            solve_parameters(1e-3, 1e-3, 64, 0.5, max_total=MAX_TOTAL + 1)
-        assert (solve_parameters(1e-3, 1e-3, 64, 0.5, max_total=MAX_TOTAL)
-                == solve_parameters(1e-3, 1e-3, 64, 0.5))
 
 
 class TestKeyLength:

@@ -15,7 +15,7 @@ import math
 from relqkd import (EveStrategy, ProtocolConfig, channel_probabilities, make_plateau,
                     parity_count, run_session)
 from relqkd.harness import eve_information
-from relqkd.security import exact_eta
+from relqkd.security import exact_eta, parity_cosine
 
 envelope = make_plateau(1.0)
 print("=" * 64)
@@ -40,8 +40,7 @@ print("Parity-set counting and the Hartley ratio eta")
 print("=" * 64)
 print(f"{'n':>4} {'k':>3} {'exact count':>22} {'cosine form':>14} {'eta':>8}")
 for n, k in [(3, 2), (5, 3), (10, 4), (20, 3), (45, 1)]:
-    count = parity_count(n, k)
     eta = exact_eta(n, k)
-    print(f"{n:4d} {k:3d} {count.exact:22d} {count.cosine:14.6g} {eta:8.5f}")
+    print(f"{n:4d} {k:3d} {parity_count(n, k):22d} {parity_cosine(n, k):14.6g} {eta:8.5f}")
 print("eta -> 1 with growing n*k: almost every raw bit must be known to")
 print("pin one parity bit, so the eavesdropper's key probability collapses.")

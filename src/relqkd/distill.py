@@ -164,7 +164,8 @@ class Transcript:
     each row an odd number of rising ids of undisclosed, conclusive rounds
     of one sent bit, no round in two rows; an integer n >= 1 that divides
     the number of blocks; and a tuple of fewer subsets than parity bits,
-    each a non-zero bit string as long as the strings it meets.
+    subset l a non-zero bit string of (parity bits - l + 1) characters, as
+    long as the strings it meets, whether or not the walk aborts before it.
     """
 
     round_table: np.ndarray    # uint8, column-major, one row per round, columns ROUND_COLUMNS
@@ -341,6 +342,8 @@ class Transcript:
         rejected.  The transcript keeps the blocks the text lists, not ``t``:
         ``to_text`` spells it again from the record.
         """
+        if not isinstance(text, str):
+            raise InvalidParameterError(f"a transcript is a str, got {type(text).__name__}")
         try:
             transcript, derived_at = cls._parse(text)
         except InvalidParameterError:
@@ -522,10 +525,9 @@ class RoundView:
 
     def __iter__(self):
         bob, eve = tuple(BobOutcome), tuple(EveOutcome) + (None,)
-        for start in range(0, len(self), 4096):
-            rows = slice(start, start + 4096)
+        for rows in _chunks(len(self), 16):  # 4096 rows
             columns = (column.tolist() for column in (*self._table[rows].T, self._block[rows]))
-            for i, (a, b, e, d, blk) in enumerate(zip(*columns), start):
+            for i, (a, b, e, d, blk) in enumerate(zip(*columns), rows.start):
                 yield RoundRecord(i, a, bob[b], eve[e], d == 1, None if blk < 0 else blk)
 
 
@@ -683,13 +685,14 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
     """Walk the round-by-round parity-hash comparison over the given subsets.
 
     Subset l is a non-zero bit string as long as the strings before round
-    l, character i selecting position i.  Each round compares the subset
-    parities, aborts on a mismatch, and otherwise discards the bit at the
-    lowest position the subset selects.  Over M uniform non-zero subsets an
-    undetected residual mismatch survives with probability 2^-M.  Subsets
-    that are not a sequence of one string or more, any other subset, as
-    many subsets as bits, or a bit that is not the integer 0 or 1 raises
-    InvalidParameterError.
+    l, len(bits) - l + 1 characters, character i selecting position i.
+    Each round compares the subset parities, aborts on a mismatch, and
+    otherwise discards the bit at the lowest position the subset selects.
+    Over M uniform non-zero subsets an undetected residual mismatch
+    survives with probability 2^-M.  Every subset is checked before the
+    walk, so subsets that are not a sequence of one string or more, any
+    other subset (past an abort too), as many subsets as bits, or a bit
+    that is not the integer 0 or 1 raises InvalidParameterError.
     """
     a, b = (_bit_array(bits, "hash inputs") for bits in (bits_a, bits_b))
     if a.shape != b.shape or a.ndim != 1:
@@ -701,20 +704,22 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
         raise InvalidParameterError(
             f"{length} parity bits cannot survive {len(subsets)} hash rounds"
         )
+    for l, text in enumerate(subsets, start=1):
+        size = length - l + 1
+        ones = text.count("1") if isinstance(text, str) else 0
+        if not ones or len(text) != size or ones + text.count("0") != size:
+            raise InvalidParameterError(
+                f"hash subset {l} is not a non-zero bit string of length {size}")
     ia, ib = _bits_to_int(a), _bits_to_int(b)
     log: list[HashRecord] = []
     for l, text in enumerate(subsets, start=1):
-        ones = text.count("1") if isinstance(text, str) else 0
-        if not ones or len(text) != length or ones + text.count("0") != length:
-            raise InvalidParameterError(
-                f"hash subset {l} is not a non-zero bit string of length {length}")
         s = int(text[::-1], 2)
         pa, pb, ia, ib = _hash_step(ia, ib, s)
         if pa != pb:
             log.append(HashRecord(l, text, pa, pb, None))
             return HashResult(None, None, True, tuple(log))
         log.append(HashRecord(l, text, pa, pb, (s & -s).bit_length() - 1))
-        length -= 1
+    length -= len(subsets)
     return HashResult(_int_to_bits(ia, length), _int_to_bits(ib, length),
                       False, tuple(log))
 

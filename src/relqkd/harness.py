@@ -51,7 +51,8 @@ from .adversary import (
     optimal_delay,
 )
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
-from .errors import InvalidParameterError, require_integers
+from .errors import (InvalidParameterError, require_float, require_floats, require_integer,
+                     require_integers)
 from .security import SecurityReport, build_report
 from .wavepacket import Plateau, make_plateau
 
@@ -86,11 +87,6 @@ _SCHEMA = {
     "security": {"eps1": float, "eps2": float},
 }
 
-#: Why a key that the schema once took is gone.
-_REMOVED_KEYS = {
-    ("state", "resolution"): "the grid knob was removed; the envelope is a closed form",
-}
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -112,6 +108,10 @@ class CampaignSpec:
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         require_integers(self, "seed", "trials")
+        require_floats(self, "eps1", "eps2")
+        for axis in ("ratios", "chi_fractions"):
+            object.__setattr__(self, axis, tuple(require_float(axis, value)
+                                                 for value in getattr(self, axis)))
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.trials <= MAX_TRIALS:
@@ -160,9 +160,8 @@ def _check_schema(parser):
                 + ", ".join(f"[{name}]" for name in _SCHEMA))
         for key in parser[section]:
             if key not in known:
-                why = _REMOVED_KEYS.get((section, key),
-                                        f"the section takes {', '.join(known)}")
-                raise InvalidParameterError(f"unknown [{section}] key {key!r}: {why}")
+                raise InvalidParameterError(f"unknown [{section}] key {key!r}: "
+                                            f"the section takes {', '.join(known)}")
 
 
 def _given(parser, section: str) -> dict:
@@ -283,11 +282,16 @@ def simulate_intercept_resend(
     ramp_fraction: float = 0.0,
     policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED,
 ) -> InterceptResendSummary:
-    """Monte Carlo one intercept-resend grid point against the closed forms."""
+    """Monte Carlo one intercept-resend grid point against the closed forms.
+
+    The channel length and the delay must lie in [0, L], L = ``state_extent``,
+    as a sweep's ratios and chi fractions lie in [0, 1].
+    """
     envelope = make_plateau(state_extent, tail_mass, ramp_fraction)
     L = envelope.plateau_length
-    if not (0.0 <= chi <= L):
-        raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
+    for name, value in (("channel length", channel_length), ("delay", chi)):
+        if not (0.0 <= require_float(name, value) <= L):
+            raise InvalidParameterError(f"{name} must lie in [0, L], got {value}")
     return _simulate_point(envelope, channel_length / L, chi / L, trials, seed, policy)
 
 
@@ -319,10 +323,13 @@ def _simulate_point(envelope, ratio, chi_fraction, trials, seed, policy):
     bound, not against (1 + f)/2 * p_pass, so on a tailed envelope or
     under another resend policy it measures the distance to the bound.
     """
+    trials = require_integer("trials", trials)
     if not 1 <= trials <= MAX_TRIALS:
         raise InvalidParameterError(
             f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
     try:
+        if seed is None:  # SeedSequence would read fresh OS entropy
+            raise TypeError
         rng = np.random.default_rng(np.random.SeedSequence(seed))
     except (TypeError, ValueError):
         raise InvalidParameterError(f"seed must be an integer >= 0 or a sequence of them, "
@@ -433,10 +440,10 @@ def check_parity_identity() -> CheckResult:
                 continue
             n = total // k
             count = security.parity_count(n, k)
-            if round(count.cosine) != count.exact:
+            if round(security.parity_cosine(n, k)) != count:
                 return CheckResult("parity-identity", False,
                                    f"cosine side mismatch at (n={n}, k={k})")
-            if int(histogram[::k].sum()) // 2 != count.exact:
+            if int(histogram[::k].sum()) // 2 != count:
                 return CheckResult("parity-identity", False,
                                    f"enumeration mismatch at (n={n}, k={k})")
     return CheckResult("parity-identity", True,
@@ -447,7 +454,7 @@ def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6)) -> Ch
     """Cosine closed form tracks the big-integer side at large n*k, to 1e-6 relative.
 
     Every (total, k) pair with k dividing the total is checked, and at
-    least one must.
+    least one must; ``parity_cosine`` refuses a total of 1024 or more.
     """
     tol = 1e-6
     for name, values in (("totals", totals), ("ks", ks)):
@@ -459,8 +466,9 @@ def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6)) -> Ch
             f"no k in ks={ks} divides a total in totals={totals}: nothing to check")
     worst = 0.0
     for total, k in pairs:
-        count = security.parity_count(total // k, k)
-        rel = abs(count.cosine - float(count.exact)) / float(count.exact)
+        cosine = security.parity_cosine(total // k, k)  # refuses a total past 1023
+        count = float(security.parity_count(total // k, k))
+        rel = abs(cosine - count) / count
         worst = max(worst, rel)
     ok = worst < tol
     return CheckResult("parity-cosine", ok,
@@ -565,46 +573,35 @@ def _draw_admissibility(rng: np.random.Generator, n_sets: int):
     return stack * (headroom / np.linalg.eigvalsh(stack)[:, -1])[:, None, None], headroom
 
 
-#: Rows per chunk in ``check_hash_calibration`` and ``check_majority_tail``:
-#: 320 KB of uniforms at k = 5.
-_CHUNK_ROWS = 1 << 13
-
-
 def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
                            seed: int = 716) -> CheckResult:
     """A single discrepancy escapes M hash rounds with probability 2^-M.
 
-    Each trial is one unsigned row per string pair, run through the
-    session's own hash step.  A round walks the surviving rows in chunks of
-    ``_CHUNK_ROWS``: it draws one subset per row, hashes the chunk, and
-    moves the rows that match to the front of ``ia`` and ``ib``, in order,
-    where the next round reads them.  A bounded draw continues one stream
-    across calls, so the chunks draw what one draw per round would.
-    Strings of up to 32 bits travel as uint32: a bounded draw below 2^32
-    takes the same 32-bit path for either dtype, so the values and the
-    stream are those of uint64 rows, at half the memory traffic.
+    Each trial is one uint32 row per string pair, of 16 + M bits, run
+    through the session's own hash step; M is at most 16, where at 10^5
+    trials 1.5 rows are expected to survive.  A round walks the surviving
+    rows in ``distill._chunks`` of 2^13 rows: it draws one subset per row,
+    hashes the chunk, and moves the rows that match to the front of ``ia``
+    and ``ib``, in order, where the next round reads them.  A bounded draw
+    continues one stream across calls, so the chunks draw what one draw
+    per round would.  A bounded draw below 2^32 takes the same 32-bit path
+    for either dtype, so the values and the stream are those of uint64 rows.
     """
     n_bits = 16 + rounds
-    if trials < 1 or rounds < 1:
+    if trials < 1 or not 1 <= rounds <= 16:
         raise InvalidParameterError(
-            f"need trials >= 1 and rounds >= 1, got trials={trials}, rounds={rounds}")
-    if n_bits > 63:
-        raise InvalidParameterError(
-            f"{n_bits}-bit strings do not fit in uint64; need rounds <= 47, got {rounds}")
-    dtype = np.uint32 if n_bits <= 32 else np.uint64
+            f"need trials >= 1 and 1 <= rounds <= 16, got trials={trials}, rounds={rounds}")
     rng = np.random.default_rng(seed)
-    ia = rng.integers(0, 1 << n_bits, size=trials, dtype=dtype)
+    ia = rng.integers(0, 1 << n_bits, size=trials, dtype=np.uint32)
     ib = np.empty_like(ia)
-    for start in range(0, trials, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, trials))
-        flip = rng.integers(0, n_bits, size=rows.stop - start, dtype=dtype)
-        np.bitwise_xor(ia[rows], np.left_shift(dtype(1), flip, out=flip), out=ib[rows])
+    for rows in distill._chunks(trials, 8):  # 2^13 rows
+        flip = rng.integers(0, n_bits, size=rows.stop - rows.start, dtype=np.uint32)
+        np.bitwise_xor(ia[rows], np.left_shift(np.uint32(1), flip, out=flip), out=ib[rows])
     survivors = trials
     for length in range(n_bits, n_bits - rounds, -1):
         kept = 0
-        for start in range(0, survivors, _CHUNK_ROWS):
-            rows = slice(start, min(start + _CHUNK_ROWS, survivors))
-            subset = rng.integers(1, 1 << length, size=rows.stop - start, dtype=dtype)
+        for rows in distill._chunks(survivors, 8):
+            subset = rng.integers(1, 1 << length, size=rows.stop - rows.start, dtype=np.uint32)
             pa, pb, next_a, next_b = distill._hash_step(ia[rows], ib[rows], subset)
             match = np.flatnonzero(pa == pb)
             end = kept + match.size
@@ -627,13 +624,14 @@ def check_majority_tail(trials: int = 200_000, seed: int = 717) -> CheckResult:
     k, p_flip = 5, 0.05
     rng = np.random.default_rng(seed)
     errors = 0
-    # Row chunks draw the same uniforms as one (trials, k) draw would,
-    # without holding all of them at once; each chunk reuses two buffers.
-    uniforms = np.empty((min(_CHUNK_ROWS, trials), k))
+    # Chunks of 2^13 rows draw the same uniforms as one (trials, k) draw
+    # would, without holding all of them at once; each reuses two buffers.
+    chunks = distill._chunks(trials, 8)
+    uniforms = np.empty((chunks[0].stop, k))
     flips = np.empty(uniforms.shape, dtype=bool)
-    for start in range(0, trials, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, trials - start)
-        chunk = np.less(rng.random(out=uniforms[:rows]), p_flip, out=flips[:rows])
+    for rows in chunks:
+        size = rows.stop - rows.start
+        chunk = np.less(rng.random(out=uniforms[:size]), p_flip, out=flips[:size])
         errors += int(np.count_nonzero(majority_decode(chunk)))
     expected = sum(math.comb(k, j) * p_flip ** j * (1 - p_flip) ** (k - j)
                    for j in range(k // 2 + 1, k + 1))

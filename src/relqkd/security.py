@@ -1,8 +1,9 @@
 """Key-level security bounds and the inverse parameter solver.
 
 Everything here is closed-form arithmetic on the protocol parameters: the
-combinatorial identity counting the raw strings compatible with one parity
-bit, its exact Hartley ratio eta, the ``SecurityReport`` that derives the
+exact count of the raw strings compatible with one parity bit (and the
+cosine side of its counting identity, which only the checks read), its
+exact Hartley ratio eta, the ``SecurityReport`` that derives the
 eavesdropper's advantage zeta, her key-guessing probability and the three
 mutual informations of the final keys from its parameters, and the search
 that inverts the security criterion into concrete (k, n, M).
@@ -29,23 +30,12 @@ REPORT_SCHEMA = "relqkd-report/1"
 MAX_TOTAL = 1_000_000
 
 
-class ParityCount(NamedTuple):
-    exact: int        # big-integer binomial sum
-    cosine: float     # trigonometric closed form, float
-
-
-def parity_count(n: int, k: int) -> ParityCount:
+def parity_count(n: int, k: int) -> int:
     """Number of ways one parity bit can be assembled from block-wise bits.
 
-    Both sides of the counting identity are returned: the exact binomial
-    sum (1/2) * sum_i C(n*k, i*k) and the cosine closed form
-    (2^{nk}/2k) * sum_{l=1..k} cos^{nk}(l*pi/k) * cos(n*l*pi).  They agree
-    exactly; the cosine side is exposed for numerical cross-checking.
-    At k = 1 every j is a multiple of k, so the exact side is 2^(n-1);
-    otherwise it walks the binomial row in O((nk)^2) bit operations.
-    While 2^{nk} is a float the cosine side is evaluated term by term;
-    beyond that it is the float nearest the count, or inf past the float range.
-    An n*k above ``MAX_TOTAL`` is refused.
+    The exact binomial sum (1/2) * sum_i C(n*k, i*k).  At k = 1 every j is
+    a multiple of k, so it is 2^(n-1); otherwise it walks the binomial row
+    in O((nk)^2) bit operations.  An n*k above ``MAX_TOTAL`` is refused.
     """
     n, k = require_integer("n", n), require_integer("k", k)
     if n < 1 or k < 1:
@@ -54,28 +44,33 @@ def parity_count(n: int, k: int) -> ParityCount:
     if total > MAX_TOTAL:
         raise InvalidParameterError(f"n*k must be at most {MAX_TOTAL}, got {total}")
     if k == 1:
-        exact = 1 << (n - 1)
-    else:
-        # C(total, j) for j = 0..total in one multiplicative pass.
-        binom = twice = 1
-        for j in range(1, total + 1):
-            binom = binom * (total - j + 1) // j
-            if j % k == 0:
-                twice += binom
-        exact = twice // 2
-    if total < 1024:   # 2.0 ** total is a float
-        acc = 0.0
-        for l in range(1, k + 1):
-            c = math.cos(l * math.pi / k)
-            sign = -1.0 if (n * l) % 2 else 1.0
-            acc += (c ** total) * sign
-        cosine = (2.0 ** total) / (2.0 * k) * acc
-    else:
-        try:
-            cosine = float(exact)
-        except OverflowError:
-            cosine = math.inf
-    return ParityCount(exact, cosine)
+        return 1 << (n - 1)
+    # C(total, j) for j = 0..total in one multiplicative pass.
+    binom = twice = 1
+    for j in range(1, total + 1):
+        binom = binom * (total - j + 1) // j
+        if j % k == 0:
+            twice += binom
+    return twice // 2
+
+
+def parity_cosine(n: int, k: int) -> float:
+    """The cosine side of the counting identity, a float to check ``parity_count`` by.
+
+    (2^{nk}/2k) * sum_{l=1..k} cos^{nk}(l*pi/k) * cos(n*l*pi), evaluated
+    term by term; an n*k of 1024 or more, past which 2^{nk} is no float,
+    is refused.
+    """
+    n, k = require_integer("n", n), require_integer("k", k)
+    if n < 1 or k < 1 or n * k >= 1024:
+        raise InvalidParameterError(f"need n, k >= 1 and n*k < 1024, got n={n}, k={k}")
+    total = n * k
+    acc = 0.0
+    for l in range(1, k + 1):
+        c = math.cos(l * math.pi / k)
+        sign = -1.0 if (n * l) % 2 else 1.0
+        acc += (c ** total) * sign
+    return (2.0 ** total) / (2.0 * k) * acc
 
 
 def _log2_int(v: int) -> float:
@@ -205,6 +200,8 @@ class SecurityReport:
         written back and must give ``text`` again, so a text whose bounds
         or flags contradict its parameters is rejected.
         """
+        if not isinstance(text, str):
+            raise InvalidParameterError(f"a report is a str, got {type(text).__name__}")
         lines = text.split("\n")
         if lines[0] != REPORT_SCHEMA:
             raise InvalidParameterError(
@@ -238,7 +235,7 @@ def _render(value) -> str:
 def exact_eta(n: int, k: int) -> float:
     """Hartley information of the parity set per raw bit, computed exactly."""
     n, k = require_integer("n", n), require_integer("k", k)
-    return _log2_int(parity_count(n, k).exact) / (n * k)
+    return _log2_int(parity_count(n, k)) / (n * k)
 
 
 def build_report(

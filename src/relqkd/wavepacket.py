@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, require_float
+from .errors import InvalidParameterError, require_float, require_floats
 
 #: Longest plateau with edge ramps.  The ramps' closed-form integrals add
 #: coordinates that reach five plateau lengths (a delayed copy's cosine
@@ -45,6 +45,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
+        require_floats(self, "lo", "hi")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InvalidParameterError("interval endpoints must be finite")
         if self.hi < self.lo:
@@ -276,6 +277,7 @@ class Plateau:
     overhang: float = 0.0
 
     def __post_init__(self):
+        require_floats(self, "plateau_length", "ramp_width", "overhang")
         L, w, a = self.plateau_length, self.ramp_width, self.overhang
         if not (0.0 < L < math.inf):
             raise InvalidParameterError(f"plateau length must be positive, got {L}")

@@ -4,12 +4,14 @@
 parity-identity checks in fixed-size chunks, ``relqkd.distill`` draws a
 session's rounds in chunks until it has its blocks, addresses each stream
 by name and draws its hash subsets in batches, and ``relqkd.security``
-takes ``parity_count``'s exact side at k = 1 in closed form and derives a
-report's bounds in one place.  The functions here are the plain forms
+takes ``parity_count`` at k = 1 in closed form, evaluates the cosine side
+of the counting identity in ``parity_cosine`` alone, and derives a report's
+bounds in one place.  The functions here are the plain forms
 those replace: each check and ``session`` draws or builds its whole
 working array at once, ``session`` spawns its streams in order,
 ``random_nonzero`` draws one subset per call, ``parity_walk`` walks the
-binomial row for any k, and ``zeta``, ``eve_key_probability`` and
+binomial row for any k, ``parity_cosine`` is the cosine loop as it
+stood beside the count, and ``zeta``, ``eve_key_probability`` and
 ``information_bounds`` compute the bounds one function each.  The tests
 hold the package's results equal to these, byte for byte.
 """
@@ -195,6 +197,18 @@ def parity_walk(n: int, k: int) -> int:
     return twice // 2
 
 
+def parity_cosine(n: int, k: int) -> float:
+    """The cosine side as ``parity_count`` once returned it while 2^{nk} was a float."""
+    total = n * k
+    acc = 0.0
+    for l in range(1, k + 1):
+        c = math.cos(l * math.pi / k)
+        sign = -1.0 if (n * l) % 2 else 1.0
+        acc += (c ** total) * sign
+    cosine = (2.0 ** total) / (2.0 * k) * acc
+    return cosine
+
+
 def parity_identity() -> CheckResult:
     """``check_parity_identity``, growing the popcounts by concatenation."""
     limit = 20
@@ -211,10 +225,10 @@ def parity_identity() -> CheckResult:
                 continue
             n = total // k
             count = security.parity_count(n, k)
-            if round(count.cosine) != count.exact:
+            if round(security.parity_cosine(n, k)) != count:
                 return CheckResult("parity-identity", False,
                                    f"cosine side mismatch at (n={n}, k={k})")
-            if sum(histogram[::k]) // 2 != count.exact:
+            if sum(histogram[::k]) // 2 != count:
                 return CheckResult("parity-identity", False,
                                    f"enumeration mismatch at (n={n}, k={k})")
     return CheckResult("parity-identity", True,
@@ -222,9 +236,10 @@ def parity_identity() -> CheckResult:
 
 
 def hash_calibration(trials: int, rounds: int, seed: int) -> CheckResult:
-    """``check_hash_calibration`` with one whole-array draw and hash step per round."""
+    """``check_hash_calibration`` with one whole-array draw and hash step per round,
+    on uint64 rows."""
     n_bits = 16 + rounds
-    dtype = np.uint32 if n_bits <= 32 else np.uint64
+    dtype = np.uint64
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, 1 << n_bits, size=trials, dtype=dtype)
     ib = ia ^ (dtype(1) << rng.integers(0, n_bits, size=trials, dtype=dtype))

@@ -246,7 +246,7 @@ class TestHashRounds:
     def test_walk_stops_at_the_first_mismatch(self):
         # Round 1 keeps the differing bit (position 2) and drops position 0;
         # round 2 selects the differing bit, now at position 1.
-        result = hash_rounds([0, 1, 0, 1], [0, 1, 1, 1], ["1100", "010", "001"])
+        result = hash_rounds([0, 1, 0, 1], [0, 1, 1, 1], ["1100", "010", "01"])
         assert result.aborted and result.key_a is None and result.key_b is None
         assert [(h.round_index, h.discarded) for h in result.log] == [(1, 0), (2, None)]
 
@@ -280,6 +280,15 @@ class TestHashRounds:
     def test_subset_not_a_bit_string_of_the_current_length_rejected(self, subsets):
         with pytest.raises(InvalidParameterError):
             hash_rounds([0, 1, 1], [0, 1, 1], subsets)
+
+    # Subset 2 was once checked only when the walk reached it, so whether
+    # a call was refused depended on the bits: with these it aborted first.
+    @pytest.mark.parametrize("subsets", [["100", 5], ["100", "111"], ["100", "00"]],
+                             ids=["int", "long", "zero"])
+    def test_every_subset_checked_before_the_walk(self, subsets):
+        for bits_b in ([0, 1, 1], [1, 1, 1]):
+            with pytest.raises(InvalidParameterError, match="hash subset 2"):
+                hash_rounds([0, 1, 1], bits_b, subsets)
 
     # Each once raised a raw AttributeError or TypeError.
     @pytest.mark.parametrize("subsets", [[5], [None], [b"100"], iter(["100"])],
@@ -695,6 +704,13 @@ class TestTranscript:
         rebuilt = dataclasses.replace(ABORTED, subsets=drawn)
         assert rebuilt.subsets == ABORTED.subsets and rebuilt == ABORTED
 
+    @pytest.mark.parametrize("last", ["1" * 6, "0" * 5, "1_111"], ids=["long", "zero", "not-bits"])
+    def test_malformed_subset_past_the_abort_refused(self, last):
+        # The walk aborts before subset 3, which is checked all the same.
+        drawn = ABORTED.subsets + ("1" * 6, "1" * 5)[len(ABORTED.subsets) - 1:]
+        with pytest.raises(InvalidParameterError, match="hash subset 3"):
+            dataclasses.replace(ABORTED, subsets=drawn[:2] + (last,))
+
     def test_replay_reproduces_keys(self):
         for seed in (1, 7, 13):
             transcript = run_session(make_config(seed=seed))
@@ -715,6 +731,13 @@ class TestTranscript:
     def test_rejects_foreign_text(self):
         with pytest.raises(InvalidParameterError):
             Transcript.from_text("not-a-transcript\n")
+
+    @pytest.mark.parametrize("text", [5, None, b"not-a-transcript\n"],
+                             ids=["int", "none", "bytes"])
+    def test_rejects_what_is_no_str(self, text):
+        # 5 once raised a raw TypeError.
+        with pytest.raises(InvalidParameterError, match="a transcript is a str"):
+            Transcript.from_text(text)
 
     def test_rejects_schema_1(self):
         text = ("relqkd-transcript/1\nrounds\t1\n"

@@ -22,6 +22,7 @@ from relqkd.security import (
     SolvedParameters,
     build_report,
     exact_eta,
+    parity_cosine,
     parity_count,
     solve_parameters,
 )
@@ -38,9 +39,8 @@ def enumerate_parity_strings(total: int, k: int) -> int:
 class TestParityCount:
     @pytest.mark.parametrize("n,k,expected", [(3, 2, 16), (2, 1, 2), (1, 3, 1)])
     def test_small_cases(self, n, k, expected):
-        count = parity_count(n, k)
-        assert count.exact == expected
-        assert round(count.cosine) == expected
+        assert parity_count(n, k) == expected
+        assert round(parity_cosine(n, k)) == expected
         assert enumerate_parity_strings(n * k, k) == expected
 
     def test_enumeration_up_to_16(self):
@@ -49,24 +49,28 @@ class TestParityCount:
                 if total % k:
                     continue
                 count = parity_count(total // k, k)
-                assert count.exact == enumerate_parity_strings(total, k)
-                assert round(count.cosine) == count.exact
+                assert count == enumerate_parity_strings(total, k)
+                assert round(parity_cosine(total // k, k)) == count
 
     def test_approximation_for_moderate_blocks(self):
         # The count is within (1 +- 0.1) of 2^{nk}/(2k) already at n*k = 15.
-        count = parity_count(5, 3).exact
+        count = parity_count(5, 3)
         approx = 2 ** 15 / 6
         assert 0.9 * approx < count < 1.1 * approx
 
     def test_cosine_tracks_big_integers(self):
         for n, k in [(50, 2), (40, 5), (200, 1), (25, 8)]:
-            count = parity_count(n, k)
-            rel = abs(count.cosine - float(count.exact)) / float(count.exact)
-            assert rel < 1e-6
+            count = float(parity_count(n, k))
+            assert abs(parity_cosine(n, k) - count) / count < 1e-6
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            parity_count(0, 3)
+        for count in (parity_count, parity_cosine):
+            for n, k in ((0, 3), (3, 0)):
+                with pytest.raises(InvalidParameterError, match="need n, k >= 1"):
+                    count(n, k)
+
+    def test_count_is_an_int(self):
+        assert [type(parity_count(n, k)) for n, k in ((1, 1), (9, 1), (3, 2))] == [int] * 3
 
     def test_exact_side_is_the_binomial_sum(self):
         for total in range(1, 301):
@@ -74,12 +78,12 @@ class TestParityCount:
                 if total % k == 0:
                     expected = sum(math.comb(total, i * k)
                                    for i in range(total // k + 1)) // 2
-                    assert parity_count(total // k, k).exact == expected
+                    assert parity_count(total // k, k) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 2000))
     def test_closed_form_at_k1_is_the_walk(self, n):
-        assert parity_count(n, 1).exact == reference.parity_walk(n, 1) == 2 ** (n - 1)
+        assert parity_count(n, 1) == reference.parity_walk(n, 1) == 2 ** (n - 1)
 
     def test_cosine_side_is_the_term_by_term_form(self):
         # Bitwise the expression evaluated while 2^{nk} is a float.
@@ -93,15 +97,38 @@ class TestParityCount:
                     sign = -1.0 if (n * l) % 2 else 1.0
                     acc += (math.cos(l * math.pi / k) ** total) * sign
                 expected = (2.0 ** total) / (2.0 * k) * acc
-                assert parity_count(n, k).cosine.hex() == expected.hex()
+                assert parity_cosine(n, k).hex() == expected.hex()
+
+    def test_cosine_side_is_the_reference_loop(self):
+        for total in range(1, 301):
+            for k in range(1, total + 1):
+                if total % k == 0:
+                    got = parity_cosine(total // k, k).hex()
+                    assert got == reference.parity_cosine(total // k, k).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 1023).flatmap(
+        lambda total: st.sampled_from([k for k in range(1, total + 1) if total % k == 0])
+        .map(lambda k: (total // k, k))))
+    def test_cosine_side_is_the_reference_loop_below_1024(self, nk):
+        assert parity_cosine(*nk).hex() == reference.parity_cosine(*nk).hex()
+
+    def test_reports_and_solves_never_take_the_cosine_side(self, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError(f"the cosine side was evaluated at (n={n}, k={k})")
+
+        monkeypatch.setattr(security, "parity_cosine", refuse)
+        assert build_report(64, 9, 3, 12, 0.5, 1e-3, 1e-3).eta == exact_eta(9, 3)
+        assert solve_parameters(1e-3, 1e-3, 64, 0.5)[1].all_ok
 
     def test_cosine_side_never_overflows(self):
-        assert parity_count(1024, 1).cosine == 2.0 ** 1023
-        assert parity_count(100, 11).cosine == math.inf
-        count = parity_count(1100, 1)
-        assert count.cosine == math.inf and count.exact == 2 ** 1099
-        count = parity_count(341, 3)
-        assert count.cosine == float(count.exact)
+        # 2^{nk} is no float from n*k = 1024 on: the cosine side refuses,
+        # while the exact count is an int of any size.
+        for n, k in ((1024, 1), (100, 11), (1100, 1)):
+            with pytest.raises(InvalidParameterError, match="n\\*k < 1024"):
+                parity_cosine(n, k)
+        assert parity_count(1100, 1) == 2 ** 1099
+        assert parity_cosine(341, 3) == float(parity_count(341, 3))
 
 
 class TestZeta:
@@ -320,7 +347,9 @@ class TestNumpyIntegers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert parity_count(np.int64(100), np.int32(1)) == parity_count(100, 1)
-        assert parity_count(np.int64(100), 1).exact == 2 ** 99
+            assert parity_cosine(np.int64(100), np.int32(1)) == parity_cosine(100, 1)
+        assert type(parity_count(np.int64(100), 1)) is int
+        assert parity_count(np.int64(100), 1) == 2 ** 99
 
     def test_report(self):
         # _log2_int once raised a raw AttributeError on numpy integers.
@@ -364,7 +393,7 @@ class TestSizeBound:
     def test_the_bound_itself_accepted(self):
         assert MAX_TOTAL == 1_000_000
         with _time_limit(5):
-            assert parity_count(MAX_TOTAL, 1).exact == 1 << (MAX_TOTAL - 1)
+            assert parity_count(MAX_TOTAL, 1) == 1 << (MAX_TOTAL - 1)
             assert build_report(64, MAX_TOTAL, 1, 12, 0.5, 1e-3, 1e-3).all_ok
 
 
@@ -435,7 +464,8 @@ class TestZetaValue:
         # Each call returns a non-NaN result or raises a RelqkdError, within
         # 5 s.  The parity count takes the edges as (n, k) and a report as
         # its key length and (n, k); 2^63 blocks once raised a raw MemoryError.
-        for call in (lambda: parity_count(n_key, hash_rounds),
+        for call in (lambda: (parity_count(n_key, hash_rounds),),
+                     lambda: (parity_cosine(n_key, hash_rounds),),
                      lambda: (exact_eta(n_key, hash_rounds),),
                      lambda: dataclasses.astuple(build_report(
                          n_key, n_key, hash_rounds, 12, 0.5, 1e-3, 1e-3))):
@@ -498,6 +528,12 @@ class TestReportSerialization:
     def test_rejects_foreign_text(self):
         with pytest.raises(InvalidParameterError):
             SecurityReport.from_text("something else\nn_key=4\n")
+
+    @pytest.mark.parametrize("text", [5, None, b"relqkd-report/1\n"], ids=["int", "none", "bytes"])
+    def test_rejects_what_is_no_str(self, text):
+        # 5 once raised a raw AttributeError.
+        with pytest.raises(InvalidParameterError, match="a report is a str"):
+            SecurityReport.from_text(text)
 
     @pytest.mark.parametrize("mangle", [
         lambda t: t.replace("n_key=16\n", ""),
@@ -641,4 +677,4 @@ class TestHartley:
     def test_matches_exact_counter(self):
         for n, k in [(5, 3), (7, 2), (4, 5)]:
             assert exact_eta(n, k) * n * k == pytest.approx(
-                math.log2(parity_count(n, k).exact), abs=1e-12)
+                math.log2(parity_count(n, k)), abs=1e-12)

@@ -28,8 +28,21 @@ class TestInterval:
         with pytest.raises(InvalidParameterError):
             Interval(1.0, 0.0)
 
+    def test_endpoints_that_are_no_real_numbers_rejected(self):
+        # Once a raw TypeError.
+        with pytest.raises(InvalidParameterError, match="lo must be a real number"):
+            Interval("a", "b")
+        assert Interval(np.float64(0.5), 1) == Interval(0.5, 1.0)
+
 
 class TestMakePlateau:
+    @pytest.mark.parametrize("args", [("a",), (1.0, None), (1.0, 0.1, "x")],
+                             ids=["length", "ramp", "overhang"])
+    def test_plateau_field_that_is_no_real_number_rejected(self, args):
+        # Plateau("a") once raised a raw TypeError.
+        with pytest.raises(InvalidParameterError, match="must be a real number"):
+            Plateau(*args)
+
     def test_ramped_length_is_bounded(self):
         # make_plateau(1e308, 1e-3, 0.05) once built a plateau whose
         # integrals raised a raw ValueError; without ramps there is no bound.

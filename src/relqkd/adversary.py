@@ -59,6 +59,9 @@ def eve_success_probability(f):
     coin flip.  The fraction saturates at 1 once the accessible region
     covers the whole state.  ``f`` may be an array; a scalar gives a float.
     """
+    f = _reals("available fraction", f)
+    if not np.all(f >= 0.0):
+        raise InvalidParameterError(f"available fraction must be >= 0, got {f}")
     p = 0.5 * (1.0 + np.minimum(1.0, f))
     return p if np.ndim(p) else float(p)
 
@@ -71,10 +74,19 @@ def bob_pass_bound(chi, extent: float):
     extent = require_float("state extent", extent)
     if not (0.0 < extent < math.inf):
         raise InvalidParameterError(f"state extent must be finite and positive, got {extent}")
+    chi = _reals("delay", chi)
     if not np.all((0.0 <= chi) & (chi <= extent + _TOL)):
         raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
     p = 1.0 - np.minimum(chi, extent) / extent
     return p if np.ndim(p) else float(p)
+
+
+def _reals(name: str, values) -> np.ndarray:
+    """``values`` as an array of bools, integers or floats; any other dtype is refused."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"{name} must be real, got {values!r:.40}")
+    return array
 
 
 def optimal_delay(channel_length: float, extent: float) -> tuple[float, float]:
@@ -170,6 +182,10 @@ def channel_probabilities(
     if not (0.0 <= channel_length < math.inf):
         raise InvalidParameterError(
             f"channel length must be finite and >= 0, got {channel_length}")
+    if not isinstance(envelope, Plateau):
+        raise InvalidParameterError(f"envelope must be a Plateau, got {envelope!r:.40}")
+    if not isinstance(eve, (EveStrategy, type(None))):
+        raise InvalidParameterError(f"eve must be an EveStrategy or None, got {eve!r:.40}")
     if eve is None:
         return 0.0, 1.0
     L, a = envelope.plateau_length, envelope.overhang
@@ -205,7 +221,7 @@ def instrument_contraction_check(admissibility: np.ndarray, f: float, psi: np.nd
     f.  A stack of Hermitian matrices, shape (..., d, d), takes one state
     per matrix, shape (..., d), and gives an array of its leading shape.
     """
-    if not (0.0 <= f <= 1.0):
+    if not (0.0 <= require_float("available fraction", f) <= 1.0):
         raise InvalidParameterError(f"available fraction must lie in [0, 1], got {f}")
     a, psi = np.asarray(admissibility, dtype=complex), np.asarray(psi, dtype=complex)
     if (a.ndim < 2 or a.shape[:-1] != psi.shape or a.shape[-2] != a.shape[-1]

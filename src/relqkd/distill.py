@@ -544,10 +544,11 @@ def estimate_error(a_bits, b_bits, disclose_fraction: float,
     Returns (p_err, disclosed_positions); the disclosed positions must be
     discarded from key material by the caller.
     """
-    a_arr = np.asarray(a_bits)
-    b_arr = np.asarray(b_bits)
+    a_arr, b_arr = _bit_array(a_bits, "sent bits"), _bit_array(b_bits, "received bits")
     if a_arr.shape != b_arr.shape or a_arr.ndim != 1 or a_arr.size == 0:
         raise InvalidParameterError("need two equal-length non-empty bit sequences")
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidParameterError(f"rng must be a numpy Generator, got {rng!r:.40}")
     if not (0.0 < disclose_fraction < 1.0):
         raise InvalidParameterError(
             f"disclose fraction must lie in (0, 1), got {disclose_fraction}")

@@ -16,14 +16,16 @@ and the ``CampaignSpec`` and its ``ProtocolConfig`` both carry that
 ``Plateau``; ``cmd_analyze``, ``cmd_simulate`` and ``run_session`` build none.
 
 Both sweep modes build one row type, ``InterceptResendSummary``, whose
-first ten fields are the CSV columns.  ``_closed_forms`` computes its
-analytic columns, the only ones ``analyze`` sets; ``simulate`` fills in
-the Monte Carlo columns of the same row.
+first ten fields are the CSV columns.  ``_closed_forms`` computes the
+analytic columns, the only ones ``analyze`` sets, once per grid as float64
+arrays, whose elementwise IEEE arithmetic gives each point the bits of a
+scalar evaluation; ``simulate`` adds the Monte Carlo columns to each row.
 
 ``simulate`` draws each grid point's counts exactly, as four binomials
 (see ``_simulate_point``), so a point's cost and memory do not depend on
-``trials``.  Its ``zscore`` compares the empirical joint rate against the
-truncated-resend bound min(1, (1 + ratio + chi/L)/2) * (1 - chi/L),
+``trials``, and the envelope computes its closed-form pieces once, not
+once per point.  Its ``zscore`` compares the empirical joint rate against
+the truncated-resend bound min(1, (1 + ratio + chi/L)/2) * (1 - chi/L),
 whatever the envelope and resend policy; the ``available_fraction`` (f)
 and ``pass_probability`` columns give the envelope's own per-round rates,
 whose (1 + f)/2 * p_pass is what the empirical rate estimates.
@@ -35,7 +37,7 @@ import configparser
 import io
 import itertools
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -109,6 +111,12 @@ class CampaignSpec:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         require_integers(self, "seed", "trials")
         require_floats(self, "eps1", "eps2")
+        for name, kinds, what in (
+                ("envelope", Plateau, "a Plateau"),
+                ("resend_policy", ResendPolicy, "a ResendPolicy"),
+                ("protocol", (ProtocolConfig, type(None)), "a ProtocolConfig or None")):
+            if not isinstance(value := getattr(self, name), kinds):
+                raise InvalidParameterError(f"{name} must be {what}, got {value!r:.40}")
         for axis in ("ratios", "chi_fractions"):
             object.__setattr__(self, axis, tuple(require_float(axis, value)
                                                  for value in getattr(self, axis)))
@@ -232,8 +240,8 @@ def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
 class InterceptResendSummary:
     """One grid point of the delay tradeoff; its first ten fields are a CSV row.
 
-    ``_closed_forms`` builds the analytic part, which is all that ``analyze``
-    writes; ``simulate`` fills in the Monte Carlo fields, which stay None
+    ``_closed_forms`` gives the analytic part, which is all that ``analyze``
+    writes; ``simulate`` also sets the Monte Carlo fields, which stay None
     in ``analyze`` mode.
     """
 
@@ -254,11 +262,11 @@ class InterceptResendSummary:
 CSV_COLUMNS = tuple(f.name for f in fields(InterceptResendSummary)[:10])
 
 
-def _closed_forms(ratio: float, chi_fraction: float) -> InterceptResendSummary:
-    """The analytic columns at L_ch/L = ``ratio`` and chi/L = ``chi_fraction``."""
-    pr_e = eve_success_probability(ratio + chi_fraction)
-    pr_b = bob_pass_bound(chi_fraction, 1.0)
-    return InterceptResendSummary(ratio, chi_fraction, pr_e, pr_b, pr_e * pr_b)
+def _closed_forms(ratios, chi_fractions) -> list[tuple[float, ...]]:
+    """Each grid point's analytic columns, in row order, from one pass over the grid."""
+    ratio, cf = np.array(list(itertools.product(ratios, chi_fractions)), dtype=float).T
+    pr_e, pr_b = eve_success_probability(ratio + cf), bob_pass_bound(cf, 1.0)
+    return list(zip(*(column.tolist() for column in (ratio, cf, pr_e, pr_b, pr_e * pr_b))))
 
 
 def _stderr(p: float, trials: int) -> float:
@@ -292,14 +300,28 @@ def simulate_intercept_resend(
     for name, value in (("channel length", channel_length), ("delay", chi)):
         if not (0.0 <= require_float(name, value) <= L):
             raise InvalidParameterError(f"{name} must lie in [0, L], got {value}")
-    return _simulate_point(envelope, channel_length / L, chi / L, trials, seed, policy)
+    trials = require_integer("trials", trials)
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InvalidParameterError(
+            f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    try:
+        if seed is None:  # SeedSequence would read fresh OS entropy
+            raise TypeError
+        seeds = np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"seed must be an integer >= 0 or a sequence of them, "
+                                    f"got {seed!r:.40}") from None
+    forms = _closed_forms((channel_length / L,), (chi / L,))[0]
+    eve = EveStrategy(forms[1] * L, policy)
+    return _simulate_point(forms, *channel_probabilities(envelope, forms[0] * L, eve),
+                           trials, seeds)
 
 
-def _simulate_point(envelope, ratio, chi_fraction, trials, seed, policy):
-    """One grid point, L_ch/L = ``ratio`` and chi/L = ``chi_fraction``, on a built envelope.
+def _simulate_point(forms, f, p_pass, trials, seeds) -> InterceptResendSummary:
+    """One grid point's row from its ``_closed_forms`` tuple and ``trials`` rounds from ``seeds``.
 
-    A sweep builds the envelope only once, and its rows carry the grid
-    fractions exactly, as ``analyze``'s rows do.
+    Closed forms come once per grid and the envelope's pieces once per
+    envelope; the row, with the grid fractions exactly, is built once.
 
     Draws come from the per-round probabilities ``channel_probabilities``
     integrates on the envelope, so the comparison checks the envelope
@@ -323,31 +345,15 @@ def _simulate_point(envelope, ratio, chi_fraction, trials, seed, policy):
     bound, not against (1 + f)/2 * p_pass, so on a tailed envelope or
     under another resend policy it measures the distance to the bound.
     """
-    trials = require_integer("trials", trials)
-    if not 1 <= trials <= MAX_TRIALS:
-        raise InvalidParameterError(
-            f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-    try:
-        if seed is None:  # SeedSequence would read fresh OS entropy
-            raise TypeError
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"seed must be an integer >= 0 or a sequence of them, "
-                                    f"got {seed!r:.40}") from None
-    row = _closed_forms(ratio, chi_fraction)  # rejects a delay outside [0, L]
-    L = envelope.plateau_length
-    f, p_pass = channel_probabilities(envelope, ratio * L,
-                                      EveStrategy(chi_fraction * L, policy))
-
+    rng = np.random.default_rng(seeds)
     fired = rng.binomial(trials, f)
     eve_correct = fired + rng.binomial(trials - fired, 0.5)
     joint = rng.binomial(eve_correct, p_pass)
     passed = joint + rng.binomial(trials - eve_correct, p_pass)
     j_emp = joint / trials
-    return replace(row, joint_empirical=j_emp, stderr=_stderr(j_emp, trials),
-                   zscore=_zscore(j_emp, row.joint_analytic, trials),
-                   available_fraction=f, pass_probability=p_pass,
-                   eve_empirical=eve_correct / trials, bob_empirical=passed / trials)
+    return InterceptResendSummary(*forms, j_emp, _stderr(j_emp, trials),
+                                  _zscore(j_emp, forms[4], trials), f, p_pass,
+                                  eve_correct / trials, passed / trials)
 
 
 def _fmt(value) -> str:
@@ -364,8 +370,8 @@ def rows_to_csv(rows) -> str:
 
 def cmd_analyze(spec: CampaignSpec) -> list[InterceptResendSummary]:
     """Closed-form tradeoff table over the (ratio, chi) grid."""
-    rows = [_closed_forms(ratio, cf)
-            for ratio, cf in itertools.product(spec.ratios, spec.chi_fractions)]
+    rows = [InterceptResendSummary(*forms)
+            for forms in _closed_forms(spec.ratios, spec.chi_fractions)]
     if spec.out:
         _write(spec.out, rows_to_csv(rows))
     return rows
@@ -373,10 +379,12 @@ def cmd_analyze(spec: CampaignSpec) -> list[InterceptResendSummary]:
 
 def cmd_simulate(spec: CampaignSpec) -> list[InterceptResendSummary]:
     """Monte Carlo table: empirical joint success next to the closed form."""
-    grid = itertools.product(spec.ratios, spec.chi_fractions)
-    rows = [_simulate_point(spec.envelope, ratio, cf, spec.trials,
-                            (spec.seed, point), spec.resend_policy)
-            for point, (ratio, cf) in enumerate(grid)]
+    L = spec.envelope.plateau_length
+    eves = [EveStrategy(cf * L, spec.resend_policy) for cf in spec.chi_fractions]
+    rows = [_simulate_point(forms, *channel_probabilities(spec.envelope, forms[0] * L,
+                                                          eves[point % len(eves)]),
+                            spec.trials, np.random.SeedSequence((spec.seed, point)))
+            for point, forms in enumerate(_closed_forms(spec.ratios, spec.chi_fractions))]
     if spec.out:
         _write(spec.out, rows_to_csv(rows))
     return rows

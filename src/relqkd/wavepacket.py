@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -259,7 +260,8 @@ class Plateau:
 
     ``carrier_mass`` and ``carrier_overlap`` integrate C placed with its
     window at [-L, 0], the frame of ``relqkd.adversary.channel_probabilities``;
-    there the ideal plateau's integrals are exact interval lengths.
+    there the ideal plateau's integrals are exact interval lengths.  Each
+    envelope computes C's pieces once, on first use, outside its fields.
 
     Attributes
     ----------
@@ -312,6 +314,7 @@ class Plateau:
         """Height 1/sqrt(norm) of the normalized envelope's flat top."""
         return 1.0 / math.sqrt(self.norm)
 
+    @cached_property
     def _pieces(self):
         """(lo, hi, terms) of C with its window at [-L, 0]; zero elsewhere."""
         L, w, a = self.plateau_length, self.ramp_width, self.overhang
@@ -326,7 +329,7 @@ class Plateau:
     def carrier_mass(self, lo: float, hi: float) -> float:
         """int C(y)^2 dy over [lo, hi], window at [-L, 0]."""
         total = 0.0
-        for p_lo, p_hi, terms in self._pieces():
+        for p_lo, p_hi, terms in self._pieces:
             a, b = max(lo, p_lo), min(hi, p_hi)
             if a < b:
                 total += _product_integral(terms, terms, a, b)
@@ -334,14 +337,14 @@ class Plateau:
 
     def carrier_overlap(self, chi: float, lo: float, hi: float) -> float:
         """int C(y) C(y + chi) dy over [lo, hi], window at [-L, 0]."""
-        pieces = self._pieces()
+        shifted = [(q_lo - chi, q_hi - chi, tuple((c, k, y0 - chi) for c, k, y0 in q_terms))
+                   for q_lo, q_hi, q_terms in self._pieces]
         total = 0.0
-        for p_lo, p_hi, p_terms in pieces:
-            for q_lo, q_hi, q_terms in pieces:
-                a, b = max(lo, p_lo, q_lo - chi), min(hi, p_hi, q_hi - chi)
+        for p_lo, p_hi, p_terms in self._pieces:
+            for q_lo, q_hi, q_terms in shifted:
+                a, b = max(lo, p_lo, q_lo), min(hi, p_hi, q_hi)
                 if a < b:
-                    shifted = tuple((c, k, y0 - chi) for c, k, y0 in q_terms)
-                    total += _product_integral(p_terms, shifted, a, b)
+                    total += _product_integral(p_terms, q_terms, a, b)
         return total
 
 

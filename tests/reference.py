@@ -1,28 +1,39 @@
 """Whole-array references for the bounded-memory paths and the parity count.
 
 ``relqkd.harness`` runs its hash-calibration, majority-tail and
-parity-identity checks in fixed-size chunks, ``relqkd.distill`` draws a
-session's rounds in chunks until it has its blocks, addresses each stream
-by name and draws its hash subsets in batches, and ``relqkd.security``
-takes ``parity_count`` at k = 1 in closed form, evaluates the cosine side
-of the counting identity in ``parity_cosine`` alone, and derives a report's
-bounds in one place.  The functions here are the plain forms
-those replace: each check and ``session`` draws or builds its whole
-working array at once, ``session`` spawns its streams in order,
-``random_nonzero`` draws one subset per call, ``parity_walk`` walks the
-binomial row for any k, ``parity_cosine`` is the cosine loop as it
-stood beside the count, and ``zeta``, ``eve_key_probability`` and
-``information_bounds`` compute the bounds one function each.  The tests
-hold the package's results equal to these, byte for byte.
+parity-identity checks in fixed-size chunks and a sweep's closed forms
+once over its grid, ``relqkd.wavepacket`` shifts a carrier's pieces once
+per overlap, ``relqkd.distill`` draws a session's rounds in chunks until
+it has its blocks, addresses each stream by name and draws its hash
+subsets in batches, and ``relqkd.security`` takes ``parity_count`` at
+k = 1 in closed form, evaluates the cosine side of the counting identity
+in ``parity_cosine`` alone, and derives a report's bounds in one place.
+The functions here are the plain forms those replace: ``sweep_rows``
+builds each grid point's row from scalar closed forms and
+``dataclasses.replace``, ``carrier_overlap`` shifts a piece once per
+pair, each check and ``session`` draws or builds its whole working array
+at once, ``session`` spawns its streams in order, ``random_nonzero``
+draws one subset per call, ``parity_walk`` walks the binomial row for
+any k, ``parity_cosine`` is the cosine loop as it stood beside the
+count, and ``zeta``, ``eve_key_probability`` and ``information_bounds``
+compute the bounds one function each.  The tests hold the package's
+results equal to these, byte for byte.
 """
 
+import dataclasses
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from relqkd import distill, security
-from relqkd.adversary import channel_probabilities, eve_success_probability
+from relqkd import distill, security, wavepacket
+from relqkd.adversary import (
+    EveStrategy,
+    bob_pass_bound,
+    channel_probabilities,
+    eve_success_probability,
+)
 from relqkd.distill import ROUND_COLUMNS, Transcript, majority_decode
 from relqkd.errors import (
     InvalidParameterError,
@@ -30,7 +41,7 @@ from relqkd.errors import (
     require_integer,
 )
 from relqkd.security import LN2
-from relqkd.harness import CheckResult, _stderr
+from relqkd.harness import CheckResult, InterceptResendSummary, _stderr, _zscore
 
 
 def session(cfg: distill.ProtocolConfig) -> Transcript:
@@ -269,3 +280,50 @@ def majority_tail(trials: int, seed: int) -> CheckResult:
     return CheckResult("majority-tail", ok,
                        f"block error {errors / trials:.3e} vs binomial tail "
                        f"{expected:.3e} (tolerance 3 sigma = {3 * sigma:.2g})")
+
+
+def sweep_rows(spec) -> list[InterceptResendSummary]:
+    """``cmd_analyze`` or ``cmd_simulate`` rows, each grid point built on its own.
+
+    A point takes its closed forms from scalar calls.  In ``simulate`` it
+    builds its own ``EveStrategy``, integrates on a fresh copy of the
+    envelope, which has not computed its pieces, draws its counts from
+    ``SeedSequence((seed, point))`` and fills in the Monte Carlo fields
+    with ``dataclasses.replace``.
+    """
+    L = spec.envelope.plateau_length
+    rows = []
+    for point, (ratio, cf) in enumerate(itertools.product(spec.ratios, spec.chi_fractions)):
+        pr_e = eve_success_probability(ratio + cf)
+        pr_b = bob_pass_bound(cf, 1.0)
+        row = InterceptResendSummary(ratio, cf, pr_e, pr_b, pr_e * pr_b)
+        if spec.mode == "simulate":
+            trials = spec.trials
+            f, p_pass = channel_probabilities(dataclasses.replace(spec.envelope), ratio * L,
+                                              EveStrategy(cf * L, spec.resend_policy))
+            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, point)))
+            fired = rng.binomial(trials, f)
+            eve_correct = fired + rng.binomial(trials - fired, 0.5)
+            joint = rng.binomial(eve_correct, p_pass)
+            passed = joint + rng.binomial(trials - eve_correct, p_pass)
+            j_emp = joint / trials
+            row = dataclasses.replace(
+                row, joint_empirical=j_emp, stderr=_stderr(j_emp, trials),
+                zscore=_zscore(j_emp, row.joint_analytic, trials),
+                available_fraction=f, pass_probability=p_pass,
+                eve_empirical=eve_correct / trials, bob_empirical=passed / trials)
+        rows.append(row)
+    return rows
+
+
+def carrier_overlap(envelope, chi: float, lo: float, hi: float) -> float:
+    """``Plateau.carrier_overlap``, shifting the second piece once per pair."""
+    pieces = envelope._pieces
+    total = 0.0
+    for p_lo, p_hi, p_terms in pieces:
+        for q_lo, q_hi, q_terms in pieces:
+            a, b = max(lo, p_lo, q_lo - chi), min(hi, p_hi, q_hi - chi)
+            if a < b:
+                shifted = tuple((c, k, y0 - chi) for c, k, y0 in q_terms)
+                total += wavepacket._product_integral(p_terms, shifted, a, b)
+    return total

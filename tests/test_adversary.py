@@ -37,7 +37,7 @@ class TestClosedForms:
         assert bob_pass_bound(0.25, 1.0) == pytest.approx(0.75)
 
     def test_arrays_match_the_scalar_forms(self):
-        fs = np.linspace(-0.1, 1.2, 27)
+        fs = np.linspace(0.0, 1.3, 27)  # a negative fraction is refused
         assert eve_success_probability(fs).tolist() == [
             eve_success_probability(float(f)) for f in fs]
         chis = np.linspace(0.0, 2.0, 33)
@@ -52,6 +52,24 @@ class TestClosedForms:
     def test_domain_validation(self):
         with pytest.raises(InvalidParameterError):
             bob_pass_bound(1.5, 1.0)
+
+    # Each raised a raw UFuncTypeError, TypeError or AttributeError, or
+    # returned -1.0 or NaN for a fraction below 0 or NaN.
+    @pytest.mark.parametrize("call, named", [
+        (lambda: eve_success_probability("a"), "available fraction"),
+        (lambda: eve_success_probability(-3.0), "available fraction"),
+        (lambda: eve_success_probability(math.nan), "available fraction"),
+        (lambda: eve_success_probability(np.array([0.5, -0.1])), "available fraction"),
+        (lambda: bob_pass_bound("a", 1.0), "delay"),
+        (lambda: instrument_contraction_check(np.eye(2), "a", np.ones(2)), "available fraction"),
+        (lambda: channel_probabilities(None, 0.5, EveStrategy(0.0)), "envelope"),
+        (lambda: channel_probabilities(make_plateau(1.0), 0.5, "x"), "eve"),
+    ], ids=["eve-success-text", "eve-success-negative", "eve-success-nan",
+            "eve-success-negative-entry", "pass-bound-text", "instrument-text",
+            "no-envelope", "eve-text"])
+    def test_channel_layer_refusal_names_the_argument(self, call, named):
+        with pytest.raises(InvalidParameterError, match=f"^{named} must be"):
+            call()
 
     def test_extent_read_as_a_float(self):
         # np.minimum once raised a raw OverflowError on an extent past int64.

@@ -105,9 +105,22 @@ class TestEstimateError:
         assert list(positions2) == list(positions)
         assert p_err2 == p_err == 0.0
 
+    # No rng raised a raw AttributeError, and a bit of 2 gave a rate of 0.5.
+    @pytest.mark.parametrize("a, b, rng, named", [
+        ([0, 1, 1, 0], [0, 1, 1, 0], None, "rng"),
+        ([0, 1, 1, 0], [0, 1, 1, 0], 7, "rng"),
+        ([0, 2, 1, 0], [0, 1, 1, 0], np.random.default_rng(0), "sent bits"),
+        ([0, 1, 1, 0], [0, 1, -1, 0], np.random.default_rng(0), "received bits"),
+        ([0.0, 1.0, 1.0, 0.0], [0, 1, 1, 0], np.random.default_rng(0), "sent bits"),
+    ], ids=["no-rng", "seed-for-rng", "sent-bit-2", "received-bit-negative", "float-bits"])
+    def test_refusal_names_the_argument(self, a, b, rng, named):
+        with pytest.raises(InvalidParameterError, match=f"^{named} must be"):
+            estimate_error(a, b, 0.5, rng)
+
     def test_zero_disclosure_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            estimate_error(np.ones(100), np.ones(100), 0.001, np.random.default_rng(0))
+        bits = np.ones(100, dtype=int)
+        with pytest.raises(InvalidParameterError, match="discloses nothing"):
+            estimate_error(bits, bits, 0.001, np.random.default_rng(0))
 
 
 class TestMajority:

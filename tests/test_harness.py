@@ -116,6 +116,22 @@ def _shifted_eve_count(simulate_point):
     return point
 
 
+# Grid fractions: both ends of [0, 1], the sign of zero, and anything between.
+_FRACTION = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+_AXIS = st.lists(_FRACTION, max_size=3).map(lambda xs: xs + [0.0, 1.0]).flatmap(st.permutations)
+
+
+@st.composite
+def sweep_specs(draw):
+    """A sweep campaign: either mode, L in {0.3, 1, 2.5, 7}, ideal or tailed."""
+    L = draw(st.sampled_from([0.3, 1.0, 2.5, 7.0]))
+    shape = draw(st.sampled_from([(0.0, 0.0), (1e-3, 0.05), (0.05, 0.3)]))
+    return CampaignSpec(draw(st.sampled_from(["analyze", "simulate"])),
+                        draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 10**12)),
+                        tuple(draw(_AXIS)), tuple(draw(_AXIS)), make_plateau(L, *shape),
+                        draw(st.sampled_from(ResendPolicy)))
+
+
 @pytest.fixture
 def analyze_spec(tmp_path):
     path = tmp_path / "analyze.ini"
@@ -213,6 +229,12 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match=f"{named} must be a real number"):
             CampaignSpec(**{**spec, field: value})
 
+    # Each was accepted, and ``cmd_simulate`` then raised a raw AttributeError.
+    @pytest.mark.parametrize("field", ["protocol", "envelope", "resend_policy"])
+    def test_field_of_the_wrong_type_rejected(self, field):
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
+            CampaignSpec("simulate", 1, ratios=(0.5,), chi_fractions=(0.25,), **{field: "x"})
+
     def test_float_fields_stored_as_floats(self):
         spec = CampaignSpec(mode="analyze", seed=1, ratios=[0, np.float64(0.5)],
                             chi_fractions=(np.float32(0.25),), eps1=np.float64(1e-3))
@@ -287,6 +309,16 @@ class TestSimulate:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
+    # Closed forms once per grid and one row per point give the rows and
+    # the CSV of scalar closed forms and ``replace``, bit for bit.
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_specs())
+    def test_rows_and_csv_equal_the_per_point_reference(self, spec):
+        rows = (cmd_analyze if spec.mode == "analyze" else cmd_simulate)(spec)
+        expected = reference.sweep_rows(spec)
+        assert repr(rows) == repr(expected)
+        assert rows_to_csv(rows) == rows_to_csv(expected)
+
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameterError):
             simulate_intercept_resend(1.0, 0.5, 0.0, 0, seed=1)
@@ -333,11 +365,10 @@ class TestSimulate:
         # Over many seeds, (E, B, J) from the four binomials and from the
         # per-trial oracle both match the exact means and covariances.
         T, f, p, seeds, z = 200, 0.55, 0.7, 20_000, 4.0
-        envelope = make_plateau(1.0)  # ideal plateau: f = 0.25 + 0.3, p_pass = 1 - 0.3
 
         def exact_counts(seed):
-            s = harness._simulate_point(envelope, 0.25, 0.3, T, seed,
-                                        ResendPolicy.TRUNCATED_RENORMALIZED)
+            # Ideal plateau of L = 1: f = 0.25 + 0.3, p_pass = 1 - 0.3.
+            s = simulate_intercept_resend(1.0, 0.25, 0.3, T, seed)
             assert s.available_fraction == pytest.approx(f, abs=1e-12)
             assert s.pass_probability == pytest.approx(p, abs=1e-12)
             return [round(x * T) for x in (s.eve_empirical, s.bob_empirical,

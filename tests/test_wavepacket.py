@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference
 from oracle import plateau_samples, sample, sampled
+from relqkd.adversary import EveStrategy, channel_probabilities
 from relqkd.errors import InvalidParameterError
+from relqkd.harness import CampaignSpec, cmd_simulate
 from relqkd.wavepacket import Interval, Plateau, make_plateau, mass_in_interval, overlap
 
 
@@ -224,6 +227,36 @@ class TestClosedForm:
             np.trapezoid(c * c, y), abs=1e-7)
         assert p.carrier_overlap(chi, lo, hi) == pytest.approx(
             np.trapezoid(c * carrier(p, y + chi), y), abs=1e-7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 10.0), st.one_of(st.just(0.0), st.floats(0.001, 0.499)),
+           st.floats(0.0, 1.0), st.floats(-1.2, 0.2), st.floats(0.0, 1.5), st.floats(0.0, 1.2))
+    def test_overlap_equals_the_per_pair_shift(self, L, ramp, a_frac, lo, length, chi_frac):
+        # Each piece is shifted once per call: the same float operations,
+        # so the same bits, as shifting it once per pair.
+        w = ramp * L
+        p = Plateau(L, w, a_frac * w)
+        lo, hi, chi = lo * L, (lo + length) * L, chi_frac * L
+        assert (p.carrier_overlap(chi, lo, hi).hex()
+                == reference.carrier_overlap(p, chi, lo, hi).hex())
+
+    def test_used_plateau_integrates_as_a_fresh_equal_one(self):
+        # A plateau computes its pieces once and keeps them outside its
+        # fields; the shared CampaignSpec default is used by every campaign
+        # that names no envelope.
+        cmd_simulate(CampaignSpec("simulate", 3, ratios=(0.5,), chi_fractions=(0.25,)))
+        for used in (CampaignSpec.envelope, make_plateau(1.0, 1e-3, 0.05),
+                     make_plateau(2.5, 0.05, 0.3)):
+            L, a = used.plateau_length, used.overhang
+            channel_probabilities(used, 0.5 * L, EveStrategy(0.25 * L))
+            fresh = Plateau(L, used.ramp_width, a)
+            assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+            for integrals in (lambda p: [p.carrier_mass(lo, a) for lo in (-L - a, -0.3 * L)],
+                              lambda p: [p.carrier_overlap(chi * L, -L - a, a - chi * L)
+                                         for chi in (0.0, 0.1, 0.5)]):
+                assert ([x.hex() for x in integrals(Plateau(L, used.ramp_width, a))]
+                        == [x.hex() for x in integrals(used)])
+            assert used == fresh and hash(used) == hash(fresh)
 
     @pytest.mark.parametrize("args", [(0.0,), (math.inf,), (1.0, 0.6), (1.0, -0.1),
                                       (1.0, 0.1, 0.2), (1.0, 0.1, -0.01), (1.0, 1e-308)])

@@ -7,8 +7,8 @@ causally occupy by the receiver's test time.  The product of the two is
 maximized at chi = 0: delaying never helps.
 """
 
-from relqkd import (bob_pass_bound, eve_success_probability, optimal_delay,
-                    simulate_intercept_resend)
+from relqkd.adversary import bob_pass_bound, eve_success_probability, optimal_delay
+from relqkd.harness import simulate_intercept_resend
 
 L = 1.0
 

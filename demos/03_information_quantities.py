@@ -12,10 +12,9 @@ bit per raw bit, which is what makes the key-level bound exponential.
 
 import math
 
-from relqkd import (EveStrategy, ProtocolConfig, channel_probabilities, make_plateau,
-                    parity_count, run_session)
+from relqkd import EveStrategy, ProtocolConfig, channel_probabilities, make_plateau, run_session
 from relqkd.harness import eve_information
-from relqkd.security import exact_eta, parity_cosine
+from relqkd.security import exact_eta, parity_count, parity_cosine
 
 envelope = make_plateau(1.0)
 print("=" * 64)

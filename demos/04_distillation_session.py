@@ -7,8 +7,8 @@ shows up in the disclosed sample, and how an intercept-resend attack is
 caught.
 """
 
-from relqkd import (ROUND_COLUMNS, EveStrategy, ProtocolConfig, Transcript, make_plateau,
-                    replay_keys, run_session)
+from relqkd import EveStrategy, ProtocolConfig, Transcript, make_plateau, run_session
+from relqkd.distill import ROUND_COLUMNS, replay_keys
 
 
 def summarize(tag, transcript):

@@ -58,10 +58,8 @@ def eve_success_probability(f):
     A firing measurement identifies the bit and a silent one leaves a fair
     coin flip.  The fraction saturates at 1 once the accessible region
     covers the whole state.  ``f`` may be an array; a scalar gives a float.
+    Callers pass real fractions f >= 0.
     """
-    f = _reals("available fraction", f)
-    if not np.all(f >= 0.0):
-        raise InvalidParameterError(f"available fraction must be >= 0, got {f}")
     p = 0.5 * (1.0 + np.minimum(1.0, f))
     return p if np.ndim(p) else float(p)
 
@@ -69,24 +67,11 @@ def eve_success_probability(f):
 def bob_pass_bound(chi, extent: float):
     """Supremum 1 - chi/L of the receiver-test pass probability at delay chi.
 
-    ``chi`` may be an array of delays; a scalar gives a float.
+    ``chi`` may be an array of delays; a scalar gives a float.  Callers
+    pass a finite extent L > 0 and real delays in [0, L].
     """
-    extent = require_float("state extent", extent)
-    if not (0.0 < extent < math.inf):
-        raise InvalidParameterError(f"state extent must be finite and positive, got {extent}")
-    chi = _reals("delay", chi)
-    if not np.all((0.0 <= chi) & (chi <= extent + _TOL)):
-        raise InvalidParameterError(f"delay must lie in [0, L], got {chi}")
     p = 1.0 - np.minimum(chi, extent) / extent
     return p if np.ndim(p) else float(p)
-
-
-def _reals(name: str, values) -> np.ndarray:
-    """``values`` as an array of bools, integers or floats; any other dtype is refused."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
-        raise InvalidParameterError(f"{name} must be real, got {values!r:.40}")
-    return array
 
 
 def optimal_delay(channel_length: float, extent: float) -> tuple[float, float]:
@@ -96,14 +81,8 @@ def optimal_delay(channel_length: float, extent: float) -> tuple[float, float]:
     ``bob_pass_bound(chi, L)``, is strictly decreasing in the delay, so the optimum
     sits at chi = 0 with value (1 + L_ch/L)/2; the scan over
     ``DELAY_GRID_POINTS`` delays, evaluated as one array, asserts no grid
-    value exceeds it.
+    value exceeds it.  Callers pass floats with 0 <= L_ch < L < inf.
     """
-    channel_length = require_float("channel length", channel_length)
-    extent = require_float("state extent", extent)
-    if not (0.0 <= channel_length < extent < math.inf):
-        raise InvalidParameterError(
-            f"need 0 <= L_ch < L < inf, got L_ch={channel_length}, L={extent}"
-        )
     pr_max = eve_success_probability(channel_length / extent)
     chis = np.linspace(0.0, extent - channel_length, DELAY_GRID_POINTS)
     values = (eve_success_probability((channel_length + chis) / extent)
@@ -220,18 +199,13 @@ def instrument_contraction_check(admissibility: np.ndarray, f: float, psi: np.nd
     of A, at most its top eigenvalue times f, so noise cannot lift it above
     f.  A stack of Hermitian matrices, shape (..., d, d), takes one state
     per matrix, shape (..., d), and gives an array of its leading shape.
+    Callers pass f in [0, 1], Hermitian matrices and non-zero, finite states
+    of those shapes; only the admissibility is checked.
     """
-    if not (0.0 <= require_float("available fraction", f) <= 1.0):
-        raise InvalidParameterError(f"available fraction must lie in [0, 1], got {f}")
     a, psi = np.asarray(admissibility, dtype=complex), np.asarray(psi, dtype=complex)
-    if (a.ndim < 2 or a.shape[:-1] != psi.shape or a.shape[-2] != a.shape[-1]
-            or not np.allclose(a, a.swapaxes(-1, -2).conj())):
-        raise InvalidParameterError("need Hermitian (..., d, d) matrices and (..., d) states")
     if not np.all(_admissible(a)):
         raise InvalidParameterError("instrument is not trace-non-increasing: A exceeds I")
     norm2 = np.einsum("...i,...i->...", psi.conj(), psi).real
-    if not np.all((0.0 < norm2) & (norm2 < math.inf)):
-        raise InvalidParameterError("state vector must be non-zero and finite")
     return np.einsum("...i,...ij,...j->...", psi.conj(), a, psi).real * (f / norm2)
 
 

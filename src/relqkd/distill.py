@@ -29,8 +29,7 @@ from functools import partial
 import numpy as np
 
 from .adversary import EveStrategy, channel_probabilities
-from .errors import (InvalidParameterError, ResourceExhaustedError, require_floats,
-                     require_integer, require_integers)
+from .errors import InvalidParameterError, ResourceExhaustedError, require_floats, require_integers
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
@@ -542,20 +541,12 @@ def estimate_error(a_bits, b_bits, disclose_fraction: float,
     """Disclose a random fraction of positions and return the mismatch rate.
 
     Returns (p_err, disclosed_positions); the disclosed positions must be
-    discarded from key material by the caller.
+    discarded from key material by the caller.  Callers pass two bit
+    sequences of one length, a numpy Generator, and a fraction in (0, 1)
+    that discloses one position or more.
     """
-    a_arr, b_arr = _bit_array(a_bits, "sent bits"), _bit_array(b_bits, "received bits")
-    if a_arr.shape != b_arr.shape or a_arr.ndim != 1 or a_arr.size == 0:
-        raise InvalidParameterError("need two equal-length non-empty bit sequences")
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidParameterError(f"rng must be a numpy Generator, got {rng!r:.40}")
-    if not (0.0 < disclose_fraction < 1.0):
-        raise InvalidParameterError(
-            f"disclose fraction must lie in (0, 1), got {disclose_fraction}")
+    a_arr, b_arr = np.asarray(a_bits), np.asarray(b_bits)
     count = int(round(disclose_fraction * a_arr.size))
-    if count < 1:
-        raise InvalidParameterError(
-            f"disclosing {disclose_fraction} of {a_arr.size} rounds discloses nothing")
     positions = np.sort(rng.choice(a_arr.size, size=count, replace=False))
     p_err = float(np.mean(a_arr[positions] != b_arr[positions]))
     return p_err, positions
@@ -565,10 +556,10 @@ def majority_decode(block) -> np.int64 | np.ndarray:
     """Majority vote over the last axis of an odd-size block of bits.
 
     One block gives one int64 vote; a stack of blocks, one row each,
-    gives an int64 array of votes.  Any bit but the integers 0 and 1
-    raises InvalidParameterError.
+    gives an int64 array of votes.  Callers pass bits 0 and 1; an even
+    block size raises InvalidParameterError.
     """
-    bits = np.atleast_1d(_bit_array(block, "majority bits"))
+    bits = np.atleast_1d(block)
     size = bits.shape[-1]
     if size < 1 or size % 2 == 0:
         raise InvalidParameterError(
@@ -586,29 +577,11 @@ def majority_decode(block) -> np.int64 | np.ndarray:
 def form_parity_bits(blockwise_bits, blocks_per_parity: int) -> np.ndarray:
     """XOR each run of n block-wise bits into one parity bit.
 
-    Parity bit j is the XOR of blocks j*n .. j*n+n-1; each block-wise bit
-    must be 0 or 1, and n an integer >= 1 that divides the number of blocks.
+    Parity bit j is the XOR of blocks j*n .. j*n+n-1.  Callers pass
+    block-wise bits 0 and 1 and an int n >= 1 that divides their number,
+    as ``Transcript._derive`` checks.
     """
-    bits = _bit_array(blockwise_bits, "block-wise bits")
-    n = require_integer("blocks per parity", blocks_per_parity)
-    if n < 1 or bits.size % n:
-        raise InvalidParameterError(
-            f"{bits.size} blocks do not split into parity groups of {n} blocks")
-    return np.bitwise_xor.reduce(bits.reshape(-1, n), axis=1)
-
-
-def _bit_array(values, what: str) -> np.ndarray:
-    """``values`` as a uint8 array; anything but integers 0 and 1 is refused.
-
-    A signed dtype is read as the unsigned one of its size, where a
-    negative value lies above 1, so one pass over the values checks them.
-    """
-    bits = np.asarray(values)
-    if bits.dtype.kind == "i":
-        bits = bits.view(f"u{bits.itemsize}")
-    if bits.size and (bits.dtype.kind not in "bu" or bits.max() > 1):
-        raise InvalidParameterError(f"{what} must be integers 0 or 1")
-    return bits.astype(np.uint8, copy=False)
+    return np.bitwise_xor.reduce(np.asarray(blockwise_bits).reshape(-1, blocks_per_parity), axis=1)
 
 
 # Bit strings travel as Python ints, bit i of the int being string
@@ -690,17 +663,15 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
     Each round compares the subset parities, aborts on a mismatch, and
     otherwise discards the bit at the lowest position the subset selects.
     Over M uniform non-zero subsets an undetected residual mismatch
-    survives with probability 2^-M.  Every subset is checked before the
+    survives with probability 2^-M.  Callers pass two uint8 strings of
+    bits 0 and 1 and of one length.  Every subset is checked before the
     walk, so subsets that are not a sequence of one string or more, any
-    other subset (past an abort too), as many subsets as bits, or a bit
-    that is not the integer 0 or 1 raises InvalidParameterError.
+    other subset (past an abort too), or as many subsets as bits raises
+    InvalidParameterError.
     """
-    a, b = (_bit_array(bits, "hash inputs") for bits in (bits_a, bits_b))
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidParameterError("hash inputs must be two bit strings of equal length")
     if not isinstance(subsets, Sequence) or not subsets:
         raise InvalidParameterError("hash subsets must be a sequence of one string or more")
-    length = a.size
+    length = len(bits_a)
     if length <= len(subsets):
         raise InvalidParameterError(
             f"{length} parity bits cannot survive {len(subsets)} hash rounds"
@@ -711,7 +682,7 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
         if not ones or len(text) != size or ones + text.count("0") != size:
             raise InvalidParameterError(
                 f"hash subset {l} is not a non-zero bit string of length {size}")
-    ia, ib = _bits_to_int(a), _bits_to_int(b)
+    ia, ib = _bits_to_int(bits_a), _bits_to_int(bits_b)
     log: list[HashRecord] = []
     for l, text in enumerate(subsets, start=1):
         s = int(text[::-1], 2)

@@ -53,8 +53,7 @@ from .adversary import (
     optimal_delay,
 )
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
-from .errors import (InvalidParameterError, require_float, require_floats, require_integer,
-                     require_integers)
+from .errors import InvalidParameterError, require_float, require_floats, require_integers
 from .security import SecurityReport, build_report
 from .wavepacket import Plateau, make_plateau
 
@@ -292,29 +291,17 @@ def simulate_intercept_resend(
 ) -> InterceptResendSummary:
     """Monte Carlo one intercept-resend grid point against the closed forms.
 
-    The channel length and the delay must lie in [0, L], L = ``state_extent``,
-    as a sweep's ratios and chi fractions lie in [0, 1].
+    Callers pass a channel length and a delay in [0, L], L = ``state_extent``,
+    as a sweep's ratios and chi fractions lie in [0, 1], an int trial count
+    in [1, ``MAX_TRIALS``] and an integer seed >= 0 or a sequence of them,
+    which ``numpy.random.SeedSequence`` reads.
     """
     envelope = make_plateau(state_extent, tail_mass, ramp_fraction)
     L = envelope.plateau_length
-    for name, value in (("channel length", channel_length), ("delay", chi)):
-        if not (0.0 <= require_float(name, value) <= L):
-            raise InvalidParameterError(f"{name} must lie in [0, L], got {value}")
-    trials = require_integer("trials", trials)
-    if not 1 <= trials <= MAX_TRIALS:
-        raise InvalidParameterError(
-            f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
-    try:
-        if seed is None:  # SeedSequence would read fresh OS entropy
-            raise TypeError
-        seeds = np.random.SeedSequence(seed)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"seed must be an integer >= 0 or a sequence of them, "
-                                    f"got {seed!r:.40}") from None
     forms = _closed_forms((channel_length / L,), (chi / L,))[0]
     eve = EveStrategy(forms[1] * L, policy)
     return _simulate_point(forms, *channel_probabilities(envelope, forms[0] * L, eve),
-                           trials, seeds)
+                           trials, np.random.SeedSequence(seed))
 
 
 def _simulate_point(forms, f, p_pass, trials, seeds) -> InterceptResendSummary:

@@ -74,9 +74,7 @@ def parity_cosine(n: int, k: int) -> float:
 
 
 def _log2_int(v: int) -> float:
-    """log2 of a positive integer of any size."""
-    if v <= 0:
-        raise InvalidParameterError("log2 argument must be positive")
+    """log2 of a positive integer of any size; callers pass a count, never 0."""
     if v.bit_length() <= 900:
         return math.log2(v)
     shift = v.bit_length() - 64
@@ -148,13 +146,14 @@ class SecurityReport:
         if not isinstance(self.aborted, (type(None), bool, np.bool_)):
             raise InvalidParameterError(f"aborted must be a bool, got {self.aborted!r:.40}")
         object.__setattr__(self, "aborted", None if self.aborted is None else bool(self.aborted))
-        n, k = self.blocks_per_parity, self.block_size
-        eta = exact_eta(n, k)
         if not (0.0 <= self.ratio < 1.0):
             raise InvalidParameterError(f"channel ratio must lie in [0, 1), got {self.ratio}")
         n_key = _key_length(self.n_key)
         if self.hash_rounds < 1:
             raise InvalidParameterError(f"hash rounds must be >= 1, got {self.hash_rounds}")
+        # The count last: it walks O((nk)^2) bit operations, and refuses n, k out of range.
+        n, k = self.blocks_per_parity, self.block_size
+        eta = exact_eta(n, k)
         z = eve_success_probability(self.ratio) ** (eta * n * k)
         try:
             pr_eve_key = math.exp(n_key * (math.log1p(2.0 * z) - LN2))
@@ -233,8 +232,10 @@ def _render(value) -> str:
 
 
 def exact_eta(n: int, k: int) -> float:
-    """Hartley information of the parity set per raw bit, computed exactly."""
-    n, k = require_integer("n", n), require_integer("k", k)
+    """Hartley information of the parity set per raw bit, computed exactly.
+
+    ``parity_count`` reads n and k, and refuses them out of its range.
+    """
     return _log2_int(parity_count(n, k)) / (n * k)
 
 

@@ -130,6 +130,19 @@ def test_eve_disabled_explicitly_runs_without_eavesdropper(tmp_path, capsys):
     assert eve_column[0] == "eve_outcome" and set(eve_column[1]) == {"-"}
 
 
+@pytest.mark.parametrize("text, refusal", [
+    (SMALL[:SMALL.index("[protocol]")], "mode 'distill' needs a [protocol] section"),
+    (SMALL + "[eve]\nenabled = maybe\n", "not a boolean: 'maybe'"),
+], ids=["no-protocol", "enabled-maybe"])
+def test_distill_campaign_refused_as_invalid_input(tmp_path, capsys, text, refusal):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["distill", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"relqkd: error: bad campaign file {str(path)!r}: {refusal}\n" == captured.err
+
+
 SWEEP = ("[campaign]\nmode = {mode}\ntrials = 1000\nseed = 7\n"
          "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n")
 

@@ -305,6 +305,11 @@ class TestSolveParameters:
             with pytest.raises(InvalidParameterError, match="must be a real number"):
                 solve_parameters(*args)
 
+    @pytest.mark.parametrize("eps1, eps2", [(0.0, 1e-3), (1e-3, 1.0)], ids=["eps1-0", "eps2-1"])
+    def test_eps_outside_the_unit_interval_rejected(self, eps1, eps2):
+        with pytest.raises(InvalidParameterError, match=r"^eps1 and eps2 must lie in \(0, 1\)$"):
+            solve_parameters(eps1, eps2, 64, 0.5)
+
     @pytest.mark.parametrize("n_key", [math.nan, math.inf, 64.5, 64.0, "64"])
     def test_key_length_that_is_no_integer_rejected(self, n_key):
         # NaN once passed n_key < 1 and the search never returned; 64.5
@@ -617,6 +622,32 @@ class TestReportFields:
         report = build_report(*self.REPORT)
         with pytest.raises(InvalidParameterError, match=name):
             dataclasses.replace(report, **changes)
+
+    # The parity count walks O((nk)^2) bit operations, 1.9 s at (14000, 7):
+    # a field out of range is refused before it, through either way in.
+    @pytest.mark.parametrize("name, value, refusal", [
+        ("ratio", 1.5, r"channel ratio must lie in \[0, 1\), got 1.5"),
+        ("n_key", 0, "key length must be >= 1, got 0"),
+        ("hash_rounds", 0, "hash rounds must be >= 1, got 0"),
+    ], ids=["ratio", "n_key", "hash_rounds"])
+    @pytest.mark.parametrize("way", ["build_report", "from_text"])
+    def test_range_refused_before_the_count(self, monkeypatch, name, value, refusal, way):
+        text = build_report(*self.REPORT).to_text()
+        fields = dict(n_key=64, blocks_per_parity=14000, block_size=7, hash_rounds=12,
+                      ratio=0.5, eps1=1e-3, eps2=1e-3)
+        fields[name] = value
+        for key, given in fields.items():
+            text = re.sub(f"(?m)^{key}=.*$", f"{key}={given}", text)
+
+        def count(n, k):
+            raise AssertionError("the parity count ran")
+
+        monkeypatch.setattr(security, "parity_count", count)
+        with pytest.raises(InvalidParameterError, match=f"^{refusal}$"):
+            if way == "build_report":
+                build_report(**fields)
+            else:
+                SecurityReport.from_text(text)
 
     @settings(max_examples=300, deadline=None)
     @given(n_key=st.integers(1, int(1.7e308)), n=st.integers(1, 200), k=st.integers(1, 9),

@@ -156,6 +156,10 @@ def channel_probabilities(
     earlier than the plateau's rear edge can reach the domain, and the
     domain is S >= L long.  The tests compose those measurements on the
     envelope sampled on a grid and agree with this to within the grid error.
+
+    This is the boundary: it checks its arguments and composes two halves
+    that trust theirs, ``_fired_fraction`` at the reach L_ch + chi and
+    ``_pass_probability``, which depends on the delay alone.
     """
     channel_length = require_float("channel length", channel_length)
     if not (0.0 <= channel_length < math.inf):
@@ -167,11 +171,21 @@ def channel_probabilities(
         raise InvalidParameterError(f"eve must be an EveStrategy or None, got {eve!r:.40}")
     if eve is None:
         return 0.0, 1.0
+    return (_fired_fraction(envelope, channel_length + eve.delay),
+            _pass_probability(envelope, eve))
+
+
+def _fired_fraction(envelope: Plateau, reach: float) -> float:
+    """f_eve: the carrier mass over [-reach, 0] over m_B, at reach L_ch + chi."""
+    return _unit(envelope.carrier_mass(-reach, 0.0) / envelope.norm)
+
+
+def _pass_probability(envelope: Plateau, eve: EveStrategy) -> float:
+    """p_pass of ``eve``'s resend on ``envelope``, as ``channel_probabilities`` says."""
     L, a = envelope.plateau_length, envelope.overhang
     s0, s1 = -L - a, a
     m_b = envelope.norm
     chi = eve.delay
-    f_eve = _unit(envelope.carrier_mass(-(channel_length + chi), 0.0) / m_b)
     truncated = eve.resend_policy is ResendPolicy.TRUNCATED_RENORMALIZED
     m_r = envelope.carrier_mass(s0 + chi, s1) if truncated and chi > 0.0 else m_b
     # Rounding cancels m_R to 0 or below only within about 1e-5 of chi = S,
@@ -179,9 +193,9 @@ def channel_probabilities(
     # below 1e-19.
     if (eve.resend_policy is ResendPolicy.NO_RESEND or (truncated and chi >= s1 - s0)
             or m_r <= 0.0):
-        return f_eve, 0.0
+        return 0.0
     overlap = envelope.carrier_overlap(chi, s0, s1 - chi)
-    return f_eve, _unit((overlap / m_b) * (overlap / m_r))
+    return _unit((overlap / m_b) * (overlap / m_r))
 
 
 def _unit(p: float) -> float:

@@ -24,11 +24,16 @@ scalar evaluation; ``simulate`` adds the Monte Carlo columns to each row.
 ``simulate`` draws each grid point's counts exactly, as four binomials
 (see ``_simulate_point``), so a point's cost and memory do not depend on
 ``trials``, and the envelope computes its closed-form pieces once, not
-once per point.  Its ``zscore`` compares the empirical joint rate against
-the truncated-resend bound min(1, (1 + ratio + chi/L)/2) * (1 - chi/L),
-whatever the envelope and resend policy; the ``available_fraction`` (f)
-and ``pass_probability`` columns give the envelope's own per-round rates,
-whose (1 + f)/2 * p_pass is what the empirical rate estimates.
+once per point.  The pass probability, which depends on the delay alone,
+is integrated once per delay and the fired fraction once per point.  One
+generator, ``default_rng(SeedSequence(seed))``, draws every point's counts
+in row order, so a one-point campaign gives the row that
+``simulate_intercept_resend`` gives at the same seed.  Its ``zscore``
+compares the empirical joint rate against the truncated-resend bound
+min(1, (1 + ratio + chi/L)/2) * (1 - chi/L), whatever the envelope and
+resend policy; the ``available_fraction`` (f) and ``pass_probability``
+columns give the envelope's own per-round rates, whose (1 + f)/2 * p_pass
+is what the empirical rate estimates.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from .adversary import (
     _TOL,
     EveStrategy,
     ResendPolicy,
+    _fired_fraction,
+    _pass_probability,
     bob_pass_bound,
     channel_probabilities,
     eve_success_probability,
@@ -294,26 +301,28 @@ def simulate_intercept_resend(
     Callers pass a channel length and a delay in [0, L], L = ``state_extent``,
     as a sweep's ratios and chi fractions lie in [0, 1], an int trial count
     in [1, ``MAX_TRIALS``] and an integer seed >= 0 or a sequence of them,
-    which ``numpy.random.SeedSequence`` reads.
+    which ``numpy.random.SeedSequence`` reads; the point draws from
+    ``default_rng(SeedSequence(seed))``, as a campaign's first point does.
     """
     envelope = make_plateau(state_extent, tail_mass, ramp_fraction)
     L = envelope.plateau_length
     forms = _closed_forms((channel_length / L,), (chi / L,))[0]
     eve = EveStrategy(forms[1] * L, policy)
     return _simulate_point(forms, *channel_probabilities(envelope, forms[0] * L, eve),
-                           trials, np.random.SeedSequence(seed))
+                           trials, np.random.default_rng(np.random.SeedSequence(seed)))
 
 
-def _simulate_point(forms, f, p_pass, trials, seeds) -> InterceptResendSummary:
-    """One grid point's row from its ``_closed_forms`` tuple and ``trials`` rounds from ``seeds``.
+def _simulate_point(forms, f, p_pass, trials, rng) -> InterceptResendSummary:
+    """One grid point's row from its ``_closed_forms`` tuple and ``trials`` rounds from ``rng``.
 
     Closed forms come once per grid and the envelope's pieces once per
     envelope; the row, with the grid fractions exactly, is built once.
 
-    Draws come from the per-round probabilities ``channel_probabilities``
-    integrates on the envelope, so the comparison checks the envelope
-    integrals against the closed forms, not the closed forms against
-    themselves.
+    Draws come from the per-round probabilities ``channel_probabilities``,
+    or its two halves, integrate on the envelope, so the comparison checks
+    the envelope integrals against the closed forms, not the closed forms
+    against themselves.  The four counts are drawn in turn from ``rng``,
+    which ``cmd_simulate`` shares among its points in row order.
 
     Each trial is one round: the eavesdropper's measurement fires with
     probability f, otherwise she guesses a fair coin, and her resend passes
@@ -332,7 +341,6 @@ def _simulate_point(forms, f, p_pass, trials, seeds) -> InterceptResendSummary:
     bound, not against (1 + f)/2 * p_pass, so on a tailed envelope or
     under another resend policy it measures the distance to the bound.
     """
-    rng = np.random.default_rng(seeds)
     fired = rng.binomial(trials, f)
     eve_correct = fired + rng.binomial(trials - fired, 0.5)
     joint = rng.binomial(eve_correct, p_pass)
@@ -366,12 +374,14 @@ def cmd_analyze(spec: CampaignSpec) -> list[InterceptResendSummary]:
 
 def cmd_simulate(spec: CampaignSpec) -> list[InterceptResendSummary]:
     """Monte Carlo table: empirical joint success next to the closed form."""
-    L = spec.envelope.plateau_length
+    envelope, L = spec.envelope, spec.envelope.plateau_length
     eves = [EveStrategy(cf * L, spec.resend_policy) for cf in spec.chi_fractions]
-    rows = [_simulate_point(forms, *channel_probabilities(spec.envelope, forms[0] * L,
-                                                          eves[point % len(eves)]),
-                            spec.trials, np.random.SeedSequence((spec.seed, point)))
-            for point, forms in enumerate(_closed_forms(spec.ratios, spec.chi_fractions))]
+    delays = [(eve.delay, _pass_probability(envelope, eve)) for eve in eves]
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    rows = [_simulate_point(forms, _fired_fraction(envelope, forms[0] * L + chi), p_pass,
+                            spec.trials, rng)
+            for forms, (chi, p_pass) in zip(_closed_forms(spec.ratios, spec.chi_fractions),
+                                            itertools.cycle(delays))]
     if spec.out:
         _write(spec.out, rows_to_csv(rows))
     return rows
@@ -478,7 +488,7 @@ def check_delay_bound() -> CheckResult:
     L = 1.0
     envelope = make_plateau(L)
     for chi in np.linspace(0.0, 0.96, 25):
-        _, p_pass = channel_probabilities(envelope, 0.4, EveStrategy(float(chi)))
+        p_pass = _pass_probability(envelope, EveStrategy(float(chi)))
         if p_pass > bob_pass_bound(float(chi), L) + _TOL:
             return CheckResult("delay-bound", False,
                                f"pass probability beats the bound at chi={chi}")
@@ -646,13 +656,14 @@ def check_information() -> CheckResult:
     measurement names the bit and a silent one is equally likely for
     either, so for uniform bits I(A;E) is her fired fraction, a binomial
     rate: the plug-in I(A;E) of each round table must lie within 3 sigma
-    of the f that ``channel_probabilities`` gives over its rounds.
+    of the f that ``_fired_fraction``, the f half of
+    ``channel_probabilities``, gives at the reach L_ch + chi.
     """
     envelope = make_plateau(1.0)
     ok, parts = True, []
     for delay in (0.0, 0.25):
         eve = EveStrategy(delay)
-        f, _ = channel_probabilities(envelope, 0.5, eve)
+        f = _fired_fraction(envelope, 0.5 + delay)
         table = run_session(ProtocolConfig(64, 3, 4, 10, 0.15, envelope, 0.5, 808,
                                            eve=eve)).round_table
         info = eve_information(table)

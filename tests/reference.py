@@ -1,23 +1,25 @@
 """Whole-array references for the bounded-memory paths and the parity count.
 
 ``relqkd.harness`` runs its hash-calibration, majority-tail and
-parity-identity checks in fixed-size chunks and a sweep's closed forms
-once over its grid, ``relqkd.wavepacket`` shifts a carrier's pieces once
-per overlap, ``relqkd.distill`` draws a session's rounds in chunks until
-it has its blocks, addresses each stream by name and draws its hash
-subsets in batches, and ``relqkd.security`` takes ``parity_count`` at
-k = 1 in closed form, evaluates the cosine side of the counting identity
-in ``parity_cosine`` alone, and derives a report's bounds in one place.
+parity-identity checks in fixed-size chunks, a sweep's closed forms
+once over its grid and its pass probabilities once per delay,
+``relqkd.wavepacket`` shifts a carrier's pieces once per overlap,
+``relqkd.distill`` draws a session's rounds in chunks until it has its
+blocks, addresses each stream by name and draws its hash subsets in
+batches, and ``relqkd.security`` takes ``parity_count`` at k = 1 in
+closed form, evaluates the cosine side of the counting identity in
+``parity_cosine`` alone, and derives a report's bounds in one place.
 The functions here are the plain forms those replace: ``sweep_rows``
-builds each grid point's row from scalar closed forms and
-``dataclasses.replace``, ``carrier_overlap`` shifts a piece once per
-pair, each check and ``session`` draws or builds its whole working array
-at once, ``session`` spawns its streams in order, ``random_nonzero``
-draws one subset per call, ``parity_walk`` walks the binomial row for
-any k, ``parity_cosine`` is the cosine loop as it stood beside the
-count, and ``zeta``, ``eve_key_probability`` and ``information_bounds``
-compute the bounds one function each.  The tests hold the package's
-results equal to these, byte for byte.
+builds each grid point's row from scalar closed forms, its own
+``channel_probabilities`` call and ``dataclasses.replace``,
+``carrier_overlap`` shifts a piece once per pair, each check and
+``session`` draws or builds its whole working array at once, ``session``
+spawns its streams in order, ``random_nonzero`` draws one subset per
+call, ``parity_walk`` walks the binomial row for any k, ``parity_cosine``
+is the cosine loop as it stood beside the count, and ``zeta``,
+``eve_key_probability`` and ``information_bounds`` compute the bounds
+one function each.  The tests hold the package's results equal to these,
+byte for byte.
 """
 
 import dataclasses
@@ -286,14 +288,16 @@ def sweep_rows(spec) -> list[InterceptResendSummary]:
     """``cmd_analyze`` or ``cmd_simulate`` rows, each grid point built on its own.
 
     A point takes its closed forms from scalar calls.  In ``simulate`` it
-    builds its own ``EveStrategy``, integrates on a fresh copy of the
-    envelope, which has not computed its pieces, draws its counts from
-    ``SeedSequence((seed, point))`` and fills in the Monte Carlo fields
-    with ``dataclasses.replace``.
+    builds its own ``EveStrategy``, calls ``channel_probabilities`` on a
+    fresh copy of the envelope, which has not computed its pieces, draws
+    its four counts in turn from the campaign's one generator,
+    ``SeedSequence(seed)``'s, and fills in the Monte Carlo fields with
+    ``dataclasses.replace``.
     """
     L = spec.envelope.plateau_length
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     rows = []
-    for point, (ratio, cf) in enumerate(itertools.product(spec.ratios, spec.chi_fractions)):
+    for ratio, cf in itertools.product(spec.ratios, spec.chi_fractions):
         pr_e = eve_success_probability(ratio + cf)
         pr_b = bob_pass_bound(cf, 1.0)
         row = InterceptResendSummary(ratio, cf, pr_e, pr_b, pr_e * pr_b)
@@ -301,7 +305,6 @@ def sweep_rows(spec) -> list[InterceptResendSummary]:
             trials = spec.trials
             f, p_pass = channel_probabilities(dataclasses.replace(spec.envelope), ratio * L,
                                               EveStrategy(cf * L, spec.resend_policy))
-            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, point)))
             fired = rng.binomial(trials, f)
             eve_correct = fired + rng.binomial(trials - fired, 0.5)
             joint = rng.binomial(eve_correct, p_pass)

@@ -104,7 +104,7 @@ GOLDEN = {
     "analyze.csv":
         "25d8c9c4b896696cef841748d7e6d6a900c48ecc63fd6eda47780616bd25f2d0",
     "simulate.csv":
-        "abdbeef746da16cdc46294f3dac52a4763e52232626456a1969a2b0b3d5f948c",
+        "27df0c01565b17307de6e405495753e9ac29aaa019eccde913b7b0cc90543ac6",
     "clean.session":
         "bc8b33951e7b07c0f50badb3076da98d93a14900a927de3b50e843d2b5f32f08",
     "clean.transcript.txt":

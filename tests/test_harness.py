@@ -1,6 +1,7 @@
 """Campaign loading, sweep tables, determinism, self-checks, CLI exit codes."""
 
 import tracemalloc
+from collections import Counter
 from dataclasses import astuple, replace
 from unittest import mock
 
@@ -318,6 +319,38 @@ class TestSimulate:
         expected = reference.sweep_rows(spec)
         assert repr(rows) == repr(expected)
         assert rows_to_csv(rows) == rows_to_csv(expected)
+
+    # A campaign seeds one generator as ``simulate_intercept_resend`` seeds
+    # its one point, so a one-point campaign gives that point's row.
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([0.3, 1.0, 2.5, 7.0]), _FRACTION, _FRACTION,
+           st.sampled_from([(0.0, 0.0), (1e-3, 0.05), (0.05, 0.3)]),
+           st.sampled_from(ResendPolicy), st.integers(1, MAX_TRIALS), st.integers(0, 2**64 - 1))
+    def test_one_point_campaign_is_simulate_intercept_resend(
+            self, L, ratio, cf, shape, policy, trials, seed):
+        channel_length, chi = ratio * L, cf * L
+        spec = CampaignSpec("simulate", seed, trials, (channel_length / L,), (chi / L,),
+                            make_plateau(L, *shape), policy)
+        point = simulate_intercept_resend(L, channel_length, chi, trials, seed, *shape, policy)
+        assert repr(cmd_simulate(spec)) == repr([point])
+
+    def test_pass_probability_once_per_delay_and_one_generator(self, tmp_path, monkeypatch):
+        path = tmp_path / "tailed.ini"
+        path.write_text(TAILED_INI)
+        spec = load_campaign(str(path))
+        calls = Counter()
+
+        def counting(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        for owner, name in ((harness, "_pass_probability"), (harness, "_fired_fraction"),
+                            (np.random, "default_rng")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        assert len(cmd_simulate(spec)) == 16
+        assert calls == {"_pass_probability": 4, "_fired_fraction": 16, "default_rng": 1}
 
     # A simulate campaign is where trials, seeds and grid points come in;
     # ``simulate_intercept_resend`` trusts its callers.

@@ -1,4 +1,4 @@
-"""Command-line entry point: analyze | simulate | distill | verify."""
+"""Command-line entry point: analyze | simulate | distill | verify; it writes every output."""
 
 from __future__ import annotations
 
@@ -49,7 +49,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, pieces) -> None:
+    """Write the byte strings ``pieces`` to ``path``, replacing it."""
+    with open(path, "wb") as fh:
+        fh.writelines(pieces)
+
+
 def main(argv=None) -> int:
+    """Run one command and write its outputs, files before stdout; return the exit code."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -58,26 +65,33 @@ def main(argv=None) -> int:
         return exc.code
     try:
         if args.command == "verify":
-            summary = harness.cmd_verify(out=args.out)
+            summary = harness.cmd_verify()
+            if args.out is not None:
+                _write(args.out, (summary.to_text().encode(),))
             sys.stdout.write(summary.to_text())
             return 0 if summary.all_passed else 1
-        spec = harness.load_campaign(args.config, seed_override=args.seed,
-                                     out_override=args.out)
+        spec = harness.load_campaign(args.config, seed_override=args.seed)
         if spec.mode != args.command:
             raise RelqkdError(
                 f"campaign file declares mode {spec.mode!r}, invoked as {args.command!r}"
             )
+        out = spec.out if args.out is None else args.out
         if args.command == "distill":
             transcript, report = harness.cmd_distill(spec)
-            if not spec.out:
+            if out is None:
                 sys.stdout.writelines(piece.decode("ascii")
                                       for piece in transcript.text_pieces())
+            else:
+                _write(out + ".transcript.txt", transcript.text_pieces())
+                _write(out + ".report.txt", (report.to_text().encode(),))
             sys.stdout.write(report.to_text())
         else:
             sweep = harness.cmd_analyze if args.command == "analyze" else harness.cmd_simulate
-            rows = sweep(spec)
-            if not spec.out:
-                sys.stdout.write(harness.rows_to_csv(rows))
+            text = harness.rows_to_csv(sweep(spec))
+            if out is None:
+                sys.stdout.write(text)
+            else:
+                _write(out, (text.encode(),))
         return 0
     except RelqkdError as exc:
         print(f"relqkd: error: {exc}", file=sys.stderr)

@@ -1,13 +1,14 @@
 """Campaign front end: config loading, sweeps, Monte Carlo, self-checks.
 
 A campaign is described by a flat INI-style text file (section headers,
-``key = value`` lines) and runs in one of four modes: ``analyze`` tabulates
+``key = value`` lines) and runs in one of three modes: ``analyze`` tabulates
 the closed-form tradeoff over a (ratio, delay) grid, ``simulate`` adds
-seeded Monte Carlo columns with binomial standard errors and z-scores,
-``distill`` runs one full key-distillation session and emits the transcript
-and security report, and ``verify`` runs the ``check_*`` self-checks, which
-the acceptance suite runs too, one criterion each.  Given the same campaign
-file and seed, every output is byte-identical across runs.
+seeded Monte Carlo columns with binomial standard errors and z-scores, and
+``distill`` runs one key-distillation session and returns the transcript and
+security report.  ``cmd_verify``, with no campaign, runs the ``check_*``
+self-checks, which the acceptance suite runs too, one criterion each.  The
+commands return their results, and ``relqkd.cli`` writes them.  Given the
+same campaign file and seed, every output is byte-identical across runs.
 
 ``load_campaign`` reads each section through ``_SCHEMA`` and passes on only
 the keys the file sets, so every other value is the default of the
@@ -39,7 +40,6 @@ is what the empirical rate estimates.
 from __future__ import annotations
 
 import configparser
-import io
 import itertools
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -64,7 +64,7 @@ from .errors import InvalidParameterError, require_float, require_floats, requir
 from .security import SecurityReport, build_report
 from .wavepacket import Plateau, make_plateau
 
-MODES = ("analyze", "simulate", "distill", "verify")
+MODES = ("analyze", "simulate", "distill")
 
 #: Largest per-point trial count: the binomial draws take a signed 64-bit n.
 MAX_TRIALS = 2**63 - 1
@@ -120,8 +120,9 @@ class CampaignSpec:
         for name, kinds, what in (
                 ("envelope", Plateau, "a Plateau"),
                 ("resend_policy", ResendPolicy, "a ResendPolicy"),
-                ("protocol", (ProtocolConfig, type(None)), "a ProtocolConfig or None")):
-            if not isinstance(value := getattr(self, name), kinds):
+                ("protocol", (ProtocolConfig, type(None)), "a ProtocolConfig or None"),
+                ("out", (str, type(None)), "a non-empty path or None")):
+            if not isinstance(value := getattr(self, name), kinds) or value == "":
                 raise InvalidParameterError(f"{name} must be {what}, got {value!r:.40}")
         for axis in ("ratios", "chi_fractions"):
             object.__setattr__(self, axis, tuple(require_float(axis, value)
@@ -147,15 +148,21 @@ class CampaignSpec:
                 raise InvalidParameterError(f"[security] {name} must lie in (0, 1), got {value}")
         if self.mode == "distill" and self.protocol is None:
             raise InvalidParameterError("mode 'distill' needs a [protocol] section")
+        if (protocol := self.protocol) is not None:  # the session reads the protocol's copies
+            policy = self.resend_policy if protocol.eve is None else protocol.eve.resend_policy
+            for name, theirs in (("seed", protocol.seed), ("envelope", protocol.envelope),
+                                 ("resend_policy", policy)):
+                if theirs != (mine := getattr(self, name)):
+                    raise InvalidParameterError(
+                        f"protocol {name} {theirs!r} differs from the campaign's {mine!r}")
 
 
-def load_campaign(path: str, seed_override: int | None = None,
-                  out_override: str | None = None) -> CampaignSpec:
-    """Parse a campaign file; see the README for the schema."""
+def load_campaign(path: str, seed_override: int | None = None) -> CampaignSpec:
+    """Parse a campaign file, its seed replaced by ``seed_override`` if given; see the README."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         if parser.read(path):
-            return _from_parser(parser, seed_override, out_override)
+            return _from_parser(parser, seed_override)
     except (configparser.Error, ValueError) as exc:
         raise InvalidParameterError(f"bad campaign file {path!r}: {exc}") from exc
     raise InvalidParameterError(f"cannot read campaign file {path!r}")
@@ -193,14 +200,12 @@ def _require(cls, section: str, given: dict):
             raise InvalidParameterError(f"[{section}] lacks {f.name!r}")
 
 
-def _from_parser(parser, seed_override, out_override) -> CampaignSpec:
+def _from_parser(parser, seed_override) -> CampaignSpec:
     """Build the campaign from the keys the file sets; the dataclasses default the rest."""
     _check_schema(parser)
     campaign = _given(parser, "campaign")
     if seed_override is not None:
         campaign["seed"] = seed_override
-    if out_override is not None:
-        campaign["out"] = out_override
     _require(CampaignSpec, "campaign", campaign)
 
     geometry = _given(parser, "geometry")
@@ -356,39 +361,30 @@ def _fmt(value) -> str:
 
 
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS) + "\n")
-    return buf.getvalue()
+    lines = [",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS) for row in rows]
+    return "\n".join([",".join(CSV_COLUMNS), *lines, ""])
 
 
 def cmd_analyze(spec: CampaignSpec) -> list[InterceptResendSummary]:
-    """Closed-form tradeoff table over the (ratio, chi) grid."""
-    rows = [InterceptResendSummary(*forms)
+    """The closed-form tradeoff rows over the (ratio, chi) grid."""
+    return [InterceptResendSummary(*forms)
             for forms in _closed_forms(spec.ratios, spec.chi_fractions)]
-    if spec.out:
-        _write(spec.out, rows_to_csv(rows))
-    return rows
 
 
 def cmd_simulate(spec: CampaignSpec) -> list[InterceptResendSummary]:
-    """Monte Carlo table: empirical joint success next to the closed form."""
+    """The Monte Carlo rows: empirical joint success next to the closed form."""
     envelope, L = spec.envelope, spec.envelope.plateau_length
     eves = [EveStrategy(cf * L, spec.resend_policy) for cf in spec.chi_fractions]
     delays = [(eve.delay, _pass_probability(envelope, eve)) for eve in eves]
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    rows = [_simulate_point(forms, _fired_fraction(envelope, forms[0] * L + chi), p_pass,
+    return [_simulate_point(forms, _fired_fraction(envelope, forms[0] * L + chi), p_pass,
                             spec.trials, rng)
             for forms, (chi, p_pass) in zip(_closed_forms(spec.ratios, spec.chi_fractions),
                                             itertools.cycle(delays))]
-    if spec.out:
-        _write(spec.out, rows_to_csv(rows))
-    return rows
 
 
 def cmd_distill(spec: CampaignSpec) -> tuple[Transcript, SecurityReport]:
-    """Run one session; emit transcript and security report files."""
+    """Run the campaign's session; return its transcript and security report."""
     cfg = spec.protocol
     transcript = run_session(cfg)
     report = build_report(
@@ -401,16 +397,7 @@ def cmd_distill(spec: CampaignSpec) -> tuple[Transcript, SecurityReport]:
         p_err_estimate=transcript.p_err_estimate,
         aborted=transcript.aborted,
     )
-    if spec.out:
-        with open(spec.out + ".transcript.txt", "wb") as fh:
-            fh.writelines(transcript.text_pieces())
-        _write(spec.out + ".report.txt", report.to_text())
     return transcript, report
-
-
-def _write(path, text):
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +715,6 @@ class VerifySummary:
         return "\n".join(lines) + "\n"
 
 
-def cmd_verify(out: str | None = None) -> VerifySummary:
+def cmd_verify() -> VerifySummary:
     """Run ``DEFAULT_CHECKS``, as bound when called, and summarize one line per check."""
-    summary = VerifySummary(tuple(check() for check in DEFAULT_CHECKS))
-    if out:
-        _write(out, summary.to_text())
-    return summary
+    return VerifySummary(tuple(check() for check in DEFAULT_CHECKS))

@@ -1,11 +1,25 @@
 """The ``relqkd`` command line, run in process through ``relqkd.cli.main``."""
 
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqkd.cli import main
 from relqkd.distill import _CHUNK, Transcript, run_session
 from relqkd.errors import InvalidParameterError
-from relqkd.harness import load_campaign
+from relqkd.harness import (
+    CampaignSpec,
+    cmd_analyze,
+    cmd_distill,
+    cmd_simulate,
+    load_campaign,
+    rows_to_csv,
+)
 from relqkd.security import SecurityReport
 
 DISTILL_INI = """
@@ -242,3 +256,72 @@ def test_ramp_too_narrow_for_the_closed_forms_is_invalid_input(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "state_extent 1e-306" in captured.err and "ramp width 1e-308" in captured.err
+
+
+def test_no_command_writes_a_file(tmp_path, monkeypatch):
+    # Only relqkd.cli writes, though a campaign's out names a path.
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "out")
+    grid = dict(ratios=(0.5,), chi_fractions=(0.1,), out=out)
+    cmd_analyze(CampaignSpec("analyze", 1, **grid))
+    cmd_simulate(CampaignSpec("simulate", 1, **grid))
+    (tmp_path / "small.ini").write_text(SMALL.replace("seed = 7", f"seed = 7\nout = {out}"))
+    cmd_distill(load_campaign("small.ini"))
+    assert [p.name for p in tmp_path.iterdir()] == ["small.ini"]
+
+
+_FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3).map(
+    lambda values: ", ".join(map(repr, values)))
+
+
+@st.composite
+def campaigns(draw):
+    """A small analyze, simulate or distill campaign: its mode and its file's text."""
+    mode = draw(st.sampled_from(["analyze", "simulate", "distill"]))
+    seed = draw(st.integers(0, 2**32))
+    if mode == "distill":
+        text = DISTILL_INI.format(
+            seed=seed, key_length=draw(st.integers(1, 48)),
+            block_size=draw(st.sampled_from([1, 3, 5])),
+            blocks_per_parity=draw(st.integers(1, 3)), hash_rounds=draw(st.integers(1, 8)),
+            flip=draw(st.sampled_from([0.0, 0.05])), loss=draw(st.sampled_from([0.0, 0.2])))
+        return mode, text + draw(st.sampled_from(["", "[eve]\nenabled = true\ndelay = 0.25\n"]))
+    trials = f"trials = {draw(st.integers(1, 10**9))}\n" if mode == "simulate" else ""
+    return mode, (f"[campaign]\nmode = {mode}\nseed = {seed}\n{trials}"
+                  f"[sweep]\nratios = {draw(_FRACTIONS)}\nchi_fractions = {draw(_FRACTIONS)}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(campaigns(), st.booleans())
+def test_each_file_holds_what_the_command_returned(campaign, out_in_file):
+    # The output path comes from --out or from the file's [campaign] out.
+    mode, text = campaign
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "campaign.ini"), os.path.join(tmp, "run")
+        with open(path, "w") as fh:
+            fh.write(text.replace("\nseed = ", f"\nout = {out}\nseed = ", 1) if out_in_file
+                     else text)
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main([mode, path] + ([] if out_in_file else ["--out", out])) == 0
+        spec = load_campaign(path)
+        if mode == "distill":
+            transcript, report = cmd_distill(spec)
+            expected = {"run.transcript.txt": b"".join(transcript.text_pieces()),
+                        "run.report.txt": report.to_text().encode()}
+            shown = report.to_text()
+        else:
+            rows = (cmd_analyze if mode == "analyze" else cmd_simulate)(spec)
+            expected, shown = {"run": rows_to_csv(rows).encode()}, ""
+        written = {}
+        for name in os.listdir(tmp):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                written[name] = fh.read()
+        assert written.pop("campaign.ini")
+        assert written == expected
+        assert stdout.getvalue() == shown
+
+
+def test_verify_out_writes_its_stdout(tmp_path, capsys):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(out)]) == 0
+    assert out.read_bytes().decode() == capsys.readouterr().out

@@ -1026,7 +1026,7 @@ class TestRoundView:
     @pytest.mark.parametrize("case", sorted(DISTILL_CASES))
     def test_golden_sessions(self, tmp_path, case):
         transcript, _ = cmd_distill(
-            campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case]), case))
+            campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case])))
         rounds, reference = transcript.rounds, _reference_rounds(transcript)
         assert len(rounds) == len(reference)
         assert tuple(rounds) == reference

@@ -1,7 +1,9 @@
 """Golden bytes: fixed-seed outputs pinned by their sha256.
 
 Refactors must leave every CSV, transcript and report byte-identical for
-a fixed seed, and ``relqkd verify``'s text, which is pinned as a literal.  A change that moves an RNG stream or a text format on
+a fixed seed, and ``relqkd verify``'s text, which is pinned as a literal.
+The files are those that ``relqkd.cli.main``, the one writer, writes with
+``--out``.  A change that moves an RNG stream or a text format on
 purpose re-pins the digests below and says so.  Each distill case also
 pins a digest of the session itself, independent of any text format: its
 round table, hash log and keys.  A change of format alone leaves those
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from relqkd.adversary import instrument_contraction_check
+from relqkd.cli import main
 from relqkd.distill import Transcript
 from relqkd.harness import (
     _draw_admissibility,
@@ -23,9 +26,7 @@ from relqkd.harness import (
     check_majority_tail,
     check_parity_cosine,
     check_parity_identity,
-    cmd_analyze,
     cmd_distill,
-    cmd_simulate,
     cmd_verify,
     load_campaign,
 )
@@ -208,32 +209,40 @@ def session_digest(transcript) -> str:
     return digest.hexdigest()
 
 
-def campaign(tmp_path, name, text, out):
+def campaign(tmp_path, name, text):
     path = tmp_path / f"{name}.ini"
     path.write_text(text)
-    return load_campaign(str(path), out_override=str(tmp_path / out))
+    return load_campaign(str(path))
+
+
+def write_with_cli(tmp_path, mode, name, text, out):
+    """``relqkd <mode> <name>.ini --out <out>`` on the campaign ``text``, which must exit 0."""
+    path = tmp_path / f"{name}.ini"
+    path.write_text(text)
+    assert main([mode, str(path), "--out", str(tmp_path / out)]) == 0
 
 
 def test_analyze_csv(tmp_path):
-    cmd_analyze(campaign(tmp_path, "analyze", ANALYZE_INI, "analyze.csv"))
+    write_with_cli(tmp_path, "analyze", "analyze", ANALYZE_INI, "analyze.csv")
     assert sha256(tmp_path / "analyze.csv") == GOLDEN["analyze.csv"]
 
 
 def test_simulate_csv(tmp_path):
-    cmd_simulate(campaign(tmp_path, "simulate", SIMULATE_INI, "simulate.csv"))
+    write_with_cli(tmp_path, "simulate", "simulate", SIMULATE_INI, "simulate.csv")
     assert sha256(tmp_path / "simulate.csv") == GOLDEN["simulate.csv"]
 
 
 @pytest.mark.parametrize("case", sorted(DISTILL_CASES))
 def test_distill_transcript_and_report(tmp_path, case):
-    transcript, _ = cmd_distill(
-        campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case]), case))
+    text = DISTILL_INI.format(**DISTILL_CASES[case])
+    transcript, _ = cmd_distill(campaign(tmp_path, case, text))
     assert session_digest(transcript) == GOLDEN[case + ".session"]
     # A C-order copy of the column-major table derives the same session.
     assert transcript.round_table.flags.f_contiguous
     c_order = dataclasses.replace(
         transcript, round_table=np.ascontiguousarray(transcript.round_table))
     assert session_digest(c_order) == GOLDEN[case + ".session"]
+    write_with_cli(tmp_path, "distill", case, text, case)
     for suffix in (".transcript.txt", ".report.txt"):
         assert sha256(tmp_path / (case + suffix)) == GOLDEN[case + suffix], suffix
     text = (tmp_path / (case + ".transcript.txt")).read_text()

@@ -236,6 +236,46 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
             CampaignSpec("simulate", 1, ratios=(0.5,), chi_fractions=(0.25,), **{field: "x"})
 
+    # out=True once wrote the CSV to file descriptor 1 and closed it, and
+    # out=5 opened descriptor 5.
+    @pytest.mark.parametrize("out", [True, 5, "", b"run"], ids=["bool", "int", "empty", "bytes"])
+    def test_out_that_is_no_path_rejected(self, out):
+        with pytest.raises(InvalidParameterError, match="^out must be a non-empty path or None"):
+            CampaignSpec("analyze", 1, ratios=(0.5,), chi_fractions=(0.1,), out=out)
+
+    def test_empty_out_in_a_file_is_invalid_input(self, tmp_path, capsys):
+        # It once sent the table to stdout, while --out '' is refused.
+        path = tmp_path / "analyze.ini"
+        path.write_text(ANALYZE_INI.replace("seed = 7", "seed = 7\nout ="))
+        assert cli_main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out must be a non-empty path or None, got ''" in captured.err
+
+    # A spec once accepted a protocol of another seed, envelope or resend
+    # policy, and ``cmd_distill`` ran the protocol's.
+    @pytest.mark.parametrize("field, value", [("seed", 5), ("envelope", make_plateau(2.0)),
+                                              ("resend_policy", ResendPolicy.SHIFTED_COPY)])
+    def test_protocol_that_contradicts_the_campaign_rejected(self, field, value):
+        protocol = distill.ProtocolConfig(64, 3, 4, 10, 0.15, make_plateau(1.0), 0.5, 1,
+                                          eve=adversary.EveStrategy(0.25))
+        spec = dict(mode="distill", seed=np.int64(1), protocol=protocol)
+        assert CampaignSpec(**spec)
+        with pytest.raises(InvalidParameterError, match=f"^protocol {field} "):
+            CampaignSpec(**{**spec, field: value})
+        # Without an eavesdropper the protocol has no resend policy to contradict.
+        assert CampaignSpec(**{**spec, "protocol": replace(protocol, eve=None)},
+                            resend_policy=ResendPolicy.SHIFTED_COPY)
+
+    def test_verify_is_no_campaign_mode(self, tmp_path, capsys):
+        assert harness.MODES == ("analyze", "simulate", "distill")
+        with pytest.raises(InvalidParameterError, match="unknown mode 'verify'"):
+            CampaignSpec("verify", 1)
+        path = tmp_path / "verify.ini"
+        path.write_text("[campaign]\nmode = verify\nseed = 1\n")
+        assert cli_main(["analyze", str(path)]) == 2
+        assert "unknown mode 'verify'" in capsys.readouterr().err
+
     def test_float_fields_stored_as_floats(self):
         spec = CampaignSpec(mode="analyze", seed=1, ratios=[0, np.float64(0.5)],
                             chi_fractions=(np.float32(0.25),), eps1=np.float64(1e-3))
@@ -305,8 +345,7 @@ class TestSimulate:
         texts = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
-            spec = load_campaign(str(path), out_override=str(out))
-            cmd_simulate(spec)
+            assert cli_main(["simulate", str(path), "--out", str(out)]) == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
@@ -453,10 +492,10 @@ class TestDistill:
     def test_writes_transcript_and_report(self, tmp_path):
         path = tmp_path / "distill.ini"
         path.write_text(DISTILL_INI)
-        spec = load_campaign(str(path), out_override=str(tmp_path / "run"))
-        transcript, report = cmd_distill(spec)
+        transcript, report = cmd_distill(load_campaign(str(path)))
         assert not transcript.aborted
         assert (transcript.key_a == transcript.key_b).all()
+        assert cli_main(["distill", str(path), "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run.transcript.txt").read_text().startswith(
             "relqkd-transcript/4")
         assert (tmp_path / "run.report.txt").read_text().startswith(
@@ -467,15 +506,15 @@ class TestDistill:
         # The report once raised a raw AttributeError on numpy integers.
         path = tmp_path / "distill.ini"
         path.write_text(DISTILL_INI)
-        spec = load_campaign(str(path), out_override=str(tmp_path / "plain"))
+        spec = load_campaign(str(path))
         fields = ("key_length", "block_size", "blocks_per_parity", "hash_rounds", "seed")
         protocol = replace(spec.protocol,
                            **{name: np.int64(getattr(spec.protocol, name)) for name in fields})
-        cmd_distill(spec)
-        cmd_distill(replace(spec, protocol=protocol, out=str(tmp_path / "numpy")))
-        for suffix in (".report.txt", ".transcript.txt"):
-            assert ((tmp_path / f"numpy{suffix}").read_text()
-                    == (tmp_path / f"plain{suffix}").read_text())
+        assert cli_main(["distill", str(path), "--out", str(tmp_path / "plain")]) == 0
+        transcript, report = cmd_distill(replace(spec, protocol=protocol))
+        assert report.to_text() == (tmp_path / "plain.report.txt").read_text()
+        assert (b"".join(transcript.text_pieces())
+                == (tmp_path / "plain.transcript.txt").read_bytes())
 
 
 def _shift_both_sides(monkeypatch, total):

@@ -89,8 +89,7 @@ def optimal_delay(channel_length: float, extent: float) -> tuple[float, float]:
               * bob_pass_bound(chis, extent))
     if int(np.argmax(values)) != 0 or values.max() > pr_max + _TOL:
         raise InvalidParameterError(
-            "grid scan contradicts the boundary optimum; geometry arguments invalid"
-        )
+            "grid scan contradicts the boundary optimum; geometry arguments invalid")
     return 0.0, pr_max
 
 

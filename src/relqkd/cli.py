@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 from . import harness
@@ -49,10 +51,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, pieces) -> None:
-    """Write the byte strings ``pieces`` to ``path``, replacing it."""
-    with open(path, "wb") as fh:
-        fh.writelines(pieces)
+def _write(*files) -> None:
+    """Write each ``(path, pieces)`` pair's byte strings; a failure removes every file opened."""
+    opened = []
+    try:
+        for path, pieces in files:
+            with open(path, "wb") as fh:
+                opened.append(path)
+                fh.writelines(pieces)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def main(argv=None) -> int:
@@ -67,14 +78,13 @@ def main(argv=None) -> int:
         if args.command == "verify":
             summary = harness.cmd_verify()
             if args.out is not None:
-                _write(args.out, (summary.to_text().encode(),))
+                _write((args.out, (summary.to_text().encode(),)))
             sys.stdout.write(summary.to_text())
             return 0 if summary.all_passed else 1
         spec = harness.load_campaign(args.config, seed_override=args.seed)
         if spec.mode != args.command:
             raise RelqkdError(
-                f"campaign file declares mode {spec.mode!r}, invoked as {args.command!r}"
-            )
+                f"campaign file declares mode {spec.mode!r}, invoked as {args.command!r}")
         out = spec.out if args.out is None else args.out
         if args.command == "distill":
             transcript, report = harness.cmd_distill(spec)
@@ -82,8 +92,8 @@ def main(argv=None) -> int:
                 sys.stdout.writelines(piece.decode("ascii")
                                       for piece in transcript.text_pieces())
             else:
-                _write(out + ".transcript.txt", transcript.text_pieces())
-                _write(out + ".report.txt", (report.to_text().encode(),))
+                _write((out + ".transcript.txt", transcript.text_pieces()),
+                       (out + ".report.txt", (report.to_text().encode(),)))
             sys.stdout.write(report.to_text())
         else:
             sweep = harness.cmd_analyze if args.command == "analyze" else harness.cmd_simulate
@@ -91,7 +101,7 @@ def main(argv=None) -> int:
             if out is None:
                 sys.stdout.write(text)
             else:
-                _write(out, (text.encode(),))
+                _write((out, (text.encode(),)))
         return 0
     except RelqkdError as exc:
         print(f"relqkd: error: {exc}", file=sys.stderr)

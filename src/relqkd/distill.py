@@ -74,18 +74,15 @@ class ProtocolConfig:
             raise InvalidParameterError(f"key length must be >= 1, got {self.key_length}")
         if self.block_size < 1 or self.block_size % 2 == 0:
             raise InvalidParameterError(
-                f"block size must be odd and >= 1, got {self.block_size}"
-            )
+                f"block size must be odd and >= 1, got {self.block_size}")
         if self.blocks_per_parity < 1:
             raise InvalidParameterError(
-                f"blocks per parity must be >= 1, got {self.blocks_per_parity}"
-            )
+                f"blocks per parity must be >= 1, got {self.blocks_per_parity}")
         if self.hash_rounds < 1:
             raise InvalidParameterError(f"hash rounds must be >= 1, got {self.hash_rounds}")
         if not (0.0 < self.disclose_fraction < 1.0):
             raise InvalidParameterError(
-                f"disclose fraction must lie in (0, 1), got {self.disclose_fraction}"
-            )
+                f"disclose fraction must lie in (0, 1), got {self.disclose_fraction}")
         if not isinstance(self.envelope, Plateau):
             raise InvalidParameterError(
                 f"envelope must be a Plateau, as make_plateau builds it, got {self.envelope!r}")
@@ -94,8 +91,7 @@ class ProtocolConfig:
         L = self.envelope.plateau_length
         if not (0.0 <= self.channel_length < L):
             raise InvalidParameterError(
-                f"need 0 <= L_ch < L, got L_ch={self.channel_length}, L={L}"
-            )
+                f"need 0 <= L_ch < L, got L_ch={self.channel_length}, L={L}")
         if not (0.0 <= self.flip_probability <= 1.0):
             raise InvalidParameterError("flip probability must lie in [0, 1]")
         if not (0.0 <= self.loss_probability < 1.0):
@@ -316,16 +312,13 @@ class Transcript:
 
     def _derived_lines(self) -> str:
         """The lines after the members line: hash log, error estimate, keys and abort."""
-        lines = [f"hash_log\t{len(self.hash_log)}", "l\tsubset\tparity_a\tparity_b\tdiscarded"]
-        for h in self.hash_log:
-            disc = str(h.discarded) if h.discarded is not None else "-"
-            lines.append(f"{h.round_index}\t{h.subset}\t{h.parity_a}\t{h.parity_b}\t{disc}")
-        lines.append(f"p_err\t{self.p_err_estimate!r}")
-        lines.append(f"key_a\t{_bits_text(self.key_a)}")
-        lines.append(f"key_b\t{_bits_text(self.key_b)}")
-        lines.append(f"aborted\t{int(self.aborted)}")
-        lines.append(f"abort_reason\t{self.abort_reason or '-'}")
-        return "\n".join(lines) + "\n"
+        log = (f"{h.round_index}\t{h.subset}\t{h.parity_a}\t{h.parity_b}\t"
+               f"{'-' if h.discarded is None else h.discarded}" for h in self.hash_log)
+        return "\n".join([
+            f"hash_log\t{len(self.hash_log)}", "l\tsubset\tparity_a\tparity_b\tdiscarded", *log,
+            f"p_err\t{self.p_err_estimate!r}", f"key_a\t{_bits_text(self.key_a)}",
+            f"key_b\t{_bits_text(self.key_b)}", f"aborted\t{int(self.aborted)}",
+            f"abort_reason\t{self.abort_reason or '-'}", ""])
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
@@ -563,8 +556,7 @@ def majority_decode(block) -> np.int64 | np.ndarray:
     size = bits.shape[-1]
     if size < 1 or size % 2 == 0:
         raise InvalidParameterError(
-            f"majority voting needs an odd block size, got {size}"
-        )
+            f"majority voting needs an odd block size, got {size}")
     # A sum of the columns, in the narrowest unsigned dtype that holds
     # ``size`` ones: a sum over a short last axis is slower.
     bits = bits.astype(np.min_scalar_type(size), copy=False)
@@ -674,8 +666,7 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
     length = len(bits_a)
     if length <= len(subsets):
         raise InvalidParameterError(
-            f"{length} parity bits cannot survive {len(subsets)} hash rounds"
-        )
+            f"{length} parity bits cannot survive {len(subsets)} hash rounds")
     for l, text in enumerate(subsets, start=1):
         size = length - l + 1
         ones = text.count("1") if isinstance(text, str) else 0
@@ -712,8 +703,7 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     p_sift = p_pass * (1.0 - cfg.loss_probability)
     if p_sift <= 1e-12:
         raise ResourceExhaustedError(
-            "no round can ever pass the receiver test under this configuration"
-        )
+            "no round can ever pass the receiver test under this configuration")
     k = cfg.block_size
     need_blocks = (cfg.key_length + cfg.hash_rounds) * cfg.blocks_per_parity
     per_round = p_sift * (1.0 - cfg.disclose_fraction)

@@ -10,9 +10,10 @@ self-checks, which the acceptance suite runs too, one criterion each.  The
 commands return their results, and ``relqkd.cli`` writes them.  Given the
 same campaign file and seed, every output is byte-identical across runs.
 
-``load_campaign`` reads each section through ``_SCHEMA`` and passes on only
-the keys the file sets, so every other value is the default of the
-dataclass field it fills.  It builds the envelope once, in every mode,
+``load_campaign`` reads each section through ``_SCHEMA``, refuses any key
+that the file's mode does not read (``_READ_BY``), and passes on only the
+keys the file sets, so every other value is the default of the dataclass
+field it fills.  It builds the envelope once, in every mode,
 and the ``CampaignSpec`` and its ``ProtocolConfig`` both carry that
 ``Plateau``; ``cmd_analyze``, ``cmd_simulate`` and ``run_session`` build none.
 
@@ -95,6 +96,16 @@ _SCHEMA = {
     "security": {"eps1": float, "eps2": float},
 }
 
+#: The modes that read each section, and the keys that fewer of their
+#: section's modes read; a file may set only the keys its mode reads.
+_READ_BY = {
+    "campaign": MODES, "sweep": ("analyze", "simulate"), "geometry": ("simulate", "distill"),
+    "state": ("simulate", "distill"), "eve": ("simulate", "distill"),
+    "protocol": ("distill",), "security": ("distill",),
+    ("campaign", "trials"): ("simulate",), ("geometry", "channel_length"): ("distill",),
+    ("eve", "enabled"): ("distill",), ("eve", "delay"): ("distill",),
+}
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -158,8 +169,11 @@ class CampaignSpec:
 
 
 def load_campaign(path: str, seed_override: int | None = None) -> CampaignSpec:
-    """Parse a campaign file, its seed replaced by ``seed_override`` if given; see the README."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    """Parse a campaign file, its seed replaced by ``seed_override`` if given; see the README.
+
+    Values are read literally, and a key that the file's mode does not read is refused.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         if parser.read(path):
             return _from_parser(parser, seed_override)
@@ -169,7 +183,7 @@ def load_campaign(path: str, seed_override: int | None = None) -> CampaignSpec:
 
 
 def _check_schema(parser):
-    """Reject any section or key outside ``_SCHEMA``: a misspelt one would be ignored."""
+    """Reject any section or key outside ``_SCHEMA``, then any the file's mode does not read."""
     sections = parser.sections()
     if parser.defaults():
         sections.insert(0, parser.default_section)
@@ -183,6 +197,11 @@ def _check_schema(parser):
             if key not in known:
                 raise InvalidParameterError(f"unknown [{section}] key {key!r}: "
                                             f"the section takes {', '.join(known)}")
+    mode = parser.get("campaign", "mode", fallback=None)  # a missing or unknown one is named later
+    for section in sections if mode in MODES else ():
+        for key in parser[section]:
+            if mode not in _READ_BY.get((section, key), _READ_BY[section]):
+                raise InvalidParameterError(f"mode {mode!r} does not read [{section}] {key!r}")
 
 
 def _given(parser, section: str) -> dict:
@@ -216,22 +235,11 @@ def _from_parser(parser, seed_override) -> CampaignSpec:
         raise InvalidParameterError(f"no envelope of state_extent {extent}: {exc}") from exc
 
     eve = _given(parser, "eve")
-    if eve and "enabled" not in eve:
+    if campaign["mode"] == "distill" and eve and "enabled" not in eve:
         # Without it the other keys would be read and no eavesdropper run.
         raise InvalidParameterError(
             f"[eve] sets {', '.join(map(repr, eve))} but lacks 'enabled': set "
             "enabled = true to run the eavesdropper, or enabled = false to run without one")
-    mode = campaign["mode"]
-    if mode in ("analyze", "simulate"):
-        for key, ignored, why in (
-            ("enabled", eve.get("enabled") is False, "a sweep always models the eavesdropper"),
-            ("delay", "delay" in eve, "the [sweep] chi_fractions set the delays"),
-            ("resend", "resend" in eve and mode == "analyze",
-             "its columns are the truncated resend's closed forms"),
-        ):
-            if ignored:
-                raise InvalidParameterError(
-                    f"[eve] {key!r} has no effect in mode {mode!r}: {why}")
     policy = {"resend_policy": eve["resend"]} if "resend" in eve else {}
     strategy = EveStrategy(eve.get("delay", 0.0), **policy) if eve.get("enabled") else None
 
@@ -460,10 +468,8 @@ def check_parity_cosine(totals=(24, 60, 96, 144, 200), ks=(1, 2, 3, 4, 6)) -> Ch
     for total, k in pairs:
         cosine = security.parity_cosine(total // k, k)  # refuses a total past 1023
         count = float(security.parity_count(total // k, k))
-        rel = abs(cosine - count) / count
-        worst = max(worst, rel)
-    ok = worst < tol
-    return CheckResult("parity-cosine", ok,
+        worst = max(worst, abs(cosine - count) / count)
+    return CheckResult("parity-cosine", worst < tol,
                        f"worst relative error {worst:.3g} (tolerance {tol:g})")
 
 
@@ -602,9 +608,7 @@ def check_hash_calibration(trials: int = 100_000, rounds: int = 5,
         survivors = kept
     expected = 2.0 ** (-rounds)
     sigma = _stderr(expected, trials)
-    dev = abs(survivors / trials - expected)
-    ok = dev <= 3.0 * sigma
-    return CheckResult("hash-calibration", ok,
+    return CheckResult("hash-calibration", abs(survivors / trials - expected) <= 3.0 * sigma,
                        f"undetected {survivors / trials:.5f} vs 2^-{rounds}="
                        f"{expected:.5f} (tolerance 3 sigma = {3 * sigma:.2g})")
 
@@ -628,9 +632,7 @@ def check_majority_tail(trials: int = 200_000, seed: int = 717) -> CheckResult:
     expected = sum(math.comb(k, j) * p_flip ** j * (1 - p_flip) ** (k - j)
                    for j in range(k // 2 + 1, k + 1))
     sigma = _stderr(expected, trials)
-    dev = abs(errors / trials - expected)
-    ok = dev <= 3.0 * sigma
-    return CheckResult("majority-tail", ok,
+    return CheckResult("majority-tail", abs(errors / trials - expected) <= 3.0 * sigma,
                        f"block error {errors / trials:.3e} vs binomial tail "
                        f"{expected:.3e} (tolerance 3 sigma = {3 * sigma:.2g})")
 
@@ -708,9 +710,7 @@ class VerifySummary:
         return all(r.passed for r in self.results)
 
     def to_text(self) -> str:
-        lines = []
-        for r in self.results:
-            lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
+        lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in self.results]
         lines.append(f"{sum(r.passed for r in self.results)}/{len(self.results)} checks passed")
         return "\n".join(lines) + "\n"
 

@@ -123,6 +123,21 @@ def test_distill_writes_the_report_file_to_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == (tmp_path / "small.report.txt").read_text()
 
 
+@pytest.mark.parametrize("blocked", ["transcript", "report"])
+def test_distill_write_that_fails_leaves_neither_file(tmp_path, capsys, blocked):
+    # With run.report.txt a directory, run.transcript.txt was once written
+    # and left behind by a command that exited 2.
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL)
+    (tmp_path / f"run.{blocked}.txt").mkdir()
+    assert main(["distill", str(path), "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("relqkd: i/o error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run.{blocked}.txt", "small.ini"]
+    assert (tmp_path / f"run.{blocked}.txt").is_dir()
+
+
 @pytest.mark.parametrize("eve", ["delay = 0.25\n", "resend = none\n",
                                  "delay = 0.25\nresend = shifted\n"])
 def test_eve_keys_without_enabled_are_invalid_input(tmp_path, capsys, eve):
@@ -157,30 +172,36 @@ def test_distill_campaign_refused_as_invalid_input(tmp_path, capsys, text, refus
     assert f"relqkd: error: bad campaign file {str(path)!r}: {refusal}\n" == captured.err
 
 
-SWEEP = ("[campaign]\nmode = {mode}\ntrials = 1000\nseed = 7\n"
-         "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n")
+# Only simulate reads trials.
+TRIALS = {"analyze": "", "simulate": "trials = 1000\n", "distill": ""}
+
+
+def _sweep(mode):
+    return (f"[campaign]\nmode = {mode}\n{TRIALS[mode]}seed = 7\n"
+            "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n")
 
 
 @pytest.mark.parametrize("mode,eve,key", [
     # This file once wrote the same row as enabled = true.
     ("simulate", "enabled = false\nresend = none\n", "enabled"),
     ("analyze", "enabled = false\n", "enabled"),
-    ("simulate", "enabled = true\ndelay = 0.25\n", "delay"),
-    ("analyze", "enabled = true\nresend = shifted\n", "resend"),
+    # A sweep reads no 'enabled', the first key of these two files.
+    ("simulate", "enabled = true\ndelay = 0.25\n", "enabled"),
+    ("analyze", "enabled = true\nresend = shifted\n", "enabled"),
 ], ids=["found-file", "enabled", "delay", "resend"])
 def test_eve_keys_a_sweep_ignores_are_invalid_input(tmp_path, capsys, mode, eve, key):
     path = tmp_path / "sweep.ini"
-    path.write_text(SWEEP.format(mode=mode) + "[eve]\n" + eve)
+    path.write_text(_sweep(mode) + "[eve]\n" + eve)
     assert main([mode, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"[eve] {key!r} has no effect in mode {mode!r}" in captured.err
+    assert f"mode {mode!r} does not read [eve] {key!r}" in captured.err
 
 
 def test_simulate_takes_the_resend_policy(tmp_path, capsys):
     # Forwarding nothing, the eavesdropper's substitute never passes.
     path = tmp_path / "sweep.ini"
-    path.write_text(SWEEP.format(mode="simulate") + "[eve]\nenabled = true\nresend = none\n")
+    path.write_text(_sweep("simulate") + "[eve]\nresend = none\n")
     assert main(["simulate", str(path)]) == 0
     header, row = capsys.readouterr().out.splitlines()
     columns = dict(zip(header.split(","), row.split(",")))
@@ -194,7 +215,7 @@ NEAR_SUPPORT = "[state]\nramp_fraction = 0.2\n"
 
 def test_simulate_delay_at_the_support_length_never_passes(tmp_path, capsys):
     path = tmp_path / "sweep.ini"
-    path.write_text(SWEEP.format(mode="simulate").replace("0.1", "0.99999") + NEAR_SUPPORT)
+    path.write_text(_sweep("simulate").replace("0.1", "0.99999") + NEAR_SUPPORT)
     assert main(["simulate", str(path)]) == 0
     header, row = capsys.readouterr().out.splitlines()
     columns = dict(zip(header.split(","), row.split(",")))
@@ -221,13 +242,15 @@ def test_distill_disclosure_too_rare_to_wait_for_is_refused(tmp_path, capsys):
     assert "a session expects 1e+12 rounds" in captured.err
 
 
-# Both modes build the envelope from [geometry] and [state].
+# Both modes build the envelope from [geometry] and [state]; only distill
+# reads channel_length.
 ENVELOPE_MODES = [
     ("simulate", "[sweep]\nratios = 0.5\nchi_fractions = 0.1\n"),
     ("distill", "[protocol]\nkey_length = 8\nblock_size = 3\nblocks_per_parity = 2\n"
                 "hash_rounds = 4\ndisclose_fraction = 0.1\n"
                 "[eve]\nenabled = true\ndelay = 0.25\n"),
 ]
+CHANNEL = {"simulate": "", "distill": "channel_length = 0.0\n"}
 
 
 @pytest.mark.parametrize("mode,extra", ENVELOPE_MODES)
@@ -235,7 +258,7 @@ def test_ramped_extent_past_the_closed_forms_is_invalid_input(tmp_path, capsys, 
     # At 1e308 the ramps' cosine integrals once overflowed: math.cos(inf)
     # raised a raw ValueError with a traceback, and the program exited 1.
     path = tmp_path / "huge.ini"
-    path.write_text(f"[campaign]\nmode = {mode}\ntrials = 1000\nseed = 7\n{extra}"
+    path.write_text(f"[campaign]\nmode = {mode}\n{TRIALS[mode]}seed = 7\n{extra}"
                     "[geometry]\nstate_extent = 1e308\n"
                     "[state]\ntail_mass = 1e-3\nramp_fraction = 0.05\n")
     assert main([mode, str(path)]) == 2
@@ -249,8 +272,8 @@ def test_ramp_too_narrow_for_the_closed_forms_is_invalid_input(tmp_path, capsys,
     # A ramp width of 1e-308 makes the ramps' cosine frequency 2 pi/w
     # overflow: math.cos raised a raw ValueError, and the program exited 1.
     path = tmp_path / "tiny.ini"
-    path.write_text(f"[campaign]\nmode = {mode}\ntrials = 1000\nseed = 7\n{extra}"
-                    "[geometry]\nstate_extent = 1e-306\nchannel_length = 0.0\n"
+    path.write_text(f"[campaign]\nmode = {mode}\n{TRIALS[mode]}seed = 7\n{extra}"
+                    f"[geometry]\nstate_extent = 1e-306\n{CHANNEL[mode]}"
                     "[state]\ntail_mass = 1e-3\nramp_fraction = 0.01\n")
     assert main([mode, str(path)]) == 2
     captured = capsys.readouterr()
@@ -325,3 +348,14 @@ def test_verify_out_writes_its_stdout(tmp_path, capsys):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--out", str(out)]) == 0
     assert out.read_bytes().decode() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["sweep_50%.csv", "sweep_%%(seed)s.csv"])
+def test_campaign_values_are_read_literally(tmp_path, monkeypatch, capsys, name):
+    # '%' once had to be written '%%', and 'sweep_50%.csv' was refused.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.ini").write_text(_sweep("analyze").replace("seed = 7",
+                                                                  f"seed = 7\nout = {name}"))
+    assert main(["analyze", "sweep.ini"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / name).read_text().startswith("ratio,chi_over_L,")

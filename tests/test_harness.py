@@ -1,8 +1,10 @@
 """Campaign loading, sweep tables, determinism, self-checks, CLI exit codes."""
 
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -75,6 +77,17 @@ chi_fractions = 0, 0.1, 0.25, 0.5
 [state]
 tail_mass = 1e-3
 ramp_fraction = 0.05
+"""
+
+# TAILED_INI's grid as analyze reads it, without [state], [geometry] or trials.
+GRID_INI = """
+[campaign]
+mode = analyze
+seed = 7
+
+[sweep]
+ratios = 0, 0.25, 0.5, 0.9
+chi_fractions = 0, 0.1, 0.25, 0.5
 """
 
 DISTILL_INI = """
@@ -283,6 +296,85 @@ class TestConfig:
         assert {type(v) for v in (*spec.ratios, *spec.chi_fractions, spec.eps1)} == {float}
 
 
+# The keys each mode reads: the README's table, written out here so that
+# the test does not read it from ``harness._READ_BY``.
+READ = {
+    "analyze": {"mode", "seed", "out", "ratios", "chi_fractions"},
+    "simulate": {"mode", "seed", "out", "trials", "ratios", "chi_fractions", "state_extent",
+                 "tail_mass", "ramp_fraction", "resend"},
+    "distill": {"mode", "seed", "out", "state_extent", "channel_length", "tail_mass",
+                "ramp_fraction", "enabled", "delay", "resend", *harness._SCHEMA["protocol"],
+                "eps1", "eps2"},
+}
+# A smallest valid file of each mode, by section, and a valid value of each key.
+MINIMAL = {
+    "analyze": {"campaign": {"mode": "analyze", "seed": "1"},
+                "sweep": {"ratios": "0.5", "chi_fractions": "0.1"}},
+    "simulate": {"campaign": {"mode": "simulate", "seed": "1"},
+                 "sweep": {"ratios": "0.5", "chi_fractions": "0.1"}},
+    "distill": {"campaign": {"mode": "distill", "seed": "1"},
+                "protocol": {"key_length": "8", "block_size": "3", "blocks_per_parity": "2",
+                             "hash_rounds": "4", "disclose_fraction": "0.1"}},
+}
+VALID = {"seed": "3", "trials": "10", "out": "run.csv", "ratios": "0.25", "chi_fractions": "0.5",
+         "state_extent": "2.0", "channel_length": "0.5", "tail_mass": "0.0",
+         "ramp_fraction": "0.05", "enabled": "true", "delay": "0.25", "resend": "shifted",
+         "key_length": "16", "block_size": "5", "blocks_per_parity": "3", "hash_rounds": "6",
+         "disclose_fraction": "0.2", "flip_probability": "0.01", "loss_probability": "0.01",
+         "eps1": "0.01", "eps2": "0.01"}
+
+
+def _ini(sections) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+
+
+class TestModeKeys:
+    @pytest.mark.parametrize("mode", harness.MODES)
+    @pytest.mark.parametrize("section,key", [(section, key) for section in harness._SCHEMA
+                                             for key in harness._SCHEMA[section]])
+    def test_a_mode_takes_exactly_the_keys_it_reads(self, tmp_path, mode, section, key):
+        # An analyze file with a whole [protocol] section, or a distill file
+        # with [sweep], once ran as if the section were absent.
+        sections = {name: dict(keys) for name, keys in MINIMAL[mode].items()}
+        sections.setdefault(section, {})[key] = mode if key == "mode" else VALID[key]
+        if mode == "distill" and section == "eve":
+            sections["eve"].setdefault("enabled", "true")
+        path = tmp_path / "campaign.ini"
+        path.write_text(_ini(sections))
+        if key in READ[mode]:
+            assert load_campaign(str(path)).mode == mode
+        else:
+            with pytest.raises(InvalidParameterError, match=re.escape(
+                    f"mode {mode!r} does not read [{section}] {key!r}")):
+                load_campaign(str(path))
+
+    def test_the_table_has_34_settable_pairs(self):
+        read_by = harness._READ_BY
+        pairs = {mode: {key for section, keys in harness._SCHEMA.items() for key in keys
+                        if mode in read_by.get((section, key), read_by[section])}
+                 for mode in harness.MODES}
+        assert pairs == READ
+        assert [len(pairs[mode]) for mode in harness.MODES] == [5, 10, 19]
+        assert sum(map(len, pairs.values())) == 34
+
+    def test_misspelt_key_of_an_unread_section_is_unknown(self, tmp_path):
+        path = tmp_path / "analyze.ini"
+        path.write_text(ANALYZE_INI + "[protocol]\nkey_length = 8\nblok_size = 3\n")
+        with pytest.raises(InvalidParameterError, match=r"unknown \[protocol\] key 'blok_size'"):
+            load_campaign(str(path))
+
+    def test_readme_campaign_examples_load_under_their_mode(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        modes = []
+        for block in blocks:
+            path = tmp_path / "example.ini"
+            path.write_text(block)
+            modes.append(load_campaign(str(path)).mode)
+        assert modes == list(harness.MODES)
+
+
 class TestAnalyze:
     def test_ratio_sweep_values(self, analyze_spec):
         rows = cmd_analyze(analyze_spec)
@@ -313,13 +405,13 @@ class TestSimulate:
             assert abs(row.zscore) < 5.0
 
     def test_analyze_rows_are_the_closed_forms_of_simulate_rows(self, tmp_path):
-        def campaign(mode):
+        def campaign(mode, text):
             path = tmp_path / f"{mode}.ini"
-            path.write_text(TAILED_INI.replace("mode = simulate", f"mode = {mode}"))
+            path.write_text(text)
             return load_campaign(str(path))
 
-        analyzed = cmd_analyze(campaign("analyze"))
-        simulated = cmd_simulate(campaign("simulate"))
+        analyzed = cmd_analyze(campaign("analyze", GRID_INI))
+        simulated = cmd_simulate(campaign("simulate", TAILED_INI))
         assert len(analyzed) == 16
         assert [astuple(r)[:5] for r in analyzed] == [astuple(r)[:5] for r in simulated]
         assert all(value is None for r in analyzed for value in astuple(r)[5:])
@@ -328,13 +420,13 @@ class TestSimulate:
     @pytest.mark.parametrize("extent", ["0.7", "3"])
     def test_rows_carry_the_grid_fractions_at_any_extent(self, tmp_path, extent):
         # Scaling a fraction by L and dividing by L again can move it by one ulp.
-        def rows(mode):
+        def rows(mode, text):
             path = tmp_path / f"{mode}.ini"
-            path.write_text(TAILED_INI.replace("mode = simulate", f"mode = {mode}")
-                            + f"\n[geometry]\nstate_extent = {extent}\n")
+            path.write_text(text)
             return (cmd_analyze if mode == "analyze" else cmd_simulate)(load_campaign(str(path)))
 
-        analyzed, simulated = rows("analyze"), rows("simulate")
+        analyzed = rows("analyze", GRID_INI)
+        simulated = rows("simulate", TAILED_INI + f"\n[geometry]\nstate_extent = {extent}\n")
         assert [astuple(r)[:5] for r in analyzed] == [astuple(r)[:5] for r in simulated]
         grid = [(ratio, cf) for ratio in (0, 0.25, 0.5, 0.9) for cf in (0, 0.1, 0.25, 0.5)]
         assert [(r.ratio, r.chi_over_L) for r in simulated] == grid
@@ -812,13 +904,21 @@ class TestCli:
         assert f"[security] {key} must lie in (0, 1), got {float(value)}" in captured.err
 
     def test_bad_state_is_invalid_input_in_every_mode(self, tmp_path, capsys):
-        # analyze once ignored [state] and exited 0.
+        # analyze once ignored [state] and exited 0; it now refuses the
+        # section, which its closed forms do not read.
         path = tmp_path / "analyze.ini"
         path.write_text(ANALYZE_INI + "[state]\ntail_mass = 0.5\nramp_fraction = 0\n")
         assert cli_main(["analyze", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "needs edge ramps" in captured.err
+        assert "mode 'analyze' does not read [state] 'tail_mass'" in captured.err
+        for mode, text in (("simulate", SIMULATE_INI), ("distill", DISTILL_INI)):
+            path = tmp_path / f"{mode}.ini"
+            path.write_text(text + "[state]\ntail_mass = 0.5\nramp_fraction = 0\n")
+            assert cli_main([mode, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "needs edge ramps" in captured.err
 
     def test_verify_exit_codes(self, capsys, monkeypatch):
         assert cli_main(["verify"]) == 0

@@ -18,7 +18,7 @@ from .errors import (
     RelqkdError,
     ResourceExhaustedError,
 )
-from .harness import CampaignSpec, load_campaign
+from .harness import load_campaign
 from .security import SecurityReport, build_report, solve_parameters
 from .wavepacket import Plateau, make_plateau
 

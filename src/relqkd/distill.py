@@ -699,6 +699,8 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     rounds pass that count while drawing or exhaust memory.  A hash parity
     mismatch is not an error: the abort is in the transcript.
     """
+    if not isinstance(cfg, ProtocolConfig):
+        raise InvalidParameterError(f"the config must be a ProtocolConfig, got {cfg!r:.40}")
     f_eve, p_pass = channel_probabilities(cfg.envelope, cfg.channel_length, cfg.eve)
     p_sift = p_pass * (1.0 - cfg.loss_probability)
     if p_sift <= 1e-12:

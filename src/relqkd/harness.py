@@ -11,11 +11,12 @@ commands return their results, and ``relqkd.cli`` writes them.  Given the
 same campaign file and seed, every output is byte-identical across runs.
 
 ``load_campaign`` reads each section through ``_SCHEMA``, refuses any key
-that the file's mode does not read (``_READ_BY``), and passes on only the
-keys the file sets, so every other value is the default of the dataclass
-field it fills.  It builds the envelope once, in every mode,
-and the ``CampaignSpec`` and its ``ProtocolConfig`` both carry that
-``Plateau``; ``cmd_analyze``, ``cmd_simulate`` and ``run_session`` build none.
+that the file's mode does not read (``_READ_BY``), and returns the mode's
+spec, ``AnalyzeSpec``, ``SimulateSpec`` or ``DistillSpec``, whose fields are
+what the mode reads.  It passes on only the keys the file sets, so every
+other value is the default of the dataclass field it fills.  It builds the
+envelope once, which the ``SimulateSpec`` or the ``DistillSpec``'s
+``ProtocolConfig`` carries; ``cmd_simulate`` and ``run_session`` build none.
 
 Both sweep modes build one row type, ``InterceptResendSummary``, whose
 first ten fields are the CSV columns.  ``_closed_forms`` computes the
@@ -43,6 +44,7 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -61,7 +63,7 @@ from .adversary import (
     optimal_delay,
 )
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
-from .errors import InvalidParameterError, require_float, require_floats, require_integers
+from .errors import InvalidParameterError, require_integers
 from .security import SecurityReport, build_report
 from .wavepacket import Plateau, make_plateau
 
@@ -108,44 +110,26 @@ _READ_BY = {
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
-    """One campaign: mode, sweep axes, envelope, protocol settings, outputs."""
+class AnalyzeSpec:
+    """An ``analyze`` campaign: its seed, sweep axes and output path."""
 
-    mode: str
+    mode = "analyze"
+
     seed: int
-    trials: int = 1
     ratios: tuple[float, ...] = ()
     chi_fractions: tuple[float, ...] = ()
-    envelope: Plateau = Plateau(1.0)
-    resend_policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED
-    protocol: ProtocolConfig | None = None
-    eps1: float = 1e-3
-    eps2: float = 1e-3
     out: str | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidParameterError(f"unknown mode {self.mode!r}")
-        require_integers(self, "seed", "trials")
-        require_floats(self, "eps1", "eps2")
-        for name, kinds, what in (
-                ("envelope", Plateau, "a Plateau"),
-                ("resend_policy", ResendPolicy, "a ResendPolicy"),
-                ("protocol", (ProtocolConfig, type(None)), "a ProtocolConfig or None"),
-                ("out", (str, type(None)), "a non-empty path or None")):
-            if not isinstance(value := getattr(self, name), kinds) or value == "":
-                raise InvalidParameterError(f"{name} must be {what}, got {value!r:.40}")
-        for axis in ("ratios", "chi_fractions"):
-            object.__setattr__(self, axis, tuple(require_float(axis, value)
-                                                 for value in getattr(self, axis)))
+        require_integers(self, "seed")
+        if self.out == "":
+            raise InvalidParameterError("out must be a non-empty path or None, got ''")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise InvalidParameterError(
-                f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
-        if self.mode in ("analyze", "simulate") and (
-            not self.ratios or not self.chi_fractions
-        ):
+        self._check_sweep()
+
+    def _check_sweep(self):
+        if not self.ratios or not self.chi_fractions:
             raise InvalidParameterError(f"mode {self.mode!r} needs non-empty sweep grids")
         for axis, values, length in (("ratio", self.ratios, "channel length"),
                                      ("chi fraction", self.chi_fractions, "delay")):
@@ -154,25 +138,56 @@ class CampaignSpec:
                     raise InvalidParameterError(
                         f"sweep {axis} {value} is outside [0, 1]: "
                         f"the {length} must lie in [0, L]")
+
+
+@dataclass(frozen=True)
+class SimulateSpec(AnalyzeSpec):
+    """A ``simulate`` campaign: an ``analyze`` one, its trials per point, envelope and resend."""
+
+    mode = "simulate"
+
+    trials: int = 1
+    envelope: Plateau = Plateau(1.0)
+    resend_policy: ResendPolicy = ResendPolicy.TRUNCATED_RENORMALIZED
+
+    def _check_sweep(self):
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise InvalidParameterError(
+                f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
+        super()._check_sweep()
+
+
+@dataclass(frozen=True)
+class DistillSpec:
+    """A ``distill`` campaign: its protocol (seed, envelope, eavesdropper), epsilons and out."""
+
+    mode = "distill"
+
+    protocol: ProtocolConfig
+    eps1: float = 1e-3
+    eps2: float = 1e-3
+    out: str | None = None
+
+    def __post_init__(self):
+        if self.out == "":
+            raise InvalidParameterError("out must be a non-empty path or None, got ''")
         for name, value in (("eps1", self.eps1), ("eps2", self.eps2)):
             if not (0.0 < value < 1.0):
                 raise InvalidParameterError(f"[security] {name} must lie in (0, 1), got {value}")
-        if self.mode == "distill" and self.protocol is None:
-            raise InvalidParameterError("mode 'distill' needs a [protocol] section")
-        if (protocol := self.protocol) is not None:  # the session reads the protocol's copies
-            policy = self.resend_policy if protocol.eve is None else protocol.eve.resend_policy
-            for name, theirs in (("seed", protocol.seed), ("envelope", protocol.envelope),
-                                 ("resend_policy", policy)):
-                if theirs != (mine := getattr(self, name)):
-                    raise InvalidParameterError(
-                        f"protocol {name} {theirs!r} differs from the campaign's {mine!r}")
 
 
-def load_campaign(path: str, seed_override: int | None = None) -> CampaignSpec:
-    """Parse a campaign file, its seed replaced by ``seed_override`` if given; see the README.
+Spec = AnalyzeSpec | SimulateSpec | DistillSpec
 
-    Values are read literally, and a key that the file's mode does not read is refused.
+
+def load_campaign(path, seed_override: int | None = None) -> Spec:
+    """The mode's spec of the campaign file at ``path``, a str, bytes or ``os.PathLike``.
+
+    ``seed_override``, if given, replaces the file's seed.  Values are read
+    literally, and a key that the file's mode does not read is refused; see the README.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidParameterError(
+            f"the campaign path must be a str, bytes or os.PathLike, got {type(path).__name__}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         if parser.read(path):
@@ -219,40 +234,46 @@ def _require(cls, section: str, given: dict):
             raise InvalidParameterError(f"[{section}] lacks {f.name!r}")
 
 
-def _from_parser(parser, seed_override) -> CampaignSpec:
-    """Build the campaign from the keys the file sets; the dataclasses default the rest."""
+def _from_parser(parser, seed_override) -> Spec:
+    """Build the mode's spec from the keys the file sets; the dataclasses default the rest."""
     _check_schema(parser)
     campaign = _given(parser, "campaign")
     if seed_override is not None:
         campaign["seed"] = seed_override
-    _require(CampaignSpec, "campaign", campaign)
+    for key in ("mode", "seed"):
+        if key not in campaign:
+            raise InvalidParameterError(f"[campaign] lacks {key!r}")
+    mode = campaign.pop("mode")
+    if mode not in MODES:
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    if mode == "analyze":
+        return AnalyzeSpec(**campaign, **_given(parser, "sweep"))
 
     geometry = _given(parser, "geometry")
-    extent = geometry.get("state_extent", CampaignSpec.envelope.plateau_length)
+    extent = geometry.get("state_extent", 1.0)
     try:
         envelope = make_plateau(extent, **_given(parser, "state"))
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"no envelope of state_extent {extent}: {exc}") from exc
-
     eve = _given(parser, "eve")
-    if campaign["mode"] == "distill" and eve and "enabled" not in eve:
+    policy = {"resend_policy": eve["resend"]} if "resend" in eve else {}
+    if mode == "simulate":
+        return SimulateSpec(**campaign, **_given(parser, "sweep"), **policy, envelope=envelope)
+
+    if eve and "enabled" not in eve:
         # Without it the other keys would be read and no eavesdropper run.
         raise InvalidParameterError(
             f"[eve] sets {', '.join(map(repr, eve))} but lacks 'enabled': set "
             "enabled = true to run the eavesdropper, or enabled = false to run without one")
-    policy = {"resend_policy": eve["resend"]} if "resend" in eve else {}
     strategy = EveStrategy(eve.get("delay", 0.0), **policy) if eve.get("enabled") else None
-
-    protocol = None
-    if parser.has_section("protocol"):
-        settings = _given(parser, "protocol")
-        _require(ProtocolConfig, "protocol", settings)
-        protocol = ProtocolConfig(
-            **settings, envelope=envelope, channel_length=geometry.get("channel_length", 0.0),
-            seed=campaign["seed"], eve=strategy)
-
-    return CampaignSpec(**campaign, **_given(parser, "sweep"), **_given(parser, "security"),
-                        **policy, envelope=envelope, protocol=protocol)
+    if not parser.has_section("protocol"):
+        raise InvalidParameterError("mode 'distill' needs a [protocol] section")
+    settings = _given(parser, "protocol")
+    _require(ProtocolConfig, "protocol", settings)
+    protocol = ProtocolConfig(
+        **settings, envelope=envelope, channel_length=geometry.get("channel_length", 0.0),
+        seed=campaign.pop("seed"), eve=strategy)
+    return DistillSpec(protocol, **campaign, **_given(parser, "security"))
 
 
 @dataclass(frozen=True)
@@ -373,13 +394,13 @@ def rows_to_csv(rows) -> str:
     return "\n".join([",".join(CSV_COLUMNS), *lines, ""])
 
 
-def cmd_analyze(spec: CampaignSpec) -> list[InterceptResendSummary]:
+def cmd_analyze(spec: AnalyzeSpec) -> list[InterceptResendSummary]:
     """The closed-form tradeoff rows over the (ratio, chi) grid."""
     return [InterceptResendSummary(*forms)
             for forms in _closed_forms(spec.ratios, spec.chi_fractions)]
 
 
-def cmd_simulate(spec: CampaignSpec) -> list[InterceptResendSummary]:
+def cmd_simulate(spec: SimulateSpec) -> list[InterceptResendSummary]:
     """The Monte Carlo rows: empirical joint success next to the closed form."""
     envelope, L = spec.envelope, spec.envelope.plateau_length
     eves = [EveStrategy(cf * L, spec.resend_policy) for cf in spec.chi_fractions]
@@ -391,7 +412,7 @@ def cmd_simulate(spec: CampaignSpec) -> list[InterceptResendSummary]:
                                             itertools.cycle(delays))]
 
 
-def cmd_distill(spec: CampaignSpec) -> tuple[Transcript, SecurityReport]:
+def cmd_distill(spec: DistillSpec) -> tuple[Transcript, SecurityReport]:
     """Run the campaign's session; return its transcript and security report."""
     cfg = spec.protocol
     transcript = run_session(cfg)
@@ -506,8 +527,8 @@ def check_intercept_resend() -> CheckResult:
     and its sigma is 0, and the pass rate 1e-3 off its bound.
     """
     trials = 100_000
-    rows = cmd_simulate(CampaignSpec("simulate", 2026, trials, ratios=(0.0, 0.25, 0.5, 0.9),
-                                     chi_fractions=(0.0, 0.1, 0.25, 0.5)))
+    rows = cmd_simulate(SimulateSpec(2026, (0.0, 0.25, 0.5, 0.9), (0.0, 0.1, 0.25, 0.5),
+                                     trials=trials))
     for row in rows:
         for rate, empirical, analytic, slack in (
                 ("eavesdropper", row.eve_empirical, row.pr_e_analytic, 1e-12),

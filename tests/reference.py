@@ -294,7 +294,6 @@ def sweep_rows(spec) -> list[InterceptResendSummary]:
     ``SeedSequence(seed)``'s, and fills in the Monte Carlo fields with
     ``dataclasses.replace``.
     """
-    L = spec.envelope.plateau_length
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     rows = []
     for ratio, cf in itertools.product(spec.ratios, spec.chi_fractions):
@@ -302,7 +301,7 @@ def sweep_rows(spec) -> list[InterceptResendSummary]:
         pr_b = bob_pass_bound(cf, 1.0)
         row = InterceptResendSummary(ratio, cf, pr_e, pr_b, pr_e * pr_b)
         if spec.mode == "simulate":
-            trials = spec.trials
+            trials, L = spec.trials, spec.envelope.plateau_length
             f, p_pass = channel_probabilities(dataclasses.replace(spec.envelope), ratio * L,
                                               EveStrategy(cf * L, spec.resend_policy))
             fired = rng.binomial(trials, f)

@@ -12,7 +12,7 @@ import relqkd
 
 ROOT = Path(__file__).resolve().parents[1]
 BOUNDARY = {
-    "CampaignSpec", "load_campaign", "ProtocolConfig", "run_session", "Transcript",
+    "load_campaign", "ProtocolConfig", "run_session", "Transcript",
     "SecurityReport", "build_report", "solve_parameters", "make_plateau", "Plateau",
     "EveStrategy", "channel_probabilities", "ResendPolicy",
     "RelqkdError", "InvalidParameterError", "CausalityViolationError", "ResourceExhaustedError",

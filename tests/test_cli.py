@@ -13,7 +13,8 @@ from relqkd.cli import main
 from relqkd.distill import _CHUNK, Transcript, run_session
 from relqkd.errors import InvalidParameterError
 from relqkd.harness import (
-    CampaignSpec,
+    AnalyzeSpec,
+    SimulateSpec,
     cmd_analyze,
     cmd_distill,
     cmd_simulate,
@@ -286,8 +287,8 @@ def test_no_command_writes_a_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     out = str(tmp_path / "out")
     grid = dict(ratios=(0.5,), chi_fractions=(0.1,), out=out)
-    cmd_analyze(CampaignSpec("analyze", 1, **grid))
-    cmd_simulate(CampaignSpec("simulate", 1, **grid))
+    cmd_analyze(AnalyzeSpec(1, **grid))
+    cmd_simulate(SimulateSpec(1, **grid))
     (tmp_path / "small.ini").write_text(SMALL.replace("seed = 7", f"seed = 7\nout = {out}"))
     cmd_distill(load_campaign("small.ini"))
     assert [p.name for p in tmp_path.iterdir()] == ["small.ini"]

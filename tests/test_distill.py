@@ -514,6 +514,13 @@ class TestRunSession:
         with pytest.raises(InvalidParameterError, match=f"^{refusal}$"):
             make_config(**{field: value})
 
+    # Each once raised a raw AttributeError.
+    @pytest.mark.parametrize("cfg", [None, "x"], ids=["none", "string"])
+    def test_config_that_is_no_protocol_config_rejected(self, cfg):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^the config must be a ProtocolConfig, got {cfg!r}$"):
+            run_session(cfg)
+
     def test_numpy_float_fields_read_as_floats(self):
         config = make_config(disclose_fraction=np.float32(0.125), channel_length=np.float64(0.5),
                              flip_probability=0, loss_probability=np.float16(0.25))

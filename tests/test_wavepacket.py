@@ -16,7 +16,7 @@ import reference
 from oracle import plateau_samples, sample, sampled
 from relqkd.adversary import EveStrategy, channel_probabilities
 from relqkd.errors import InvalidParameterError
-from relqkd.harness import CampaignSpec, cmd_simulate
+from relqkd.harness import SimulateSpec, cmd_simulate
 from relqkd.wavepacket import Interval, Plateau, make_plateau, mass_in_interval, overlap
 
 
@@ -242,10 +242,10 @@ class TestClosedForm:
 
     def test_used_plateau_integrates_as_a_fresh_equal_one(self):
         # A plateau computes its pieces once and keeps them outside its
-        # fields; the shared CampaignSpec default is used by every campaign
+        # fields; the shared SimulateSpec default is used by every campaign
         # that names no envelope.
-        cmd_simulate(CampaignSpec("simulate", 3, ratios=(0.5,), chi_fractions=(0.25,)))
-        for used in (CampaignSpec.envelope, make_plateau(1.0, 1e-3, 0.05),
+        cmd_simulate(SimulateSpec(3, ratios=(0.5,), chi_fractions=(0.25,)))
+        for used in (SimulateSpec.envelope, make_plateau(1.0, 1e-3, 0.05),
                      make_plateau(2.5, 0.05, 0.3)):
             L, a = used.plateau_length, used.overhang
             channel_probabilities(used, 0.5 * L, EveStrategy(0.25 * L))

@@ -10,13 +10,14 @@ self-checks, which the acceptance suite runs too, one criterion each.  The
 commands return their results, and ``relqkd.cli`` writes them.  Given the
 same campaign file and seed, every output is byte-identical across runs.
 
-``load_campaign`` reads each section through ``_SCHEMA``, refuses any key
-that the file's mode does not read (``_READ_BY``), and returns the mode's
-spec, ``AnalyzeSpec``, ``SimulateSpec`` or ``DistillSpec``, whose fields are
-what the mode reads.  It passes on only the keys the file sets, so every
-other value is the default of the dataclass field it fills.  It builds the
-envelope once, which the ``SimulateSpec`` or the ``DistillSpec``'s
-``ProtocolConfig`` carries; ``cmd_simulate`` and ``run_session`` build none.
+``load_campaign`` reads each section through ``_KEYS``, which gives each
+key's reader and the modes that read it, refuses any key that the file's
+mode does not read, and returns the mode's spec, ``AnalyzeSpec``,
+``SimulateSpec`` or ``DistillSpec``, whose fields are what the mode reads.
+It passes on only the keys the file sets, so every other value is the
+default of the dataclass field it fills.  It builds the envelope once, which
+the ``SimulateSpec`` or the ``DistillSpec``'s ``ProtocolConfig`` carries;
+``cmd_simulate`` and ``run_session`` build none.
 
 Both sweep modes build one row type, ``InterceptResendSummary``, whose
 first ten fields are the CSV columns.  ``_closed_forms`` computes the
@@ -84,28 +85,23 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-#: Each campaign-file section's keys and how each value is read; any other
-#: section or key is rejected.
-_SCHEMA = {
-    "campaign": {"mode": str, "seed": int, "trials": int, "out": str},
-    "sweep": {"ratios": _floats, "chi_fractions": _floats},
-    "geometry": {"state_extent": float, "channel_length": float},
-    "state": {"tail_mass": float, "ramp_fraction": float},
-    "eve": {"enabled": _boolean, "delay": float, "resend": ResendPolicy},
-    "protocol": {"key_length": int, "block_size": int, "blocks_per_parity": int,
-                 "hash_rounds": int, "disclose_fraction": float,
-                 "flip_probability": float, "loss_probability": float},
-    "security": {"eps1": float, "eps2": float},
-}
+_SWEEP, _ENVELOPE, _DISTILL = ("analyze", "simulate"), ("simulate", "distill"), ("distill",)
 
-#: The modes that read each section, and the keys that fewer of their
-#: section's modes read; a file may set only the keys its mode reads.
-_READ_BY = {
-    "campaign": MODES, "sweep": ("analyze", "simulate"), "geometry": ("simulate", "distill"),
-    "state": ("simulate", "distill"), "eve": ("simulate", "distill"),
-    "protocol": ("distill",), "security": ("distill",),
-    ("campaign", "trials"): ("simulate",), ("geometry", "channel_length"): ("distill",),
-    ("eve", "enabled"): ("distill",), ("eve", "delay"): ("distill",),
+#: Each campaign-file section's keys, each with its reader and the modes that
+#: read it; any other section or key, or one the file's mode does not read, is rejected.
+_KEYS = {
+    "campaign": {"mode": (str, MODES), "seed": (int, MODES), "trials": (int, ("simulate",)),
+                 "out": (str, MODES)},
+    "sweep": {"ratios": (_floats, _SWEEP), "chi_fractions": (_floats, _SWEEP)},
+    "geometry": {"state_extent": (float, _ENVELOPE), "channel_length": (float, _DISTILL)},
+    "state": {"tail_mass": (float, _ENVELOPE), "ramp_fraction": (float, _ENVELOPE)},
+    "eve": {"enabled": (_boolean, _DISTILL), "delay": (float, _DISTILL),
+            "resend": (ResendPolicy, _ENVELOPE)},
+    "protocol": {"key_length": (int, _DISTILL), "block_size": (int, _DISTILL),
+                 "blocks_per_parity": (int, _DISTILL), "hash_rounds": (int, _DISTILL),
+                 "disclose_fraction": (float, _DISTILL), "flip_probability": (float, _DISTILL),
+                 "loss_probability": (float, _DISTILL)},
+    "security": {"eps1": (float, _DISTILL), "eps2": (float, _DISTILL)},
 }
 
 
@@ -198,16 +194,16 @@ def load_campaign(path, seed_override: int | None = None) -> Spec:
 
 
 def _check_schema(parser):
-    """Reject any section or key outside ``_SCHEMA``, then any the file's mode does not read."""
+    """Reject any section or key outside ``_KEYS``, then any the file's mode does not read."""
     sections = parser.sections()
     if parser.defaults():
         sections.insert(0, parser.default_section)
     for section in sections:
-        known = _SCHEMA.get(section)
+        known = _KEYS.get(section)
         if known is None:
             raise InvalidParameterError(
                 f"unknown section [{section}]: the file takes "
-                + ", ".join(f"[{name}]" for name in _SCHEMA))
+                + ", ".join(f"[{name}]" for name in _KEYS))
         for key in parser[section]:
             if key not in known:
                 raise InvalidParameterError(f"unknown [{section}] key {key!r}: "
@@ -215,22 +211,21 @@ def _check_schema(parser):
     mode = parser.get("campaign", "mode", fallback=None)  # a missing or unknown one is named later
     for section in sections if mode in MODES else ():
         for key in parser[section]:
-            if mode not in _READ_BY.get((section, key), _READ_BY[section]):
+            if mode not in _KEYS[section][key][1]:
                 raise InvalidParameterError(f"mode {mode!r} does not read [{section}] {key!r}")
 
 
 def _given(parser, section: str) -> dict:
-    """The keys the file sets in ``section``, each read as ``_SCHEMA`` says."""
+    """The keys the file sets in ``section``, each read as ``_KEYS`` says."""
     if not parser.has_section(section):
         return {}
-    readers = _SCHEMA[section]
-    return {key: readers[key](value) for key, value in parser.items(section)}
+    return {key: _KEYS[section][key][0](value) for key, value in parser.items(section)}
 
 
 def _require(cls, section: str, given: dict):
     """Reject a ``section`` that lacks a key ``cls`` has no default for, naming the key."""
     for f in fields(cls):
-        if f.default is MISSING and f.name in _SCHEMA[section] and f.name not in given:
+        if f.default is MISSING and f.name in _KEYS[section] and f.name not in given:
             raise InvalidParameterError(f"[{section}] lacks {f.name!r}")
 
 
@@ -260,11 +255,15 @@ def _from_parser(parser, seed_override) -> Spec:
     if mode == "simulate":
         return SimulateSpec(**campaign, **_given(parser, "sweep"), **policy, envelope=envelope)
 
+    # Without enabled = true the other keys would be read and no eavesdropper run.
+    dropped = ", ".join(repr(key) for key in eve if key != "enabled")
     if eve and "enabled" not in eve:
-        # Without it the other keys would be read and no eavesdropper run.
         raise InvalidParameterError(
-            f"[eve] sets {', '.join(map(repr, eve))} but lacks 'enabled': set "
+            f"[eve] sets {dropped} but lacks 'enabled': set "
             "enabled = true to run the eavesdropper, or enabled = false to run without one")
+    if dropped and not eve["enabled"]:
+        raise InvalidParameterError(f"[eve] sets enabled = false, which drops {dropped}: "
+                                    "remove them, or set enabled = true to run the eavesdropper")
     strategy = EveStrategy(eve.get("delay", 0.0), **policy) if eve.get("enabled") else None
     if not parser.has_section("protocol"):
         raise InvalidParameterError("mode 'distill' needs a [protocol] section")

@@ -151,9 +151,22 @@ def test_eve_keys_without_enabled_are_invalid_input(tmp_path, capsys, eve):
     assert "[eve]" in captured.err and "lacks 'enabled'" in captured.err
 
 
+@pytest.mark.parametrize("eve,dropped", [("delay = 0.25\n", "'delay'"),
+                                         ("resend = none\n", "'resend'"),
+                                         ("resend = none\ndelay = 0\n", "'resend', 'delay'")])
+def test_eve_keys_with_enabled_false_are_invalid_input(tmp_path, capsys, eve, dropped):
+    # These used to run without an eavesdropper and drop the keys, silently.
+    path = tmp_path / "eve.ini"
+    path.write_text(SMALL + "[eve]\nenabled = false\n" + eve)
+    assert main(["distill", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"[eve] sets enabled = false, which drops {dropped}: " in captured.err
+
+
 def test_eve_disabled_explicitly_runs_without_eavesdropper(tmp_path, capsys):
     path = tmp_path / "eve.ini"
-    path.write_text(SMALL + "[eve]\nenabled = false\ndelay = 0.25\n")
+    path.write_text(SMALL + "[eve]\nenabled = false\n")
     assert main(["distill", str(path), "--out", str(tmp_path / "eve")]) == 0
     lines = (tmp_path / "eve.transcript.txt").read_text().split("\n")
     eve_column = lines[4].split("\t")

@@ -277,13 +277,13 @@ class TestConfig:
 
 
 # The keys each mode reads: the README's table, written out here so that
-# the test does not read it from ``harness._READ_BY``.
+# the test does not read it from ``harness._KEYS``.
 READ = {
     "analyze": {"mode", "seed", "out", "ratios", "chi_fractions"},
     "simulate": {"mode", "seed", "out", "trials", "ratios", "chi_fractions", "state_extent",
                  "tail_mass", "ramp_fraction", "resend"},
     "distill": {"mode", "seed", "out", "state_extent", "channel_length", "tail_mass",
-                "ramp_fraction", "enabled", "delay", "resend", *harness._SCHEMA["protocol"],
+                "ramp_fraction", "enabled", "delay", "resend", *harness._KEYS["protocol"],
                 "eps1", "eps2"},
 }
 
@@ -295,8 +295,8 @@ def _ini(sections) -> str:
 
 class TestModeKeys:
     @pytest.mark.parametrize("mode", harness.MODES)
-    @pytest.mark.parametrize("section,key", [(section, key) for section in harness._SCHEMA
-                                             for key in harness._SCHEMA[section]])
+    @pytest.mark.parametrize("section,key", [(section, key) for section in harness._KEYS
+                                             for key in harness._KEYS[section]])
     def test_a_mode_takes_exactly_the_keys_it_reads(self, tmp_path, mode, section, key):
         # An analyze file with a whole [protocol] section, or a distill file
         # with [sweep], once ran as if the section were absent.
@@ -314,13 +314,30 @@ class TestModeKeys:
                 load_campaign(str(path))
 
     def test_the_table_has_34_settable_pairs(self):
-        read_by = harness._READ_BY
-        pairs = {mode: {key for section, keys in harness._SCHEMA.items() for key in keys
-                        if mode in read_by.get((section, key), read_by[section])}
+        pairs = {mode: {key for keys in harness._KEYS.values()
+                        for key, (_, modes) in keys.items() if mode in modes}
                  for mode in harness.MODES}
         assert pairs == READ
         assert [len(pairs[mode]) for mode in harness.MODES] == [5, 10, 19]
         assert sum(map(len, pairs.values())) == 34
+
+    def test_readme_table_is_the_key_table(self):
+        # Each row names its sections' keys, or "(N keys)" for all N of one.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| (`\[.*?) \|(.*)\|$", readme, re.M)
+        assert len(rows) == 7
+        stated = set()
+        for keys, marks in rows:
+            modes = [mode for mode, mark in zip(harness.MODES, marks.split("|")) if mark.strip()]
+            for section, names in re.findall(r"`\[(\w+)\]` ([^;`]*)", keys):
+                names = names.strip(" ,")
+                count = re.fullmatch(r"\((\d+) keys\)", names)
+                names = list(harness._KEYS[section]) if count else names.split(", ")
+                assert not count or len(names) == int(count[1])
+                stated |= {(mode, section, key) for mode in modes for key in names}
+        table = {(mode, section, key) for section, keys in harness._KEYS.items()
+                 for key, (_, modes) in keys.items() for mode in modes}
+        assert stated == table
 
     def test_each_spec_holds_what_its_mode_reads(self):
         assert {spec.mode: {f.name for f in fields(spec)}
@@ -334,8 +351,8 @@ class TestModeKeys:
     # a tail mass with a ramp.  A distill file's keys fit no other mode, so
     # its mode has no second valid value.
     @pytest.mark.parametrize("mode,section,key", [
-        (mode, section, key) for mode in harness.MODES for section in harness._SCHEMA
-        for key in harness._SCHEMA[section]
+        (mode, section, key) for mode in harness.MODES for section in harness._KEYS
+        for key in harness._KEYS[section]
         if key in READ[mode] and (mode, key) != ("distill", "mode")])
     def test_each_key_a_mode_reads_reaches_its_spec(self, tmp_path, mode, section, key):
         def spec(value):

@@ -77,9 +77,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             summary = harness.cmd_verify()
+            text = summary.to_text()
             if args.out is not None:
-                _write((args.out, (summary.to_text().encode(),)))
-            sys.stdout.write(summary.to_text())
+                _write((args.out, (text.encode(),)))
+            sys.stdout.write(text)
             return 0 if summary.all_passed else 1
         spec = harness.load_campaign(args.config, seed_override=args.seed)
         if spec.mode != args.command:
@@ -88,13 +89,14 @@ def main(argv=None) -> int:
         out = spec.out if args.out is None else args.out
         if args.command == "distill":
             transcript, report = harness.cmd_distill(spec)
+            text = report.to_text()
             if out is None:
                 sys.stdout.writelines(piece.decode("ascii")
                                       for piece in transcript.text_pieces())
             else:
                 _write((out + ".transcript.txt", transcript.text_pieces()),
-                       (out + ".report.txt", (report.to_text().encode(),)))
-            sys.stdout.write(report.to_text())
+                       (out + ".report.txt", (text.encode(),)))
+            sys.stdout.write(text)
         else:
             sweep = harness.cmd_analyze if args.command == "analyze" else harness.cmd_simulate
             text = harness.rows_to_csv(sweep(spec))

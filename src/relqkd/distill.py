@@ -234,10 +234,9 @@ class Transcript:
                                             "of one sent bit")
             parities[:, groups] = (form_parity_bits(a[:, 0], n),
                                    form_parity_bits(majority_decode(b), n))
-        walk = hash_rounds(*parities, self.subsets)
-        self.__dict__.update(subsets=self.subsets[:len(walk.log)], hash_log=walk.log,
-                             key_a=walk.key_a, key_b=walk.key_b, aborted=walk.aborted,
-                             p_err_estimate=float(errors / count))
+        log, key_a, key_b = hash_rounds(*parities, self.subsets)
+        self.__dict__.update(hash_log=log, key_a=key_a, key_b=key_b, aborted=key_a is None,
+                             subsets=self.subsets[:len(log)], p_err_estimate=float(errors / count))
 
     def __eq__(self, other):
         """The arrays compare as arrays, then the subsets and n."""
@@ -639,27 +638,21 @@ def _random_subsets(rng: np.random.Generator, lengths: list[int]) -> list[int]:
     return subsets + [int(rng.integers(1, 1 << n)) for n in lengths[run:]]
 
 
-@dataclass(frozen=True)
-class HashResult:
-    key_a: np.ndarray | None
-    key_b: np.ndarray | None
-    aborted: bool
-    log: tuple[HashRecord, ...]
-
-
-def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
-    """Walk the round-by-round parity-hash comparison over the given subsets.
+def hash_rounds(bits_a, bits_b, subsets) -> tuple[tuple[HashRecord, ...], np.ndarray | None,
+                                                 np.ndarray | None]:
+    """Walk the round-by-round parity-hash comparison; return ``(log, key_a, key_b)``.
 
     Subset l is a non-zero bit string as long as the strings before round
     l, len(bits) - l + 1 characters, character i selecting position i.
     Each round compares the subset parities, aborts on a mismatch, and
     otherwise discards the bit at the lowest position the subset selects.
     Over M uniform non-zero subsets an undetected residual mismatch
-    survives with probability 2^-M.  Callers pass two uint8 strings of
-    bits 0 and 1 and of one length.  Every subset is checked before the
-    walk, so subsets that are not a sequence of one string or more, any
-    other subset (past an abort too), or as many subsets as bits raises
-    InvalidParameterError.
+    survives with probability 2^-M.  On an abort both keys are None and
+    the last record's ``discarded`` is None.  Callers pass two uint8
+    strings of bits 0 and 1 and of one length.  Every subset is checked
+    before the walk, so subsets that are not a sequence of one string or
+    more, any other subset (past an abort too), or as many subsets as bits
+    raises InvalidParameterError.
     """
     if not isinstance(subsets, Sequence) or not subsets:
         raise InvalidParameterError("hash subsets must be a sequence of one string or more")
@@ -680,11 +673,10 @@ def hash_rounds(bits_a, bits_b, subsets) -> HashResult:
         pa, pb, ia, ib = _hash_step(ia, ib, s)
         if pa != pb:
             log.append(HashRecord(l, text, pa, pb, None))
-            return HashResult(None, None, True, tuple(log))
+            return tuple(log), None, None
         log.append(HashRecord(l, text, pa, pb, (s & -s).bit_length() - 1))
     length -= len(subsets)
-    return HashResult(_int_to_bits(ia, length), _int_to_bits(ib, length),
-                      False, tuple(log))
+    return tuple(log), _int_to_bits(ia, length), _int_to_bits(ib, length)
 
 
 def run_session(cfg: ProtocolConfig) -> Transcript:

@@ -416,15 +416,10 @@ def cmd_distill(spec: DistillSpec) -> tuple[Transcript, SecurityReport]:
     cfg = spec.protocol
     transcript = run_session(cfg)
     report = build_report(
-        n_key=cfg.key_length,
-        blocks_per_parity=cfg.blocks_per_parity,
-        block_size=cfg.block_size,
-        hash_rounds=cfg.hash_rounds,
-        ratio=cfg.channel_length / cfg.envelope.plateau_length,
-        eps1=spec.eps1, eps2=spec.eps2,
-        p_err_estimate=transcript.p_err_estimate,
-        aborted=transcript.aborted,
-    )
+        n_key=cfg.key_length, blocks_per_parity=cfg.blocks_per_parity,
+        block_size=cfg.block_size, hash_rounds=cfg.hash_rounds,
+        ratio=cfg.channel_length / cfg.envelope.plateau_length, eps1=spec.eps1, eps2=spec.eps2,
+        p_err_estimate=transcript.p_err_estimate, aborted=transcript.aborted)
     return transcript, report
 
 

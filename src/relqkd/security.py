@@ -108,6 +108,9 @@ class SecurityReport:
     N + log2(1 - 2^-M), I(A;E) = N log2(1 + 2 zeta), and the I(B;E) bound
     (2 N zeta + 2^-M)/ln 2 combines the two through the information triangle
     inequality with the conservative + sign, so it is never negative.
+    ``all_ok`` says the parameters meet eps1 and eps2 under the bound's
+    assumptions; it is no verdict on the session.  A session at (k, n, M) =
+    (1, 45, 12), ratio .5, seed 7 and her delay 0 aborts, yet reads all_ok=true.
     """
 
     n_key: int
@@ -206,14 +209,20 @@ class SecurityReport:
             raise InvalidParameterError(
                 f"expected a {REPORT_SCHEMA} block, got first line {lines[0][:40]!r}")
         kv = dict(line.partition("=")[::2] for line in lines[1:])
+        args = {}
+        for f in fields(cls):
+            if f.init and f.name in kv:
+                try:
+                    # Annotations are strings here, such as "int" or "float | None".
+                    args[f.name] = _PARSERS[f.type.split(" |")[0]](kv[f.name])
+                except (KeyError, ValueError):
+                    raise InvalidParameterError(f"malformed report: cannot read {f.name} "
+                                                f"from {kv[f.name][:40]!r}") from None
+            elif f.init and f.default is MISSING:
+                raise InvalidParameterError(f"malformed report: no line sets {f.name}")
         try:
-            # Annotations are strings here, such as "int" or "float | None".
-            report = cls(**{f.name: _PARSERS[f.type.split(" |")[0]](kv[f.name])
-                            for f in fields(cls)
-                            if f.init and (f.name in kv or f.default is MISSING)})
-        except InvalidParameterError:
-            raise
-        except (KeyError, ValueError, OverflowError) as exc:
+            report = cls(**args)
+        except OverflowError as exc:
             raise InvalidParameterError(f"malformed report: {exc!r}") from exc
         if report.to_text() != text:
             raise InvalidParameterError("the text differs from what to_text writes")

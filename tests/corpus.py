@@ -18,8 +18,12 @@ valid value of every argument and, every other call, makes one argument
 invalid.  A call's digest hashes its output text, or the type and message
 of the ``RelqkdError`` it raises.
 
+``verify_calls`` are the four ``relqkd verify`` command lines of
+``VERIFY_OPTIONS``, hashed as the campaign calls are.
+
 ``tests/corpus.sha256`` pins one 16-hex-digit digest per call, the
-campaign calls first; ``python tests/corpus.py`` prints the lines.
+campaign calls first, then the boundary and the verify calls;
+``python tests/corpus.py`` prints the lines.
 """
 
 import contextlib
@@ -28,8 +32,10 @@ import io
 import math
 import os
 import random
+import shlex
 import sys
 import tempfile
+from unittest import mock
 
 from relqkd import (
     EveStrategy,
@@ -49,6 +55,8 @@ from relqkd.cli import main
 SEED, SIZE = 2026, 600
 BOUNDARY_SEED, BOUNDARY_SIZE = 2027, 300
 CAMPAIGN = "campaign.ini"
+# The options of each verify call: none, a summary file, an empty path and an unknown option.
+VERIFY_OPTIONS = ([], ["--out", "summary.txt"], ["--out", ""], ["--unknown"])
 
 # A smallest valid file of each mode, by section.
 MINIMAL = {
@@ -120,12 +128,24 @@ def calls():
             yield " ".join([f"{index:04d}", mode, *seed]), [mode, CAMPAIGN, *seed], text
 
 
-def _run(argv, text: str) -> str:
-    """The digest of one call in the working directory, whose written files it then removes."""
-    with open(CAMPAIGN, "w") as fh:
-        fh.write(text)
+def verify_calls():
+    """Each verify call's name and command line."""
+    for index, options in enumerate(VERIFY_OPTIONS):
+        yield f"verify {index:04d} {shlex.join(options)}".rstrip(), ["verify", *options]
+
+
+def _run(argv, text: str | None = None) -> str:
+    """The digest of one call in the working directory, whose written files it then removes.
+
+    The call's campaign file holds ``text``; a call without one writes none.
+    """
+    if text is not None:
+        with open(CAMPAIGN, "w") as fh:
+            fh.write(text)
+    # argparse wraps a usage error to the terminal's width, so the width is fixed.
     with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()) as err:
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         code = main(argv)
     digest = hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode())
     for name in sorted(os.listdir()):
@@ -237,14 +257,15 @@ def _outcome(call) -> str:
 
 
 def digests(directory: str) -> list[str]:
-    """Each call's pinned line, ``<digest> <name>``; the campaign calls run in ``directory``."""
+    """Each call's pinned line, ``<digest> <name>``; the command lines run in ``directory``."""
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         lines = [f"{_run(argv, text)} {name}" for name, argv, text in calls()]
+        lines += [f"{_outcome(call)} {name}" for name, _, call in boundary_calls()]
+        return lines + [f"{_run(argv)} {name}" for name, argv in verify_calls()]
     finally:
         os.chdir(cwd)
-    return lines + [f"{_outcome(call)} {name}" for name, _, call in boundary_calls()]
 
 
 if __name__ == "__main__":

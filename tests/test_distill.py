@@ -212,25 +212,23 @@ class TestHashRounds:
     def test_identical_strings_never_abort(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 24)
-        result = hash_rounds(bits, bits.copy(), _subsets(rng, 24, 8))
-        assert not result.aborted
-        assert result.key_a.size == 16
-        assert (result.key_a == result.key_b).all()
+        _, key_a, key_b = hash_rounds(bits, bits.copy(), _subsets(rng, 24, 8))
+        assert key_a.size == 16
+        assert (key_a == key_b).all()
 
     def test_each_round_shortens_by_one(self):
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, 21)
-        result = hash_rounds(bits, bits.copy(), _subsets(rng, 21, 5))
-        lengths = [len(h.subset) for h in result.log]
-        assert lengths == [21, 20, 19, 18, 17]
-        assert result.key_a.size == 16
+        log, key_a, _ = hash_rounds(bits, bits.copy(), _subsets(rng, 21, 5))
+        assert [len(h.subset) for h in log] == [21, 20, 19, 18, 17]
+        assert key_a.size == 16
 
     def test_walk_stops_at_the_first_mismatch(self):
         # Round 1 keeps the differing bit (position 2) and drops position 0;
         # round 2 selects the differing bit, now at position 1.
-        result = hash_rounds([0, 1, 0, 1], [0, 1, 1, 1], ["1100", "010", "01"])
-        assert result.aborted and result.key_a is None and result.key_b is None
-        assert [(h.round_index, h.discarded) for h in result.log] == [(1, 0), (2, None)]
+        log, key_a, key_b = hash_rounds([0, 1, 0, 1], [0, 1, 1, 1], ["1100", "010", "01"])
+        assert key_a is None and key_b is None
+        assert [(h.round_index, h.discarded) for h in log] == [(1, 0), (2, None)]
 
     @pytest.mark.parametrize("errors", [1, 5])
     def test_single_round_detection_is_half(self, errors):
@@ -247,6 +245,20 @@ class TestHashRounds:
         detected = np.count_nonzero(pa != pb)
         sigma = math.sqrt(0.25 / trials)
         assert abs(detected / trials - 0.5) <= 3.0 * sigma + 1e-5
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), length=st.integers(2, 24))
+    def test_keys_are_none_exactly_when_the_last_round_discards_none(self, data, length):
+        bits = st.lists(st.integers(0, 1), min_size=length, max_size=length)
+        bits_a = np.array(data.draw(bits), dtype=np.uint8)
+        bits_b = bits_a ^ np.array(data.draw(bits), dtype=np.uint8)
+        rounds = data.draw(st.integers(1, length - 1))
+        subsets = [format(data.draw(st.integers(1, (1 << n) - 1)), f"0{n}b")
+                   for n in range(length, length - rounds, -1)]
+        log, key_a, key_b = hash_rounds(bits_a, bits_b, subsets)
+        assert (key_a is None) == (key_b is None) == (log[-1].discarded is None)
+        assert all(h.discarded is not None for h in log[:-1])
+        assert key_a is None or (len(log), key_a.size) == (rounds, length - rounds)
 
     def test_too_many_rounds_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -941,6 +953,24 @@ class TestTranscript:
         else:
             assert key_a.tolist() == transcript.key_a.tolist()
             assert key_b.tolist() == transcript.key_b.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(key_length=st.integers(1, 16), k=st.sampled_from([1, 3]), n=st.integers(1, 3),
+           rounds=st.integers(1, 6), flip=st.sampled_from([0.0, 0.05, 0.2]),
+           eve_delay=st.sampled_from([None, 0.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_aborted_is_what_the_keys_say(self, key_length, k, n, rounds, flip, eve_delay,
+                                          seed):
+        # The abort is derived from the keys, in the session and in its text read back.
+        try:
+            transcript = run_session(make_config(
+                key_length=key_length, block_size=k, blocks_per_parity=n, hash_rounds=rounds,
+                flip_probability=flip, eve=None if eve_delay is None else EveStrategy(eve_delay),
+                seed=seed))
+        except ResourceExhaustedError:
+            return
+        for t in (transcript, Transcript.from_text(transcript.to_text())):
+            assert t.aborted == (t.key_a is None) == (t.key_b is None)
+            assert t.aborted == (t.hash_log[-1].discarded is None)
 
 
 NOISY = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,

@@ -588,6 +588,18 @@ class TestReportSerialization:
         with pytest.raises(InvalidParameterError, match=r"eps[12] must lie in \(0, 1\)"):
             SecurityReport.from_text(text)
 
+    # Each once named a raw KeyError instead of the parameter.
+    @pytest.mark.parametrize("edit, refusal", [
+        (("blocks_per_parity=10", "blocks_per_parity10"),
+         "malformed report: no line sets blocks_per_parity$"),
+        (("aborted=false", "aborted=fals"), "malformed report: cannot read aborted from 'fals'$"),
+    ], ids=["missing-equals", "aborted-fals"])
+    def test_refusal_names_the_parameter(self, edit, refusal):
+        text = build_report(64, 10, 3, 8, 0.9, 1e-2, 0.1, 0.01, False).to_text()
+        assert edit[0] in text
+        with pytest.raises(InvalidParameterError, match=refusal):
+            SecurityReport.from_text(text.replace(*edit))
+
     def test_session_fields_round_trip(self):
         _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
         report = dataclasses.replace(report, p_err_estimate=0.125, aborted=False)

@@ -431,7 +431,7 @@ def _spell_ids(cells: np.ndarray, ids: np.ndarray) -> None:
 
 
 def _member_ids(line: np.ndarray, count: int, width: int, rounds: int) -> np.ndarray:
-    """The ``count`` round ids a members line spells, given its bytes and newline.
+    """The ``count`` round ids, one or more, a members line spells, given its bytes and newline.
 
     The line must be ``count`` ids of ``width`` ASCII digits, each followed
     by a space and the last by the newline, and its size must already
@@ -447,8 +447,6 @@ def _member_ids(line: np.ndarray, count: int, width: int, rounds: int) -> np.nda
     if rounds > _MAX_ROUNDS:
         raise InvalidParameterError(
             f"a transcript holds at most {_MAX_ROUNDS} rounds, got {rounds}")
-    if not count:
-        return np.empty(0, dtype=np.int32)
     cells = line.reshape(count, width + 1)
     if (np.count_nonzero(line - ord("0") < 10) != count * width
             or (cells[:-1, width] != ord(" ")).any() or cells[-1, width] not in b" \n"):

@@ -73,23 +73,15 @@ def parity_cosine(n: int, k: int) -> float:
     return (2.0 ** total) / (2.0 * k) * acc
 
 
-def _log2_int(v: int) -> float:
-    """log2 of a positive integer of any size; callers pass a count, never 0."""
-    if v.bit_length() <= 900:
-        return math.log2(v)
-    shift = v.bit_length() - 64
-    return math.log2(v >> shift) + shift
-
-
-def _key_length(n_key) -> int:
-    """The key length N as a Python int: an integer from 1 up to the float range."""
-    n_key = require_integer("key length", n_key)
-    if n_key < 1:
-        raise InvalidParameterError(f"key length must be >= 1, got {n_key}")
-    if n_key > sys.float_info.max:
-        raise InvalidParameterError(f"key length must be at most {sys.float_info.max:g}, "
-                                    f"got an integer of {n_key.bit_length()} bits")
-    return n_key
+def _count(name: str, value) -> int:
+    """The count ``name`` as a Python int: an integer from 1 up to the float range."""
+    value = require_integer(name, value)
+    if value < 1:
+        raise InvalidParameterError(f"{name} must be >= 1, got {value}")
+    if value > sys.float_info.max:
+        raise InvalidParameterError(f"{name} must be at most {sys.float_info.max:g}, "
+                                    f"got an integer of {value.bit_length()} bits")
+    return value
 
 
 @dataclass(frozen=True)
@@ -99,9 +91,10 @@ class SecurityReport:
     The nine init fields are the parameters, and a session's error estimate
     and abort; ``__post_init__`` reads each once as a Python int, float or
     bool, refuses it out of range, and derives every bound and flag from
-    them.  For key length N, M hash rounds and n blocks of k per parity bit:
-    her per-parity-bit advantage ``zeta`` is [(1 + ratio)/2]^(eta n k), and
-    1, a vacuous bound, at n = 1, whose parity set holds one string (eta = 0).
+    them.  For key length N and M hash rounds, each an integer from 1 up to
+    the float range (``_count``), and n blocks of k per parity bit: her
+    per-parity-bit advantage ``zeta`` is [(1 + ratio)/2]^(eta n k), and 1, a
+    vacuous bound, at n = 1, whose parity set holds one string (eta = 0).
     ``pr_eve_key`` = 2^-N (1 + 2 zeta)^N bounds her guessing the whole key;
     it is computed in log space, and past the float range it is inf and
     flagged invalid, as is any value above 1.  In bits, I(A;B) =
@@ -151,9 +144,8 @@ class SecurityReport:
         object.__setattr__(self, "aborted", None if self.aborted is None else bool(self.aborted))
         if not (0.0 <= self.ratio < 1.0):
             raise InvalidParameterError(f"channel ratio must lie in [0, 1), got {self.ratio}")
-        n_key = _key_length(self.n_key)
-        if self.hash_rounds < 1:
-            raise InvalidParameterError(f"hash rounds must be >= 1, got {self.hash_rounds}")
+        n_key = _count("key length", self.n_key)
+        _count("hash rounds", self.hash_rounds)
         # The count last: it walks O((nk)^2) bit operations, and refuses n, k out of range.
         n, k = self.blocks_per_parity, self.block_size
         eta = exact_eta(n, k)
@@ -220,10 +212,7 @@ class SecurityReport:
                                                 f"from {kv[f.name][:40]!r}") from None
             elif f.init and f.default is MISSING:
                 raise InvalidParameterError(f"malformed report: no line sets {f.name}")
-        try:
-            report = cls(**args)
-        except OverflowError as exc:
-            raise InvalidParameterError(f"malformed report: {exc!r}") from exc
+        report = cls(**args)
         if report.to_text() != text:
             raise InvalidParameterError("the text differs from what to_text writes")
         return report
@@ -245,7 +234,7 @@ def exact_eta(n: int, k: int) -> float:
 
     ``parity_count`` reads n and k, and refuses them out of its range.
     """
-    return _log2_int(parity_count(n, k)) / (n * k)
+    return math.log2(parity_count(n, k)) / (n * k)
 
 
 def build_report(
@@ -305,12 +294,11 @@ def solve_parameters(
     eps1, eps2 = require_float("eps1", eps1), require_float("eps2", eps2)
     if not (0.0 < eps1 < 1.0 and 0.0 < eps2 < 1.0):
         raise InvalidParameterError("eps1 and eps2 must lie in (0, 1)")
-    n_key = _key_length(n_key)
+    n_key = _count("key length", n_key)
     ratio = require_float("ratio", ratio)
     if not (0.0 <= ratio < 1.0):
         raise InvalidParameterError(
-            f"channel ratio must lie in [0, 1) for a solution to exist, got {ratio}"
-        )
+            f"channel ratio must lie in [0, 1) for a solution to exist, got {ratio}")
 
     m1 = math.ceil(-math.log2(eps1))
     m2 = math.ceil(math.log2(2.0 / (eps2 * LN2)))
@@ -328,8 +316,7 @@ def solve_parameters(
         fail, probe = probe, min(2 * probe, MAX_TOTAL)
     else:
         raise InvalidParameterError(
-            f"no (n, k) with n*k <= {MAX_TOTAL} satisfies the criterion"
-        )
+            f"no (n, k) with n*k <= {MAX_TOTAL} satisfies the criterion")
     # Bisect (fail, probe]: the smallest passing n.
     while probe - fail > 1:
         mid = (fail + probe) // 2

@@ -80,6 +80,9 @@ VALUES = {"seed": ("3", "4"), "trials": ("10", "11"), "out": ("run.csv", "other.
           "eps1": ("0.01", "0.1"), "eps2": ("0.01", "0.1")}
 # Values that no key, or not every key, takes.
 INVALID = ("", "x", "-1", "0", "1.5", "nan", "1e400", "verify")
+# The arguments of the reports whose texts the boundary calls mutate.
+REPORT_ARGS = ((16, 45, 1, 12, 0.5, 1e-3, 1e-3), (64, 10, 3, 8, 0.9, 1e-2, 0.1, 0.01, False),
+               (8, 2, 1, 4, 0.25, 0.1, 0.1, None, True))
 
 
 def _ini(sections) -> str:
@@ -213,9 +216,7 @@ def boundary_calls():
         (8, 3, 2, 4, 0.1, ideal, 0.5, 1),
         (16, 3, 4, 8, 0.1, tailed, 0.5, 2, 0.02, 0.1),
         (16, 5, 4, 8, 0.1, ideal, 0.5, 1, 0.0, 0.0, EveStrategy(0.25)))]
-    reports = [build_report(*args).to_text() for args in (
-        (16, 45, 1, 12, 0.5, 1e-3, 1e-3), (64, 10, 3, 8, 0.9, 1e-2, 0.1, 0.01, False),
-        (8, 2, 1, 4, 0.25, 0.1, 0.1, None, True))]
+    reports = [build_report(*args).to_text() for args in REPORT_ARGS]
 
     def make_plateau_text(**args):
         envelope = make_plateau(**args)

@@ -5,8 +5,9 @@ parity-identity checks in fixed-size chunks, a sweep's closed forms
 once over its grid and its pass probabilities once per delay,
 ``relqkd.wavepacket`` shifts a carrier's pieces once per overlap,
 ``relqkd.distill`` draws a session's rounds in chunks until it has its
-blocks, addresses each stream by name and draws its hash subsets in
-batches, and ``relqkd.security`` takes ``parity_count`` at k = 1 in
+blocks, addresses each stream by name, draws its hash subsets in
+batches and derives the keys a chunk of parity groups at a time, and
+``relqkd.security`` takes ``parity_count`` at k = 1 in
 closed form, evaluates the cosine side of the counting identity in
 ``parity_cosine`` alone, and derives a report's bounds in one place.
 The functions here are the plain forms those replace: ``sweep_rows``
@@ -15,7 +16,8 @@ builds each grid point's row from scalar closed forms, its own
 ``carrier_overlap`` shifts a piece once per pair, each check and
 ``session`` draws or builds its whole working array at once, ``session``
 spawns its streams in order, ``random_nonzero`` draws one subset per
-call, ``parity_walk`` walks the binomial row for any k, ``parity_cosine``
+call, ``keys`` derives both keys from a record by plain loops,
+``parity_walk`` walks the binomial row for any k, ``parity_cosine``
 is the cosine loop as it stood beside the count, and ``zeta``,
 ``eve_key_probability`` and ``information_bounds`` compute the bounds
 one function each.  The tests hold the package's results equal to these,
@@ -79,6 +81,39 @@ def session(cfg: distill.ProtocolConfig) -> Transcript:
     subsets = tuple(format(random_nonzero(rngs["hash"], n), f"0{n}b")[::-1]
                     for n in range(length, length - cfg.hash_rounds, -1))
     return Transcript(table, blocks, subsets, cfg.blocks_per_parity)
+
+
+def keys(transcript: Transcript) -> tuple[list[int] | None, list[int] | None]:
+    """Both keys the transcript's record gives, by plain loops; (None, None) on an abort.
+
+    Block b's bit is A's sent bit of its first round and B's majority vote
+    over its outcomes; parity bit j XORs blocks j*n .. j*n+n-1.  Each
+    announced subset compares the XORs of the positions it selects, and a
+    match deletes the lowest selected position from both strings.
+    """
+    table, n = transcript.round_table, transcript.blocks_per_parity
+    block_a, block_b = [], []
+    for ids in transcript.blocks:
+        block_a.append(int(table[ids[0], 0]))
+        block_b.append(int(2 * sum(int(table[i, 1]) for i in ids) > len(ids)))
+    parity_a, parity_b = [], []
+    for j in range(len(block_a) // n):
+        pa = pb = 0
+        for b in range(j * n, j * n + n):
+            pa ^= block_a[b]
+            pb ^= block_b[b]
+        parity_a.append(pa)
+        parity_b.append(pb)
+    for subset in transcript.subsets:
+        selected = [i for i, c in enumerate(subset) if c == "1"]
+        pa = pb = 0
+        for i in selected:
+            pa ^= parity_a[i]
+            pb ^= parity_b[i]
+        if pa != pb:
+            return None, None
+        del parity_a[selected[0]], parity_b[selected[0]]
+    return parity_a, parity_b
 
 
 def _draw(cfg, rngs, f_eve, p_pass, need_blocks, rounds):
@@ -163,7 +198,7 @@ def eve_key_probability(n_key: int, zeta_value: float) -> EveKeyBound:
     The bound is computed in log space; past the float range it is inf,
     and vacuous.
     """
-    n_key, zeta_value = security._key_length(n_key), _zeta_value(zeta_value)
+    n_key, zeta_value = security._count("key length", n_key), _zeta_value(zeta_value)
     log_value = n_key * (math.log1p(2.0 * zeta_value) - LN2)
     try:
         value = math.exp(log_value)
@@ -186,7 +221,7 @@ def information_bounds(n_key: int, hash_rounds: int, zeta_value: float) -> Infor
     The conservative + sign is used in the I(B;E) combination so the bound
     can never go negative.
     """
-    n_key = security._key_length(n_key)
+    n_key = security._count("key length", n_key)
     hash_rounds = require_integer("hash rounds", hash_rounds)
     if hash_rounds < 1:
         raise InvalidParameterError(f"hash rounds must be >= 1, got {hash_rounds}")

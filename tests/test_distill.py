@@ -1,7 +1,6 @@
 """Protocol engine: sifting, blocks, parities, hashing, full sessions."""
 
 import dataclasses
-import itertools
 import math
 import re
 import tracemalloc
@@ -500,11 +499,12 @@ class TestRunSession:
         ("hash_rounds", 4.0, "hash_rounds must be an integer"),
         ("disclose_fraction", "x", "disclose_fraction must be a real number"),
         ("channel_length", "x", "channel_length must be a real number"),
+        ("channel_length", 10**400, "channel_length must be a real number"),
         ("flip_probability", "x", "flip_probability must be a real number"),
         ("loss_probability", None, "loss_probability must be a real number"),
     ], ids=["envelope", "eve", "seed", "key-length", "block-size", "blocks-per-parity",
-            "hash-rounds", "disclose-fraction", "channel-length", "flip-probability",
-            "loss-probability"])
+            "hash-rounds", "disclose-fraction", "channel-length",
+            "channel-length-past-the-float-range", "flip-probability", "loss-probability"])
     def test_field_of_the_wrong_type_rejected(self, field, value, refusal):
         with pytest.raises(InvalidParameterError, match=refusal):
             make_config(**{field: value})
@@ -976,11 +976,10 @@ class TestTranscript:
 NOISY = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
                                 flip_probability=0.05, seed=5))
 NOISY_TEXT = NOISY.to_text()
-# The first seed whose eavesdropped session aborts before its last hash round.
-ABORTED = next(transcript for transcript in (
-    run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
-                            eve=EveStrategy(delay=0.0), seed=seed)) for seed in itertools.count())
-    if len(transcript.hash_log) < 3 and transcript.aborted)
+# The first seed whose eavesdropped session aborts before its last hash round;
+# test_unannounced_subsets_do_not_count checks that it does.
+ABORTED = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity=2,
+                                  eve=EveStrategy(delay=0.0), seed=1))
 ABORTED_TEXT = ABORTED.to_text()
 EAVESDROPPED = run_session(make_config(key_length=8, blocks_per_parity=2, hash_rounds=4,
                                        eve=EveStrategy(0.25), seed=13))
@@ -1041,6 +1040,33 @@ class TestBirthCheck:
         (transcript.hash_log, transcript.aborted, transcript.abort_reason,
          transcript.p_err_estimate, tuple(transcript.rounds), replay_keys(transcript))
         assert Transcript.from_text(transcript.to_text()) == transcript
+
+
+class TestKeysFromTheRecord:
+    """The keys and the abort a transcript derives, against ``reference.keys``'s plain loops."""
+
+    @staticmethod
+    def _assert_keys(transcript):
+        for derived in (transcript, Transcript.from_text(transcript.to_text())):
+            key_a, key_b = reference.keys(derived)
+            listed = [None if key is None else key.tolist()
+                      for key in (derived.key_a, derived.key_b)]
+            assert (*listed, derived.aborted) == (key_a, key_b, key_a is None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(key_length=st.integers(1, 16), k=st.sampled_from([1, 3, 5]), n=st.integers(1, 4),
+           hash_rounds=st.integers(1, 6), noise=st.booleans(), loss=st.booleans(),
+           eve=st.booleans(), seed=st.integers(0, 2 ** 32))
+    def test_random_sessions(self, key_length, k, n, hash_rounds, noise, loss, eve, seed):
+        self._assert_keys(run_session(make_config(
+            key_length=key_length, block_size=k, blocks_per_parity=n, hash_rounds=hash_rounds,
+            flip_probability=0.05 * noise, loss_probability=0.1 * loss,
+            eve=EveStrategy(delay=0.0) if eve else None, seed=seed)))
+
+    @pytest.mark.parametrize("case", sorted(DISTILL_CASES))
+    def test_golden_sessions(self, tmp_path, case):
+        self._assert_keys(cmd_distill(
+            campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case])))[0])
 
 
 def _reference_rounds(transcript) -> tuple[RoundRecord, ...]:

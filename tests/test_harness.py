@@ -257,6 +257,11 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="^out must be a non-empty path or None"):
             AnalyzeSpec(1, ratios=(0.5,), chi_fractions=(0.1,), out=out)
 
+    def test_empty_out_of_a_distill_spec_rejected(self):
+        protocol = distill.ProtocolConfig(8, 3, 2, 4, 0.1, make_plateau(1.0), 0.5, 1)
+        with pytest.raises(InvalidParameterError, match="^out must be a non-empty path or None"):
+            DistillSpec(protocol, out="")
+
     def test_empty_out_in_a_file_is_invalid_input(self, tmp_path, capsys):
         # It once sent the table to stdout, while --out '' is refused.
         path = tmp_path / "analyze.ini"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import reference
 from relqkd import security
 from relqkd.errors import InvalidParameterError, RelqkdError
@@ -357,7 +358,7 @@ class TestNumpyIntegers:
         assert parity_count(np.int64(100), 1) == 2 ** 99
 
     def test_report(self):
-        # _log2_int once raised a raw AttributeError on numpy integers.
+        # The log2 of the count once raised a raw AttributeError on numpy integers.
         report = build_report(np.int64(64), np.int64(45), np.int8(1), np.uint16(12), 0.5,
                               1e-3, 1e-3)
         assert report.to_text() == build_report(64, 45, 1, 12, 0.5, 1e-3, 1e-3).to_text()
@@ -453,6 +454,11 @@ def _time_limit(seconds):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
+
+# The boundary corpus's report texts, and a report's int and float parameters.
+_REPORT_TEXTS = [build_report(*args).to_text() for args in corpus.REPORT_ARGS]
+_INTS = ("n_key", "blocks_per_parity", "block_size", "hash_rounds")
+_FLOATS = ("ratio", "eps1", "eps2", "p_err_estimate")
 
 # ROADMAP item 17's pool of numeric edges.
 _EDGES = st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 1e308,
@@ -600,6 +606,26 @@ class TestReportSerialization:
         with pytest.raises(InvalidParameterError, match=refusal):
             SecurityReport.from_text(text.replace(*edit))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_parameter_text_raises_only_typed_errors(self, data):
+        # One parameter of a corpus report replaced: an int by one of up to
+        # 400 digits (none of 3 to 6, at which n or k would make the count
+        # walk a row of 10^5 or more), a float by an edge.
+        text = data.draw(st.sampled_from(_REPORT_TEXTS))
+        name = data.draw(st.sampled_from([name for name in _INTS + _FLOATS
+                                          if f"\n{name}=" in text]))
+        if name in _INTS:
+            digits = data.draw(st.sampled_from([1, 2, *range(7, 401)]))
+            value = data.draw(st.integers(10 ** (digits - 1) - (digits == 1), 10 ** digits - 1))
+            value = str(data.draw(st.sampled_from([value, -value])))
+        else:
+            value = data.draw(st.sampled_from(["1e999", "inf", "nan", "-0.0"]))
+        try:
+            SecurityReport.from_text(re.sub(f"(?m)^{name}=.*$", f"{name}={value}", text))
+        except InvalidParameterError:
+            pass
+
     def test_session_fields_round_trip(self):
         _, report = solve_parameters(1e-3, 1e-3, 16, 0.25)
         report = dataclasses.replace(report, p_err_estimate=0.125, aborted=False)
@@ -641,7 +667,10 @@ class TestReportFields:
         ("ratio", 1.5, r"channel ratio must lie in \[0, 1\), got 1.5"),
         ("n_key", 0, "key length must be >= 1, got 0"),
         ("hash_rounds", 0, "hash rounds must be >= 1, got 0"),
-    ], ids=["ratio", "n_key", "hash_rounds"])
+        # It once raised a raw OverflowError, which from_text wrapped.
+        ("hash_rounds", 10**400,
+         r"hash rounds must be at most 1.79769e\+308, got an integer of 1329 bits"),
+    ], ids=["ratio", "n_key", "hash_rounds", "hash_rounds-past-the-float-range"])
     @pytest.mark.parametrize("way", ["build_report", "from_text"])
     def test_range_refused_before_the_count(self, monkeypatch, name, value, refusal, way):
         text = build_report(*self.REPORT).to_text()

@@ -9,8 +9,9 @@ call's exit code, stdout, stderr and the name and bytes of each file it
 wrote; it runs in the directory of the file and names it relatively, so
 no output names that directory.
 
-``boundary_calls`` draws ``BOUNDARY_SIZE`` calls of the package's boundary
-from ``random.Random(BOUNDARY_SEED)``: ``make_plateau``, ``run_session`` of
+``boundary_calls`` draws ``BOUNDARY_SIZE`` calls of the package's boundary,
+call i from its own ``random.Random(f"{BOUNDARY_SEED}/{i}")``, so how many
+draws one call makes moves no other call: ``make_plateau``, ``run_session`` of
 a ``ProtocolConfig`` at N <= 16, ``build_report``, ``solve_parameters``,
 and ``Transcript.from_text`` and ``SecurityReport.from_text`` of valid
 texts with one character replaced, deleted or inserted.  Each draws one
@@ -226,8 +227,12 @@ def boundary_calls():
         params, solved = solve_parameters(**args)
         return f"{params!r}\n{solved.to_text()}"
 
-    rng = random.Random(BOUNDARY_SEED)
     calls = []
+
+    def rng():
+        """The generator of the next call, keyed by its index."""
+        return random.Random(f"{BOUNDARY_SEED}/{len(calls)}")
+
     for label, count, call, (valid, invalid) in (
             ("make_plateau", 60, make_plateau_text, plateau),
             ("run_session", 60, lambda **args: run_session(ProtocolConfig(**args)).to_text(),
@@ -235,13 +240,14 @@ def boundary_calls():
             ("build_report", 45, lambda **args: build_report(**args).to_text(), report),
             ("solve_parameters", 30, solve_text, solve)):
         for _ in range(count):
-            args = _args(rng, valid, invalid)
+            args = _args(rng(), valid, invalid)
             calls.append((label, f"{label}(**{args!r})", lambda call=call, args=args: call(**args)))
     for label, count, parse, texts in (("Transcript.from_text", 60, Transcript, transcripts),
                                        ("SecurityReport.from_text", 45, SecurityReport, reports)):
         for _ in range(count):
-            index = rng.randrange(len(texts))
-            text, how = _mutated(rng, texts[index])
+            call_rng = rng()
+            index = call_rng.randrange(len(texts))
+            text, how = _mutated(call_rng, texts[index])
             calls.append((label, f"{label} of text {index} with {how}",
                           lambda parse=parse, text=text: parse.from_text(text).to_text()))
     for index, (label, description, call) in enumerate(calls):

@@ -16,7 +16,9 @@ subsets.  A session never announces the table's ``a_bit`` and
 ``eve_outcome`` columns, nor ``b_outcome``'s bits off the disclosed rounds.
 The hash log, the keys, the abort and the error estimate are derived from
 that record when the transcript is made (``hash_rounds`` is the one hash
-walk), so they cannot disagree with it.
+walk), so they cannot disagree with it.  Its text, ``relqkd-transcript/5``,
+spells each round as one base-64 digit and each block member as a
+fixed-width base-64 round id.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import InvalidParameterError, ResourceExhaustedError, require_float
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
-TRANSCRIPT_SCHEMA = "relqkd-transcript/4"
+TRANSCRIPT_SCHEMA = "relqkd-transcript/5"
 # Round ids are int32, so a session or a transcript holds at most this many rounds.
 _MAX_ROUNDS = 2 ** 31 - 1
 # Rows, ids or characters taken at once wherever a session draws, checks,
@@ -119,19 +121,23 @@ class HashRecord:
     discarded: int | None  # position removed on match; None on the aborting round
 
 
-# The columns of Transcript.round_table.  An outcome's code is its index in
-# the enum's declaration order, so a conclusive (sifted) or fired outcome's
-# code is its bit, and 2 is inconclusive or no_fire; eve_outcome 3 stands
-# for no eavesdropper.  The text spells each column as one line of one
-# character per round, code c being character c of the column's alphabet.
+# The columns of Transcript.round_table, and the number of codes each
+# takes.  An outcome's code is its index in the enum's declaration order,
+# so a conclusive (sifted) or fired outcome's code is its bit, and 2 is
+# inconclusive or no_fire; eve_outcome 3 stands for no eavesdropper.
 ROUND_COLUMNS = ("a_bit", "b_outcome", "eve_outcome", "disclosed")
-_ALPHABETS = tuple(np.frombuffer(a, dtype=np.uint8)
-                   for a in (b"01", b"01?", b"01?-", b"01"))
-# Tables for bytes.translate, one per column: _SPELL[j] maps code c to
-# character c of column j's alphabet, and _READ[j] maps a byte to its code
-# in column j, or to 255 (find's -1) outside the alphabet.
-_SPELL = tuple(a.tobytes().ljust(256, b"\0") for a in _ALPHABETS)
-_READ = tuple(bytes(a.tobytes().find(byte) % 256 for byte in range(256)) for a in _ALPHABETS)
+_SIZES = (2, 3, 4, 2)
+# The text spells a round as one digit of RFC 4648's base-64 alphabet,
+# a_bit | b_outcome << 1 | eve_outcome << 3 | disclosed << 5: column j's
+# code is the digit shifted right by _SHIFTS[j] and masked by _MASKS[j].
+_SHIFTS, _MASKS = (0, 1, 3, 5), (1, 3, 3, 1)
+_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+# Tables for bytes.translate: _SPELL maps a digit's value to the digit, and
+# _READ maps a digit to its value and every other byte to 255, which
+# decodes to b_outcome 3, outside that column's codes.
+_SPELL = bytes.maketrans(bytes(range(64)), _DIGITS)
+_READ = bytes.maketrans(_DIGITS + bytes(range(256)).translate(None, _DIGITS),
+                        bytes(range(64)) + b"\xff" * 192)
 
 
 @dataclass(frozen=True)
@@ -149,6 +155,9 @@ class Transcript:
     estimate over the disclosed rounds.  ``subsets`` keeps only the
     announced subsets.  The constructor keeps read-only copies of the
     arrays it is given: the table as uint8 codes, the blocks as int32 round ids.
+    ``to_text`` spells a round's four codes as one digit of RFC 4648's
+    base-64 alphabet and each member id as base-64 digits as wide as the
+    last round's id; ``from_text`` reads only that spelling back.
 
     A record that no session could make is refused with
     InvalidParameterError, so no derived value and no ``to_text`` raises.
@@ -198,8 +207,7 @@ class Transcript:
         """
         table, blocks, n = self.round_table, self.blocks, self.blocks_per_parity
         sent, bob, eve, disclosed = table.T
-        if any(column.max(initial=0) >= alphabet.size
-               for alphabet, column in zip(_ALPHABETS, table.T)):
+        if any(column.max(initial=0) >= size for size, column in zip(_SIZES, table.T)):
             raise InvalidParameterError("a round's code lies outside its column's alphabet")
         # One pass over the rows, a chunk at a time: whether a fired outcome
         # names another bit or a disclosed round is inconclusive, and the
@@ -283,31 +291,26 @@ class Transcript:
     def text_pieces(self):
         """The bytes of ``to_text``, in pieces of at most ``_CHUNK`` characters each.
 
-        This is the one routine that spells a transcript.  A column line's
-        characters are its codes translated by the column's ``_SPELL``
-        table, and the members line is a matrix of one row per round id
-        (see ``_spell_ids``) spelled into one reused buffer, both a chunk
-        at a time.  The derived lines follow them.
+        This is the one routine that spells a transcript.  The table line
+        holds one digit per round, its four codes shifted together and
+        translated by ``_SPELL``, and the members line the ids' fixed-width
+        digits (see ``_spell_ids``), both a chunk at a time.  The derived
+        lines follow them.
         """
         table, (n_blocks, k) = self.round_table, self.blocks.shape
         ids = self.blocks.reshape(-1)
         rounds = len(table)
+        yield f"{TRANSCRIPT_SCHEMA}\nrounds\t{rounds}\ntable\t".encode()
+        for rows in _chunks(rounds):
+            codes = table[rows, 0].copy()
+            for column, shift in zip(table.T[1:], _SHIFTS[1:]):
+                codes |= column[rows] << shift
+            yield codes.tobytes().translate(_SPELL)
+        yield f"\nblocks\t{n_blocks}\t{k}\t{self.blocks_per_parity}\n".encode()
         width = _id_width(rounds)
-        buffer = np.empty(max(_CHUNK, width + 1), dtype=np.uint8)
-        yield f"{TRANSCRIPT_SCHEMA}\nrounds\t{rounds}\n".encode()
-        for name, spell, column in zip(ROUND_COLUMNS, _SPELL, table.T):
-            yield f"{name}\t".encode()
-            for rows in _chunks(rounds):
-                yield column[rows].tobytes().translate(spell)
-            yield b"\n"
-        yield f"blocks\t{n_blocks}\t{k}\t{self.blocks_per_parity}\n".encode()
-        for part in _chunks(ids.size, width + 1):
-            cells = buffer[:(part.stop - part.start) * (width + 1)].reshape(-1, width + 1)
-            _spell_ids(cells, ids[part])
-            if part.stop < ids.size:
-                cells[-1, width] = ord(" ")  # the line goes on
-            yield cells.tobytes()
-        yield self._derived_lines().encode()
+        for part in _chunks(ids.size, width):
+            yield _spell_ids(ids[part], width)
+        yield b"\n" + self._derived_lines().encode()
 
     def _derived_lines(self) -> str:
         """The lines after the members line: hash log, error estimate, keys and abort."""
@@ -352,14 +355,16 @@ class Transcript:
         Only what the arrays need is checked before they are built: the
         schema line, that the text is ASCII, the member ids' digits, and
         sizes that agree before anything is allocated from them.  A byte
-        outside its column's alphabet decodes to 255, which ``_derive``
-        refuses.  A column line that decodes, and a members line of
-        fixed-width ids, are spelled as ``to_text`` spells them.  So the
-        lines before the derived ones are proven, and the ids kept as the
-        blocks, where ``_listed_blocks`` shows them to be blocks and the two
-        header lines and the column names are the ones ``to_text`` writes;
-        any other text is refused.  The columns and the member ids are read
-        a chunk of characters at a time, so the text is never encoded whole.
+        of the table line outside the base-64 alphabet decodes to 255, and
+        a digit to b_outcome 3 or a code past another column's, which
+        ``_derive`` refuses.  A table line that decodes is spelled as
+        ``to_text`` spells it, and so is a members line of fixed-width
+        ids, so the lines before the derived ones are proven, and the ids
+        kept as the blocks, where ``_listed_blocks`` shows them to be blocks
+        and the two header lines and the table line's name are the ones
+        ``to_text`` writes; any other text is refused.  The table and the
+        member ids are read a chunk of characters at a time, so the text is
+        never encoded whole.
         """
         schema = text[:text.find("\n")] if "\n" in text else text
         if schema != TRANSCRIPT_SCHEMA:
@@ -368,95 +373,83 @@ class Transcript:
         if not text.isascii():
             raise InvalidParameterError("a transcript is ASCII text")
         # Line i runs from starts[i] to the newline at starts[i + 1] - 1;
-        # lines 1 to 7 are the rounds line through the members line.
+        # lines 1 to 4 are the rounds line through the members line.
         starts = [0]
-        for _ in range(8):
+        for _ in range(5):
             starts.append(text.index("\n", starts[-1]) + 1)
         rounds_line = text[starts[1]:starts[2] - 1]
         n_rounds = int(rounds_line.partition("\t")[2])
-        # Each column line's characters start after its first tab.
-        firsts = [text.find("\t", starts[i], starts[i + 1]) + 1 for i in range(2, 6)]
-        if any(first == 0 or after - first != n_rounds + 1
-               for first, after in zip(firsts, starts[3:7])):
-            raise InvalidParameterError("a round column is not one alphabet character per round")
-        blocks_line = text[starts[6]:starts[7] - 1]
+        # The table line's digits start after its first tab.
+        first = text.find("\t", starts[2], starts[3]) + 1
+        if first == 0 or starts[3] - first != n_rounds + 1:
+            raise InvalidParameterError("the table line is not one base-64 digit per round")
+        blocks_line = text[starts[3]:starts[4] - 1]
         n_blocks, k, n = (int(v) for v in blocks_line.split("\t")[1:])
         width = _id_width(n_rounds)
-        if k < 1 or n_blocks < 0 or starts[8] - starts[7] != max(n_blocks * k * (width + 1), 1):
+        if k < 1 or n_blocks < 0 or starts[5] - starts[4] != n_blocks * k * width + 1:
             raise InvalidParameterError("the members line disagrees with the blocks header")
 
         table = np.empty((n_rounds, len(ROUND_COLUMNS)), dtype=np.uint8, order="F")
-        for read, first, column in zip(_READ, firsts, table.T):
-            for rows in _chunks(n_rounds):
-                chars = text[first + rows.start:first + rows.stop].encode("ascii")
-                column[rows] = np.frombuffer(chars.translate(read), dtype=np.uint8)
+        for rows in _chunks(n_rounds):
+            codes = np.frombuffer(text[first + rows.start:first + rows.stop].encode("ascii")
+                                  .translate(_READ), dtype=np.uint8)
+            for column, shift, mask in zip(table.T, _SHIFTS, _MASKS):
+                np.right_shift(codes, shift, out=column[rows])
+                column[rows] &= mask
         members = np.empty((n_blocks, k), dtype=np.int32)
-        ids, cell = members.reshape(-1), width + 1
-        for part in _chunks(ids.size, cell):
-            line = text[starts[7] + part.start * cell:starts[7] + part.stop * cell]
-            ids[part] = _member_ids(np.frombuffer(line.encode("ascii"), dtype=np.uint8),
-                                    part.stop - part.start, width, n_rounds)
+        ids = members.reshape(-1)
+        for part in _chunks(ids.size, 8):  # the ids are summed in int64
+            ids[part] = _member_ids(text[starts[4] + part.start * width:
+                                         starts[4] + part.stop * width].encode("ascii"),
+                                    width, n_rounds)
         if not (_listed_blocks(members, n_rounds)
                 and rounds_line == f"rounds\t{n_rounds}"
                 and blocks_line == f"blocks\t{n_blocks}\t{k}\t{n}"
-                and all(text[start:first] == f"{name}\t"
-                        for start, first, name in zip(starts[2:6], firsts, ROUND_COLUMNS))):
+                and text[starts[2]:first] == "table\t"):
             raise InvalidParameterError("the text differs from what to_text writes")
 
-        derived_lines = text[starts[8]:].split("\n")
+        derived_lines = text[starts[5]:].split("\n")
         subsets = tuple(line.split("\t")[1]
                         for line in derived_lines[2:2 + int(derived_lines[0].split("\t")[1])])
-        return cls._adopt(table, members, subsets, n), starts[8]
+        return cls._adopt(table, members, subsets, n), starts[5]
 
 
 def _id_width(rounds: int) -> int:
-    """Digits of each member id in the text: those of the last round's id."""
-    return len(str(max(rounds - 1, 0)))
+    """Base-64 digits of each member id in the text: those of the last round's id, one at least."""
+    return max(1, (max(rounds - 1, 0).bit_length() + 5) // 6)
 
 
-def _spell_ids(cells: np.ndarray, ids: np.ndarray) -> None:
-    """Spell round ids into the rows of ``cells`` as a members line does.
-
-    Row i gets the digits of id i, zero-padded to the width of a row less
-    one, and a space, or on the last row the newline.
-    """
-    width = cells.shape[1] - 1
-    cells[:, width] = ord(" ")
-    cells[-1, width] = ord("\n")
-    rest = ids.astype(np.min_scalar_type(10 ** width - 1))
+def _spell_ids(ids: np.ndarray, width: int) -> bytes:
+    """Round ids as a members line spells them: ``width`` base-64 digits each, most
+    significant first, with no separator."""
+    cells = np.empty((ids.size, width), dtype=np.uint8)
+    rest = ids
     for j in range(width - 1, -1, -1):
-        tens = rest // 10
-        cells[:, j] = rest - 10 * tens + ord("0")  # numpy's % is slower
-        rest = tens
+        np.bitwise_and(rest, 63, out=cells[:, j], casting="unsafe")
+        rest = rest >> 6
+    return cells.tobytes().translate(_SPELL)
 
 
-def _member_ids(line: np.ndarray, count: int, width: int, rounds: int) -> np.ndarray:
-    """The ``count`` round ids, one or more, a members line spells, given its bytes and newline.
+def _member_ids(line: bytes, width: int, rounds: int) -> np.ndarray:
+    """The round ids, one or more, that the bytes ``line`` of a members line spell.
 
-    The line must be ``count`` ids of ``width`` ASCII digits, each followed
-    by a space and the last by the newline, and its size must already
-    agree with that.  A piece of the line, ``count`` ids that the line
-    goes on past, reads the same way with a space after its last id; the
-    caller finds the line's one newline.  Then no other spelling of the
-    same ids exists, so an id needs no check beyond its digits and that it
-    is a round of the table's ``rounds``, which are at most
-    ``_MAX_ROUNDS``.  So ``width`` is at most 10, and the digits' sum
-    before the '0's are taken off it fits in int64; the ids it leaves fit
-    in int32, which they are kept as.
+    ``line`` must be ids of ``width`` base-64 digits each, with no
+    separator, and its size must already be a multiple of ``width``.  Then
+    no other spelling of the same ids exists, so an id needs no check
+    beyond its digits and that it is a round of the table's ``rounds``,
+    which are at most ``_MAX_ROUNDS``.  So ``width`` is at most 6, and the
+    ids, summed in int64, fit in int32, which they are kept as.
     """
     if rounds > _MAX_ROUNDS:
         raise InvalidParameterError(
             f"a transcript holds at most {_MAX_ROUNDS} rounds, got {rounds}")
-    cells = line.reshape(count, width + 1)
-    if (np.count_nonzero(line - ord("0") < 10) != count * width
-            or (cells[:-1, width] != ord(" ")).any() or cells[-1, width] not in b" \n"):
-        raise InvalidParameterError(
-            "the members line is not fixed-width round ids, one space apart")
-    ids = cells[:, 0].astype(np.int64)
+    digits = np.frombuffer(line.translate(_READ), dtype=np.uint8).reshape(-1, width)
+    if digits.max() > 63:
+        raise InvalidParameterError("the members line is not fixed-width base-64 round ids")
+    ids = digits[:, 0].astype(np.int64)
     for j in range(1, width):
-        ids *= 10
-        ids += cells[:, j]
-    ids -= int("1" * width) * ord("0")
+        ids <<= 6
+        ids |= digits[:, j]
     if ids.max() >= rounds:
         raise InvalidParameterError("a member id is not a round of the table")
     return ids.astype(np.int32)

@@ -22,11 +22,17 @@ is the cosine loop as it stood beside the count, and ``zeta``,
 ``eve_key_probability`` and ``information_bounds`` compute the bounds
 one function each.  The tests hold the package's results equal to these,
 byte for byte.
+
+``BASE64``, ``id_width``, ``spell_id``, ``read_id``, ``round_digit`` and
+``round_codes`` spell and read the ``relqkd-transcript/5`` digits one
+character at a time, where ``relqkd.distill`` translates whole chunks,
+and ``as_schema_4`` spells a transcript as the ``/4`` writer did.
 """
 
 import dataclasses
 import itertools
 import math
+import string
 from typing import NamedTuple
 
 import numpy as np
@@ -364,3 +370,63 @@ def carrier_overlap(envelope, chi: float, lo: float, hi: float) -> float:
                 shifted = tuple((c, k, y0 - chi) for c, k, y0 in q_terms)
                 total += wavepacket._product_integral(p_terms, shifted, a, b)
     return total
+
+
+# RFC 4648's base-64 alphabet: digit c is character c.
+BASE64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def id_width(rounds: int) -> int:
+    """Base-64 digits of a member id: enough for the last round's id, one at least."""
+    width = 1
+    while 64 ** width < rounds:
+        width += 1
+    return width
+
+
+def spell_id(value: int, width: int) -> str:
+    """``value`` as ``width`` base-64 digits, most significant first."""
+    digits = ""
+    for _ in range(width):
+        value, digit = divmod(value, 64)
+        digits = BASE64[digit] + digits
+    assert value == 0, "the value needs more digits"
+    return digits
+
+
+def read_id(digits: str) -> int:
+    """The value of base-64 ``digits``, most significant first; ValueError off the alphabet."""
+    value = 0
+    for char in digits:
+        value = 64 * value + BASE64.index(char)
+    return value
+
+
+def round_digit(a_bit: int, b_outcome: int, eve_outcome: int, disclosed: int) -> str:
+    """The digit that spells a round's four codes."""
+    return BASE64[a_bit + 2 * b_outcome + 8 * eve_outcome + 32 * disclosed]
+
+
+def round_codes(digit: str) -> list[int]:
+    """A round's four codes, as the digit spells them; ValueError off the alphabet."""
+    value = BASE64.index(digit)
+    return [value % 2, value // 2 % 4, value // 8 % 4, value // 32]
+
+
+def as_schema_4(text: str) -> str:
+    """``text``, a /5 transcript, as the /4 writer spelled it.
+
+    The table line becomes four column lines of one character a round, in
+    the alphabets ``01``, ``01?``, ``01?-`` and ``01``, and the member ids
+    decimal, zero-padded to the digits of the last round's id, one space
+    apart.
+    """
+    lines = text.split("\n")
+    rows = [round_codes(c) for c in lines[2].split("\t")[1]]
+    columns = [name + "\t" + "".join(alphabet[code] for code in codes) for name, alphabet, codes
+               in zip(ROUND_COLUMNS, ("01", "01?", "01?-", "01"), zip(*rows))]
+    width = id_width(len(rows))
+    ids = [read_id(lines[4][i:i + width]) for i in range(0, len(lines[4]), width)]
+    digits = len(str(len(rows) - 1))
+    return "\n".join(["relqkd-transcript/4", lines[1], *columns, lines[3],
+                      " ".join(f"{i:0{digits}d}" for i in ids), *lines[5:]])

@@ -22,6 +22,7 @@ from relqkd.harness import (
     rows_to_csv,
 )
 from relqkd.security import SecurityReport
+import reference
 
 DISTILL_INI = """
 [campaign]
@@ -47,8 +48,10 @@ SMALL = DISTILL_INI.format(seed=7, key_length=8, block_size=3, blocks_per_parity
 
 def test_large_noisy_session_round_trips(tmp_path, capsys):
     # An N = 1024 noisy session: its transcript and report read back and
-    # write back the same text, and the same transcript under the /3
+    # write back the same text, and the same transcript under the /4
     # header, or the same report with its checks flipped, is refused.
+    # Its 80,437 rounds take one base-64 digit each, and its 65,142 member
+    # ids three digits each: 0.4 of the bytes the /4 text took.
     path = tmp_path / "large.ini"
     path.write_text(DISTILL_INI.format(seed=1, key_length=1024, block_size=7,
                                        blocks_per_parity=9, hash_rounds=10,
@@ -57,12 +60,14 @@ def test_large_noisy_session_round_trips(tmp_path, capsys):
     report = (tmp_path / "large.report.txt").read_text()
     assert capsys.readouterr().out == report
     transcript = (tmp_path / "large.transcript.txt").read_text()
-    assert transcript.split("\n", 1)[0] == "relqkd-transcript/4"
+    assert transcript.split("\n", 1)[0] == "relqkd-transcript/5"
+    assert len(transcript) == 288_469
+    assert len(transcript) <= 0.4 * len(reference.as_schema_4(transcript)) == 0.4 * 725_240
     assert Transcript.from_text(transcript).to_text() == transcript
     assert SecurityReport.from_text(report).to_text() == report
     with pytest.raises(InvalidParameterError):
-        Transcript.from_text(transcript.replace("relqkd-transcript/4",
-                                                "relqkd-transcript/3", 1))
+        Transcript.from_text(transcript.replace("relqkd-transcript/5",
+                                                "relqkd-transcript/4", 1))
     flipped = report.replace("identical_ok=true", "identical_ok=false").replace(
         "all_ok=true", "all_ok=false")
     assert flipped != report
@@ -169,8 +174,8 @@ def test_eve_disabled_explicitly_runs_without_eavesdropper(tmp_path, capsys):
     path.write_text(SMALL + "[eve]\nenabled = false\n")
     assert main(["distill", str(path), "--out", str(tmp_path / "eve")]) == 0
     lines = (tmp_path / "eve.transcript.txt").read_text().split("\n")
-    eve_column = lines[4].split("\t")
-    assert eve_column[0] == "eve_outcome" and set(eve_column[1]) == {"-"}
+    name, digits = lines[2].split("\t")
+    assert name == "table" and {reference.round_codes(c)[2] for c in digits} == {3}
 
 
 @pytest.mark.parametrize("text, refusal", [

@@ -548,38 +548,52 @@ class TestRunSession:
 
 
 def _edit(edit):
-    """A mangle applying ``edit`` to the columns and the blocks of a transcript text.
+    """A mangle applying ``edit`` to the table and the blocks of a transcript text.
 
-    ``edit`` gets the text's parts as strings and lists of strings and
-    changes them in place: ``cols`` maps each flag and outcome column to
-    its characters, ``blocks`` lists each block's member round ids and
-    ``n`` is the blocks header's blocks per parity bit.  The rest of the
-    blocks header is written from the edited blocks.
+    ``edit`` gets the text's parts as lists and changes them in place:
+    ``cols`` maps each ``ROUND_COLUMNS`` name to its codes, ``blocks``
+    lists each block's member round ids, and ``n`` is the blocks header's
+    blocks per parity bit, as a string; ``width`` is the ids' width.  A
+    member may be set to a string, which is written as it is in place of
+    the id's digits.  The rest of the blocks header is written from the
+    edited blocks.
     """
     def mangle(text):
         lines = text.split("\n")
-        cols = {name: list(chars) for name, chars in
-                (line.split("\t") for line in lines[2:6])}
-        _, _, k, n = lines[6].split("\t")
-        ids = lines[7].split(" ")
-        parts = dict(cols=cols, n=n,
+        rows = [reference.round_codes(c) for c in lines[2].split("\t")[1]]
+        cols = dict(zip(distill.ROUND_COLUMNS, map(list, zip(*rows))))
+        _, _, k, n = lines[3].split("\t")
+        width = reference.id_width(len(rows))
+        ids = [reference.read_id(lines[4][i:i + width]) for i in range(0, len(lines[4]), width)]
+        parts = dict(cols=cols, n=n, width=width,
                      blocks=[ids[i:i + int(k)] for i in range(0, len(ids), int(k))])
         edit(parts)
         blocks = parts["blocks"]
-        lines[2:6] = [name + "\t" + "".join(chars) for name, chars in cols.items()]
-        lines[6] = f"blocks\t{len(blocks)}\t{len(blocks[0])}\t{parts['n']}"
-        lines[7] = " ".join(i for ids in blocks for i in ids)
+        lines[2] = "table\t" + "".join(map(reference.round_digit, *cols.values()))
+        lines[3] = f"blocks\t{len(blocks)}\t{len(blocks[0])}\t{parts['n']}"
+        lines[4] = "".join(i if isinstance(i, str) else reference.spell_id(i, width)
+                           for ids in blocks for i in ids)
         return "\n".join(lines)
     return mangle
 
 
 def _set_members(parts, column, value):
     for i in parts["blocks"][0]:
-        parts["cols"][column][int(i)] = value
+        parts["cols"][column][i] = value
 
 
-def _set_first_member(column, value):
-    return _edit(lambda p: p["cols"][column].__setitem__(int(p["blocks"][0][0]), value))
+def _table_line(edit):
+    """A mangle applying ``edit`` to the table line's digits."""
+    def mangle(text):
+        lines = text.split("\n")
+        lines[2] = "table\t" + edit(lines[2].split("\t")[1])
+        return "\n".join(lines)
+    return mangle
+
+
+def _set_digit(index, char):
+    """A mangle writing ``char`` as the digit of round ``index``."""
+    return _table_line(lambda digits: digits[:index] + char + digits[index + 1:])
 
 
 def _drop_first_rounds(parts):
@@ -588,18 +602,16 @@ def _drop_first_rounds(parts):
 
 
 def _flip_sent_bit(parts):
-    sent = parts["cols"]["a_bit"]
-    i = int(parts["blocks"][0][0])
-    sent[i] = "1" if sent[i] == "0" else "0"
+    parts["cols"]["a_bit"][parts["blocks"][0][0]] ^= 1
 
 
 def _inconclusive_one(parts):
     # A round that read `one` in a sent-bit-1 block: the parity strings stay
     # the same, so only the per-round flags can reveal the edit.
     cols = parts["cols"]
-    i = next(int(i) for ids in parts["blocks"] for i in ids
-             if cols["a_bit"][int(i)] == "1" and cols["b_outcome"][int(i)] == "1")
-    cols["b_outcome"][i] = "?"
+    i = next(i for ids in parts["blocks"] for i in ids
+             if cols["a_bit"][i] == 1 and cols["b_outcome"][i] == 1)
+    cols["b_outcome"][i] = 2
 
 
 def _descend_first_block(parts):
@@ -627,9 +639,9 @@ TEXT_BLOCK_DEFECTS = {
     "mixed-sent-bits": _edit(_flip_sent_bit),
     "unequal-groups": _set_n("3"),
     "member-out-of-range": _edit(
-        lambda p: p["blocks"][0].__setitem__(0, str(len(p["cols"]["a_bit"])))),
-    "unsifted-round": _edit(lambda p: _set_members(p, "b_outcome", "?")),
-    "disclosed-round": _edit(lambda p: _set_members(p, "disclosed", "1")),
+        lambda p: p["blocks"][0].__setitem__(0, len(p["cols"]["a_bit"]))),
+    "unsifted-round": _edit(lambda p: _set_members(p, "b_outcome", 2)),
+    "disclosed-round": _edit(lambda p: _set_members(p, "disclosed", 1)),
     "inconclusive-round": _edit(_inconclusive_one),
 }
 # The text cannot spell blocks of unequal sizes or ids that are not rounds
@@ -667,7 +679,7 @@ class TestTranscript:
     def test_text_round_trip(self):
         transcript = run_session(make_config(flip_probability=0.01, seed=31))
         text = transcript.to_text()
-        assert text.startswith("relqkd-transcript/4\n")
+        assert text.startswith("relqkd-transcript/5\n")
         parsed = Transcript.from_text(text)
         assert parsed.to_text() == text
         assert parsed == transcript
@@ -755,25 +767,40 @@ class TestTranscript:
                 "round\ta_bit\tb_outcome\teve_outcome\tsifted\tdisclosed\tblock\tparity_group\n"
                 "0\t0\tzero\t-\t1\t0\t0\t0\n")
         with pytest.raises(InvalidParameterError,
-                           match="relqkd-transcript/4.*relqkd-transcript/1"):
+                           match="relqkd-transcript/5.*relqkd-transcript/1"):
             Transcript.from_text(text)
 
     def test_rejects_schema_2(self):
         # The same session as the /2 writer spelled it, with a sifted column,
         # a two-field blocks header and a parity-group line.
         with pytest.raises(InvalidParameterError,
-                           match="relqkd-transcript/4.*relqkd-transcript/2"):
-            Transcript.from_text(_as_schema_2(NOISY_TEXT))
+                           match="relqkd-transcript/5.*relqkd-transcript/2"):
+            Transcript.from_text(_as_schema_2(reference.as_schema_4(NOISY_TEXT)))
 
     def test_rejects_schema_3(self):
         # The same session as the /3 writer spelled it, its member ids
-        # unpadded; under a /4 header those ids do not fill the line.
-        text = _as_schema_3(NOISY_TEXT)
+        # unpadded; under a /5 header its lines are not the table line and
+        # the blocks header.
+        text = _as_schema_3(reference.as_schema_4(NOISY_TEXT))
         with pytest.raises(InvalidParameterError,
-                           match="relqkd-transcript/4.*relqkd-transcript/3"):
+                           match="relqkd-transcript/5.*relqkd-transcript/3"):
             Transcript.from_text(text)
-        with pytest.raises(InvalidParameterError, match="members line disagrees"):
-            Transcript.from_text(text.replace("/3", "/4", 1))
+        with pytest.raises(InvalidParameterError, match="malformed transcript"):
+            Transcript.from_text(text.replace("/3", "/5", 1))
+
+    def test_rejects_schema_4(self):
+        # The same session as the /4 writer spelled it: four column lines
+        # and zero-padded decimal ids one space apart.  Under a /5 header
+        # its a_bit line has one character a round, but the eve_outcome
+        # line is no blocks header.
+        text = reference.as_schema_4(NOISY_TEXT)
+        assert text.split("\n")[2] == "a_bit\t" + "".join(
+            map(str, NOISY.round_table[:, 0].tolist()))
+        with pytest.raises(InvalidParameterError,
+                           match="relqkd-transcript/5.*relqkd-transcript/4"):
+            Transcript.from_text(text)
+        with pytest.raises(InvalidParameterError, match="malformed transcript"):
+            Transcript.from_text(text.replace("/4", "/5", 1))
 
     def test_replay_rejects_wrong_discarded_position(self):
         text = run_session(make_config(seed=3)).to_text()
@@ -919,7 +946,7 @@ class TestTranscript:
         # inside it but past the column's alphabet cannot be spelled.
         i, j = cell
         i %= len(NOISY.round_table)
-        assume(value < 0 or value >= distill._ALPHABETS[j].size)
+        assume(value < 0 or value >= distill._SIZES[j])
         table = NOISY.round_table.astype(object)
         table[i, j] = value
         table = np.array(table, dtype=np.min_scalar_type(value))
@@ -983,6 +1010,7 @@ ABORTED = run_session(make_config(key_length=4, hash_rounds=3, blocks_per_parity
 ABORTED_TEXT = ABORTED.to_text()
 EAVESDROPPED = run_session(make_config(key_length=8, blocks_per_parity=2, hash_rounds=4,
                                        eve=EveStrategy(0.25), seed=13))
+EAVESDROPPED_TEXT = EAVESDROPPED.to_text()
 
 
 def _mutated_record(data, base):
@@ -1129,7 +1157,7 @@ class TestRoundView:
 
 
 def _as_schema_2(text):
-    """``text`` as the /2 writer spelled it: a sifted line and the parity groups."""
+    """``text``, a /4 text, as the /2 writer spelled it: a sifted line and the parity groups."""
     lines = text.split("\n")
     sifted = lines[3].split("\t")[1].replace("0", "1").replace("?", "0")
     n_blocks, k, n = (int(v) for v in lines[6].split("\t")[1:])
@@ -1139,7 +1167,7 @@ def _as_schema_2(text):
 
 
 def _as_schema_3(text):
-    """``text`` as the /3 writer spelled it: the member ids without zero padding."""
+    """``text``, a /4 text, as the /3 writer spelled it: the member ids without zero padding."""
     lines = text.split("\n")
     lines[0] = "relqkd-transcript/3"
     lines[7] = " ".join(str(int(m)) for m in lines[7].split(" "))
@@ -1153,11 +1181,11 @@ def _swap_lines(text, i, j):
 
 
 def _edit_member(edit, above=0):
-    """A mangle applying ``edit`` to the text of the first member id above ``above``."""
+    """A mangle applying ``edit`` to the digits of the first member id above ``above``."""
     def change(parts):
         row, i = next((row, i) for row in parts["blocks"] for i, m in enumerate(row)
-                      if int(m) > above)
-        row[i] = edit(row[i])
+                      if m > above)
+        row[i] = edit(reference.spell_id(row[i], parts["width"]))
     return _edit(change)
 
 
@@ -1166,17 +1194,20 @@ class TestTranscriptParseErrors:
 
     @pytest.mark.parametrize("mangle", [
         lambda t: t[: len(t) // 2],
-        _edit(lambda p: p["cols"]["a_bit"].__setitem__(0, "x")),
-        lambda t: "relqkd-transcript/4\n",
-        lambda t: "relqkd-transcript/4\nrounds\n",
+        _set_digit(0, "!"),
+        lambda t: "relqkd-transcript/5\n",
+        lambda t: "relqkd-transcript/5\nrounds\n",
         lambda t: t.replace("rounds\t", "rounds\t9", 1),
-        _edit(lambda p: p["cols"]["a_bit"].__setitem__(0, "7")),
-        _set_first_member("disclosed", "2"),
-        lambda t: _swap_lines(t, 4, 5),
+        # The digit of code 7: a_bit 1 and b_outcome 3.
+        _set_digit(0, reference.BASE64[7]),
+        # disclosed 2 would set bit 6, past every digit; "=" (RFC 4648's
+        # padding) stands for it, on a block member's round.
+        _set_digit(int(NOISY.blocks[0, 0]), "="),
+        lambda t: _swap_lines(t, 1, 2),
         lambda t: t.replace("discarded\n1\t", "discarded\n2\t", 1),
         lambda t: re.sub(r"(discarded\n1\t[01]+\t)[01]", r"\g<1>2", t, count=1),
         lambda t: t.replace("\naborted\t0\n", "\naborted\t2\n", 1),
-        _edit_member(lambda m: str(2 ** 31)),
+        _edit_member(lambda m: reference.spell_id(2 ** 31, 6)),
         _set_n("0"),
         _set_n("-2"),
         # n = 7 divides the 14 blocks, but gives 2 parity bits for 7-bit subsets.
@@ -1188,10 +1219,8 @@ class TestTranscriptParseErrors:
         lambda t: t.replace("\nabort_reason\t-\n", "\nabort_reason\tcosmic ray\n", 1),
         lambda t: re.sub(r"\nkey_a\t[01]+\n", "\nkey_a\t1\n", t, count=1),
         lambda t: re.sub(r"(discarded\n1\t[01]+)", r"\g<1>0", t, count=1),
-        lambda t: re.sub(r"\ndisclosed\t([01]+)", lambda m: "\ndisclosed\t" + "0" * len(m[1]),
-                         t, count=1),
-        _edit(lambda p: p["cols"]["b_outcome"].__setitem__(p["cols"]["disclosed"].index("1"),
-                                                           "?")),
+        _edit(lambda p: p["cols"].update(disclosed=[0] * len(p["cols"]["disclosed"]))),
+        _edit(lambda p: p["cols"]["b_outcome"].__setitem__(p["cols"]["disclosed"].index(1), 2)),
         # No session has an eavesdropper in some rounds only.
         _edit(lambda p: p["cols"]["eve_outcome"].__setitem__(0, p["cols"]["a_bit"][0])),
     ], ids=["half", "garbled-a_bit", "empty", "rounds-header-cut", "rounds-overcount",
@@ -1210,20 +1239,21 @@ class TestTranscriptParseErrors:
     # Each mangle spells a number or a line another way that int(), float(),
     # numpy's number parsing or negative indexing might read as the same
     # value; the member ids stand in for the round numbers and block ids of
-    # the row-per-round text these cases were first written for.
+    # the row-per-round text these cases were first written for, "A" being
+    # base-64's 0.
     @pytest.mark.parametrize("mangle", [
-        _edit_member(lambda m: "0" + m),
+        _edit_member(lambda m: "A" + m),
         _edit_member(lambda m: "+" + m),
         _edit_member(above=9, edit=lambda m: m[:1] + "_" + m[1:]),
         _edit_member(lambda m: " " + m),
-        _edit(lambda p: p["blocks"][-1].append("")),
+        _edit(lambda p: p["blocks"][-1].append(" ")),
         _set_n("+2"),
         _set_n("\u0662"),
-        _edit_member(lambda m: str(int(m) - len(NOISY.round_table))),
+        _edit_member(lambda m: "-" + m),
         lambda t: re.sub(r"rounds\t(\d+)", r"rounds\t0\1", t, count=1),
         lambda t: re.sub(r"(discarded\n1\t[01]+\t[01]\t[01]\t)", r"\g<1>0", t, count=1),
         lambda t: t.replace("discarded\n", "discarded\n\n", 1),
-        lambda t: t.replace("\ndisclosed\t", "\ndisclose\t", 1),
+        lambda t: t.replace("\ntable\t", "\ntables\t", 1),
         lambda t: t.replace("p_err\t0.0\n", "p_err\t0\n", 1),
         lambda t: t.replace("key_b", "aborted\t0\nkey_b", 1),
         lambda t: t.replace("\n", "\r\n"),
@@ -1248,7 +1278,7 @@ class TestTranscriptParseErrors:
         table = EAVESDROPPED.round_table
         i = int(np.argmax(table[:, 2] == 1))
         assert table[i, 0] == table[i, 2] == 1
-        text = _edit(lambda p: p["cols"]["eve_outcome"].__setitem__(i, "0"))(
+        text = _edit(lambda p: p["cols"]["eve_outcome"].__setitem__(i, 0))(
             EAVESDROPPED.to_text())
         with pytest.raises(InvalidParameterError, match="fired eavesdropper outcome"):
             Transcript.from_text(text)
@@ -1295,7 +1325,7 @@ def _members_line(edit):
     """A mangle applying ``edit`` to the members line."""
     def mangle(text):
         lines = text.split("\n")
-        lines[7] = edit(lines[7])
+        lines[4] = edit(lines[4])
         return "\n".join(lines)
     return mangle
 
@@ -1304,41 +1334,52 @@ def _blocks_header(edit):
     """A mangle applying ``edit`` to the blocks header's (B, k, n), members line kept."""
     def mangle(text):
         lines = text.split("\n")
-        values = edit(*(int(v) for v in lines[6].split("\t")[1:]))
-        lines[6] = "\t".join(["blocks", *map(str, values)])
+        values = edit(*(int(v) for v in lines[3].split("\t")[1:]))
+        lines[3] = "\t".join(["blocks", *map(str, values)])
         return "\n".join(lines)
     return mangle
 
 
 def _zero_blocks(text):
     lines = text.split("\n")
-    lines[6:8] = ["blocks\t0\t" + "\t".join(lines[6].split("\t")[2:]), ""]
+    lines[3:5] = ["blocks\t0\t" + "\t".join(lines[3].split("\t")[2:]), ""]
     return "\n".join(lines)
 
 
 # One input per defect that the reader's checks look for before it keeps
 # the blocks and proves the lines before the derived ones, with the error
 # it raises; a check that let one through would keep what the text does
-# not spell.  NOISY has 72 rounds, so each member id is two digits wide.
+# not spell.  EAVESDROPPED has 114 rounds, so each member id is two base-64
+# digits wide, the first of them A or B.
 _DIFFERS = "differs from what to_text writes"
 _DISAGREES = "the members line disagrees with the blocks header"
-_NOT_IDS = "the members line is not fixed-width round ids"
+_NOT_IDS = "the members line is not fixed-width base-64 round ids"
+_NOT_A_ROUND = "a member id is not a round of the table"
+_OUTSIDE = "outside its column's alphabet"
 READER_CORPUS = {
     "member-short": (_edit_member(lambda m: m[1:]), _DISAGREES),
-    "member-03": (_edit_member(lambda m: "0" + m), _DISAGREES),
-    "member-plus": (_edit_member(lambda m: "+" + m[1:]), _NOT_IDS),
+    "member-03": (_edit_member(lambda m: "A" + m), _DISAGREES),
+    # "+" is digit 62: as an id's first digit it names no round.
+    "member-plus": (_edit_member(lambda m: "+" + m[1:]), _NOT_A_ROUND),
     "member-underscore": (_edit_member(above=9, edit=lambda m: m[:1] + "_"), _NOT_IDS),
     "member-leading-space": (_edit_member(lambda m: " " + m[1:]), _NOT_IDS),
-    "member-non-ascii-digit": (_edit_member(lambda m: m[:-1] + chr(0x0660 + int(m[-1]))),
+    "member-non-ascii-digit": (_edit_member(lambda m: m[:-1] + "\u0662"),
                                "a transcript is ASCII text"),
-    "members-double-space": (_members_line(lambda line: line.replace(" ", "  ", 1)),
+    "members-double-space": (_members_line(lambda line: line[:2] + "  " + line[2:]),
                              _DISAGREES),
+    "members-space-between-ids": (_members_line(lambda line: line[:2] + " " + line[2:]),
+                                  _DISAGREES),
     "members-trailing-space": (_members_line(lambda line: line + " "), _DISAGREES),
+    "members-padding": (_members_line(lambda line: line + "=="), _DISAGREES),
+    "member-padding": (_edit_member(lambda m: m[:-1] + "="), _NOT_IDS),
     # A number past int64 is too long to be an id of the line's width.
-    "member-20-digits": (_edit_member(lambda m: str(2 ** 64 + int(m))), _DISAGREES),
+    "member-20-digits": (_edit_member(lambda m: reference.spell_id(2 ** 64 + reference.read_id(m),
+                                                                   20)), _DISAGREES),
     "member-negative": (_edit_member(lambda m: "-" + m[1:]), _NOT_IDS),
-    "member-past-rounds": (_edit_member(lambda m: str(len(NOISY.round_table)).zfill(len(m))),
-                           "a member id is not a round of the table"),
+    "member-past-rounds": (_edit_member(lambda m: reference.spell_id(114, len(m))),
+                           _NOT_A_ROUND),
+    # "A" and "a" are digits 0 and 26: the id grows by 26 * 64.
+    "member-case-swap": (_edit_member(lambda m: m[0].swapcase() + m[1:]), _NOT_A_ROUND),
     # The line's length is compared with the header's 2^40 blocks before
     # anything is allocated for them.
     "members-2^40-blocks": (_blocks_header(lambda b, k, n: (2 ** 40, k, n)), _DISAGREES),
@@ -1346,10 +1387,13 @@ READER_CORPUS = {
                             _DIFFERS),
     "descending-pair": (_edit(_descend_first_block), _DIFFERS),
     "zero-blocks": (_zero_blocks, _DIFFERS),
-    "column-renamed": (lambda t: t.replace("\na_bit\t", "\nsent\t", 1), _DIFFERS),
-    "column-byte-outside-alphabet": (
-        _edit(lambda p: p["cols"]["b_outcome"].__setitem__(0, "-")),
-        "outside its column's alphabet"),
+    "column-renamed": (lambda t: t.replace("\ntable\t", "\nrounds\t", 1), _DIFFERS),
+    "column-byte-outside-alphabet": (_set_digit(0, "-"), _OUTSIDE),
+    "table-digit-b_outcome-3": (_set_digit(0, reference.BASE64[6]), _OUTSIDE),
+    "table-padding": (_table_line(lambda line: line + "="),
+                      "the table line is not one base-64 digit per round"),
+    "table-padding-in-place": (_table_line(lambda line: line[:-1] + "="), _OUTSIDE),
+    "schema-4": (reference.as_schema_4, "expected a relqkd-transcript/5 file"),
 }
 
 
@@ -1370,24 +1414,25 @@ def _reference_listing(blocks, rounds) -> bool:
 def _reference_read(text) -> Transcript | None:
     """The reader written plainly: the record ``text`` spells, or None if it is refused.
 
-    Each field is read with ``int()`` and ``str.index``, the member ids are
-    checked by ``_reference_listing``, the record is built with the public
+    Each field is read with ``int()``, ``str.index`` and the digit loops of
+    ``reference``, a character at a time, the member ids are checked by
+    ``_reference_listing``, the record is built with the public
     constructor, and the text is accepted only if that record writes it
     again.
     """
     try:
         lines = text.split("\n")
-        columns = [line[line.index("\t") + 1:] for line in lines[2:6]]
-        table = np.full((len(columns[0]), len(distill.ROUND_COLUMNS)), -1)
-        for j, (chars, alphabet) in enumerate(zip(columns, ("01", "01?", "01?-", "01"))):
-            table[:, j] = [alphabet.index(c) for c in chars]
-        k, n = (int(v) for v in lines[6].split("\t")[2:])
-        ids = [int(member) for member in lines[7].split(" ")]
+        digits = lines[2][lines[2].index("\t") + 1:]
+        table = [reference.round_codes(c) for c in digits]
+        k, n = (int(v) for v in lines[3].split("\t")[2:])
+        width = reference.id_width(len(table))
+        ids = [reference.read_id(lines[4][i:i + width]) for i in range(0, len(lines[4]), width)]
         blocks = [ids[i:i + k] for i in range(0, len(ids), k)]
         if not _reference_listing(blocks, len(table)):
             return None
-        count = int(lines[8][lines[8].index("\t") + 1:])
-        subsets = tuple(line.split("\t")[1] for line in lines[10:10 + count])
+        count = int(lines[5][lines[5].index("\t") + 1:])
+        subsets = tuple(line.split("\t")[1] for line in lines[7:7 + count])
+        table = np.array(table, dtype=np.int64).reshape(-1, len(distill.ROUND_COLUMNS))
         transcript = Transcript(table, blocks, subsets, n)
         return transcript if transcript.to_text() == text else None
     except (InvalidParameterError, IndexError, ValueError, OverflowError, ZeroDivisionError):
@@ -1423,8 +1468,9 @@ def _session_text(k, n, key_length, rounds, flip, loss, eve_delay, policy, seed)
 def _mutated(data, text):
     """``text`` as it is, or with one mutation drawn from ``data``.
 
-    One character changed, two member ids swapped, or a ``0``, ``+`` or
-    space inserted into a header line (lines 1 to 6).
+    One character changed, two member ids swapped, or a ``0``, ``+``,
+    ``A``, ``=`` or space inserted into a header line or the table line
+    (lines 1 to 3).
     """
     kind = data.draw(st.sampled_from(["none", "char", "swap", "insert"]))
     lines = text.split("\n")
@@ -1435,18 +1481,19 @@ def _mutated(data, text):
             start = text.index("\n", text.index("\nblocks\t") + 1) + 1
             end = text.index("\n", start)
         i = data.draw(st.integers(start, end - 1))
-        char = data.draw(st.sampled_from("0123456789 \t\n-?+_x\u0662"))
+        char = data.draw(st.sampled_from("0189AaBbZz+/= \t\n-?_\u0662"))
         return text[:i] + char + text[i + 1:]
     if kind == "swap":
-        ids = lines[7].split(" ")
+        width = reference.id_width(int(lines[1].split("\t")[1]))
+        ids = [lines[4][i:i + width] for i in range(0, len(lines[4]), width)]
         i, j = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=2, max_size=2,
                                   unique=True))
         ids[i], ids[j] = ids[j], ids[i]
-        lines[7] = " ".join(ids)
+        lines[4] = "".join(ids)
     elif kind == "insert":
-        row = data.draw(st.integers(1, 6))
+        row = data.draw(st.integers(1, 3))
         at = data.draw(st.integers(0, len(lines[row])))
-        lines[row] = lines[row][:at] + data.draw(st.sampled_from("0+ ")) + lines[row][at:]
+        lines[row] = lines[row][:at] + data.draw(st.sampled_from("0+A= ")) + lines[row][at:]
     return "\n".join(lines)
 
 
@@ -1462,8 +1509,9 @@ class TestReaderKeepsWhatItChecked:
     @pytest.mark.parametrize("case", sorted(READER_CORPUS))
     def test_corpus_is_refused(self, case):
         mangle, message = READER_CORPUS[case]
-        text = mangle(NOISY_TEXT)
-        assert text != NOISY_TEXT
+        assert len(EAVESDROPPED.round_table) == 114
+        text = mangle(EAVESDROPPED_TEXT)
+        assert text != EAVESDROPPED_TEXT
         assert _reference_read(text) is None
         with pytest.raises(InvalidParameterError, match=message):
             Transcript.from_text(text)
@@ -1531,49 +1579,43 @@ class TestHashSubsets:
 
 
 class TestMemberIds:
-    """The members line's codec: ids of one width, zero-padded, one space apart."""
-
-    @staticmethod
-    def _spelled(ids, width):
-        cells = np.empty((len(ids), width + 1), dtype=np.uint8)
-        distill._spell_ids(cells, np.array(ids, dtype=np.int32))
-        return cells.ravel()
+    """The members line's codec: ids of one width in base-64 digits, with no separator."""
 
     @settings(max_examples=200, deadline=None)
-    @given(width=st.integers(1, 10), data=st.data())
+    @given(width=st.integers(1, 6), data=st.data())
     def test_round_trip(self, width, data):
-        # Rounds whose last id, rounds - 1, has ``width`` digits; at 10
+        # Rounds whose last id, rounds - 1, has ``width`` digits; at 6
         # digits, up to the most a transcript holds, whose ids fill int32.
-        rounds = data.draw(st.integers(10 ** (width - 1) + (width > 1),
-                                       min(10 ** width, distill._MAX_ROUNDS)))
-        assert distill._id_width(rounds) == width
+        rounds = data.draw(st.integers(64 ** (width - 1) + (width > 1),
+                                       min(64 ** width, distill._MAX_ROUNDS)))
+        assert distill._id_width(rounds) == reference.id_width(rounds) == width
         ids = data.draw(st.lists(st.integers(0, rounds - 1), min_size=1, max_size=40))
-        line = self._spelled(ids, width)
-        assert line.tobytes() == (" ".join(f"{i:0{width}d}" for i in ids) + "\n").encode()
-        read = distill._member_ids(line, len(ids), width, rounds)
+        line = distill._spell_ids(np.array(ids, dtype=np.int32), width)
+        assert line == "".join(reference.spell_id(i, width) for i in ids).encode()
+        read = distill._member_ids(line, width, rounds)
         assert read.dtype == np.int32 and read.tolist() == ids
 
     @settings(max_examples=300, deadline=None)
-    @given(width=st.integers(1, 10), data=st.data())
+    @given(width=st.integers(1, 6), data=st.data())
     def test_only_the_spelling_of_its_ids_reads(self, width, data):
-        # A line whose newline ends it reads only if it is the spelling of
-        # the ids it reads as.
-        rounds = min(10 ** width, distill._MAX_ROUNDS)
+        # A line reads only if it is the spelling of the ids it reads as.
+        rounds = min(64 ** width, distill._MAX_ROUNDS)
         ids = data.draw(st.lists(st.integers(0, rounds - 1), min_size=1, max_size=20))
-        line = self._spelled(ids, width).copy()
-        i = data.draw(st.integers(0, line.size - 2))
-        line[i] = ord(data.draw(st.sampled_from("0123456789 +-_\t\n")))
+        line = bytearray(distill._spell_ids(np.array(ids, dtype=np.int32), width))
+        i = data.draw(st.integers(0, len(line) - 1))
+        line[i] = ord(data.draw(st.sampled_from("AZaz09+/= -_\t\n")))
         try:
-            read = distill._member_ids(line, len(ids), width, rounds)
+            read = distill._member_ids(bytes(line), width, rounds)
         except InvalidParameterError:
             return
-        assert np.array_equal(self._spelled(read.tolist(), width), line)
+        assert distill._spell_ids(read, width) == line
 
     def test_more_rounds_than_int32_ids_number_are_refused(self):
-        line = self._spelled([2 ** 31 - 2], 10)
-        assert distill._member_ids(line, 1, 10, 2 ** 31 - 1).tolist() == [2 ** 31 - 2]
+        line = distill._spell_ids(np.array([2 ** 31 - 2], dtype=np.int32), 6)
+        assert line == b"B////+" and distill._id_width(2 ** 31 - 1) == 6
+        assert distill._member_ids(line, 6, 2 ** 31 - 1).tolist() == [2 ** 31 - 2]
         with pytest.raises(InvalidParameterError, match="at most 2147483647 rounds"):
-            distill._member_ids(line, 1, 10, 2 ** 31)
+            distill._member_ids(line, 6, 2 ** 31)
 
 
 def _reference_p_err(table):
@@ -1696,7 +1738,7 @@ class TestBlockDerivation:
         # 2^40 blocks of 0 rounds agree with an empty members line; numbering
         # them would need 8 TiB.
         lines = NOISY_TEXT.split("\n")
-        lines[6:8] = [f"blocks\t{2 ** 40}\t0\t2", ""]
+        lines[3:5] = [f"blocks\t{2 ** 40}\t0\t2", ""]
         with pytest.raises(InvalidParameterError, match="members line"):
             Transcript.from_text("\n".join(lines))
 

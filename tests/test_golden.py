@@ -30,6 +30,7 @@ from relqkd.harness import (
     cmd_verify,
     load_campaign,
 )
+import reference
 
 ANALYZE_INI = """
 [campaign]
@@ -109,49 +110,49 @@ GOLDEN = {
     "clean.session":
         "bc8b33951e7b07c0f50badb3076da98d93a14900a927de3b50e843d2b5f32f08",
     "clean.transcript.txt":
-        "2952e3fe859b013a1d2e19f62848539a2e9fc8af38fd12009ad22f269f62d717",
+        "45b6f8dea393c54da8732ac7c884b1f108818b55517835212378e7b922fd1cf9",
     "clean.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "noisy.session":
         "81e41ff10521720e91c61239043cbbb47a5c49d9e834c8c6aedacaa979a688ae",
     "noisy.transcript.txt":
-        "713b949f0da7e45fcc95375f6454e460155492e0b529df9f7f6d8679e3bd9b7c",
+        "f075eb1ceed656ed2e4fd53afb64a0bc84a1203889b00b59d09d66508bf529a5",
     "noisy.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "eve.session":
         "aeac9f64db1f05bc4d4993a1f342c4b6718da048cb57fca32d80e45370d998ab",
     "eve.transcript.txt":
-        "214e7c0e1f5e0b28095331b527d686042cfc77809313207d03cf29853eeeb3d3",
+        "d3ecf21bc0e40b845af18e8f98930444c02e53dc3f7c28411b224d346f09ac9c",
     "eve.report.txt":
         "1ab32714af7c7a5d6874ca3854c5096e3fcbd87ad60f5c30e6ac4d2c612c981a",
     "eve0.session":
         "cf67b27fbd9840cecaf9364ac30f7d7300d50274ee08daa9780d8f3b866f5da6",
     "eve0.transcript.txt":
-        "9d8129c91c836ebccbfdf4208a0e7fd5831fb3752a9e804883a2d79348b8dcf4",
+        "bf7430090142783322d390e171279cf1af9afdfb101b1d0c1e90c56119da1ab3",
     "eve0.report.txt":
         "63a45c4cbf98fb73d982611cf33070c5d759464f13b3e579d2dcdb292fec3d77",
     "tailed.session":
         "94b56ac8e0cf212d8e7ea824afa633047cabb2b1ab7c3de25d88aaaebe52fef3",
     "tailed.transcript.txt":
-        "a5d514bd9a39b511afa8865d21c782dc829004f19724299981c166ecac818bc1",
+        "b83d743fc8948416eb9d5c1114ef8b057deaf5dc7debe6e0b1c3781376592e0a",
     "tailed.report.txt":
         "e3a089bdf1945d2f4cee30875f2c2339c13506a642ceb53fa5a36492325bdf6d",
     "k1n55.session":
         "b3833e912feaa938bffd9960ee5decdce6aacf6e39eff29f12dcb84edae7b38d",
     "k1n55.transcript.txt":
-        "3c52c13fa970e0d019eddb939351379ef54f847d3254b453be7f2e7122adaffa",
+        "4b69aa8a68ea3d57c3c12e628cdcbe667e484e2f0860b484cd6b9f0c54be3bf4",
     "k1n55.report.txt":
         "ec69f8babcd159b89ea6f9813a1618ae3cb88a3d337fa497f9408a2bce22f325",
     "k7n9.session":
         "032fa2a8c0b24e2a6f5350b8584d8f08ec1d45eaddf1bf3064d7ddb83e890c6e",
     "k7n9.transcript.txt":
-        "0d297add8612c20cfd5a273848e933fa411ab66803c6c7b8c1adced9b628e427",
+        "58b1a43efa888eee051389350f52ac29341bc06c7ca08669e2f4e19c266e0a3c",
     "k7n9.report.txt":
         "d0896f61f05c2f88c5166644a1e34d86c40e278b2965e848166db472486d3dcc",
     "k1n64.session":
         "c87d16bb7e5bda46623457f5cc844c4bb85cacf24cde86ef3c77f6985044bfcc",
     "k1n64.transcript.txt":
-        "4b205712f14fadfe3b0ba6d95ff038aa3f1826181a06d47b1862e93090c04044",
+        "3db871a2c2494c8b8fbf11ac35ceffb42d23d348e7d3ef1a59cde25de83cd330",
     "k1n64.report.txt":
         "a58f328dd9908b8767b0a20c7e0675597e6709bd6ad71e0ade90255c72c9c765",
 }
@@ -247,6 +248,24 @@ def test_distill_transcript_and_report(tmp_path, case):
         assert sha256(tmp_path / (case + suffix)) == GOLDEN[case + suffix], suffix
     text = (tmp_path / (case + ".transcript.txt")).read_text()
     assert Transcript.from_text(text) == transcript
+
+
+@pytest.mark.parametrize("case", sorted(DISTILL_CASES))
+def test_distill_transcript_layout(tmp_path, case):
+    # The table line holds one base-64 digit per round, and the members
+    # line the B*k ids, each as wide as the last round's id, with no
+    # separator; both spelled a character at a time by ``reference``.
+    transcript, _ = cmd_distill(
+        campaign(tmp_path, case, DISTILL_INI.format(**DISTILL_CASES[case])))
+    lines = transcript.to_text().split("\n")
+    rounds, (n_blocks, k) = len(transcript.round_table), transcript.blocks.shape
+    width = reference.id_width(rounds)
+    assert lines[1] == f"rounds\t{rounds}" and lines[3].startswith(f"blocks\t{n_blocks}\t{k}\t")
+    assert lines[2] == "table\t" + "".join(
+        reference.round_digit(*row) for row in transcript.round_table.tolist())
+    assert lines[4] == "".join(
+        reference.spell_id(i, width) for i in transcript.blocks.ravel().tolist())
+    assert len(lines[2]) - len("table\t") == rounds and len(lines[4]) == n_blocks * k * width
 
 
 def test_verify_text():

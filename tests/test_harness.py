@@ -599,7 +599,7 @@ class TestDistill:
         assert (transcript.key_a == transcript.key_b).all()
         assert cli_main(["distill", str(path), "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run.transcript.txt").read_text().startswith(
-            "relqkd-transcript/4")
+            "relqkd-transcript/5")
         assert (tmp_path / "run.report.txt").read_text().startswith(
             "relqkd-report/1")
         assert report.p_err_estimate == transcript.p_err_estimate

@@ -12,12 +12,11 @@ which no admissible instrument can lift above the ideal-channel value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, require_float
+from .errors import InvalidParameterError, frozen, require_float
 from .measurement import PhotonState
 from .wavepacket import AmplitudeProfile, Interval, Plateau
 
@@ -31,7 +30,7 @@ class ResendPolicy(Enum):
     NO_RESEND = "none"
 
 
-@dataclass(frozen=True)
+@frozen
 class EveStrategy:
     """What the eavesdropper chooses: her delay chi and what she forwards.
 

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 
 import numpy as np
 
 from .adversary import EveStrategy, channel_probabilities
-from .errors import InvalidParameterError, ResourceExhaustedError, require_floats, require_integers
+from .errors import (InvalidParameterError, ResourceExhaustedError, frozen, require_floats,
+                     require_integers)
 from .measurement import BobOutcome, EveOutcome
 from .wavepacket import Plateau
 
@@ -51,7 +52,7 @@ _CHUNK = 1 << 16
 STREAMS = ("bits", "eve", "bob", "noise", "public", "hash", "shuffle")
 
 
-@dataclass(frozen=True)
+@frozen
 class ProtocolConfig:
     """All knobs of one key-distillation session."""
 
@@ -102,8 +103,10 @@ class ProtocolConfig:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen(slots=True)
 class RoundRecord:
+    """One round of a transcript's table, as ``Transcript.rounds`` yields it."""
+
     index: int
     a_bit: int
     b_outcome: BobOutcome
@@ -112,8 +115,10 @@ class RoundRecord:
     block: int | None
 
 
-@dataclass(frozen=True)
+@frozen
 class HashRecord:
+    """One hash round: its subset, both parities and the position it discards."""
+
     round_index: int       # l = 1..M
     subset: str            # char i is the subset bit at string position i
     parity_a: int
@@ -140,7 +145,7 @@ _READ = bytes.maketrans(_DIGITS + bytes(range(256)).translate(None, _DIGITS),
                         bytes(range(64)) + b"\xff" * 192)
 
 
-@dataclass(frozen=True)
+@frozen
 class Transcript:
     """The simulator's full record of one session, and what follows from it.
 
@@ -295,7 +300,7 @@ class Transcript:
         holds one digit per round, its four codes shifted together and
         translated by ``_SPELL``, and the members line the ids' fixed-width
         digits (see ``_spell_ids``), both a chunk at a time.  The derived
-        lines follow them.
+        lines follow them, cut into chunks too.
         """
         table, (n_blocks, k) = self.round_table, self.blocks.shape
         ids = self.blocks.reshape(-1)
@@ -310,7 +315,9 @@ class Transcript:
         width = _id_width(rounds)
         for part in _chunks(ids.size, width):
             yield _spell_ids(ids[part], width)
-        yield b"\n" + self._derived_lines().encode()
+        derived = b"\n" + self._derived_lines().encode()
+        for part in _chunks(len(derived)):
+            yield derived[part]
 
     def _derived_lines(self) -> str:
         """The lines after the members line: hash log, error estimate, keys and abort."""

@@ -46,7 +46,7 @@ import configparser
 import itertools
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from .adversary import (
     optimal_delay,
 )
 from .distill import ProtocolConfig, Transcript, majority_decode, run_session
-from .errors import InvalidParameterError, require_integers
+from .errors import InvalidParameterError, frozen, require_integers
 from .security import SecurityReport, build_report
 from .wavepacket import Plateau, make_plateau
 
@@ -105,7 +105,7 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class AnalyzeSpec:
     """An ``analyze`` campaign: its seed, sweep axes and output path."""
 
@@ -136,7 +136,7 @@ class AnalyzeSpec:
                         f"the {length} must lie in [0, L]")
 
 
-@dataclass(frozen=True)
+@frozen
 class SimulateSpec(AnalyzeSpec):
     """A ``simulate`` campaign: an ``analyze`` one, its trials per point, envelope and resend."""
 
@@ -153,7 +153,7 @@ class SimulateSpec(AnalyzeSpec):
         super()._check_sweep()
 
 
-@dataclass(frozen=True)
+@frozen
 class DistillSpec:
     """A ``distill`` campaign: its protocol (seed, envelope, eavesdropper), epsilons and out."""
 
@@ -275,7 +275,7 @@ def _from_parser(parser, seed_override) -> Spec:
     return DistillSpec(protocol, **campaign, **_given(parser, "security"))
 
 
-@dataclass(frozen=True)
+@frozen
 class InterceptResendSummary:
     """One grid point of the delay tradeoff; its first ten fields are a CSV row.
 
@@ -427,8 +427,10 @@ def cmd_distill(spec: DistillSpec) -> tuple[Transcript, SecurityReport]:
 # verify mode: built-in identity and bound checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
+    """One self-check's verdict and the line that explains it."""
+
     name: str
     passed: bool
     detail: str
@@ -716,8 +718,10 @@ DEFAULT_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class VerifySummary:
+    """The verdicts of ``DEFAULT_CHECKS``, in order, and their text."""
+
     results: tuple[CheckResult, ...]
 
     @property

@@ -12,10 +12,9 @@ guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CausalityViolationError, InvalidParameterError, require_float
+from .errors import CausalityViolationError, InvalidParameterError, frozen, require_float
 from .wavepacket import AmplitudeProfile, Interval, mass_in_interval, overlap
 
 _EDGE_TOL = 1e-9
@@ -37,7 +36,7 @@ _BOB_BIT = {0: BobOutcome.ZERO, 1: BobOutcome.ONE}
 _EVE_BIT = {0: EveOutcome.FIRED_ZERO, 1: EveOutcome.FIRED_ONE}
 
 
-@dataclass(frozen=True)
+@frozen
 class PhotonState:
     """One transmitted carrier.
 

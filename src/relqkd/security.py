@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .adversary import eve_success_probability
-from .errors import (InvalidParameterError, require_float, require_floats, require_integer,
+from .errors import (InvalidParameterError, frozen, require_float, require_floats, require_integer,
                      require_integers)
 
 LN2 = math.log(2.0)
@@ -84,7 +84,7 @@ def _count(name: str, value) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@frozen
 class SecurityReport:
     """One parameter set against the security criterion.
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameterError, require_float, require_floats
+from .errors import InvalidParameterError, frozen, require_float, require_floats
 
 #: Longest plateau with edge ramps.  The ramps' closed-form integrals add
 #: coordinates that reach five plateau lengths (a delayed copy's cosine
@@ -38,7 +38,7 @@ from .errors import InvalidParameterError, require_float, require_floats
 MAX_RAMPED_LENGTH = sys.float_info.max / 8
 
 
-@dataclass(frozen=True)
+@frozen
 class Interval:
     """Closed interval [lo, hi] on the propagation axis."""
 
@@ -96,7 +96,7 @@ def _exact_product(
     return float(np.sum(h * (2 * a0 * b0 + a0 * b1 + a1 * b0 + 2 * a1 * b1)) / 6.0)
 
 
-@dataclass(frozen=True)
+@frozen
 class AmplitudeProfile:
     """Sampled envelope F(x) at reference time t = 0.
 
@@ -248,7 +248,7 @@ def _product_integral(terms_a, terms_b, lo: float, hi: float) -> float:
 _FLAT = ((1.0, 0.0, 0.0),)
 
 
-@dataclass(frozen=True)
+@frozen
 class Plateau:
     """Unit-mass plateau envelope in closed form, window [0, L] at t = 0.
 

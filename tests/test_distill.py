@@ -1924,3 +1924,15 @@ class TestBoundedSession:
         rounds = len(transcript.round_table)
         assert rounds > 50_000
         assert peak - held <= 12 * distill._CHUNK + 3 * rounds
+
+    def test_text_pieces_are_bounded(self):
+        # The hash log holds M subsets of about N + M characters each, so
+        # the derived lines outgrow a chunk: here they are 1,400,288 B, once
+        # written as one piece.  Every piece is now a chunk at most.
+        cfg = make_config(key_length=100_000, block_size=1, blocks_per_parity=1,
+                          hash_rounds=12, seed=3)
+        transcript = run_session(cfg)
+        assert len(transcript._derived_lines()) > distill._CHUNK
+        pieces = list(transcript.text_pieces())
+        assert max(map(len, pieces)) <= distill._CHUNK
+        assert b"".join(pieces).decode().endswith("\n" + transcript._derived_lines())
